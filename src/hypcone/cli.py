@@ -39,17 +39,17 @@ from .errors import (
     WallAngle,
 )
 from .holonomy import develop, holonomy_report
-from .selftest import DEFAULT_SEED, run_all
+from .selftest import DEFAULT_SEED, LOG_TOL, TRIG_TOL, run_all
 from .surface import build_surface, classify_angles, fmt17
 
 TOL_DEFAULTS = {
-    "wall": 1e-6,       # minimum |sin(theta/2)| before the bivector is refused
-    "radical": 1e-8,    # cone-angle gradients must annihilate the bivector
-    "jacobi": 1e-5,     # normalized Jacobi cyclic sum
-    "holonomy": 1e-8,   # trace-law and edge-length recovery errors
-    "psi": 1e-10,       # Delaunay edge-invariant threshold
-    "lemma": 1e-9,      # randomized pairing-identity suites
-    "lemma-log": 1e-6,  # randomized logarithm-expansion suite
+    "wall": poisson_mod.WALL_GUARD,  # min |sin(theta/2)| before P is refused
+    "radical": 1e-8,      # cone-angle gradients must annihilate the bivector
+    "jacobi": 1e-5,       # normalized Jacobi cyclic sum
+    "holonomy": 1e-8,     # trace-law and edge-length recovery errors
+    "psi": delaunay_mod.PSI_TOL,  # Delaunay edge-invariant threshold
+    "lemma": TRIG_TOL,    # randomized pairing-identity suites
+    "lemma-log": LOG_TOL,  # randomized logarithm-expansion suite
 }
 
 INPUT_ERRORS = (
@@ -147,7 +147,7 @@ def cmd_poisson(args, out: Emitter, tols) -> int:
         out.put(f"radical.{v}", float(residuals[v]))
     radical_max = float(max(residuals)) if len(residuals) else 0.0
     out.put("radical_max", radical_max)
-    jac = poisson_mod.jacobi_residual(s, jobs=args.jobs, wall_guard=tols["wall"])
+    jac = poisson_mod.jacobi_residual(s, wall_guard=tols["wall"])
     out.put("jacobi", jac)
     for key, value in poisson_mod.comparison_note():
         out.put(key, value)
@@ -229,9 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default="text")
         p.add_argument("--tol", action="append", metavar="KEY=VALUE",
                        help="override a named tolerance; repeatable")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--jobs", type=int, default=None,
-                       help="worker threads for derivative evaluations")
+        if name == "selftest":
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     return parser
 
 
@@ -255,7 +254,7 @@ def main(argv=None) -> int:
     except BLOCKED_ERRORS as exc:
         sys.stderr.write(f"error[{type(exc).__name__}]: {exc}\n")
         return 2
-    except HypconeError as exc:
+    except (HypconeError, OverflowError) as exc:
         sys.stderr.write(f"error[{type(exc).__name__}]: {exc}\n")
         return 3
     out.flush()

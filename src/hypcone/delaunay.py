@@ -2,13 +2,16 @@
 
 The local quality measure of an interior edge is psi0 = pi - (alpha + beta),
 the two corner angles opposite the edge in its incident triangles; an edge is
-locally Delaunay when psi0 >= 0.  A flip develops the two triangles into the
-half-plane as a quadrilateral, replaces the edge by the cross diagonal
-(keeping its id, with the developed cross distance as the new length), and
-rewires the quad; the underlying metric is untouched, only the triangulation
-of it changes.  Repeatedly flipping the worst edge terminates in a
-triangulation with all psi0 >= 0, the Delaunay refinement of the metric's
-Voronoi dual.
+locally Delaunay when psi0 >= 0.  A flip replaces the edge by the other
+diagonal of the quadrilateral formed by its two triangles, keeping its id,
+and rewires the quad; the underlying metric is untouched, only the
+triangulation of it changes.  The quadrilateral's angles at the two ends of
+the edge are sums of stored corner angles; the flip needs both below pi, and
+the new length follows from the hyperbolic law of cosines at one end, so
+nothing is developed into the half-plane (Bobenko & Springborn 2007;
+Gillespie, Springborn & Crane 2021).  Repeatedly flipping the worst edge
+terminates in a triangulation with all psi0 >= 0, the Delaunay refinement of
+the metric's Voronoi dual.
 """
 
 from __future__ import annotations
@@ -19,9 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonTermination, UnflippableConfiguration
-from .holonomy import place_third
-from .sl2 import HypPoint, hyp_distance, normalizing_isometry
-from .surface import ConeSurface
+from .surface import ConeSurface, fmt17
 
 # An edge counts as non-Delaunay only below -PSI_TOL, so floating-point
 # zeros do not trigger flip loops.
@@ -51,36 +52,31 @@ def edge_invariants(s: ConeSurface) -> dict:
     return {e: edge_invariant(s, e) for e in s.edge_ids}
 
 
-def _develop_quad(s: ConeSurface, e: str):
-    """Develop the two triangles of e into one chart.
+def flip_new_length(s: ConeSurface, e: str) -> float:
+    """Length of the replacement diagonal, with the embeddability check.
 
-    Returns (p, q, x, y): the edge runs p -> q, x is the apex on its left
-    (the triangle containing the forward half-edge), y the apex on its right.
+    The edge runs p -> q with apex x left of it and apex y right of it.  The
+    diagonal x-y crosses the edge exactly when the quadrilateral's angles at
+    p and q are both below pi; its length comes from the law of cosines at p
+    in the half-angle form
+    sinh^2(c/2) = sinh^2((a-b)/2) + sinh a sinh b sin^2(gamma_p/2),
+    which stays accurate for short diagonals.
     """
     hf, hb = s.halfedges_of_edge(e)
     if s.tri(hf) == s.tri(hb):
         raise UnflippableConfiguration(
             f"edge {e!r} bounds the same triangle twice")
-    p = HypPoint(0.0, 1.0)
-    q = HypPoint(0.0, math.exp(s.lengths[e]))
-    x = place_third(p, q, s.length_of(s.prv(hf)), s.length_of(s.nxt(hf)),
-                    s.lengths[e])
-    y = place_third(q, p, s.length_of(s.prv(hb)), s.length_of(s.nxt(hb)),
-                    s.lengths[e])
-    return hf, hb, p, q, x, y
-
-
-def flip_new_length(s: ConeSurface, e: str) -> float:
-    """Length of the replacement diagonal, with the embeddability check."""
-    _, _, p, q, x, y = _develop_quad(s, e)
-    norm = normalizing_isometry(x, y)
-    sp = norm.apply(p.z).real
-    sq = norm.apply(q.z).real
-    if not (sp * sq < 0.0):
+    gamma_p = s.angle_at(hf) + s.angle_at(s.nxt(hb))
+    gamma_q = s.angle_at(hb) + s.angle_at(s.nxt(hf))
+    if not (gamma_p < math.pi and gamma_q < math.pi):
         raise UnflippableConfiguration(
             f"diagonal replacing edge {e!r} does not cross it "
-            f"(developed sides {sp} and {sq})")
-    return hyp_distance(x, y)
+            f"(quadrilateral angles {gamma_p} and {gamma_q} at its ends)")
+    a = s.length_of(s.prv(hf))
+    b = s.length_of(s.nxt(hb))
+    half = math.sinh((a - b) / 2.0) ** 2 + \
+        math.sinh(a) * math.sinh(b) * math.sin(gamma_p / 2.0) ** 2
+    return 2.0 * math.asinh(math.sqrt(half))
 
 
 def flip(s: ConeSurface, e: str):
@@ -91,15 +87,8 @@ def flip(s: ConeSurface, e: str):
     [e forward, old prv(backward), old nxt(forward)], the other
     [e backward, old prv(forward), old nxt(backward)].
     """
-    hf, hb, p, q, x, y = _develop_quad(s, e)
-    norm = normalizing_isometry(x, y)
-    sp = norm.apply(p.z).real
-    sq = norm.apply(q.z).real
-    if not (sp * sq < 0.0):
-        raise UnflippableConfiguration(
-            f"diagonal replacing edge {e!r} does not cross it "
-            f"(developed sides {sp} and {sq})")
-    new_len = hyp_distance(x, y)
+    new_len = flip_new_length(s, e)
+    hf, hb = s.halfedges_of_edge(e)
 
     def rec(h):
         return (s.he_edge[h], s.he_dir[h])
@@ -161,7 +150,6 @@ def flip_coordinate_jacobian(s: ConeSurface, e: str) -> np.ndarray:
 
 def move_log_lines(moves) -> list:
     """One line per flip: edge, pre-length, post-length, pre-psi0."""
-    from .surface import fmt17
     return ["flip %s pre %s post %s psi0 %s" %
             (m.edge, fmt17(m.pre_length), fmt17(m.post_length), fmt17(m.pre_psi0))
             for m in moves]

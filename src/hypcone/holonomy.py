@@ -26,13 +26,10 @@ from .sl2 import (
     hyp_exp,
     normalizing_isometry,
 )
-from .surface import ConeSurface, corner_angle, fmt17
+from .surface import WALL_TOL, ConeSurface, corner_angle, fmt17, wall_distance
 
 # A developed side shorter than this is treated as a degenerate layout.
 COLLAPSE_TOL = 1e-12
-# Cone angles this close to a positive multiple of 2*pi have (numerically)
-# trivial holonomy; fixed-point queries are refused.
-WALL_TOL = 1e-9
 
 
 def place_third(p: HypPoint, q: HypPoint, l_px: float, l_qx: float,
@@ -48,12 +45,6 @@ def place_third(p: HypPoint, q: HypPoint, l_px: float, l_qx: float,
     return hyp_exp(p, hyp_direction(p, q) + alpha, l_px)
 
 
-def wall_distance(theta: float) -> float:
-    """Distance from a cone angle to the nearest positive multiple of 2*pi."""
-    k = max(1, round(theta / (2.0 * math.pi)))
-    return abs(theta - 2.0 * math.pi * k)
-
-
 def _edge_chart_map(pos, s: ConeSurface, h: int) -> Sl2Matrix:
     """Isometry taking the chart of tri(twin h) to the chart of tri(h).
 
@@ -66,25 +57,38 @@ def _edge_chart_map(pos, s: ConeSurface, h: int) -> Sl2Matrix:
     return n_here.inverse() @ n_there
 
 
-def _fan_walk(pos, s: ConeSurface, germ: int) -> Sl2Matrix:
+def _fan_walk(chart_maps, s: ConeSurface, germ: int) -> Sl2Matrix:
     """Holonomy of the counterclockwise corner loop around the origin vertex
-    of `germ`, expressed in the atlas chart of tri(germ)."""
+    of `germ`, expressed in the atlas chart of tri(germ).
+
+    `chart_maps[h]` is the chart transition across half-edge h.
+    """
     m = Sl2Matrix.identity()
     g = germ
     for _ in s.vertex_germs[s.vertex_of[germ]]:
         shared = s.prv(g)
-        m = m @ _edge_chart_map(pos, s, shared)
+        m = m @ chart_maps[shared]
         g = s.twin[shared]
     return m
+
+
+def _refuse_wall(s: ConeSurface, v: int) -> None:
+    """Raise WallAngle when vertex v's loop holonomy is (numerically) trivial."""
+    theta = s.cone_angle[v]
+    if wall_distance(theta) < WALL_TOL:
+        raise WallAngle(
+            f"cone angle {theta} at vertex {v} is within {WALL_TOL} of 2*pi*k")
 
 
 class HolonomyAtlas:
     """Developed triangle charts plus the holonomy data derived from them.
 
     `pos[h]` is the developed position of the origin vertex of half-edge h in
-    the chart of its triangle.  Charts agree across spanning-tree edges; the
-    per-edge chart transitions of the remaining edges and the vertex-loop
-    holonomies are recomputed from the positions at construction.
+    the chart of its triangle.  Charts agree across spanning-tree edges.  The
+    chart transition across every half-edge is computed once from the
+    positions at construction; every fan walk (the vertex-loop holonomies
+    and the walks behind length recovery) multiplies entries of that table.
+    `transitions` is its view on the non-tree edges, keyed by edge id.
     """
 
     def __init__(self, surface: ConeSurface, base: int, pos, tree_edges):
@@ -102,11 +106,13 @@ class HolonomyAtlas:
                     raise NumericalCollapse(
                         f"developed side of triangle {t} has length {side}")
 
+        self.chart_maps = tuple(
+            _edge_chart_map(pos, s, h) for h in range(s.n_half))
         self.transitions = {
-            e: _edge_chart_map(pos, s, s.halfedges_of_edge(e)[0])
+            e: self.chart_maps[s.halfedges_of_edge(e)[0]]
             for e in s.edge_ids if e not in self.tree_edges}
         self.vertex_matrix = tuple(
-            _fan_walk(pos, s, orbit[0]) for orbit in s.vertex_germs)
+            _fan_walk(self.chart_maps, s, orbit[0]) for orbit in s.vertex_germs)
 
     def vertex_center(self, v: int) -> HypPoint:
         """Developed position of vertex v in its base germ's chart."""
@@ -190,10 +196,7 @@ def vertex_holonomy(atlas: HolonomyAtlas, v: int) -> Sl2Matrix:
     Refused when the cone angle sits on a wall (a positive multiple of 2*pi),
     where the loop holonomy collapses to the identity.
     """
-    theta = atlas.surface.cone_angle[v]
-    if wall_distance(theta) < WALL_TOL:
-        raise WallAngle(
-            f"cone angle {theta} at vertex {v} is within {WALL_TOL} of 2*pi*k")
+    _refuse_wall(atlas.surface, v)
     return atlas.vertex_matrix[v]
 
 
@@ -207,12 +210,9 @@ def alength_from_fixed_points(atlas: HolonomyAtlas, e: str) -> float:
     s = atlas.surface
     h = min(s.halfedges_of_edge(e))
     for end in (h, s.nxt(h)):
-        theta = s.cone_angle[s.vertex_of[end]]
-        if wall_distance(theta) < WALL_TOL:
-            raise WallAngle(
-                f"endpoint of edge {e!r} has cone angle {theta} on a wall")
-    hol_tail = _fan_walk(atlas.pos, s, h)
-    hol_head = _fan_walk(atlas.pos, s, s.nxt(h))
+        _refuse_wall(s, s.vertex_of[end])
+    hol_tail = _fan_walk(atlas.chart_maps, s, h)
+    hol_head = _fan_walk(atlas.chart_maps, s, s.nxt(h))
     return hyp_distance(fixed_point(hol_tail), fixed_point(hol_head))
 
 

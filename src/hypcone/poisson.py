@@ -17,7 +17,6 @@ refused inside a small guard band around those walls.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -92,26 +91,16 @@ def bivector_rank(p: np.ndarray, rel_tol: float = 1e-8) -> int:
     return int(np.sum(sv > rel_tol * sv[0]))
 
 
-def _eta_derivatives(s: ConeSurface, step: float, jobs: int | None,
-                     wall_guard: float):
+def _eta_derivatives(s: ConeSurface, step: float, wall_guard: float):
     """Central finite differences of eta_matrix in every length coordinate."""
-    tasks = []
-    for e in s.edge_ids:
-        a = s.lengths[e]
-        tasks.append(s.with_lengths({e: a + step}))
-        tasks.append(s.with_lengths({e: a - step}))
-    evaluate = lambda t: eta_matrix(t, wall_guard=wall_guard)
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            mats = list(pool.map(evaluate, tasks))
-    else:
-        mats = [evaluate(t) for t in tasks]
-    return np.array([(mats[2 * k] - mats[2 * k + 1]) / (2.0 * step)
-                     for k in range(s.n_edges)])
+    def at(e, a):
+        return eta_matrix(s.with_lengths({e: a}), wall_guard=wall_guard)
+
+    return np.array([(at(e, s.lengths[e] + step) - at(e, s.lengths[e] - step))
+                     / (2.0 * step) for e in s.edge_ids])
 
 
 def jacobi_residual(s: ConeSurface, step_scale: float = 1e-5,
-                    jobs: int | None = None,
                     perturbation: np.ndarray | None = None,
                     wall_guard: float = WALL_GUARD) -> float:
     """Scaled maximal Jacobi-identity defect over all coordinate triples.
@@ -129,7 +118,7 @@ def jacobi_residual(s: ConeSurface, step_scale: float = 1e-5,
             raise DimensionMismatch("perturbation shape mismatch")
         p0 = p0 + q
     step = step_scale * max(s.lengths.values())
-    deriv = _eta_derivatives(s, step, jobs, wall_guard)
+    deriv = _eta_derivatives(s, step, wall_guard)
     t1 = np.einsum("il,ljk->ijk", p0, deriv)
     jac = t1 + t1.transpose(1, 2, 0) + t1.transpose(2, 0, 1)
     scale = float(np.max(np.abs(p0))) * float(np.max(np.abs(deriv))) + 1e-300

@@ -45,6 +45,15 @@ def fmt17(x: float) -> str:
     return "%.17g" % float(x)
 
 
+def wall_distance(theta: float) -> float:
+    """Distance from a cone angle to the nearest positive multiple of 2*pi.
+
+    A cone angle is on a wall when this is below WALL_TOL.
+    """
+    k = max(1, round(theta / (2.0 * math.pi)))
+    return abs(theta - 2.0 * math.pi * k)
+
+
 # ---------------------------------------------------------------------------
 # hyperbolic law of cosines
 # ---------------------------------------------------------------------------
@@ -125,11 +134,7 @@ def classify_angles(data: AngleData, tol: float = CHI_TOL) -> StratumReport:
     if chi > tol:
         raise NotAdmissible(f"curvature count chi = {chi} is positive")
     flat = abs(chi) <= tol
-    off_walls = True
-    for t in data.theta:
-        k = round(t / (2.0 * math.pi))
-        if k >= 1 and abs(t - 2.0 * math.pi * k) <= WALL_TOL:
-            off_walls = False
+    off_walls = all(wall_distance(t) >= WALL_TOL for t in data.theta)
     small = all(t < math.pi for t in data.theta)
     return StratumReport(chi=chi, hyperbolic=chi < -tol, flat=flat,
                          off_walls=off_walls, small=small)
@@ -246,9 +251,11 @@ class ConeSurface:
 
         nh = 3 * len(tris)
         twin = [0] * nh
-        for occ in seen.values():
-            (h1, _), (h2, _) = occ
+        halves = {}
+        for eid, occ in seen.items():
+            (h1, d1), (h2, _) = occ
             twin[h1], twin[h2] = h2, h1
+            halves[eid] = (h1, h2) if d1 == "+" else (h2, h1)
 
         # connectivity of the gluing
         reached = {0}
@@ -280,6 +287,7 @@ class ConeSurface:
         self.edge_index = {e: i for i, e in enumerate(self.edge_ids)}
         self.n_half = nh
         self.twin = tuple(twin)
+        self._halves = halves
         self.he_edge = tuple(tris[h // 3][h % 3][0] for h in range(nh))
         self.he_dir = tuple(tris[h // 3][h % 3][1] for h in range(nh))
 
@@ -353,8 +361,7 @@ class ConeSurface:
 
     def halfedges_of_edge(self, eid: str) -> tuple:
         """(forward, backward) half-edges of an edge, in that order."""
-        hs = [h for h in range(self.n_half) if self.he_edge[h] == eid]
-        return (hs[0], hs[1]) if self.he_dir[hs[0]] == "+" else (hs[1], hs[0])
+        return self._halves[eid]
 
     # -- derived metric data ---------------------------------------------------
 
@@ -401,19 +408,23 @@ def build_surface(data: dict) -> ConeSurface:
     if not isinstance(data, dict):
         raise ValueError("top level must be an object")
     for key in ("edges", "triangles"):
-        if key not in data:
-            raise ValueError(f"missing top-level key {key!r}")
+        if not isinstance(data.get(key), list):
+            raise ValueError(f"top-level key {key!r} must hold a list")
     edges = {}
     for rec in data["edges"]:
         if not isinstance(rec, dict) or "id" not in rec or "length" not in rec:
             raise ValueError(f"malformed edge record {rec!r}")
-        eid = rec["id"]
+        eid, length = rec["id"], rec["length"]
+        if not isinstance(eid, str):
+            raise ValueError(f"edge id {eid!r} must be a string")
+        if isinstance(length, bool) or not isinstance(length, (int, float)):
+            raise ValueError(f"edge {eid!r} has length {length!r}, not a number")
         if eid in edges:
             raise ValueError(f"duplicate edge id {eid!r}")
-        edges[eid] = rec["length"]
+        edges[eid] = length
     triangles = []
     for rec in data["triangles"]:
-        if not isinstance(rec, dict) or "sides" not in rec:
+        if not isinstance(rec, dict) or not isinstance(rec.get("sides"), list):
             raise ValueError(f"malformed triangle record {rec!r}")
         sides = []
         for side in rec["sides"]:

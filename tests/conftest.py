@@ -57,6 +57,13 @@ def genus1_two_cone_surface(h=1.6, w=1.6, s0=1.0, s1=1.0, s2=1.0, s3=1.0):
     )
 
 
+def scanned_halfedges(s, e):
+    """(forward, backward) half-edges of e found by scanning every half-edge."""
+    hs = [h for h in range(s.n_half) if s.he_edge[h] == e]
+    assert len(hs) == 2
+    return tuple(sorted(hs, key=lambda h: s.he_dir[h] != "+"))
+
+
 def equilateral_torus_angle(a):
     """Cone angle of the equilateral one-vertex torus with edge length a."""
     return 6.0 * math.acos(math.cosh(a) / (math.cosh(a) + 1.0))

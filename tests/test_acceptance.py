@@ -329,15 +329,14 @@ def test_delaunay_flattening():
 
 
 def test_cli_determinism(tmp_path):
-    # byte-identical stdout for repeated invocations, including threaded
-    # evaluation and both output formats
+    # byte-identical stdout for repeated invocations, in both output formats
     torus_file = tmp_path / "torus.json"
     torus_file.write_text(serialize_surface(torus_surface(1.0, 1.3, 1.7)))
     demo_file = tmp_path / "demo.json"
     demo_file.write_text(serialize_surface(torus_surface(1.0, 1.0, 1.9)))
     invocations = [
         ("validate", "--input", str(torus_file)),
-        ("poisson", "--input", str(torus_file), "--jobs", "2"),
+        ("poisson", "--input", str(torus_file)),
         ("poisson", "--input", str(torus_file), "--format", "structured"),
         ("holonomy", "--input", str(torus_file)),
         ("delaunay", "--input", str(demo_file)),
@@ -357,5 +356,5 @@ def test_cli_determinism(tmp_path):
         checked += 1
     _report("cli determinism", checked == len(invocations),
             f"{checked} invocations (validate/poisson/holonomy/delaunay/"
-            f"selftest, threaded and structured variants) byte-identical "
+            f"selftest, structured variant) byte-identical "
             f"across repeated runs")

@@ -102,8 +102,7 @@ def test_selftest(capsys):
 def test_output_is_deterministic(capsys, torus_file):
     _, first, _ = run(capsys, "poisson", "--input", torus_file)
     _, again, _ = run(capsys, "poisson", "--input", torus_file)
-    _, jobs, _ = run(capsys, "poisson", "--input", torus_file, "--jobs", "4")
-    assert first == again == jobs
+    assert first == again
 
 
 def test_floats_roundtrip_exactly(capsys, torus_file):
@@ -121,6 +120,36 @@ def test_exit_codes(capsys, tmp_path, torus_file, wall_file):
     assert run(capsys, "poisson", "--input", wall_file)[0] == 2
     assert run(capsys, "poisson", "--input", torus_file,
                "--tol", "jacobi=1e-30")[0] == 3
+
+
+def _torus_doc(**edge_fields):
+    doc = json.loads(serialize_surface(torus_surface()))
+    for rec in doc["edges"]:
+        rec.update(edge_fields)
+    return doc
+
+
+def _scalar_sides():
+    doc = _torus_doc()
+    doc["triangles"][0]["sides"] = 5
+    return doc
+
+
+@pytest.mark.parametrize("doc, code", [
+    (_torus_doc(length=800.0), 3),   # sinh overflows
+    (_torus_doc(length=[1.0]), 1),
+    (_scalar_sides(), 1),
+], ids=["overflow", "list-length", "scalar-sides"])
+def test_bad_input_exits_without_traceback(tmp_path, doc, code):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypcone.cli", "validate", "--input", str(path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error[") and proc.stderr.count("\n") == 1
 
 
 def test_tolerance_override_loosens(capsys, wall_file):

@@ -4,20 +4,24 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import tetra_surface, torus_surface
+from conftest import scanned_halfedges, tetra_surface, torus_surface
 
 from hypcone import (
     ConeSurface,
+    HypPoint,
     edge_invariant,
     edge_invariants,
     eta_matrix,
     flip,
     flip_coordinate_jacobian,
     flip_new_length,
+    hyp_distance,
     make_delaunay,
+    normalizing_isometry,
+    place_third,
 )
 from hypcone.delaunay import PSI_TOL, move_log_lines
-from hypcone.errors import UnflippableConfiguration, WallAngle
+from hypcone.errors import TriangleInequality, UnflippableConfiguration, WallAngle
 
 
 def metric_fingerprint(s):
@@ -56,6 +60,61 @@ def test_flip_length_against_law_of_cosines():
         except UnflippableConfiguration:
             continue
         assert got == pytest.approx(math.acosh(coshd), abs=1e-12)
+
+
+def developed_flip_length(s, e):
+    """Reference flip: develop the quadrilateral of e into the half-plane.
+
+    The edge runs p -> q up the imaginary axis, with apex x placed to its
+    left and apex y to its right.  Returns the developed distance d(x, y), or
+    None when p and q do not lie on opposite sides of the geodesic x-y.
+    """
+    hf, hb = s.halfedges_of_edge(e)
+    if s.tri(hf) == s.tri(hb):
+        return None
+    ln = s.lengths[e]
+    p = HypPoint(0.0, 1.0)
+    q = HypPoint(0.0, math.exp(ln))
+    x = place_third(p, q, s.length_of(s.prv(hf)), s.length_of(s.nxt(hf)), ln)
+    y = place_third(q, p, s.length_of(s.prv(hb)), s.length_of(s.nxt(hb)), ln)
+    norm = normalizing_isometry(x, y)
+    if not norm.apply(p.z).real * norm.apply(q.z).real < 0.0:
+        return None
+    return hyp_distance(x, y)
+
+
+def random_tori_and_tetrahedra(rng, count):
+    """Seeded tori and tetrahedra with lengths spread wide enough that some
+    quadrilaterals are reflex at an end of their diagonal."""
+    keys = ("ab", "ac", "ad", "bc", "bd", "cd")
+    out = []
+    while len(out) < count:
+        try:
+            if len(out) % 2:
+                out.append(tetra_surface(dict(zip(keys, rng.uniform(0.2, 3.0, size=6)))))
+            else:
+                out.append(torus_surface(*rng.uniform(0.2, 3.0, size=3)))
+        except TriangleInequality:
+            continue
+    return out
+
+
+def test_flip_length_matches_developed_quad(corpus):
+    surfaces = corpus + random_tori_and_tetrahedra(np.random.default_rng(3), 200)
+    verdicts = Counter()
+    for s in surfaces:
+        for e in s.edge_ids:
+            want = developed_flip_length(s, e)
+            try:
+                got = flip_new_length(s, e)
+            except UnflippableConfiguration:
+                got = None
+            assert (got is None) == (want is None), (s.lengths, e)
+            if got is not None:
+                assert got == pytest.approx(want, rel=0, abs=1e-12)
+            verdicts[got is None] += 1
+    # both verdicts occur, so the reflex-quad branch is exercised
+    assert verdicts[True] > 0 and verdicts[False] > 0
 
 
 def test_flip_preserves_metric(skew_g1n2):
@@ -137,6 +196,14 @@ def test_make_delaunay_randomized():
         final, moves = make_delaunay(s)
         assert min(edge_invariants(final).values()) >= -PSI_TOL
         assert metric_fingerprint(final) == before
+        # replay the flips: every surface passed through keeps its edge index
+        passed = [s]
+        for move in moves:
+            passed.append(flip(passed[-1], move.edge)[0])
+        assert passed[-1].lengths == final.lengths
+        for t in passed:
+            for e in t.edge_ids:
+                assert t.halfedges_of_edge(e) == scanned_halfedges(t, e)
         done += 1
     assert done == 60
 

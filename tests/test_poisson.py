@@ -102,10 +102,6 @@ def test_jacobi_detects_fake_bivector(skew_torus, skew_tetra, skew_g1n2):
         assert jacobi_residual(s, perturbation=q) > 1e-2
 
 
-def test_jacobi_threaded_evaluation_is_identical(skew_g1n2):
-    assert jacobi_residual(skew_g1n2, jobs=3) == jacobi_residual(skew_g1n2)
-
-
 def test_wall_guard(torus):
     near_wall = torus_surface(1e-3)
     assert wall_margins(near_wall)[0] < 1e-6

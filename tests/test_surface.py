@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import equilateral_torus_angle, torus_surface
+from conftest import equilateral_torus_angle, scanned_halfedges, torus_surface
 
 from hypcone import (
     AngleData,
@@ -174,6 +174,12 @@ def test_edge_count_formula(corpus):
 # ---------------------------------------------------------------------------
 # vertex fans
 # ---------------------------------------------------------------------------
+
+
+def test_halfedges_of_edge_matches_scan(corpus):
+    for s in corpus:
+        for e in s.edge_ids:
+            assert s.halfedges_of_edge(e) == scanned_halfedges(s, e)
 
 
 def test_fans_partition_halfedges(corpus):
