@@ -63,7 +63,8 @@ def corner_angle(a: float, b: float, c: float) -> float:
 
     cos(angle) = (cosh a cosh b - cosh c) / (sinh a sinh b), in (0, pi).
     The numerator is expanded with cosh x - cosh y = 2 sinh((x+y)/2)
-    sinh((x-y)/2) so short sides do not cancel away all precision.
+    sinh((x-y)/2) so short sides do not cancel away all precision.  Raises
+    OverflowError when the sinh products leave the floating-point range.
     """
     for s in (a, b, c):
         if not (math.isfinite(s) and s > 0.0):
@@ -74,22 +75,29 @@ def corner_angle(a: float, b: float, c: float) -> float:
     num = (math.sinh((a + b + c) / 2.0) * math.sinh((a + b - c) / 2.0)
            + math.sinh((a - b + c) / 2.0) * math.sinh((a - b - c) / 2.0))
     den = math.sinh(a) * math.sinh(b)
+    if not (math.isfinite(num) and math.isfinite(den)):
+        raise OverflowError(f"corner angle of sides ({a}, {b}, {c}) overflows")
     return math.acos(min(1.0, max(-1.0, num / den)))
 
 
-def corner_angle_gradient(a: float, b: float, c: float) -> tuple[float, float, float]:
-    """Partial derivatives of corner_angle(a, b, c) in (a, b, c).
+def corner_gradient(a, b, alpha, beta):
+    """Partials (d/da, d/db, d/dc) of the corner angle between sides a and b.
 
-    d/dc = sinh c / (sin g sinh a sinh b);
-    d/da = -(cosh a cosh c - cosh b) / (sin g sinh^2 a sinh b), symmetrically in b.
+    alpha and beta are the triangle's angles opposite a and b.  With the
+    hyperbolic law of sines, d/dc = 1/(sinh a sin beta), d/da = -cot(beta) /
+    sinh a and d/db = -cot(alpha) / sinh b: no difference of large terms, so
+    short sides keep full precision.  Works elementwise on arrays.
     """
-    g = corner_angle(a, b, c)
-    sg = math.sin(g)
-    sa, sb = math.sinh(a), math.sinh(b)
-    da = -(math.cosh(a) * math.cosh(c) - math.cosh(b)) / (sg * sa * sa * sb)
-    db = -(math.cosh(b) * math.cosh(c) - math.cosh(a)) / (sg * sb * sb * sa)
-    dc = math.sinh(c) / (sg * sa * sb)
-    return da, db, dc
+    sa, sb, sin_beta = np.sinh(a), np.sinh(b), np.sin(beta)
+    return (-np.cos(beta) / (sin_beta * sa),
+            -np.cos(alpha) / (np.sin(alpha) * sb),
+            1.0 / (sa * sin_beta))
+
+
+def corner_angle_gradient(a: float, b: float, c: float) -> tuple[float, float, float]:
+    """Partial derivatives of corner_angle(a, b, c) in (a, b, c)."""
+    alpha, beta = corner_angle(b, c, a), corner_angle(c, a, b)
+    return tuple(float(d) for d in corner_gradient(a, b, alpha, beta))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +225,10 @@ class ConeSurface:
         for eid, ln in edges.items():
             if not isinstance(eid, str) or not eid:
                 raise ValueError(f"edge id {eid!r} must be a nonempty string")
-            ln = float(ln)
+            try:
+                ln = float(ln)
+            except OverflowError:
+                raise ValueError(f"edge {eid!r} has a length too large for a float") from None
             if not (math.isfinite(ln) and ln > 0.0):
                 raise NonPositiveLength(f"edge {eid!r} has length {ln}")
             lengths[eid] = ln
@@ -362,6 +373,23 @@ class ConeSurface:
     def halfedges_of_edge(self, eid: str) -> tuple:
         """(forward, backward) half-edges of an edge, in that order."""
         return self._halves[eid]
+
+    def corner_gradients(self) -> tuple:
+        """Gradient of every corner angle in the lengths of its triangle.
+
+        Returns (edges, grads), both (n_half, 3): row h holds the edge indices
+        of the sides h, prv(h), nxt(h) and the partials of angle_at(h) in their
+        lengths, read from the stored corner angles.
+        """
+        h = np.arange(self.n_half)
+        nxt = h - h % 3 + (h + 1) % 3
+        prv = h - h % 3 + (h + 2) % 3
+        edge = np.array([self.edge_index[e] for e in self.he_edge])
+        length = self.length_vector()[edge]
+        angle = np.array(self._angle)
+        # the angle opposite side h sits at prv(h), the one opposite prv(h) at nxt(h)
+        grads = corner_gradient(length, length[prv], angle[prv], angle[nxt])
+        return np.stack([edge, edge[prv], edge[nxt]], axis=1), np.stack(grads, axis=1)
 
     # -- derived metric data ---------------------------------------------------
 

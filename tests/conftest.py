@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -55,6 +56,27 @@ def genus1_two_cone_surface(h=1.6, w=1.6, s0=1.0, s1=1.0, s2=1.0, s3=1.0):
             [("w", "-"), ("s0", "-"), ("s3", "+")],
         ],
     )
+
+
+def stellar_surface(k, seed, base=1.3, jitter=0.05):
+    """Tetrahedron boundary after k seeded stellar subdivisions: E = 6 + 3k.
+
+    Each step puts a new vertex in a uniformly chosen triangle and joins it
+    to the three corners; every edge then gets length base * (1 + u) with u
+    uniform in [-jitter, jitter].
+    """
+    rng = random.Random(seed)
+    sides = [list(t) for t in tetra_surface().triangles]
+    edges = ["ab", "ac", "ad", "bc", "bd", "cd"]
+    for _ in range(k):
+        t = int(rng.random() * len(sides))
+        s0, s1, s2 = sides[t]
+        ea, eb, ec = (f"e{len(edges) + i}" for i in range(3))
+        edges += [ea, eb, ec]  # from each corner to the new vertex
+        sides[t] = [s0, (eb, "+"), (ea, "-")]
+        sides += [[s1, (ec, "+"), (eb, "-")], [s2, (ea, "+"), (ec, "-")]]
+    lengths = {e: base * (1.0 + jitter * (2.0 * rng.random() - 1.0)) for e in edges}
+    return ConeSurface(lengths, sides)
 
 
 def scanned_halfedges(s, e):

@@ -190,8 +190,9 @@ def test_holonomy_certification():
 
 def test_bivector_structure():
     # antisymmetry (bitwise), cone-angle gradients in the radical, rank
-    # 6g-6+2n, Jacobi identity by finite differences, and detection of a
-    # random antisymmetric fault of size 0.1 -- all inside 60 s
+    # 6g-6+2n, Jacobi identity with the chain-rule derivative of the
+    # bivector, and detection of a random antisymmetric fault of size 0.1 --
+    # all inside 60 s
     t0 = time.perf_counter()
     rad_max = jac_max = 0.0
     fault_min = math.inf
@@ -219,7 +220,7 @@ def test_bivector_structure():
           and elapsed < 60.0)
     _report("bivector structure", ok,
             f"7 surfaces: antisymmetry exact, radical residual {rad_max:.1e} "
-            f"< 1e-8, ranks = 6g-6+2n, Jacobi {jac_max:.1e} < 1e-5, fault "
+            f"< 1e-8, ranks = 6g-6+2n, analytic Jacobi {jac_max:.1e} < 1e-5, fault "
             f"residual {fault_min:.1e} > 1e-2 on 5 skew surfaces, "
             f"{elapsed:.1f} s < 60 s")
 

@@ -139,7 +139,9 @@ def _scalar_sides():
     (_torus_doc(length=800.0), 3),   # sinh overflows
     (_torus_doc(length=[1.0]), 1),
     (_scalar_sides(), 1),
-], ids=["overflow", "list-length", "scalar-sides"])
+    (_torus_doc(length=400.0), 3),   # sinh a * sinh b overflows; not an angle of pi
+    (_torus_doc(length=10**400), 1),  # no float holds it
+], ids=["overflow", "list-length", "scalar-sides", "overflow-product", "huge-integer"])
 def test_bad_input_exits_without_traceback(tmp_path, doc, code):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

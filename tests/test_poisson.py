@@ -1,9 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
-from conftest import torus_surface
+from conftest import genus1_two_cone_surface, stellar_surface, torus_surface
 
 from hypcone import (
     angle_gradients,
@@ -14,7 +15,34 @@ from hypcone import (
     wall_margins,
 )
 from hypcone.errors import DimensionMismatch, WallAngle
-from hypcone.poisson import comparison_note
+from hypcone.poisson import EtaDerivative, comparison_note
+
+
+def fd_eta_derivatives(s, step):
+    """Central finite differences of eta_matrix in every length coordinate."""
+    def at(e, a):
+        return eta_matrix(s.with_lengths({e: a}))
+
+    return np.array([(at(e, s.lengths[e] + step) - at(e, s.lengths[e] - step))
+                     / (2.0 * step) for e in s.edge_ids])
+
+
+def dense_eta_derivative(s):
+    """D[l, j, k] = d eta(da_j, da_k) / da_l assembled from EtaDerivative."""
+    der = EtaDerivative(s)
+    d = np.zeros((s.n_edges,) * 3)
+    for v in range(s.n_vertices):
+        germ_edges = der.sides[der.corners(v), 0]
+        for k in der.es[v]:
+            np.add.at(d, (der.ls[v][:, None], germ_edges, k), der.column(v, k))
+    return d
+
+
+def dense_jacobi(p, d):
+    """The Jacobi residual of P with derivative tensor D, by one E^4 contraction."""
+    t1 = np.einsum("il,ljk->ijk", p, d)
+    jac = t1 + t1.transpose(1, 2, 0) + t1.transpose(2, 0, 1)
+    return float(np.max(np.abs(jac))) / (float(np.max(np.abs(p))) * float(np.max(np.abs(d))))
 
 
 def test_equilateral_torus_frozen_value(torus):
@@ -88,7 +116,52 @@ def test_radical_residuals_rejects_bad_shape(torus):
 
 def test_jacobi_identity(torus, sphere3, skew_tetra, skew_g1n2):
     for s in (torus, sphere3, skew_tetra, skew_g1n2):
-        assert jacobi_residual(s) < 1e-5
+        assert jacobi_residual(s) < 1e-12
+
+
+def test_eta_derivative_matches_finite_differences(corpus):
+    # the chain-rule derivative against central differences of eta_matrix
+    for s in corpus:
+        fd = fd_eta_derivatives(s, 1e-5 * max(s.lengths.values()))
+        d = dense_eta_derivative(s)
+        assert np.max(np.abs(d - fd)) <= 1e-6 * np.max(np.abs(fd)) + 1e-12
+        assert np.all(d == -d.transpose(0, 2, 1))
+
+
+def test_jacobi_slices_match_dense_contraction(skew_torus, tetra, skew_tetra, g1n2,
+                                               skew_g1n2):
+    # the slice-by-slice evaluation, restricted to nearby edges, against the
+    # full E^3 tensor; a dense perturbation makes every slice global
+    rng = np.random.default_rng(42)
+    for s in (skew_torus, tetra, skew_tetra, g1n2, skew_g1n2):
+        p, d = eta_matrix(s), dense_eta_derivative(s)
+        assert jacobi_residual(s) < 1e-12 and dense_jacobi(p, d) < 1e-12
+        q = rng.uniform(-1.0, 1.0, size=p.shape)
+        q = 0.1 * (q - q.T)
+        assert jacobi_residual(s, perturbation=q) == pytest.approx(
+            dense_jacobi(p + q, d), rel=1e-9)
+
+
+def test_jacobi_near_wall():
+    # the second cone angle of the two-cone genus-1 family reaches 2*pi as h
+    # falls to ~1.41759.  The certificate keeps rounding-level accuracy down
+    # to a margin of ~3e-5, and it evaluates no perturbed surface that could
+    # step inside the 1e-6 guard
+    hstar = 1.4175908249541211
+    for dh, margin in ((5e-2, 7e-2), (5e-3, 7e-3), (5e-4, 7e-4), (1e-4, 1.4e-4),
+                       (2e-5, 2.8e-5)):
+        s = genus1_two_cone_surface(h=hstar - dh)
+        assert wall_margins(s)[1] == pytest.approx(margin, rel=0.02)
+        assert jacobi_residual(s) < 1e-12
+
+
+def test_jacobi_at_300_edges():
+    s = stellar_surface(98, seed=1)
+    assert s.n_edges == 300
+    t0 = time.perf_counter()
+    res = jacobi_residual(s)
+    assert res < 1e-12
+    assert time.perf_counter() - t0 < 3.0
 
 
 def test_jacobi_detects_fake_bivector(skew_torus, skew_tetra, skew_g1n2):

@@ -81,6 +81,35 @@ def test_corner_angle_gradient_matches_differences():
             assert grads[k] == pytest.approx(fd, abs=1e-7)
 
 
+@pytest.mark.parametrize("t", [1e-6, 1e-8])
+def test_corner_angle_gradient_short_edges(t):
+    # a tiny equilateral triangle is Euclidean to first order: every angle is
+    # 60 degrees, d/da = d/db = -cot(60)/t and d/dc = 1/(t sin 60)
+    da, db, dc = corner_angle_gradient(t, t, t)
+    side = -1.0 / (math.tan(math.pi / 3) * t)
+    assert da == pytest.approx(side, rel=1e-6)
+    assert db == pytest.approx(side, rel=1e-6)
+    assert dc == pytest.approx(1.0 / (t * math.sin(math.pi / 3)), rel=1e-6)
+
+
+def test_corner_angle_overflow_is_not_an_angle():
+    # sinh(400)^2 overflows; the angle must not come back as pi
+    with pytest.raises(OverflowError):
+        corner_angle(400.0, 400.0, 400.0)
+    with pytest.raises(OverflowError):
+        torus_surface(400.0)
+
+
+def test_corner_gradients_match_per_corner_formula(skew_tetra):
+    edges, grads = skew_tetra.corner_gradients()
+    for h in range(skew_tetra.n_half):
+        sides = (h, skew_tetra.prv(h), skew_tetra.nxt(h))
+        assert [skew_tetra.edge_ids[e] for e in edges[h]] == \
+            [skew_tetra.he_edge[g] for g in sides]
+        want = corner_angle_gradient(*(skew_tetra.length_of(g) for g in sides))
+        assert grads[h] == pytest.approx(want, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # admissibility and the angle stratum
 # ---------------------------------------------------------------------------
@@ -256,6 +285,12 @@ def test_rejects_bad_lengths():
         torus_surface(-1.0)
     with pytest.raises(TriangleInequality):
         torus_surface(1.0, 1.0, 2.1)
+
+
+def test_rejects_length_beyond_float_range():
+    # float(10**400) overflows; that is bad input, not a numerical failure
+    with pytest.raises(ValueError, match="too large"):
+        torus_surface(10**400)
 
 
 def test_triangle_inequality_message_names_culprit():
