@@ -164,13 +164,18 @@ def cmd_holonomy(args, out: Emitter, tols) -> int:
         key, _, rest = line.partition(": ")
         out.put(key.replace(" ", "."), rest)
     vrows, erows, max_error = holonomy_report(atlas)
+    errors = []
     for v, trace, err in vrows:
         out.put(f"trace.{v}", trace)
         out.put(f"trace_error.{v}", err)
+        errors.append((f"trace.{v}", err))
     for eid, recovered, err in erows:
         out.put(f"alength.{eid}", recovered)
         out.put(f"alength_error.{eid}", err)
+        errors.append((f"alength.{eid}", err))
     out.put("max_error", max_error)
+    # the worst row, the first one in report order on ties
+    out.put("max_error_at", max(errors, key=lambda row: row[1])[0])
     return 0 if max_error < tols["holonomy"] else 3
 
 
@@ -183,8 +188,10 @@ def cmd_delaunay(args, out: Emitter, tols) -> int:
     psi = delaunay_mod.edge_invariants(result)
     for eid in result.edge_ids:
         out.put(f"psi.{eid}", psi[eid])
-    psi_min = min(psi.values())
+    psi_min_at = min(result.edge_ids, key=psi.get)
+    psi_min = psi[psi_min_at]
     out.put("psi_min", psi_min)
+    out.put("psi_min_at", psi_min_at)
     for eid in result.edge_ids:
         out.put(f"length.{eid}", result.lengths[eid])
     return 0 if psi_min >= -tols["psi"] else 3

@@ -79,6 +79,30 @@ def stellar_surface(k, seed, base=1.3, jitter=0.05):
     return ConeSurface(lengths, sides)
 
 
+def stretch(s, seed, fraction=0.03, factor=1.8):
+    """Copy of s with a seeded `fraction` of its edges lengthened by `factor`.
+
+    No two stretched edges lie on one triangle.  On stellar_surface lengths
+    (at most 1.365) a factor of 1.8 keeps every strict triangle inequality,
+    since 1.8 * 1.365 < 2 * 1.235, and leaves the metric non-Delaunay.
+    """
+    rng = random.Random(seed)
+    ids = list(s.edge_ids)
+    rng.shuffle(ids)
+    triangles_of = {}
+    for t, sides in enumerate(s.triangles):
+        for e, _ in sides:
+            triangles_of.setdefault(e, set()).add(t)
+    chosen, used = [], set()
+    for e in ids:
+        if len(chosen) == max(1, round(fraction * len(ids))):
+            break
+        if not triangles_of[e] & used:
+            chosen.append(e)
+            used |= triangles_of[e]
+    return s.with_lengths({e: factor * s.lengths[e] for e in chosen})
+
+
 def scanned_halfedges(s, e):
     """(forward, backward) half-edges of e found by scanning every half-edge."""
     hs = [h for h in range(s.n_half) if s.he_edge[h] == e]

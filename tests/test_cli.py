@@ -90,6 +90,33 @@ def test_delaunay_run(capsys, demo_file):
     assert float(doc["psi_min"]) >= -1e-10
 
 
+def report_keys(out):
+    return [line.split(": ", 1)[0] for line in out.splitlines()]
+
+
+def test_holonomy_names_worst_row(capsys, torus_file):
+    _, out, _ = run(capsys, "holonomy", "--input", torus_file)
+    keys, doc = report_keys(out), as_dict(out)
+    assert keys[keys.index("max_error") + 1] == "max_error_at"
+    errors = [(key.replace("_error", ""), float(value)) for key, value in doc.items()
+              if key.startswith(("trace_error.", "alength_error."))]
+    worst = max(err for _, err in errors)
+    assert float(doc["max_error"]) == worst
+    assert doc["max_error_at"] == next(label for label, err in errors if err == worst)
+
+
+@pytest.mark.parametrize("fixture", ["demo_file", "torus_file"])
+def test_delaunay_names_worst_edge(capsys, request, fixture):
+    # psi0 of x ties with y on the demo torus and with y and z on the
+    # equilateral one; the first row in report order is named
+    _, out, _ = run(capsys, "delaunay", "--input", request.getfixturevalue(fixture))
+    keys, doc = report_keys(out), as_dict(out)
+    assert keys[keys.index("psi_min") + 1] == "psi_min_at"
+    psi = {key[4:]: float(value) for key, value in doc.items() if key.startswith("psi.")}
+    assert doc["psi_min_at"] == "x"
+    assert psi["x"] == min(psi.values()) == float(doc["psi_min"])
+
+
 def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0

@@ -4,7 +4,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import scanned_halfedges, tetra_surface, torus_surface
+from conftest import (
+    scanned_halfedges,
+    stellar_surface,
+    stretch,
+    tetra_surface,
+    torus_surface,
+)
 
 from hypcone import (
     ConeSurface,
@@ -20,8 +26,14 @@ from hypcone import (
     normalizing_isometry,
     place_third,
 )
-from hypcone.delaunay import PSI_TOL, move_log_lines
-from hypcone.errors import TriangleInequality, UnflippableConfiguration, WallAngle
+import hypcone.delaunay as delaunay_mod
+from hypcone.delaunay import PSI_TOL, flip_length_jacobian, move_log_lines
+from hypcone.errors import (
+    NonTermination,
+    TriangleInequality,
+    UnflippableConfiguration,
+    WallAngle,
+)
 
 
 def metric_fingerprint(s):
@@ -179,16 +191,23 @@ def test_make_delaunay_fixed_point(torus, sphere3, tetra):
         assert final.lengths == s.lengths
 
 
-def test_make_delaunay_randomized():
+def seeded_delaunay_inputs():
+    """60 seeded one-vertex tori and tetrahedra with lengths in [1, 2]."""
     rng = np.random.default_rng(42)
-    done = 0
+    out = []
     for _ in range(60):
         combinatorics = rng.uniform()
         if combinatorics < 0.5:
-            s = torus_surface(*rng.uniform(1.0, 2.0, size=3))
+            out.append(torus_surface(*rng.uniform(1.0, 2.0, size=3)))
         else:
             keys = ("ab", "ac", "ad", "bc", "bd", "cd")
-            s = tetra_surface(dict(zip(keys, rng.uniform(1.0, 2.0, size=6))))
+            out.append(tetra_surface(dict(zip(keys, rng.uniform(1.0, 2.0, size=6)))))
+    return out
+
+
+def test_make_delaunay_randomized():
+    done = 0
+    for s in seeded_delaunay_inputs():
         try:
             before = metric_fingerprint(s)
         except WallAngle:  # pragma: no cover
@@ -206,6 +225,99 @@ def test_make_delaunay_randomized():
                 assert t.halfedges_of_edge(e) == scanned_halfedges(t, e)
         done += 1
     assert done == 60
+
+
+def rescan_make_delaunay(s, tol=PSI_TOL):
+    """Reference flip loop: rebuild the surface after every flip and scan
+    every edge for the most negative psi0, ties by the first id."""
+    moves = []
+    while True:
+        worst = None
+        worst_val = -tol
+        for e in s.edge_ids:
+            val = edge_invariant(s, e)
+            if val < worst_val:
+                worst, worst_val = e, val
+        if worst is None:
+            return s, moves
+        s, move = flip(s, worst)
+        moves.append(move)
+
+
+def scrambled_stellar_surface(k, seed):
+    return stretch(stellar_surface(k, seed), seed)
+
+
+def test_make_delaunay_matches_rescan(corpus):
+    surfaces = corpus + seeded_delaunay_inputs() + [
+        scrambled_stellar_surface(98, seed) for seed in (1, 2, 3)]  # 300 edges
+    flipped = 0
+    for s in surfaces:
+        final, moves = make_delaunay(s)
+        want, want_moves = rescan_make_delaunay(s)
+        assert moves == want_moves
+        assert final.lengths == want.lengths
+        assert final.triangles == want.triangles
+        assert edge_invariants(final) == edge_invariants(want)
+        flipped += len(moves)
+    assert flipped >= 30
+
+
+def test_make_delaunay_builds_one_surface(monkeypatch):
+    s = scrambled_stellar_surface(398, 1)  # 1,200 edges
+    built = []
+    init = ConeSurface.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ConeSurface, "__init__", counting_init)
+    final, moves = make_delaunay(s)
+    assert len(moves) >= 30
+    assert built == [final]
+
+
+def test_make_delaunay_flip_limit(monkeypatch):
+    s = scrambled_stellar_surface(98, 1)
+    _, moves = make_delaunay(s)
+    assert len(moves) >= 2
+    # exactly MAX_FLIPS flips are allowed; one more needed flip is refused
+    monkeypatch.setattr(delaunay_mod, "MAX_FLIPS", len(moves))
+    assert make_delaunay(s)[1] == moves
+    monkeypatch.setattr(delaunay_mod, "MAX_FLIPS", len(moves) - 1)
+    with pytest.raises(NonTermination) as info:
+        make_delaunay(s)
+    assert str(info.value) == (f"still not Delaunay after {len(moves) - 1} flips; "
+                               f"last edge {moves[-2].edge!r}")
+
+
+def full_flip_length_jacobian(s, e, rel_step=1e-6):
+    """Reference row: central differences in every edge length."""
+    row = np.zeros(s.n_edges)
+    for k, eid in enumerate(s.edge_ids):
+        a = s.lengths[eid]
+        h = rel_step * max(1.0, a)
+        up = flip_new_length(s.with_lengths({eid: a + h}), e)
+        dn = flip_new_length(s.with_lengths({eid: a - h}), e)
+        row[k] = (up - dn) / (2.0 * h)
+    return row
+
+
+def test_flip_length_jacobian_matches_full_differences(corpus):
+    cases = [(s, e) for s in corpus for e in s.edge_ids]
+    s = scrambled_stellar_surface(18, 1)  # 60 edges
+    cases += [(s, e) for e in s.edge_ids[::10]]
+    checked = 0
+    for s, e in cases:
+        try:
+            flip_new_length(s, e)
+        except UnflippableConfiguration:
+            continue
+        assert flip_length_jacobian(s, e).tobytes() == \
+            full_flip_length_jacobian(s, e).tobytes()
+        checked += 1
+    assert checked >= 20
 
 
 def test_bivector_transport_through_flip():
