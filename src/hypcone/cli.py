@@ -145,8 +145,11 @@ def cmd_poisson(args, out: Emitter, tols) -> int:
     residuals = poisson_mod.radical_residuals(p, grads)
     for v in range(s.n_vertices):
         out.put(f"radical.{v}", float(residuals[v]))
-    radical_max = float(max(residuals)) if len(residuals) else 0.0
+    # the worst vertex, the first one in report order on ties
+    radical_max_at = max(range(s.n_vertices), key=lambda v: residuals[v])
+    radical_max = float(residuals[radical_max_at])
     out.put("radical_max", radical_max)
+    out.put("radical_max_at", radical_max_at)
     jac = poisson_mod.jacobi_residual(s, wall_guard=tols["wall"])
     out.put("jacobi", jac)
     for key, value in poisson_mod.comparison_note():

@@ -1,35 +1,65 @@
-"""Discrete developing maps and vertex-loop holonomy.
+"""Vertex-loop holonomy from per-triangle local charts, and a developing map.
 
-Triangles are laid out one by one in the upper half-plane across a
-breadth-first spanning tree of the dual graph, so tree-adjacent triangles
-share their developed edge exactly.  Every remaining gluing induces a
-transition isometry between the two charts of its edge, and walking the fan
-of corners around a vertex composes such transitions into the holonomy of a
-small loop encircling it: an elliptic element whose counterclockwise rotation
-angle is the cone angle mod 2*pi and whose fixed point is the developed
-vertex.  Distances between such fixed points recover the edge lengths, which
-is the computational content of the length-coordinates/holonomy dictionary.
+Every triangle t has its own canonical chart of the upper half-plane: the
+origin of half-edge 3t sits at i and side 3t runs up the imaginary axis,
+with the triangle to its left.  The normalizer N_h of side h is the isometry
+sending side h of its triangle's chart onto the segment from i up to
+i e^l.  With D(t) the dilation z -> e^t z and R(a) the counterclockwise
+rotation by a about i, it comes in closed form from the stored lengths and
+corner angles: N_0 = I and N_{k+1} = R(pi + alpha_{k+1}) D(-l_k) N_k.  The
+transition across half-edge h, T_h = N_h^-1 R(pi) D(-l) N_{twin h}, maps the
+chart of tri(twin h) onto the chart of tri(h).
+
+Walking the fan of vertex v once from its base germ g_0 through
+g_{k+1} = twin(prv g_k) gives prefix products P_k = T_{prv g_0} ...
+T_{prv g_{k-1}}, which map the chart of tri(g_k) into the chart of tri(g_0).
+The full product M_v is the holonomy of a small counterclockwise loop around
+v: an elliptic element whose rotation angle is the cone angle mod 2*pi and
+whose fixed point is v.  The walk started at g_k is P_k^-1 M_v P_k, so its
+fixed point P_k^-1 fix(M_v) is read off the one walk.  The distance between
+the fixed points at the two ends of an edge, both in one triangle's chart,
+recovers the edge length: the computational content of the
+length-coordinates/holonomy dictionary.  All of this is 2x2 algebra on
+plain floats, and no chart ever sits far from i, so nothing drifts.
+
+`develop` also lays the triangles out in one global chart across a
+breadth-first spanning tree of the dual graph, copying the shared vertices
+across tree edges and placing each third vertex from a stored corner angle.
+That layout feeds only the `triangle` rows of the dump.
 """
 
 from __future__ import annotations
 
+import copy
 import math
+
+import numpy as np
 
 from .errors import NumericalCollapse, WallAngle
 from .sl2 import (
     HypPoint,
     Sl2Matrix,
+    elliptic_fixed_point,
     elliptic_rotation_angle,
-    fixed_point,
-    hyp_direction,
-    hyp_distance,
-    hyp_exp,
-    normalizing_isometry,
+    half_plane_distance,
 )
 from .surface import WALL_TOL, ConeSurface, corner_angle, fmt17, wall_distance
 
 # A developed side shorter than this is treated as a degenerate layout.
 COLLAPSE_TOL = 1e-12
+
+
+def _third(p: complex, q: complex, alpha: float, dist: float) -> complex:
+    """The point at distance `dist` from p, turned by alpha to the LEFT of
+    the geodesic from p toward q.
+
+    In the disk model centred at p, zeta = (z - p) / (z - conj p), geodesics
+    through p are diameters and distance d from p is radius tanh(d/2).
+    """
+    toward = (q - p) / (q - p.conjugate())
+    turn = complex(math.cos(alpha), math.sin(alpha))
+    w = toward / abs(toward) * turn * math.tanh(dist / 2.0)
+    return (p - w * p.conjugate()) / (1.0 - w)
 
 
 def place_third(p: HypPoint, q: HypPoint, l_px: float, l_qx: float,
@@ -40,36 +70,37 @@ def place_third(p: HypPoint, q: HypPoint, l_px: float, l_qx: float,
     length defaults to the developed distance d(p, q).
     """
     if l_pq is None:
-        l_pq = hyp_distance(p, q)
+        l_pq = half_plane_distance(p.z, q.z)
     alpha = corner_angle(l_pq, l_px, l_qx)
-    return hyp_exp(p, hyp_direction(p, q) + alpha, l_px)
+    return HypPoint.from_complex(_third(p.z, q.z, alpha, l_px))
 
 
-def _edge_chart_map(pos, s: ConeSurface, h: int) -> Sl2Matrix:
-    """Isometry taking the chart of tri(twin h) to the chart of tri(h).
-
-    Both charts contain a developed copy of the directed edge under h; the
-    returned element maps one copy onto the other.
-    """
-    h2 = s.twin[h]
-    n_here = normalizing_isometry(pos[h], pos[s.nxt(h)])
-    n_there = normalizing_isometry(pos[s.nxt(h2)], pos[h2])
-    return n_here.inverse() @ n_there
+def _mats(a, b, c, d) -> np.ndarray:
+    """Stack of 2x2 matrices [[a, b], [c, d]] from equal-length arrays."""
+    return np.stack([a, b, c, d], axis=-1).reshape(-1, 2, 2)
 
 
-def _fan_walk(chart_maps, s: ConeSurface, germ: int) -> Sl2Matrix:
-    """Holonomy of the counterclockwise corner loop around the origin vertex
-    of `germ`, expressed in the atlas chart of tri(germ).
+def _local_charts(s: ConeSurface) -> tuple[np.ndarray, np.ndarray]:
+    """Normalizers N_h and transitions T_h = N_h^-1 R(pi) D(-l) N_{twin h},
+    both (n_half, 2, 2); N_h sends side h of tri(h)'s chart onto [i, i e^l]."""
+    nt = len(s.triangles)
+    side = np.array([s.length_of(h) for h in range(s.n_half)])
+    angle = np.array([s.angle_at(h) for h in range(s.n_half)]).reshape(nt, 3)
+    n = np.empty((nt, 3, 2, 2))
+    n[:, 0] = np.eye(2)
+    zero = np.zeros(nt)
+    for k in (1, 2):
+        half = (math.pi + angle[:, k]) / 2.0  # R(pi + alpha_k)
+        rotate = _mats(np.cos(half), np.sin(half), -np.sin(half), np.cos(half))
+        shrink = np.exp(-side[k - 1::3] / 2.0)  # D(-l_{k-1})
+        n[:, k] = rotate @ _mats(shrink, zero, zero, 1.0 / shrink) @ n[:, k - 1]
+    n = n.reshape(-1, 2, 2)
 
-    `chart_maps[h]` is the chart transition across half-edge h.
-    """
-    m = Sl2Matrix.identity()
-    g = germ
-    for _ in s.vertex_germs[s.vertex_of[germ]]:
-        shared = s.prv(g)
-        m = m @ chart_maps[shared]
-        g = s.twin[shared]
-    return m
+    grow = np.exp(side / 2.0)
+    zero = np.zeros(s.n_half)
+    half_turn = _mats(zero, grow, -1.0 / grow, zero)  # R(pi) D(-l)
+    inverse = _mats(n[:, 1, 1], -n[:, 0, 1], -n[:, 1, 0], n[:, 0, 0])
+    return n, inverse @ half_turn @ n[list(s.twin)]
 
 
 def _refuse_wall(s: ConeSurface, v: int) -> None:
@@ -81,14 +112,20 @@ def _refuse_wall(s: ConeSurface, v: int) -> None:
 
 
 class HolonomyAtlas:
-    """Developed triangle charts plus the holonomy data derived from them.
+    """Local-chart holonomy of a surface, plus a global layout for display.
 
-    `pos[h]` is the developed position of the origin vertex of half-edge h in
-    the chart of its triangle.  Charts agree across spanning-tree edges.  The
-    chart transition across every half-edge is computed once from the
-    positions at construction; every fan walk (the vertex-loop holonomies
-    and the walks behind length recovery) multiplies entries of that table.
-    `transitions` is its view on the non-tree edges, keyed by edge id.
+    * `normalizers[h]` and `transitions[h]` (both (n_half, 2, 2) arrays) are
+      N_h and T_h of the module docstring.
+    * The walks run on plain floats.  Row g of the (n_half, 4) array
+      `prefix` holds the entries (a, b, c, d) of the product [[a, b], [c, d]]
+      that maps the chart of tri(g) into the chart of the triangle of its
+      vertex's base germ (`surface.vertex_germs[v][0]`).
+    * `loops[v]`, a 4-tuple in the same order, is the loop holonomy M_v in
+      that base chart, and `vertex_matrix[v]` the same element as an
+      Sl2Matrix.
+    * `pos[h]` is the globally developed position of the origin vertex of
+      half-edge h; charts there agree across `tree_edges`, grown from the
+      triangle `base`.  Nothing above depends on it.
     """
 
     def __init__(self, surface: ConeSurface, base: int, pos, tree_edges):
@@ -98,34 +135,51 @@ class HolonomyAtlas:
         self.tree_edges = frozenset(tree_edges)
         s = surface
 
-        for t in range(len(s.triangles)):
-            for k in range(3):
-                h = 3 * t + k
-                side = hyp_distance(pos[h], pos[s.nxt(h)])
-                if not math.isfinite(side) or side < COLLAPSE_TOL:
-                    raise NumericalCollapse(
-                        f"developed side of triangle {t} has length {side}")
-
-        self.chart_maps = tuple(
-            _edge_chart_map(pos, s, h) for h in range(s.n_half))
-        self.transitions = {
-            e: self.chart_maps[s.halfedges_of_edge(e)[0]]
-            for e in s.edge_ids if e not in self.tree_edges}
+        self.normalizers, self.transitions = _local_charts(s)
+        table = self.transitions.reshape(-1, 4)
+        self.prefix = np.empty((s.n_half, 4))
+        loops = []
+        for orbit in s.vertex_germs:
+            walk = []
+            a, b, c, d = 1.0, 0.0, 0.0, 1.0
+            for ta, tb, tc, td in table[[s.prv(g) for g in orbit]].tolist():
+                walk.append((a, b, c, d))
+                a, b, c, d = (a * ta + b * tc, a * tb + b * td,
+                              c * ta + d * tc, c * tb + d * td)
+            self.prefix[list(orbit)] = walk
+            det = a * d - b * c
+            if not 0.0 < det < math.inf:
+                raise NumericalCollapse(
+                    f"loop holonomy at vertex {len(loops)} has determinant {det}")
+            loops.append((a, b, c, d))
+        self.loops = tuple(loops)
         self.vertex_matrix = tuple(
-            _fan_walk(self.chart_maps, s, orbit[0]) for orbit in s.vertex_germs)
+            Sl2Matrix([[a, b], [c, d]]) for a, b, c, d in loops)
+
+    def corner(self, h: int) -> HypPoint:
+        """Origin vertex of half-edge h in the local chart of tri(h): N_h^-1(i)."""
+        (a, b), (c, d) = self.normalizers[h].tolist()
+        return HypPoint.from_complex((d * 1j - b) / (a - c * 1j))
 
     def vertex_center(self, v: int) -> HypPoint:
-        """Developed position of vertex v in its base germ's chart."""
-        return self.pos[self.surface.vertex_germs[v][0]]
+        """Vertex v in the local chart of its base germ's triangle."""
+        return self.corner(self.surface.vertex_germs[v][0])
+
+    def germ_fixed_point(self, g: int) -> complex:
+        """Fixed point of the loop around the origin of germ g, in the local
+        chart of tri(g): P^-1 fix(M_v) with P = prefix[g]."""
+        z = elliptic_fixed_point(*self.loops[self.surface.vertex_of[g]])
+        a, b, c, d = self.prefix[g].tolist()
+        return (d * z - b) / (a - c * z)
 
     def transformed(self, g: Sl2Matrix) -> "HolonomyAtlas":
-        """The atlas with every chart moved by the isometry g.
+        """The atlas with its global layout moved by the isometry g.
 
-        All derived elements are honestly recomputed from the moved
-        positions, so this doubles as an equivariance check.
+        The local charts, and with them every holonomy row, do not move.
         """
-        moved = [g.apply(p) for p in self.pos]
-        return HolonomyAtlas(self.surface, self.base, moved, self.tree_edges)
+        moved = copy.copy(self)
+        moved.pos = tuple(g.apply(p) for p in self.pos)
+        return moved
 
     def dump(self) -> str:
         """Plain-text table: developed triangles, then vertex holonomies."""
@@ -149,49 +203,68 @@ class HolonomyAtlas:
         return "\n".join(lines) + "\n"
 
 
+def _check_layout(s: ConeSurface, points: list, at: list) -> None:
+    """Raise NumericalCollapse unless every developed vertex lies in the
+    half-plane and every developed side is at least COLLAPSE_TOL long."""
+    placed = np.array(points)
+    if not np.all(np.isfinite(placed) & (placed.imag > 0.0)):
+        raise NumericalCollapse("a developed vertex left the upper half-plane")
+    here = placed[at]
+    there = here[[s.nxt(h) for h in range(s.n_half)]]
+    side = 2.0 * np.arcsinh(np.abs(here - there)
+                            / (2.0 * np.sqrt(here.imag) * np.sqrt(there.imag)))
+    short = np.flatnonzero(~(np.isfinite(side) & (side >= COLLAPSE_TOL)))
+    if len(short):
+        h = int(short[0])
+        raise NumericalCollapse(
+            f"developed side of triangle {s.tri(h)} has length {side[h]}")
+
+
 def develop(s: ConeSurface, base: int = 0) -> HolonomyAtlas:
-    """Lay the triangles out across a breadth-first dual spanning tree.
+    """The local-chart holonomy of s, with a global layout grown from `base`.
 
     The base triangle is placed with its first vertex at i and its first side
     running up the imaginary axis; each new triangle is placed onto the
-    already-developed copy of its connecting edge.
+    already-developed copy of its connecting edge, which adds one developed
+    point.  A layout that leaves the half-plane or collapses a side raises
+    NumericalCollapse.
     """
     if not 0 <= base < len(s.triangles):
         raise ValueError(f"no triangle {base}")
-    pos: list = [None] * s.n_half
     h0 = 3 * base
-    p = HypPoint(0.0, 1.0)
-    q = HypPoint(0.0, math.exp(s.length_of(h0)))
-    pos[h0] = p
-    pos[s.nxt(h0)] = q
-    pos[s.prv(h0)] = place_third(p, q, s.length_of(s.prv(h0)),
-                                 s.length_of(s.nxt(h0)), s.length_of(h0))
+    points = [1j, 1j * math.exp(s.length_of(h0))]
+    at: list = [None] * s.n_half  # half-edge -> index of its origin in points
+    at[h0], at[s.nxt(h0)], at[s.prv(h0)] = 0, 1, 2
 
     tree_edges = []
-    placed = {base}
-    queue = [base]
-    while queue:
-        t = queue.pop(0)
-        for k in range(3):
-            h = 3 * t + k
-            h2 = s.twin[h]
-            t2 = s.tri(h2)
-            if t2 in placed:
-                continue
-            placed.add(t2)
-            tree_edges.append(s.he_edge[h])
-            pos[h2] = pos[s.nxt(h)]
-            pos[s.nxt(h2)] = pos[h]
-            pos[s.prv(h2)] = place_third(
-                pos[h2], pos[s.nxt(h2)], s.length_of(s.prv(h2)),
-                s.length_of(s.nxt(h2)), s.length_of(h2))
-            queue.append(t2)
-
-    return HolonomyAtlas(s, base, pos, tree_edges)
+    order = [base]
+    placed = [False] * len(s.triangles)
+    placed[base] = True
+    try:
+        points.append(_third(points[0], points[1], s.angle_at(h0),
+                             s.length_of(s.prv(h0))))
+        for t in order:
+            for h in range(3 * t, 3 * t + 3):
+                h2 = s.twin[h]
+                t2 = s.tri(h2)
+                if placed[t2]:
+                    continue
+                placed[t2] = True
+                tree_edges.append(s.he_edge[h])
+                at[h2], at[s.nxt(h2)], at[s.prv(h2)] = at[s.nxt(h)], at[h], len(points)
+                points.append(_third(points[at[h2]], points[at[h]], s.angle_at(h2),
+                                     s.length_of(s.prv(h2))))
+                order.append(t2)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise NumericalCollapse(f"global layout degenerated: {exc}") from None
+    _check_layout(s, points, at)
+    point = [HypPoint(w.real, w.imag) for w in points]
+    return HolonomyAtlas(s, base, [point[i] for i in at], tree_edges)
 
 
 def vertex_holonomy(atlas: HolonomyAtlas, v: int) -> Sl2Matrix:
-    """Loop holonomy around vertex v, based in its base germ's chart.
+    """Loop holonomy around vertex v, in the local chart of its base germ's
+    triangle.
 
     Refused when the cone angle sits on a wall (a positive multiple of 2*pi),
     where the loop holonomy collapses to the identity.
@@ -203,17 +276,17 @@ def vertex_holonomy(atlas: HolonomyAtlas, v: int) -> Sl2Matrix:
 def alength_from_fixed_points(atlas: HolonomyAtlas, e: str) -> float:
     """Edge length recovered as the distance between holonomy fixed points.
 
-    Both endpoint loops are based in the chart of the edge's first developed
-    copy, so their elliptic fixed points are the developed endpoints and
-    their distance is the length of the edge.
+    Both endpoint loops are based in the local chart of the triangle of the
+    edge's first half-edge, so their elliptic fixed points are the ends of
+    the edge there and their distance is its length.
     """
     s = atlas.surface
     h = min(s.halfedges_of_edge(e))
-    for end in (h, s.nxt(h)):
-        _refuse_wall(s, s.vertex_of[end])
-    hol_tail = _fan_walk(atlas.chart_maps, s, h)
-    hol_head = _fan_walk(atlas.chart_maps, s, s.nxt(h))
-    return hyp_distance(fixed_point(hol_tail), fixed_point(hol_head))
+    ends = (h, s.nxt(h))
+    for g in ends:
+        _refuse_wall(s, s.vertex_of[g])
+    tail, head = (atlas.germ_fixed_point(g) for g in ends)
+    return half_plane_distance(tail, head)
 
 
 def holonomy_report(atlas: HolonomyAtlas):
@@ -225,8 +298,8 @@ def holonomy_report(atlas: HolonomyAtlas):
     s = atlas.surface
     vrows = []
     verr = 0.0
-    for v in range(s.n_vertices):
-        tr = abs(atlas.vertex_matrix[v].trace())
+    for v, (a, _, _, d) in enumerate(atlas.loops):
+        tr = abs(a + d)
         want = 2.0 * abs(math.cos(s.cone_angle[v] / 2.0))
         err = abs(tr - want)
         verr = max(verr, err)

@@ -75,10 +75,19 @@ class HypPoint:
         return complex(self.x, self.y)
 
 
+def half_plane_distance(z: complex, w: complex) -> float:
+    """Distance between two points of the upper half-plane given as complex numbers.
+
+    sinh(d/2) = |z - w| / (2 sqrt(Im z Im w)).  Unlike the equivalent
+    cosh d = 1 + |z-w|^2 / (2 Im z Im w), this keeps full relative precision
+    at short distances.
+    """
+    return 2.0 * math.asinh(abs(z - w) / (2.0 * math.sqrt(z.imag) * math.sqrt(w.imag)))
+
+
 def hyp_distance(p: HypPoint, q: HypPoint) -> float:
-    """Distance in the upper half-plane: cosh d = 1 + |p-q|^2 / (2 Im p Im q)."""
-    d2 = (p.x - q.x) ** 2 + (p.y - q.y) ** 2
-    return math.acosh(max(1.0, 1.0 + d2 / (2.0 * p.y * q.y)))
+    """Distance in the upper half-plane; see half_plane_distance."""
+    return half_plane_distance(p.z, q.z)
 
 
 def hyp_direction(p: HypPoint, q: HypPoint) -> float:
@@ -378,14 +387,21 @@ def axis_vector(m: Sl2Matrix) -> Sl2Vector:
     raise NotSemisimple(f"no axis vector for a {cls.kind} element")
 
 
+def elliptic_fixed_point(a: float, b: float, c: float, d: float) -> complex:
+    """Fixed point in the upper half-plane of the element [[a, b], [c, d]].
+
+    Plain floats, either sign of the representative.  Elliptic means
+    |a + d| <= 2 - TRACE_TOL, as in classify(); anything else is refused.
+    """
+    t = a + d
+    if not abs(t) <= 2.0 - TRACE_TOL:
+        raise NotElliptic("only elliptic elements fix a point of the half-plane")
+    return complex((a - d) / (2.0 * c), math.sqrt(4.0 - t * t) / (2.0 * abs(c)))
+
+
 def fixed_point(m: Sl2Matrix) -> HypPoint:
     """The unique fixed point in the upper half-plane of an elliptic element."""
-    if classify(m).kind != ELLIPTIC:
-        raise NotElliptic("only elliptic elements fix a point of the half-plane")
-    a, b, c, d = m.mat[0, 0], m.mat[0, 1], m.mat[1, 0], m.mat[1, 1]
-    disc = (a + d) ** 2 - 4.0  # < 0 for elliptic
-    root = math.sqrt(-disc)
-    return HypPoint((a - d) / (2.0 * c), root / (2.0 * abs(c)))
+    return HypPoint.from_complex(elliptic_fixed_point(*m.mat.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

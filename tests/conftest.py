@@ -58,16 +58,18 @@ def genus1_two_cone_surface(h=1.6, w=1.6, s0=1.0, s1=1.0, s2=1.0, s3=1.0):
     )
 
 
-def stellar_surface(k, seed, base=1.3, jitter=0.05):
-    """Tetrahedron boundary after k seeded stellar subdivisions: E = 6 + 3k.
+def stellar_surface(k, seed, base=1.3, jitter=0.05, start="tet"):
+    """A start surface after k seeded stellar subdivisions.
 
-    Each step puts a new vertex in a uniformly chosen triangle and joins it
-    to the three corners; every edge then gets length base * (1 + u) with u
-    uniform in [-jitter, jitter].
+    `start` is "tet" (tetrahedron boundary, genus 0, E = 6 + 3k) or "tor"
+    (one-vertex torus, genus 1, E = 3 + 3k).  Each step puts a new vertex in
+    a uniformly chosen triangle and joins it to the three corners; every edge
+    then gets length base * (1 + u) with u uniform in [-jitter, jitter].
     """
     rng = random.Random(seed)
-    sides = [list(t) for t in tetra_surface().triangles]
-    edges = ["ab", "ac", "ad", "bc", "bd", "cd"]
+    first = {"tet": tetra_surface, "tor": torus_surface}[start]()
+    sides = [list(t) for t in first.triangles]
+    edges = list(first.edge_ids)
     for _ in range(k):
         t = int(rng.random() * len(sides))
         s0, s1, s2 = sides[t]

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from conftest import torus_surface
+from conftest import sphere3_surface, tetra_surface, torus_surface
 
 from hypcone import serialize_surface
 from hypcone.cli import main
@@ -21,6 +21,20 @@ def torus_file(tmp_path):
 def demo_file(tmp_path):
     path = tmp_path / "demo.json"
     path.write_text(serialize_surface(torus_surface(1.0, 1.0, 1.9)))
+    return str(path)
+
+
+@pytest.fixture
+def tetra_file(tmp_path):
+    path = tmp_path / "tetra.json"
+    path.write_text(serialize_surface(tetra_surface()))
+    return str(path)
+
+
+@pytest.fixture
+def sphere_file(tmp_path):
+    path = tmp_path / "sphere.json"
+    path.write_text(serialize_surface(sphere3_surface(1.0, 1.0, 1.0)))
     return str(path)
 
 
@@ -115,6 +129,20 @@ def test_delaunay_names_worst_edge(capsys, request, fixture):
     psi = {key[4:]: float(value) for key, value in doc.items() if key.startswith("psi.")}
     assert doc["psi_min_at"] == "x"
     assert psi["x"] == min(psi.values()) == float(doc["psi_min"])
+
+
+@pytest.mark.parametrize("fixture", ["tetra_file", "sphere_file"])
+def test_poisson_names_worst_vertex(capsys, request, fixture):
+    # the three residuals of the equilateral sphere can tie; the first row
+    # in report order is named
+    _, out, _ = run(capsys, "poisson", "--input", request.getfixturevalue(fixture))
+    keys, doc = report_keys(out), as_dict(out)
+    assert keys[keys.index("radical_max") + 1] == "radical_max_at"
+    radical = [(key[len("radical."):], float(value)) for key, value in doc.items()
+               if key.startswith("radical.")]
+    worst = max(res for _, res in radical)
+    assert float(doc["radical_max"]) == worst
+    assert doc["radical_max_at"] == next(v for v, res in radical if res == worst)
 
 
 def test_selftest(capsys):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import torus_surface
+from conftest import stellar_surface, tetra_surface, torus_surface
 
 from hypcone import (
     HypPoint,
+    Sl2Matrix,
     alength_from_fixed_points,
     develop,
     elliptic_about,
@@ -15,10 +16,30 @@ from hypcone import (
     holonomy_report,
     hyp_distance,
     place_third,
+    serialize_surface,
     vertex_holonomy,
 )
+from hypcone.cli import main
 from hypcone.errors import NumericalCollapse, WallAngle
 from hypcone.holonomy import wall_distance
+
+
+def fresh_walk(atlas, germ):
+    """Loop holonomy around the origin of `germ`, walked from germ itself and
+    expressed in the local chart of tri(germ).
+
+    This is the per-end walk the report once repeated for every edge end, at
+    a cost of sum(deg^2); it is kept here as the reference for the one walk
+    per vertex.
+    """
+    s = atlas.surface
+    m = Sl2Matrix.identity()
+    g = germ
+    for _ in s.vertex_germs[s.vertex_of[germ]]:
+        shared = s.prv(g)
+        m = m @ Sl2Matrix(atlas.transitions[shared])
+        g = s.twin[shared]
+    return m
 
 
 def test_place_third_distances_and_side():
@@ -87,11 +108,27 @@ def test_vertex_holonomy_rotation_angle(corpus):
 
 
 def test_vertex_holonomy_fixes_developed_vertex(corpus):
+    # the loop is based in the local chart of its base germ's triangle, so it
+    # fixes the vertex where that chart puts it, N_g^-1(i)
     for s in corpus:
         atlas = develop(s)
         for v in range(s.n_vertices):
             center = fixed_point(vertex_holonomy(atlas, v))
             assert abs(center.z - atlas.vertex_center(v).z) < 1e-8
+            g = s.vertex_germs[v][0]
+            assert atlas.vertex_center(v) == atlas.corner(g)
+            if g % 3 == 0:
+                assert atlas.vertex_center(v).z == 1j
+
+
+def test_germ_fixed_points_match_fresh_walks(corpus):
+    # the fixed point P_k^-1 fix(M_v) read off the one walk per vertex is the
+    # fixed point of the walk started at germ g_k itself
+    for s in corpus + [stellar_surface(48, seed=1, start="tor")]:
+        atlas = develop(s)
+        for g in range(s.n_half):
+            want = fixed_point(fresh_walk(atlas, g)).z
+            assert abs(atlas.germ_fixed_point(g) - want) < 1e-12
 
 
 def test_trace_law_and_length_recovery(corpus):
@@ -126,26 +163,39 @@ def test_base_independence(corpus):
 
 
 def test_moved_atlas_is_equivalent(skew_tetra):
+    # moving the global layout leaves the local charts, and with them every
+    # holonomy row, where they are
     atlas = develop(skew_tetra)
     g = elliptic_about(HypPoint(0.4, 1.7), 0.9)
     moved = atlas.transformed(g)
     _, _, maxerr = holonomy_report(moved)
     assert maxerr < 1e-8
+    assert holonomy_report(moved) == holonomy_report(atlas)
     for v in range(skew_tetra.n_vertices):
-        conj = g @ atlas.vertex_matrix[v] @ g.inverse()
-        assert moved.vertex_matrix[v].projectively_close(conj, tol=1e-8)
-        assert abs(moved.vertex_center(v).z - g.apply(atlas.vertex_center(v)).z) < 1e-12
+        assert moved.vertex_matrix[v].projectively_close(atlas.vertex_matrix[v], tol=1e-8)
+        assert moved.vertex_center(v) == atlas.vertex_center(v)
+    for h in range(skew_tetra.n_half):
+        assert abs(moved.pos[h].z - g.apply(atlas.pos[h]).z) < 1e-12
+    assert moved.tree_edges == atlas.tree_edges
+    assert atlas.dump() != moved.dump()
 
 
 def test_transitions_map_twin_chart_onto_chart(corpus):
     for s in corpus:
         atlas = develop(s)
-        for e, m in atlas.transitions.items():
-            hf, _ = s.halfedges_of_edge(e)
-            h2 = s.twin[hf]
-            assert abs(m.apply(atlas.pos[s.nxt(h2)]).z - atlas.pos[hf].z) < 1e-9
-            assert abs(m.apply(atlas.pos[h2]).z - atlas.pos[s.nxt(hf)].z) < 1e-9
-        assert set(atlas.transitions) | atlas.tree_edges == set(s.edge_ids)
+        assert len(atlas.transitions) == s.n_half
+        for h in range(s.n_half):
+            # the normalizer puts side h on [i, i e^l] ...
+            n = Sl2Matrix(atlas.normalizers[h])
+            assert abs(n.apply(atlas.corner(h).z) - 1j) < 1e-9
+            top = 1j * math.exp(s.length_of(h))
+            assert abs(n.apply(atlas.corner(s.nxt(h)).z) - top) < 1e-9
+            # ... and the transition takes the copy of the edge in the chart
+            # of tri(twin h) onto its copy in the chart of tri(h)
+            m = Sl2Matrix(atlas.transitions[h])
+            h2 = s.twin[h]
+            assert abs(m.apply(atlas.corner(s.nxt(h2)).z) - atlas.corner(h).z) < 1e-9
+            assert abs(m.apply(atlas.corner(h2).z) - atlas.corner(s.nxt(h)).z) < 1e-9
 
 
 def test_wall_angle_refused():
@@ -162,6 +212,37 @@ def test_wall_angle_refused():
 def test_degenerate_layout_collapses():
     with pytest.raises(NumericalCollapse):
         develop(torus_surface(1e-13))
+
+
+@pytest.mark.parametrize("s", [
+    torus_surface(40.0),    # a developed vertex lands on the real axis
+    torus_surface(53.5, 56.175, 51.895),  # the loop loses its determinant
+    torus_surface(100.0),   # the layout divides by zero
+    tetra_surface({e: 80.0 for e in ("ab", "ac", "ad", "bc", "bd", "cd")}),
+], ids=["torus-40", "torus-53.5", "torus-100", "tetra-80"])
+def test_failed_layout_is_numerical_collapse(s, tmp_path, capsys):
+    # very long edges break the layout or the loop products in floating
+    # point; that is a numerical failure (exit 3), not bad input
+    with pytest.raises(NumericalCollapse):
+        develop(s)
+    path = tmp_path / "long.json"
+    path.write_text(serialize_surface(s))
+    assert main(["holonomy", "--input", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error[NumericalCollapse]")
+
+
+@pytest.mark.parametrize("start, k", [("tet", 1598), ("tor", 1599)])
+def test_certificate_at_4800_edges(start, k, tmp_path, capsys):
+    # the local charts do not drift: both 4,800-edge families pass the 1e-8
+    # gate, in the library and through the CLI
+    s = stellar_surface(k, seed=1, start=start)
+    assert s.n_edges == 4800
+    _, _, maxerr = holonomy_report(develop(s))
+    assert maxerr < 1e-8
+    path = tmp_path / "big.json"
+    path.write_text(serialize_surface(s))
+    assert main(["holonomy", "--input", str(path)]) == 0
+    capsys.readouterr()
 
 
 def test_develop_rejects_bad_base(torus):

@@ -79,6 +79,17 @@ def test_distance_frozen_values():
     )
 
 
+@pytest.mark.parametrize("d", [1e-9, 1e-6, 1.0])
+def test_distance_keeps_relative_precision(d):
+    # on the imaginary axis d(i, iy) = log y exactly; y - 1 is exact for the
+    # rounded y, so log1p gives the true distance between the two floats
+    y = math.exp(d)
+    want = math.log1p(y - 1.0)
+    got = hyp_distance(HypPoint(0.0, 1.0), HypPoint(0.0, y))
+    assert abs(got - want) <= 1e-12 * want
+    assert hyp_distance(HypPoint(0.0, y), HypPoint(0.0, 1.0)) == got
+
+
 def test_distance_against_endpoint_oracle():
     # independent route: move the geodesic circle to the imaginary axis and
     # read off d = |log(tan(phi_q/2) / tan(phi_p/2))| from the polar angles
