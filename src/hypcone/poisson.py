@@ -5,16 +5,23 @@ over ordered pairs of distinct outgoing germs (one germ of each edge at that
 vertex) of sin(theta/2 - d)/sin(theta/2), where theta is the cone angle and d
 is the clockwise angle from the first germ to the second.  Swapping the germs
 replaces d by theta - d and negates the coefficient, so the matrix built from
-the raw ordered sum is antisymmetric bit for bit.
+the raw ordered sum is antisymmetric bit for bit.  Every germ pair of every
+fan sits in one flat table (`FanPairs`), from which the dense matrix is one
+scatter.
 
 Certified structure: the cone-angle gradients span the radical (P grad theta
 = 0), the rank is the dimension 6g - 6 + 2n of the leaves, and the Jacobi
 identity holds.  The Jacobi check differentiates P analytically: theta and
 the angle between two germs are sums of corner angles, so the chain rule
-through the closed-form corner-angle gradient gives each vertex's share of
-d(eta) in a factored form (`EtaDerivative`), and the Jacobi sum is
-evaluated one edge slice at a time over the edges near that edge.  No
-surface is rebuilt and no E^3 array is formed.  The coefficients blow up like
+through the closed-form corner-angle gradient gives the derivative of each
+germ pair in factored form (`EtaDerivative`).  Contracting a row r of P
+with the derivative of the pair (a, b) of a fan takes three numbers, the row
+contracted with the gradients of prefix[a], prefix[b] and theta, and gives
+the one term the pair and the row add to the Jacobi sum at the triple of
+edges (r, edge a, edge b).  J is totally antisymmetric, so the terms are
+summed per sorted triple, BLOCK_ENTRIES terms at a time in the order of the
+triple's smallest edge (its slice); a term that is alone on its triple
+skips the sum.  No surface is rebuilt and no E^3 array is formed.  The coefficients blow up like
 1/sin(theta/2) as a cone angle approaches a multiple of 2*pi; evaluation is
 refused inside a small guard band around those walls.
 """
@@ -22,6 +29,7 @@ refused inside a small guard band around those walls.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -30,6 +38,9 @@ from .surface import ConeSurface
 
 # Refuse the bivector when some |sin(theta_h/2)| falls below this.
 WALL_GUARD = 1e-6
+# Terms (or derivative entries) one block of the Jacobi check evaluates at
+# once; it bounds the transient memory of the check.
+BLOCK_ENTRIES = 1 << 13
 
 
 def wall_margins(s: ConeSurface) -> np.ndarray:
@@ -37,30 +48,138 @@ def wall_margins(s: ConeSurface) -> np.ndarray:
     return np.array([abs(math.sin(t / 2.0)) for t in s.cone_angle])
 
 
-def eta_matrix(s: ConeSurface, wall_guard: float = WALL_GUARD) -> np.ndarray:
-    """The N x N bivector matrix P[i][j] = eta(da_i, da_j)."""
-    margins = wall_margins(s)
-    for v, m in enumerate(margins):
-        if m < wall_guard:
+def _expand(start: np.ndarray, count: np.ndarray) -> tuple:
+    """(owner, index): the ranges start[t] .. start[t] + count[t] - 1, concatenated."""
+    owner = np.repeat(np.arange(len(count)), count)
+    shift = start - (np.cumsum(count) - count)
+    return owner, np.arange(len(owner)) + shift[owner]
+
+
+def _running_sums(z: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Running sums of z along consecutive runs of the given sizes.
+
+    Run t gets size[t] + 1 values, 0, z_0, z_0 + z_1, ..., up to its total,
+    added left to right as a Python loop adds them.
+    """
+    first = np.cumsum(size) - size
+    at = first + np.arange(len(size))  # where the sums of run t start
+    out = np.zeros(len(z) + len(size))
+    order = np.argsort(-size, kind="stable")
+    live = np.searchsorted(-size[order], -np.arange(size.max(initial=0)))
+    for k, n_live in enumerate(live.tolist()):  # runs longer than k
+        t = order[:n_live]
+        out[at[t] + k + 1] = out[at[t] + k] + z[first[t] + k]
+    return out
+
+
+def _blocks(count: np.ndarray, cap: int) -> list:
+    """Consecutive ranges [i0, i1) of items whose counts add up to at most cap.
+
+    An item whose count alone exceeds cap gets a range of its own.
+    """
+    ends = np.cumsum(count)
+    out, i0 = [], 0
+    while i0 < len(count):
+        base = ends[i0 - 1] if i0 else 0
+        i1 = max(i0 + 1, int(np.searchsorted(ends, base + cap, side="right")))
+        out.append((i0, i1))
+        i0 = i1
+    return out
+
+
+def _sum_by_key(key: np.ndarray, value: np.ndarray) -> tuple:
+    """(distinct keys in increasing order, the sum of the values of each).
+
+    Keys are >= 0; the array `key` is overwritten.
+    """
+    if key.size == 0:
+        return key, value
+    bits = (key.size - 1).bit_length()
+    if int(key.max()) < 1 << (62 - bits):
+        # sort the keys with their positions packed into the low bits, which
+        # is several times faster than an argsort
+        key <<= bits
+        key |= np.arange(key.size)
+        key.sort()
+        order = key & ((1 << bits) - 1)
+        key >>= bits
+    else:
+        order = np.argsort(key)
+        key = key[order]
+    start = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+    return key[start], np.add.reduceat(value[order], start)
+
+
+def _max_abs_sum(key: np.ndarray, value: np.ndarray) -> float:
+    """max over distinct keys (>= 0) of |sum of the values carrying that key|."""
+    value = _sum_by_key(key, value)[1]
+    return float(np.max(np.abs(value))) if value.size else 0.0
+
+
+class FanPairs:
+    """The germ pairs a < b of every fan, in one flat table.
+
+    Corners are stored fan by fan: corner a of vertex v is row first[v] + a
+    of `sides` (the edges of its triangle, side 0 that of germ a) and
+    `partials` (the partials of its angle in their lengths).  Pair t joins
+    corners `pair_a[t]` < `pair_b[t]` of the fan of vertex `pair_v[t]`, whose
+    germs lie on edges `edge_a[t]` and `edge_b[t]`; pairs are listed fan by
+    fan, then by a, then by b.  With d = prefix[b] - prefix[a] the pair adds
+    `eta` = sin(d - theta/2) / sin(theta/2) to eta(da_{edge_a}, da_{edge_b}),
+    and its derivative is
+
+        C (dprefix[b] - dprefix[a]) - S dtheta,
+        C = cos(d - theta/2) / sin(theta/2),  S = sin(d) / (2 sin^2(theta/2)),
+
+    where dprefix and dtheta are sums of corner-angle gradients; C is in `c`
+    and S in `sn`.  Raises WallAngle when a cone angle is inside the guard.
+    """
+
+    def __init__(self, s: ConeSurface, wall_guard: float = WALL_GUARD):
+        theta = np.array(s.cone_angle)
+        half = theta / 2.0
+        denom = np.sin(half)
+        margins = np.abs(denom)
+        bad = np.flatnonzero(margins < wall_guard)
+        if bad.size:
+            v = int(bad[0])
             raise WallAngle(
                 f"vertex {v} has cone angle {s.cone_angle[v]} with "
-                f"|sin(theta/2)| = {m} below the {wall_guard} guard")
-    n = s.n_edges
-    p = np.zeros((n, n))
-    for fan in s.fans:
-        theta = fan.theta
-        half = theta / 2.0
-        denom = math.sin(half)
-        m = len(fan.germs)
-        for a in range(m):
-            i = s.edge_index[s.he_edge[fan.germs[a]]]
-            for b in range(a + 1, m):
-                j = s.edge_index[s.he_edge[fan.germs[b]]]
-                d_cw = theta - (fan.prefix[b] - fan.prefix[a])
-                c = math.sin(half - d_cw) / denom
-                p[i, j] += c
-                p[j, i] -= c
-    return p
+                f"|sin(theta/2)| = {float(margins[v])} below the {wall_guard} guard")
+        self.n_edges = s.n_edges
+        self.size = np.fromiter(map(len, s.vertex_germs), dtype=np.intp,
+                                count=s.n_vertices)
+        self.first = np.cumsum(self.size) - self.size
+        self.vertex = np.repeat(np.arange(s.n_vertices), self.size)
+        order = np.fromiter(chain.from_iterable(s.vertex_germs), dtype=np.intp,
+                            count=s.n_half)
+        edges, grads = s.corner_gradients()
+        self.sides, self.partials = edges[order], grads[order]
+        corner = np.arange(s.n_half)
+        last = self.first[self.vertex] + self.size[self.vertex] - 1
+        a, b = _expand(corner + 1, last - corner)
+        v = self.vertex[a]
+        self.pair_a, self.pair_b, self.pair_v = a, b, v
+        self.edge_a, self.edge_b = self.sides[a, 0], self.sides[b, 0]
+        prefix = _running_sums(s.corner_angles()[order], self.size)[corner + self.vertex]
+        d = prefix[b] - prefix[a]
+        half, denom = half[v], denom[v]
+        self.eta = np.sin(half - (theta[v] - d)) / denom
+        self.c = np.cos(d - half) / denom
+        self.sn = np.sin(d) / (2.0 * denom * denom)
+
+    def matrix(self) -> np.ndarray:
+        """The dense bivector matrix, exactly antisymmetric."""
+        n = self.n_edges
+        i, j = self.edge_a, self.edge_b
+        cells = np.stack([i * n + j, j * n + i], axis=1).ravel()
+        values = np.stack([self.eta, -self.eta], axis=1).ravel()
+        return np.bincount(cells, weights=values, minlength=n * n).reshape(n, n)
+
+
+def eta_matrix(s: ConeSurface, wall_guard: float = WALL_GUARD) -> np.ndarray:
+    """The N x N bivector matrix P[i][j] = eta(da_i, da_j)."""
+    return FanPairs(s, wall_guard).matrix()
 
 
 def angle_gradients(s: ConeSurface) -> np.ndarray:
@@ -75,12 +194,9 @@ def radical_residuals(p: np.ndarray, grads: np.ndarray) -> np.ndarray:
     """Scaled residuals ||P g||_inf / (||P||_inf ||g||_inf + 1) per vertex."""
     if grads.ndim != 2 or grads.shape[1] != p.shape[0]:
         raise DimensionMismatch("gradient rows must match the matrix dimension")
-    pnorm = float(np.max(np.abs(p)))
-    out = []
-    for g in grads:
-        out.append(float(np.max(np.abs(p @ g))) /
-                   (pnorm * float(np.max(np.abs(g))) + 1.0))
-    return np.array(out)
+    pnorm = max(float(p.max()), -float(p.min()))
+    return (np.max(np.abs(p @ grads.T), axis=0)
+            / (pnorm * np.max(np.abs(grads), axis=1) + 1.0))
 
 
 def bivector_rank(p: np.ndarray, rel_tol: float = 1e-8) -> int:
@@ -91,150 +207,276 @@ def bivector_rank(p: np.ndarray, rel_tol: float = 1e-8) -> int:
     return int(np.sum(sv > rel_tol * sv[0]))
 
 
+
+
 class EtaDerivative:
-    """d(eta) by the chain rule, in factored form, built from stored angles.
+    """d(eta) by the chain rule, pair by pair, from a fan-pair table.
 
-    The germ pair a < b of the fan at a vertex contributes
-    c = sin(d - theta/2) / sin(theta/2) to eta, with d = prefix[b] - prefix[a],
-    so its derivative is
+    Only pairs of two different edges enter (the two germs of a loop cancel).
+    Pair t of them, at the fan of vertex `v[t]` with germs at positions
+    `pos_a[t]` < `pos_b[t]` of a fan of `fan_size[t]` germs, adds
 
-        C[a, b] (dprefix[b] - dprefix[a]) - S[a, b] dtheta,
-        C = cos(d - theta/2) / sin(theta/2),  S = sin(d) / (2 sin^2(theta/2)),
+        dc[t] (dprefix[pos_b] - dprefix[pos_a]) - ds[t] dtheta
 
-    where dprefix and dtheta are sums of corner-angle gradients.  Extending
-    C symmetrically and S antisymmetrically makes the formula hold for every
-    ordered pair.  Corners are stored fan by fan: corner a of vertex v is row
-    first[v] + a of `sides` (the edges of its triangle, side 0 that of germ
-    a) and `partials` (the partials of its angle in their lengths).  Per
-    vertex v, `ls[v]` are the edges of the triangles around v, `q[v][a]` and
-    `dtheta[v]` the gradients of prefix[a] and theta in their lengths,
-    `es[v]` the edges with a germ at v, and `c[v]`, `sn[v]` hold C and S.
-    `pair_*` list the pairs a < b of every fan with their C and S.
+    to d eta(da_lo, da_hi) for its edges `lo[t]` < `hi[t]`: dc and ds are C
+    and S signed by the pair's orientation.  The pairs are sorted by (v, lo).
+    Edge e joins the vertices `edge_ends[e]`; `far_lo[t]`, `far_hi[t]` are
+    the ends of lo and hi other than v.  `edge_pair[t]` numbers the distinct
+    (lo, hi), and `shared[t]` says whether another pair has the same edges.
+    The sides of the triangles around fan v are rows side_start[v] ..
+    side_start[v] + n_sides[v] - 1 of (`side_v`, `side_l`), sorted by (v, l);
+    for side f of fan v, q[qoff[f] + k] is the partial of prefix[k] in the
+    length of side_l[f], and k = size[v] gives the partial of theta.
     """
 
-    def __init__(self, s: ConeSurface):
-        edges, grads = s.corner_gradients()
-        order = np.concatenate([fan.germs for fan in s.fans])
-        self.sides, self.partials = edges[order], grads[order]
-        self.size = np.array([len(fan.germs) for fan in s.fans])
-        self.first = np.cumsum(self.size) - self.size
-        self.ls, self.q, self.dtheta, self.es, self.c, self.sn = [], [], [], [], [], []
-        pairs = []
-        for v, fan in enumerate(s.fans):
-            m, at = self.size[v], self.corners(v)
-            ls, where = np.unique(self.sides[at], return_inverse=True)
-            g = np.zeros((m, len(ls)))  # corner-angle gradients
-            np.add.at(g, (np.repeat(np.arange(m), 3), where.ravel()), self.partials[at].ravel())
-            self.ls.append(ls)
-            self.q.append(np.cumsum(g, axis=0) - g)
-            self.dtheta.append(g.sum(axis=0))
-            self.es.append(np.unique(self.sides[at, 0]))
-            half = fan.theta / 2.0
-            denom = math.sin(half)
-            a, b = np.triu_indices(m, 1)
-            d = np.array(fan.prefix)[b] - np.array(fan.prefix)[a]
-            c = np.zeros((m, m))
-            sn = np.zeros((m, m))
-            c[a, b] = c[b, a] = np.cos(d - half) / denom
-            sn[a, b] = np.sin(d) / (2.0 * denom * denom)
-            sn[b, a] = -sn[a, b]
-            self.c.append(c)
-            self.sn.append(sn)
-            pairs.append((self.first[v] + a, self.first[v] + b, np.full(len(a), v),
-                          c[a, b], sn[a, b]))
-        self.pair_a, self.pair_b, self.pair_v, self.pair_c, self.pair_sn = (
-            np.concatenate(x) for x in zip(*pairs))
-        self.corner_span = [np.arange(f, f + m) for f, m in zip(self.first, self.size)]
-        count = self.size * (self.size - 1) // 2
-        self.pair_span = [np.arange(f, f + m) for f, m in zip(np.cumsum(count) - count, count)]
+    def __init__(self, pairs: FanPairs):
+        n = self.n_edges = pairs.n_edges
+        self.size, self.first = pairs.size, pairs.first
+        self.sides, self.partials = pairs.sides, pairs.partials
+        lo = np.minimum(pairs.edge_a, pairs.edge_b)
+        keep = np.flatnonzero(pairs.edge_a != pairs.edge_b)
+        keep = keep[np.argsort(pairs.pair_v[keep] * n + lo[keep], kind="stable")]
+        self.v = pairs.pair_v[keep]
+        self.lo, self.hi = lo[keep], np.maximum(pairs.edge_a, pairs.edge_b)[keep]
+        sign = np.where(pairs.edge_a[keep] < pairs.edge_b[keep], 1.0, -1.0)
+        self.dc, self.ds = sign * pairs.c[keep], sign * pairs.sn[keep]
+        self.pos_a = pairs.pair_a[keep] - self.first[self.v]
+        self.pos_b = pairs.pair_b[keep] - self.first[self.v]
+        self.fan_size = self.size[self.v]
+        # the other ends of the pair's edges, and the pairs of the same two edges
+        self.edge_ends = pairs.vertex[np.argsort(self.sides[:, 0], kind="stable")].reshape(n, 2)
+        self.far_lo = self.edge_ends[self.lo].sum(axis=1) - self.v
+        self.far_hi = self.edge_ends[self.hi].sum(axis=1) - self.v
+        _, self.edge_pair, count = np.unique(self.lo * n + self.hi, return_inverse=True,
+                                             return_counts=True)
+        self.shared = count[self.edge_pair] > 1
+        # the sides around every fan, and the prefix gradients in their lengths
+        key, where = np.unique((pairs.vertex[:, None] * n + self.sides).ravel(),
+                               return_inverse=True)
+        self.side_v, self.side_l = key // n, key % n
+        self.n_sides = np.bincount(self.side_v, minlength=len(self.size))
+        self.side_start = np.cumsum(self.n_sides) - self.n_sides
+        m = self.size[self.side_v]
+        goff = np.cumsum(m) - m
+        pos = np.arange(len(pairs.vertex)) - self.first[pairs.vertex]
+        cell = goff[where.reshape(-1, 3)] + pos[:, None]
+        grad = np.bincount(cell.ravel(), weights=self.partials.ravel(),
+                           minlength=int(np.sum(m)))
+        self.q = _running_sums(grad, m)
+        self.qoff = goff + np.arange(len(m))
 
-    def corners(self, v: int) -> slice:
-        return slice(self.first[v], self.first[v] + self.size[v])
+    def pair_sides(self, pairs: np.ndarray) -> tuple:
+        """(pair, side): each of `pairs` with each side of its fan."""
+        v = self.v[pairs]
+        owner, side = _expand(self.side_start[v], self.n_sides[v])
+        return pairs[owner], side
 
-    def column(self, v: int, k: int) -> np.ndarray:
-        """(L, m) array of d eta_v(germ a, da_k) / da_l for l in ls[v].
+    def derivative(self, pair: np.ndarray, side: np.ndarray) -> np.ndarray:
+        """d eta_pair(da_lo, da_hi) / da_l with l = side_l[side]."""
+        o = self.qoff[side]
+        return (self.dc[pair] * (self.q[o + self.pos_b[pair]] - self.q[o + self.pos_a[pair]])
+                - self.ds[pair] * self.q[o + self.fan_size[pair]])
 
-        Summed over the germs of edge k at v (a loop has two); edge k must
-        have a germ at v.
+    def max_abs(self) -> float:
+        """max |d eta(da_j, da_k) / da_l|, the pairs of the same edges summed."""
+        if not self.v.size:
+            return 0.0
+        order = np.argsort(self.edge_pair, kind="stable")
+        start = np.flatnonzero(np.diff(self.edge_pair[order], prepend=-1))
+        bounds = np.append(start, len(order))
+        best = 0.0
+        for g0, g1 in _blocks(np.add.reduceat(self.n_sides[self.v[order]], start),
+                              BLOCK_ENTRIES):
+            pair, side = self.pair_sides(order[bounds[g0]:bounds[g1]])
+            value = self.derivative(pair, side)
+            shared = self.shared[pair]
+            best = max(best, float(np.max(np.abs(value[~shared]), initial=0.0)),
+                       _max_abs_sum(self.edge_pair[pair[shared]] * self.n_edges
+                                    + self.side_l[side[shared]], value[shared]))
+        return best
+
+
+class _JacobiTerms:
+    """The terms of the Jacobi sum: rows of P contracted with pair derivatives.
+
+    Row r reaches fan v when P[r, l] != 0 for a side l of v; the incidences
+    (v, r[t]) are sorted by (v, r).  x[xoff[t] + k] is row r contracted with
+    the gradient of prefix[k] of fan v (k = size[v]: theta), so row r
+    contracted with the derivative of pair u is
+
+        dc[u] (x[pos_b[u]] - x[pos_a[u]]) - ds[u] x[fan_size[u]].
+
+    That value is the one term the row and the pair add to the Jacobi sum
+    J[r, lo, hi], signed into the sorted triple.  The terms are listed by
+    their slice, the smallest edge of the triple, as runs: a row with the
+    suffix of its fan's pairs whose lo exceeds it, then a pair with the
+    suffix of its fan's rows above its lo.  Run g covers incidences
+    inc0[g] + k * step[g] and pairs pair0[g] + k * (1 - step[g]), k = 0, 1,
+    ..., and its terms end before term ends[g].
+    """
+
+    def __init__(self, der: EtaDerivative, p: np.ndarray):
+        n = der.n_edges
+        col_r, col_l = np.nonzero(p)
+        by_col = np.argsort(col_l, kind="stable")
+        col_r, col_l = col_r[by_col], col_l[by_col]
+        col_start = np.searchsorted(col_l, np.arange(n + 1))
+        col_n = np.diff(col_start)[der.side_l]
+        keys = [np.zeros(0, dtype=np.intp)]
+        for f0, f1 in _blocks(col_n, BLOCK_ENTRIES):
+            owner, k = _expand(col_start[der.side_l[f0:f1]], col_n[f0:f1])
+            keys.append(np.unique(der.side_v[f0:f1][owner] * n + col_r[k]))
+        del col_r, col_l, by_col
+        key = np.unique(np.concatenate(keys))
+        v, self.r = key // n, key % n
+        self.end_a, self.end_b = der.edge_ends[self.r].T
+        self.at_fan = (self.end_a == v) | (self.end_b == v)
+        # x is laid out by fan size, then by row: a block then has runs of
+        # about one length and reads few rows of P
+        order = np.lexsort((self.r, der.size[v]))
+        v_o, m = v[order], der.size[v[order]]
+        self.xoff = np.empty_like(m)
+        self.xoff[order] = np.cumsum(m + 1) - (m + 1)
+        self.x = np.empty(int(np.sum(m + 1)))
+        at, flat = 0, p.ravel()
+        for t0, t1 in _blocks(m, BLOCK_ENTRIES):
+            owner, corner = _expand(der.first[v_o[t0:t1]], m[t0:t1])
+            row = self.r[order[t0:t1]][owner] * n
+            z = np.zeros(len(corner))
+            for side in range(3):  # row r of P contracted with the corner's gradient
+                z += flat[row + der.sides[corner, side]] * der.partials[corner, side]
+            self.x[at:at + len(z) + t1 - t0] = _running_sums(z, m[t0:t1])
+            at += len(z) + t1 - t0
+        pair_key = der.v * n + der.lo
+        a_start = np.searchsorted(pair_key, key, side="right")
+        a_count = np.searchsorted(pair_key, (v + 1) * n) - a_start
+        b_start = np.searchsorted(key, pair_key, side="right")
+        b_count = np.searchsorted(key, (der.v + 1) * n) - b_start
+        count = np.concatenate([a_count, b_count])
+        runs = np.flatnonzero(count)
+        runs = runs[np.argsort(np.concatenate([self.r, der.lo])[runs], kind="stable")]
+        self.step = (runs >= len(key)).astype(np.intp)
+        self.inc0 = np.concatenate([np.arange(len(key)), b_start])[runs]
+        self.pair0 = np.concatenate([a_start, np.arange(len(der.lo))])[runs]
+        self.ends = np.cumsum(count[runs])
+
+    def slice_of(self, der: EtaDerivative, e: int) -> int:
+        """The slice of term e."""
+        g = int(np.searchsorted(self.ends, e, side="right"))
+        return int(der.lo[self.pair0[g]] if self.step[g] else self.r[self.inc0[g]])
+
+    def terms(self, der: EtaDerivative, e0: int, e1: int) -> tuple:
+        """Terms e0 .. e1 - 1: (key, value) of those that share their triple,
+        the key encoding the sorted triple, and max |value| of the others."""
+        n = der.n_edges
+        g0 = int(np.searchsorted(self.ends, e0, side="right"))
+        g1 = int(np.searchsorted(self.ends, e1 - 1, side="right")) + 1
+        ends = self.ends[g0:g1]
+        begin = np.concatenate([self.ends[g0 - 1:g0] if g0 else [0], ends[:-1]])
+        first = np.maximum(e0 - begin, 0)
+        length = np.minimum(ends, e1) - begin - first
+        # term j of the block lies on run g at k = j + shift[g]
+        shift = first - (np.cumsum(length) - length)
+        step = self.step[g0:g1]
+        inc = np.repeat(self.inc0[g0:g1] + step * shift, length)
+        pair = np.repeat(self.pair0[g0:g1] + (1 - step) * shift, length)
+        j = np.arange(e1 - e0)
+        pair += j
+        j *= np.repeat(step, length)
+        inc += j
+        pair -= j
+        del j
+        # A row that shares no vertex with either edge of an unshared pair
+        # is the only term of its triple: no other row or pair reaches it.
+        near = self.at_fan[inc] | der.shared[pair]
+        ends = self.end_a[inc], self.end_b[inc]
+        for far in (der.far_lo, der.far_hi):
+            far = far[pair]
+            for end in ends:
+                near |= end == far
+        del ends, far
+        o = self.xoff[inc]
+        w = self.x[o + der.pos_b[pair]]
+        w -= self.x[o + der.pos_a[pair]]
+        w *= der.dc[pair]
+        w -= der.ds[pair] * self.x[o + der.fan_size[pair]]
+        del o
+        near = np.flatnonzero(near)
+        inc, pair, w_near = inc[near], pair[near], w[near]
+        np.abs(w, out=w)
+        w[near] = 0.0
+        alone_max = float(np.max(w, initial=0.0))
+        w = w_near
+        r, lo, hi = self.r[inc], der.lo[pair], der.hi[pair]
+        del inc, pair, near, w_near
+        low, high = np.minimum(r, lo), np.maximum(r, hi)
+        mid = r + lo
+        mid += hi
+        mid -= low
+        mid -= high
+        w[mid == r] *= -1.0  # (lo, r, hi) is an odd permutation of (r, lo, hi)
+        w[r == hi] = 0.0  # a repeated edge; its key collects nothing else
+        del r, lo, hi
+        low *= n
+        low += mid
+        low *= n
+        low += high
+        return low, w, alone_max
+
+    def max_abs(self, der: EtaDerivative) -> float:
+        """max |J| over the sorted triples, BLOCK_ENTRIES terms at a time.
+
+        The sums of a block wait until the terms have moved past their slice;
+        a slice that spans several blocks is summed when it ends.
         """
-        x, y = self.q[v].T, self.dtheta[v][:, None]
-        c, sn = self.c[v], self.sn[v]
-        return sum(c[:, b] * (x[:, b:b + 1] - x) - y * sn[:, b]
-                   for b in np.flatnonzero(self.sides[self.corners(v), 0] == k))
-
-    def contract(self, w: np.ndarray, verts: list) -> tuple:
-        """sum_l w[l] d eta_v / da_l over the fans of `verts`, pair by pair.
-
-        Returns (j, k, value): one entry per germ pair a < b of those fans,
-        with j, k the edges of germs a and b; entries on the same (j, k)
-        add up.  Costs one pass over the fans' corners and pairs.
-        """
-        gs = np.concatenate([self.corner_span[v] for v in verts])
-        ps = np.concatenate([self.pair_span[v] for v in verts])
-        z = np.sum(self.partials[gs] * w[self.sides[gs]], axis=1)  # w . dcorner
-        size = self.size[verts]
-        start = np.cumsum(size) - size
-        run = np.cumsum(z) - z
-        x = np.zeros(len(self.sides))
-        x[gs] = run - np.repeat(run[start], size)  # w . dprefix
-        y = np.zeros(len(self.size))
-        y[verts] = np.add.reduceat(z, start)  # w . dtheta
-        a, b = self.pair_a[ps], self.pair_b[ps]
-        value = self.pair_c[ps] * (x[b] - x[a]) - self.pair_sn[ps] * y[self.pair_v[ps]]
-        return self.sides[a, 0], self.sides[b, 0], value
+        n, total = der.n_edges, int(self.ends[-1]) if self.ends.size else 0
+        best, pending = 0.0, []
+        for e0 in range(0, total, BLOCK_ENTRIES):
+            e1 = min(e0 + BLOCK_ENTRIES, total)
+            key, value, alone_max = self.terms(der, e0, e1)
+            best = max(best, alone_max)
+            pending.append(_sum_by_key(key, value))
+            later = self.slice_of(der, e1) * n * n if e1 < total else n ** 3
+            cut = [int(np.searchsorted(key, later)) for key, _ in pending]
+            ready = [(key[:c], value[:c]) for (key, value), c in zip(pending, cut) if c]
+            pending = [(key[c:], value[c:]) for (key, value), c in zip(pending, cut)
+                       if c < len(key)]
+            if len(ready) > 1:
+                ready = [_sum_by_key(*(np.concatenate(part) for part in zip(*ready)))]
+            if ready:
+                best = max(best, float(np.max(np.abs(ready[0][1]))))
+        return best
 
 
 def jacobi_residual(s: ConeSurface, perturbation: np.ndarray | None = None,
-                    wall_guard: float = WALL_GUARD) -> float:
+                    wall_guard: float = WALL_GUARD, p: np.ndarray | None = None) -> float:
     """Scaled maximal Jacobi-identity defect over all coordinate triples.
 
     J[i,j,k] = sum_l (P[i,l] D[l,j,k] + P[j,l] D[l,k,i] + P[k,l] D[l,i,j])
     with D[l] = dP/da_l from `EtaDerivative`; the result is normalized by
-    max|P| * max|D|.  J is built one slice i at a time as
-    J[i] = sum_l P[i,l] D[l] + B - B^T with B = P M and M[l,k] = D[l,k,i].
-    A slice is restricted to the edges where it can be nonzero: the edges at
-    the vertices whose fans have a side l with P[i,l] != 0, and the nonzeros
-    of the columns of P that M reaches.  For the genuine bivector these lie
-    within two hops of edge i.  `perturbation` (a constant antisymmetric
-    matrix added to P) exists to demonstrate that the check detects fake
-    bivectors; the genuine one passes at rounding level.
+    max|P| * max|D|.  J is totally antisymmetric, so each nonzero triple is
+    evaluated once, sorted, from the terms of `_JacobiTerms`.  `p` is the
+    bivector of s when the caller has it already.  `perturbation` (a
+    constant antisymmetric matrix added to P) exists to demonstrate that the
+    check detects fake bivectors; the genuine one passes at rounding level.
     """
-    p = eta_matrix(s, wall_guard=wall_guard)
-    if perturbation is not None:
-        q = np.asarray(perturbation, dtype=float)
+    pairs = FanPairs(s, wall_guard)
+    if p is None:
+        p = pairs.matrix()
+    elif p.shape != (s.n_edges, s.n_edges):
+        raise DimensionMismatch("bivector shape mismatch")
+    q = perturbation
+    if q is not None:
+        q = np.asarray(q, dtype=float)
         if q.shape != p.shape:
             raise DimensionMismatch("perturbation shape mismatch")
         p = p + q
-    der = EtaDerivative(s)
-    touching = [[] for _ in range(s.n_edges)]  # vertices v with l in ls[v]
-    for v, ls in enumerate(der.ls):
-        for l in ls.tolist():
-            touching[l].append(v)
-    ends = [sorted({s.vertex_of[h] for h in s.halfedges_of_edge(e)}) for e in s.edge_ids]
-    in_row = [np.flatnonzero(row) for row in p]
-    in_col = [np.flatnonzero(col) for col in p.T]
-    pos = np.zeros(s.n_edges, dtype=int)  # slice-local position of an edge
-    j_max = d_max = 0.0
-    for i in range(s.n_edges):
-        near = sorted(set(ends[i]).union(*(touching[l] for l in in_row[i].tolist())))
-        rows_l = np.unique(np.concatenate([der.ls[v] for v in ends[i]]))
-        cols_k = np.unique(np.concatenate([der.es[v] for v in ends[i]]))
-        idx = np.unique(np.concatenate([der.es[v] for v in near] +
-                                       [in_col[l] for l in rows_l.tolist()]))
-        n = len(idx)
-        pos[idx] = np.arange(n)
-        j, k, value = der.contract(p[i], near)  # sum_l P[i,l] D[l], one triangle
-        jac = np.bincount(pos[j] * n + pos[k], weights=value, minlength=n * n).reshape(n, n)
-        # M[l, k] = D[l, k, i] from the one or two ends of edge i, and B = P M
-        m = np.zeros((len(rows_l), len(cols_k)))
-        for v in ends[i]:
-            np.add.at(m, (np.searchsorted(rows_l, der.ls[v])[:, None],
-                          np.searchsorted(cols_k, der.sides[der.corners(v), 0])),
-                      der.column(v, i))
-        d_max = max(d_max, float(np.max(np.abs(m))))
-        jac[:, pos[cols_k]] += p[idx[:, None], rows_l] @ m
-        j_max = max(j_max, float(np.max(np.abs(jac - jac.T))))
-    return j_max / (float(np.max(np.abs(p))) * d_max + 1e-300)
+    der = EtaDerivative(pairs)
+    del pairs
+    p_max = max(float(p.max()), -float(p.min()))
+    terms = _JacobiTerms(der, p)
+    del p, q  # the terms hold what they need of P
+    return terms.max_abs(der) / (p_max * der.max_abs() + 1e-300)
 
 
 def comparison_note():

@@ -3,7 +3,7 @@
 Each suite draws random configurations, evaluates the library's formula, and
 compares against an oracle computed by a different route — Euclidean circle
 geometry of half-plane geodesics, explicit boundary-endpoint formulas, or
-Richardson-extrapolated finite differences.  Residuals are scaled by
+the derivative of the closed-form exponential.  Residuals are scaled by
 1/(1 + |expected|) so that configurations with large pairings are judged
 relatively.  The suites are deterministic for a fixed seed and are exposed
 both to the test suite and to the command-line self-test.
@@ -29,7 +29,7 @@ from .sl2 import (
     log_perturbation,
     mixed_pairing,
     normalizing_isometry,
-    sl2_exp,
+    sl2_basis,
     sl2_log,
     trace_form,
 )
@@ -207,21 +207,46 @@ def flat_orientation_suite(rng, count: int) -> float:
     return worst
 
 
-def _numerical_log_slope(s: Sl2Vector, u: Sl2Vector) -> np.ndarray:
-    """Richardson-extrapolated (log(exp(tu) exp(s)) - s)/t at t -> 0."""
-    base = sl2_exp(s)
+def _exp_coefficients(k: float) -> tuple:
+    """c0, c1 of exp(X) = c0 I + c1 X for det X = k, and their k-derivatives.
 
-    def f(t):
-        return (sl2_log(sl2_exp(t * u) @ base).mat - s.mat) / t
+    c0 = cos(sqrt k), c1 = sin(sqrt k)/sqrt k (cosh and sinh for k < 0), so
+    c0' = -c1/2 and c1' = (c0 - c1)/(2k); near k = 0 the series are used.
+    """
+    if abs(k) < 1e-3:
+        c0 = 1.0 - k / 2.0 + k * k / 24.0 - k ** 3 / 720.0 + k ** 4 / 40320.0
+        c1 = 1.0 - k / 6.0 + k * k / 120.0 - k ** 3 / 5040.0 + k ** 4 / 362880.0
+        dc1 = -1.0 / 6.0 + k / 60.0 - k * k / 1680.0 + k ** 3 / 90720.0
+        return c0, c1, -c1 / 2.0, dc1
+    w = math.sqrt(abs(k))
+    if k > 0.0:
+        c0, c1 = math.cos(w), math.sin(w) / w
+    else:
+        c0, c1 = math.cosh(w), math.sinh(w) / w
+    return c0, c1, -c1 / 2.0, (c0 - c1) / (2.0 * k)
 
-    f3, f4, f5 = f(1e-3), f(1e-4), f(1e-5)
-    r1 = (10.0 * f4 - f3) / 9.0
-    r2 = (10.0 * f5 - f4) / 9.0
-    return (100.0 * r2 - r1) / 99.0
+
+def _exp_side_log_slope(s: Sl2Vector, u: Sl2Vector) -> np.ndarray:
+    """The first-order coefficient L of log(exp(tu) exp(s)), from the exp side.
+
+    exp(s + tL) = exp(tu) exp(s) + O(t^2), so dexp_s(L) = u exp(s); with
+    exp(X) = c0 I + c1 X, dk = -tr(X dX) for k = det X and
+    dexp_s(Y) = (c0' I + c1' s) dk + c1 Y, solved for L by least squares
+    over the (H, E, F) basis.  The raw exponential is used, not the
+    sign-normalized `sl2_exp`, so both sides stay on one branch.
+    """
+    x = s.mat
+    c0, c1, dc0, dc1 = _exp_coefficients(s.det())
+    basis = [b.mat for b in sl2_basis()]
+    columns = [((dc0 * np.eye(2) + dc1 * x) * -np.trace(x @ y) + c1 * y).ravel()
+               for y in basis]
+    rhs = (u.mat @ (c0 * np.eye(2) + c1 * x)).ravel()
+    coef, *_ = np.linalg.lstsq(np.column_stack(columns), rhs, rcond=None)
+    return sum(c * y for c, y in zip(coef, basis))
 
 
 def log_expansion_suite(rng, count: int) -> float:
-    """First-order coefficient of log(exp(tu) exp(s)) against the numerical
+    """First-order coefficient of log(exp(tu) exp(s)) against the exp-side
     oracle, for elliptic and for hyperbolic base directions."""
     worst = 0.0
     for k in range(count):
@@ -235,7 +260,7 @@ def log_expansion_suite(rng, count: int) -> float:
         c = rng.normal(size=3)
         u = Sl2Vector([[c[0], c[1]], [c[2], -c[0]]])
         got = log_perturbation(s, u)
-        rr = _numerical_log_slope(s, u)
+        rr = _exp_side_log_slope(s, u)
         worst = max(worst, _scaled(float(np.max(np.abs(got.mat - rr))),
                                    float(np.max(np.abs(rr)))))
     return worst

@@ -370,6 +370,10 @@ class ConeSurface:
         """Interior angle of triangle(h) at the origin vertex of h."""
         return self._angle[h]
 
+    def corner_angles(self) -> np.ndarray:
+        """angle_at(h) for every half-edge h, as one array."""
+        return np.array(self._angle)
+
     def halfedges_of_edge(self, eid: str) -> tuple:
         """(forward, backward) half-edges of an edge, in that order."""
         return self._halves[eid]
@@ -386,7 +390,7 @@ class ConeSurface:
         prv = h - h % 3 + (h + 2) % 3
         edge = np.array([self.edge_index[e] for e in self.he_edge])
         length = self.length_vector()[edge]
-        angle = np.array(self._angle)
+        angle = self.corner_angles()
         # the angle opposite side h sits at prv(h), the one opposite prv(h) at nxt(h)
         grads = corner_gradient(length, length[prv], angle[prv], angle[nxt])
         return np.stack([edge, edge[prv], edge[nxt]], axis=1), np.stack(grads, axis=1)

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypcone import (
     wall_margins,
 )
 from hypcone.errors import DimensionMismatch, WallAngle
-from hypcone.poisson import EtaDerivative, comparison_note
+from hypcone.poisson import EtaDerivative, FanPairs, comparison_note
 
 
 def fd_eta_derivatives(s, step):
@@ -29,12 +30,13 @@ def fd_eta_derivatives(s, step):
 
 def dense_eta_derivative(s):
     """D[l, j, k] = d eta(da_j, da_k) / da_l assembled from EtaDerivative."""
-    der = EtaDerivative(s)
+    der = EtaDerivative(FanPairs(s))
+    pair, side = der.pair_sides(np.arange(len(der.lo)))
+    value = der.derivative(pair, side)
     d = np.zeros((s.n_edges,) * 3)
-    for v in range(s.n_vertices):
-        germ_edges = der.sides[der.corners(v), 0]
-        for k in der.es[v]:
-            np.add.at(d, (der.ls[v][:, None], germ_edges, k), der.column(v, k))
+    l, j, k = der.side_l[side], der.lo[pair], der.hi[pair]
+    np.add.at(d, (l, j, k), value)
+    np.add.at(d, (l, k, j), -value)
     return d
 
 
@@ -43,6 +45,121 @@ def dense_jacobi(p, d):
     t1 = np.einsum("il,ljk->ijk", p, d)
     jac = t1 + t1.transpose(1, 2, 0) + t1.transpose(2, 0, 1)
     return float(np.max(np.abs(jac))) / (float(np.max(np.abs(p))) * float(np.max(np.abs(d))))
+
+
+class SliceEtaDerivative:
+    """d(eta) per vertex fan, as the slice-by-slice check used it.
+
+    Per vertex v, `ls[v]` are the edges of the triangles around v, `q[v][a]`
+    and `dtheta[v]` the gradients of prefix[a] and theta in their lengths,
+    `es[v]` the edges with a germ at v, and `c[v]`, `sn[v]` the m x m
+    matrices of C (symmetric) and S (antisymmetric) of `FanPairs`.
+    """
+
+    def __init__(self, s):
+        edges, grads = s.corner_gradients()
+        order = np.concatenate([fan.germs for fan in s.fans])
+        self.sides, self.partials = edges[order], grads[order]
+        self.size = np.array([len(fan.germs) for fan in s.fans])
+        self.first = np.cumsum(self.size) - self.size
+        self.ls, self.q, self.dtheta, self.es, self.c, self.sn = [], [], [], [], [], []
+        pairs = []
+        for v, fan in enumerate(s.fans):
+            m, at = self.size[v], self.corners(v)
+            ls, where = np.unique(self.sides[at], return_inverse=True)
+            g = np.zeros((m, len(ls)))  # corner-angle gradients
+            np.add.at(g, (np.repeat(np.arange(m), 3), where.ravel()),
+                      self.partials[at].ravel())
+            self.ls.append(ls)
+            self.q.append(np.cumsum(g, axis=0) - g)
+            self.dtheta.append(g.sum(axis=0))
+            self.es.append(np.unique(self.sides[at, 0]))
+            half = fan.theta / 2.0
+            denom = math.sin(half)
+            a, b = np.triu_indices(m, 1)
+            d = np.array(fan.prefix)[b] - np.array(fan.prefix)[a]
+            c = np.zeros((m, m))
+            sn = np.zeros((m, m))
+            c[a, b] = c[b, a] = np.cos(d - half) / denom
+            sn[a, b] = np.sin(d) / (2.0 * denom * denom)
+            sn[b, a] = -sn[a, b]
+            self.c.append(c)
+            self.sn.append(sn)
+            pairs.append((self.first[v] + a, self.first[v] + b, np.full(len(a), v),
+                          c[a, b], sn[a, b]))
+        self.pair_a, self.pair_b, self.pair_v, self.pair_c, self.pair_sn = (
+            np.concatenate(x) for x in zip(*pairs))
+        self.corner_span = [np.arange(f, f + m) for f, m in zip(self.first, self.size)]
+        count = self.size * (self.size - 1) // 2
+        self.pair_span = [np.arange(f, f + m)
+                          for f, m in zip(np.cumsum(count) - count, count)]
+
+    def corners(self, v):
+        return slice(self.first[v], self.first[v] + self.size[v])
+
+    def column(self, v, k):
+        """(L, m) array of d eta_v(germ a, da_k) / da_l for l in ls[v]."""
+        x, y = self.q[v].T, self.dtheta[v][:, None]
+        c, sn = self.c[v], self.sn[v]
+        return sum(c[:, b] * (x[:, b:b + 1] - x) - y * sn[:, b]
+                   for b in np.flatnonzero(self.sides[self.corners(v), 0] == k))
+
+    def contract(self, w, verts):
+        """(j, k, value): sum_l w[l] d eta_v / da_l per germ pair of `verts`."""
+        gs = np.concatenate([self.corner_span[v] for v in verts])
+        ps = np.concatenate([self.pair_span[v] for v in verts])
+        z = np.sum(self.partials[gs] * w[self.sides[gs]], axis=1)
+        size = self.size[verts]
+        start = np.cumsum(size) - size
+        run = np.cumsum(z) - z
+        x = np.zeros(len(self.sides))
+        x[gs] = run - np.repeat(run[start], size)
+        y = np.zeros(len(self.size))
+        y[verts] = np.add.reduceat(z, start)
+        a, b = self.pair_a[ps], self.pair_b[ps]
+        value = self.pair_c[ps] * (x[b] - x[a]) - self.pair_sn[ps] * y[self.pair_v[ps]]
+        return self.sides[a, 0], self.sides[b, 0], value
+
+
+def slice_jacobi_residual(s, perturbation=None):
+    """The Jacobi residual one edge slice at a time, the reference check.
+
+    J[i] = sum_l P[i,l] D[l] + B - B^T with B = P M and M[l,k] = D[l,k,i],
+    restricted to the edges near edge i.
+    """
+    p = eta_matrix(s)
+    if perturbation is not None:
+        p = p + perturbation
+    der = SliceEtaDerivative(s)
+    touching = [[] for _ in range(s.n_edges)]  # vertices v with l in ls[v]
+    for v, ls in enumerate(der.ls):
+        for l in ls.tolist():
+            touching[l].append(v)
+    ends = [sorted({s.vertex_of[h] for h in s.halfedges_of_edge(e)}) for e in s.edge_ids]
+    in_row = [np.flatnonzero(row) for row in p]
+    in_col = [np.flatnonzero(col) for col in p.T]
+    pos = np.zeros(s.n_edges, dtype=int)  # slice-local position of an edge
+    j_max = d_max = 0.0
+    for i in range(s.n_edges):
+        near = sorted(set(ends[i]).union(*(touching[l] for l in in_row[i].tolist())))
+        rows_l = np.unique(np.concatenate([der.ls[v] for v in ends[i]]))
+        cols_k = np.unique(np.concatenate([der.es[v] for v in ends[i]]))
+        idx = np.unique(np.concatenate([der.es[v] for v in near] +
+                                       [in_col[l] for l in rows_l.tolist()]))
+        n = len(idx)
+        pos[idx] = np.arange(n)
+        j, k, value = der.contract(p[i], near)
+        jac = np.bincount(pos[j] * n + pos[k], weights=value,
+                          minlength=n * n).reshape(n, n)
+        m = np.zeros((len(rows_l), len(cols_k)))
+        for v in ends[i]:
+            np.add.at(m, (np.searchsorted(rows_l, der.ls[v])[:, None],
+                          np.searchsorted(cols_k, der.sides[der.corners(v), 0])),
+                      der.column(v, i))
+        d_max = max(d_max, float(np.max(np.abs(m))))
+        jac[:, pos[cols_k]] += p[idx[:, None], rows_l] @ m
+        j_max = max(j_max, float(np.max(np.abs(jac - jac.T))))
+    return j_max / (float(np.max(np.abs(p))) * d_max + 1e-300)
 
 
 def test_equilateral_torus_frozen_value(torus):
@@ -109,6 +226,19 @@ def test_gradients_span_radical(corpus):
         assert np.linalg.matrix_rank(grads, tol=1e-10) == s.n_vertices
 
 
+def test_radical_residuals_match_per_vertex_products(skew_g1n2):
+    # one product P @ G^T against a mat-vec per vertex, on a P that the
+    # gradients do not annihilate
+    s = skew_g1n2
+    rng = np.random.default_rng(44)
+    q = rng.uniform(-1.0, 1.0, size=(s.n_edges, s.n_edges))
+    p = eta_matrix(s) + (q - q.T)
+    grads = angle_gradients(s)
+    want = [np.max(np.abs(p @ g)) / (np.max(np.abs(p)) * np.max(np.abs(g)) + 1.0)
+            for g in grads]
+    assert radical_residuals(p, grads) == pytest.approx(want, rel=1e-12)
+
+
 def test_radical_residuals_rejects_bad_shape(torus):
     with pytest.raises(DimensionMismatch):
         radical_residuals(eta_matrix(torus), np.zeros((1, 5)))
@@ -130,16 +260,67 @@ def test_eta_derivative_matches_finite_differences(corpus):
 
 def test_jacobi_slices_match_dense_contraction(skew_torus, tetra, skew_tetra, g1n2,
                                                skew_g1n2):
-    # the slice-by-slice evaluation, restricted to nearby edges, against the
-    # full E^3 tensor; a dense perturbation makes every slice global
+    # the blocked check against the slice-by-slice reference and the full
+    # E^3 tensor, on the corpus and a 150-edge torus with a 61-germ vertex;
+    # a dense perturbation makes every triple nonzero
     rng = np.random.default_rng(42)
-    for s in (skew_torus, tetra, skew_tetra, g1n2, skew_g1n2):
+    tor = stellar_surface(49, seed=1, start="tor")
+    assert tor.n_edges == 150 and max(len(fan.germs) for fan in tor.fans) >= 50
+    for s in (skew_torus, tetra, skew_tetra, g1n2, skew_g1n2, tor):
         p, d = eta_matrix(s), dense_eta_derivative(s)
         assert jacobi_residual(s) < 1e-12 and dense_jacobi(p, d) < 1e-12
         q = rng.uniform(-1.0, 1.0, size=p.shape)
         q = 0.1 * (q - q.T)
+        got = jacobi_residual(s, perturbation=q)
+        assert got == pytest.approx(dense_jacobi(p + q, d), rel=1e-9)
+        assert got == pytest.approx(slice_jacobi_residual(s, perturbation=q), rel=1e-9)
+
+
+def test_jacobi_single_entry_perturbations():
+    # a perturbation of one entry moves few triples, so the maximum often
+    # sits on a triple whose germ pairs share their two edges (the loops and
+    # double edges of the stellar torus), where pairs must be summed
+    s = stellar_surface(9, seed=1, start="tor")
+    p, d = eta_matrix(s), dense_eta_derivative(s)
+    rng = np.random.default_rng(45)
+    for _ in range(40):
+        q = np.zeros_like(p)
+        i, j = rng.choice(s.n_edges, 2, replace=False)
+        q[i, j], q[j, i] = 0.1, -0.1
         assert jacobi_residual(s, perturbation=q) == pytest.approx(
             dense_jacobi(p + q, d), rel=1e-9)
+
+
+def test_jacobi_blocks_match_slices_at_300_edges():
+    s = stellar_surface(98, seed=1)
+    assert s.n_edges == 300
+    rng = np.random.default_rng(43)
+    q = rng.uniform(-1.0, 1.0, size=(300, 300))
+    q = 0.1 * (q - q.T)
+    assert jacobi_residual(s, perturbation=q) == pytest.approx(
+        slice_jacobi_residual(s, perturbation=q), rel=1e-9)
+
+
+def test_jacobi_reuses_given_bivector(skew_g1n2):
+    p = eta_matrix(skew_g1n2)
+    assert jacobi_residual(skew_g1n2, p=p) == jacobi_residual(skew_g1n2)
+    with pytest.raises(DimensionMismatch):
+        jacobi_residual(skew_g1n2, p=p[:-1, :-1])
+
+
+def test_jacobi_memory_budget():
+    # the blocks bound the transient memory: the tracemalloc peak on a
+    # 600-edge torus with a 121-germ vertex stays at or below the 12.2 MB
+    # of the slice-by-slice check it replaced
+    s = stellar_surface(199, seed=1, start="tor")
+    assert s.n_edges == 600
+    tracemalloc.start()
+    try:
+        assert jacobi_residual(s) < 1e-12
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12.2e6
 
 
 def test_jacobi_near_wall():
