@@ -117,7 +117,7 @@ def cmd_validate(args, out: Emitter, tols) -> int:
     out.put("genus", s.genus)
     out.put("vertices", s.n_vertices)
     out.put("edges", s.n_edges)
-    out.put("triangles", len(s.triangles))
+    out.put("triangles", s.n_triangles)
     out.put("chi", data.chi)
     out.put("area", s.area())
     for v in range(s.n_vertices):

@@ -13,12 +13,14 @@ Gillespie, Springborn & Crane 2021).  Repeatedly flipping the worst edge
 terminates in a triangulation with all psi0 >= 0, the Delaunay refinement of
 the metric's Voronoi dual.
 
-The flip loop works on a mutable `FlipState`: a flip rewires the two
-triangles in their slots, recomputes their six corner angles, and re-keys
-the at most five edges of the quadrilateral in a heap of (psi0, edge id), so
-a flip costs O(log E) instead of a rebuild of the surface and a rescan of
-every edge.  The result is validated once, by the one `ConeSurface` built at
-the end.
+The flip loop works on a mutable `FlipState`: a copy of the surface's side
+arrays, lengths and corner angles under the same names, so the edge
+invariant and the flip length read a surface and a state alike.  A flip
+rewires the two triangles in their slots, recomputes their six corner
+angles, and re-keys the at most five edges of the quadrilateral in a heap of
+(psi0, edge index), so a flip costs O(log E) instead of a rebuild of the
+surface and a rescan of every edge.  The integer side arrays go straight to
+one `Triangulation` at the end, which checks the gluing once.
 """
 
 from __future__ import annotations
@@ -30,12 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonTermination, UnflippableConfiguration
-from .surface import ConeSurface, corner_angle, fmt17
+from .surface import ConeSurface, Triangulation, corner_angle, fmt17, nxt, prv
 
 # An edge counts as non-Delaunay only below -PSI_TOL, so floating-point
 # zeros do not trigger flip loops.
 PSI_TOL = 1e-10
 MAX_FLIPS = 10 ** 6
+# Central-difference step of flip_length_jacobian, relative to max(1, length).
+JACOBIAN_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -50,17 +54,20 @@ class FlipMove:
     pre_psi0: float
 
 
-def edge_invariant(s: ConeSurface, e: str) -> float:
-    """psi0(e) = pi minus the two corner angles opposite e."""
-    hf, hb = s.halfedges_of_edge(e)
-    return math.pi - s.angle_at(s.prv(hf)) - s.angle_at(s.prv(hb))
+def edge_invariant(s, e: str) -> float:
+    """psi0(e) = pi minus the two corner angles opposite e; s is a
+    ConeSurface or a FlipState."""
+    hf, hb = s.halves[s.edge_index[e]]
+    return math.pi - s.angle[prv(hf)] - s.angle[prv(hb)]
 
 
 def edge_invariants(s: ConeSurface) -> dict:
-    return {e: edge_invariant(s, e) for e in s.edge_ids}
+    hf, hb = s.halves.T
+    psi = math.pi - s.angle[prv(hf)] - s.angle[prv(hb)]
+    return dict(zip(s.edge_ids, psi.tolist()))
 
 
-def flip_new_length(s: ConeSurface, e: str) -> float:
+def flip_new_length(s, e: str) -> float:
     """Length of the replacement diagonal, with the embeddability check.
 
     The edge runs p -> q with apex x left of it and apex y right of it.  The
@@ -68,20 +75,21 @@ def flip_new_length(s: ConeSurface, e: str) -> float:
     p and q are both below pi; its length comes from the law of cosines at p
     in the half-angle form
     sinh^2(c/2) = sinh^2((a-b)/2) + sinh a sinh b sin^2(gamma_p/2),
-    which stays accurate for short diagonals.
+    which stays accurate for short diagonals.  s is a ConeSurface or a
+    FlipState.
     """
-    hf, hb = s.halfedges_of_edge(e)
-    if s.tri(hf) == s.tri(hb):
+    hf, hb = s.halves[s.edge_index[e]]
+    if hf // 3 == hb // 3:
         raise UnflippableConfiguration(
             f"edge {e!r} bounds the same triangle twice")
-    gamma_p = s.angle_at(hf) + s.angle_at(s.nxt(hb))
-    gamma_q = s.angle_at(hb) + s.angle_at(s.nxt(hf))
+    gamma_p = s.angle[hf] + s.angle[nxt(hb)]
+    gamma_q = s.angle[hb] + s.angle[nxt(hf)]
     if not (gamma_p < math.pi and gamma_q < math.pi):
         raise UnflippableConfiguration(
             f"diagonal replacing edge {e!r} does not cross it "
             f"(quadrilateral angles {gamma_p} and {gamma_q} at its ends)")
-    a = s.length_of(s.prv(hf))
-    b = s.length_of(s.nxt(hb))
+    a = s.length[s.he_edge[prv(hf)]]
+    b = s.length[s.he_edge[nxt(hb)]]
     half = math.sinh((a - b) / 2.0) ** 2 + \
         math.sinh(a) * math.sinh(b) * math.sin(gamma_p / 2.0) ** 2
     return 2.0 * math.asinh(math.sqrt(half))
@@ -90,26 +98,18 @@ def flip_new_length(s: ConeSurface, e: str) -> float:
 class FlipState:
     """Mutable triangulation of a fixed metric, changed one flip at a time.
 
-    It holds copies of what `flip_new_length` and `edge_invariant` read:
-    lengths, the side records he_edge/he_dir, the (forward, backward)
-    half-edge pair of every edge and the corner angles, behind the accessors
-    of `ConeSurface`, so both functions take either object.  Twins, vertex
-    orbits and fans are not kept; `surface()` builds and validates them.
+    It holds mutable copies of a surface's side arrays `he_edge`/`he_dir`,
+    its (forward, backward) pairs `halves` and its `length` and `angle`
+    arrays, under the same names, so `flip_new_length` and `edge_invariant`
+    read either object the same way.  Twins, vertex orbits and fans are not
+    kept; `surface()` builds and checks them.
     """
 
-    nxt = staticmethod(ConeSurface.nxt)
-    prv = staticmethod(ConeSurface.prv)
-    tri = ConeSurface.tri
-    length_of = ConeSurface.length_of
-    angle_at = ConeSurface.angle_at
-    halfedges_of_edge = ConeSurface.halfedges_of_edge
-
     def __init__(self, s: ConeSurface):
-        self.lengths = dict(s.lengths)
-        self.he_edge = list(s.he_edge)
-        self.he_dir = list(s.he_dir)
-        self._halves = {e: list(s.halfedges_of_edge(e)) for e in s.edge_ids}
-        self._angle = [s.angle_at(h) for h in range(s.n_half)]
+        self.edge_ids, self.edge_index = s.edge_ids, s.edge_index
+        self.he_edge, self.he_dir = s.he_edge.tolist(), s.he_dir.tolist()
+        self.halves = s.halves.tolist()
+        self.length, self.angle = s.length.tolist(), s.angle.tolist()
 
     def flip(self, e: str) -> FlipMove:
         """Replace e by the cross diagonal of its quadrilateral, in place.
@@ -121,20 +121,20 @@ class FlipState:
         checks the strict triangle inequalities.
         """
         new_len = flip_new_length(self, e)
-        hf, hb = self.halfedges_of_edge(e)
-        move = FlipMove(edge=e, tri_plus=self.tri(hf), tri_minus=self.tri(hb),
-                        pre_length=self.lengths[e], post_length=new_len,
+        i = self.edge_index[e]
+        hf, hb = self.halves[i]
+        move = FlipMove(edge=e, tri_plus=hf // 3, tri_minus=hb // 3,
+                        pre_length=self.length[i], post_length=new_len,
                         pre_psi0=edge_invariant(self, e))
-        sides = (((e, "+"), self._side(self.prv(hb)), self._side(self.nxt(hf))),
-                 ((e, "-"), self._side(self.prv(hf)), self._side(self.nxt(hb))))
-        self.lengths[e] = new_len
+        old = [(self.he_edge[h], self.he_dir[h]) for h in (prv(hb), nxt(hf), prv(hf), nxt(hb))]
+        self.length[i] = new_len
         slots = self.slots(move)
-        for h, (eid, d) in zip(slots, sides[0] + sides[1]):
-            self.he_edge[h], self.he_dir[h] = eid, d
-            self._halves[eid][d == "-"] = h
+        for h, (f, d) in zip(slots, [(i, 0), *old[:2], (i, 1), *old[2:]]):
+            self.he_edge[h], self.he_dir[h] = f, d
+            self.halves[f][d] = h
         for h in slots:
-            self._angle[h] = corner_angle(self.length_of(h), self.length_of(self.prv(h)),
-                                          self.length_of(self.nxt(h)))
+            a, b, c = (self.length[self.he_edge[g]] for g in (h, prv(h), nxt(h)))
+            self.angle[h] = corner_angle(a, b, c)
         return move
 
     @staticmethod
@@ -142,14 +142,10 @@ class FlipState:
         """Half-edges of the two triangles a flip rewired."""
         return tuple(3 * t + k for t in (move.tri_plus, move.tri_minus) for k in range(3))
 
-    def _side(self, h: int) -> tuple:
-        return self.he_edge[h], self.he_dir[h]
-
     def surface(self) -> ConeSurface:
-        """The current triangulation as a fully validated surface."""
-        tris = [tuple(zip(self.he_edge[h:h + 3], self.he_dir[h:h + 3]))
-                for h in range(0, len(self.he_edge), 3)]
-        return ConeSurface(self.lengths, tris)
+        """The current triangulation as a fully checked surface."""
+        gluing = Triangulation(self.edge_ids, self.he_edge, self.he_dir)
+        return ConeSurface(self.length, gluing)
 
 
 def flip(s: ConeSurface, e: str):
@@ -165,52 +161,55 @@ def flip(s: ConeSurface, e: str):
 def make_delaunay(s: ConeSurface, tol: float = PSI_TOL):
     """Flip the most negative edge (ties by id) until all psi0 >= -tol.
 
-    The worst edge comes from a heap of (psi0, edge id) with lazy
+    The worst edge comes from a heap of (psi0, edge index) with lazy
     invalidation: an entry counts only while its psi0 is the edge's current
-    one.  After a flip only the edges of the rewired quadrilateral are
-    re-keyed.  At most MAX_FLIPS flips are made.  Returns (final surface,
-    list of FlipMove); the final surface is built once, after the last flip,
-    and is `s` itself when no edge needed a flip.
+    one.  Edge indices follow the sorted ids, so ties go to the smallest id.
+    After a flip only the edges of the rewired quadrilateral are re-keyed.
+    At most MAX_FLIPS flips are made.  Returns (final surface, list of
+    FlipMove); the final surface is built once, after the last flip, and is
+    `s` itself when no edge needed a flip.
     """
     state = FlipState(s)
-    psi = {e: edge_invariant(state, e) for e in s.edge_ids}
-    heap = [(val, e) for e, val in psi.items() if val < -tol]
+    psi = list(edge_invariants(s).values())
+    heap = [(val, i) for i, val in enumerate(psi) if val < -tol]
     heapq.heapify(heap)
     moves = []
     while heap:
-        val, e = heapq.heappop(heap)
-        if val != psi[e]:
+        val, i = heapq.heappop(heap)
+        if val != psi[i]:
             continue
         if len(moves) == MAX_FLIPS:
             raise NonTermination(
                 f"still not Delaunay after {MAX_FLIPS} flips; last edge {moves[-1].edge!r}")
-        move = state.flip(e)
+        move = state.flip(s.edge_ids[i])
         moves.append(move)
         for f in {state.he_edge[h] for h in state.slots(move)}:
-            psi[f] = edge_invariant(state, f)
+            psi[f] = edge_invariant(state, s.edge_ids[f])
             if psi[f] < -tol:
                 heapq.heappush(heap, (psi[f], f))
     return (state.surface() if moves else s), moves
 
 
-def flip_length_jacobian(s: ConeSurface, e: str, rel_step: float = 1e-6) -> np.ndarray:
+def flip_length_jacobian(s: ConeSurface, e: str) -> np.ndarray:
     """Row of d(new length)/d(a_k) by central differences.
 
     This is the only nontrivial row of the Jacobian of the flip coordinate
     change; all other coordinates are carried through unchanged.  The new
     length reads only the lengths of e and its quadrilateral's sides, so the
-    other entries are exactly zero.
+    other entries are exactly zero.  The step is JACOBIAN_STEP relative to
+    max(1, length).
     """
     row = np.zeros(s.n_edges)
-    hf, hb = s.halfedges_of_edge(e)
+    hf, hb = s.halves[s.edge_index[e]]
     # a set: on a one-vertex torus a side can occur twice in the quadrilateral
-    quad = {s.he_edge[h] for h in (hf, s.nxt(hf), s.prv(hf), hb, s.nxt(hb), s.prv(hb))}
-    for eid in quad:
-        a = s.lengths[eid]
-        h = rel_step * max(1.0, a)
-        up = flip_new_length(s.with_lengths({eid: a + h}), e)
-        dn = flip_new_length(s.with_lengths({eid: a - h}), e)
-        row[s.edge_index[eid]] = (up - dn) / (2.0 * h)
+    quad = set(s.he_edge[[hf, nxt(hf), prv(hf), hb, nxt(hb), prv(hb)]].tolist())
+    for i in quad:
+        a = float(s.length[i])
+        h = JACOBIAN_STEP * max(1.0, a)
+        up, dn = s.length.copy(), s.length.copy()
+        up[i], dn[i] = a + h, a - h
+        row[i] = (flip_new_length(s.with_length_vector(up), e)
+                  - flip_new_length(s.with_length_vector(dn), e)) / (2.0 * h)
     return row
 
 

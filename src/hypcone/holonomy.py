@@ -37,13 +37,15 @@ import numpy as np
 
 from .errors import NumericalCollapse, WallAngle
 from .sl2 import (
+    TRACE_TOL,
     HypPoint,
     Sl2Matrix,
     elliptic_fixed_point,
     elliptic_rotation_angle,
+    elliptic_trace,
     half_plane_distance,
 )
-from .surface import WALL_TOL, ConeSurface, corner_angle, fmt17, wall_distance
+from .surface import ConeSurface, corner_angle, fmt17, nxt, prv
 
 # A developed side shorter than this is treated as a degenerate layout.
 COLLAPSE_TOL = 1e-12
@@ -83,9 +85,9 @@ def _mats(a, b, c, d) -> np.ndarray:
 def _local_charts(s: ConeSurface) -> tuple[np.ndarray, np.ndarray]:
     """Normalizers N_h and transitions T_h = N_h^-1 R(pi) D(-l) N_{twin h},
     both (n_half, 2, 2); N_h sends side h of tri(h)'s chart onto [i, i e^l]."""
-    nt = len(s.triangles)
-    side = np.array([s.length_of(h) for h in range(s.n_half)])
-    angle = np.array([s.angle_at(h) for h in range(s.n_half)]).reshape(nt, 3)
+    nt = s.n_triangles
+    side = s.length[s.he_edge]
+    angle = s.angle.reshape(nt, 3)
     n = np.empty((nt, 3, 2, 2))
     n[:, 0] = np.eye(2)
     zero = np.zeros(nt)
@@ -100,15 +102,21 @@ def _local_charts(s: ConeSurface) -> tuple[np.ndarray, np.ndarray]:
     zero = np.zeros(s.n_half)
     half_turn = _mats(zero, grow, -1.0 / grow, zero)  # R(pi) D(-l)
     inverse = _mats(n[:, 1, 1], -n[:, 0, 1], -n[:, 1, 0], n[:, 0, 0])
-    return n, inverse @ half_turn @ n[list(s.twin)]
+    return n, inverse @ half_turn @ n[s.twin]
+
+
+def _on_wall(s: ConeSurface, v: int) -> bool:
+    """Whether vertex v's loop holonomy, of trace 2|cos(theta/2)|, is not
+    elliptic by `sl2.classify`'s test: theta is near 2*pi*k, or near 0."""
+    return not elliptic_trace(2.0 * abs(math.cos(s.cone_angle[v] / 2.0)))
 
 
 def _refuse_wall(s: ConeSurface, v: int) -> None:
     """Raise WallAngle when vertex v's loop holonomy is (numerically) trivial."""
-    theta = s.cone_angle[v]
-    if wall_distance(theta) < WALL_TOL:
+    if _on_wall(s, v):
         raise WallAngle(
-            f"cone angle {theta} at vertex {v} is within {WALL_TOL} of 2*pi*k")
+            f"cone angle {s.cone_angle[v]} at vertex {v} gives loop trace "
+            f"2|cos(theta/2)| within {TRACE_TOL} of 2")
 
 
 class HolonomyAtlas:
@@ -142,7 +150,7 @@ class HolonomyAtlas:
         for orbit in s.vertex_germs:
             walk = []
             a, b, c, d = 1.0, 0.0, 0.0, 1.0
-            for ta, tb, tc, td in table[[s.prv(g) for g in orbit]].tolist():
+            for ta, tb, tc, td in table[[prv(g) for g in orbit]].tolist():
                 walk.append((a, b, c, d))
                 a, b, c, d = (a * ta + b * tc, a * tb + b * td,
                               c * ta + d * tc, c * tb + d * td)
@@ -185,7 +193,7 @@ class HolonomyAtlas:
         """Plain-text table: developed triangles, then vertex holonomies."""
         s = self.surface
         lines = []
-        for t in range(len(s.triangles)):
+        for t in range(s.n_triangles):
             coords = []
             for k in range(3):
                 p = self.pos[3 * t + k]
@@ -194,8 +202,7 @@ class HolonomyAtlas:
         for v in range(s.n_vertices):
             m = self.vertex_matrix[v].mat
             entries = " ".join(fmt17(m[i, j]) for i in range(2) for j in range(2))
-            theta = s.cone_angle[v]
-            if wall_distance(theta) < WALL_TOL:
+            if _on_wall(s, v):
                 tag = "wall"
             else:
                 tag = fmt17(elliptic_rotation_angle(self.vertex_matrix[v]))
@@ -210,14 +217,14 @@ def _check_layout(s: ConeSurface, points: list, at: list) -> None:
     if not np.all(np.isfinite(placed) & (placed.imag > 0.0)):
         raise NumericalCollapse("a developed vertex left the upper half-plane")
     here = placed[at]
-    there = here[[s.nxt(h) for h in range(s.n_half)]]
+    there = here[nxt(np.arange(s.n_half))]
     side = 2.0 * np.arcsinh(np.abs(here - there)
                             / (2.0 * np.sqrt(here.imag) * np.sqrt(there.imag)))
     short = np.flatnonzero(~(np.isfinite(side) & (side >= COLLAPSE_TOL)))
     if len(short):
         h = int(short[0])
         raise NumericalCollapse(
-            f"developed side of triangle {s.tri(h)} has length {side[h]}")
+            f"developed side of triangle {h // 3} has length {side[h]}")
 
 
 def develop(s: ConeSurface, base: int = 0) -> HolonomyAtlas:
@@ -229,31 +236,31 @@ def develop(s: ConeSurface, base: int = 0) -> HolonomyAtlas:
     point.  A layout that leaves the half-plane or collapses a side raises
     NumericalCollapse.
     """
-    if not 0 <= base < len(s.triangles):
+    if not 0 <= base < s.n_triangles:
         raise ValueError(f"no triangle {base}")
+    side, angle, twin = s.length[s.he_edge].tolist(), s.angle.tolist(), s.twin.tolist()
     h0 = 3 * base
-    points = [1j, 1j * math.exp(s.length_of(h0))]
+    points = [1j, 1j * math.exp(side[h0])]
     at: list = [None] * s.n_half  # half-edge -> index of its origin in points
-    at[h0], at[s.nxt(h0)], at[s.prv(h0)] = 0, 1, 2
+    at[h0], at[nxt(h0)], at[prv(h0)] = 0, 1, 2
 
     tree_edges = []
     order = [base]
-    placed = [False] * len(s.triangles)
+    placed = [False] * s.n_triangles
     placed[base] = True
     try:
-        points.append(_third(points[0], points[1], s.angle_at(h0),
-                             s.length_of(s.prv(h0))))
+        points.append(_third(points[0], points[1], angle[h0], side[prv(h0)]))
         for t in order:
             for h in range(3 * t, 3 * t + 3):
-                h2 = s.twin[h]
-                t2 = s.tri(h2)
+                h2 = twin[h]
+                t2 = h2 // 3
                 if placed[t2]:
                     continue
                 placed[t2] = True
-                tree_edges.append(s.he_edge[h])
-                at[h2], at[s.nxt(h2)], at[s.prv(h2)] = at[s.nxt(h)], at[h], len(points)
-                points.append(_third(points[at[h2]], points[at[h]], s.angle_at(h2),
-                                     s.length_of(s.prv(h2))))
+                tree_edges.append(s.edge_ids[s.he_edge[h]])
+                at[h2], at[nxt(h2)], at[prv(h2)] = at[nxt(h)], at[h], len(points)
+                points.append(_third(points[at[h2]], points[at[h]], angle[h2],
+                                     side[prv(h2)]))
                 order.append(t2)
     except (ZeroDivisionError, OverflowError) as exc:
         raise NumericalCollapse(f"global layout degenerated: {exc}") from None
@@ -281,8 +288,8 @@ def alength_from_fixed_points(atlas: HolonomyAtlas, e: str) -> float:
     the edge there and their distance is its length.
     """
     s = atlas.surface
-    h = min(s.halfedges_of_edge(e))
-    ends = (h, s.nxt(h))
+    h = min(s.halves[s.edge_index[e]].tolist())
+    ends = (h, nxt(h))
     for g in ends:
         _refuse_wall(s, s.vertex_of[g])
     tail, head = (atlas.germ_fixed_point(g) for g in ends)
@@ -298,17 +305,17 @@ def holonomy_report(atlas: HolonomyAtlas):
     s = atlas.surface
     vrows = []
     verr = 0.0
-    for v, (a, _, _, d) in enumerate(atlas.loops):
+    for v, ((a, _, _, d), theta) in enumerate(zip(atlas.loops, s.cone_angle.tolist())):
         tr = abs(a + d)
-        want = 2.0 * abs(math.cos(s.cone_angle[v] / 2.0))
+        want = 2.0 * abs(math.cos(theta / 2.0))
         err = abs(tr - want)
         verr = max(verr, err)
         vrows.append((v, tr, err))
     erows = []
     eerr = 0.0
-    for e in s.edge_ids:
+    for e, length in zip(s.edge_ids, s.length.tolist()):
         got = alength_from_fixed_points(atlas, e)
-        err = abs(got - s.lengths[e])
+        err = abs(got - length)
         eerr = max(eerr, err)
         erows.append((e, got, err))
     return vrows, erows, max(verr, eerr)

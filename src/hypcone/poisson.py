@@ -29,7 +29,6 @@ refused inside a small guard band around those walls.
 from __future__ import annotations
 
 import math
-from itertools import chain
 
 import numpy as np
 
@@ -41,6 +40,8 @@ WALL_GUARD = 1e-6
 # Terms (or derivative entries) one block of the Jacobi check evaluates at
 # once; it bounds the transient memory of the check.
 BLOCK_ENTRIES = 1 << 13
+# bivector_rank counts singular values above this times the largest.
+RANK_TOL = 1e-8
 
 
 def wall_margins(s: ConeSurface) -> np.ndarray:
@@ -136,7 +137,7 @@ class FanPairs:
     """
 
     def __init__(self, s: ConeSurface, wall_guard: float = WALL_GUARD):
-        theta = np.array(s.cone_angle)
+        theta = s.cone_angle
         half = theta / 2.0
         denom = np.sin(half)
         margins = np.abs(denom)
@@ -147,21 +148,18 @@ class FanPairs:
                 f"vertex {v} has cone angle {s.cone_angle[v]} with "
                 f"|sin(theta/2)| = {float(margins[v])} below the {wall_guard} guard")
         self.n_edges = s.n_edges
-        self.size = np.fromiter(map(len, s.vertex_germs), dtype=np.intp,
-                                count=s.n_vertices)
+        self.size = s.fan_size
         self.first = np.cumsum(self.size) - self.size
         self.vertex = np.repeat(np.arange(s.n_vertices), self.size)
-        order = np.fromiter(chain.from_iterable(s.vertex_germs), dtype=np.intp,
-                            count=s.n_half)
         edges, grads = s.corner_gradients()
-        self.sides, self.partials = edges[order], grads[order]
+        self.sides, self.partials = edges[s.fan_order], grads[s.fan_order]
         corner = np.arange(s.n_half)
         last = self.first[self.vertex] + self.size[self.vertex] - 1
         a, b = _expand(corner + 1, last - corner)
         v = self.vertex[a]
         self.pair_a, self.pair_b, self.pair_v = a, b, v
         self.edge_a, self.edge_b = self.sides[a, 0], self.sides[b, 0]
-        prefix = _running_sums(s.corner_angles()[order], self.size)[corner + self.vertex]
+        prefix = _running_sums(s.angle[s.fan_order], self.size)[corner + self.vertex]
         d = prefix[b] - prefix[a]
         half, denom = half[v], denom[v]
         self.eta = np.sin(half - (theta[v] - d)) / denom
@@ -199,12 +197,12 @@ def radical_residuals(p: np.ndarray, grads: np.ndarray) -> np.ndarray:
             / (pnorm * np.max(np.abs(grads), axis=1) + 1.0))
 
 
-def bivector_rank(p: np.ndarray, rel_tol: float = 1e-8) -> int:
-    """Rank by singular values, cutting below rel_tol times the largest."""
+def bivector_rank(p: np.ndarray) -> int:
+    """Rank by singular values, cutting below RANK_TOL times the largest."""
     sv = np.linalg.svd(p, compute_uv=False)
     if sv.size == 0:
         return 0
-    return int(np.sum(sv > rel_tol * sv[0]))
+    return int(np.sum(sv > RANK_TOL * sv[0]))
 
 
 

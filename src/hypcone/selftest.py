@@ -38,6 +38,9 @@ DEFAULT_SEED = 1729
 
 TRIG_TOL = 1e-9
 LOG_TOL = 1e-6
+# Random samples per suite: the log-expansion suite, and each of the others.
+LOG_COUNT = 200
+TRIG_COUNT = 500
 
 
 def _scaled(err: float, expected: float) -> float:
@@ -276,15 +279,15 @@ SUITES = (
 )
 
 
-def run_all(seed: int = DEFAULT_SEED, trig_count: int = 500,
-            log_count: int = 200) -> list:
-    """Run every suite with a fresh seeded generator.
+def run_all(seed: int = DEFAULT_SEED) -> list:
+    """Run every suite with a fresh seeded generator, LOG_COUNT samples for
+    the log-expansion suite and TRIG_COUNT for the others.
 
     Returns rows (name, count, max scaled residual, tolerance).
     """
     rows = []
     for name, fn, tol in SUITES:
-        count = log_count if fn is log_expansion_suite else trig_count
+        count = LOG_COUNT if fn is log_expansion_suite else TRIG_COUNT
         rng = np.random.default_rng(seed)
         rows.append((name, count, fn(rng, count), tol))
     return rows

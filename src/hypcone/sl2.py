@@ -287,15 +287,24 @@ class IsometryClass:
     length: float | None = None
 
 
-def classify(m: Sl2Matrix, tol: float = TRACE_TOL) -> IsometryClass:
+def elliptic_trace(t: float) -> bool:
+    """Whether an element of trace t is elliptic: |t| <= 2 - TRACE_TOL.
+
+    The one elliptic test, used by classify(), elliptic_fixed_point() and
+    the holonomy wall guard.
+    """
+    return abs(t) <= 2.0 - TRACE_TOL
+
+
+def classify(m: Sl2Matrix) -> IsometryClass:
     """Sort a projective element into elliptic/parabolic/hyperbolic/identity."""
     t = m.trace()  # canonical representative, so t >= 0
-    if t <= 2.0 - tol:
+    if elliptic_trace(t):
         half = min(1.0, max(-1.0, (t * t - 2.0) / 2.0))
         return IsometryClass(ELLIPTIC, angle=math.acos(half))
-    if t >= 2.0 + tol:
+    if t >= 2.0 + TRACE_TOL:
         return IsometryClass(HYPERBOLIC, length=math.acosh((t * t - 2.0) / 2.0))
-    if float(np.max(np.abs(m.mat - np.eye(2)))) <= tol:
+    if float(np.max(np.abs(m.mat - np.eye(2)))) <= TRACE_TOL:
         return IsometryClass(IDENTITY)
     return IsometryClass(PARABOLIC)
 
@@ -390,11 +399,11 @@ def axis_vector(m: Sl2Matrix) -> Sl2Vector:
 def elliptic_fixed_point(a: float, b: float, c: float, d: float) -> complex:
     """Fixed point in the upper half-plane of the element [[a, b], [c, d]].
 
-    Plain floats, either sign of the representative.  Elliptic means
-    |a + d| <= 2 - TRACE_TOL, as in classify(); anything else is refused.
+    Plain floats, either sign of the representative.  Anything that is not
+    elliptic by `elliptic_trace` is refused.
     """
     t = a + d
-    if not abs(t) <= 2.0 - TRACE_TOL:
+    if not elliptic_trace(t):
         raise NotElliptic("only elliptic elements fix a point of the half-plane")
     return complex((a - d) / (2.0 * c), math.sqrt(4.0 - t * t) / (2.0 * abs(c)))
 

@@ -7,12 +7,18 @@ across the whole list — that pairing is the gluing.  The only metric data are
 the edge lengths; every angle is derived through the hyperbolic law of
 cosines, so the length vector is an honest coordinate system.
 
-The half-edge structure is flattened into arrays: half-edge 3*t + k is side k
-of triangle t.  Composing "previous side" with "twin" steps counterclockwise
-around the origin vertex of a half-edge, so vertices are the orbits of that
-map, cone angles are corner-angle sums along orbits, and the direction fan at
-a vertex (germs in cyclic order with the angles between them) is read off the
-orbit's prefix sums.
+Two objects keep the gluing apart from the metric.  A `Triangulation` holds
+the gluing in integer arrays: half-edge 3*t + k is side k of triangle t, and
+each half-edge records its edge index and direction.  Composing "previous
+side" with "twin" steps counterclockwise around the origin vertex of a
+half-edge, so vertices are the orbits of that map.  Its constructor is the
+one place the gluing is checked (twin pairing, connectivity, orbits, Euler
+characteristic).  A `ConeSurface` is a Triangulation plus a length array
+indexed by edge; it derives the corner angles, the cone angles (corner-angle
+sums along orbits), the triangle areas and the direction fan at every vertex
+(germs in cyclic order, read off the orbit's prefix sums).  Changing lengths
+reuses the Triangulation and checks only the lengths.  Edge ids are strings
+in the wire format; inside, edge i is the i-th id in sorted order.
 """
 
 from __future__ import annotations
@@ -20,6 +26,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, chain
+from types import MappingProxyType
 
 import numpy as np
 
@@ -136,15 +145,15 @@ class StratumReport:
     small: bool        # all angles < pi
 
 
-def classify_angles(data: AngleData, tol: float = CHI_TOL) -> StratumReport:
-    """Classify an angle vector; angle data with chi > tol is rejected."""
+def classify_angles(data: AngleData) -> StratumReport:
+    """Classify an angle vector; angle data with chi > CHI_TOL is rejected."""
     chi = data.chi
-    if chi > tol:
+    if chi > CHI_TOL:
         raise NotAdmissible(f"curvature count chi = {chi} is positive")
-    flat = abs(chi) <= tol
+    flat = abs(chi) <= CHI_TOL
     off_walls = all(wall_distance(t) >= WALL_TOL for t in data.theta)
     small = all(t < math.pi for t in data.theta)
-    return StratumReport(chi=chi, hyperbolic=chi < -tol, flat=flat,
+    return StratumReport(chi=chi, hyperbolic=chi < -CHI_TOL, flat=flat,
                          off_walls=off_walls, small=small)
 
 
@@ -217,93 +226,72 @@ class VertexFan:
         return 0.0 if g1 == g2 else self.theta - self.ccw(g1, g2)
 
 
-class ConeSurface:
-    """Immutable triangulated surface; all derived data built eagerly."""
+def nxt(h):
+    """The next side of h's triangle, counterclockwise; ints or arrays."""
+    return h - h % 3 + (h + 1) % 3
 
-    def __init__(self, edges: dict, triangles):
-        lengths = {}
-        for eid, ln in edges.items():
-            if not isinstance(eid, str) or not eid:
-                raise ValueError(f"edge id {eid!r} must be a nonempty string")
-            try:
-                ln = float(ln)
-            except OverflowError:
-                raise ValueError(f"edge {eid!r} has a length too large for a float") from None
-            if not (math.isfinite(ln) and ln > 0.0):
-                raise NonPositiveLength(f"edge {eid!r} has length {ln}")
-            lengths[eid] = ln
 
-        tris = []
-        for t, sides in enumerate(triangles):
-            sides = tuple((str(e), str(d)) for (e, d) in sides)
-            if len(sides) != 3:
-                raise ValueError(f"triangle {t} has {len(sides)} sides, expected 3")
-            for e, d in sides:
-                if e not in lengths:
-                    raise ValueError(f"triangle {t} references unknown edge {e!r}")
-                if d not in ("+", "-"):
-                    raise ValueError(f"triangle {t} has direction {d!r}, expected '+' or '-'")
-            tris.append(sides)
-        if not tris:
-            raise ValueError("surface needs at least one triangle")
+def prv(h):
+    """The previous side of h's triangle; ints or arrays."""
+    return h - h % 3 + (h + 2) % 3
+
+
+def _frozen(a) -> np.ndarray:
+    a = np.asarray(a)
+    a.flags.writeable = False
+    return a
+
+
+class Triangulation:
+    """The gluing of a surface in integer arrays, checked once, immutable.
+
+    Half-edge h = 3t + k is side k of triangle t.  It runs along edge
+    `he_edge[h]`, an index into the sorted `edge_ids`, forward when
+    `he_dir[h]` is 0 and backward when it is 1.  `halves[i]` holds the
+    (forward, backward) half-edges of edge i and `twin[h]` the other
+    half-edge of h's edge.  `vertex_of[h]` is the vertex h leaves, and
+    `vertex_germs[v]` lists the half-edges leaving v counterclockwise; the
+    lists are concatenated in `fan_order`, `fan_size[v]` germs per vertex.
+    Vertices are numbered in order of their smallest half-edge.
+    """
+
+    def __init__(self, edge_ids, he_edge, he_dir):
+        n_edges = len(edge_ids)
+        he_edge = np.array(he_edge, dtype=np.intp)
+        he_dir = np.array(he_dir, dtype=np.intp)
+        nh, nt = len(he_edge), len(he_edge) // 3
 
         # twin pairing: each edge once forward, once backward
-        seen: dict = {}
-        for t, sides in enumerate(tris):
-            for k, (e, d) in enumerate(sides):
-                seen.setdefault(e, []).append((3 * t + k, d))
-        for eid in lengths:
-            occ = seen.get(eid, [])
-            dirs = sorted(d for _, d in occ)
-            if len(occ) != 2 or dirs != ["+", "-"]:
-                raise NonManifold(
-                    f"edge {eid!r} appears with directions {[d for _, d in occ]}; "
-                    "need exactly one '+' and one '-'")
-
-        nh = 3 * len(tris)
-        twin = [0] * nh
-        halves = {}
-        for eid, occ in seen.items():
-            (h1, d1), (h2, _) = occ
-            twin[h1], twin[h2] = h2, h1
-            halves[eid] = (h1, h2) if d1 == "+" else (h2, h1)
+        count = np.bincount(2 * he_edge + he_dir, minlength=2 * n_edges).reshape(-1, 2)
+        bad = np.flatnonzero(np.any(count != 1, axis=1))
+        if bad.size:
+            i = int(bad[0])
+            dirs = ["+-"[d] for d in he_dir[he_edge == i].tolist()]
+            raise NonManifold(
+                f"edge {edge_ids[i]!r} appears with directions {dirs}; "
+                "need exactly one '+' and one '-'")
+        halves = np.empty(2 * n_edges, dtype=np.intp)
+        halves[2 * he_edge + he_dir] = np.arange(nh)
+        halves = halves.reshape(n_edges, 2)
+        twin = halves[he_edge, 1 - he_dir]
 
         # connectivity of the gluing
+        across = (twin // 3).tolist()
         reached = {0}
         stack = [0]
         while stack:
             t = stack.pop()
-            for k in range(3):
-                t2 = twin[3 * t + k] // 3
+            for t2 in across[3 * t:3 * t + 3]:
                 if t2 not in reached:
                     reached.add(t2)
                     stack.append(t2)
-        if len(reached) != len(tris):
+        if len(reached) != nt:
             raise Disconnected(
-                f"triangles {sorted(set(range(len(tris))) - reached)} are not glued "
+                f"triangles {sorted(set(range(nt)) - reached)} are not glued "
                 "to triangle 0")
 
-        # triangle inequalities, naming the offender
-        for t, sides in enumerate(tris):
-            la, lb, lc = (lengths[e] for e, _ in sides)
-            ids = tuple(e for e, _ in sides)
-            if la + lb <= lc or lb + lc <= la or lc + la <= lb:
-                raise TriangleInequality(
-                    f"triangle {t} with edges {ids} and lengths "
-                    f"({la}, {lb}, {lc}) violates the strict triangle inequalities")
-
-        self.lengths = dict(lengths)
-        self.triangles = tuple(tris)
-        self.edge_ids = tuple(sorted(lengths))
-        self.edge_index = {e: i for i, e in enumerate(self.edge_ids)}
-        self.n_half = nh
-        self.twin = tuple(twin)
-        self._halves = halves
-        self.he_edge = tuple(tris[h // 3][h % 3][0] for h in range(nh))
-        self.he_dir = tuple(tris[h // 3][h % 3][1] for h in range(nh))
-
         # vertex orbits of "counterclockwise next germ" = twin of previous side
-        sigma = [twin[self.prv(h)] for h in range(nh)]
+        sigma = twin[prv(np.arange(nh))].tolist()
         vertex_of = [-1] * nh
         orbits = []
         for h in range(nh):
@@ -318,121 +306,163 @@ class ConeSurface:
             if g != h:
                 raise NonManifold(f"germ orbit through half-edge {h} is not a cycle")
             orbits.append(tuple(orbit))
-        self.vertex_of = tuple(vertex_of)
-        self.vertex_germs = tuple(orbits)
-        self.n_vertices = len(orbits)
 
-        euler = self.n_vertices - len(lengths) + len(tris)
+        euler = len(orbits) - n_edges + nt
         if euler % 2:
             raise NonManifold(f"Euler characteristic {euler} is odd")
-        self.genus = (2 - euler) // 2
-        if self.genus < 0:
+        if euler > 2:
             raise NonManifold(f"Euler characteristic {euler} exceeds 2")
 
+        self.edge_ids = tuple(edge_ids)
+        self.edge_index = {e: i for i, e in enumerate(self.edge_ids)}
+        self.n_edges, self.n_half, self.n_triangles = n_edges, nh, nt
+        self.n_vertices = len(orbits)
+        self.genus = (2 - euler) // 2
+        self.he_edge, self.he_dir = _frozen(he_edge), _frozen(he_dir)
+        self.halves, self.twin = _frozen(halves), _frozen(twin)
+        self.vertex_of = _frozen(np.array(vertex_of, dtype=np.intp))
+        self.vertex_germs = tuple(orbits)
+        self.fan_order = _frozen(np.fromiter(chain.from_iterable(orbits), np.intp, nh))
+        self.fan_size = _frozen(np.array([len(o) for o in orbits], dtype=np.intp))
+
+    @cached_property
+    def triangles(self) -> tuple:
+        """Each triangle's sides as (edge id, "+" or "-"): the wire form."""
+        sides = [(self.edge_ids[e], "+-"[d])
+                 for e, d in zip(self.he_edge.tolist(), self.he_dir.tolist())]
+        return tuple(zip(sides[0::3], sides[1::3], sides[2::3]))
+
+
+def _parse(edges: dict, triangles) -> tuple:
+    """(Triangulation, lengths in edge order) of the wire form."""
+    lengths = {}
+    for eid, ln in edges.items():
+        if not isinstance(eid, str) or not eid:
+            raise ValueError(f"edge id {eid!r} must be a nonempty string")
+        try:
+            lengths[eid] = float(ln)
+        except OverflowError:
+            raise ValueError(f"edge {eid!r} has a length too large for a float") from None
+    edge_ids = sorted(lengths)
+    index = {e: i for i, e in enumerate(edge_ids)}
+    he_edge, he_dir = [], []
+    for t, sides in enumerate(triangles):
+        sides = tuple((str(e), str(d)) for (e, d) in sides)
+        if len(sides) != 3:
+            raise ValueError(f"triangle {t} has {len(sides)} sides, expected 3")
+        for e, d in sides:
+            if e not in index:
+                raise ValueError(f"triangle {t} references unknown edge {e!r}")
+            if d not in ("+", "-"):
+                raise ValueError(f"triangle {t} has direction {d!r}, expected '+' or '-'")
+            he_edge.append(index[e])
+            he_dir.append(d == "-")
+    if not he_edge:
+        raise ValueError("surface needs at least one triangle")
+    return Triangulation(edge_ids, he_edge, he_dir), [lengths[e] for e in edge_ids]
+
+
+class ConeSurface(Triangulation):
+    """A Triangulation with one length per edge, and the angles they give.
+
+    `ConeSurface(edges, triangles)` takes the wire form: a dict of edge id
+    -> length, and each triangle's sides as (edge id, "+" or "-").  With a
+    Triangulation (or a surface) as `triangles`, `edges` is the length array
+    in edge order; the surface shares that gluing, kept as `triangulation`,
+    and checks only the lengths.  `length[i]` is the length of edge i,
+    `angle[h]` the corner angle at the origin of half-edge h, and
+    `cone_angle[v]` the angle sum at vertex v; all are read-only arrays.
+    """
+
+    def __init__(self, edges, triangles):
+        if not isinstance(triangles, Triangulation):
+            triangles, edges = _parse(edges, triangles)
+        # no Triangulation.__init__: share the arrays of a gluing checked already
+        self.triangulation = getattr(triangles, "triangulation", triangles)
+        vars(self).update(vars(self.triangulation))
+        length = np.array(edges, dtype=float)
+        if length.shape != (self.n_edges,):
+            raise DimensionMismatch(f"expected {self.n_edges} lengths")
+        bad = np.flatnonzero(~(np.isfinite(length) & (length > 0.0)))
+        if bad.size:
+            i = int(bad[0])
+            raise NonPositiveLength(f"edge {self.edge_ids[i]!r} has length {length[i]}")
+
+        # triangle inequalities, naming the offender
+        side = length[self.he_edge]
+        la, lb, lc = side.reshape(-1, 3).T
+        bad = np.flatnonzero((la + lb <= lc) | (lb + lc <= la) | (lc + la <= lb))
+        if bad.size:
+            t = int(bad[0])
+            ids = tuple(self.edge_ids[e] for e in self.he_edge[3 * t:3 * t + 3].tolist())
+            la, lb, lc = side[3 * t:3 * t + 3].tolist()
+            raise TriangleInequality(
+                f"triangle {t} with edges {ids} and lengths "
+                f"({la}, {lb}, {lc}) violates the strict triangle inequalities")
+
         # corner angle at the origin of each half-edge
-        self._angle = tuple(
-            corner_angle(self.length_of(h), self.length_of(self.prv(h)),
-                         self.length_of(self.nxt(h)))
-            for h in range(nh))
-        self.triangle_areas = tuple(
-            math.pi - sum(self._angle[3 * t + k] for k in range(3))
-            for t in range(len(tris)))
-        self.cone_angle = tuple(
-            sum(self._angle[g] for g in orbit) for orbit in orbits)
-
+        side = side.tolist()
+        angle = [corner_angle(side[h], side[prv(h)], side[nxt(h)])
+                 for h in range(self.n_half)]
         fans = []
-        for v, orbit in enumerate(orbits):
-            angs = tuple(self._angle[g] for g in orbit)
-            prefix = [0.0]
-            for a in angs[:-1]:
-                prefix.append(prefix[-1] + a)
+        for v, orbit in enumerate(self.vertex_germs):
+            angs = tuple(angle[g] for g in orbit)
+            prefix = tuple(accumulate(angs[:-1], initial=0.0))
             fans.append(VertexFan(vertex=v, germs=orbit, angles=angs,
-                                  prefix=tuple(prefix), theta=self.cone_angle[v]))
+                                  prefix=prefix, theta=sum(angs)))
         self.fans = tuple(fans)
+        self.length = _frozen(length)
+        self._lengths = dict(zip(self.edge_ids, length.tolist()))
+        self.angle = _frozen(np.array(angle))
+        corners = self.angle.reshape(-1, 3)
+        self.triangle_areas = _frozen(math.pi - (corners[:, 0] + corners[:, 1] + corners[:, 2]))
+        self.cone_angle = _frozen(np.array([f.theta for f in fans]))
 
-    # -- half-edge navigation ------------------------------------------------
-
-    @staticmethod
-    def nxt(h: int) -> int:
-        return h - h % 3 + (h + 1) % 3
-
-    @staticmethod
-    def prv(h: int) -> int:
-        return h - h % 3 + (h + 2) % 3
-
-    def tri(self, h: int) -> int:
-        return h // 3
-
-    def length_of(self, h: int) -> float:
-        return self.lengths[self.he_edge[h]]
-
-    def angle_at(self, h: int) -> float:
-        """Interior angle of triangle(h) at the origin vertex of h."""
-        return self._angle[h]
-
-    def corner_angles(self) -> np.ndarray:
-        """angle_at(h) for every half-edge h, as one array."""
-        return np.array(self._angle)
-
-    def halfedges_of_edge(self, eid: str) -> tuple:
-        """(forward, backward) half-edges of an edge, in that order."""
-        return self._halves[eid]
+    @property
+    def lengths(self) -> MappingProxyType:
+        """Read-only edge id -> length."""
+        return MappingProxyType(self._lengths)
 
     def corner_gradients(self) -> tuple:
         """Gradient of every corner angle in the lengths of its triangle.
 
         Returns (edges, grads), both (n_half, 3): row h holds the edge indices
-        of the sides h, prv(h), nxt(h) and the partials of angle_at(h) in their
+        of the sides h, prv(h), nxt(h) and the partials of angle[h] in their
         lengths, read from the stored corner angles.
         """
         h = np.arange(self.n_half)
-        nxt = h - h % 3 + (h + 1) % 3
-        prv = h - h % 3 + (h + 2) % 3
-        edge = np.array([self.edge_index[e] for e in self.he_edge])
-        length = self.length_vector()[edge]
-        angle = self.corner_angles()
+        edge, p, n = self.he_edge, prv(h), nxt(h)
+        length = self.length[edge]
         # the angle opposite side h sits at prv(h), the one opposite prv(h) at nxt(h)
-        grads = corner_gradient(length, length[prv], angle[prv], angle[nxt])
-        return np.stack([edge, edge[prv], edge[nxt]], axis=1), np.stack(grads, axis=1)
+        grads = corner_gradient(length, length[p], self.angle[p], self.angle[n])
+        return np.stack([edge, edge[p], edge[n]], axis=1), np.stack(grads, axis=1)
 
     # -- derived metric data ---------------------------------------------------
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.edge_ids)
-
     def area(self) -> float:
-        return sum(self.triangle_areas)
+        return sum(self.triangle_areas.tolist())
 
     def angle_data(self) -> AngleData:
-        return AngleData(theta=self.cone_angle, genus=self.genus, n=self.n_vertices)
+        return AngleData(theta=tuple(self.cone_angle.tolist()), genus=self.genus,
+                         n=self.n_vertices)
 
     def length_vector(self) -> np.ndarray:
-        return np.array([self.lengths[e] for e in self.edge_ids])
+        return self.length.copy()
 
     # -- rebuilding ------------------------------------------------------------
 
-    def description(self) -> dict:
-        return {
-            "edges": [{"id": e, "length": self.lengths[e]} for e in self.edge_ids],
-            "triangles": [{"sides": [{"edge": e, "dir": d} for e, d in sides]}
-                          for sides in self.triangles],
-        }
-
     def with_lengths(self, updates: dict) -> "ConeSurface":
-        """Same combinatorics, some edge lengths replaced."""
-        for e in updates:
-            if e not in self.lengths:
+        """Same triangulation, some edge lengths replaced."""
+        new = self.length.copy()
+        for e, v in updates.items():
+            if e not in self.edge_index:
                 raise ValueError(f"unknown edge {e!r}")
-        new = dict(self.lengths)
-        new.update({e: float(v) for e, v in updates.items()})
-        return ConeSurface(new, self.triangles)
+            new[self.edge_index[e]] = float(v)
+        return ConeSurface(new, self)
 
     def with_length_vector(self, vec) -> "ConeSurface":
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (self.n_edges,):
-            raise DimensionMismatch(f"expected {self.n_edges} lengths")
-        return ConeSurface(dict(zip(self.edge_ids, vec.tolist())), self.triangles)
+        """Same triangulation, lengths given in edge order."""
+        return ConeSurface(vec, self)
 
 
 def build_surface(data: dict) -> ConeSurface:
@@ -505,8 +535,6 @@ def reduced_lengths(s: ConeSurface, decoration) -> dict:
         raise DimensionMismatch(
             f"decoration has {eps.shape[0] if eps.ndim == 1 else 'bad'} entries "
             f"for {s.n_vertices} vertices")
-    out = {}
-    for e in s.edge_ids:
-        hf, hb = s.halfedges_of_edge(e)
-        out[e] = s.lengths[e] - eps[s.vertex_of[hf]] - eps[s.vertex_of[hb]]
-    return out
+    hf, hb = s.halves.T
+    reduced = s.length - eps[s.vertex_of[hf]] - eps[s.vertex_of[hb]]
+    return dict(zip(s.edge_ids, reduced.tolist()))

@@ -107,9 +107,32 @@ def stretch(s, seed, fraction=0.03, factor=1.8):
 
 def scanned_halfedges(s, e):
     """(forward, backward) half-edges of e found by scanning every half-edge."""
-    hs = [h for h in range(s.n_half) if s.he_edge[h] == e]
+    hs = [h for h in range(s.n_half) if s.he_edge[h] == s.edge_index[e]]
     assert len(hs) == 2
-    return tuple(sorted(hs, key=lambda h: s.he_dir[h] != "+"))
+    return tuple(sorted(hs, key=lambda h: s.he_dir[h] != 0))
+
+
+def halfedges(s, e):
+    """The stored (forward, backward) half-edges of edge id e, as ints."""
+    return tuple(s.halves[s.edge_index[e]].tolist())
+
+
+def side_length(s, h):
+    """Length of the edge half-edge h runs along."""
+    return float(s.length[s.he_edge[h]])
+
+
+def count_constructions(monkeypatch, cls):
+    """A list that collects every instance of cls constructed from now on."""
+    built = []
+    init = cls.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counting_init)
+    return built
 
 
 def equilateral_torus_angle(a):

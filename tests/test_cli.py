@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +144,32 @@ def test_poisson_names_worst_vertex(capsys, request, fixture):
     worst = max(res for _, res in radical)
     assert float(doc["radical_max"]) == worst
     assert doc["radical_max_at"] == next(v for v, res in radical if res == worst)
+
+
+def readme_demos():
+    """(subcommand, rows) of every `$ hypcone ...` demo in the README's
+    "Command line" section, without the elided `...` rows."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    demos = []
+    for line in section.splitlines():
+        if line.startswith("$ hypcone "):
+            demos.append((line.split()[2], []))
+        elif demos and line == "```":  # the end of the block of demos
+            break
+        elif demos and line and line != "...":
+            demos[-1][1].append(line)
+    return demos
+
+
+def test_readme_demos_are_pinned(capsys, demo_file):
+    # every row the README prints comes out byte for byte on its demo torus
+    demos = readme_demos()
+    assert [sub for sub, _ in demos] == ["validate", "poisson", "holonomy", "delaunay"]
+    for sub, rows in demos:
+        code, out, _ = run(capsys, sub, "--input", demo_file)
+        assert code == 0
+        assert [row for row in rows if row not in out.splitlines()] == [], sub
 
 
 def test_selftest(capsys):

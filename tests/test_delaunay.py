@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import (
+    count_constructions,
+    halfedges,
     scanned_halfedges,
+    side_length,
     stellar_surface,
     stretch,
     tetra_surface,
@@ -28,6 +31,7 @@ from hypcone import (
 )
 import hypcone.delaunay as delaunay_mod
 from hypcone.delaunay import PSI_TOL, flip_length_jacobian, move_log_lines
+from hypcone.surface import Triangulation, nxt, prv
 from hypcone.errors import (
     NonTermination,
     TriangleInequality,
@@ -49,8 +53,8 @@ def metric_fingerprint(s):
 def test_edge_invariant_is_opposite_angle_defect(skew_torus):
     s = skew_torus
     for e in s.edge_ids:
-        hf, hb = s.halfedges_of_edge(e)
-        want = math.pi - s.angle_at(s.prv(hf)) - s.angle_at(s.prv(hb))
+        hf, hb = halfedges(s, e)
+        want = math.pi - s.angle[prv(hf)] - s.angle[prv(hb)]
         assert edge_invariant(s, e) == pytest.approx(want, abs=1e-14)
     assert edge_invariants(s) == {e: edge_invariant(s, e) for e in s.edge_ids}
 
@@ -60,10 +64,10 @@ def test_flip_length_against_law_of_cosines():
     # apply the law of cosines to the two sides meeting there
     s = torus_surface(1.0, 1.0, 1.9)
     for e in s.edge_ids:
-        hf, hb = s.halfedges_of_edge(e)
-        lpx = s.length_of(s.prv(hf))
-        lpy = s.length_of(s.nxt(hb))
-        spread = s.angle_at(hf) + s.angle_at(s.nxt(hb))
+        hf, hb = halfedges(s, e)
+        lpx = side_length(s, prv(hf))
+        lpy = side_length(s, nxt(hb))
+        spread = s.angle[hf] + s.angle[nxt(hb)]
         coshd = math.cosh(lpx) * math.cosh(lpy) - math.sinh(lpx) * math.sinh(
             lpy
         ) * math.cos(spread)
@@ -81,14 +85,14 @@ def developed_flip_length(s, e):
     left and apex y to its right.  Returns the developed distance d(x, y), or
     None when p and q do not lie on opposite sides of the geodesic x-y.
     """
-    hf, hb = s.halfedges_of_edge(e)
-    if s.tri(hf) == s.tri(hb):
+    hf, hb = halfedges(s, e)
+    if hf // 3 == hb // 3:
         return None
     ln = s.lengths[e]
     p = HypPoint(0.0, 1.0)
     q = HypPoint(0.0, math.exp(ln))
-    x = place_third(p, q, s.length_of(s.prv(hf)), s.length_of(s.nxt(hf)), ln)
-    y = place_third(q, p, s.length_of(s.prv(hb)), s.length_of(s.nxt(hb)), ln)
+    x = place_third(p, q, side_length(s, prv(hf)), side_length(s, nxt(hf)), ln)
+    y = place_third(q, p, side_length(s, prv(hb)), side_length(s, nxt(hb)), ln)
     norm = normalizing_isometry(x, y)
     if not norm.apply(p.z).real * norm.apply(q.z).real < 0.0:
         return None
@@ -222,7 +226,7 @@ def test_make_delaunay_randomized():
         assert passed[-1].lengths == final.lengths
         for t in passed:
             for e in t.edge_ids:
-                assert t.halfedges_of_edge(e) == scanned_halfedges(t, e)
+                assert halfedges(t, e) == scanned_halfedges(t, e)
         done += 1
     assert done == 60
 
@@ -276,6 +280,14 @@ def test_make_delaunay_builds_one_surface(monkeypatch):
     final, moves = make_delaunay(s)
     assert len(moves) >= 30
     assert built == [final]
+
+
+def test_make_delaunay_checks_gluing_once(monkeypatch):
+    s = scrambled_stellar_surface(398, 1)  # 1,200 edges
+    built = count_constructions(monkeypatch, Triangulation)
+    final, moves = make_delaunay(s)
+    assert len(moves) >= 30
+    assert built == [final.triangulation]
 
 
 def test_make_delaunay_flip_limit(monkeypatch):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import stellar_surface, tetra_surface, torus_surface
+from conftest import halfedges, side_length, stellar_surface, tetra_surface, torus_surface
 
 from hypcone import (
     HypPoint,
@@ -21,7 +21,7 @@ from hypcone import (
 )
 from hypcone.cli import main
 from hypcone.errors import NumericalCollapse, WallAngle
-from hypcone.holonomy import wall_distance
+from hypcone.surface import nxt, prv, wall_distance
 
 
 def fresh_walk(atlas, germ):
@@ -36,7 +36,7 @@ def fresh_walk(atlas, germ):
     m = Sl2Matrix.identity()
     g = germ
     for _ in s.vertex_germs[s.vertex_of[germ]]:
-        shared = s.prv(g)
+        shared = prv(g)
         m = m @ Sl2Matrix(atlas.transitions[shared])
         g = s.twin[shared]
     return m
@@ -60,7 +60,7 @@ def test_wall_distance():
 def test_base_chart_position(skew_torus):
     atlas = develop(skew_torus)
     assert abs(atlas.pos[0].z - 1j) < 1e-15
-    first = skew_torus.length_of(0)
+    first = side_length(skew_torus, 0)
     assert abs(atlas.pos[1].z - 1j * math.exp(first)) < 1e-12
     assert atlas.pos[2].x < 0
 
@@ -70,17 +70,17 @@ def test_tree_edges_share_developed_copies(corpus):
         atlas = develop(s)
         assert len(atlas.tree_edges) == len(s.triangles) - 1
         for e in atlas.tree_edges:
-            hf, hb = s.halfedges_of_edge(e)
-            assert atlas.pos[hb].z == atlas.pos[s.nxt(hf)].z
-            assert atlas.pos[s.nxt(hb)].z == atlas.pos[hf].z
+            hf, hb = halfedges(s, e)
+            assert atlas.pos[hb].z == atlas.pos[nxt(hf)].z
+            assert atlas.pos[nxt(hb)].z == atlas.pos[hf].z
 
 
 def test_developed_sides_have_stored_lengths(corpus):
     for s in corpus:
         atlas = develop(s)
         for h in range(s.n_half):
-            got = hyp_distance(atlas.pos[h], atlas.pos[s.nxt(h)])
-            assert got == pytest.approx(s.length_of(h), abs=1e-9)
+            got = hyp_distance(atlas.pos[h], atlas.pos[nxt(h)])
+            assert got == pytest.approx(side_length(s, h), abs=1e-9)
 
 
 def test_developed_corners_have_metric_angles(corpus):
@@ -92,10 +92,10 @@ def test_developed_corners_have_metric_angles(corpus):
         atlas = develop(s)
         for h in range(s.n_half):
             here = atlas.pos[h]
-            toward = hyp_direction(here, atlas.pos[s.nxt(h)])
-            back = hyp_direction(here, atlas.pos[s.prv(h)])
+            toward = hyp_direction(here, atlas.pos[nxt(h)])
+            back = hyp_direction(here, atlas.pos[prv(h)])
             spread = (back - toward) % (2 * math.pi)
-            assert spread == pytest.approx(s.angle_at(h), abs=1e-9)
+            assert spread == pytest.approx(s.angle[h], abs=1e-9)
 
 
 def test_vertex_holonomy_rotation_angle(corpus):
@@ -188,14 +188,33 @@ def test_transitions_map_twin_chart_onto_chart(corpus):
             # the normalizer puts side h on [i, i e^l] ...
             n = Sl2Matrix(atlas.normalizers[h])
             assert abs(n.apply(atlas.corner(h).z) - 1j) < 1e-9
-            top = 1j * math.exp(s.length_of(h))
-            assert abs(n.apply(atlas.corner(s.nxt(h)).z) - top) < 1e-9
+            top = 1j * math.exp(side_length(s, h))
+            assert abs(n.apply(atlas.corner(nxt(h)).z) - top) < 1e-9
             # ... and the transition takes the copy of the edge in the chart
             # of tri(twin h) onto its copy in the chart of tri(h)
             m = Sl2Matrix(atlas.transitions[h])
             h2 = s.twin[h]
-            assert abs(m.apply(atlas.corner(s.nxt(h2)).z) - atlas.corner(h).z) < 1e-9
-            assert abs(m.apply(atlas.corner(h2).z) - atlas.corner(s.nxt(h)).z) < 1e-9
+            assert abs(m.apply(atlas.corner(nxt(h2)).z) - atlas.corner(h).z) < 1e-9
+            assert abs(m.apply(atlas.corner(h2).z) - atlas.corner(nxt(h)).z) < 1e-9
+
+
+@pytest.mark.parametrize("sides", [(3e-3, 3.15e-3, 2.91e-3), (30.0, 30.0, 30.0)])
+def test_near_wall_is_named_wall_angle(sides, tmp_path, capsys):
+    # cone angles 7.9e-6 from 2*pi and 3.7e-6 from 0: the loop trace
+    # 2|cos(theta/2)| lies within sl2.TRACE_TOL of 2, where classify() stops
+    # calling an element elliptic, although both are more than WALL_TOL away
+    s = torus_surface(*sides)
+    atlas = develop(s)
+    assert atlas.dump().splitlines()[-1].endswith(" angle wall")
+    with pytest.raises(WallAngle, match="at vertex 0 "):
+        vertex_holonomy(atlas, 0)
+    with pytest.raises(WallAngle, match="at vertex 0 "):
+        holonomy_report(atlas)
+    path = tmp_path / "near_wall.json"
+    path.write_text(serialize_surface(s))
+    assert main(["holonomy", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[WallAngle]: ") and "at vertex 0 " in err
 
 
 def test_wall_angle_refused():

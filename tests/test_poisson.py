@@ -135,7 +135,7 @@ def slice_jacobi_residual(s, perturbation=None):
     for v, ls in enumerate(der.ls):
         for l in ls.tolist():
             touching[l].append(v)
-    ends = [sorted({s.vertex_of[h] for h in s.halfedges_of_edge(e)}) for e in s.edge_ids]
+    ends = [sorted(set(s.vertex_of[hs].tolist())) for hs in s.halves]
     in_row = [np.flatnonzero(row) for row in p]
     in_col = [np.flatnonzero(col) for col in p.T]
     pos = np.zeros(s.n_edges, dtype=int)  # slice-local position of an edge

@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import equilateral_torus_angle, scanned_halfedges, torus_surface
+from conftest import (
+    count_constructions,
+    equilateral_torus_angle,
+    halfedges,
+    scanned_halfedges,
+    side_length,
+    torus_surface,
+)
 
 from hypcone import (
     AngleData,
@@ -29,7 +36,7 @@ from hypcone.errors import (
     OutOfRange,
     TriangleInequality,
 )
-from hypcone.surface import corner_angle_gradient
+from hypcone.surface import Triangulation, corner_angle_gradient, nxt, prv
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +110,9 @@ def test_corner_angle_overflow_is_not_an_angle():
 def test_corner_gradients_match_per_corner_formula(skew_tetra):
     edges, grads = skew_tetra.corner_gradients()
     for h in range(skew_tetra.n_half):
-        sides = (h, skew_tetra.prv(h), skew_tetra.nxt(h))
-        assert [skew_tetra.edge_ids[e] for e in edges[h]] == \
-            [skew_tetra.he_edge[g] for g in sides]
-        want = corner_angle_gradient(*(skew_tetra.length_of(g) for g in sides))
+        sides = (h, prv(h), nxt(h))
+        assert list(edges[h]) == [skew_tetra.he_edge[g] for g in sides]
+        want = corner_angle_gradient(*(side_length(skew_tetra, g) for g in sides))
         assert grads[h] == pytest.approx(want, rel=1e-12)
 
 
@@ -208,7 +214,7 @@ def test_edge_count_formula(corpus):
 def test_halfedges_of_edge_matches_scan(corpus):
     for s in corpus:
         for e in s.edge_ids:
-            assert s.halfedges_of_edge(e) == scanned_halfedges(s, e)
+            assert halfedges(s, e) == scanned_halfedges(s, e)
 
 
 def test_fans_partition_halfedges(corpus):
@@ -244,7 +250,7 @@ def test_fan_order_follows_triangle_corners(torus):
     f = torus.fans[0]
     for k, g in enumerate(f.germs):
         succ = f.germs[(k + 1) % len(f.germs)]
-        assert torus.tri(g) != torus.tri(succ)
+        assert g // 3 != succ // 3
 
 
 def test_vertex_fans_helper(torus):
@@ -358,6 +364,36 @@ def test_with_lengths(torus):
     assert moved.lengths["y"] == 1.2
     assert torus.lengths["x"] == 1.2  # original untouched
     assert moved.triangles == torus.triangles
+
+
+def test_gluing_is_checked_once(monkeypatch):
+    built = count_constructions(monkeypatch, Triangulation)
+    s = torus_surface(1.0, 1.3, 1.7)
+    assert built == [s.triangulation]
+    moved = s.with_lengths({"x": 1.1})
+    scaled = s.with_length_vector(1.01 * s.length)
+    assert moved.triangulation is s.triangulation is scaled.triangulation
+    assert moved.lengths["x"] == 1.1 and list(scaled.length) == list(1.01 * s.length)
+    # the lengths are still checked, naming the triangle
+    with pytest.raises(TriangleInequality,
+                       match=r"triangle 0 with edges \('x', 'y', 'z'\) and lengths \(1.0, 1.3, 2.5\)"):
+        s.with_lengths({"z": 2.5})
+    with pytest.raises(NonPositiveLength):
+        s.with_length_vector([1.0, -1.3, 1.7])
+    assert len(built) == 1
+
+
+def test_triangulation_arrays(skew_tetra):
+    s = skew_tetra
+    assert s.triangles == s.triangulation.triangles
+    for h in range(s.n_half):
+        assert s.twin[s.twin[h]] == h != s.twin[h]
+        assert s.halves[s.he_edge[h], s.he_dir[h]] == h
+    assert list(s.fan_order) == [g for orbit in s.vertex_germs for g in orbit]
+    assert list(s.fan_size) == [len(orbit) for orbit in s.vertex_germs]
+    for array in (s.he_edge, s.twin, s.halves, s.vertex_of, s.length, s.angle, s.cone_angle):
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 def test_length_vector_roundtrip(skew_tetra):
