@@ -19,6 +19,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import delaunay as delaunay_mod
 from . import poisson as poisson_mod
 from .errors import (
@@ -129,14 +131,28 @@ def cmd_validate(args, out: Emitter, tols) -> int:
     return 0
 
 
+def _row_texts(p: np.ndarray):
+    """Each row of p as its entries' fmt17 texts joined by spaces.
+
+    Only the nonzero entries are formatted; every +0.0 is the cell "0".  A
+    -0.0 counts as nonzero, so it keeps its text "-0".
+    """
+    for row in p:
+        cells = ["0"] * len(row)
+        at = np.flatnonzero((row != 0.0) | np.signbit(row))
+        for j, x in zip(at.tolist(), row[at].tolist()):
+            cells[j] = fmt17(x)
+        yield " ".join(cells)
+
+
 def cmd_poisson(args, out: Emitter, tols) -> int:
     s = _load_surface(args.input)
     margins = poisson_mod.wall_margins(s)
     for v in range(s.n_vertices):
         out.put(f"wall_margin.{v}", float(margins[v]))
     p = poisson_mod.eta_matrix(s, wall_guard=tols["wall"])
-    for i, eid in enumerate(s.edge_ids):
-        out.put(f"P.{eid}", " ".join(fmt17(x) for x in p[i]))
+    for eid, row in zip(s.edge_ids, _row_texts(p)):
+        out.put(f"P.{eid}", row)
     rank = poisson_mod.bivector_rank(p)
     expected = 6 * s.genus - 6 + 2 * s.n_vertices
     out.put("rank", rank)

@@ -161,8 +161,7 @@ class HolonomyAtlas:
                     f"loop holonomy at vertex {len(loops)} has determinant {det}")
             loops.append((a, b, c, d))
         self.loops = tuple(loops)
-        self.vertex_matrix = tuple(
-            Sl2Matrix([[a, b], [c, d]]) for a, b, c, d in loops)
+        self.vertex_matrix = tuple(Sl2Matrix.from_entries(*loop) for loop in loops)
 
     def corner(self, h: int) -> HypPoint:
         """Origin vertex of half-edge h in the local chart of tri(h): N_h^-1(i)."""
@@ -200,8 +199,8 @@ class HolonomyAtlas:
                 coords += [fmt17(p.x), fmt17(p.y)]
             lines.append("triangle %d: %s" % (t, " ".join(coords)))
         for v in range(s.n_vertices):
-            m = self.vertex_matrix[v].mat
-            entries = " ".join(fmt17(m[i, j]) for i in range(2) for j in range(2))
+            m = self.vertex_matrix[v]
+            entries = " ".join(fmt17(x) for x in (m.a, m.b, m.c, m.d))
             if _on_wall(s, v):
                 tag = "wall"
             else:

@@ -1,9 +1,16 @@
 """Projective SL(2,R) arithmetic and upper half-plane geometry.
 
 Group elements are unit-determinant real 2x2 matrices taken up to sign; the
-traceless matrices form their Lie algebra.  The exponential and logarithm are
-evaluated in closed form through the Cayley-Hamilton relation X^2 = -det(X) I,
-so every branch choice is explicit:
+traceless matrices form their Lie algebra.  Both live as plain Python floats:
+an Sl2Matrix as the entries (a, b, c, d) of its canonical representative
+[[a, b], [c, d]], an Sl2Vector as (a, b, c) of [[a, b], [c, -a]].  Every
+operation is a float expression, so none pays numpy's per-call cost on a 2x2
+array.  The public constructors parse a 2x2 array-like once; `from_entries`
+takes the floats, and both go through the one normalizer `_canonical`.
+`.mat` is a read-only numpy copy, built on each access.
+
+The exponential and logarithm are evaluated in closed form through the
+Cayley-Hamilton relation X^2 = -det(X) I, so every branch choice is explicit:
 
 * elliptic logs are "counterclockwise": the returned generator is a positive
   multiple of a conjugate of E - F, whose Mobius flow rotates counterclockwise
@@ -104,58 +111,109 @@ def hyp_direction(p: HypPoint, q: HypPoint) -> float:
 
 
 # ---------------------------------------------------------------------------
+# parsing and the one normalizer
+# ---------------------------------------------------------------------------
+
+def _parse_2x2(mat) -> np.ndarray:
+    """A 2x2 array-like as a float array, for the public constructors."""
+    arr = np.asarray(mat, dtype=float)
+    if arr.shape != (2, 2):
+        raise ValueError("expected a 2x2 matrix")
+    return arr
+
+
+def _frozen(rows) -> np.ndarray:
+    """A read-only float array of `rows`."""
+    arr = np.array(rows, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
+def _canonical(a: float, b: float, c: float, d: float) -> tuple:
+    """The canonical representative of the projective class of [[a, b], [c, d]].
+
+    Refuses a determinant that is not positive and finite, rescales by
+    1/sqrt(det) once det drifts from 1 by more than DET_TOL, and picks the
+    sign with trace > 0, or for trace 0 with (2,1) entry > 0 (falling back
+    to the (1,2) entry).
+    """
+    det = a * d - b * c
+    if not math.isfinite(det) or det <= 0.0:
+        raise ValueError(f"matrix determinant {det} is not positive")
+    if abs(det - 1.0) > DET_TOL:
+        r = math.sqrt(det)
+        a, b, c, d = a / r, b / r, c / r, d / r
+    t = a + d
+    if t < 0.0 or (t == 0.0 and (c < 0.0 or (c == 0.0 and b < 0.0))):
+        return -a, -b, -c, -d
+    return a, b, c, d
+
+
+# ---------------------------------------------------------------------------
 # the Lie algebra: traceless real 2x2 matrices
 # ---------------------------------------------------------------------------
 
 class Sl2Vector:
-    """A traceless real 2x2 matrix."""
+    """A traceless real 2x2 matrix [[a, b], [c, -a]], kept as the floats a, b, c."""
 
-    __slots__ = ("mat",)
+    __slots__ = ("a", "b", "c")
 
     def __init__(self, mat):
-        arr = np.asarray(mat, dtype=float)
-        if arr.shape != (2, 2):
-            raise ValueError("expected a 2x2 matrix")
-        tr = arr[0, 0] + arr[1, 1]
+        arr = _parse_2x2(mat)
+        (m00, b), (c, m11) = arr.tolist()
+        tr = m00 + m11
         scale = max(1.0, float(np.max(np.abs(arr))))
         if abs(tr) > 1e-12 * scale:
             raise ValueError(f"matrix is not traceless (trace {tr})")
-        arr = arr.copy()
-        half = tr / 2.0
-        arr[0, 0] -= half
-        arr[1, 1] -= half
-        arr.flags.writeable = False
-        self.mat = arr
+        self.a, self.b, self.c = m00 - tr / 2.0, b, c
+
+    @classmethod
+    def from_entries(cls, a: float, b: float, c: float) -> "Sl2Vector":
+        """The traceless matrix [[a, b], [c, -a]] from three floats."""
+        v = object.__new__(cls)
+        v.a, v.b, v.c = a, b, c
+        return v
+
+    @property
+    def mat(self) -> np.ndarray:
+        """A read-only numpy copy of the matrix, built on each access."""
+        return _frozen([[self.a, self.b], [self.c, -self.a]])
 
     def __repr__(self):
-        a, b, c = self.mat[0, 0], self.mat[0, 1], self.mat[1, 0]
-        return f"Sl2Vector([[{a!r}, {b!r}], [{c!r}, {-a!r}]])"
+        return f"Sl2Vector([[{self.a!r}, {self.b!r}], [{self.c!r}, {-self.a!r}]])"
 
     def __add__(self, other: "Sl2Vector") -> "Sl2Vector":
-        return Sl2Vector(self.mat + other.mat)
+        return Sl2Vector.from_entries(self.a + other.a, self.b + other.b, self.c + other.c)
 
     def __sub__(self, other: "Sl2Vector") -> "Sl2Vector":
-        return Sl2Vector(self.mat - other.mat)
+        return Sl2Vector.from_entries(self.a - other.a, self.b - other.b, self.c - other.c)
 
     def __mul__(self, t: float) -> "Sl2Vector":
-        return Sl2Vector(self.mat * float(t))
+        t = float(t)
+        return Sl2Vector.from_entries(self.a * t, self.b * t, self.c * t)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Sl2Vector":
-        return Sl2Vector(-self.mat)
+        return Sl2Vector.from_entries(-self.a, -self.b, -self.c)
 
     def bracket(self, other: "Sl2Vector") -> "Sl2Vector":
         """Commutator [self, other]."""
-        return Sl2Vector(self.mat @ other.mat - other.mat @ self.mat)
+        a, b, c = self.a, self.b, self.c
+        p, q, r = other.a, other.b, other.c
+        return Sl2Vector.from_entries(b * r - c * q, 2.0 * (a * q - b * p),
+                                      2.0 * (c * p - a * r))
 
     def det(self) -> float:
-        m = self.mat
-        return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+        return -(self.a * self.a) - self.b * self.c
 
     def conjugate_by(self, g: "Sl2Matrix") -> "Sl2Vector":
-        """Adjoint action g X g^-1."""
-        return Sl2Vector(g.mat @ self.mat @ np.linalg.inv(g.mat))
+        """Adjoint action g X g^-1, with the adjugate as the inverse of g."""
+        p, q, r, s = g.a, g.b, g.c, g.d
+        a, b, c = self.a, self.b, self.c
+        ta, tb = p * a + q * c, p * b - q * a  # first row of g X
+        tc, td = r * a + s * c, r * b - s * a  # second row
+        return Sl2Vector.from_entries(ta * s - tb * r, tb * p - ta * q, tc * s - td * r)
 
 
 def sl2_basis() -> tuple[Sl2Vector, Sl2Vector, Sl2Vector]:
@@ -172,7 +230,7 @@ H_VEC, E_VEC, F_VEC = sl2_basis()
 
 def trace_form(x: Sl2Vector, y: Sl2Vector) -> float:
     """B(X, Y) = tr(XY); signature (2,1) on the traceless matrices."""
-    return float(np.trace(x.mat @ y.mat))
+    return 2.0 * x.a * y.a + x.b * y.c + x.c * y.b
 
 
 def killing_constant(samples: int = 64, seed: int = 7) -> float:
@@ -212,63 +270,64 @@ def killing_constant(samples: int = 64, seed: int = 7) -> float:
 class Sl2Matrix:
     """A projective unit-determinant 2x2 real matrix.
 
-    The stored representative is canonical: trace >= 0, and for trace 0 the
+    Kept as the floats (a, b, c, d) of its canonical representative
+    [[a, b], [c, d]] (see `_canonical`): trace >= 0, and for trace 0 the
     (2,1) entry is positive (falling back to the (1,2) entry).  This makes
     logs, classification and printed output deterministic.
     """
 
-    __slots__ = ("mat",)
+    __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, mat):
-        arr = np.array(mat, dtype=float)
-        if arr.shape != (2, 2):
-            raise ValueError("expected a 2x2 matrix")
-        det = float(arr[0, 0] * arr[1, 1] - arr[0, 1] * arr[1, 0])
-        if not math.isfinite(det) or det <= 0.0:
-            raise ValueError(f"matrix determinant {det} is not positive")
-        if abs(det - 1.0) > DET_TOL:
-            arr /= math.sqrt(det)
-        tr = arr[0, 0] + arr[1, 1]
-        if tr < 0.0:
-            arr = -arr
-        elif tr == 0.0:
-            if arr[1, 0] < 0.0 or (arr[1, 0] == 0.0 and arr[0, 1] < 0.0):
-                arr = -arr
-        arr.flags.writeable = False
-        self.mat = arr
+        (a, b), (c, d) = _parse_2x2(mat).tolist()
+        self.a, self.b, self.c, self.d = _canonical(a, b, c, d)
+
+    @classmethod
+    def from_entries(cls, a: float, b: float, c: float, d: float) -> "Sl2Matrix":
+        """The element +-[[a, b], [c, d]] from four floats, normalized as by
+        the constructor."""
+        m = object.__new__(cls)
+        m.a, m.b, m.c, m.d = _canonical(a, b, c, d)
+        return m
 
     @classmethod
     def identity(cls) -> "Sl2Matrix":
-        return cls(np.eye(2))
+        return cls.from_entries(1.0, 0.0, 0.0, 1.0)
+
+    @property
+    def mat(self) -> np.ndarray:
+        """A read-only numpy copy of the representative, built on each access."""
+        return _frozen([[self.a, self.b], [self.c, self.d]])
 
     def __repr__(self):
-        a, b, c, d = (self.mat[0, 0], self.mat[0, 1], self.mat[1, 0], self.mat[1, 1])
-        return f"Sl2Matrix([[{a!r}, {b!r}], [{c!r}, {d!r}]])"
+        return f"Sl2Matrix([[{self.a!r}, {self.b!r}], [{self.c!r}, {self.d!r}]])"
 
     def __matmul__(self, other: "Sl2Matrix") -> "Sl2Matrix":
-        return Sl2Matrix(self.mat @ other.mat)
+        a, b, c, d = self.a, self.b, self.c, self.d
+        p, q, r, s = other.a, other.b, other.c, other.d
+        return Sl2Matrix.from_entries(a * p + b * r, a * q + b * s,
+                                      c * p + d * r, c * q + d * s)
 
     def inverse(self) -> "Sl2Matrix":
-        m = self.mat
-        return Sl2Matrix([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+        return Sl2Matrix.from_entries(self.d, -self.b, -self.c, self.a)
 
     def trace(self) -> float:
-        return float(self.mat[0, 0] + self.mat[1, 1])
+        return self.a + self.d
 
     def det(self) -> float:
-        m = self.mat
-        return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+        return self.a * self.d - self.b * self.c
 
     def apply(self, z):
         """Mobius action on a complex number or HypPoint."""
         if isinstance(z, HypPoint):
             return HypPoint.from_complex(self.apply(z.z))
-        m = self.mat
-        return (m[0, 0] * z + m[0, 1]) / (m[1, 0] * z + m[1, 1])
+        return (self.a * z + self.b) / (self.c * z + self.d)
 
     def projectively_close(self, other: "Sl2Matrix", tol: float = 1e-9) -> bool:
-        d1 = float(np.max(np.abs(self.mat - other.mat)))
-        d2 = float(np.max(np.abs(self.mat + other.mat)))
+        d1 = max(abs(self.a - other.a), abs(self.b - other.b),
+                 abs(self.c - other.c), abs(self.d - other.d))
+        d2 = max(abs(self.a + other.a), abs(self.b + other.b),
+                 abs(self.c + other.c), abs(self.d + other.d))
         return min(d1, d2) <= tol
 
 
@@ -304,7 +363,7 @@ def classify(m: Sl2Matrix) -> IsometryClass:
         return IsometryClass(ELLIPTIC, angle=math.acos(half))
     if t >= 2.0 + TRACE_TOL:
         return IsometryClass(HYPERBOLIC, length=math.acosh((t * t - 2.0) / 2.0))
-    if float(np.max(np.abs(m.mat - np.eye(2)))) <= TRACE_TOL:
+    if max(abs(m.a - 1.0), abs(m.b), abs(m.c), abs(m.d - 1.0)) <= TRACE_TOL:
         return IsometryClass(IDENTITY)
     return IsometryClass(PARABOLIC)
 
@@ -332,20 +391,30 @@ def sl2_exp(x: Sl2Vector) -> Sl2Matrix:
         w = math.sqrt(-k)
         c0 = math.cosh(w)
         c1 = math.sinh(w) / w
-    return Sl2Matrix(c0 * np.eye(2) + c1 * x.mat)
+    return Sl2Matrix.from_entries(c0 + c1 * x.a, c1 * x.b, c1 * x.c, c0 - c1 * x.a)
 
 
-def _elliptic_unit_and_angle(m: Sl2Matrix) -> tuple[np.ndarray, float]:
+def _traceless_part(m: Sl2Matrix, scale: float) -> Sl2Vector:
+    """(M - tr(M)/2 I) / scale."""
+    return Sl2Vector.from_entries((m.a - m.d) / (2.0 * scale), m.b / scale, m.c / scale)
+
+
+def _elliptic_unit_and_angle(m: Sl2Matrix) -> tuple[Sl2Vector, float]:
     """Counterclockwise unit rotation generator u (u^2 = -I) and angle in (0, 2pi)."""
-    t = m.trace()
-    half = 2.0 * math.acos(min(1.0, max(-1.0, t / 2.0)))  # in (0, pi]
-    s = math.sin(half / 2.0)
-    u = (m.mat - (t / 2.0) * np.eye(2)) / s
+    half = 2.0 * math.acos(min(1.0, max(-1.0, m.trace() / 2.0)))  # in (0, pi]
+    u = _traceless_part(m, math.sin(half / 2.0))
     # u is conjugate to +-(E - F); the counterclockwise sign has negative
     # (2,1) entry (equivalently positive (1,2) entry).
-    if u[1, 0] < 0.0:
+    if u.c < 0.0:
         return u, half
     return -u, 2.0 * math.pi - half
+
+
+def _hyperbolic_unit_and_length(m: Sl2Matrix) -> tuple[Sl2Vector, float]:
+    """Unit translation direction v (v^2 = I) along the oriented axis, and
+    the translation length."""
+    ell = 2.0 * math.acosh(m.trace() / 2.0)
+    return _traceless_part(m, math.sinh(ell / 2.0)), ell
 
 
 def elliptic_rotation_angle(m: Sl2Matrix) -> float:
@@ -367,16 +436,12 @@ def sl2_log(m: Sl2Matrix) -> Sl2Vector:
     if cls.kind == IDENTITY:
         raise NoBranch("identity has no preferred logarithm branch")
     if cls.kind == PARABOLIC:
-        n = m.mat - np.eye(2)
-        half = (n[0, 0] + n[1, 1]) / 2.0
-        return Sl2Vector(n - half * np.eye(2))
-    t = m.trace()
+        return _traceless_part(m, 1.0)
     if cls.kind == HYPERBOLIC:
-        ell = 2.0 * math.acosh(t / 2.0)
-        v = (m.mat - (t / 2.0) * np.eye(2)) / math.sinh(ell / 2.0)
-        return Sl2Vector((ell / 2.0) * v)
+        v, ell = _hyperbolic_unit_and_length(m)
+        return (ell / 2.0) * v
     u, nu = _elliptic_unit_and_angle(m)
-    return Sl2Vector((nu / 2.0) * u)
+    return (nu / 2.0) * u
 
 
 def axis_vector(m: Sl2Matrix) -> Sl2Vector:
@@ -387,12 +452,9 @@ def axis_vector(m: Sl2Matrix) -> Sl2Vector:
     """
     cls = classify(m)
     if cls.kind == ELLIPTIC:
-        u, _ = _elliptic_unit_and_angle(m)
-        return Sl2Vector(u)
+        return _elliptic_unit_and_angle(m)[0]
     if cls.kind == HYPERBOLIC:
-        t = m.trace()
-        ell = 2.0 * math.acosh(t / 2.0)
-        return Sl2Vector((m.mat - (t / 2.0) * np.eye(2)) / math.sinh(ell / 2.0))
+        return _hyperbolic_unit_and_length(m)[0]
     raise NotSemisimple(f"no axis vector for a {cls.kind} element")
 
 
@@ -410,7 +472,7 @@ def elliptic_fixed_point(a: float, b: float, c: float, d: float) -> complex:
 
 def fixed_point(m: Sl2Matrix) -> HypPoint:
     """The unique fixed point in the upper half-plane of an elliptic element."""
-    return HypPoint.from_complex(elliptic_fixed_point(*m.mat.ravel().tolist()))
+    return HypPoint.from_complex(elliptic_fixed_point(m.a, m.b, m.c, m.d))
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +482,13 @@ def fixed_point(m: Sl2Matrix) -> HypPoint:
 def _translate_to(p: HypPoint) -> Sl2Matrix:
     """The affine map z -> y z + x taking i to p."""
     r = math.sqrt(p.y)
-    return Sl2Matrix([[r, p.x / r], [0.0, 1.0 / r]])
+    return Sl2Matrix.from_entries(r, p.x / r, 0.0, 1.0 / r)
 
 
 def _rotation_at_i(angle: float) -> Sl2Matrix:
     """exp((angle/2)(E - F)): counterclockwise rotation by `angle` about i."""
-    h = angle / 2.0
-    return Sl2Matrix([[math.cos(h), math.sin(h)], [-math.sin(h), math.cos(h)]])
+    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    return Sl2Matrix.from_entries(c, s, -s, c)
 
 
 def elliptic_about(p: HypPoint, angle: float) -> Sl2Matrix:
@@ -442,11 +504,13 @@ def hyperbolic_along(u: float, v: float, length: float) -> Sl2Matrix:
     if u == v:
         raise OutOfRange("axis endpoints must be distinct")
     if v > u:
-        g = Sl2Matrix(np.array([[v, u], [1.0, 1.0]]) / math.sqrt(v - u))
+        r = math.sqrt(v - u)
+        g = Sl2Matrix.from_entries(v / r, u / r, 1.0 / r, 1.0 / r)
     else:
-        g = Sl2Matrix(np.array([[v, -u], [1.0, -1.0]]) / math.sqrt(u - v))
+        r = math.sqrt(u - v)
+        g = Sl2Matrix.from_entries(v / r, -u / r, 1.0 / r, -1.0 / r)
     h = length / 2.0
-    return g @ Sl2Matrix([[math.exp(h), 0.0], [0.0, math.exp(-h)]]) @ g.inverse()
+    return g @ Sl2Matrix.from_entries(math.exp(h), 0.0, 0.0, math.exp(-h)) @ g.inverse()
 
 
 def hyp_exp(p: HypPoint, direction: float, dist: float) -> HypPoint:
@@ -532,18 +596,11 @@ def mixed_pairing(r: Sl2Matrix, s: Sl2Matrix) -> float:
 # first-order perturbation of the logarithm
 # ---------------------------------------------------------------------------
 
-_BASIS_MATS = [v.mat for v in sl2_basis()]
-
-
-def _vec(mat: np.ndarray) -> np.ndarray:
-    """Coordinates of a traceless matrix in the (H, E, F) basis."""
-    return np.array([mat[0, 0], mat[0, 1], mat[1, 0]])
-
-
 def _adjoint_matrix(g: Sl2Matrix) -> np.ndarray:
-    """Ad_g on the traceless matrices, as a 3x3 matrix in the (H,E,F) basis."""
-    ginv = np.linalg.inv(g.mat)
-    return np.column_stack([_vec(g.mat @ bm @ ginv) for bm in _BASIS_MATS])
+    """Ad_g on the traceless matrices, as a 3x3 matrix in the (H,E,F) basis;
+    the coordinates of [[a, b], [c, -a]] there are (a, b, c)."""
+    images = [v.conjugate_by(g) for v in (H_VEC, E_VEC, F_VEC)]
+    return np.array([[y.a, y.b, y.c] for y in images]).T
 
 
 def log_perturbation(s: Sl2Vector, u: Sl2Vector) -> Sl2Vector:
@@ -559,9 +616,8 @@ def log_perturbation(s: Sl2Vector, u: Sl2Vector) -> Sl2Vector:
         raise DegenerateDirection("base direction is parabolic-type (B(s,s) = 0)")
     bracket = u.bracket(s)
     a = np.eye(3) - _adjoint_matrix(sl2_exp(s))
-    x, *_ = np.linalg.lstsq(a, _vec(bracket.mat), rcond=None)
-    xmat = x[0] * _BASIS_MATS[0] + x[1] * _BASIS_MATS[1] + x[2] * _BASIS_MATS[2]
-    xvec = Sl2Vector(xmat)
+    x, *_ = np.linalg.lstsq(a, [bracket.a, bracket.b, bracket.c], rcond=None)
+    xvec = Sl2Vector.from_entries(*x.tolist())
     xvec = xvec - (trace_form(xvec, s) / bss) * s
     return xvec + (trace_form(u, s) / bss) * s
 
@@ -583,9 +639,8 @@ def injectivity_holonomy_pair(theta_h: float, theta_j: float, d: float):
         raise OutOfRange("distance must be nonnegative")
     ch, sh = math.cos(theta_h / 2.0), math.sin(theta_h / 2.0)
     cj, sj = math.cos(theta_j / 2.0), math.sin(theta_j / 2.0)
-    a = np.array([[ch, sh], [-sh, ch]])
-    b = np.array([[cj, math.exp(d) * sj], [-math.exp(-d) * sj, cj]])
-    return Sl2Matrix(a), Sl2Matrix(b)
+    return (Sl2Matrix.from_entries(ch, sh, -sh, ch),
+            Sl2Matrix.from_entries(cj, math.exp(d) * sj, -math.exp(-d) * sj, cj))
 
 
 def elliptic_product_trace(theta_h: float, theta_j: float, d: float) -> float:
@@ -594,7 +649,7 @@ def elliptic_product_trace(theta_h: float, theta_j: float, d: float) -> float:
     Closed form: 2 |cos(th/2) cos(tj/2) - cosh(d) sin(th/2) sin(tj/2)|.
     """
     a, b = injectivity_holonomy_pair(theta_h, theta_j, d)
-    return abs(float(np.trace(a.mat @ b.mat)))
+    return abs(a.a * b.a + a.b * b.c + a.c * b.b + a.d * b.d)
 
 
 def solve_order_q_distance(theta_h: float, theta_j: float, p: int, q: int) -> float:

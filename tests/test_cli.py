@@ -3,12 +3,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conftest import sphere3_surface, tetra_surface, torus_surface
+from conftest import sphere3_surface, stellar_surface, tetra_surface, torus_surface
 
-from hypcone import serialize_surface
-from hypcone.cli import main
+from hypcone import eta_matrix, serialize_surface
+from hypcone.cli import _row_texts, main
+from hypcone.surface import fmt17
 
 
 @pytest.fixture
@@ -251,3 +253,20 @@ def test_installed_entry_point(demo_file):
     )
     assert proc.returncode == 0
     assert "psi_min" in proc.stdout
+
+
+def test_poisson_rows_format_every_entry(capsys, tmp_path):
+    s = stellar_surface(48, 1)  # 150 edges
+    path = tmp_path / "stellar.json"
+    path.write_text(serialize_surface(s))
+    _, out, _ = run(capsys, "poisson", "--input", str(path))
+    rows = {k: v for k, v in as_dict(out).items() if k.startswith("P.")}
+    assert list(rows) == [f"P.{e}" for e in s.edge_ids]
+    for e, row in zip(s.edge_ids, eta_matrix(s).tolist()):
+        assert rows[f"P.{e}"] == " ".join(fmt17(x) for x in row)
+
+
+def test_row_texts_keep_negative_zero():
+    p = np.array([[0.0, -0.0, 1.5], [-2.25e-300, 0.0, -0.0], [0.0, 0.0, 0.0]])
+    assert list(_row_texts(p)) == [" ".join(fmt17(x) for x in row) for row in p.tolist()]
+    assert list(_row_texts(p))[1] == "-2.25e-300 0 -0"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import halfedges, side_length, stellar_surface, tetra_surface, torus_surface
+from test_sl2 import RefMatrix, ref_rotation_angle
 
 from hypcone import (
     HypPoint,
@@ -21,7 +22,8 @@ from hypcone import (
 )
 from hypcone.cli import main
 from hypcone.errors import NumericalCollapse, WallAngle
-from hypcone.surface import nxt, prv, wall_distance
+from hypcone.sl2 import elliptic_trace
+from hypcone.surface import fmt17, nxt, prv, wall_distance
 
 
 def fresh_walk(atlas, germ):
@@ -277,3 +279,25 @@ def test_dump_text(skew_torus):
     assert len(lines[0].split()) == 8  # label, index, six coordinates
     wall = develop(torus_surface(2e-5)).dump()
     assert "angle wall" in wall
+
+
+@pytest.mark.parametrize("surface, walls", [
+    (stellar_surface(49, 1, start="tor"), 0),
+    (torus_surface(3e-3, 3.15e-3, 2.91e-3), 1),
+], ids=["stellar-tor-150", "near-wall-torus"])
+def test_vertex_dump_rows_match_reference(surface, walls):
+    # every vertex row as the array-based layer printed it: the entries of
+    # the normalized loop, then its directed angle or the wall tag
+    atlas = develop(surface)
+    rows = [line for line in atlas.dump().splitlines() if line.startswith("vertex ")]
+    want = []
+    for v, (a, b, c, d) in enumerate(atlas.loops):
+        ref = RefMatrix([[a, b], [c, d]])
+        entries = " ".join(fmt17(x) for x in ref.mat.ravel().tolist())
+        if elliptic_trace(2.0 * abs(math.cos(surface.cone_angle[v] / 2.0))):
+            tag = fmt17(ref_rotation_angle(ref))
+        else:
+            tag = "wall"
+        want.append(f"vertex {v}: {entries} angle {tag}")
+    assert rows == want
+    assert sum(row.endswith(" wall") for row in rows) == walls

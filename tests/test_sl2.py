@@ -38,10 +38,13 @@ from hypcone.errors import (
 )
 from hypcone.selftest import LOG_TOL, log_expansion_suite
 from hypcone.sl2 import (
+    DET_TOL,
     E_VEC,
     F_VEC,
     H_VEC,
+    TRACE_TOL,
     axes_relation,
+    elliptic_fixed_point,
     hyp_direction,
     isometry_mapping_segment,
     killing_constant,
@@ -558,3 +561,307 @@ def test_order_q_solver_returns_first_crossing():
                 assert probe < target
         checked += 1
     assert checked > 50
+
+
+# ---------------------------------------------------------------------------
+# numpy reference: the array-based arithmetic the float layer replaced
+# ---------------------------------------------------------------------------
+
+
+class RefVector:
+    """A traceless matrix on a read-only numpy array (the array-based layer)."""
+
+    def __init__(self, mat):
+        arr = np.asarray(mat, dtype=float)
+        if arr.shape != (2, 2):
+            raise ValueError("expected a 2x2 matrix")
+        tr = arr[0, 0] + arr[1, 1]
+        scale = max(1.0, float(np.max(np.abs(arr))))
+        if abs(tr) > 1e-12 * scale:
+            raise ValueError(f"matrix is not traceless (trace {tr})")
+        arr = arr.copy()
+        half = tr / 2.0
+        arr[0, 0] -= half
+        arr[1, 1] -= half
+        arr.flags.writeable = False
+        self.mat = arr
+
+    def bracket(self, other):
+        return RefVector(self.mat @ other.mat - other.mat @ self.mat)
+
+
+class RefMatrix:
+    """A projective unit-determinant matrix on a read-only numpy array, with
+    the canonical representative of the array-based layer."""
+
+    def __init__(self, mat):
+        arr = np.array(mat, dtype=float)
+        if arr.shape != (2, 2):
+            raise ValueError("expected a 2x2 matrix")
+        det = float(arr[0, 0] * arr[1, 1] - arr[0, 1] * arr[1, 0])
+        if not math.isfinite(det) or det <= 0.0:
+            raise ValueError(f"matrix determinant {det} is not positive")
+        if abs(det - 1.0) > DET_TOL:
+            arr /= math.sqrt(det)
+        tr = arr[0, 0] + arr[1, 1]
+        if tr < 0.0:
+            arr = -arr
+        elif tr == 0.0:
+            if arr[1, 0] < 0.0 or (arr[1, 0] == 0.0 and arr[0, 1] < 0.0):
+                arr = -arr
+        arr.flags.writeable = False
+        self.mat = arr
+
+    @classmethod
+    def twin(cls, m):
+        """The reference element with exactly the entries of m."""
+        ref = cls.__new__(cls)
+        ref.mat = m.mat
+        return ref
+
+    def __matmul__(self, other):
+        return RefMatrix(self.mat @ other.mat)
+
+    def inverse(self):
+        m = self.mat
+        return RefMatrix([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+
+    def trace(self):
+        return float(self.mat[0, 0] + self.mat[1, 1])
+
+    def apply(self, z):
+        m = self.mat
+        return (m[0, 0] * z + m[0, 1]) / (m[1, 0] * z + m[1, 1])
+
+
+def ref_trace_form(x, y):
+    return float(np.trace(x.mat @ y.mat))
+
+
+def ref_kind(m):
+    t = m.trace()
+    if abs(t) <= 2.0 - TRACE_TOL:
+        return "elliptic"
+    if t >= 2.0 + TRACE_TOL:
+        return "hyperbolic"
+    if float(np.max(np.abs(m.mat - I2))) <= TRACE_TOL:
+        return "identity"
+    return "parabolic"
+
+
+def ref_elliptic_unit_and_angle(m):
+    t = m.trace()
+    half = 2.0 * math.acos(min(1.0, max(-1.0, t / 2.0)))
+    u = (m.mat - (t / 2.0) * I2) / math.sin(half / 2.0)
+    if u[1, 0] < 0.0:
+        return u, half
+    return -u, 2.0 * math.pi - half
+
+
+def ref_hyperbolic_unit(m):
+    t = m.trace()
+    ell = 2.0 * math.acosh(t / 2.0)
+    return (m.mat - (t / 2.0) * I2) / math.sinh(ell / 2.0), ell
+
+
+def ref_sl2_log(m):
+    kind = ref_kind(m)
+    if kind == "parabolic":
+        n = m.mat - I2
+        return RefVector(n - ((n[0, 0] + n[1, 1]) / 2.0) * I2)
+    if kind == "hyperbolic":
+        v, ell = ref_hyperbolic_unit(m)
+        return RefVector((ell / 2.0) * v)
+    assert kind == "elliptic"
+    u, nu = ref_elliptic_unit_and_angle(m)
+    return RefVector((nu / 2.0) * u)
+
+
+def ref_axis_vector(m):
+    kind = ref_kind(m)
+    if kind == "elliptic":
+        return RefVector(ref_elliptic_unit_and_angle(m)[0])
+    assert kind == "hyperbolic"
+    return RefVector(ref_hyperbolic_unit(m)[0])
+
+
+def ref_rotation_angle(m):
+    assert ref_kind(m) == "elliptic"
+    return ref_elliptic_unit_and_angle(m)[1]
+
+
+def ref_fixed_point(m):
+    return elliptic_fixed_point(*m.mat.ravel().tolist())
+
+
+def relative_gap(got, want):
+    """max |got - want| over max |want|, entrywise."""
+    got, want = np.asarray(got), np.asarray(want)
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def random_axis(rng):
+    """Boundary endpoints (u, v) of an axis in [-3, 3], at least 1 apart."""
+    u, v = rng.uniform(-3.0, 3.0, size=2).tolist()
+    if abs(u - v) < 1.0:
+        v = u + 1.0 if u < v else u - 1.0
+    return u, v
+
+
+def random_elements(rng, count):
+    """Seeded elliptic, hyperbolic and generic elements, each with its
+    reference twin.
+
+    Entries stay below about 10, so that no product's determinant drifts
+    from 1 by DET_TOL through rounding alone: there the normalizer's
+    rescale switches on or off with the last bit of the determinant.
+    """
+    out = []
+    for k in range(count):
+        if k % 3 == 0:
+            m = elliptic_about(random_point(rng), float(rng.uniform(0.1, 2 * math.pi - 0.1)))
+        elif k % 3 == 1:
+            m = hyperbolic_along(*random_axis(rng), float(rng.uniform(0.3, 2.0)))
+        else:
+            raw = rng.normal(size=(2, 2))
+            while abs(np.linalg.det(raw)) < 0.25:
+                raw = rng.normal(size=(2, 2))
+            if np.linalg.det(raw) < 0.0:
+                raw[0] = -raw[0]
+            m = Sl2Matrix(raw)
+        out.append((m, RefMatrix.twin(m)))
+    return out
+
+
+def test_normalization_matches_reference_bitwise():
+    rng = np.random.default_rng(31)
+    raws = [rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-3, 3) for _ in range(3000)]
+    raws += [np.array([[0.0, 2.0], [-0.5, 0.0]]), np.array([[0.0, -2.0], [0.5, 0.0]]),
+             np.array([[-1.0, 0.0], [0.0, -1.0]]), np.array([[1.0, 3.0], [0.0, 1.0]])]
+    # unit determinant to within DET_TOL, which is kept without rescaling
+    raws += [np.array([[1.0 + 4e-13, 0.5], [0.0, 1.0]]) * sign for sign in (1, -1)]
+    checked = 0
+    for raw in raws:
+        if np.linalg.det(raw) <= 0.0:
+            continue
+        got, want = Sl2Matrix(raw).mat, RefMatrix(raw).mat
+        assert got.tobytes() == want.tobytes()
+        assert Sl2Matrix.from_entries(*raw.ravel().tolist()).mat.tobytes() == want.tobytes()
+        checked += 1
+    assert checked > 1000
+    for raw in raws[:500]:
+        raw = raw.copy()
+        raw[1, 1] = -raw[0, 0] * (1.0 + 1e-14)  # traceless up to rounding
+        x, want = Sl2Vector(raw), RefVector(raw).mat
+        assert (x.a, x.b, x.c) == (want[0, 0], want[0, 1], want[1, 0])
+        assert abs(x.mat[1, 1] - want[1, 1]) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_group_operations_match_reference():
+    rng = np.random.default_rng(32)
+    elements = random_elements(rng, 300)
+    for (m, rm), (n, rn) in zip(elements, elements[1:] + elements[:1]):
+        assert relative_gap((m @ n).mat, (rm @ rn).mat) <= 1e-14
+        assert relative_gap(m.inverse().mat, rm.inverse().mat) <= 1e-14
+        z = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.25, 2.5))
+        assert abs(m.apply(z) - rm.apply(z)) <= 1e-14 * abs(rm.apply(z))
+
+
+def test_logs_axes_and_fixed_points_match_reference():
+    rng = np.random.default_rng(33)
+    for m, rm in random_elements(rng, 600):
+        kind = classify(m).kind
+        assert kind == ref_kind(rm)
+        if kind in ("parabolic", "identity"):
+            continue
+        assert relative_gap(sl2_log(m).mat, ref_sl2_log(rm).mat) <= 1e-14
+        assert relative_gap(axis_vector(m).mat, ref_axis_vector(rm).mat) <= 1e-14
+        if kind == "elliptic":
+            got, want = fixed_point(m).z, ref_fixed_point(rm)
+            assert abs(got - want) <= 1e-14 * abs(want)
+    par = Sl2Matrix([[1.0, 2.5], [0.0, 1.0]])
+    assert relative_gap(sl2_log(par).mat, ref_sl2_log(RefMatrix.twin(par)).mat) <= 1e-14
+
+
+def test_pairings_match_reference():
+    rng = np.random.default_rng(34)
+    for _ in range(300):
+        s1 = elliptic_about(random_point(rng), float(rng.uniform(0.1, 2 * math.pi - 0.1)))
+        s2 = elliptic_about(random_point(rng), float(rng.uniform(0.1, 2 * math.pi - 0.1)))
+        r1 = hyperbolic_along(*random_axis(rng), 1.3)
+        r2 = hyperbolic_along(*random_axis(rng), 0.7)
+        rs1, rs2, rr1, rr2 = (RefMatrix.twin(g) for g in (s1, s2, r1, r2))
+        l1, l2 = ref_axis_vector(rs1), ref_axis_vector(rs2)
+        val, br = elliptic_pair_pairing(s1, s2)
+        want = ref_trace_form(l1, l2)
+        assert abs(val - want) <= 1e-14 * abs(want)
+        assert relative_gap(br.mat, l1.bracket(l2).mat) <= 1e-14
+        want = ref_trace_form(ref_axis_vector(rr1), ref_axis_vector(rr2))
+        assert abs(geodesic_pair_pairing(r1, r2) - want) <= 1e-14 * max(1.0, abs(want))
+        want = ref_trace_form(ref_axis_vector(rr1), l1)
+        assert abs(mixed_pairing(r1, s1) - want) <= 1e-14 * max(1.0, abs(want))
+
+
+def test_mat_is_a_read_only_copy():
+    m = elliptic_about(HypPoint(0.3, 1.2), 1.0)
+    x = sl2_log(m)
+    for arr, want in ((m.mat, RefMatrix(m.mat).mat), (x.mat, RefVector(x.mat).mat)):
+        assert arr.shape == want.shape == (2, 2)
+        assert arr.dtype == want.dtype
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 5.0
+    assert m.mat is not m.mat
+
+
+@pytest.mark.parametrize("bad", [
+    [[1.0, 1.0], [1.0, 1.0]],
+    [[-1.0, 0.0], [0.0, 1.0]],
+    [[math.nan, 0.0], [0.0, 1.0]],
+    [[math.inf, 0.0], [0.0, 1.0]],
+    [[1e200, 0.0], [0.0, 1e200]],
+    [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
+    [1.0, 0.0, 0.0, 1.0],
+    [[1.0, 2.0], [3.0]],
+    "abc",
+    [[1.0, 0.0], [0.0, 0.5]],
+])
+def test_bad_input_matches_reference(bad):
+    for ours, ref in ((Sl2Matrix, RefMatrix), (Sl2Vector, RefVector)):
+        try:
+            with np.errstate(all="ignore"):
+                ref(bad)
+        except Exception as exc:  # the reference's exception, to compare with
+            want = (type(exc), str(exc))
+        else:
+            want = None
+        if want is None:
+            ours(bad)
+            continue
+        with pytest.raises(want[0]) as got:
+            ours(bad)
+        assert str(got.value) == want[1]
+
+
+def test_operations_make_no_numpy_call(monkeypatch):
+    import hypcone.sl2 as sl2_mod
+
+    p, q = HypPoint(0.3, 1.2), HypPoint(-0.4, 0.8)
+    monkeypatch.setattr(sl2_mod, "np", None)  # any numpy call raises
+    s1, s2 = elliptic_about(p, 1.0), elliptic_about(q, 4.0)
+    r1, r2 = hyperbolic_along(-1.0, 2.0, 0.8), hyperbolic_along(1.5, -0.5, 1.7)
+    g = normalizing_isometry(p, q) @ isometry_mapping_segment(p, q, q, hyp_exp(q, 0.3, 1.0))
+    g = g @ g.inverse() @ Sl2Matrix.identity() @ Sl2Matrix.from_entries(2.0, 1.0, 1.0, 1.0)
+    assert g.projectively_close(Sl2Matrix.from_entries(2.0, 1.0, 1.0, 1.0))
+    g.apply(p)
+    g.apply(0.5 + 2j)
+    x = sl2_log(s1) + 2.0 * sl2_log(r1) - (-axis_vector(s2))
+    x.conjugate_by(g).bracket(x)
+    trace_form(x, x)
+    classify(sl2_exp(x))
+    elliptic_rotation_angle(s2)
+    fixed_point(s1)
+    elliptic_pair_pairing(s1, s2)
+    geodesic_pair_pairing(r1, r2)
+    mixed_pairing(r1, s1)
+    solve_order_q_distance(1.5 * math.pi, 1.5 * math.pi, 1, 2)
