@@ -166,8 +166,9 @@ def cmd_poisson(args, out: Emitter, tols) -> int:
     radical_max = float(residuals[radical_max_at])
     out.put("radical_max", radical_max)
     out.put("radical_max_at", radical_max_at)
-    jac = poisson_mod.jacobi_residual(s, wall_guard=tols["wall"], p=p)
+    jac, triple = poisson_mod.jacobi_residual(s, wall_guard=tols["wall"], p=p)
     out.put("jacobi", jac)
+    out.put("jacobi_at", " ".join(s.edge_ids[i] for i in triple) if triple else "none")
     for key, value in poisson_mod.comparison_note():
         out.put(key, value)
     ok = (rank == expected and radical_max < tols["radical"]

@@ -19,8 +19,12 @@ whose fixed point is v.  The walk started at g_k is P_k^-1 M_v P_k, so its
 fixed point P_k^-1 fix(M_v) is read off the one walk.  The distance between
 the fixed points at the two ends of an edge, both in one triangle's chart,
 recovers the edge length: the computational content of the
-length-coordinates/holonomy dictionary.  All of this is 2x2 algebra on
-plain floats, and no chart ever sits far from i, so nothing drifts.
+length-coordinates/holonomy dictionary.  The walks run on plain floats, all
+fans in one pass, and no chart ever sits far from i, so nothing drifts.
+Each loop's fixed point (and its wall test) is computed once per vertex;
+the 2E germ images P_k^-1 fix(M_v) and the E recovered lengths then come in
+one array pass whose arithmetic is that of the scalar complex expressions,
+bit for bit.
 
 `develop` also lays the triangles out in one global chart across a
 breadth-first spanning tree of the dual graph, copying the shared vertices
@@ -32,10 +36,12 @@ from __future__ import annotations
 
 import copy
 import math
+from array import array
+from itertools import islice
 
 import numpy as np
 
-from .errors import NumericalCollapse, WallAngle
+from .errors import NotElliptic, NumericalCollapse, WallAngle
 from .sl2 import (
     TRACE_TOL,
     HypPoint,
@@ -105,18 +111,16 @@ def _local_charts(s: ConeSurface) -> tuple[np.ndarray, np.ndarray]:
     return n, inverse @ half_turn @ n[s.twin]
 
 
-def _on_wall(s: ConeSurface, v: int) -> bool:
-    """Whether vertex v's loop holonomy, of trace 2|cos(theta/2)|, is not
-    elliptic by `sl2.classify`'s test: theta is near 2*pi*k, or near 0."""
-    return not elliptic_trace(2.0 * abs(math.cos(s.cone_angle[v] / 2.0)))
+def _wall_refusal(theta: float, v: int) -> WallAngle | None:
+    """The WallAngle refusing vertex v of cone angle theta, or None.
 
-
-def _refuse_wall(s: ConeSurface, v: int) -> None:
-    """Raise WallAngle when vertex v's loop holonomy is (numerically) trivial."""
-    if _on_wall(s, v):
-        raise WallAngle(
-            f"cone angle {s.cone_angle[v]} at vertex {v} gives loop trace "
-            f"2|cos(theta/2)| within {TRACE_TOL} of 2")
+    A vertex is on a wall when its loop holonomy, of trace 2|cos(theta/2)|,
+    is not elliptic by `sl2.classify`'s test: theta is near 2*pi*k, or near 0.
+    """
+    if elliptic_trace(2.0 * abs(math.cos(theta / 2.0))):
+        return None
+    return WallAngle(f"cone angle {theta} at vertex {v} gives loop trace "
+                     f"2|cos(theta/2)| within {TRACE_TOL} of 2")
 
 
 class HolonomyAtlas:
@@ -144,22 +148,24 @@ class HolonomyAtlas:
         s = surface
 
         self.normalizers, self.transitions = _local_charts(s)
-        table = self.transitions.reshape(-1, 4)
-        self.prefix = np.empty((s.n_half, 4))
-        loops = []
-        for orbit in s.vertex_germs:
-            walk = []
+        # one flat pass over every fan, in fan order: reset at each fan start;
+        # raw doubles in and out keep the pass free of E-sized object lists
+        entries = iter(array("d", self.transitions.reshape(-1, 4)[prv(s.fan_order)].tobytes()))
+        steps = zip(entries, entries, entries, entries)
+        walk, loops = array("d"), []
+        for v, size in enumerate(s.fan_size.tolist()):
             a, b, c, d = 1.0, 0.0, 0.0, 1.0
-            for ta, tb, tc, td in table[[prv(g) for g in orbit]].tolist():
-                walk.append((a, b, c, d))
+            for ta, tb, tc, td in islice(steps, size):
+                walk.extend((a, b, c, d))
                 a, b, c, d = (a * ta + b * tc, a * tb + b * td,
                               c * ta + d * tc, c * tb + d * td)
-            self.prefix[list(orbit)] = walk
             det = a * d - b * c
             if not 0.0 < det < math.inf:
                 raise NumericalCollapse(
-                    f"loop holonomy at vertex {len(loops)} has determinant {det}")
+                    f"loop holonomy at vertex {v} has determinant {det}")
             loops.append((a, b, c, d))
+        self.prefix = np.empty((s.n_half, 4))
+        self.prefix[s.fan_order] = np.frombuffer(walk).reshape(-1, 4)
         self.loops = tuple(loops)
         self.vertex_matrix = tuple(Sl2Matrix.from_entries(*loop) for loop in loops)
 
@@ -191,21 +197,14 @@ class HolonomyAtlas:
     def dump(self) -> str:
         """Plain-text table: developed triangles, then vertex holonomies."""
         s = self.surface
-        lines = []
-        for t in range(s.n_triangles):
-            coords = []
-            for k in range(3):
-                p = self.pos[3 * t + k]
-                coords += [fmt17(p.x), fmt17(p.y)]
-            lines.append("triangle %d: %s" % (t, " ".join(coords)))
-        for v in range(s.n_vertices):
-            m = self.vertex_matrix[v]
-            entries = " ".join(fmt17(x) for x in (m.a, m.b, m.c, m.d))
-            if _on_wall(s, v):
-                tag = "wall"
-            else:
-                tag = fmt17(elliptic_rotation_angle(self.vertex_matrix[v]))
-            lines.append("vertex %d: %s angle %s" % (v, entries, tag))
+        row = "triangle %d: " + " ".join(["%.17g"] * 6)
+        corners = iter(self.pos)
+        lines = [row % (t, p.x, p.y, q.x, q.y, r.x, r.y)
+                 for t, (p, q, r) in enumerate(zip(corners, corners, corners))]
+        for v, (m, theta) in enumerate(zip(self.vertex_matrix, s.cone_angle.tolist())):
+            tag = "wall" if _wall_refusal(theta, v) else fmt17(elliptic_rotation_angle(m))
+            lines.append("vertex %d: %.17g %.17g %.17g %.17g angle %s"
+                         % (v, m.a, m.b, m.c, m.d, tag))
         return "\n".join(lines) + "\n"
 
 
@@ -275,8 +274,90 @@ def vertex_holonomy(atlas: HolonomyAtlas, v: int) -> Sl2Matrix:
     Refused when the cone angle sits on a wall (a positive multiple of 2*pi),
     where the loop holonomy collapses to the identity.
     """
-    _refuse_wall(atlas.surface, v)
+    wall = _wall_refusal(float(atlas.surface.cone_angle[v]), v)
+    if wall:
+        raise wall
     return atlas.vertex_matrix[v]
+
+
+def _fixed_points(atlas: HolonomyAtlas, ends: np.ndarray) -> tuple:
+    """Fixed points (x, y), indexed by vertex, of the loops around the
+    vertices in the (n, k) array `ends`, each computed once in its base chart.
+
+    A vertex on a wall is refused as WallAngle, a loop that is not elliptic as
+    NotElliptic.  The first row of `ends` holding a refused vertex raises: a
+    WallAngle when one of its vertices has one, else its first NotElliptic.
+    """
+    s = atlas.surface
+    theta, loops = s.cone_angle.tolist(), atlas.loops
+    x, y = [math.nan] * s.n_vertices, [math.nan] * s.n_vertices
+    refused = {}
+    needed = np.zeros(s.n_vertices, dtype=bool)
+    needed[ends] = True
+    for v in np.flatnonzero(needed).tolist():
+        try:
+            wall = _wall_refusal(theta[v], v)
+            if wall:
+                raise wall
+            z = elliptic_fixed_point(*loops[v])
+        except (WallAngle, NotElliptic) as exc:
+            refused[v] = exc
+        else:
+            x[v], y[v] = z.real, z.imag
+    x, y = np.array(x), np.array(y)
+    if refused:
+        row = ends[np.isnan(x[ends]).any(axis=1)][0].tolist()
+        raise min((refused[v] for v in row if v in refused),
+                  key=lambda exc: not isinstance(exc, WallAngle))
+    return x, y
+
+
+def _germ_images(atlas: HolonomyAtlas, germs: np.ndarray, x: np.ndarray,
+                 y: np.ndarray) -> tuple:
+    """Real and imaginary parts of P^-1 fix(M_v) = (d z - b) / (a - c z),
+    with z = x[v] + i y[v] and P = prefix[g], for every germ g of `germs`.
+
+    Every operation is the one CPython's complex arithmetic performs for the
+    same expression on a float and a complex (Smith's quotient included), so
+    the result is the scalar one bit for bit.
+    """
+    v = atlas.surface.vertex_of[germs]
+    zx, zy = x[v], y[v]
+    a, b, c, d = np.moveaxis(atlas.prefix[germs], -1, 0)
+    nr, ni = d * zx - 0.0 * zy - b, d * zy + 0.0 * zx
+    dr, di = a - (c * zx - 0.0 * zy), 0.0 - (c * zy + 0.0 * zx)
+    re, im = np.empty_like(nr), np.empty_like(ni)
+    real = np.abs(dr) >= np.abs(di)  # divide through by dr, else by di
+    nr_, ni_, dr_, di_ = nr[real], ni[real], dr[real], di[real]
+    ratio = di_ / dr_
+    denom = dr_ + di_ * ratio
+    re[real], im[real] = (nr_ + ni_ * ratio) / denom, (ni_ - nr_ * ratio) / denom
+    imag = ~real
+    nr_, ni_, dr_, di_ = nr[imag], ni[imag], dr[imag], di[imag]
+    ratio = dr_ / di_
+    denom = dr_ * ratio + di_
+    re[imag], im[imag] = (nr_ * ratio + ni_) / denom, (ni_ * ratio - nr_) / denom
+    return re, im
+
+
+def _alengths(atlas: HolonomyAtlas, edges: np.ndarray) -> np.ndarray:
+    """Lengths of the edges (indices) recovered from holonomy fixed points.
+
+    Both endpoint loops of edge e are read in the local chart of the
+    triangle of its smaller half-edge h, whose side e runs from the origin
+    of h to that of nxt(h): the images of the two fixed points there are the
+    ends of the edge, and their distance is its length.  Each vertex's fixed
+    point is computed once; a refusal names the first vertex met in edge
+    order, tail before head.
+    """
+    s = atlas.surface
+    tail = s.halves[edges].min(axis=1)
+    germs = np.stack([tail, nxt(tail)], axis=1)
+    x, y = _germ_images(atlas, germs, *_fixed_points(atlas, s.vertex_of[germs]))
+    # half_plane_distance, elementwise: sinh(d/2) = |z - w| / (2 sqrt(Im z Im w))
+    q = np.hypot(x[:, 0] - x[:, 1], y[:, 0] - y[:, 1]) / (
+        2.0 * np.sqrt(y[:, 0]) * np.sqrt(y[:, 1]))
+    return 2.0 * np.array(list(map(math.asinh, q.tolist())))
 
 
 def alength_from_fixed_points(atlas: HolonomyAtlas, e: str) -> float:
@@ -286,13 +367,7 @@ def alength_from_fixed_points(atlas: HolonomyAtlas, e: str) -> float:
     edge's first half-edge, so their elliptic fixed points are the ends of
     the edge there and their distance is its length.
     """
-    s = atlas.surface
-    h = min(s.halves[s.edge_index[e]].tolist())
-    ends = (h, nxt(h))
-    for g in ends:
-        _refuse_wall(s, s.vertex_of[g])
-    tail, head = (atlas.germ_fixed_point(g) for g in ends)
-    return half_plane_distance(tail, head)
+    return float(_alengths(atlas, np.array([atlas.surface.edge_index[e]]))[0])
 
 
 def holonomy_report(atlas: HolonomyAtlas):
@@ -310,11 +385,7 @@ def holonomy_report(atlas: HolonomyAtlas):
         err = abs(tr - want)
         verr = max(verr, err)
         vrows.append((v, tr, err))
-    erows = []
-    eerr = 0.0
-    for e, length in zip(s.edge_ids, s.length.tolist()):
-        got = alength_from_fixed_points(atlas, e)
-        err = abs(got - length)
-        eerr = max(eerr, err)
-        erows.append((e, got, err))
-    return vrows, erows, max(verr, eerr)
+    got = _alengths(atlas, np.arange(s.n_edges))
+    err = np.abs(got - s.length)
+    erows = list(zip(s.edge_ids, got.tolist(), err.tolist()))
+    return vrows, erows, max(verr, float(np.max(err, initial=0.0)))

@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, WallAngle
-from .surface import ConeSurface
+from .surface import ConeSurface, _running_sums
 
 # Refuse the bivector when some |sin(theta_h/2)| falls below this.
 WALL_GUARD = 1e-6
@@ -54,23 +54,6 @@ def _expand(start: np.ndarray, count: np.ndarray) -> tuple:
     owner = np.repeat(np.arange(len(count)), count)
     shift = start - (np.cumsum(count) - count)
     return owner, np.arange(len(owner)) + shift[owner]
-
-
-def _running_sums(z: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """Running sums of z along consecutive runs of the given sizes.
-
-    Run t gets size[t] + 1 values, 0, z_0, z_0 + z_1, ..., up to its total,
-    added left to right as a Python loop adds them.
-    """
-    first = np.cumsum(size) - size
-    at = first + np.arange(len(size))  # where the sums of run t start
-    out = np.zeros(len(z) + len(size))
-    order = np.argsort(-size, kind="stable")
-    live = np.searchsorted(-size[order], -np.arange(size.max(initial=0)))
-    for k, n_live in enumerate(live.tolist()):  # runs longer than k
-        t = order[:n_live]
-        out[at[t] + k + 1] = out[at[t] + k] + z[first[t] + k]
-    return out
 
 
 def _blocks(count: np.ndarray, cap: int) -> list:
@@ -109,6 +92,23 @@ def _sum_by_key(key: np.ndarray, value: np.ndarray) -> tuple:
         key = key[order]
     start = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
     return key[start], np.add.reduceat(value[order], start)
+
+
+def _triple_keys(n: int, r: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """(key, odd) of the edge triples (r, lo, hi) with lo < hi and r
+    distinct from both: the key (i n + j) n + k of the sorted triple
+    i < j < k, and whether sorting it is an odd permutation."""
+    low, high = np.minimum(r, lo), np.maximum(r, hi)
+    mid = r + lo
+    mid += hi
+    mid -= low
+    mid -= high
+    odd = mid == r
+    low *= n
+    low += mid
+    low *= n
+    low += high
+    return low, odd
 
 
 def _max_abs_sum(key: np.ndarray, value: np.ndarray) -> float:
@@ -159,7 +159,7 @@ class FanPairs:
         v = self.vertex[a]
         self.pair_a, self.pair_b, self.pair_v = a, b, v
         self.edge_a, self.edge_b = self.sides[a, 0], self.sides[b, 0]
-        prefix = _running_sums(s.angle[s.fan_order], self.size)[corner + self.vertex]
+        prefix = s.fan_sums[corner + self.vertex]
         d = prefix[b] - prefix[a]
         half, denom = half[v], denom[v]
         self.eta = np.sin(half - (theta[v] - d)) / denom
@@ -365,7 +365,9 @@ class _JacobiTerms:
 
     def terms(self, der: EtaDerivative, e0: int, e1: int) -> tuple:
         """Terms e0 .. e1 - 1: (key, value) of those that share their triple,
-        the key encoding the sorted triple, and max |value| of the others."""
+        the key encoding the sorted triple (see `_triple_keys`), and for the
+        others (max |value|, -key of the smallest triple at it), or
+        (-1.0, 0) when there are none."""
         n = der.n_edges
         g0 = int(np.searchsorted(self.ends, e0, side="right"))
         g1 = int(np.searchsorted(self.ends, e1 - 1, side="right")) + 1
@@ -399,40 +401,37 @@ class _JacobiTerms:
         w *= der.dc[pair]
         w -= der.ds[pair] * self.x[o + der.fan_size[pair]]
         del o
-        near = np.flatnonzero(near)
-        inc, pair, w_near = inc[near], pair[near], w[near]
+        # a row equal to hi repeats an edge: J is 0 there and nothing else
+        # lands on that key, so the term is dropped
+        keep = np.flatnonzero(near & (self.r[inc] != der.hi[pair]))
+        w_keep = w[keep]
         np.abs(w, out=w)
-        w[near] = 0.0
-        alone_max = float(np.max(w, initial=0.0))
-        w = w_near
-        r, lo, hi = self.r[inc], der.lo[pair], der.hi[pair]
-        del inc, pair, near, w_near
-        low, high = np.minimum(r, lo), np.maximum(r, hi)
-        mid = r + lo
-        mid += hi
-        mid -= low
-        mid -= high
-        w[mid == r] *= -1.0  # (lo, r, hi) is an odd permutation of (r, lo, hi)
-        w[r == hi] = 0.0  # a repeated edge; its key collects nothing else
-        del r, lo, hi
-        low *= n
-        low += mid
-        low *= n
-        low += high
-        return low, w, alone_max
+        w[near] = -1.0
+        top, alone = float(np.max(w, initial=-1.0)), (-1.0, 0)
+        if top >= 0.0:
+            at = np.flatnonzero(w == top)
+            key = _triple_keys(n, self.r[inc[at]], der.lo[pair[at]], der.hi[pair[at]])[0]
+            alone = (top, -int(key.min()))
+        del w, near
+        inc, pair = inc[keep], pair[keep]
+        key, odd = _triple_keys(n, self.r[inc], der.lo[pair], der.hi[pair])
+        w_keep[odd] *= -1.0
+        return key, w_keep, alone
 
-    def max_abs(self, der: EtaDerivative) -> float:
-        """max |J| over the sorted triples, BLOCK_ENTRIES terms at a time.
+    def max_abs(self, der: EtaDerivative) -> tuple:
+        """(max |J|, its sorted triple) over the sorted triples, the smallest
+        triple on ties and None when there are no terms, BLOCK_ENTRIES terms at
+        a time.
 
         The sums of a block wait until the terms have moved past their slice;
         a slice that spans several blocks is summed when it ends.
         """
         n, total = der.n_edges, int(self.ends[-1]) if self.ends.size else 0
-        best, pending = 0.0, []
+        best, pending = (-1.0, 0), []
         for e0 in range(0, total, BLOCK_ENTRIES):
             e1 = min(e0 + BLOCK_ENTRIES, total)
-            key, value, alone_max = self.terms(der, e0, e1)
-            best = max(best, alone_max)
+            key, value, alone = self.terms(der, e0, e1)
+            best = max(best, alone)
             pending.append(_sum_by_key(key, value))
             later = self.slice_of(der, e1) * n * n if e1 < total else n ** 3
             cut = [int(np.searchsorted(key, later)) for key, _ in pending]
@@ -442,13 +441,19 @@ class _JacobiTerms:
             if len(ready) > 1:
                 ready = [_sum_by_key(*(np.concatenate(part) for part in zip(*ready)))]
             if ready:
-                best = max(best, float(np.max(np.abs(ready[0][1]))))
-        return best
+                keys, sums = ready[0][0], np.abs(ready[0][1])
+                i = int(np.argmax(sums))  # the smallest key at the maximum
+                best = max(best, (float(sums[i]), -int(keys[i])))
+        if best[0] < 0.0:
+            return 0.0, None
+        key = -best[1]
+        return best[0], (key // (n * n), key // n % n, key % n)
 
 
 def jacobi_residual(s: ConeSurface, perturbation: np.ndarray | None = None,
-                    wall_guard: float = WALL_GUARD, p: np.ndarray | None = None) -> float:
-    """Scaled maximal Jacobi-identity defect over all coordinate triples.
+                    wall_guard: float = WALL_GUARD, p: np.ndarray | None = None) -> tuple:
+    """(residual, triple): the scaled maximal Jacobi-identity defect over
+    all coordinate triples, and the triple where it is reached.
 
     J[i,j,k] = sum_l (P[i,l] D[l,j,k] + P[j,l] D[l,k,i] + P[k,l] D[l,i,j])
     with D[l] = dP/da_l from `EtaDerivative`; the result is normalized by
@@ -457,6 +462,8 @@ def jacobi_residual(s: ConeSurface, perturbation: np.ndarray | None = None,
     bivector of s when the caller has it already.  `perturbation` (a
     constant antisymmetric matrix added to P) exists to demonstrate that the
     check detects fake bivectors; the genuine one passes at rounding level.
+    The triple is the sorted edge indices (i, j, k) of the largest |J|, the
+    smallest triple on ties, or None when no triple has a term (P = 0).
     """
     pairs = FanPairs(s, wall_guard)
     if p is None:
@@ -474,7 +481,9 @@ def jacobi_residual(s: ConeSurface, perturbation: np.ndarray | None = None,
     p_max = max(float(p.max()), -float(p.min()))
     terms = _JacobiTerms(der, p)
     del p, q  # the terms hold what they need of P
-    return terms.max_abs(der) / (p_max * der.max_abs() + 1e-300)
+    best, triple = terms.max_abs(der)
+    residual = best / (p_max * der.max_abs() + 1e-300)
+    return residual, triple
 
 
 def comparison_note():

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
@@ -38,6 +39,7 @@ from .errors import (
     NonManifold,
     NonPositiveLength,
     NotAdmissible,
+    NumericalCollapse,
     OutOfRange,
     TriangleInequality,
 )
@@ -73,7 +75,8 @@ def corner_angle(a: float, b: float, c: float) -> float:
     cos(angle) = (cosh a cosh b - cosh c) / (sinh a sinh b), in (0, pi).
     The numerator is expanded with cosh x - cosh y = 2 sinh((x+y)/2)
     sinh((x-y)/2) so short sides do not cancel away all precision.  Raises
-    OverflowError when the sinh products leave the floating-point range.
+    OverflowError when a sinh product overflows, and NumericalCollapse when
+    one falls below the normal float range, where it keeps too few digits.
     """
     for s in (a, b, c):
         if not (math.isfinite(s) and s > 0.0):
@@ -81,11 +84,18 @@ def corner_angle(a: float, b: float, c: float) -> float:
     if a + b <= c or b + c <= a or c + a <= b:
         raise TriangleInequality(f"lengths ({a}, {b}, {c}) violate strict triangle inequalities")
     # cosh a cosh b - cosh c = [cosh(a+b) - cosh c]/2 + [cosh(a-b) - cosh c]/2
-    num = (math.sinh((a + b + c) / 2.0) * math.sinh((a + b - c) / 2.0)
-           + math.sinh((a - b + c) / 2.0) * math.sinh((a - b - c) / 2.0))
+    outer = math.sinh((a + b + c) / 2.0) * math.sinh((a + b - c) / 2.0)
+    inner = math.sinh((a - b + c) / 2.0) * math.sinh((a - b - c) / 2.0)
     den = math.sinh(a) * math.sinh(b)
+    num = outer + inner
     if not (math.isfinite(num) and math.isfinite(den)):
         raise OverflowError(f"corner angle of sides ({a}, {b}, {c}) overflows")
+    # past the strict float triangle inequalities no sinh argument rounds to
+    # 0, so a product below the normal range is an underflow
+    if min(outer, -inner, den) < sys.float_info.min:
+        raise NumericalCollapse(
+            f"corner angle of sides ({a}, {b}, {c}) underflows: a sinh product "
+            "is below the normal float range")
     return math.acos(min(1.0, max(-1.0, num / den)))
 
 
@@ -236,6 +246,36 @@ def prv(h):
     return h - h % 3 + (h + 2) % 3
 
 
+def _running_sums(z: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Running sums of z along consecutive runs of the given sizes.
+
+    Run t gets size[t] + 1 values, 0, z_0, z_0 + z_1, ..., up to its total,
+    added left to right as a plain Python loop adds them.  Step k adds term
+    k of every run longer than k: with the runs taken longest first those
+    are a prefix, so a step is one addition of two slices.
+    """
+    order = np.argsort(-size, kind="stable")
+    live = np.searchsorted(-size[order], -np.arange(size.max(initial=0)))  # runs longer than k
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(size))
+    # term k of run t goes to slot start[k] + rank[t] of the steps
+    run = np.repeat(np.arange(len(size)), size)
+    slot = np.arange(len(z)) - (np.cumsum(size) - size)[run]
+    slot = (np.cumsum(live) - live)[slot]
+    slot += rank[run]
+    terms, sums = np.empty(len(z)), np.empty(len(z))
+    terms[slot] = z
+    acc, at = np.zeros(len(size)), 0
+    for n in live.tolist():
+        acc = acc[:n] + terms[at:at + n]
+        sums[at:at + n] = acc
+        at += n
+    run += np.arange(1, len(z) + 1)  # where the sum through each term goes
+    out = np.zeros(len(z) + len(size))
+    out[run] = sums[slot]
+    return out
+
+
 def _frozen(a) -> np.ndarray:
     a = np.asarray(a)
     a.flags.writeable = False
@@ -372,6 +412,9 @@ class ConeSurface(Triangulation):
     and checks only the lengths.  `length[i]` is the length of edge i,
     `angle[h]` the corner angle at the origin of half-edge h, and
     `cone_angle[v]` the angle sum at vertex v; all are read-only arrays.
+    `fan_sums` holds the running corner-angle sums of each fan, added left
+    to right in `fan_order`: fan_size[v] + 1 values for vertex v, from 0
+    through the angle before each germ to the cone angle, its last value.
     """
 
     def __init__(self, edges, triangles):
@@ -404,19 +447,25 @@ class ConeSurface(Triangulation):
         side = side.tolist()
         angle = [corner_angle(side[h], side[prv(h)], side[nxt(h)])
                  for h in range(self.n_half)]
-        fans = []
-        for v, orbit in enumerate(self.vertex_germs):
-            angs = tuple(angle[g] for g in orbit)
-            prefix = tuple(accumulate(angs[:-1], initial=0.0))
-            fans.append(VertexFan(vertex=v, germs=orbit, angles=angs,
-                                  prefix=prefix, theta=sum(angs)))
-        self.fans = tuple(fans)
         self.length = _frozen(length)
         self._lengths = dict(zip(self.edge_ids, length.tolist()))
         self.angle = _frozen(np.array(angle))
         corners = self.angle.reshape(-1, 3)
         self.triangle_areas = _frozen(math.pi - (corners[:, 0] + corners[:, 1] + corners[:, 2]))
-        self.cone_angle = _frozen(np.array([f.theta for f in fans]))
+        self.fan_sums = _frozen(_running_sums(self.angle[self.fan_order], self.fan_size))
+        self.cone_angle = _frozen(self.fan_sums[np.cumsum(self.fan_size + 1) - 1])
+
+    @cached_property
+    def fans(self) -> tuple:
+        """The direction fan at every vertex, built on first use."""
+        sums, angle = self.fan_sums.tolist(), self.angle.tolist()
+        fans, at = [], 0
+        for v, orbit in enumerate(self.vertex_germs):
+            m = len(orbit)
+            fans.append(VertexFan(vertex=v, germs=orbit, angles=tuple(angle[g] for g in orbit),
+                                  prefix=tuple(sums[at:at + m]), theta=sums[at + m]))
+            at += m + 1
+        return tuple(fans)
 
     @property
     def lengths(self) -> MappingProxyType:

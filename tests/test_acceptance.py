@@ -209,12 +209,12 @@ def test_bivector_structure():
         rad_max = max(rad_max, float(np.max(res)))
         want_rank = 6 * s.genus - 6 + 2 * s.n_vertices
         assert bivector_rank(p) == want_rank, f"{name}: rank"
-        jac_max = max(jac_max, jacobi_residual(s))
+        jac_max = max(jac_max, jacobi_residual(s)[0])
         if name in fault_surfaces:
             raw = rng.normal(size=p.shape)
             q = raw - raw.T
             q *= 0.1 / np.max(np.abs(q))
-            fault_min = min(fault_min, jacobi_residual(s, perturbation=q))
+            fault_min = min(fault_min, jacobi_residual(s, perturbation=q)[0])
     elapsed = time.perf_counter() - t0
     ok = (rad_max < 1e-8 and jac_max < 1e-5 and fault_min > 1e-2
           and elapsed < 60.0)

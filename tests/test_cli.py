@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,9 @@ def test_poisson_report(capsys, torus_file):
     assert doc["rank_expected"] == "2"
     assert float(doc["radical_max"]) < 1e-8
     assert float(doc["jacobi"]) < 1e-5
+    keys = report_keys(out)
+    assert keys[keys.index("jacobi") + 1] == "jacobi_at"
+    assert doc["jacobi_at"] == "x y z"
     assert doc["comparison.constant"] == "1/8 up to global sign"
     row = [float(x) for x in doc["P.x"].split()]
     assert row[0] == 0.0
@@ -225,7 +229,9 @@ def _scalar_sides():
     (_scalar_sides(), 1),
     (_torus_doc(length=400.0), 3),   # sinh a * sinh b overflows; not an angle of pi
     (_torus_doc(length=10**400), 1),  # no float holds it
-], ids=["overflow", "list-length", "scalar-sides", "overflow-product", "huge-integer"])
+    (_torus_doc(length=1e-200), 3),  # sinh a * sinh b underflows to 0
+], ids=["overflow", "list-length", "scalar-sides", "overflow-product", "huge-integer",
+        "underflow-product"])
 def test_bad_input_exits_without_traceback(tmp_path, doc, code):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -236,6 +242,44 @@ def test_bad_input_exits_without_traceback(tmp_path, doc, code):
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error[") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-161])
+def test_tiny_lengths_are_refused(capsys, tmp_path, scale):
+    # subnormal sinh products: a division by zero at 1e-200, a wrong angle
+    # with no error at 1e-161; every subcommand now refuses with exit 3
+    path = tmp_path / "tiny.json"
+    doc = _torus_doc()
+    for rec, x in zip(doc["edges"], (1.0, 1.05, 0.97)):
+        rec["length"] = x * scale
+    path.write_text(json.dumps(doc))
+    for sub in ("validate", "holonomy", "poisson", "delaunay"):
+        code, out, err = run(capsys, sub, "--input", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("error[NumericalCollapse]: corner angle of sides (")
+        assert "underflows" in err and err.count("\n") == 1
+
+
+SWEEP = [10.0 ** k for k in range(-300, 301, 5)] + [1e-161, 1e-158, 3.0, 30.0, 40.0, 300.0]
+
+
+@pytest.mark.parametrize("shape", [(1.0, 1.0, 1.0), (1.0, 1.05, 0.97)], ids=["equilateral", "skew"])
+def test_torus_scale_sweep_ends_in_a_documented_exit(capsys, tmp_path, shape):
+    # from 1e-300 to 1e300 every run ends in an exit code 0-3 with at most
+    # one line on stderr and no warning; thin shapes are left out (acos loses
+    # their angles, ROADMAP item 3)
+    path = tmp_path / "torus.json"
+    doc = json.loads(serialize_surface(torus_surface()))
+    for a in SWEEP:
+        for rec, x in zip(doc["edges"], shape):
+            rec["length"] = x * a
+        path.write_text(json.dumps(doc))
+        for sub in ("validate", "holonomy", "poisson", "delaunay"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, _, err = run(capsys, sub, "--input", str(path))
+            assert code in (0, 1, 2, 3), (a, sub)
+            assert err.count("\n") <= 1 and not caught, (a, sub, err, caught)
 
 
 def test_tolerance_override_loosens(capsys, wall_file):

@@ -20,9 +20,10 @@ from hypcone import (
     serialize_surface,
     vertex_holonomy,
 )
+import hypcone.holonomy as holonomy_mod
 from hypcone.cli import main
-from hypcone.errors import NumericalCollapse, WallAngle
-from hypcone.sl2 import elliptic_trace
+from hypcone.errors import NotElliptic, NumericalCollapse, WallAngle
+from hypcone.sl2 import elliptic_fixed_point, elliptic_trace, half_plane_distance
 from hypcone.surface import fmt17, nxt, prv, wall_distance
 
 
@@ -42,6 +43,33 @@ def fresh_walk(atlas, germ):
         m = m @ Sl2Matrix(atlas.transitions[shared])
         g = s.twin[shared]
     return m
+
+
+def reference_report(atlas):
+    """holonomy_report as the per-edge loop computed it: a wall test and a
+    fixed point at each of the 2E edge ends, then one scalar distance."""
+    s = atlas.surface
+    vrows, verr = [], 0.0
+    for v, ((a, _, _, d), theta) in enumerate(zip(atlas.loops, s.cone_angle.tolist())):
+        tr, want = abs(a + d), 2.0 * abs(math.cos(theta / 2.0))
+        verr = max(verr, abs(tr - want))
+        vrows.append((v, tr, abs(tr - want)))
+    erows, eerr = [], 0.0
+    for e, length in zip(s.edge_ids, s.length.tolist()):
+        h = min(halfedges(s, e))
+        ends = []
+        for g in (h, nxt(h)):
+            v = int(s.vertex_of[g])
+            if not elliptic_trace(2.0 * abs(math.cos(s.cone_angle[v] / 2.0))):
+                raise WallAngle(f"at vertex {v} ")
+        for g in (h, nxt(h)):
+            z = elliptic_fixed_point(*atlas.loops[s.vertex_of[g]])
+            a, b, c, d = atlas.prefix[g].tolist()
+            ends.append((d * z - b) / (a - c * z))
+        got = half_plane_distance(*ends)
+        eerr = max(eerr, abs(got - length))
+        erows.append((e, got, abs(got - length)))
+    return vrows, erows, max(verr, eerr)
 
 
 def test_place_third_distances_and_side():
@@ -144,6 +172,73 @@ def test_trace_law_and_length_recovery(corpus):
             assert recovered == pytest.approx(s.lengths[e], abs=1e-8)
 
 
+@pytest.mark.parametrize("surface", ["corpus", "tet-1200", "tor-1200"])
+def test_report_matches_per_edge_reference(surface, corpus):
+    # the array pass gives the rows of the per-edge loop bit for bit
+    surfaces = {"corpus": corpus,
+                "tet-1200": [stellar_surface(398, seed=2, start="tet")],
+                "tor-1200": [stellar_surface(399, seed=2, start="tor")]}[surface]
+    for s in surfaces:
+        atlas = develop(s)
+        want = reference_report(atlas)
+        assert holonomy_report(atlas) == want
+        for e, got, _ in want[1][:5]:
+            assert alength_from_fixed_points(atlas, e) == got
+
+
+def test_one_fixed_point_per_vertex(monkeypatch):
+    s = stellar_surface(199, seed=4, start="tor")
+    atlas = develop(s)
+    calls = []
+
+    def counting(*loop):
+        calls.append(loop)
+        return elliptic_fixed_point(*loop)
+
+    monkeypatch.setattr(holonomy_mod, "elliptic_fixed_point", counting)
+    holonomy_report(atlas)
+    assert len(calls) == s.n_vertices == len(set(calls))
+    calls.clear()
+    alength_from_fixed_points(atlas, s.edge_ids[0])
+    assert len(calls) == 2
+
+
+def test_refusal_names_first_vertex_in_edge_order(monkeypatch):
+    # with several vertices refused, the report names the first one met
+    # walking the edges in order, tail before head, as the per-edge loop did
+    s = stellar_surface(48, seed=5, start="tet")
+    atlas = develop(s)
+    refuse = set(range(s.n_vertices // 2, s.n_vertices, 7)) | {s.n_vertices - 1}
+    real = holonomy_mod._wall_refusal
+    monkeypatch.setattr(holonomy_mod, "_wall_refusal",
+                        lambda theta, v: WallAngle(f"at vertex {v} ") if v in refuse
+                        else real(theta, v))
+    order = []
+    for e in s.edge_ids:
+        h = min(halfedges(s, e))
+        order += [int(s.vertex_of[g]) for g in (h, nxt(h))]
+    first = next(v for v in order if v in refuse)
+    assert first != min(refuse)
+    with pytest.raises(WallAngle, match=f"^at vertex {first} $"):
+        holonomy_report(atlas)
+    # within one edge both walls are tested before either fixed point: a
+    # wall at the head comes before a non-elliptic loop at the tail
+    tail, head = order[0], order[1]
+    refuse = {head}
+
+    def not_elliptic_at_tail(*loop):
+        if loop == atlas.loops[tail]:
+            raise NotElliptic(f"loop at vertex {tail}")
+        return elliptic_fixed_point(*loop)
+
+    monkeypatch.setattr(holonomy_mod, "elliptic_fixed_point", not_elliptic_at_tail)
+    with pytest.raises(WallAngle, match=f"^at vertex {head} $"):
+        holonomy_report(atlas)
+    refuse = set()
+    with pytest.raises(NotElliptic, match=f"^loop at vertex {tail}$"):
+        holonomy_report(atlas)
+
+
 def test_alength_single_edge(skew_g1n2):
     atlas = develop(skew_g1n2)
     for e in skew_g1n2.edge_ids:
@@ -212,6 +307,10 @@ def test_near_wall_is_named_wall_angle(sides, tmp_path, capsys):
         vertex_holonomy(atlas, 0)
     with pytest.raises(WallAngle, match="at vertex 0 "):
         holonomy_report(atlas)
+    # a single germ's fixed point is refused by the trace of the walked loop
+    for g in s.vertex_germs[0]:
+        with pytest.raises(NotElliptic):
+            atlas.germ_fixed_point(g)
     path = tmp_path / "near_wall.json"
     path.write_text(serialize_surface(s))
     assert main(["holonomy", "--input", str(path)]) == 2
@@ -228,6 +327,8 @@ def test_wall_angle_refused():
         vertex_holonomy(atlas, 0)
     with pytest.raises(WallAngle):
         alength_from_fixed_points(atlas, "x")
+    with pytest.raises(NotElliptic):
+        atlas.germ_fixed_point(0)
 
 
 def test_degenerate_layout_collapses():

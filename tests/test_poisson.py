@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import tracemalloc
@@ -5,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import genus1_two_cone_surface, stellar_surface, torus_surface
+from conftest import genus1_two_cone_surface, sphere3_surface, stellar_surface, torus_surface
 
 from hypcone import (
     angle_gradients,
@@ -246,7 +247,7 @@ def test_radical_residuals_rejects_bad_shape(torus):
 
 def test_jacobi_identity(torus, sphere3, skew_tetra, skew_g1n2):
     for s in (torus, sphere3, skew_tetra, skew_g1n2):
-        assert jacobi_residual(s) < 1e-12
+        assert jacobi_residual(s)[0] < 1e-12
 
 
 def test_eta_derivative_matches_finite_differences(corpus):
@@ -268,12 +269,60 @@ def test_jacobi_slices_match_dense_contraction(skew_torus, tetra, skew_tetra, g1
     assert tor.n_edges == 150 and max(len(fan.germs) for fan in tor.fans) >= 50
     for s in (skew_torus, tetra, skew_tetra, g1n2, skew_g1n2, tor):
         p, d = eta_matrix(s), dense_eta_derivative(s)
-        assert jacobi_residual(s) < 1e-12 and dense_jacobi(p, d) < 1e-12
+        assert jacobi_residual(s)[0] < 1e-12 and dense_jacobi(p, d) < 1e-12
         q = rng.uniform(-1.0, 1.0, size=p.shape)
         q = 0.1 * (q - q.T)
-        got = jacobi_residual(s, perturbation=q)
+        got = jacobi_residual(s, perturbation=q)[0]
         assert got == pytest.approx(dense_jacobi(p + q, d), rel=1e-9)
         assert got == pytest.approx(slice_jacobi_residual(s, perturbation=q), rel=1e-9)
+
+
+def dense_jacobi_at(p, d):
+    """The sorted triples with the two largest |J| of the dense contraction,
+    as (triple, |J| there, the second largest |J|)."""
+    t1 = np.einsum("il,ljk->ijk", p, d)
+    jac = np.abs(t1 + t1.transpose(1, 2, 0) + t1.transpose(2, 0, 1))
+    triples = np.array(list(itertools.combinations(range(len(p)), 3)))
+    values = jac[tuple(triples.T)]
+    order = np.argsort(-values, kind="stable")
+    second = values[order[1]] if len(order) > 1 else 0.0
+    return tuple(triples[order[0]].tolist()), values[order[0]], second
+
+
+def test_jacobi_at_matches_dense_argmax(skew_torus, tetra, skew_tetra, g1n2, skew_g1n2):
+    # dense perturbations put the maximum on a triple whose terms are summed,
+    # single-entry ones often on a term alone on its triple; both must name
+    # the triple of the dense E^3 contraction wherever its maximum is clear
+    rng = np.random.default_rng(46)
+    tor = stellar_surface(9, seed=1, start="tor")
+    cases = []
+    for s in (skew_torus, tetra, skew_tetra, g1n2, skew_g1n2, tor,
+              stellar_surface(16, seed=2, start="tet")):
+        q = rng.uniform(-1.0, 1.0, size=(s.n_edges, s.n_edges))
+        cases.append((s, 0.1 * (q - q.T)))
+    for _ in range(40):
+        q = np.zeros((tor.n_edges, tor.n_edges))
+        i, j = rng.choice(tor.n_edges, 2, replace=False)
+        q[i, j], q[j, i] = 0.1, -0.1
+        cases.append((tor, q))
+    checked = 0
+    for s, q in cases:
+        p, d = eta_matrix(s), dense_eta_derivative(s)
+        want, top, second = dense_jacobi_at(p + q, d)
+        triple = jacobi_residual(s, perturbation=q)[1]
+        if top > second * (1.0 + 1e-9):
+            assert triple == want
+            checked += 1
+    assert checked >= 40
+
+
+def test_jacobi_at_without_terms(skew_torus):
+    # eta = 0 on the three-cone sphere, so no triple has a term
+    assert jacobi_residual(sphere3_surface()) == (0.0, None)
+    p = eta_matrix(skew_torus)
+    assert jacobi_residual(skew_torus, perturbation=-p) == (0.0, None)
+    residual, triple = jacobi_residual(skew_torus)
+    assert triple == (0, 1, 2) and 0.0 < residual < 1e-12
 
 
 def test_jacobi_single_entry_perturbations():
@@ -287,7 +336,7 @@ def test_jacobi_single_entry_perturbations():
         q = np.zeros_like(p)
         i, j = rng.choice(s.n_edges, 2, replace=False)
         q[i, j], q[j, i] = 0.1, -0.1
-        assert jacobi_residual(s, perturbation=q) == pytest.approx(
+        assert jacobi_residual(s, perturbation=q)[0] == pytest.approx(
             dense_jacobi(p + q, d), rel=1e-9)
 
 
@@ -297,7 +346,7 @@ def test_jacobi_blocks_match_slices_at_300_edges():
     rng = np.random.default_rng(43)
     q = rng.uniform(-1.0, 1.0, size=(300, 300))
     q = 0.1 * (q - q.T)
-    assert jacobi_residual(s, perturbation=q) == pytest.approx(
+    assert jacobi_residual(s, perturbation=q)[0] == pytest.approx(
         slice_jacobi_residual(s, perturbation=q), rel=1e-9)
 
 
@@ -316,7 +365,7 @@ def test_jacobi_memory_budget():
     assert s.n_edges == 600
     tracemalloc.start()
     try:
-        assert jacobi_residual(s) < 1e-12
+        assert jacobi_residual(s)[0] < 1e-12
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -333,14 +382,14 @@ def test_jacobi_near_wall():
                        (2e-5, 2.8e-5)):
         s = genus1_two_cone_surface(h=hstar - dh)
         assert wall_margins(s)[1] == pytest.approx(margin, rel=0.02)
-        assert jacobi_residual(s) < 1e-12
+        assert jacobi_residual(s)[0] < 1e-12
 
 
 def test_jacobi_at_300_edges():
     s = stellar_surface(98, seed=1)
     assert s.n_edges == 300
     t0 = time.perf_counter()
-    res = jacobi_residual(s)
+    res = jacobi_residual(s)[0]
     assert res < 1e-12
     assert time.perf_counter() - t0 < 3.0
 
@@ -352,8 +401,8 @@ def test_jacobi_detects_fake_bivector(skew_torus, skew_tetra, skew_g1n2):
         q = rng.uniform(-1.0, 1.0, size=(n, n))
         q = q - q.T
         q *= 0.1 / np.max(np.abs(q))
-        assert jacobi_residual(s) < 1e-5
-        assert jacobi_residual(s, perturbation=q) > 1e-2
+        assert jacobi_residual(s)[0] < 1e-5
+        assert jacobi_residual(s, perturbation=q)[0] > 1e-2
 
 
 def test_wall_guard(torus):

@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conftest import (
     halfedges,
     scanned_halfedges,
     side_length,
+    stellar_surface,
     torus_surface,
 )
 
@@ -33,10 +35,18 @@ from hypcone.errors import (
     NonManifold,
     NonPositiveLength,
     NotAdmissible,
+    NumericalCollapse,
     OutOfRange,
     TriangleInequality,
 )
-from hypcone.surface import Triangulation, corner_angle_gradient, nxt, prv
+from hypcone.surface import (
+    Triangulation,
+    VertexFan,
+    _running_sums,
+    corner_angle_gradient,
+    nxt,
+    prv,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +115,37 @@ def test_corner_angle_overflow_is_not_an_angle():
         corner_angle(400.0, 400.0, 400.0)
     with pytest.raises(OverflowError):
         torus_surface(400.0)
+
+
+@pytest.mark.parametrize("scale", [1e-158, 1e-161, 1e-200, 1e-300])
+def test_corner_angle_underflow_is_not_an_angle(scale):
+    # below about 1e-154 a product sinh a sinh b leaves the normal float
+    # range: at 1e-161 its subnormal digits gave 0.96255 for 0.98466, and at
+    # 1e-200 it was 0 and the quotient divided by zero
+    sides = (scale, 1.05 * scale, 0.97 * scale)
+    with pytest.raises(NumericalCollapse, match=r"corner angle of sides \(.*\) underflows"):
+        corner_angle(*sides)
+    with pytest.raises(NumericalCollapse):
+        torus_surface(*sides)
+
+
+def test_corner_angle_short_sides_keep_their_angles():
+    # the values before the underflow refusal existed, bit for bit
+    assert corner_angle(1e-20, 1.05e-20, 0.97e-20) == 0.984664246690726
+    assert corner_angle(1.05e-20, 0.97e-20, 1e-20) == 1.0330241912599527
+    assert corner_angle(1e-150, 1.05e-150, 0.97e-150) == 0.9846642466907263
+
+
+@pytest.mark.parametrize("sides", [(1e-20, 1.0, 1.0), (1.0, 1e-20, 1.0), (1.0, 1.0, 1e-20)])
+def test_corner_angle_thin_sides_are_not_an_underflow(sides):
+    # a side below half an ulp of the other two fails the strict float
+    # triangle inequalities before any sinh is taken, so a - b + c never
+    # cancels to 0 in the underflow test; just above that, the corner gets
+    # an angle (acos loses thin angles, ROADMAP item 3) and is not refused
+    with pytest.raises(TriangleInequality):
+        corner_angle(*sides)
+    thin = tuple(1.2e-16 if x == 1e-20 else x for x in sides)
+    assert 0.0 <= corner_angle(*thin) < math.pi
 
 
 def test_corner_gradients_match_per_corner_formula(skew_tetra):
@@ -228,6 +269,71 @@ def test_fan_angles_sum_to_cone_angle(corpus):
         for f in s.fans:
             assert sum(f.angles) == pytest.approx(f.theta, abs=1e-10)
             assert f.theta == pytest.approx(s.cone_angle[f.vertex], abs=1e-12)
+
+
+def eager_fans(s):
+    """The fans as the surface once built them on construction."""
+    fans = []
+    for v, orbit in enumerate(s.vertex_germs):
+        angs = tuple(float(s.angle[g]) for g in orbit)
+        theta = 0.0
+        for x in angs:
+            theta += x
+        fans.append(VertexFan(vertex=v, germs=orbit, angles=angs,
+                              prefix=tuple(accumulate(angs[:-1], initial=0.0)), theta=theta))
+    return tuple(fans)
+
+
+def test_fans_are_built_lazily_as_before(corpus):
+    for s in corpus + [stellar_surface(99, seed=3, start="tor")]:
+        assert "fans" not in vars(s)
+        assert s.fans == eager_fans(s)
+        assert s.fans is s.fans
+        for fan in s.fans:
+            assert all(type(x) is float for x in (*fan.angles, *fan.prefix, fan.theta))
+
+
+def test_cone_angle_is_a_plain_left_to_right_sum():
+    # sum() adds floats with compensation from Python 3.12 on; the cone angle
+    # is the plain running sum the fan prefixes and the bivector use
+    for s in [stellar_surface(k, seed=k, start=start)
+              for k in (30, 98, 199) for start in ("tet", "tor")]:
+        angle = s.angle.tolist()
+        for v, orbit in enumerate(s.vertex_germs):
+            theta = 0.0
+            for g in orbit:
+                theta += angle[g]
+            assert s.cone_angle[v] == theta
+            assert s.fans[v].theta == theta
+            assert s.fans[v].prefix[-1] + angle[orbit[-1]] == theta
+
+
+def plain_running_sums(z, size):
+    """0 and then the sum through each term of every run, in a plain loop."""
+    out, at = [], 0
+    for m in size.tolist():
+        acc = 0.0
+        out.append(acc)
+        for x in z[at:at + m].tolist():
+            acc += x
+            out.append(acc)
+        at += m
+    return np.array(out)
+
+
+def test_running_sums_match_a_plain_loop_bitwise():
+    # the slot layout (runs longest first, one slice addition per step) must
+    # not change the order of any addition: empty and equal-length runs, and
+    # terms over ten orders of magnitude, so that any reordering shows
+    rng = np.random.default_rng(7)
+    for trial in range(300):
+        size = rng.integers(0 if trial % 3 == 0 else 1, 30, size=int(rng.integers(0, 40)))
+        n = int(size.sum())
+        z = rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5, size=n)
+        assert _running_sums(z, size).tobytes() == plain_running_sums(z, size).tobytes()
+    s = stellar_surface(199, seed=1, start="tor")
+    z = s.angle[s.fan_order]
+    assert _running_sums(z, s.fan_size).tobytes() == plain_running_sums(z, s.fan_size).tobytes()
 
 
 def test_fan_ccw_cw_complement(corpus):
