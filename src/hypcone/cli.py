@@ -16,6 +16,7 @@ byte-for-byte reproducible for a fixed input, seed, and tolerance set.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -23,23 +24,7 @@ import numpy as np
 
 from . import delaunay as delaunay_mod
 from . import poisson as poisson_mod
-from .errors import (
-    CoincidentFixedPoints,
-    DegenerateDirection,
-    Disconnected,
-    DimensionMismatch,
-    HypconeError,
-    NonManifold,
-    NonPositiveLength,
-    NotAdmissible,
-    NotElliptic,
-    NotHyperbolic,
-    NotSemisimple,
-    OutOfRange,
-    TriangleInequality,
-    UnflippableConfiguration,
-    WallAngle,
-)
+from .errors import HypconeError
 from .holonomy import develop, holonomy_report
 from .selftest import DEFAULT_SEED, LOG_TOL, TRIG_TOL, run_all
 from .surface import build_surface, classify_angles, fmt17
@@ -53,26 +38,6 @@ TOL_DEFAULTS = {
     "lemma": TRIG_TOL,    # randomized pairing-identity suites
     "lemma-log": LOG_TOL,  # randomized logarithm-expansion suite
 }
-
-INPUT_ERRORS = (
-    NonManifold,
-    Disconnected,
-    TriangleInequality,
-    NonPositiveLength,
-    NotAdmissible,
-    OutOfRange,
-    DimensionMismatch,
-)
-
-BLOCKED_ERRORS = (
-    WallAngle,
-    DegenerateDirection,
-    CoincidentFixedPoints,
-    NotElliptic,
-    NotHyperbolic,
-    NotSemisimple,
-    UnflippableConfiguration,
-)
 
 
 class Emitter:
@@ -241,7 +206,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="hypcone",
         description="Hyperbolic cone surfaces: validation, holonomy, "
@@ -272,18 +239,12 @@ def main(argv=None) -> int:
     fn, _ = COMMANDS[args.command]
     try:
         code = fn(args, out, tols)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (HypconeError, OSError, ValueError, OverflowError) as exc:
+        # a JSON syntax error is a ValueError: unreadable input, like OSError
         sys.stderr.write(f"error[{type(exc).__name__}]: {exc}\n")
-        return 1
-    except INPUT_ERRORS as exc:
-        sys.stderr.write(f"error[{type(exc).__name__}]: {exc}\n")
-        return 1
-    except BLOCKED_ERRORS as exc:
-        sys.stderr.write(f"error[{type(exc).__name__}]: {exc}\n")
-        return 2
-    except (HypconeError, OverflowError) as exc:
-        sys.stderr.write(f"error[{type(exc).__name__}]: {exc}\n")
-        return 3
+        if isinstance(exc, HypconeError):
+            return exc.exit_code
+        return 3 if isinstance(exc, OverflowError) else 1
     out.flush()
     return code
 

@@ -21,10 +21,13 @@ the fixed points at the two ends of an edge, both in one triangle's chart,
 recovers the edge length: the computational content of the
 length-coordinates/holonomy dictionary.  The walks run on plain floats, all
 fans in one pass, and no chart ever sits far from i, so nothing drifts.
-Each loop's fixed point (and its wall test) is computed once per vertex;
-the 2E germ images P_k^-1 fix(M_v) and the E recovered lengths then come in
-one array pass whose arithmetic is that of the scalar complex expressions,
-bit for bit.
+A vertex whose `surface.wall_margin` |sin(theta/2)| lies below
+`surface.WALL_BAND` is on a wall (theta near 2*pi*k, k >= 0): there the loop
+trace 2|cos(theta/2)| is within `sl2.TRACE_TOL` of 2 and the vertex is
+refused as WallAngle.  The margin is evaluated once per vertex and atlas,
+and each loop's fixed point once per vertex; the 2E germ images
+P_k^-1 fix(M_v) and the E recovered lengths then come in one array pass
+whose arithmetic is that of the scalar complex expressions, bit for bit.
 
 `develop` also lays the triangles out in one global chart across a
 breadth-first spanning tree of the dual graph, copying the shared vertices
@@ -42,16 +45,8 @@ from itertools import islice
 import numpy as np
 
 from .errors import NotElliptic, NumericalCollapse, WallAngle
-from .sl2 import (
-    TRACE_TOL,
-    HypPoint,
-    Sl2Matrix,
-    elliptic_fixed_point,
-    elliptic_rotation_angle,
-    elliptic_trace,
-    half_plane_distance,
-)
-from .surface import ConeSurface, corner_angle, fmt17, nxt, prv
+from .sl2 import HypPoint, Sl2Matrix, elliptic_fixed_point, half_plane_distance
+from .surface import WALL_BAND, ConeSurface, corner_angle, fmt17, nxt, prv, wall_margin
 
 # A developed side shorter than this is treated as a degenerate layout.
 COLLAPSE_TOL = 1e-12
@@ -111,16 +106,13 @@ def _local_charts(s: ConeSurface) -> tuple[np.ndarray, np.ndarray]:
     return n, inverse @ half_turn @ n[s.twin]
 
 
-def _wall_refusal(theta: float, v: int) -> WallAngle | None:
-    """The WallAngle refusing vertex v of cone angle theta, or None.
-
-    A vertex is on a wall when its loop holonomy, of trace 2|cos(theta/2)|,
-    is not elliptic by `sl2.classify`'s test: theta is near 2*pi*k, or near 0.
-    """
-    if elliptic_trace(2.0 * abs(math.cos(theta / 2.0))):
+def _wall_refusal(atlas: HolonomyAtlas, v: int) -> WallAngle | None:
+    """The WallAngle refusing vertex v, or None when it is off the walls."""
+    margin = atlas.margins[v]
+    if margin >= WALL_BAND:
         return None
-    return WallAngle(f"cone angle {theta} at vertex {v} gives loop trace "
-                     f"2|cos(theta/2)| within {TRACE_TOL} of 2")
+    return WallAngle(f"cone angle {float(atlas.surface.cone_angle[v])} at vertex {v} has "
+                     f"|sin(theta/2)| = {margin}, inside the wall band {WALL_BAND}")
 
 
 class HolonomyAtlas:
@@ -135,6 +127,9 @@ class HolonomyAtlas:
     * `loops[v]`, a 4-tuple in the same order, is the loop holonomy M_v in
       that base chart, and `vertex_matrix[v]` the same element as an
       Sl2Matrix.
+    * `margins[v]` is the `surface.wall_margin` of vertex v, evaluated once;
+      below `surface.WALL_BAND` the vertex is on a wall, where its loop
+      holonomy is refused and its dump row is tagged `wall`.
     * `pos[h]` is the globally developed position of the origin vertex of
       half-edge h; charts there agree across `tree_edges`, grown from the
       triangle `base`.  Nothing above depends on it.
@@ -164,6 +159,7 @@ class HolonomyAtlas:
                 raise NumericalCollapse(
                     f"loop holonomy at vertex {v} has determinant {det}")
             loops.append((a, b, c, d))
+        self.margins = wall_margin(s.cone_angle).tolist()
         self.prefix = np.empty((s.n_half, 4))
         self.prefix[s.fan_order] = np.frombuffer(walk).reshape(-1, 4)
         self.loops = tuple(loops)
@@ -196,13 +192,16 @@ class HolonomyAtlas:
 
     def dump(self) -> str:
         """Plain-text table: developed triangles, then vertex holonomies."""
-        s = self.surface
         row = "triangle %d: " + " ".join(["%.17g"] * 6)
         corners = iter(self.pos)
         lines = [row % (t, p.x, p.y, q.x, q.y, r.x, r.y)
                  for t, (p, q, r) in enumerate(zip(corners, corners, corners))]
-        for v, (m, theta) in enumerate(zip(self.vertex_matrix, s.cone_angle.tolist())):
-            tag = "wall" if _wall_refusal(theta, v) else fmt17(elliptic_rotation_angle(m))
+        for v, m in enumerate(self.vertex_matrix):
+            if self.margins[v] < WALL_BAND:
+                tag = "wall"
+            else:  # sl2.elliptic_rotation_angle on the canonical entries
+                half = 2.0 * math.acos(min(1.0, (m.a + m.d) / 2.0))
+                tag = fmt17(half if m.c < 0.0 else 2.0 * math.pi - half)
             lines.append("vertex %d: %.17g %.17g %.17g %.17g angle %s"
                          % (v, m.a, m.b, m.c, m.d, tag))
         return "\n".join(lines) + "\n"
@@ -271,10 +270,9 @@ def vertex_holonomy(atlas: HolonomyAtlas, v: int) -> Sl2Matrix:
     """Loop holonomy around vertex v, in the local chart of its base germ's
     triangle.
 
-    Refused when the cone angle sits on a wall (a positive multiple of 2*pi),
-    where the loop holonomy collapses to the identity.
+    Refused as WallAngle when the vertex is in the wall band (`margins`).
     """
-    wall = _wall_refusal(float(atlas.surface.cone_angle[v]), v)
+    wall = _wall_refusal(atlas, v)
     if wall:
         raise wall
     return atlas.vertex_matrix[v]
@@ -289,17 +287,16 @@ def _fixed_points(atlas: HolonomyAtlas, ends: np.ndarray) -> tuple:
     WallAngle when one of its vertices has one, else its first NotElliptic.
     """
     s = atlas.surface
-    theta, loops = s.cone_angle.tolist(), atlas.loops
     x, y = [math.nan] * s.n_vertices, [math.nan] * s.n_vertices
     refused = {}
     needed = np.zeros(s.n_vertices, dtype=bool)
     needed[ends] = True
     for v in np.flatnonzero(needed).tolist():
         try:
-            wall = _wall_refusal(theta[v], v)
+            wall = _wall_refusal(atlas, v)
             if wall:
                 raise wall
-            z = elliptic_fixed_point(*loops[v])
+            z = elliptic_fixed_point(*atlas.loops[v])
         except (WallAngle, NotElliptic) as exc:
             refused[v] = exc
         else:

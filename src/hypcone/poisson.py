@@ -21,21 +21,24 @@ the one term the pair and the row add to the Jacobi sum at the triple of
 edges (r, edge a, edge b).  J is totally antisymmetric, so the terms are
 summed per sorted triple, BLOCK_ENTRIES terms at a time in the order of the
 triple's smallest edge (its slice); a term that is alone on its triple
-skips the sum.  No surface is rebuilt and no E^3 array is formed.  The coefficients blow up like
-1/sin(theta/2) as a cone angle approaches a multiple of 2*pi; evaluation is
-refused inside a small guard band around those walls.
+skips the sum.  No surface is rebuilt and no E^3 array is formed.
+
+The coefficients blow up like 1/sin(theta/2) as a cone angle approaches a
+multiple of 2*pi.  Evaluation is refused where the `surface.wall_margin`
+|sin(theta/2)| of some vertex falls below WALL_GUARD (`--tol wall`).  That
+guard lies inside the wall band `surface.WALL_BAND` of the other reports:
+between the two, eta is still certified at rounding level (down to a margin
+of 2.8e-5 in the tests).
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DimensionMismatch, WallAngle
-from .surface import ConeSurface, _running_sums
+from .surface import ConeSurface, _running_sums, wall_margin
 
-# Refuse the bivector when some |sin(theta_h/2)| falls below this.
+# Refuse the bivector when some wall_margin falls below this (inside WALL_BAND).
 WALL_GUARD = 1e-6
 # Terms (or derivative entries) one block of the Jacobi check evaluates at
 # once; it bounds the transient memory of the check.
@@ -45,8 +48,9 @@ RANK_TOL = 1e-8
 
 
 def wall_margins(s: ConeSurface) -> np.ndarray:
-    """|sin(theta_h/2)| per vertex — the denominators of the bivector."""
-    return np.array([abs(math.sin(t / 2.0)) for t in s.cone_angle])
+    """The wall_margin |sin(theta_h/2)| per vertex — the denominators of the
+    bivector."""
+    return wall_margin(s.cone_angle)
 
 
 def _expand(start: np.ndarray, count: np.ndarray) -> tuple:
@@ -71,15 +75,16 @@ def _blocks(count: np.ndarray, cap: int) -> list:
     return out
 
 
-def _sum_by_key(key: np.ndarray, value: np.ndarray) -> tuple:
-    """(distinct keys in increasing order, the sum of the values of each).
+def _runs(key: np.ndarray) -> tuple:
+    """(sorted keys, order, start): the keys (>= 0) in increasing order, the
+    stable permutation that sorts them, and where each run of equal sorted
+    keys starts.  The array `key` is overwritten.
 
-    Keys are >= 0; the array `key` is overwritten.
+    One sort and a change mask: what np.unique does, without the numpy.ma
+    import it brings.
     """
-    if key.size == 0:
-        return key, value
     bits = (key.size - 1).bit_length()
-    if int(key.max()) < 1 << (62 - bits):
+    if key.size and int(key.max()) < 1 << (62 - bits):
         # sort the keys with their positions packed into the low bits, which
         # is several times faster than an argsort
         key <<= bits
@@ -88,9 +93,28 @@ def _sum_by_key(key: np.ndarray, value: np.ndarray) -> tuple:
         order = key & ((1 << bits) - 1)
         key >>= bits
     else:
-        order = np.argsort(key)
+        order = np.argsort(key, kind="stable")
         key = key[order]
-    start = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+    return key, order, np.flatnonzero(np.diff(key, prepend=-1))
+
+
+def _unique(key: np.ndarray, inverse: bool = False):
+    """np.unique(key), and with `inverse` np.unique(key, return_inverse=True),
+    for keys >= 0; the array `key` is overwritten."""
+    key, order, start = _runs(key)
+    if not inverse:
+        return key[start]
+    where = np.empty_like(order)
+    where[order] = np.repeat(np.arange(len(start)), np.diff(start, append=len(key)))
+    return key[start], where
+
+
+def _sum_by_key(key: np.ndarray, value: np.ndarray) -> tuple:
+    """(distinct keys in increasing order, the sum of the values of each).
+
+    Keys are >= 0; the array `key` is overwritten.
+    """
+    key, order, start = _runs(key)
     return key[start], np.add.reduceat(value[order], start)
 
 
@@ -137,10 +161,7 @@ class FanPairs:
     """
 
     def __init__(self, s: ConeSurface, wall_guard: float = WALL_GUARD):
-        theta = s.cone_angle
-        half = theta / 2.0
-        denom = np.sin(half)
-        margins = np.abs(denom)
+        margins = wall_margins(s)
         bad = np.flatnonzero(margins < wall_guard)
         if bad.size:
             v = int(bad[0])
@@ -161,8 +182,9 @@ class FanPairs:
         self.edge_a, self.edge_b = self.sides[a, 0], self.sides[b, 0]
         prefix = s.fan_sums[corner + self.vertex]
         d = prefix[b] - prefix[a]
-        half, denom = half[v], denom[v]
-        self.eta = np.sin(half - (theta[v] - d)) / denom
+        half = s.cone_angle / 2.0
+        half, denom = half[v], np.sin(half)[v]
+        self.eta = np.sin(half - (s.cone_angle[v] - d)) / denom
         self.c = np.cos(d - half) / denom
         self.sn = np.sin(d) / (2.0 * denom * denom)
 
@@ -245,12 +267,10 @@ class EtaDerivative:
         self.edge_ends = pairs.vertex[np.argsort(self.sides[:, 0], kind="stable")].reshape(n, 2)
         self.far_lo = self.edge_ends[self.lo].sum(axis=1) - self.v
         self.far_hi = self.edge_ends[self.hi].sum(axis=1) - self.v
-        _, self.edge_pair, count = np.unique(self.lo * n + self.hi, return_inverse=True,
-                                             return_counts=True)
-        self.shared = count[self.edge_pair] > 1
+        self.edge_pair = _unique(self.lo * n + self.hi, inverse=True)[1]
+        self.shared = np.bincount(self.edge_pair)[self.edge_pair] > 1
         # the sides around every fan, and the prefix gradients in their lengths
-        key, where = np.unique((pairs.vertex[:, None] * n + self.sides).ravel(),
-                               return_inverse=True)
+        key, where = _unique((pairs.vertex[:, None] * n + self.sides).ravel(), inverse=True)
         self.side_v, self.side_l = key // n, key % n
         self.n_sides = np.bincount(self.side_v, minlength=len(self.size))
         self.side_start = np.cumsum(self.n_sides) - self.n_sides
@@ -323,9 +343,9 @@ class _JacobiTerms:
         keys = [np.zeros(0, dtype=np.intp)]
         for f0, f1 in _blocks(col_n, BLOCK_ENTRIES):
             owner, k = _expand(col_start[der.side_l[f0:f1]], col_n[f0:f1])
-            keys.append(np.unique(der.side_v[f0:f1][owner] * n + col_r[k]))
+            keys.append(_unique(der.side_v[f0:f1][owner] * n + col_r[k]))
         del col_r, col_l, by_col
-        key = np.unique(np.concatenate(keys))
+        key = _unique(np.concatenate(keys))
         v, self.r = key // n, key % n
         self.end_a, self.end_b = der.edge_ends[self.r].T
         self.at_fan = (self.end_a == v) | (self.end_b == v)
@@ -450,8 +470,8 @@ class _JacobiTerms:
         return best[0], (key // (n * n), key // n % n, key % n)
 
 
-def jacobi_residual(s: ConeSurface, perturbation: np.ndarray | None = None,
-                    wall_guard: float = WALL_GUARD, p: np.ndarray | None = None) -> tuple:
+def jacobi_residual(s: ConeSurface, wall_guard: float = WALL_GUARD,
+                    p: np.ndarray | None = None) -> tuple:
     """(residual, triple): the scaled maximal Jacobi-identity defect over
     all coordinate triples, and the triple where it is reached.
 
@@ -459,10 +479,10 @@ def jacobi_residual(s: ConeSurface, perturbation: np.ndarray | None = None,
     with D[l] = dP/da_l from `EtaDerivative`; the result is normalized by
     max|P| * max|D|.  J is totally antisymmetric, so each nonzero triple is
     evaluated once, sorted, from the terms of `_JacobiTerms`.  `p` is the
-    bivector of s when the caller has it already.  `perturbation` (a
-    constant antisymmetric matrix added to P) exists to demonstrate that the
-    check detects fake bivectors; the genuine one passes at rounding level.
-    The triple is the sorted edge indices (i, j, k) of the largest |J|, the
+    bivector of s when the caller has it already; any other antisymmetric
+    matrix given there is checked in its place, so a fake bivector can be
+    shown to fail, while the genuine one passes at rounding level.  The
+    triple is the sorted edge indices (i, j, k) of the largest |J|, the
     smallest triple on ties, or None when no triple has a term (P = 0).
     """
     pairs = FanPairs(s, wall_guard)
@@ -470,17 +490,11 @@ def jacobi_residual(s: ConeSurface, perturbation: np.ndarray | None = None,
         p = pairs.matrix()
     elif p.shape != (s.n_edges, s.n_edges):
         raise DimensionMismatch("bivector shape mismatch")
-    q = perturbation
-    if q is not None:
-        q = np.asarray(q, dtype=float)
-        if q.shape != p.shape:
-            raise DimensionMismatch("perturbation shape mismatch")
-        p = p + q
     der = EtaDerivative(pairs)
     del pairs
     p_max = max(float(p.max()), -float(p.min()))
     terms = _JacobiTerms(der, p)
-    del p, q  # the terms hold what they need of P
+    del p  # the terms hold what they need of P
     best, triple = terms.max_abs(der)
     residual = best / (p_max * der.max_abs() + 1e-300)
     return residual, triple

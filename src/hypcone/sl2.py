@@ -349,8 +349,9 @@ class IsometryClass:
 def elliptic_trace(t: float) -> bool:
     """Whether an element of trace t is elliptic: |t| <= 2 - TRACE_TOL.
 
-    The one elliptic test, used by classify(), elliptic_fixed_point() and
-    the holonomy wall guard.
+    The one elliptic test, used by classify() and elliptic_fixed_point().
+    `surface.WALL_BAND` is derived from it: a cone angle is in the wall band
+    where its loop trace 2|cos(theta/2)| would fail this test.
     """
     return abs(t) <= 2.0 - TRACE_TOL
 

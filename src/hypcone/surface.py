@@ -19,6 +19,14 @@ sums along orbits), the triangle areas and the direction fan at every vertex
 (germs in cyclic order, read off the orbit's prefix sums).  Changing lengths
 reuses the Triangulation and checks only the lengths.  Edge ids are strings
 in the wire format; inside, edge i is the i-th id in sorted order.
+
+A cone angle theta near 2*pi*k (k >= 0) sits on a wall: the loop holonomy
+around it is near the identity (k > 0) or near parabolic (k = 0, the cusp
+limit), and the Poisson bivector divides by sin(theta/2).  Every report
+reads the walls through one coordinate, `wall_margin(theta)` = |sin(theta/2)|.
+Below `WALL_BAND` (about 3.16e-5) the angle is in the wall band: `validate`
+reports `off_walls: false` and `holonomy` refuses the vertex.  `poisson`
+refuses only below its own guard, which lies inside the band.
 """
 
 from __future__ import annotations
@@ -43,10 +51,12 @@ from .errors import (
     OutOfRange,
     TriangleInequality,
 )
+from .sl2 import TRACE_TOL
 
-# Cone angles within this distance of a positive multiple of 2*pi sit on a
-# degenerate wall (trivial holonomy); several consumers refuse to proceed.
-WALL_TOL = 1e-9
+# The wall band: a cone angle whose wall_margin is below this sits on a wall.
+# In exact arithmetic that is where its loop trace 2|cos(theta/2)| exceeds
+# 2 - TRACE_TOL, so the holonomy is no longer elliptic by `sl2.elliptic_trace`.
+WALL_BAND = math.sqrt(TRACE_TOL * (1.0 - TRACE_TOL / 4.0))
 # Flat-vs-hyperbolic classification tolerance on the curvature count chi.
 CHI_TOL = 1e-9
 
@@ -56,13 +66,13 @@ def fmt17(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def wall_distance(theta: float) -> float:
-    """Distance from a cone angle to the nearest positive multiple of 2*pi.
+def wall_margin(theta):
+    """|sin(theta/2)|, the one wall coordinate of cone angles (floats or arrays).
 
-    A cone angle is on a wall when this is below WALL_TOL.
+    It vanishes on the walls theta = 2*pi*k: for k > 0 the loop holonomy is
+    trivial, k = 0 is the cusp limit, and the bivector divides by it.
     """
-    k = max(1, round(theta / (2.0 * math.pi)))
-    return abs(theta - 2.0 * math.pi * k)
+    return np.abs(np.sin(np.asarray(theta, dtype=float) / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +161,7 @@ class StratumReport:
     chi: float
     hyperbolic: bool   # chi < 0
     flat: bool         # chi = 0 within tolerance
-    off_walls: bool    # no angle within tolerance of a positive multiple of 2*pi
+    off_walls: bool    # no angle in the wall band (near 2*pi*k, k >= 0)
     small: bool        # all angles < pi
 
 
@@ -161,7 +171,7 @@ def classify_angles(data: AngleData) -> StratumReport:
     if chi > CHI_TOL:
         raise NotAdmissible(f"curvature count chi = {chi} is positive")
     flat = abs(chi) <= CHI_TOL
-    off_walls = all(wall_distance(t) >= WALL_TOL for t in data.theta)
+    off_walls = bool(np.all(wall_margin(data.theta) >= WALL_BAND))
     small = all(t < math.pi for t in data.theta)
     return StratumReport(chi=chi, hyperbolic=chi < -CHI_TOL, flat=flat,
                          off_walls=off_walls, small=small)

@@ -214,7 +214,7 @@ def test_bivector_structure():
             raw = rng.normal(size=p.shape)
             q = raw - raw.T
             q *= 0.1 / np.max(np.abs(q))
-            fault_min = min(fault_min, jacobi_residual(s, perturbation=q)[0])
+            fault_min = min(fault_min, jacobi_residual(s, p=p + q)[0])
     elapsed = time.perf_counter() - t0
     ok = (rad_max < 1e-8 and jac_max < 1e-5 and fault_min > 1e-2
           and elapsed < 60.0)

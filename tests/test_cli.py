@@ -9,8 +9,10 @@ import pytest
 
 from conftest import sphere3_surface, stellar_surface, tetra_surface, torus_surface
 
+import hypcone.cli as cli
+import hypcone.errors as errors
 from hypcone import eta_matrix, serialize_surface
-from hypcone.cli import _row_texts, main
+from hypcone.cli import _row_texts, build_parser, main
 from hypcone.surface import fmt17
 
 
@@ -208,6 +210,56 @@ def test_exit_codes(capsys, tmp_path, torus_file, wall_file):
     assert run(capsys, "poisson", "--input", wall_file)[0] == 2
     assert run(capsys, "poisson", "--input", torus_file,
                "--tol", "jacobi=1e-30")[0] == 3
+
+
+# the exit code of every package error, and of the standard errors a run may end in
+EXIT_CODES = {
+    errors.NonManifold: 1, errors.Disconnected: 1, errors.TriangleInequality: 1,
+    errors.NonPositiveLength: 1, errors.NotAdmissible: 1, errors.OutOfRange: 1,
+    errors.DimensionMismatch: 1,
+    errors.WallAngle: 2, errors.DegenerateDirection: 2, errors.CoincidentFixedPoints: 2,
+    errors.NotElliptic: 2, errors.NotHyperbolic: 2, errors.NotSemisimple: 2,
+    errors.UnflippableConfiguration: 2,
+    errors.NoBranch: 3, errors.NoSolution: 3, errors.NumericalCollapse: 3,
+    errors.NonTermination: 3,
+    OSError: 1, ValueError: 1, json.JSONDecodeError: 1, OverflowError: 3,
+}
+
+
+def test_every_error_keeps_its_exit_code(monkeypatch, capsys, torus_file):
+    package = {cls for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, errors.HypconeError)}
+    assert package - {errors.HypconeError} <= set(EXIT_CODES)
+    for cls, want in EXIT_CODES.items():
+        def fail(path, cls=cls):
+            raise cls("boom", "doc", 0) if cls is json.JSONDecodeError else cls("boom")
+
+        monkeypatch.setattr(cli, "_load_surface", fail)
+        code, out, err = run(capsys, "validate", "--input", torus_file)
+        assert (code, out) == (want, ""), cls
+        assert err.startswith(f"error[{cls.__name__}]: boom") and err.count("\n") == 1
+
+
+def test_tolerances_do_not_leak_between_calls(capsys, torus_file):
+    # the parser is built once; a --tol of one call is gone in the next
+    assert build_parser() is build_parser()
+    assert run(capsys, "poisson", "--input", torus_file, "--tol", "jacobi=1e-30")[0] == 3
+    assert run(capsys, "poisson", "--input", torus_file)[0] == 0
+    assert run(capsys, "poisson", "--input", torus_file, "--tol", "radical=1e-30")[0] == 3
+    assert run(capsys, "poisson", "--input", torus_file)[0] == 0
+
+
+def test_poisson_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma on first use; the Jacobi check sorts without it
+    path = tmp_path / "stellar.json"
+    path.write_text(serialize_surface(stellar_surface(16, seed=2, start="tor")))
+    script = ("import sys\n"
+              "from hypcone.cli import main\n"
+              f"code = main(['poisson', '--input', {str(path)!r}])\n"
+              "sys.exit(10 + code if 'numpy.ma' in sys.modules else code)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "jacobi_at: " in proc.stdout
 
 
 def _torus_doc(**edge_fields):

@@ -24,7 +24,7 @@ import hypcone.holonomy as holonomy_mod
 from hypcone.cli import main
 from hypcone.errors import NotElliptic, NumericalCollapse, WallAngle
 from hypcone.sl2 import elliptic_fixed_point, elliptic_trace, half_plane_distance
-from hypcone.surface import fmt17, nxt, prv, wall_distance
+from hypcone.surface import WALL_BAND, fmt17, nxt, prv, wall_margin
 
 
 def fresh_walk(atlas, germ):
@@ -82,9 +82,13 @@ def test_place_third_distances_and_side():
 
 
 def test_wall_distance():
-    assert wall_distance(2 * math.pi) == 0.0
-    assert wall_distance(4 * math.pi - 1e-3) == pytest.approx(1e-3)
-    assert wall_distance(1.0) == pytest.approx(2 * math.pi - 1.0)
+    # the wall coordinate |sin(theta/2)| is half the distance to the nearest
+    # wall 2*pi*k, to first order; the walls now include k = 0
+    assert wall_margin(2 * math.pi) < 5e-10
+    assert wall_margin(4 * math.pi - 1e-3) == pytest.approx(1e-3 / 2)
+    assert wall_margin(1.0) == pytest.approx(math.sin(0.5))
+    theta = np.array([2 * math.pi, 4 * math.pi - 1e-3, 1.0])
+    assert wall_margin(theta).tolist() == [wall_margin(t) for t in theta.tolist()]
 
 
 def test_base_chart_position(skew_torus):
@@ -208,23 +212,25 @@ def test_refusal_names_first_vertex_in_edge_order(monkeypatch):
     # walking the edges in order, tail before head, as the per-edge loop did
     s = stellar_surface(48, seed=5, start="tet")
     atlas = develop(s)
+    margins = atlas.margins
+
+    def band(refuse):  # put the vertices of `refuse` into the atlas's wall band
+        atlas.margins = [0.0 if v in refuse else m for v, m in enumerate(margins)]
+
     refuse = set(range(s.n_vertices // 2, s.n_vertices, 7)) | {s.n_vertices - 1}
-    real = holonomy_mod._wall_refusal
-    monkeypatch.setattr(holonomy_mod, "_wall_refusal",
-                        lambda theta, v: WallAngle(f"at vertex {v} ") if v in refuse
-                        else real(theta, v))
+    band(refuse)
     order = []
     for e in s.edge_ids:
         h = min(halfedges(s, e))
         order += [int(s.vertex_of[g]) for g in (h, nxt(h))]
     first = next(v for v in order if v in refuse)
     assert first != min(refuse)
-    with pytest.raises(WallAngle, match=f"^at vertex {first} $"):
+    with pytest.raises(WallAngle, match=f" at vertex {first} has "):
         holonomy_report(atlas)
     # within one edge both walls are tested before either fixed point: a
     # wall at the head comes before a non-elliptic loop at the tail
     tail, head = order[0], order[1]
-    refuse = {head}
+    band({head})
 
     def not_elliptic_at_tail(*loop):
         if loop == atlas.loops[tail]:
@@ -232,9 +238,9 @@ def test_refusal_names_first_vertex_in_edge_order(monkeypatch):
         return elliptic_fixed_point(*loop)
 
     monkeypatch.setattr(holonomy_mod, "elliptic_fixed_point", not_elliptic_at_tail)
-    with pytest.raises(WallAngle, match=f"^at vertex {head} $"):
+    with pytest.raises(WallAngle, match=f" at vertex {head} has "):
         holonomy_report(atlas)
-    refuse = set()
+    band(set())
     with pytest.raises(NotElliptic, match=f"^loop at vertex {tail}$"):
         holonomy_report(atlas)
 
@@ -297,9 +303,9 @@ def test_transitions_map_twin_chart_onto_chart(corpus):
 
 @pytest.mark.parametrize("sides", [(3e-3, 3.15e-3, 2.91e-3), (30.0, 30.0, 30.0)])
 def test_near_wall_is_named_wall_angle(sides, tmp_path, capsys):
-    # cone angles 7.9e-6 from 2*pi and 3.7e-6 from 0: the loop trace
-    # 2|cos(theta/2)| lies within sl2.TRACE_TOL of 2, where classify() stops
-    # calling an element elliptic, although both are more than WALL_TOL away
+    # cone angles 7.9e-6 from 2*pi and 3.7e-6 from 0: both lie in the wall
+    # band, where the loop trace 2|cos(theta/2)| is within sl2.TRACE_TOL of 2
+    # and classify() stops calling an element elliptic
     s = torus_surface(*sides)
     atlas = develop(s)
     assert atlas.dump().splitlines()[-1].endswith(" angle wall")
@@ -321,7 +327,7 @@ def test_near_wall_is_named_wall_angle(sides, tmp_path, capsys):
 def test_wall_angle_refused():
     # the equilateral torus angle walks through 2*pi as the side shrinks
     s = torus_surface(2e-5)
-    assert wall_distance(s.cone_angle[0]) < 1e-9
+    assert wall_margin(s.cone_angle[0]) < 5e-10
     atlas = develop(s)
     with pytest.raises(WallAngle):
         vertex_holonomy(atlas, 0)

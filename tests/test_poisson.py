@@ -272,7 +272,7 @@ def test_jacobi_slices_match_dense_contraction(skew_torus, tetra, skew_tetra, g1
         assert jacobi_residual(s)[0] < 1e-12 and dense_jacobi(p, d) < 1e-12
         q = rng.uniform(-1.0, 1.0, size=p.shape)
         q = 0.1 * (q - q.T)
-        got = jacobi_residual(s, perturbation=q)[0]
+        got = jacobi_residual(s, p=p + q)[0]
         assert got == pytest.approx(dense_jacobi(p + q, d), rel=1e-9)
         assert got == pytest.approx(slice_jacobi_residual(s, perturbation=q), rel=1e-9)
 
@@ -309,7 +309,7 @@ def test_jacobi_at_matches_dense_argmax(skew_torus, tetra, skew_tetra, g1n2, ske
     for s, q in cases:
         p, d = eta_matrix(s), dense_eta_derivative(s)
         want, top, second = dense_jacobi_at(p + q, d)
-        triple = jacobi_residual(s, perturbation=q)[1]
+        triple = jacobi_residual(s, p=p + q)[1]
         if top > second * (1.0 + 1e-9):
             assert triple == want
             checked += 1
@@ -320,7 +320,7 @@ def test_jacobi_at_without_terms(skew_torus):
     # eta = 0 on the three-cone sphere, so no triple has a term
     assert jacobi_residual(sphere3_surface()) == (0.0, None)
     p = eta_matrix(skew_torus)
-    assert jacobi_residual(skew_torus, perturbation=-p) == (0.0, None)
+    assert jacobi_residual(skew_torus, p=p - p) == (0.0, None)
     residual, triple = jacobi_residual(skew_torus)
     assert triple == (0, 1, 2) and 0.0 < residual < 1e-12
 
@@ -336,7 +336,7 @@ def test_jacobi_single_entry_perturbations():
         q = np.zeros_like(p)
         i, j = rng.choice(s.n_edges, 2, replace=False)
         q[i, j], q[j, i] = 0.1, -0.1
-        assert jacobi_residual(s, perturbation=q)[0] == pytest.approx(
+        assert jacobi_residual(s, p=p + q)[0] == pytest.approx(
             dense_jacobi(p + q, d), rel=1e-9)
 
 
@@ -346,7 +346,7 @@ def test_jacobi_blocks_match_slices_at_300_edges():
     rng = np.random.default_rng(43)
     q = rng.uniform(-1.0, 1.0, size=(300, 300))
     q = 0.1 * (q - q.T)
-    assert jacobi_residual(s, perturbation=q)[0] == pytest.approx(
+    assert jacobi_residual(s, p=eta_matrix(s) + q)[0] == pytest.approx(
         slice_jacobi_residual(s, perturbation=q), rel=1e-9)
 
 
@@ -402,7 +402,7 @@ def test_jacobi_detects_fake_bivector(skew_torus, skew_tetra, skew_g1n2):
         q = q - q.T
         q *= 0.1 / np.max(np.abs(q))
         assert jacobi_residual(s)[0] < 1e-5
-        assert jacobi_residual(s, perturbation=q)[0] > 1e-2
+        assert jacobi_residual(s, p=eta_matrix(s) + q)[0] > 1e-2
 
 
 def test_wall_guard(torus):
