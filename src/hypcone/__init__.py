@@ -1,8 +1,8 @@
 """Hyperbolic cone surfaces from triangulations with geodesic edges.
 
-Build a surface from edge lengths and gluing data, develop it into the
-upper half-plane to read off holonomy, compute the Poisson bivector of the
-edge-length coordinates, and retriangulate to a Delaunay form by flips.
+Build a surface from edge lengths and gluing data, read off its holonomy in
+per-triangle charts of the upper half-plane, compute the Poisson bivector of
+the edge-length coordinates, and retriangulate to a Delaunay form by flips.
 """
 
 from .delaunay import (
@@ -20,7 +20,6 @@ from .holonomy import (
     alength_from_fixed_points,
     develop,
     holonomy_report,
-    place_third,
     vertex_holonomy,
 )
 from .poisson import (

@@ -144,7 +144,6 @@ def cmd_poisson(args, out: Emitter, tols) -> int:
 def cmd_holonomy(args, out: Emitter, tols) -> int:
     s = _load_surface(args.input)
     atlas = develop(s)
-    out.put("base", atlas.base)
     for line in atlas.dump().splitlines():
         key, _, rest = line.partition(": ")
         out.put(key.replace(" ", "."), rest)

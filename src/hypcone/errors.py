@@ -89,10 +89,11 @@ class NoSolution(HypconeError):
     """A root-finding problem has no solution on the admissible branch."""
 
 
-# --- developing map / bivector evaluation ------------------------------------
+# --- holonomy / bivector evaluation ------------------------------------------
 
 class NumericalCollapse(HypconeError):
-    """A developed triangle degenerated below resolvable size."""
+    """A computation lost its precision: a loop holonomy without a positive
+    finite determinant, or a corner angle whose sinh products underflow."""
 
 
 class WallAngle(HypconeError):

@@ -1,4 +1,4 @@
-"""Vertex-loop holonomy from per-triangle local charts, and a developing map.
+"""Vertex-loop holonomy from per-triangle local charts.
 
 Every triangle t has its own canonical chart of the upper half-plane: the
 origin of half-edge 3t sits at i and side 3t runs up the imaginary axis,
@@ -28,16 +28,10 @@ refused as WallAngle.  The margin is evaluated once per vertex and atlas,
 and each loop's fixed point once per vertex; the 2E germ images
 P_k^-1 fix(M_v) and the E recovered lengths then come in one array pass
 whose arithmetic is that of the scalar complex expressions, bit for bit.
-
-`develop` also lays the triangles out in one global chart across a
-breadth-first spanning tree of the dual graph, copying the shared vertices
-across tree edges and placing each third vertex from a stored corner angle.
-That layout feeds only the `triangle` rows of the dump.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from array import array
 from itertools import islice
@@ -45,37 +39,8 @@ from itertools import islice
 import numpy as np
 
 from .errors import NotElliptic, NumericalCollapse, WallAngle
-from .sl2 import HypPoint, Sl2Matrix, elliptic_fixed_point, half_plane_distance
-from .surface import WALL_BAND, ConeSurface, corner_angle, fmt17, nxt, prv, wall_margin
-
-# A developed side shorter than this is treated as a degenerate layout.
-COLLAPSE_TOL = 1e-12
-
-
-def _third(p: complex, q: complex, alpha: float, dist: float) -> complex:
-    """The point at distance `dist` from p, turned by alpha to the LEFT of
-    the geodesic from p toward q.
-
-    In the disk model centred at p, zeta = (z - p) / (z - conj p), geodesics
-    through p are diameters and distance d from p is radius tanh(d/2).
-    """
-    toward = (q - p) / (q - p.conjugate())
-    turn = complex(math.cos(alpha), math.sin(alpha))
-    w = toward / abs(toward) * turn * math.tanh(dist / 2.0)
-    return (p - w * p.conjugate()) / (1.0 - w)
-
-
-def place_third(p: HypPoint, q: HypPoint, l_px: float, l_qx: float,
-                l_pq: float | None = None) -> HypPoint:
-    """Third triangle vertex, to the LEFT of the directed segment p -> q.
-
-    l_px and l_qx are the required distances from p and from q; the base
-    length defaults to the developed distance d(p, q).
-    """
-    if l_pq is None:
-        l_pq = half_plane_distance(p.z, q.z)
-    alpha = corner_angle(l_pq, l_px, l_qx)
-    return HypPoint.from_complex(_third(p.z, q.z, alpha, l_px))
+from .sl2 import Sl2Matrix, elliptic_fixed_point
+from .surface import WALL_BAND, ConeSurface, fmt17, nxt, prv, wall_margin
 
 
 def _mats(a, b, c, d) -> np.ndarray:
@@ -116,7 +81,7 @@ def _wall_refusal(atlas: HolonomyAtlas, v: int) -> WallAngle | None:
 
 
 class HolonomyAtlas:
-    """Local-chart holonomy of a surface, plus a global layout for display.
+    """Local-chart holonomy of a surface.
 
     * `normalizers[h]` and `transitions[h]` (both (n_half, 2, 2) arrays) are
       N_h and T_h of the module docstring.
@@ -130,16 +95,10 @@ class HolonomyAtlas:
     * `margins[v]` is the `surface.wall_margin` of vertex v, evaluated once;
       below `surface.WALL_BAND` the vertex is on a wall, where its loop
       holonomy is refused and its dump row is tagged `wall`.
-    * `pos[h]` is the globally developed position of the origin vertex of
-      half-edge h; charts there agree across `tree_edges`, grown from the
-      triangle `base`.  Nothing above depends on it.
     """
 
-    def __init__(self, surface: ConeSurface, base: int, pos, tree_edges):
+    def __init__(self, surface: ConeSurface):
         self.surface = surface
-        self.base = base
-        self.pos = tuple(pos)
-        self.tree_edges = frozenset(tree_edges)
         s = surface
 
         self.normalizers, self.transitions = _local_charts(s)
@@ -165,15 +124,6 @@ class HolonomyAtlas:
         self.loops = tuple(loops)
         self.vertex_matrix = tuple(Sl2Matrix.from_entries(*loop) for loop in loops)
 
-    def corner(self, h: int) -> HypPoint:
-        """Origin vertex of half-edge h in the local chart of tri(h): N_h^-1(i)."""
-        (a, b), (c, d) = self.normalizers[h].tolist()
-        return HypPoint.from_complex((d * 1j - b) / (a - c * 1j))
-
-    def vertex_center(self, v: int) -> HypPoint:
-        """Vertex v in the local chart of its base germ's triangle."""
-        return self.corner(self.surface.vertex_germs[v][0])
-
     def germ_fixed_point(self, g: int) -> complex:
         """Fixed point of the loop around the origin of germ g, in the local
         chart of tri(g): P^-1 fix(M_v) with P = prefix[g]."""
@@ -181,21 +131,9 @@ class HolonomyAtlas:
         a, b, c, d = self.prefix[g].tolist()
         return (d * z - b) / (a - c * z)
 
-    def transformed(self, g: Sl2Matrix) -> "HolonomyAtlas":
-        """The atlas with its global layout moved by the isometry g.
-
-        The local charts, and with them every holonomy row, do not move.
-        """
-        moved = copy.copy(self)
-        moved.pos = tuple(g.apply(p) for p in self.pos)
-        return moved
-
     def dump(self) -> str:
-        """Plain-text table: developed triangles, then vertex holonomies."""
-        row = "triangle %d: " + " ".join(["%.17g"] * 6)
-        corners = iter(self.pos)
-        lines = [row % (t, p.x, p.y, q.x, q.y, r.x, r.y)
-                 for t, (p, q, r) in enumerate(zip(corners, corners, corners))]
+        """Plain-text table of the vertex holonomies."""
+        lines = []
         for v, m in enumerate(self.vertex_matrix):
             if self.margins[v] < WALL_BAND:
                 tag = "wall"
@@ -207,63 +145,12 @@ class HolonomyAtlas:
         return "\n".join(lines) + "\n"
 
 
-def _check_layout(s: ConeSurface, points: list, at: list) -> None:
-    """Raise NumericalCollapse unless every developed vertex lies in the
-    half-plane and every developed side is at least COLLAPSE_TOL long."""
-    placed = np.array(points)
-    if not np.all(np.isfinite(placed) & (placed.imag > 0.0)):
-        raise NumericalCollapse("a developed vertex left the upper half-plane")
-    here = placed[at]
-    there = here[nxt(np.arange(s.n_half))]
-    side = 2.0 * np.arcsinh(np.abs(here - there)
-                            / (2.0 * np.sqrt(here.imag) * np.sqrt(there.imag)))
-    short = np.flatnonzero(~(np.isfinite(side) & (side >= COLLAPSE_TOL)))
-    if len(short):
-        h = int(short[0])
-        raise NumericalCollapse(
-            f"developed side of triangle {h // 3} has length {side[h]}")
+def develop(s: ConeSurface) -> HolonomyAtlas:
+    """The local-chart holonomy atlas of s.
 
-
-def develop(s: ConeSurface, base: int = 0) -> HolonomyAtlas:
-    """The local-chart holonomy of s, with a global layout grown from `base`.
-
-    The base triangle is placed with its first vertex at i and its first side
-    running up the imaginary axis; each new triangle is placed onto the
-    already-developed copy of its connecting edge, which adds one developed
-    point.  A layout that leaves the half-plane or collapses a side raises
-    NumericalCollapse.
+    Raises NumericalCollapse when a loop product loses its determinant.
     """
-    if not 0 <= base < s.n_triangles:
-        raise ValueError(f"no triangle {base}")
-    side, angle, twin = s.length[s.he_edge].tolist(), s.angle.tolist(), s.twin.tolist()
-    h0 = 3 * base
-    points = [1j, 1j * math.exp(side[h0])]
-    at: list = [None] * s.n_half  # half-edge -> index of its origin in points
-    at[h0], at[nxt(h0)], at[prv(h0)] = 0, 1, 2
-
-    tree_edges = []
-    order = [base]
-    placed = [False] * s.n_triangles
-    placed[base] = True
-    try:
-        points.append(_third(points[0], points[1], angle[h0], side[prv(h0)]))
-        for t in order:
-            for h in range(3 * t, 3 * t + 3):
-                h2 = twin[h]
-                t2 = h2 // 3
-                if placed[t2]:
-                    continue
-                placed[t2] = True
-                tree_edges.append(s.edge_ids[s.he_edge[h]])
-                at[h2], at[nxt(h2)], at[prv(h2)] = at[nxt(h)], at[h], len(points)
-                points.append(_third(points[at[h2]], points[at[h]], angle[h2],
-                                     side[prv(h2)]))
-                order.append(t2)
-    except (ZeroDivisionError, OverflowError) as exc:
-        raise NumericalCollapse(f"global layout degenerated: {exc}") from None
-    _check_layout(s, points, at)
-    point = [HypPoint(w.real, w.imag) for w in points]
-    return HolonomyAtlas(s, base, [point[i] for i in at], tree_edges)
+    return HolonomyAtlas(s)
 
 
 def vertex_holonomy(atlas: HolonomyAtlas, v: int) -> Sl2Matrix:
@@ -283,8 +170,9 @@ def _fixed_points(atlas: HolonomyAtlas, ends: np.ndarray) -> tuple:
     vertices in the (n, k) array `ends`, each computed once in its base chart.
 
     A vertex on a wall is refused as WallAngle, a loop that is not elliptic as
-    NotElliptic.  The first row of `ends` holding a refused vertex raises: a
-    WallAngle when one of its vertices has one, else its first NotElliptic.
+    NotElliptic naming the vertex and the loop's trace.  The first row of
+    `ends` holding a refused vertex raises: a WallAngle when one of its
+    vertices has one, else its first NotElliptic.
     """
     s = atlas.surface
     x, y = [math.nan] * s.n_vertices, [math.nan] * s.n_vertices
@@ -292,13 +180,16 @@ def _fixed_points(atlas: HolonomyAtlas, ends: np.ndarray) -> tuple:
     needed = np.zeros(s.n_vertices, dtype=bool)
     needed[ends] = True
     for v in np.flatnonzero(needed).tolist():
+        wall = _wall_refusal(atlas, v)
+        if wall:
+            refused[v] = wall
+            continue
+        a, b, c, d = atlas.loops[v]
         try:
-            wall = _wall_refusal(atlas, v)
-            if wall:
-                raise wall
-            z = elliptic_fixed_point(*atlas.loops[v])
-        except (WallAngle, NotElliptic) as exc:
-            refused[v] = exc
+            z = elliptic_fixed_point(a, b, c, d)
+        except NotElliptic:
+            refused[v] = NotElliptic(f"loop holonomy at vertex {v} has trace {a + d}, "
+                                     "which is not elliptic")
         else:
             x[v], y[v] = z.real, z.imag
     x, y = np.array(x), np.array(y)

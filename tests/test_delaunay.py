@@ -18,6 +18,7 @@ from conftest import (
 from hypcone import (
     ConeSurface,
     HypPoint,
+    corner_angle,
     edge_invariant,
     edge_invariants,
     eta_matrix,
@@ -25,12 +26,13 @@ from hypcone import (
     flip_coordinate_jacobian,
     flip_new_length,
     hyp_distance,
+    hyp_exp,
     make_delaunay,
     normalizing_isometry,
-    place_third,
 )
 import hypcone.delaunay as delaunay_mod
 from hypcone.delaunay import PSI_TOL, flip_length_jacobian, move_log_lines
+from hypcone.sl2 import hyp_direction
 from hypcone.surface import Triangulation, nxt, prv
 from hypcone.errors import (
     NonTermination,
@@ -91,8 +93,12 @@ def developed_flip_length(s, e):
     ln = s.lengths[e]
     p = HypPoint(0.0, 1.0)
     q = HypPoint(0.0, math.exp(ln))
-    x = place_third(p, q, side_length(s, prv(hf)), side_length(s, nxt(hf)), ln)
-    y = place_third(q, p, side_length(s, prv(hb)), side_length(s, nxt(hb)), ln)
+
+    def apex(p, q, l_px, l_qx):  # turned left of p -> q by the corner at p
+        return hyp_exp(p, hyp_direction(p, q) + corner_angle(ln, l_px, l_qx), l_px)
+
+    x = apex(p, q, side_length(s, prv(hf)), side_length(s, nxt(hf)))
+    y = apex(q, p, side_length(s, prv(hb)), side_length(s, nxt(hb)))
     norm = normalizing_isometry(x, y)
     if not norm.apply(p.z).real * norm.apply(q.z).real < 0.0:
         return None

@@ -11,20 +11,24 @@ from hypcone import (
     Sl2Matrix,
     alength_from_fixed_points,
     develop,
-    elliptic_about,
     elliptic_rotation_angle,
     fixed_point,
     holonomy_report,
     hyp_distance,
-    place_third,
     serialize_surface,
     vertex_holonomy,
 )
 import hypcone.holonomy as holonomy_mod
 from hypcone.cli import main
 from hypcone.errors import NotElliptic, NumericalCollapse, WallAngle
-from hypcone.sl2 import elliptic_fixed_point, elliptic_trace, half_plane_distance
+from hypcone.sl2 import elliptic_fixed_point, elliptic_trace, half_plane_distance, hyp_direction
 from hypcone.surface import WALL_BAND, fmt17, nxt, prv, wall_margin
+
+
+def corner(atlas, h):
+    """Origin of half-edge h in the local chart of tri(h): N_h^-1(i)."""
+    (a, b), (c, d) = atlas.normalizers[h].tolist()
+    return HypPoint.from_complex((d * 1j - b) / (a - c * 1j))
 
 
 def fresh_walk(atlas, germ):
@@ -72,15 +76,6 @@ def reference_report(atlas):
     return vrows, erows, max(verr, eerr)
 
 
-def test_place_third_distances_and_side():
-    p = HypPoint(0.0, 1.0)
-    q = HypPoint(0.0, math.e)
-    x = place_third(p, q, 1.2, 1.0)
-    assert hyp_distance(p, x) == pytest.approx(1.2, abs=1e-12)
-    assert hyp_distance(q, x) == pytest.approx(1.0, abs=1e-12)
-    assert x.x < 0  # left of the upward segment
-
-
 def test_wall_distance():
     # the wall coordinate |sin(theta/2)| is half the distance to the nearest
     # wall 2*pi*k, to first order; the walls now include k = 0
@@ -91,43 +86,26 @@ def test_wall_distance():
     assert wall_margin(theta).tolist() == [wall_margin(t) for t in theta.tolist()]
 
 
-def test_base_chart_position(skew_torus):
-    atlas = develop(skew_torus)
-    assert abs(atlas.pos[0].z - 1j) < 1e-15
-    first = side_length(skew_torus, 0)
-    assert abs(atlas.pos[1].z - 1j * math.exp(first)) < 1e-12
-    assert atlas.pos[2].x < 0
-
-
-def test_tree_edges_share_developed_copies(corpus):
-    for s in corpus:
-        atlas = develop(s)
-        assert len(atlas.tree_edges) == len(s.triangles) - 1
-        for e in atlas.tree_edges:
-            hf, hb = halfedges(s, e)
-            assert atlas.pos[hb].z == atlas.pos[nxt(hf)].z
-            assert atlas.pos[nxt(hb)].z == atlas.pos[hf].z
-
-
 def test_developed_sides_have_stored_lengths(corpus):
+    # each triangle developed into its own chart has its stored side lengths
     for s in corpus:
         atlas = develop(s)
         for h in range(s.n_half):
-            got = hyp_distance(atlas.pos[h], atlas.pos[nxt(h)])
+            t = 3 * (h // 3)  # the chart of tri(h) puts its side t on [i, i e^l]
+            assert atlas.normalizers[t].tolist() == [[1.0, 0.0], [0.0, 1.0]]
+            got = hyp_distance(corner(atlas, h), corner(atlas, nxt(h)))
             assert got == pytest.approx(side_length(s, h), abs=1e-9)
 
 
 def test_developed_corners_have_metric_angles(corpus):
-    # acid test of layout orientation: every developed corner angle equals
-    # the law-of-cosines value, so no triangle is reflected
-    from hypcone.sl2 import hyp_direction
-
+    # acid test of chart orientation: every corner angle of a triangle in its
+    # own chart equals the law-of-cosines value, so no triangle is reflected
     for s in corpus:
         atlas = develop(s)
         for h in range(s.n_half):
-            here = atlas.pos[h]
-            toward = hyp_direction(here, atlas.pos[nxt(h)])
-            back = hyp_direction(here, atlas.pos[prv(h)])
+            here = corner(atlas, h)
+            toward = hyp_direction(here, corner(atlas, nxt(h)))
+            back = hyp_direction(here, corner(atlas, prv(h)))
             spread = (back - toward) % (2 * math.pi)
             assert spread == pytest.approx(s.angle[h], abs=1e-9)
 
@@ -148,11 +126,10 @@ def test_vertex_holonomy_fixes_developed_vertex(corpus):
         atlas = develop(s)
         for v in range(s.n_vertices):
             center = fixed_point(vertex_holonomy(atlas, v))
-            assert abs(center.z - atlas.vertex_center(v).z) < 1e-8
             g = s.vertex_germs[v][0]
-            assert atlas.vertex_center(v) == atlas.corner(g)
+            assert abs(center.z - corner(atlas, g).z) < 1e-8
             if g % 3 == 0:
-                assert atlas.vertex_center(v).z == 1j
+                assert corner(atlas, g).z == 1j
 
 
 def test_germ_fixed_points_match_fresh_walks(corpus):
@@ -241,7 +218,9 @@ def test_refusal_names_first_vertex_in_edge_order(monkeypatch):
     with pytest.raises(WallAngle, match=f" at vertex {head} has "):
         holonomy_report(atlas)
     band(set())
-    with pytest.raises(NotElliptic, match=f"^loop at vertex {tail}$"):
+    a, _, _, d = atlas.loops[tail]
+    with pytest.raises(NotElliptic, match=f"^loop holonomy at vertex {tail} has trace "
+                                          f"{a + d}, which is not elliptic$"):
         holonomy_report(atlas)
 
 
@@ -252,37 +231,6 @@ def test_alength_single_edge(skew_g1n2):
         assert got == pytest.approx(skew_g1n2.lengths[e], abs=1e-8)
 
 
-def test_base_independence(corpus):
-    for s in corpus:
-        reference = [
-            abs(vertex_holonomy(develop(s, base=0), v).trace())
-            for v in range(s.n_vertices)
-        ]
-        for base in range(1, len(s.triangles)):
-            atlas = develop(s, base=base)
-            for v in range(s.n_vertices):
-                got = abs(vertex_holonomy(atlas, v).trace())
-                assert got == pytest.approx(reference[v], abs=1e-9)
-
-
-def test_moved_atlas_is_equivalent(skew_tetra):
-    # moving the global layout leaves the local charts, and with them every
-    # holonomy row, where they are
-    atlas = develop(skew_tetra)
-    g = elliptic_about(HypPoint(0.4, 1.7), 0.9)
-    moved = atlas.transformed(g)
-    _, _, maxerr = holonomy_report(moved)
-    assert maxerr < 1e-8
-    assert holonomy_report(moved) == holonomy_report(atlas)
-    for v in range(skew_tetra.n_vertices):
-        assert moved.vertex_matrix[v].projectively_close(atlas.vertex_matrix[v], tol=1e-8)
-        assert moved.vertex_center(v) == atlas.vertex_center(v)
-    for h in range(skew_tetra.n_half):
-        assert abs(moved.pos[h].z - g.apply(atlas.pos[h]).z) < 1e-12
-    assert moved.tree_edges == atlas.tree_edges
-    assert atlas.dump() != moved.dump()
-
-
 def test_transitions_map_twin_chart_onto_chart(corpus):
     for s in corpus:
         atlas = develop(s)
@@ -290,15 +238,15 @@ def test_transitions_map_twin_chart_onto_chart(corpus):
         for h in range(s.n_half):
             # the normalizer puts side h on [i, i e^l] ...
             n = Sl2Matrix(atlas.normalizers[h])
-            assert abs(n.apply(atlas.corner(h).z) - 1j) < 1e-9
+            assert abs(n.apply(corner(atlas, h).z) - 1j) < 1e-9
             top = 1j * math.exp(side_length(s, h))
-            assert abs(n.apply(atlas.corner(nxt(h)).z) - top) < 1e-9
+            assert abs(n.apply(corner(atlas, nxt(h)).z) - top) < 1e-9
             # ... and the transition takes the copy of the edge in the chart
             # of tri(twin h) onto its copy in the chart of tri(h)
             m = Sl2Matrix(atlas.transitions[h])
             h2 = s.twin[h]
-            assert abs(m.apply(atlas.corner(nxt(h2)).z) - atlas.corner(h).z) < 1e-9
-            assert abs(m.apply(atlas.corner(h2).z) - atlas.corner(nxt(h)).z) < 1e-9
+            assert abs(m.apply(corner(atlas, nxt(h2)).z) - corner(atlas, h).z) < 1e-9
+            assert abs(m.apply(corner(atlas, h2).z) - corner(atlas, nxt(h)).z) < 1e-9
 
 
 @pytest.mark.parametrize("sides", [(3e-3, 3.15e-3, 2.91e-3), (30.0, 30.0, 30.0)])
@@ -337,34 +285,69 @@ def test_wall_angle_refused():
         atlas.germ_fixed_point(0)
 
 
-def test_degenerate_layout_collapses():
-    with pytest.raises(NumericalCollapse):
-        develop(torus_surface(1e-13))
-
-
-@pytest.mark.parametrize("s", [
-    torus_surface(40.0),    # a developed vertex lands on the real axis
-    torus_surface(53.5, 56.175, 51.895),  # the loop loses its determinant
-    torus_surface(100.0),   # the layout divides by zero
-    tetra_surface({e: 80.0 for e in ("ab", "ac", "ad", "bc", "bd", "cd")}),
-], ids=["torus-40", "torus-53.5", "torus-100", "tetra-80"])
-def test_failed_layout_is_numerical_collapse(s, tmp_path, capsys):
-    # very long edges break the layout or the loop products in floating
-    # point; that is a numerical failure (exit 3), not bad input
-    with pytest.raises(NumericalCollapse):
-        develop(s)
-    path = tmp_path / "long.json"
+def refused_at_vertex_0(s, error, tmp_path, capsys):
+    """Assert that the holonomy report of s, in the library and through the
+    CLI, is refused by `error` naming vertex 0, with its exit code; returns
+    the CLI's stderr."""
+    with pytest.raises(error, match=" at vertex 0 "):
+        holonomy_report(develop(s))
+    path = tmp_path / "refused.json"
     path.write_text(serialize_surface(s))
-    assert main(["holonomy", "--input", str(path)]) == 3
-    assert capsys.readouterr().err.startswith("error[NumericalCollapse]")
+    assert main(["holonomy", "--input", str(path)]) == error.exit_code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[{error.__name__}]: ") and " at vertex 0 " in err
+    return err
 
 
-@pytest.mark.parametrize("start, k", [("tet", 1598), ("tor", 1599)])
-def test_certificate_at_4800_edges(start, k, tmp_path, capsys):
-    # the local charts do not drift: both 4,800-edge families pass the 1e-8
-    # gate, in the library and through the CLI
-    s = stellar_surface(k, seed=1, start=start)
-    assert s.n_edges == 4800
+def test_degenerate_layout_collapses(tmp_path, capsys):
+    # the cone angle of the 1e-13 torus is 2*pi - 2e-15: a wall, refused
+    # before anything is read off its loop
+    s = torus_surface(1e-13)
+    assert wall_margin(s.cone_angle[0]) < WALL_BAND
+    refused_at_vertex_0(s, WallAngle, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("s, error", [
+    (torus_surface(40.0), WallAngle),  # cone angle 8.9e-8
+    (torus_surface(53.5, 56.175, 51.895), WallAngle),  # cone angle 4.1e-7
+    (torus_surface(100.0), NumericalCollapse),  # cone angle 8.9e-8
+    (tetra_surface({e: 80.0 for e in ("ab", "ac", "ad", "bc", "bd", "cd")}),
+     WallAngle),  # cone angle 0.0
+], ids=["torus-40", "torus-53.5", "torus-100", "tetra-80"])
+def test_failed_layout_is_numerical_collapse(s, error, tmp_path, capsys):
+    # on very long edges the cone angles fall into the wall band (exit 2),
+    # unless the loop product loses its determinant before the wall test:
+    # that is a numerical failure (exit 3), not bad input
+    assert wall_margin(s.cone_angle[0]) < WALL_BAND
+    if error is NumericalCollapse:
+        with pytest.raises(NumericalCollapse,
+                           match="^loop holonomy at vertex 0 has determinant 0.0$"):
+            develop(s)
+    refused_at_vertex_0(s, error, tmp_path, capsys)
+
+
+def test_long_edge_loop_not_elliptic_names_vertex(tmp_path, capsys):
+    # off the walls, the walked loop of the 19-edge torus has |trace| just
+    # above 2; the refusal names the vertex and that trace (exit 2)
+    s = torus_surface(19.0)
+    assert wall_margin(s.cone_angle[0]) >= WALL_BAND
+    err = refused_at_vertex_0(s, NotElliptic, tmp_path, capsys)
+    a, _, _, d = develop(s).loops[0]
+    assert abs(a + d) > 2.0
+    assert err == f"error[NotElliptic]: loop holonomy at vertex 0 has trace {a + d}, " \
+                  "which is not elliptic\n"
+
+
+@pytest.mark.parametrize("start, k, seed, base", [
+    ("tet", 1598, 1, 1.3), ("tor", 1599, 1, 1.3),
+    ("tor", 1600, "L6.0", 6.0), ("tor", 1600, "L8.0", 8.0),
+], ids=["tet-1598", "tor-1599", "tor-1600-base-6", "tor-1600-base-8"])
+def test_certificate_at_4800_edges(start, k, seed, base, tmp_path, capsys):
+    # the local charts do not drift: both 4,800-edge families, and the
+    # 4,803-edge tori with edges near 6 and near 8, pass the 1e-8 gate, in
+    # the library and through the CLI
+    s = stellar_surface(k, seed=seed, base=base, start=start)
+    assert s.n_edges == (4800 if base == 1.3 else 4803)
     _, _, maxerr = holonomy_report(develop(s))
     assert maxerr < 1e-8
     path = tmp_path / "big.json"
@@ -373,17 +356,11 @@ def test_certificate_at_4800_edges(start, k, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_develop_rejects_bad_base(torus):
-    with pytest.raises(ValueError):
-        develop(torus, base=7)
-
-
-def test_dump_text(skew_torus):
-    text = develop(skew_torus).dump()
+def test_dump_text(skew_g1n2):
+    text = develop(skew_g1n2).dump()
     lines = text.splitlines()
-    assert lines[0].startswith("triangle 0: ")
-    assert lines[2].startswith("vertex 0: ")
-    assert len(lines[0].split()) == 8  # label, index, six coordinates
+    assert [line.split(": ")[0] for line in lines] == ["vertex 0", "vertex 1"]
+    assert len(lines[0].split()) == 8  # label, index, four entries, "angle", angle
     wall = develop(torus_surface(2e-5)).dump()
     assert "angle wall" in wall
 
