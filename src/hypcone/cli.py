@@ -112,10 +112,11 @@ def _row_texts(p: np.ndarray):
 
 def cmd_poisson(args, out: Emitter, tols) -> int:
     s = _load_surface(args.input)
-    margins = poisson_mod.wall_margins(s)
+    # one fan-pair table for the matrix and the Jacobi check
+    pairs = poisson_mod.FanPairs(s, wall_guard=tols["wall"])
     for v in range(s.n_vertices):
-        out.put(f"wall_margin.{v}", float(margins[v]))
-    p = poisson_mod.eta_matrix(s, wall_guard=tols["wall"])
+        out.put(f"wall_margin.{v}", float(pairs.margins[v]))
+    p = poisson_mod.eta_matrix(s, pairs=pairs)
     for eid, row in zip(s.edge_ids, _row_texts(p)):
         out.put(f"P.{eid}", row)
     rank = poisson_mod.bivector_rank(p)
@@ -131,7 +132,7 @@ def cmd_poisson(args, out: Emitter, tols) -> int:
     radical_max = float(residuals[radical_max_at])
     out.put("radical_max", radical_max)
     out.put("radical_max_at", radical_max_at)
-    jac, triple = poisson_mod.jacobi_residual(s, wall_guard=tols["wall"], p=p)
+    jac, triple = poisson_mod.jacobi_residual(s, p=p, pairs=pairs)
     out.put("jacobi", jac)
     out.put("jacobi_at", " ".join(s.edge_ids[i] for i in triple) if triple else "none")
     for key, value in poisson_mod.comparison_note():

@@ -117,8 +117,9 @@ class FlipState:
         The two rewired triangles keep their slots: the one that held the
         forward half-edge gets sides [e forward, old prv(backward), old
         nxt(forward)], the other [e backward, old prv(forward), old
-        nxt(backward)].  Their six corner angles are recomputed, which also
-        checks the strict triangle inequalities.
+        nxt(backward)].  Their six corner angles are recomputed by the
+        scalar `corner_angle`, which also checks the strict triangle
+        inequalities; an array pass costs more for six corners.
         """
         new_len = flip_new_length(self, e)
         i = self.edge_index[e]

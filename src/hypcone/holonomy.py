@@ -124,13 +124,6 @@ class HolonomyAtlas:
         self.loops = tuple(loops)
         self.vertex_matrix = tuple(Sl2Matrix.from_entries(*loop) for loop in loops)
 
-    def germ_fixed_point(self, g: int) -> complex:
-        """Fixed point of the loop around the origin of germ g, in the local
-        chart of tri(g): P^-1 fix(M_v) with P = prefix[g]."""
-        z = elliptic_fixed_point(*self.loops[self.surface.vertex_of[g]])
-        a, b, c, d = self.prefix[g].tolist()
-        return (d * z - b) / (a - c * z)
-
     def dump(self) -> str:
         """Plain-text table of the vertex holonomies."""
         lines = []

@@ -157,11 +157,12 @@ class FanPairs:
         C = cos(d - theta/2) / sin(theta/2),  S = sin(d) / (2 sin^2(theta/2)),
 
     where dprefix and dtheta are sums of corner-angle gradients; C is in `c`
-    and S in `sn`.  Raises WallAngle when a cone angle is inside the guard.
+    and S in `sn`.  `margins` holds the `wall_margins` of s; the table is
+    refused as WallAngle when one of them is inside the guard.
     """
 
     def __init__(self, s: ConeSurface, wall_guard: float = WALL_GUARD):
-        margins = wall_margins(s)
+        self.margins = margins = wall_margins(s)
         bad = np.flatnonzero(margins < wall_guard)
         if bad.size:
             v = int(bad[0])
@@ -197,9 +198,13 @@ class FanPairs:
         return np.bincount(cells, weights=values, minlength=n * n).reshape(n, n)
 
 
-def eta_matrix(s: ConeSurface, wall_guard: float = WALL_GUARD) -> np.ndarray:
-    """The N x N bivector matrix P[i][j] = eta(da_i, da_j)."""
-    return FanPairs(s, wall_guard).matrix()
+def eta_matrix(s: ConeSurface, wall_guard: float = WALL_GUARD,
+               pairs: FanPairs | None = None) -> np.ndarray:
+    """The N x N bivector matrix P[i][j] = eta(da_i, da_j).
+
+    `pairs` is the FanPairs of s when the caller has it already.
+    """
+    return (FanPairs(s, wall_guard) if pairs is None else pairs).matrix()
 
 
 def angle_gradients(s: ConeSurface) -> np.ndarray:
@@ -471,7 +476,8 @@ class _JacobiTerms:
 
 
 def jacobi_residual(s: ConeSurface, wall_guard: float = WALL_GUARD,
-                    p: np.ndarray | None = None) -> tuple:
+                    p: np.ndarray | None = None,
+                    pairs: FanPairs | None = None) -> tuple:
     """(residual, triple): the scaled maximal Jacobi-identity defect over
     all coordinate triples, and the triple where it is reached.
 
@@ -481,11 +487,13 @@ def jacobi_residual(s: ConeSurface, wall_guard: float = WALL_GUARD,
     evaluated once, sorted, from the terms of `_JacobiTerms`.  `p` is the
     bivector of s when the caller has it already; any other antisymmetric
     matrix given there is checked in its place, so a fake bivector can be
-    shown to fail, while the genuine one passes at rounding level.  The
-    triple is the sorted edge indices (i, j, k) of the largest |J|, the
-    smallest triple on ties, or None when no triple has a term (P = 0).
+    shown to fail, while the genuine one passes at rounding level.  `pairs`
+    is the FanPairs of s when the caller has it already.  The triple is the
+    sorted edge indices (i, j, k) of the largest |J|, the smallest triple on
+    ties, or None when no triple has a term (P = 0).
     """
-    pairs = FanPairs(s, wall_guard)
+    if pairs is None:
+        pairs = FanPairs(s, wall_guard)
     if p is None:
         p = pairs.matrix()
     elif p.shape != (s.n_edges, s.n_edges):

@@ -16,7 +16,9 @@ one place the gluing is checked (twin pairing, connectivity, orbits, Euler
 characteristic).  A `ConeSurface` is a Triangulation plus a length array
 indexed by edge; it derives the corner angles, the cone angles (corner-angle
 sums along orbits), the triangle areas and the direction fan at every vertex
-(germs in cyclic order, read off the orbit's prefix sums).  Changing lengths
+(germs in cyclic order, read off the orbit's prefix sums).  All corner angles
+of a surface come from one array pass, `corner_angles`, which is bit for bit
+the scalar law of cosines `corner_angle` at every corner.  Changing lengths
 reuses the Triangulation and checks only the lengths.  Edge ids are strings
 in the wire format; inside, edge i is the i-th id in sorted order.
 
@@ -87,6 +89,9 @@ def corner_angle(a: float, b: float, c: float) -> float:
     sinh((x-y)/2) so short sides do not cancel away all precision.  Raises
     OverflowError when a sinh product overflows, and NumericalCollapse when
     one falls below the normal float range, where it keeps too few digits.
+    A surface takes its angles from `corner_angles`, the same law in one
+    array pass with bit-identical results; this scalar form serves single
+    corners (a flip recomputes six) and the corners that pass refuses.
     """
     for s in (a, b, c):
         if not (math.isfinite(s) and s > 0.0):
@@ -107,6 +112,51 @@ def corner_angle(a: float, b: float, c: float) -> float:
             f"corner angle of sides ({a}, {b}, {c}) underflows: a sinh product "
             "is below the normal float range")
     return math.acos(min(1.0, max(-1.0, num / den)))
+
+
+# math.sinh overflows just past 710.4758; corners with a larger argument are
+# left to corner_angle, which computes them or raises its range error
+_SINH_ARG_MAX = 710.0
+
+
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """fn of every entry of x through `math`, that is by libm itself."""
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
+
+
+def corner_angles(a, b, c) -> np.ndarray:
+    """corner_angle(a[i], b[i], c[i]) for every i, bit for bit, in one pass.
+
+    The arithmetic is corner_angle's, in its order, on float64 arrays; sinh
+    and acos are libm's through `math` (numpy's own ufuncs differ from them
+    in the last bit on some inputs).  A corner the pass cannot take, with a
+    side that is not a positive real, a strict triangle inequality that
+    fails, a sinh argument near its overflow, or a sinh product that is not
+    finite or below the normal float range, goes to corner_angle itself, in
+    index order, so the first of them raises exactly its error.
+    """
+    a, b, c = (np.asarray(x, dtype=float) for x in (a, b, c))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        plus, minus = a + b, a - b
+        args = np.stack([(plus + c) / 2.0, (plus - c) / 2.0,
+                         (minus + c) / 2.0, (minus - c) / 2.0, a, b])
+        far = ~(np.abs(args) <= _SINH_ARG_MAX)  # also where a side is not finite
+        args[far] = 0.0
+        sa, sb, sc, sd, se, sf = _libm(math.sinh, args.ravel()).reshape(args.shape)
+        outer, inner, den = sa * sb, sc * sd, se * sf
+        num = outer + inner
+        q = np.minimum(1.0, np.maximum(-1.0, num / den))
+        # the strict triangle inequalities also fail where a side is <= 0
+        bad = far.any(axis=0) | (plus <= c) | (b + c <= a) | (c + a <= b)
+        bad |= ~(np.isfinite(num) & np.isfinite(den))
+        bad |= np.minimum(np.minimum(outer, -inner), den) < sys.float_info.min
+    q[bad] = 0.0
+    angle = _libm(math.acos, q)
+    at = np.flatnonzero(bad)
+    if at.size:
+        angle[at] = [corner_angle(*sides) for sides in
+                     zip(a[at].tolist(), b[at].tolist(), c[at].tolist())]
+    return angle
 
 
 def corner_gradient(a, b, alpha, beta):
@@ -422,6 +472,8 @@ class ConeSurface(Triangulation):
     and checks only the lengths.  `length[i]` is the length of edge i,
     `angle[h]` the corner angle at the origin of half-edge h, and
     `cone_angle[v]` the angle sum at vertex v; all are read-only arrays.
+    The angles come from one `corner_angles` pass, bit for bit those of
+    `corner_angle`, whose error a refused corner raises.
     `fan_sums` holds the running corner-angle sums of each fan, added left
     to right in `fan_order`: fan_size[v] + 1 values for vertex v, from 0
     through the angle before each germ to the cone angle, its last value.
@@ -454,12 +506,11 @@ class ConeSurface(Triangulation):
                 f"({la}, {lb}, {lc}) violates the strict triangle inequalities")
 
         # corner angle at the origin of each half-edge
-        side = side.tolist()
-        angle = [corner_angle(side[h], side[prv(h)], side[nxt(h)])
-                 for h in range(self.n_half)]
+        h = np.arange(self.n_half)
+        angle = corner_angles(side, side[prv(h)], side[nxt(h)])
         self.length = _frozen(length)
         self._lengths = dict(zip(self.edge_ids, length.tolist()))
-        self.angle = _frozen(np.array(angle))
+        self.angle = _frozen(angle)
         corners = self.angle.reshape(-1, 3)
         self.triangle_areas = _frozen(math.pi - (corners[:, 0] + corners[:, 1] + corners[:, 2]))
         self.fan_sums = _frozen(_running_sums(self.angle[self.fan_order], self.fan_size))

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from hypcone import ConeSurface
@@ -120,6 +121,11 @@ def halfedges(s, e):
 def side_length(s, h):
     """Length of the edge half-edge h runs along."""
     return float(s.length[s.he_edge[h]])
+
+
+def bits(values):
+    """The float64 bit patterns of values, for comparisons bit for bit."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
 def count_constructions(monkeypatch, cls):

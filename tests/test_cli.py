@@ -7,12 +7,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import sphere3_surface, stellar_surface, tetra_surface, torus_surface
+from conftest import (
+    count_constructions,
+    sphere3_surface,
+    stellar_surface,
+    tetra_surface,
+    torus_surface,
+)
 
 import hypcone.cli as cli
 import hypcone.errors as errors
 from hypcone import eta_matrix, serialize_surface
 from hypcone.cli import _row_texts, build_parser, main
+from hypcone.poisson import FanPairs
 from hypcone.surface import fmt17
 
 
@@ -367,3 +374,14 @@ def test_row_texts_keep_negative_zero():
     p = np.array([[0.0, -0.0, 1.5], [-2.25e-300, 0.0, -0.0], [0.0, 0.0, 0.0]])
     assert list(_row_texts(p)) == [" ".join(fmt17(x) for x in row) for row in p.tolist()]
     assert list(_row_texts(p))[1] == "-2.25e-300 0 -0"
+
+
+def test_poisson_builds_one_fan_pair_table(monkeypatch, capsys, tmp_path):
+    # the bivector, its wall margins and the Jacobi check share one table
+    path = tmp_path / "stellar.json"
+    path.write_text(serialize_surface(stellar_surface(30, seed=1)))  # 96 edges
+    built = count_constructions(monkeypatch, FanPairs)
+    assert main(["poisson", "--input", str(path)]) == 0
+    assert len(built) == 1
+    rows = capsys.readouterr().out.splitlines()
+    assert sum(row.startswith("wall_margin.") for row in rows) == 34

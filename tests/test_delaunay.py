@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    bits,
     count_constructions,
     halfedges,
     scanned_halfedges,
@@ -31,6 +32,7 @@ from hypcone import (
     normalizing_isometry,
 )
 import hypcone.delaunay as delaunay_mod
+import hypcone.surface as surface_mod
 from hypcone.delaunay import PSI_TOL, flip_length_jacobian, move_log_lines
 from hypcone.sl2 import hyp_direction
 from hypcone.surface import Triangulation, nxt, prv
@@ -294,6 +296,29 @@ def test_make_delaunay_checks_gluing_once(monkeypatch):
     final, moves = make_delaunay(s)
     assert len(moves) >= 30
     assert built == [final.triangulation]
+
+
+def test_flip_state_angles_match_array_built_surface(monkeypatch):
+    # the flips recompute their corners by the scalar law, a surface build
+    # takes them all from the array pass: the two must agree bit for bit
+    s = scrambled_stellar_surface(398, 1)
+    final, moves = make_delaunay(s)
+    assert len(moves) >= 30
+    state = delaunay_mod.FlipState(s)
+    for move in moves:
+        state.flip(move.edge)
+    assert state.he_edge == final.he_edge.tolist()
+    assert bits(state.angle) == bits(final.angle)
+    # a valid build makes no scalar call; a refused one hands its corner over
+    calls = []
+    scalar = surface_mod.corner_angle
+    monkeypatch.setattr(surface_mod, "corner_angle",
+                        lambda *sides: calls.append(sides) or scalar(*sides))
+    ConeSurface(final.length, final)
+    assert calls == []
+    with pytest.raises(OverflowError):
+        torus_surface(400.0)
+    assert calls == [(400.0, 400.0, 400.0)]
 
 
 def test_make_delaunay_flip_limit(monkeypatch):

@@ -133,13 +133,16 @@ def test_vertex_holonomy_fixes_developed_vertex(corpus):
 
 
 def test_germ_fixed_points_match_fresh_walks(corpus):
-    # the fixed point P_k^-1 fix(M_v) read off the one walk per vertex is the
-    # fixed point of the walk started at germ g_k itself
+    # the fixed points P_k^-1 fix(M_v) the report reads off the one walk per
+    # vertex, in one array pass, are those of the walks started at each germ
     for s in corpus + [stellar_surface(48, seed=1, start="tor")]:
         atlas = develop(s)
+        germs = np.arange(s.n_half)
+        fix = holonomy_mod._fixed_points(atlas, s.vertex_of[germs][:, None])
+        x, y = holonomy_mod._germ_images(atlas, germs, *fix)
         for g in range(s.n_half):
             want = fixed_point(fresh_walk(atlas, g)).z
-            assert abs(atlas.germ_fixed_point(g) - want) < 1e-12
+            assert abs(complex(x[g], y[g]) - want) < 1e-12
 
 
 def test_trace_law_and_length_recovery(corpus):
@@ -261,10 +264,6 @@ def test_near_wall_is_named_wall_angle(sides, tmp_path, capsys):
         vertex_holonomy(atlas, 0)
     with pytest.raises(WallAngle, match="at vertex 0 "):
         holonomy_report(atlas)
-    # a single germ's fixed point is refused by the trace of the walked loop
-    for g in s.vertex_germs[0]:
-        with pytest.raises(NotElliptic):
-            atlas.germ_fixed_point(g)
     path = tmp_path / "near_wall.json"
     path.write_text(serialize_surface(s))
     assert main(["holonomy", "--input", str(path)]) == 2
@@ -281,8 +280,6 @@ def test_wall_angle_refused():
         vertex_holonomy(atlas, 0)
     with pytest.raises(WallAngle):
         alength_from_fixed_points(atlas, "x")
-    with pytest.raises(NotElliptic):
-        atlas.germ_fixed_point(0)
 
 
 def refused_at_vertex_0(s, error, tmp_path, capsys):

@@ -1,17 +1,20 @@
 import json
 import math
+import random
 from itertools import accumulate
 
 import numpy as np
 import pytest
 
 from conftest import (
+    bits,
     count_constructions,
     equilateral_torus_angle,
     halfedges,
     scanned_halfedges,
     side_length,
     stellar_surface,
+    tetra_surface,
     torus_surface,
 )
 
@@ -32,6 +35,7 @@ from hypcone import (
 from hypcone.errors import (
     Disconnected,
     DimensionMismatch,
+    HypconeError,
     NonManifold,
     NonPositiveLength,
     NotAdmissible,
@@ -44,6 +48,7 @@ from hypcone.surface import (
     VertexFan,
     _running_sums,
     corner_angle_gradient,
+    corner_angles,
     nxt,
     prv,
 )
@@ -146,6 +151,98 @@ def test_corner_angle_thin_sides_are_not_an_underflow(sides):
         corner_angle(*sides)
     thin = tuple(1.2e-16 if x == 1e-20 else x for x in sides)
     assert 0.0 <= corner_angle(*thin) < math.pi
+
+
+def corner_outcome(sides):
+    """corner_angle of the sides, or the type and message of its error."""
+    try:
+        return corner_angle(*sides)
+    except (OverflowError, HypconeError) as exc:
+        return type(exc), str(exc)
+
+
+def random_triangles(rng, family, count):
+    """Seeded sides (a, b, c) that keep the strict triangle inequalities."""
+    out = []
+    for _ in range(count):
+        if family == "short":
+            sides = [1e-20 * (1.0 + 0.5 * rng.random()) for _ in range(3)]
+        elif family == "unit":
+            scale = 10.0 ** rng.uniform(-3.0, 1.0)
+            sides = [scale * (1.0 + 0.9 * rng.random()) for _ in range(3)]
+        elif family == "thin":
+            a, c = rng.uniform(1.0, 300.0), rng.uniform(1e-3, 1.0)
+            sides = [a, a + 0.5 * c * rng.random(), c]
+        else:  # long, up to where sinh and its products overflow
+            a, b = rng.uniform(100.0, 500.0), rng.uniform(100.0, 500.0)
+            sides = [a, b, abs(a - b) + (a + b - abs(a - b)) * rng.uniform(0.01, 0.99)]
+        rng.shuffle(sides)
+        out.append(tuple(sides))
+    return out
+
+
+def raises_like(fn, want):
+    """Assert that fn() raises the error (type, message) `want`."""
+    with pytest.raises(want[0]) as info:
+        fn()
+    assert type(info.value) is want[0] and str(info.value) == want[1]
+
+
+def test_corner_angles_match_corner_angle_bitwise():
+    rng = random.Random("corner-angles")
+    for family in ("short", "unit", "thin", "long"):
+        triangles = random_triangles(rng, family, 400)
+        want = [corner_outcome(t) for t in triangles]
+        ok = [(t, w) for t, w in zip(triangles, want) if isinstance(w, float)]
+        got = corner_angles(*np.array([t for t, _ in ok]).T)
+        assert bits(got) == bits([w for _, w in ok])
+        refused = [(t, w) for t, w in zip(triangles, want) if not isinstance(w, float)]
+        for t, w in refused:
+            raises_like(lambda: corner_angles(*np.array([t]).T), w)
+        if family == "long":  # angles, product overflows and sinh range errors
+            assert len(ok) > 50 and {w[1] for _, w in refused} >= {"math range error"}
+            assert any(w[1].endswith(" overflows") for _, w in refused)
+    thin = corner_angles(np.array([300.0]), np.array([300.0]), np.array([1.0]))
+    assert thin.tolist() == [corner_angle(300.0, 300.0, 1.0)] == [0.0]
+    # sinh arguments of 710.3 and 710.35, just inside its range: angles, by the scalar
+    edge = [(355.2, 355.2, 710.2), (355.0, 355.4, 710.3), (1.0, 1.1, 1.2)]
+    got = corner_angles(*np.array(edge).T)
+    assert bits(got) == bits([corner_angle(*t) for t in edge])
+
+
+@pytest.mark.parametrize("sides", [
+    (400.0, 400.0, 400.0),  # a sinh product overflows
+    (800.0, 800.0, 1.0),  # past the range of sinh itself
+    (1e-200, 1.05e-200, 0.97e-200),  # a sinh product underflows
+    (0.0, 1.0, 1.0),
+    (-1.0, -1.0, 0.5),  # its sinh products pass for those of an angle
+    (1.0, 1.0, math.nan),
+    (1.0, 1.0, 2.5),
+    (1e-20, 1.0, 1.0),
+    (1.0, 0.5, 0.5000000000000001),  # b + c rounds to a; the sinh products pass
+])
+def test_corner_angles_refuse_as_corner_angle(sides):
+    want = corner_outcome(sides)
+    assert not isinstance(want, float)
+    fine = (1.0, 1.1, 1.2)
+    a, b, c = np.array([fine, sides, fine]).T
+    raises_like(lambda: corner_angles(a, b, c), want)
+
+
+@pytest.mark.parametrize("first,later", [(400.0, 512.5), (600.0, 400.0)])
+def test_surface_build_names_the_first_refused_corner(first, later):
+    # triangle 0 (ab, bc, ac) has sides `first`, the others two sides `later`:
+    # at 400 a sinh product overflows; a face (400, 512.5, 512.5) has a half
+    # sum of 712.5, just past sinh's range, and so does (600, 600, 600)
+    gluing = tetra_surface().triangulation
+    length = np.array([first if e in ("ab", "ac", "bc") else later
+                       for e in gluing.edge_ids])
+    side = length[gluing.he_edge].tolist()
+    with pytest.raises(OverflowError) as scalar:  # the loop the array pass replaced
+        [corner_angle(side[h], side[prv(h)], side[nxt(h)]) for h in range(gluing.n_half)]
+    assert str(scalar.value) == ("corner angle of sides (400.0, 400.0, 400.0) overflows"
+                                 if first == 400.0 else "math range error")
+    raises_like(lambda: ConeSurface(length, gluing), (OverflowError, str(scalar.value)))
 
 
 def test_corner_gradients_match_per_corner_formula(skew_tetra):
