@@ -5,7 +5,8 @@ reads a surface description in the JSON wire format (except selftest), emits
 deterministic key/value rows, and signals its outcome through the exit code:
 
 * 0 - success,
-* 1 - unreadable input or an invalid surface,
+* 1 - unreadable input, an invalid surface, or a stdout closed before the
+  report was written,
 * 2 - a wall angle or degenerate configuration blocks the computation,
 * 3 - a numerical failure (collapse, non-termination, residual above tolerance).
 
@@ -18,7 +19,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -41,22 +44,45 @@ TOL_DEFAULTS = {
 
 
 class Emitter:
-    """Accumulates key/value rows and prints them in the chosen format."""
+    """Collects a report's rows as text and prints them with one write.
+
+    A row is `key<sep>value`, sep being ": " for text and "=" for structured
+    output.  Floats print with %.17g (`fmt17`), bools as true/false, and any
+    other value through str.  `put` adds one row, `rows` a whole block, and
+    `chunks` takes text already laid out in rows.
+    """
 
     def __init__(self, fmt: str):
         self.sep = "=" if fmt == "structured" else ": "
-        self.rows = []
+        self.chunks = []
 
     def put(self, key, value):
         if isinstance(value, bool):
             value = "true" if value else "false"
         elif isinstance(value, float):
             value = fmt17(value)
-        self.rows.append((key, str(value)))
+        self.chunks.append(f"{key}{self.sep}{value}\n")
+
+    def rows(self, keys, labels, *columns):
+        """For each label, one row per key: `key % label`, then the label's
+        entry in the column of that key.
+
+        A column of floats prints with %.17g and any other through str (so a
+        column holds floats only or none).  The block is formatted by one %
+        operation: the rows of one label as a template, repeated per label.
+        """
+        labels = list(labels)
+        columns = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+        line = "".join(
+            "%s%s%s\n" % (key, self.sep,
+                          "%.17g" if all(map(isinstance, col, repeat(float))) else "%s")
+            for key, col in zip(keys, columns))
+        args = zip(*chain.from_iterable((labels, col) for col in columns))
+        self.chunks.append(line * len(labels) % tuple(chain.from_iterable(args)))
 
     def flush(self):
-        for key, value in self.rows:
-            sys.stdout.write(f"{key}{self.sep}{value}\n")
+        sys.stdout.write("".join(self.chunks))
+        sys.stdout.flush()
 
 
 def _parse_tols(pairs) -> dict:
@@ -87,8 +113,7 @@ def cmd_validate(args, out: Emitter, tols) -> int:
     out.put("triangles", s.n_triangles)
     out.put("chi", data.chi)
     out.put("area", s.area())
-    for v in range(s.n_vertices):
-        out.put(f"theta.{v}", s.cone_angle[v])
+    out.rows(["theta.%s"], range(s.n_vertices), s.cone_angle)
     out.put("hyperbolic", report.hyperbolic)
     out.put("flat", report.flat)
     out.put("off_walls", report.off_walls)
@@ -112,10 +137,10 @@ def _row_texts(p: np.ndarray):
 
 def cmd_poisson(args, out: Emitter, tols) -> int:
     s = _load_surface(args.input)
+    vertices = range(s.n_vertices)
     # one fan-pair table for the matrix and the Jacobi check
     pairs = poisson_mod.FanPairs(s, wall_guard=tols["wall"])
-    for v in range(s.n_vertices):
-        out.put(f"wall_margin.{v}", float(pairs.margins[v]))
+    out.rows(["wall_margin.%s"], vertices, pairs.margins)
     p = poisson_mod.eta_matrix(s, pairs=pairs)
     for eid, row in zip(s.edge_ids, _row_texts(p)):
         out.put(f"P.{eid}", row)
@@ -124,12 +149,11 @@ def cmd_poisson(args, out: Emitter, tols) -> int:
     out.put("rank", rank)
     out.put("rank_expected", expected)
     grads = poisson_mod.angle_gradients(s)
-    residuals = poisson_mod.radical_residuals(p, grads)
-    for v in range(s.n_vertices):
-        out.put(f"radical.{v}", float(residuals[v]))
+    residuals = poisson_mod.radical_residuals(p, grads).tolist()
+    out.rows(["radical.%s"], vertices, residuals)
     # the worst vertex, the first one in report order on ties
-    radical_max_at = max(range(s.n_vertices), key=lambda v: residuals[v])
-    radical_max = float(residuals[radical_max_at])
+    radical_max_at = max(vertices, key=residuals.__getitem__)
+    radical_max = residuals[radical_max_at]
     out.put("radical_max", radical_max)
     out.put("radical_max_at", radical_max_at)
     jac, triple = poisson_mod.jacobi_residual(s, p=p, pairs=pairs)
@@ -145,22 +169,20 @@ def cmd_poisson(args, out: Emitter, tols) -> int:
 def cmd_holonomy(args, out: Emitter, tols) -> int:
     s = _load_surface(args.input)
     atlas = develop(s)
-    for line in atlas.dump().splitlines():
-        key, _, rest = line.partition(": ")
-        out.put(key.replace(" ", "."), rest)
+    # the dump's rows "vertex <v>: ..." as rows "vertex.<v>": nothing after
+    # the first ": " of a row holds another
+    out.chunks.append(atlas.dump().replace("vertex ", "vertex.").replace(": ", out.sep))
     vrows, erows, max_error = holonomy_report(atlas)
-    errors = []
-    for v, trace, err in vrows:
-        out.put(f"trace.{v}", trace)
-        out.put(f"trace_error.{v}", err)
-        errors.append((f"trace.{v}", err))
-    for eid, recovered, err in erows:
-        out.put(f"alength.{eid}", recovered)
-        out.put(f"alength_error.{eid}", err)
-        errors.append((f"alength.{eid}", err))
+    vertices, traces, trace_errors = zip(*vrows)
+    edges, recovered, length_errors = zip(*erows)
+    out.rows(["trace.%s", "trace_error.%s"], vertices, traces, trace_errors)
+    out.rows(["alength.%s", "alength_error.%s"], edges, recovered, length_errors)
     out.put("max_error", max_error)
     # the worst row, the first one in report order on ties
-    out.put("max_error_at", max(errors, key=lambda row: row[1])[0])
+    errors = trace_errors + length_errors
+    at = max(range(len(errors)), key=errors.__getitem__)
+    out.put("max_error_at", f"trace.{vertices[at]}" if at < len(vertices)
+            else f"alength.{edges[at - len(vertices)]}")
     return 0 if max_error < tols["holonomy"] else 3
 
 
@@ -168,17 +190,14 @@ def cmd_delaunay(args, out: Emitter, tols) -> int:
     s = _load_surface(args.input)
     result, moves = delaunay_mod.make_delaunay(s, tol=tols["psi"])
     out.put("flips", len(moves))
-    for k, line in enumerate(delaunay_mod.move_log_lines(moves)):
-        out.put(f"move.{k}", line)
+    out.rows(["move.%s"], range(len(moves)), delaunay_mod.move_log_lines(moves))
     psi = delaunay_mod.edge_invariants(result)
-    for eid in result.edge_ids:
-        out.put(f"psi.{eid}", psi[eid])
+    out.rows(["psi.%s"], result.edge_ids, map(psi.__getitem__, result.edge_ids))
     psi_min_at = min(result.edge_ids, key=psi.get)
     psi_min = psi[psi_min_at]
     out.put("psi_min", psi_min)
     out.put("psi_min_at", psi_min_at)
-    for eid in result.edge_ids:
-        out.put(f"length.{eid}", result.lengths[eid])
+    out.rows(["length.%s"], result.edge_ids, result.length)
     return 0 if psi_min >= -tols["psi"] else 3
 
 
@@ -245,7 +264,16 @@ def main(argv=None) -> int:
         if isinstance(exc, HypconeError):
             return exc.exit_code
         return 3 if isinstance(exc, OverflowError) else 1
-    out.flush()
+    try:
+        out.flush()
+    except BrokenPipeError as exc:
+        sys.stderr.write(f"error[{type(exc).__name__}]: {exc}\n")
+        # the reader is gone: what stdout still buffers goes to the null
+        # device, so the interpreter's own flush at exit has nothing to fail on
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return code
 
 

@@ -125,17 +125,17 @@ class HolonomyAtlas:
         self.vertex_matrix = tuple(Sl2Matrix.from_entries(*loop) for loop in loops)
 
     def dump(self) -> str:
-        """Plain-text table of the vertex holonomies."""
-        lines = []
-        for v, m in enumerate(self.vertex_matrix):
-            if self.margins[v] < WALL_BAND:
+        """Plain-text table of the vertex holonomies, one row per vertex."""
+        fields = []
+        for v, (m, margin) in enumerate(zip(self.vertex_matrix, self.margins)):
+            if margin < WALL_BAND:
                 tag = "wall"
             else:  # sl2.elliptic_rotation_angle on the canonical entries
                 half = 2.0 * math.acos(min(1.0, (m.a + m.d) / 2.0))
                 tag = fmt17(half if m.c < 0.0 else 2.0 * math.pi - half)
-            lines.append("vertex %d: %.17g %.17g %.17g %.17g angle %s"
-                         % (v, m.a, m.b, m.c, m.d, tag))
-        return "\n".join(lines) + "\n"
+            fields += (v, m.a, m.b, m.c, m.d, tag)
+        row = "vertex %d: %.17g %.17g %.17g %.17g angle %s\n"
+        return row * len(self.vertex_matrix) % tuple(fields)
 
 
 def develop(s: ConeSurface) -> HolonomyAtlas:

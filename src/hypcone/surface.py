@@ -121,33 +121,43 @@ _SINH_ARG_MAX = 710.0
 
 def _libm(fn, x: np.ndarray) -> np.ndarray:
     """fn of every entry of x through `math`, that is by libm itself."""
-    return np.fromiter(map(fn, x.tolist()), float, x.size)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def corner_angles(a, b, c) -> np.ndarray:
+def _sinh(x: np.ndarray) -> np.ndarray:
+    """libm sinh of every entry of x, and 0.0 for an entry past the sinh
+    range or not finite: `corner_angles` refuses a corner holding one."""
+    return _libm(math.sinh, np.where(np.abs(x) <= _SINH_ARG_MAX, x, 0.0))
+
+
+def corner_angles(a, b, c, sinh_ab=None) -> np.ndarray:
     """corner_angle(a[i], b[i], c[i]) for every i, bit for bit, in one pass.
 
     The arithmetic is corner_angle's, in its order, on float64 arrays; sinh
     and acos are libm's through `math` (numpy's own ufuncs differ from them
-    in the last bit on some inputs).  A corner the pass cannot take, with a
-    side that is not a positive real, a strict triangle inequality that
-    fails, a sinh argument near its overflow, or a sinh product that is not
-    finite or below the normal float range, goes to corner_angle itself, in
-    index order, so the first of them raises exactly its error.
+    in the last bit on some inputs).  A caller that holds the sides' sinh
+    already, taken once per edge, passes (sinh a, sinh b) as `_sinh` gives
+    them in `sinh_ab`.  A corner the pass cannot take, with a side that is
+    not a positive real, a strict triangle inequality that fails, a sinh
+    argument near its overflow, or a sinh product that is not finite or
+    below the normal float range, goes to corner_angle itself, in index
+    order, so the first of them raises exactly its error.
     """
     a, b, c = (np.asarray(x, dtype=float) for x in (a, b, c))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         plus, minus = a + b, a - b
-        args = np.stack([(plus + c) / 2.0, (plus - c) / 2.0,
-                         (minus + c) / 2.0, (minus - c) / 2.0, a, b])
-        far = ~(np.abs(args) <= _SINH_ARG_MAX)  # also where a side is not finite
-        args[far] = 0.0
-        sa, sb, sc, sd, se, sf = _libm(math.sinh, args.ravel()).reshape(args.shape)
+        halves = np.stack([(plus + c) / 2.0, (plus - c) / 2.0,
+                           (minus + c) / 2.0, (minus - c) / 2.0])
+        sa, sb, sc, sd = _sinh(halves)
+        se, sf = (_sinh(a), _sinh(b)) if sinh_ab is None else sinh_ab
         outer, inner, den = sa * sb, sc * sd, se * sf
         num = outer + inner
         q = np.minimum(1.0, np.maximum(-1.0, num / den))
+        # also where a side is not finite
+        far = ~((np.abs(halves) <= _SINH_ARG_MAX).all(axis=0)
+                & (np.abs(a) <= _SINH_ARG_MAX) & (np.abs(b) <= _SINH_ARG_MAX))
         # the strict triangle inequalities also fail where a side is <= 0
-        bad = far.any(axis=0) | (plus <= c) | (b + c <= a) | (c + a <= b)
+        bad = far | (plus <= c) | (b + c <= a) | (c + a <= b)
         bad |= ~(np.isfinite(num) & np.isfinite(den))
         bad |= np.minimum(np.minimum(outer, -inner), den) < sys.float_info.min
     q[bad] = 0.0
@@ -434,7 +444,15 @@ class Triangulation:
 
 
 def _parse(edges: dict, triangles) -> tuple:
-    """(Triangulation, lengths in edge order) of the wire form."""
+    """(Triangulation, lengths in edge order) of the (dict, triangles) form.
+
+    The record-by-record walk: every edge id must be a nonempty string and
+    every length convert to a float; each triangle's sides, read as
+    (str(edge), str(direction)), must be three, name a listed edge and run
+    "+" or "-".  The first failure in that order raises a ValueError naming
+    its record.  `build_surface` takes a regular wire document around this
+    walk in one pass and comes here for any other.
+    """
     lengths = {}
     for eid, ln in edges.items():
         if not isinstance(eid, str) or not eid:
@@ -460,6 +478,50 @@ def _parse(edges: dict, triangles) -> tuple:
     if not he_edge:
         raise ValueError("surface needs at least one triangle")
     return Triangulation(edge_ids, he_edge, he_dir), [lengths[e] for e in edge_ids]
+
+
+_DIRECTION = {"+": 0, "-": 1}
+
+
+def _one_pass(data) -> tuple | None:
+    """(lengths in edge order, Triangulation) of a regular wire document,
+    else None.
+
+    A document is regular when it is JSON objects and lists of the wire
+    shape, its edge ids are distinct nonempty strings, its lengths ints or
+    floats that a float holds, and every triangle has three sides, each
+    naming a listed id and "+" or "-".  Then comprehensions and lookups
+    build the arrays, with no branch per record; every document this
+    refuses goes to the record-by-record walk, which accepts or refuses it
+    as if this pass did not exist.
+    """
+    try:
+        edges, triangles = data["edges"], data["triangles"]
+        ids = [rec["id"] for rec in edges]
+        lengths = [rec["length"] for rec in edges]
+        sides = [rec["sides"] for rec in triangles]
+        flat = list(chain.from_iterable(sides))
+        refs = [side["edge"] for side in flat]
+        dirs = [side["dir"] for side in flat]
+    except (LookupError, TypeError):
+        return None
+    if not (type(data) is dict and type(edges) is list and type(triangles) is list
+            and set(map(type, chain(edges, triangles, flat))) == {dict}
+            and set(map(type, sides)) == {list} and set(map(len, sides)) == {3}
+            and set(map(type, ids)) <= {str} and set(map(type, lengths)) <= {int, float}):
+        return None
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    edge_ids = [ids[i] for i in order]
+    index = dict(zip(edge_ids, range(len(ids))))
+    if len(index) < len(ids) or "" in index:
+        return None
+    try:
+        he_edge = list(map(index.__getitem__, refs))
+        he_dir = list(map(_DIRECTION.__getitem__, dirs))
+        length = np.array(lengths, dtype=float)[order]
+    except (LookupError, TypeError, OverflowError):
+        return None
+    return length, Triangulation(edge_ids, he_edge, he_dir)
 
 
 class ConeSurface(Triangulation):
@@ -494,27 +556,32 @@ class ConeSurface(Triangulation):
             raise NonPositiveLength(f"edge {self.edge_ids[i]!r} has length {length[i]}")
 
         # triangle inequalities, naming the offender
+        self.length = _frozen(length)
         side = length[self.he_edge]
         la, lb, lc = side.reshape(-1, 3).T
         bad = np.flatnonzero((la + lb <= lc) | (lb + lc <= la) | (lc + la <= lb))
         if bad.size:
-            t = int(bad[0])
-            ids = tuple(self.edge_ids[e] for e in self.he_edge[3 * t:3 * t + 3].tolist())
-            la, lb, lc = side[3 * t:3 * t + 3].tolist()
             raise TriangleInequality(
-                f"triangle {t} with edges {ids} and lengths "
-                f"({la}, {lb}, {lc}) violates the strict triangle inequalities")
+                f"{self._named(int(bad[0]))} violates the strict triangle inequalities")
 
-        # corner angle at the origin of each half-edge
+        # corner angle at the origin of each half-edge, from one sinh per edge
         h = np.arange(self.n_half)
-        angle = corner_angles(side, side[prv(h)], side[nxt(h)])
-        self.length = _frozen(length)
+        sinh = _sinh(length)[self.he_edge]
+        angle = corner_angles(side, side[prv(h)], side[nxt(h)],
+                              sinh_ab=(sinh, sinh[prv(h)]))
         self._lengths = dict(zip(self.edge_ids, length.tolist()))
         self.angle = _frozen(angle)
         corners = self.angle.reshape(-1, 3)
         self.triangle_areas = _frozen(math.pi - (corners[:, 0] + corners[:, 1] + corners[:, 2]))
         self.fan_sums = _frozen(_running_sums(self.angle[self.fan_order], self.fan_size))
         self.cone_angle = _frozen(self.fan_sums[np.cumsum(self.fan_size + 1) - 1])
+
+    def _named(self, t: int) -> str:
+        """Triangle t with its edge ids and lengths, for an error message."""
+        edges = self.he_edge[3 * t:3 * t + 3]
+        ids = tuple(self.edge_ids[e] for e in edges.tolist())
+        la, lb, lc = self.length[edges].tolist()
+        return f"triangle {t} with edges {ids} and lengths ({la}, {lb}, {lc})"
 
     @cached_property
     def fans(self) -> tuple:
@@ -538,8 +605,17 @@ class ConeSurface(Triangulation):
 
         Returns (edges, grads), both (n_half, 3): row h holds the edge indices
         of the sides h, prv(h), nxt(h) and the partials of angle[h] in their
-        lengths, read from the stored corner angles.
+        lengths, read from the stored corner angles.  The partials divide by
+        the sines of the triangle's other two angles, so a corner angle with
+        sin = 0 (acos loses a thin angle to 0.0) is refused as
+        NumericalCollapse, naming its triangle.
         """
+        flat = np.flatnonzero(np.sin(self.angle) == 0.0)
+        if flat.size:
+            h = int(flat[0])
+            raise NumericalCollapse(
+                f"{self._named(h // 3)} has a corner angle {float(self.angle[h])} with "
+                "sin = 0; its angle gradients divide by it")
         h = np.arange(self.n_half)
         edge, p, n = self.he_edge, prv(h), nxt(h)
         length = self.length[edge]
@@ -576,7 +652,17 @@ class ConeSurface(Triangulation):
 
 
 def build_surface(data: dict) -> ConeSurface:
-    """Construct and fully validate a surface from its wire-format object."""
+    """Construct and fully validate a surface from its wire-format object.
+
+    A regular document (see `_one_pass`) goes from its records to arrays in
+    one pass.  Any other is walked record by record: first the shape and
+    value types of the edge records, then of the triangle and side records,
+    then `_parse`.  A malformed document is refused with a ValueError naming
+    the first offending record in that order.
+    """
+    regular = _one_pass(data)
+    if regular is not None:
+        return ConeSurface(*regular)
     if not isinstance(data, dict):
         raise ValueError("top level must be an object")
     for key in ("edges", "triangles"):

@@ -1,3 +1,4 @@
+import functools
 import json
 import subprocess
 import sys
@@ -385,3 +386,46 @@ def test_poisson_builds_one_fan_pair_table(monkeypatch, capsys, tmp_path):
     assert len(built) == 1
     rows = capsys.readouterr().out.splitlines()
     assert sum(row.startswith("wall_margin.") for row in rows) == 34
+
+
+def test_thin_corner_poisson_is_a_named_refusal(capsys, tmp_path):
+    # acos loses the thin angle of sides (300, 300, 1) to 0.0, and the angle
+    # gradients divide by its sine: poisson refuses in one line, with no
+    # RuntimeWarning; the other subcommands do not take gradients
+    path = tmp_path / "thin.json"
+    doc = _torus_doc()
+    for rec, x in zip(doc["edges"], (300.0, 300.0, 1.0)):
+        rec["length"] = x
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "hypcone.cli", "poisson",
+         "--input", str(path)], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (
+        "error[NumericalCollapse]: triangle 0 with edges ('x', 'y', 'z') and lengths "
+        "(300.0, 300.0, 1.0) has a corner angle 0.0 with sin = 0; its angle gradients "
+        "divide by it\n")
+    assert run(capsys, "validate", "--input", str(path))[0] == 0
+    assert run(capsys, "delaunay", "--input", str(path))[0] == 0
+
+
+@functools.cache
+def _stellar_text(k):
+    return serialize_surface(stellar_surface(k, seed=1))
+
+
+@pytest.mark.parametrize("sub, k", [("validate", 2400), ("holonomy", 2400),
+                                    ("poisson", 100), ("delaunay", 2400)])
+def test_closed_stdout_ends_in_one_line(tmp_path, sub, k):
+    # the reader is gone before the report, larger than a 64 KiB pipe
+    # buffer, is written: one stderr line and exit 1, with no traceback and
+    # nothing from the interpreter's own flush at exit
+    path = tmp_path / "stellar.json"
+    path.write_text(_stellar_text(k))
+    proc = subprocess.Popen([sys.executable, "-m", "hypcone.cli", sub, "--input", str(path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err.startswith("error[BrokenPipeError]: ") and err.count("\n") == 1, err

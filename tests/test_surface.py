@@ -32,6 +32,7 @@ from hypcone import (
     serialize_surface,
     vertex_fans,
 )
+import hypcone.surface as surface_mod
 from hypcone.errors import (
     Disconnected,
     DimensionMismatch,
@@ -554,6 +555,25 @@ def test_build_surface_from_wire(torus):
     doc = json.loads(serialize_surface(torus))
     s = build_surface(doc)
     assert s.cone_angle == torus.cone_angle
+
+
+def test_regular_wire_document_takes_one_pass(monkeypatch):
+    # a regular document goes from its records to arrays without the
+    # record-by-record walk, and gives the surface the walk gives
+    s = stellar_surface(400, seed=3, start="tor")
+    doc = json.loads(serialize_surface(s))
+
+    def walk(*args):
+        raise AssertionError("record-by-record walk")
+
+    monkeypatch.setattr(surface_mod, "_parse", walk)
+    built = build_surface(doc)
+    assert built.edge_ids == s.edge_ids and built.triangles == s.triangles
+    assert bits(built.length) == bits(s.length) and bits(built.angle) == bits(s.angle)
+    # an irregular one, here with a numpy length, is walked
+    doc["edges"][0]["length"] = np.float64(1.3)
+    with pytest.raises(AssertionError, match="walk"):
+        build_surface(doc)
 
 
 # ---------------------------------------------------------------------------
