@@ -8,7 +8,8 @@ deterministic key/value rows, and signals its outcome through the exit code:
 * 1 - unreadable input, an invalid surface, or a stdout closed before the
   report was written,
 * 2 - a wall angle or degenerate configuration blocks the computation,
-* 3 - a numerical failure (collapse, non-termination, residual above tolerance).
+* 3 - a numerical failure (collapse, non-termination, residual above tolerance,
+  an uncertified rank).
 
 Floats are printed with repr-faithful precision (%.17g) so output is
 byte-for-byte reproducible for a fixed input, seed, and tolerance set.
@@ -44,7 +45,9 @@ TOL_DEFAULTS = {
 
 
 class Emitter:
-    """Collects a report's rows as text and prints them with one write.
+    """Collects a report's rows as text and prints them at once: to stdout's
+    byte buffer, written on until every byte is taken, or with one write to
+    a stdout that has no buffer.
 
     A row is `key<sep>value`, sep being ": " for text and "=" for structured
     output.  Floats print with %.17g (`fmt17`), bools as true/false, and any
@@ -81,8 +84,21 @@ class Emitter:
         self.chunks.append(line * len(labels) % tuple(chain.from_iterable(args)))
 
     def flush(self):
-        sys.stdout.write("".join(self.chunks))
+        text = "".join(self.chunks)
+        raw = getattr(sys.stdout, "buffer", None)
+        if raw is None:  # a text-only stream, such as io.StringIO
+            sys.stdout.write(text)
+            sys.stdout.flush()
+            return
         sys.stdout.flush()
+        data = memoryview(text.encode(sys.stdout.encoding or "utf-8",
+                                      sys.stdout.errors or "strict"))
+        # An unbuffered stdout is a raw file: when the reader leaves, one
+        # write takes only part of the report and the rest would be dropped
+        # without an error.  Writing on until every byte is taken raises it.
+        while data:
+            data = data[raw.write(data):]
+        raw.flush()
 
 
 def _parse_tols(pairs) -> dict:
@@ -125,13 +141,31 @@ def _row_texts(p: np.ndarray):
     """Each row of p as its entries' fmt17 texts joined by spaces.
 
     Only the nonzero entries are formatted; every +0.0 is the cell "0".  A
-    -0.0 counts as nonzero, so it keeps its text "-0".
+    -0.0 counts as nonzero, so it keeps its text "-0".  The cells above the
+    diagonal, on it, and every cell below it that is not exactly the
+    negative of its mirror are formatted by one % operation; a cell below
+    the diagonal that is (every one of an antisymmetric p) takes its
+    mirror's text with the sign flipped.  The rows are joined one at a time.
     """
-    for row in p:
-        cells = ["0"] * len(row)
-        at = np.flatnonzero((row != 0.0) | np.signbit(row))
-        for j, x in zip(at.tolist(), row[at].tolist()):
-            cells[j] = fmt17(x)
+    n = len(p)
+    nonzero = p != 0.0
+    nonzero |= np.signbit(p)
+    rows, cols = np.nonzero(nonzero)
+    del nonzero
+    values = p[rows, cols]
+    flip = (rows > cols) & (values == -p[cols, rows]) & (values != 0.0)
+    texts = np.empty(len(rows), dtype=object)
+    own = values[~flip].tolist()
+    texts[~flip] = ("%.17g " * len(own) % tuple(own)).split(" ")[:-1]
+    # the mirror (c, r) of a flipped cell is nonzero and above the diagonal
+    mirror = np.searchsorted(rows * n + cols, cols[flip] * n + rows[flip])
+    texts[flip] = [t[1:] if t[0] == "-" else "-" + t for t in texts[mirror].tolist()]
+    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    cols, texts = cols.tolist(), texts.tolist()
+    for r0, r1 in zip(bounds, bounds[1:]):
+        cells = ["0"] * n
+        for j, text in zip(cols[r0:r1], texts[r0:r1]):
+            cells[j] = text
         yield " ".join(cells)
 
 
@@ -144,19 +178,23 @@ def cmd_poisson(args, out: Emitter, tols) -> int:
     p = poisson_mod.eta_matrix(s, pairs=pairs)
     for eid, row in zip(s.edge_ids, _row_texts(p)):
         out.put(f"P.{eid}", row)
-    rank = poisson_mod.bivector_rank(p)
-    expected = 6 * s.genus - 6 + 2 * s.n_vertices
-    out.put("rank", rank)
-    out.put("rank_expected", expected)
     grads = poisson_mod.angle_gradients(s)
     residuals = poisson_mod.radical_residuals(p, grads).tolist()
+    jac, triple = poisson_mod.jacobi_residual(s, p=p, pairs=pairs)
+    del pairs
+    # the last use of P: the certificate factors a matrix built in its memory
+    rank, margin = poisson_mod.bivector_rank(p, grads, overwrite_p=True)
+    del p
+    expected = 6 * s.genus - 6 + 2 * s.n_vertices
+    out.put("rank", "uncertified" if rank is None else rank)
+    out.put("rank_expected", expected)
+    out.put("rank_margin", margin)
     out.rows(["radical.%s"], vertices, residuals)
     # the worst vertex, the first one in report order on ties
     radical_max_at = max(vertices, key=residuals.__getitem__)
     radical_max = residuals[radical_max_at]
     out.put("radical_max", radical_max)
     out.put("radical_max_at", radical_max_at)
-    jac, triple = poisson_mod.jacobi_residual(s, p=p, pairs=pairs)
     out.put("jacobi", jac)
     out.put("jacobi_at", " ".join(s.edge_ids[i] for i in triple) if triple else "none")
     for key, value in poisson_mod.comparison_note():

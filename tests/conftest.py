@@ -7,6 +7,19 @@ import pytest
 from hypcone import ConeSurface
 
 
+# The rank oracle counts singular values above RANK_TOL times the largest.
+RANK_TOL = 1e-8
+
+
+def svd_rank(p):
+    """The rank of p by a full SVD, cutting below RANK_TOL times the largest
+    singular value: the oracle for `bivector_rank`'s certificate."""
+    sv = np.linalg.svd(p, compute_uv=False)
+    if sv.size == 0:
+        return 0
+    return int(np.sum(sv > RANK_TOL * sv[0]))
+
+
 def torus_surface(a=1.2, b=None, c=None):
     """One-vertex torus: two triangles glued along all three edges."""
     b = a if b is None else b

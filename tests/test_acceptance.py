@@ -15,6 +15,7 @@ import pytest
 from conftest import (
     genus1_two_cone_surface,
     sphere3_surface,
+    svd_rank,
     tetra_surface,
     torus_surface,
 )
@@ -205,10 +206,11 @@ def test_bivector_structure():
     for name, s in _corpus().items():
         p = eta_matrix(s)
         assert np.array_equal(p, -p.T), f"{name}: not exactly antisymmetric"
-        res = radical_residuals(p, angle_gradients(s))
+        grads = angle_gradients(s)
+        res = radical_residuals(p, grads)
         rad_max = max(rad_max, float(np.max(res)))
         want_rank = 6 * s.genus - 6 + 2 * s.n_vertices
-        assert bivector_rank(p) == want_rank, f"{name}: rank"
+        assert bivector_rank(p, grads)[0] == want_rank == svd_rank(p), f"{name}: rank"
         jac_max = max(jac_max, jacobi_residual(s)[0])
         if name in fault_surfaces:
             raw = rng.normal(size=p.shape)

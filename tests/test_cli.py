@@ -1,5 +1,6 @@
 import functools
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -93,9 +94,11 @@ def test_poisson_report(capsys, torus_file):
     doc = as_dict(out)
     assert doc["rank"] == "2"
     assert doc["rank_expected"] == "2"
+    assert float(doc["rank_margin"]) > 0.0
     assert float(doc["radical_max"]) < 1e-8
     assert float(doc["jacobi"]) < 1e-5
     keys = report_keys(out)
+    assert keys[keys.index("rank") + 1:keys.index("rank") + 3] == ["rank_expected", "rank_margin"]
     assert keys[keys.index("jacobi") + 1] == "jacobi_at"
     assert doc["jacobi_at"] == "x y z"
     assert doc["comparison.constant"] == "1/8 up to global sign"
@@ -377,6 +380,21 @@ def test_row_texts_keep_negative_zero():
     assert list(_row_texts(p))[1] == "-2.25e-300 0 -0"
 
 
+def test_row_texts_flip_the_mirror_of_an_antisymmetric_cell():
+    # a cell below the diagonal takes its mirror's text with the sign
+    # flipped only when it is exactly the mirror's negative
+    rng = np.random.default_rng(3)
+    q = rng.standard_normal((7, 7)) * 10.0 ** rng.integers(-300, 300, size=(7, 7))
+    p = q - q.T
+    p[0, 1], p[1, 0] = np.inf, -np.inf
+    p[2, 3], p[3, 2] = np.nan, np.nan
+    p[4, 5], p[5, 4] = -0.0, -0.0
+    p[5, 6], p[6, 5] = 0.0, -0.0
+    p[6, 0] = 1.0  # not the negative of p[0, 6]
+    p[3, 3] = -2.5
+    assert list(_row_texts(p)) == [" ".join(fmt17(x) for x in row) for row in p.tolist()]
+
+
 def test_poisson_builds_one_fan_pair_table(monkeypatch, capsys, tmp_path):
     # the bivector, its wall margins and the Jacobi check share one table
     path = tmp_path / "stellar.json"
@@ -424,6 +442,46 @@ def test_closed_stdout_ends_in_one_line(tmp_path, sub, k):
     path.write_text(_stellar_text(k))
     proc = subprocess.Popen([sys.executable, "-m", "hypcone.cli", sub, "--input", str(path)],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err.startswith("error[BrokenPipeError]: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("start, k", [("tet", 398), ("tor", 399)])
+def test_poisson_certifies_1200_edges(capsys, tmp_path, start, k):
+    path = tmp_path / "stellar.json"
+    path.write_text(serialize_surface(stellar_surface(k, seed=1, start=start)))
+    code, out, err = run(capsys, "poisson", "--input", str(path))
+    doc = as_dict(out)
+    assert (code, err) == (0, "")
+    assert doc["rank"] == doc["rank_expected"] == ("798" if start == "tet" else "800")
+    assert float(doc["rank_margin"]) > 0.0
+
+
+def test_uncertified_rank_prints_every_row_and_exits_3(monkeypatch, capsys, torus_file):
+    _, want, _ = run(capsys, "poisson", "--input", torus_file)
+    monkeypatch.setattr(cli.poisson_mod, "certify_gram", lambda *args, **kwargs: None)
+    code, out, err = run(capsys, "poisson", "--input", torus_file)
+    assert (code, err) == (3, "")
+    assert report_keys(out) == report_keys(want)
+    doc = as_dict(out)
+    assert (doc["rank"], doc["rank_expected"], doc["rank_margin"]) == ("uncertified", "2", "0")
+    assert {k: v for k, v in doc.items() if not k.startswith("rank")} == {
+        k: v for k, v in as_dict(want).items() if not k.startswith("rank")}
+
+
+def test_unbuffered_stdout_closed_mid_report_exits_1(tmp_path):
+    # Unbuffered, a report larger than the pipe reaches it as one write that
+    # the kernel cuts short when the reader leaves; the rest of the report
+    # must raise, not vanish: one stderr line and exit 1.
+    path = tmp_path / "stellar.json"
+    path.write_text(_stellar_text(398))  # 1,200 edges
+    proc = subprocess.Popen([sys.executable, "-m", "hypcone.cli", "holonomy", "--input", str(path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONUNBUFFERED": "1"})
+    assert len(proc.stdout.read(10)) == 10
     proc.stdout.close()
     err = proc.stderr.read().decode()
     proc.stderr.close()

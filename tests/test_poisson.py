@@ -2,11 +2,18 @@ import itertools
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import genus1_two_cone_surface, sphere3_surface, stellar_surface, torus_surface
+from conftest import (
+    genus1_two_cone_surface,
+    sphere3_surface,
+    stellar_surface,
+    svd_rank,
+    torus_surface,
+)
 
 from hypcone import (
     angle_gradients,
@@ -17,7 +24,8 @@ from hypcone import (
     wall_margins,
 )
 from hypcone.errors import DimensionMismatch, WallAngle
-from hypcone.poisson import EtaDerivative, FanPairs, comparison_note
+import hypcone.poisson as poisson
+from hypcone.poisson import EtaDerivative, FanPairs, certify_gram, comparison_note, rounding_cover
 
 
 def fd_eta_derivatives(s, step):
@@ -184,7 +192,7 @@ def test_antisymmetry_is_exact(corpus):
 def test_ranks(torus, sphere3, tetra, g1n2):
     for s, want in ((torus, 2), (sphere3, 0), (tetra, 2), (g1n2, 4)):
         p = eta_matrix(s)
-        assert bivector_rank(p) == want
+        assert bivector_rank(p, angle_gradients(s))[0] == want == svd_rank(p)
         assert want == 6 * s.genus - 6 + 2 * s.n_vertices
 
 
@@ -201,7 +209,151 @@ def test_rank_stability_on_random_lengths():
             p = eta_matrix(s)
         except WallAngle:
             continue
-        assert bivector_rank(p) == 2
+        assert bivector_rank(p, angle_gradients(s))[0] == 2 == svd_rank(p)
+
+
+def _stellar_inputs():
+    """Seeded stellar surfaces of 30 to 600 edges in both families."""
+    for edges in (30, 90, 300, 600):
+        for start, base in (("tet", 6), ("tor", 3)):
+            for seed in (1, 2):
+                yield stellar_surface((edges - base) // 3, seed, start=start)
+
+
+def _least_scaled_eigenvalue(p, grads):
+    """lambda_min of K = P^T P + G^T G scaled to unit diagonal, by eigvalsh."""
+    k = p.T @ p + grads.T @ grads
+    d = 1.0 / np.sqrt(np.diag(k))
+    return float(np.linalg.eigvalsh(k * d[:, None] * d)[0])
+
+
+def test_certified_rank_matches_the_svd_oracle(corpus):
+    # the certificate proves rank E - n wherever the SVD count finds it, and
+    # its margin is a lower bound on the least eigenvalue of the scaled K
+    checked = 0
+    for s in itertools.chain(corpus, _stellar_inputs()):
+        try:
+            p = eta_matrix(s)
+        except WallAngle:
+            continue
+        grads = angle_gradients(s)
+        rank, margin = bivector_rank(p, grads)
+        assert rank == svd_rank(p) == s.n_edges - s.n_vertices == 6 * s.genus - 6 + 2 * s.n_vertices
+        assert 0.0 < margin <= _least_scaled_eigenvalue(p, grads)
+        checked += 1
+    assert checked >= 20
+
+
+def test_three_cone_sphere_certifies_rank_zero(sphere3):
+    rank, margin = bivector_rank(eta_matrix(sphere3), angle_gradients(sphere3))
+    assert (rank, margin > 0.0) == (0, True)
+
+
+def test_a_rank_drop_breaks_the_certificate():
+    s = stellar_surface(28, 1)  # 90 edges, 32 vertices
+    p, grads = eta_matrix(s), angle_gradients(s)
+    assert bivector_rank(p, grads)[0] == 58
+    # Zeroing one row and its column leaves an antisymmetric matrix of the
+    # same rank (the oracle agrees): its new kernel vector e_17 is not
+    # annihilated by G, so the certificate still holds.
+    zeroed = p.copy()
+    zeroed[17, :] = 0.0
+    zeroed[:, 17] = 0.0
+    assert bivector_rank(zeroed, grads)[0] == svd_rank(zeroed) == 58
+    # Projecting out x = P e_17, which G annihilates up to rounding, drops
+    # the rank by two, and the certificate fails.
+    x = p[:, 17] / np.linalg.norm(p[:, 17])
+    keep = np.eye(s.n_edges) - np.outer(x, x)
+    projected = keep @ p @ keep
+    projected = (projected - projected.T) / 2.0
+    assert svd_rank(projected) == 56
+    assert bivector_rank(projected, grads) == (None, 0.0)
+
+
+def test_overwrite_p_is_opt_in(monkeypatch, tetra):
+    # above one block K is formed in the memory of p only when asked to
+    monkeypatch.setattr(poisson, "RANK_BLOCK", 4)
+    p, grads = eta_matrix(tetra), angle_gradients(tetra)
+    kept = p.copy()
+    rank, margin = bivector_rank(p, grads)
+    assert np.array_equal(p, kept)
+    assert bivector_rank(p, grads, overwrite_p=True) == (rank, pytest.approx(margin))
+    assert not np.array_equal(p, kept)
+
+
+def _unit_diagonal_matrix(n, lam):
+    """(M, lambda): the float matrix I - c J / n whose scaling to unit
+    diagonal has least eigenvalue about lam, and that eigenvalue exactly."""
+    c = (1.0 - lam) / (1.0 - lam / n)
+    diag, off = 1.0 - c / n, -c / n
+    m = np.full((n, n), off)
+    np.fill_diagonal(m, diag)
+    s = 1.0 / np.sqrt(diag)  # the certificate's scale factor, equal for every row
+    exact = Fraction(s) ** 2 * (Fraction(diag) + (n - 1) * Fraction(off))
+    return m, float(exact)
+
+
+@pytest.mark.parametrize("ratio, certified", [(1.1, True), (0.9, False)])
+def test_certificate_decides_at_the_shift(ratio, certified):
+    # a Gram matrix whose least eigenvalue is just above or just below the
+    # shift of the first factorization is certified or refused
+    n = 40
+    shift = rounding_cover(n, n, float(n), 1.0, 0.0) * (1.0 + 2.0 ** -10)
+    m, lam = _unit_diagonal_matrix(n, ratio * shift)
+    assert lam == pytest.approx(ratio * shift, rel=1e-3)
+    margin = certify_gram(m, n)
+    if certified:
+        assert 0.0 < margin <= lam
+    else:
+        assert margin is None
+
+
+def test_shift_covers_the_trace_term():
+    # (2E + n) E u at 4,800 edges and 1,602 vertices, as documented
+    cover = rounding_cover(4800, 4800 + 1602, 4800.0, 1.0, 0.0)
+    assert cover == pytest.approx((2 * 4800 + 1602) * 4800 * 2.0 ** -53, rel=2e-3)
+
+
+def test_blocked_factor_matches_lapack(monkeypatch):
+    # several blocks: the factor below the last diagonal block equals
+    # LAPACK's, the strict upper triangle is untouched, the probe rows are
+    # solved, and _restore brings the matrix back
+    monkeypatch.setattr(poisson, "RANK_BLOCK", 16)
+    monkeypatch.setattr(poisson, "SUBSTITUTION_LEAF", 4)
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((50, 50))
+    m = x @ x.T + 50.0 * np.eye(50)
+    m = (m + m.T) / 2.0
+    a, diag = m.copy(), np.diag(m).copy()
+    probes = poisson._probes(50)
+    signs = probes.copy()
+    assert poisson._factor(a, diag, 0.5, probes)
+    low = np.linalg.cholesky(m - 0.5 * np.eye(50))
+    assert np.allclose(np.tril(a)[:, :48], low[:, :48], rtol=0.0, atol=1e-12)
+    assert np.array_equal(np.triu(a, 1), np.triu(m, 1))
+    assert np.allclose(probes, np.linalg.solve(low, signs.T).T, rtol=0.0, atol=1e-12)
+    poisson._restore(a)
+    assert np.array_equal(np.tril(a, -1), np.tril(m, -1))
+    m[49, 49] = -1.0  # not positive definite: the last pivot fails
+    assert not poisson._factor(m.copy(), np.diag(m).copy(), 0.5)
+
+
+def test_blocked_certificate_agrees_with_one_block(monkeypatch):
+    s = stellar_surface(48, 1)  # 150 edges, 52 vertices
+    p, grads = eta_matrix(s), angle_gradients(s)
+    rank, margin = bivector_rank(p, grads)
+    monkeypatch.setattr(poisson, "RANK_BLOCK", 32)
+    monkeypatch.setattr(poisson, "SUBSTITUTION_LEAF", 8)
+    blocked_rank, blocked_margin = bivector_rank(p, grads)
+    assert (blocked_rank, rank) == (98, 98)
+    assert blocked_margin == pytest.approx(margin, rel=1e-8)
+
+
+def test_probes_are_fixed_signs():
+    probes = poisson._probes(9)
+    assert probes.shape == (poisson.RANK_PROBES, 9)
+    assert set(np.unique(probes)) == {-1.0, 1.0}
+    assert np.array_equal(probes, poisson._probes(12)[:, :9])
 
 
 def test_angle_gradients_match_finite_differences(skew_tetra):
@@ -223,7 +375,8 @@ def test_gradients_span_radical(corpus):
         res = radical_residuals(p, grads)
         assert np.all(res < 1e-8)
         # the radical has dimension n here, so gradients + rank fill the space
-        assert bivector_rank(p) + s.n_vertices == s.n_edges
+        assert bivector_rank(p, grads)[0] + s.n_vertices == s.n_edges
+        assert svd_rank(p) + s.n_vertices == s.n_edges
         assert np.linalg.matrix_rank(grads, tol=1e-10) == s.n_vertices
 
 
