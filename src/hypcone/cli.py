@@ -21,6 +21,7 @@ import argparse
 import functools
 import json
 import os
+import select
 import sys
 from itertools import chain, repeat
 
@@ -91,13 +92,19 @@ class Emitter:
             sys.stdout.flush()
             return
         sys.stdout.flush()
+        # The rows end in "\n" as they are: the byte path skips the text
+        # layer's newline translation, which is none on POSIX.
         data = memoryview(text.encode(sys.stdout.encoding or "utf-8",
                                       sys.stdout.errors or "strict"))
         # An unbuffered stdout is a raw file: when the reader leaves, one
         # write takes only part of the report and the rest would be dropped
         # without an error.  Writing on until every byte is taken raises it.
         while data:
-            data = data[raw.write(data):]
+            taken = raw.write(data)
+            if taken is None:  # a full non-blocking descriptor: wait until it drains
+                select.select([], [raw], [])
+                continue
+            data = data[taken:]
         raw.flush()
 
 
@@ -182,8 +189,8 @@ def cmd_poisson(args, out: Emitter, tols) -> int:
     residuals = poisson_mod.radical_residuals(p, grads).tolist()
     jac, triple = poisson_mod.jacobi_residual(s, p=p, pairs=pairs)
     del pairs
-    # the last use of P: the certificate factors a matrix built in its memory
-    rank, margin = poisson_mod.bivector_rank(p, grads, overwrite_p=True)
+    # the last use of P: on large surfaces the certificate builds K in its memory
+    rank, margin = poisson_mod.bivector_rank(p, grads)
     del p
     expected = 6 * s.genus - 6 + 2 * s.n_vertices
     out.put("rank", "uncertified" if rank is None else rank)

@@ -15,19 +15,19 @@ identity holds.  The rank needs no cut on singular values: a Cholesky
 factorization of K = P^T P + G^T G (G the cone-angle gradients), scaled to
 unit diagonal and shifted by a bound on every rounding error, that succeeds
 proves rank P >= E - n for the float matrix, and the radical residuals bound
-the rest (`bivector_rank`).  Above RANK_BLOCK edges K is formed from the
-nonzeros of P and factored blockwise in place, so the certificate holds one
-E x E array.  The Jacobi check differentiates P analytically: theta and
-the angle between two germs are sums of corner angles, so the chain rule
+the rest (`bivector_rank`).  On large surfaces K is formed from the nonzeros
+of P in P's own memory and factored blockwise in place, so the certificate
+holds one E x E array.  The Jacobi check differentiates P analytically: theta
+and the angle between two germs are sums of corner angles, so the chain rule
 through the closed-form corner-angle gradient gives the derivative of each
-germ pair in factored form (`EtaDerivative`).  Contracting a row r of P
-with the derivative of the pair (a, b) of a fan takes three numbers, the row
+germ pair in factored form (`EtaDerivative`).  Contracting a row r of P with
+the derivative of the pair (a, b) of a fan takes three numbers, the row
 contracted with the gradients of prefix[a], prefix[b] and theta, and gives
 the one term the pair and the row add to the Jacobi sum at the triple of
 edges (r, edge a, edge b).  J is totally antisymmetric, so the terms are
 summed per sorted triple, BLOCK_ENTRIES terms at a time in the order of the
-triple's smallest edge (its slice); a term that is alone on its triple
-skips the sum.  No surface is rebuilt and no E^3 array is formed.
+triple's smallest edge (its slice); a term that is alone on its triple skips
+the sum.  No surface is rebuilt and no E^3 array is formed.
 
 The coefficients blow up like 1/sin(theta/2) as a cone angle approaches a
 multiple of 2*pi.  Evaluation is refused where the `surface.wall_margin`
@@ -51,13 +51,21 @@ WALL_GUARD = 1e-6
 # Terms (or derivative entries) one block of the Jacobi check evaluates at
 # once; it bounds the transient memory of the check.
 BLOCK_ENTRIES = 1 << 13
-# Rows per block of the rank certificate's Cholesky factorization: up to
-# this order it is one LAPACK call.
+# Most rows per block of the rank certificate's Cholesky factorization: up
+# to this order it is one LAPACK call, above it blocks of equal size.
 RANK_BLOCK = 1024
 # Up to this many rows `_substitute` solves one row at a time.
 SUBSTITUTION_LEAF = 32
-# Sign vectors whose solves estimate the least eigenvalue for the margin.
-RANK_PROBES = 4
+# K = P^T P + G^T G is the dense product of [P; G] while that and K take
+# at most this many bytes (up to about 950 edges), and is accumulated from
+# the nonzeros in the memory of P above.  The product is the faster up to
+# about 3,600 edges, but its two arrays, (2E + n) E doubles, would raise the
+# peak by 31 MB at 1,200 edges and 425 MB at 4,800; the nonzeros add 5-12 MB.
+DENSE_GRAM_BYTES = 16 << 20
+# The margin's second shift adds this times 1 / sum l_i^-2 (l_i the pivots of
+# the first factorization), which lies within 0.18 to 3.2 times the least
+# eigenvalue on seeded stellar surfaces of 30 to 600 edges.
+MARGIN_STEP = 0.25
 # A Gram matrix with a diagonal entry below this is not certified: its
 # products could underflow.
 MIN_GRAM_DIAG = 2.0 ** -500
@@ -300,62 +308,57 @@ def _substitute(low: np.ndarray, b: np.ndarray):
         b[j] /= low[j, j]
 
 
-def _factor(a: np.ndarray, diag: np.ndarray, shift: float,
-            probes: np.ndarray | None = None) -> bool:
+def _block_size(n: int) -> int:
+    """The rows of each block when n rows are cut into the fewest blocks of
+    at most RANK_BLOCK rows, all of one size but the last."""
+    blocks = -(-n // RANK_BLOCK)
+    return -(-n // blocks)
+
+
+def _factor(a: np.ndarray, diag: np.ndarray, shift: float) -> np.ndarray | None:
     """Factor B = a - shift I with diagonal fl(diag - shift) by a blocked
     right-looking Cholesky in place on and below the diagonal of a; the strict
     upper triangle is neither read nor written.
 
-    Blocks of RANK_BLOCK rows: the diagonal block by np.linalg.cholesky, the
-    panel below it by `_substitute`, the trailing blocks by matmul.  Returns
-    whether every pivot is positive (and a number).  The rows r of `probes`
-    become r L^-T, whose squared norms are r^T B^-1 r: they border each
-    diagonal block, so the one LAPACK call that factors the block also
-    solves for them.  The last diagonal block is factored in a copy, so a
-    single block leaves a below its diagonal as it was.
+    Blocks of equal size, at most RANK_BLOCK rows (`_block_size`): the
+    diagonal block by np.linalg.cholesky, whose two copies of the block are
+    the largest transients, the panel below it by `_substitute`, the
+    trailing blocks by matmul.  Returns the pivots (the diagonal of the
+    factor), or None when one is not positive (or not a number).  The last
+    diagonal block is factored in a copy, so a single block leaves a below
+    its diagonal as it was.
     """
     n = len(a)
-    k = 0 if probes is None else len(probes)
+    size = _block_size(n)
+    pivots = np.empty(n)
     a.flat[::n + 1] = diag - shift
-    for j0 in range(0, n, RANK_BLOCK):
-        j1 = min(j0 + RANK_BLOCK, n)
-        b = j1 - j0
-        block = a[j0:j1, j0:j1]
-        if k:
-            block = np.zeros((b + k, b + k))
-            block[:b, :b] = a[j0:j1, j0:j1]
-            block[b:, :b] = probes[:, j0:j1]
-            # above every |L^-1 r|^2 <= n / lambda_min(L L^T) unless a pivot
-            # is below 1e-170; a bordering pivot that fails then refuses,
-            # which is never a false certificate
-            block.flat[b * (b + k) + b::b + k + 1] = 2.0 ** 600
+    for j0 in range(0, n, size):
+        j1 = min(j0 + size, n)
         try:
-            low = np.linalg.cholesky(block)
+            low = np.linalg.cholesky(a[j0:j1, j0:j1])
         except np.linalg.LinAlgError:
-            return False
-        if not np.all(low.diagonal()[:b] > 0.0):
-            return False
-        if k:
-            probes[:, j0:j1] = low[b:, :b]
+            return None
+        pivots[j0:j1] = low.diagonal()
+        if not np.all(pivots[j0:j1] > 0.0):
+            return None
         if j1 == n:
             break
-        np.copyto(a[j0:j1, j0:j1], low[:b, :b], where=np.tri(b, dtype=bool))
+        b = j1 - j0
+        np.copyto(a[j0:j1, j0:j1], low, where=np.tri(b, dtype=bool))
         low = a[j0:j1, j0:j1]
         panel = a[j1:, j0:j1]
-        for r0 in range(0, n - j1, RANK_BLOCK):  # panel L^T = A21, by rows
-            rows = panel[r0:r0 + RANK_BLOCK]
+        for r0 in range(0, n - j1, size):  # panel L^T = A21, by rows
+            rows = panel[r0:r0 + size]
             solved = rows.T.copy()
             _substitute(low, solved)
             rows[...] = solved.T
-        if k:
-            probes[:, j1:] -= probes[:, j0:j1] @ panel.T
-        for c0 in range(j1, n, RANK_BLOCK):
-            c1 = min(c0 + RANK_BLOCK, n)
+        for c0 in range(j1, n, size):
+            c1 = min(c0 + size, n)
             rows = panel[c0 - j1:c1 - j1]
             np.subtract(a[c0:c1, c0:c1], rows @ rows.T, out=a[c0:c1, c0:c1],
                         where=np.tri(c1 - c0, dtype=bool))
             a[c1:, c0:c1] -= panel[c1 - j1:] @ rows.T
-    return True
+    return pivots
 
 
 def _restore(a: np.ndarray):
@@ -364,32 +367,24 @@ def _restore(a: np.ndarray):
     n = len(a)
     if n <= RANK_BLOCK:
         return
-    for c0 in range(0, n, RANK_BLOCK):
-        c1 = min(c0 + RANK_BLOCK, n)
+    size = _block_size(n)
+    for c0 in range(0, n, size):
+        c1 = min(c0 + size, n)
         np.copyto(a[c0:c1, c0:c1], a[c0:c1, c0:c1].T,
                   where=np.tri(c1 - c0, k=-1, dtype=bool))
         a[c1:, c0:c1] = a[c0:c1, c1:].T
 
 
-def _probes(n: int) -> np.ndarray:
-    """RANK_PROBES fixed rows of signs +-1, from a multiplicative hash of the
-    index (no random generator, so every numpy draws the same)."""
-    odd = 2 * np.arange(RANK_PROBES, dtype=np.int64)[:, None] + 1
-    bits = (odd * np.arange(n, dtype=np.int64) * 0x9E3779B1 >> 17) & 1
-    return 1.0 - 2.0 * bits
-
-
-def certify_gram(a: np.ndarray, terms: int, refine: bool = True) -> float | None:
+def certify_gram(a: np.ndarray, terms: int) -> float | None:
     """A certified lower bound > 0 on the least eigenvalue of D K D, or None.
 
     `a` holds the computed Gram matrix K~ of an exact K = X^T X, formed by
     inner products of `terms` products, in both triangles; it is scaled in
     place to unit diagonal (D = diag(1/sqrt(K~_ii))) and then destroyed.
     The first factorization, at the shift `rounding_cover` asks for, proves
-    D K D, and so K, positive definite.  With `refine`, the probe solves of
-    that factorization estimate tr(B^-1) >= 1/lambda_min (Hutchinson), and
-    a second factorization at the first shift plus half the estimated
-    1/tr(B^-1) raises the bound when it succeeds.  See `bivector_rank`.
+    D K D, and so K, positive definite.  Its pivots l_i give a second shift,
+    the first plus MARGIN_STEP / sum l_i^-2, and a second factorization that
+    succeeds there raises the bound.  See `bivector_rank`.
     """
     n = len(a)
     d = a.diagonal().copy()
@@ -405,20 +400,21 @@ def certify_gram(a: np.ndarray, terms: int, refine: bool = True) -> float | None
         return math.nextafter(shift - rounding_cover(n, terms, trace, top, shift), 0.0)
 
     shift = rounding_cover(n, terms, trace, top, 0.0) * (1.0 + 2.0 ** -10)
-    probes = _probes(n) if refine else None
-    if not _factor(a, diag, shift, probes):
+    pivots = _factor(a, diag, shift)
+    if pivots is None:
         return None
     best = margin(shift)
-    if refine:
-        shift += 0.5 * len(probes) / float(np.sum(probes * probes))
-        if margin(shift) > best:
-            _restore(a)
-            if _factor(a, diag, shift):
-                best = margin(shift)
+    smallest = float(pivots.min())
+    ratio = smallest / pivots  # 1 / sum l_i^-2 = smallest^2 / sum ratio_i^2, with no overflow
+    shift += MARGIN_STEP * smallest * smallest / float(ratio @ ratio)
+    if margin(shift) > best:
+        _restore(a)
+        if _factor(a, diag, shift) is not None:
+            best = margin(shift)
     return best
 
 
-def bivector_rank(p: np.ndarray, grads: np.ndarray, overwrite_p: bool = False) -> tuple:
+def bivector_rank(p: np.ndarray, grads: np.ndarray) -> tuple:
     """(rank, margin): the rank E - n of the E x E bivector p, certified
     with the n x E cone-angle gradients `grads`, and a certified lower bound
     on the least eigenvalue of K = P^T P + G^T G scaled to unit diagonal;
@@ -455,32 +451,29 @@ def bivector_rank(p: np.ndarray, grads: np.ndarray, overwrite_p: bool = False) -
 
     At E = 4,800 and n = 1,602 the shift is about (2E + n) E u = 6e-9
     (tr M~ = E).  K~ is factored once at that shift, and once more at a
-    larger one for the margin (`certify_gram`); G G^T, of order n, is
-    factored once.
-    Up to RANK_BLOCK edges K is formed densely; above, from the nonzeros
-    of P and G (a few dozen a row), and with `overwrite_p` in the memory of
-    p, which is then destroyed.
+    larger one for the margin (`certify_gram`); so is G G^T, of order n.
+    While the two arrays [P; G] and K~ take at most DENSE_GRAM_BYTES, K~ is
+    their product.  Above, it is accumulated from the nonzeros of P and G
+    (a few dozen a row) in the memory of p, which is then destroyed.
     """
     n_e, n_v = p.shape[0], grads.shape[0]
     if grads.ndim != 2 or grads.shape[1] != n_e:
         raise DimensionMismatch("gradient rows must match the matrix dimension")
-    if certify_gram(grads @ grads.T, n_e, refine=False) is None:
+    if certify_gram(grads @ grads.T, n_e) is None:
         return None, 0.0
-    if n_e <= RANK_BLOCK:  # one block: dense products beat gathering nonzeros
+    if 8 * (2 * n_e + n_v) * n_e <= DENSE_GRAM_BYTES:
         x = np.vstack((p, grads))
         k = x.T @ x
         del x
     else:
         entries = _nonzeros(p)
-        k = p if overwrite_p else np.empty_like(p)
+        k = p
         k.fill(0.0)
         _add_gram(k, *entries)
         del entries
         _add_gram(k, *_nonzeros(grads))
     margin = certify_gram(k, n_e + n_v)
     return (None, 0.0) if margin is None else (n_e - n_v, margin)
-
-
 
 
 class EtaDerivative:

@@ -472,6 +472,43 @@ def test_uncertified_rank_prints_every_row_and_exits_3(monkeypatch, capsys, toru
         k: v for k, v in as_dict(want).items() if not k.startswith("rank")}
 
 
+def test_flush_waits_for_a_full_nonblocking_stdout(monkeypatch):
+    # a raw stdout on a full non-blocking descriptor takes nothing and
+    # returns None: flush waits for it to drain instead of spinning, then
+    # writes the rest
+    state = {"full": True, "calls": 0, "taken": bytearray()}
+
+    class Raw:
+        def write(self, data):
+            state["calls"] += 1
+            assert state["calls"] < 20, "flush spins on a full descriptor"
+            if state["full"]:
+                return None
+            state["taken"] += data[:5]
+            return min(5, len(data))
+
+        def flush(self):
+            pass
+
+    raw = Raw()
+
+    def wait(readable, writable, failed):
+        assert writable == [raw]
+        state["full"] = False
+        return [], writable, []
+
+    stdout = type("Stdout", (), {"buffer": raw, "encoding": "utf-8", "errors": "strict",
+                                 "flush": lambda self: None})()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(cli.select, "select", wait)
+    out = cli.Emitter("text")
+    out.put("key", "value")
+    out.put("x", 1.5)
+    out.flush()
+    assert bytes(state["taken"]) == b"key: value\nx: 1.5\n"
+    assert state["calls"] == 1 + 4  # None once, then 18 bytes 5 at a time
+
+
 def test_unbuffered_stdout_closed_mid_report_exits_1(tmp_path):
     # Unbuffered, a report larger than the pipe reaches it as one write that
     # the kernel cuts short when the reader leaves; the rest of the report
