@@ -20,7 +20,8 @@ rewires the two triangles in their slots, recomputes their six corner
 angles, and re-keys the at most five edges of the quadrilateral in a heap of
 (psi0, edge index), so a flip costs O(log E) instead of a rebuild of the
 surface and a rescan of every edge.  The integer side arrays go straight to
-one `Triangulation` at the end, which checks the gluing once.
+one `Triangulation` at the end, which checks the gluing once, and the
+state's corner angles become the final surface's without a second pass.
 """
 
 from __future__ import annotations
@@ -144,9 +145,15 @@ class FlipState:
         return tuple(3 * t + k for t in (move.tri_plus, move.tri_minus) for k in range(3))
 
     def surface(self) -> ConeSurface:
-        """The current triangulation as a fully checked surface."""
+        """The current triangulation as a fully checked surface.
+
+        The gluing and the lengths are checked as by the constructor; the
+        corner angles are the state's, which are bit for bit those the
+        constructor's array pass would compute: the scalar `corner_angle`
+        of a flip agrees with it at every corner.
+        """
         gluing = Triangulation(self.edge_ids, self.he_edge, self.he_dir)
-        return ConeSurface(self.length, gluing)
+        return ConeSurface(self.length, gluing, _angle=self.angle)
 
 
 def flip(s: ConeSurface, e: str):

@@ -375,16 +375,19 @@ def _restore(a: np.ndarray):
         a[c1:, c0:c1] = a[c0:c1, c1:].T
 
 
-def certify_gram(a: np.ndarray, terms: int) -> float | None:
-    """A certified lower bound > 0 on the least eigenvalue of D K D, or None.
+def _first_factor(a: np.ndarray, terms: int):
+    """Scale the Gram matrix in `a` in place to unit diagonal and factor it
+    once, at the shift `rounding_cover` asks for; a success proves it
+    positive definite.
 
     `a` holds the computed Gram matrix K~ of an exact K = X^T X, formed by
-    inner products of `terms` products, in both triangles; it is scaled in
-    place to unit diagonal (D = diag(1/sqrt(K~_ii))) and then destroyed.
-    The first factorization, at the shift `rounding_cover` asks for, proves
-    D K D, and so K, positive definite.  Its pivots l_i give a second shift,
-    the first plus MARGIN_STEP / sum l_i^-2, and a second factorization that
-    succeeds there raises the bound.  See `bivector_rank`.
+    inner products of `terms` products, in both triangles; D =
+    diag(1/sqrt(K~_ii)) scales it, and the factorization destroys it.
+    Returns None when a diagonal entry is not finite or below MIN_GRAM_DIAG
+    or the factorization fails, else (pivots, diag, shift, margin):
+    the pivots of the factor, the scaled diagonal, the shift, and
+    margin(sigma), the certified lower bound on the least eigenvalue of
+    D K D that a success at the shift sigma gives.  See `bivector_rank`.
     """
     n = len(a)
     d = a.diagonal().copy()
@@ -401,8 +404,21 @@ def certify_gram(a: np.ndarray, terms: int) -> float | None:
 
     shift = rounding_cover(n, terms, trace, top, 0.0) * (1.0 + 2.0 ** -10)
     pivots = _factor(a, diag, shift)
-    if pivots is None:
+    return None if pivots is None else (pivots, diag, shift, margin)
+
+
+def certify_gram(a: np.ndarray, terms: int) -> float | None:
+    """A certified lower bound > 0 on the least eigenvalue of D K D, or None.
+
+    The first factorization (`_first_factor`) proves D K D, and so K,
+    positive definite.  Its pivots l_i give a second shift, the first plus
+    MARGIN_STEP / sum l_i^-2, and a second factorization that succeeds
+    there raises the bound.  `a` is destroyed.  See `bivector_rank`.
+    """
+    first = _first_factor(a, terms)
+    if first is None:
         return None
+    pivots, diag, shift, margin = first
     best = margin(shift)
     smallest = float(pivots.min())
     ratio = smallest / pivots  # 1 / sum l_i^-2 = smallest^2 / sum ratio_i^2, with no overflow
@@ -451,7 +467,8 @@ def bivector_rank(p: np.ndarray, grads: np.ndarray) -> tuple:
 
     At E = 4,800 and n = 1,602 the shift is about (2E + n) E u = 6e-9
     (tr M~ = E).  K~ is factored once at that shift, and once more at a
-    larger one for the margin (`certify_gram`); so is G G^T, of order n.
+    larger one for the margin (`certify_gram`).  G G^T, of order n, is
+    factored once (`_first_factor`): its margin is not reported.
     While the two arrays [P; G] and K~ take at most DENSE_GRAM_BYTES, K~ is
     their product.  Above, it is accumulated from the nonzeros of P and G
     (a few dozen a row) in the memory of p, which is then destroyed.
@@ -459,7 +476,7 @@ def bivector_rank(p: np.ndarray, grads: np.ndarray) -> tuple:
     n_e, n_v = p.shape[0], grads.shape[0]
     if grads.ndim != 2 or grads.shape[1] != n_e:
         raise DimensionMismatch("gradient rows must match the matrix dimension")
-    if certify_gram(grads @ grads.T, n_e) is None:
+    if _first_factor(grads @ grads.T, n_e) is None:
         return None, 0.0
     if 8 * (2 * n_e + n_v) * n_e <= DENSE_GRAM_BYTES:
         x = np.vstack((p, grads))

@@ -10,7 +10,14 @@ both to the test suite and to the command-line self-test.
 
 The per-sample work is float arithmetic on the library's float elements and
 on plain tuples; numpy only draws the samples and solves the exp-side
-oracle's small least-squares system.
+oracle's small least-squares system.  The five suites that draw only
+uniform samples take them in bulk (`_uniform`): rng.random() values,
+CHUNK at a time, as Python floats, each served as low + (high - low) u.
+That is the very expression Generator.uniform evaluates on the same
+stream, so every sample, and every report, is the one per-call draws give.
+The log-expansion suite keeps its generator: its normal draws take raw
+words from the stream between its uniforms, so a bulk buffer would shift
+them.
 """
 
 from __future__ import annotations
@@ -44,6 +51,8 @@ LOG_TOL = 1e-6
 # Random samples per suite: the log-expansion suite, and each of the others.
 LOG_COUNT = 200
 TRIG_COUNT = 500
+# rng.random() values a bulk uniform draw takes from the stream at once.
+CHUNK = 4096
 
 
 def _scaled(err: float, expected: float) -> float:
@@ -60,13 +69,38 @@ def _gap(p, q) -> float:
     return max(abs(p[0] - q[0]), abs(p[1] - q[1]))
 
 
-def _random_point(rng) -> HypPoint:
-    return HypPoint(float(rng.uniform(-2.0, 2.0)), float(rng.uniform(0.25, 2.5)))
+def _uniform(rng):
+    """Generator.uniform of rng's stream, drawn in bulk.
+
+    The returned `uniform(low, high)` is one sample and `uniform(low, high,
+    k)` a list of k, each low + (high - low) u for the next value u of
+    rng.random(): bit for bit what rng.uniform gives on the same stream,
+    since that evaluates the same expression in doubles.  The values are
+    taken CHUNK at a time, so rng runs ahead of the samples served and is
+    read only through `uniform` from then on.
+    """
+    def stream():
+        while True:
+            yield from rng.random(CHUNK).tolist()
+
+    nxt = stream().__next__
+
+    def uniform(low: float = 0.0, high: float = 1.0, k: int | None = None):
+        if k is None:
+            return low + (high - low) * nxt()
+        return [low + (high - low) * nxt() for _ in range(k)]
+
+    return uniform
 
 
-def _distinct_reals(rng, k: int, gap: float = 0.05) -> list:
+def _random_point(uniform) -> HypPoint:
+    """A point of the plane from `uniform`, a `_uniform` or Generator.uniform."""
+    return HypPoint(float(uniform(-2.0, 2.0)), float(uniform(0.25, 2.5)))
+
+
+def _distinct_reals(uniform, k: int, gap: float = 0.05) -> list:
     while True:
-        xs = [float(x) for x in rng.uniform(-3.0, 3.0, size=k)]
+        xs = [float(x) for x in uniform(-3.0, 3.0, k)]
         if all(abs(xs[i] - xs[j]) >= gap
                for i in range(k) for j in range(i + 1, k)):
             return xs
@@ -79,14 +113,15 @@ def rotation_pair_suite(rng, count: int) -> float:
     from the first center to the second (built from an independent
     normalizing isometry), and the bracket's self-pairing 8 sinh^2 d.
     """
+    uniform = _uniform(rng)
     worst = 0.0
     for _ in range(count):
-        p1 = _random_point(rng)
-        p2 = _random_point(rng)
+        p1 = _random_point(uniform)
+        p2 = _random_point(uniform)
         while hyp_distance(p1, p2) < 1e-2:
-            p2 = _random_point(rng)
-        s1 = elliptic_about(p1, float(rng.uniform(0.1, 2.0 * math.pi - 0.1)))
-        s2 = elliptic_about(p2, float(rng.uniform(0.1, 2.0 * math.pi - 0.1)))
+            p2 = _random_point(uniform)
+        s1 = elliptic_about(p1, uniform(0.1, 2.0 * math.pi - 0.1))
+        s2 = elliptic_about(p2, uniform(0.1, 2.0 * math.pi - 0.1))
         val, br = elliptic_pair_pairing(s1, s2)
         d = hyp_distance(p1, p2)
         worst = max(worst, _scaled(abs(val + 2.0 * math.cosh(d)), 2.0 * math.cosh(d)))
@@ -122,11 +157,12 @@ def axis_pair_suite(rng, count: int) -> float:
     endpoint interleaving; crossing angle vs circle tangents; distance of
     disjoint axes via sinh d = 2 sqrt(uv)/|v - u|.
     """
+    uniform = _uniform(rng)
     worst = 0.0
     for _ in range(count):
-        u1, v1, u2, v2 = _distinct_reals(rng, 4)
-        r1 = hyperbolic_along(u1, v1, float(rng.uniform(0.3, 2.5)))
-        r2 = hyperbolic_along(u2, v2, float(rng.uniform(0.3, 2.5)))
+        u1, v1, u2, v2 = _distinct_reals(uniform, 4)
+        r1 = hyperbolic_along(u1, v1, uniform(0.3, 2.5))
+        r2 = hyperbolic_along(u2, v2, uniform(0.3, 2.5))
         val = geodesic_pair_pairing(r1, r2)
 
         def mob(z):
@@ -157,12 +193,13 @@ def mixed_pair_suite(rng, count: int) -> float:
     when the axis is sent to the upward imaginary axis (positive on its
     left), plus an independent inside/outside-the-half-circle side test.
     """
+    uniform = _uniform(rng)
     worst = 0.0
     for _ in range(count):
-        u, v = _distinct_reals(rng, 2)
-        r = hyperbolic_along(u, v, float(rng.uniform(0.3, 2.5)))
-        p = _random_point(rng)
-        s = elliptic_about(p, float(rng.uniform(0.1, 2.0 * math.pi - 0.1)))
+        u, v = _distinct_reals(uniform, 2)
+        r = hyperbolic_along(u, v, uniform(0.3, 2.5))
+        p = _random_point(uniform)
+        s = elliptic_about(p, uniform(0.1, 2.0 * math.pi - 0.1))
         val = mixed_pairing(r, s)
         pt = (p.z - u) / (v - p.z)
         expected = -2.0 * pt.real / pt.imag
@@ -179,12 +216,13 @@ def mixed_pair_suite(rng, count: int) -> float:
 def flat_rotation_suite(rng, count: int) -> float:
     """Euclidean rotations: fixed-point formula, center distances, and
     equivariance of fixed points under conjugation."""
+    uniform = _uniform(rng)
     worst = 0.0
     for _ in range(count):
-        c1 = rng.uniform(-5.0, 5.0, size=2).tolist()
-        c2 = rng.uniform(-5.0, 5.0, size=2).tolist()
-        a1 = float(rng.uniform(0.1, 2.0 * math.pi - 0.1))
-        a2 = float(rng.uniform(0.1, 2.0 * math.pi - 0.1))
+        c1 = uniform(-5.0, 5.0, 2)
+        c2 = uniform(-5.0, 5.0, 2)
+        a1 = uniform(0.1, 2.0 * math.pi - 0.1)
+        a2 = uniform(0.1, 2.0 * math.pi - 0.1)
         s1 = se2.Se2Element.rotation_about(c1, a1)
         s2 = se2.Se2Element.rotation_about(c2, a2)
         f1 = s1.fixed_point()
@@ -192,7 +230,7 @@ def flat_rotation_suite(rng, count: int) -> float:
         worst = max(worst, _gap(s1.apply(f1), f1))
         d = se2.se2_pair_distance(s1, s2)
         worst = max(worst, _scaled(abs(d - math.hypot(c1[0] - c2[0], c1[1] - c2[1])), d))
-        g = se2.Se2Element(float(rng.uniform(-3.0, 3.0)), rng.uniform(-2.0, 2.0, size=2))
+        g = se2.Se2Element(uniform(-3.0, 3.0), uniform(-2.0, 2.0, 2))
         conj = g.compose(s1).compose(g.inverse())
         worst = max(worst, _gap(conj.fixed_point(), g.apply(c1)))
     return worst
@@ -201,22 +239,23 @@ def flat_rotation_suite(rng, count: int) -> float:
 def flat_orientation_suite(rng, count: int) -> float:
     """Wedge-sum side test: sign of the oriented triple area versus the
     constructed side of the line, with isometry (in)variance."""
+    uniform = _uniform(rng)
     worst = 0.0
     for _ in range(count):
-        x1 = rng.uniform(-3.0, 3.0, size=2).tolist()
-        x2 = rng.uniform(-3.0, 3.0, size=2).tolist()
+        x1 = uniform(-3.0, 3.0, 2)
+        x2 = uniform(-3.0, 3.0, 2)
         while math.hypot(x2[0] - x1[0], x2[1] - x1[1]) < 0.1:
-            x2 = rng.uniform(-3.0, 3.0, size=2).tolist()
+            x2 = uniform(-3.0, 3.0, 2)
         dx, dy = x2[0] - x1[0], x2[1] - x1[1]
-        side = float(rng.uniform(0.05, 2.0)) * (1 if rng.uniform() < 0.5 else -1)
-        t = float(rng.uniform(-1.0, 2.0))
+        side = uniform(0.05, 2.0) * (1 if uniform() < 0.5 else -1)
+        t = uniform(-1.0, 2.0)
         x3 = (x1[0] + t * dx + side * -dy, x1[1] + t * dy + side * dx)
         got = se2.triple_orientation(x1, x2, x3)
         if got != (1 if side > 0 else -1):
             worst = max(worst, 1.0)
         if se2.triple_orientation(x2, x1, x3) != -got:
             worst = max(worst, 1.0)
-        g = se2.Se2Element(float(rng.uniform(-3.0, 3.0)), rng.uniform(-2.0, 2.0, size=2))
+        g = se2.Se2Element(uniform(-3.0, 3.0), uniform(-2.0, 2.0, 2))
         if se2.triple_orientation(g.apply(x1), g.apply(x2), g.apply(x3)) != got:
             worst = max(worst, 1.0)
     return worst
@@ -280,10 +319,10 @@ def log_expansion_suite(rng, count: int) -> float:
     worst = 0.0
     for k in range(count):
         if k % 2 == 0:
-            base = elliptic_about(_random_point(rng),
+            base = elliptic_about(_random_point(rng.uniform),
                                   float(rng.uniform(0.2, 2.0 * math.pi - 0.2)))
         else:
-            u1, v1 = _distinct_reals(rng, 2)
+            u1, v1 = _distinct_reals(rng.uniform, 2)
             base = hyperbolic_along(u1, v1, float(rng.uniform(0.2, 2.5)))
         s = sl2_log(base)
         u = Sl2Vector.from_entries(*rng.normal(size=3).tolist())

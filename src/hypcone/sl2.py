@@ -349,24 +349,46 @@ class IsometryClass:
 def elliptic_trace(t: float) -> bool:
     """Whether an element of trace t is elliptic: |t| <= 2 - TRACE_TOL.
 
-    The one elliptic test, used by classify() and elliptic_fixed_point().
+    The one elliptic test, used by `_kind` (so classify()) and
+    elliptic_fixed_point().
     `surface.WALL_BAND` is derived from it: a cone angle is in the wall band
     where its loop trace 2|cos(theta/2)| would fail this test.
     """
     return abs(t) <= 2.0 - TRACE_TOL
 
 
-def classify(m: Sl2Matrix) -> IsometryClass:
-    """Sort a projective element into elliptic/parabolic/hyperbolic/identity."""
-    t = m.trace()  # canonical representative, so t >= 0
+def _kind(m: Sl2Matrix) -> str:
+    """The kind `classify` gives m, by the same tests on the same trace,
+    without an IsometryClass or the angle and length it carries.
+
+    Elliptic by `elliptic_trace`, hyperbolic from trace 2 + TRACE_TOL up,
+    and in the band between identity when every entry is within TRACE_TOL
+    of the identity's, else parabolic.
+    """
+    t = m.a + m.d  # canonical representative, so t >= 0
     if elliptic_trace(t):
+        return ELLIPTIC
+    if t >= 2.0 + TRACE_TOL:
+        return HYPERBOLIC
+    if max(abs(m.a - 1.0), abs(m.b), abs(m.c), abs(m.d - 1.0)) <= TRACE_TOL:
+        return IDENTITY
+    return PARABOLIC
+
+
+def classify(m: Sl2Matrix) -> IsometryClass:
+    """Sort a projective element into elliptic/parabolic/hyperbolic/identity.
+
+    The kind is `_kind`'s; an elliptic class carries its angle and a
+    hyperbolic one its translation length, from the trace.
+    """
+    kind = _kind(m)
+    t = m.trace()
+    if kind == ELLIPTIC:
         half = min(1.0, max(-1.0, (t * t - 2.0) / 2.0))
         return IsometryClass(ELLIPTIC, angle=math.acos(half))
-    if t >= 2.0 + TRACE_TOL:
+    if kind == HYPERBOLIC:
         return IsometryClass(HYPERBOLIC, length=math.acosh((t * t - 2.0) / 2.0))
-    if max(abs(m.a - 1.0), abs(m.b), abs(m.c), abs(m.d - 1.0)) <= TRACE_TOL:
-        return IsometryClass(IDENTITY)
-    return IsometryClass(PARABOLIC)
+    return IsometryClass(kind)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +442,7 @@ def _hyperbolic_unit_and_length(m: Sl2Matrix) -> tuple[Sl2Vector, float]:
 
 def elliptic_rotation_angle(m: Sl2Matrix) -> float:
     """Directed (counterclockwise) rotation angle in (0, 2*pi)."""
-    if classify(m).kind != ELLIPTIC:
+    if _kind(m) != ELLIPTIC:
         raise NotElliptic("rotation angle defined for elliptic elements only")
     return _elliptic_unit_and_angle(m)[1]
 
@@ -433,12 +455,12 @@ def sl2_log(m: Sl2Matrix) -> Sl2Vector:
     Hyperbolic: the unique real log of the trace-positive representative.
     Parabolic: the nilpotent M - I.  Identity has no distinguished branch.
     """
-    cls = classify(m)
-    if cls.kind == IDENTITY:
+    kind = _kind(m)
+    if kind == IDENTITY:
         raise NoBranch("identity has no preferred logarithm branch")
-    if cls.kind == PARABOLIC:
+    if kind == PARABOLIC:
         return _traceless_part(m, 1.0)
-    if cls.kind == HYPERBOLIC:
+    if kind == HYPERBOLIC:
         v, ell = _hyperbolic_unit_and_length(m)
         return (ell / 2.0) * v
     u, nu = _elliptic_unit_and_angle(m)
@@ -451,12 +473,12 @@ def axis_vector(m: Sl2Matrix) -> Sl2Vector:
     B(L, L) = -2 for elliptic (counterclockwise unit rotation generator) and
     +2 for hyperbolic (unit translation direction along the oriented axis).
     """
-    cls = classify(m)
-    if cls.kind == ELLIPTIC:
+    kind = _kind(m)
+    if kind == ELLIPTIC:
         return _elliptic_unit_and_angle(m)[0]
-    if cls.kind == HYPERBOLIC:
+    if kind == HYPERBOLIC:
         return _hyperbolic_unit_and_length(m)[0]
-    raise NotSemisimple(f"no axis vector for a {cls.kind} element")
+    raise NotSemisimple(f"no axis vector for a {kind} element")
 
 
 def elliptic_fixed_point(a: float, b: float, c: float, d: float) -> complex:
@@ -548,12 +570,12 @@ def elliptic_pair_pairing(s1: Sl2Matrix, s2: Sl2Matrix) -> tuple[float, Sl2Vecto
     vector of the translation taking the first fixed point to the second.
     """
     for s in (s1, s2):
-        if classify(s).kind != ELLIPTIC:
+        if _kind(s) != ELLIPTIC:
             raise NotElliptic("both inputs must be elliptic")
     if hyp_distance(fixed_point(s1), fixed_point(s2)) < 1e-9:
         raise CoincidentFixedPoints("fixed points coincide; no joining axis")
-    l1 = axis_vector(s1)
-    l2 = axis_vector(s2)
+    l1 = _elliptic_unit_and_angle(s1)[0]
+    l2 = _elliptic_unit_and_angle(s2)[0]
     return trace_form(l1, l2), l1.bracket(l2)
 
 
@@ -565,9 +587,9 @@ def geodesic_pair_pairing(r1: Sl2Matrix, r2: Sl2Matrix) -> float:
     with |value| = 2 cosh of the distance between them.
     """
     for r in (r1, r2):
-        if classify(r).kind != HYPERBOLIC:
+        if _kind(r) != HYPERBOLIC:
             raise NotHyperbolic("both inputs must be hyperbolic")
-    return trace_form(axis_vector(r1), axis_vector(r2))
+    return trace_form(_hyperbolic_unit_and_length(r1)[0], _hyperbolic_unit_and_length(r2)[0])
 
 
 def axes_relation(pairing: float, tol: float = TRACE_TOL) -> str:
@@ -586,11 +608,11 @@ def mixed_pairing(r: Sl2Matrix, s: Sl2Matrix) -> float:
     Equals 2 sinh(d) where d is the signed distance from the fixed point of S
     to the oriented axis of R, positive on the left of the axis.
     """
-    if classify(r).kind != HYPERBOLIC:
+    if _kind(r) != HYPERBOLIC:
         raise NotHyperbolic("first argument must be hyperbolic")
-    if classify(s).kind != ELLIPTIC:
+    if _kind(s) != ELLIPTIC:
         raise NotElliptic("second argument must be elliptic")
-    return trace_form(axis_vector(r), axis_vector(s))
+    return trace_form(_hyperbolic_unit_and_length(r)[0], _elliptic_unit_and_angle(s)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -535,13 +535,15 @@ class ConeSurface(Triangulation):
     `angle[h]` the corner angle at the origin of half-edge h, and
     `cone_angle[v]` the angle sum at vertex v; all are read-only arrays.
     The angles come from one `corner_angles` pass, bit for bit those of
-    `corner_angle`, whose error a refused corner raises.
+    `corner_angle`, whose error a refused corner raises; the private keyword
+    `_angle` hands them over instead, from a caller that holds them already
+    (`delaunay.FlipState.surface`).
     `fan_sums` holds the running corner-angle sums of each fan, added left
     to right in `fan_order`: fan_size[v] + 1 values for vertex v, from 0
     through the angle before each germ to the cone angle, its last value.
     """
 
-    def __init__(self, edges, triangles):
+    def __init__(self, edges, triangles, *, _angle=None):
         if not isinstance(triangles, Triangulation):
             triangles, edges = _parse(edges, triangles)
         # no Triangulation.__init__: share the arrays of a gluing checked already
@@ -564,11 +566,15 @@ class ConeSurface(Triangulation):
             raise TriangleInequality(
                 f"{self._named(int(bad[0]))} violates the strict triangle inequalities")
 
-        # corner angle at the origin of each half-edge, from one sinh per edge
-        h = np.arange(self.n_half)
-        sinh = _sinh(length)[self.he_edge]
-        angle = corner_angles(side, side[prv(h)], side[nxt(h)],
-                              sinh_ab=(sinh, sinh[prv(h)]))
+        if _angle is None:
+            # corner angle at the origin of each half-edge, from one sinh per edge
+            h = np.arange(self.n_half)
+            sinh = _sinh(length)[self.he_edge]
+            angle = corner_angles(side, side[prv(h)], side[nxt(h)],
+                                  sinh_ab=(sinh, sinh[prv(h)]))
+        else:
+            # a caller's corner angles, bit for bit those above (FlipState.surface)
+            angle = np.array(_angle, dtype=float)
         self._lengths = dict(zip(self.edge_ids, length.tolist()))
         self.angle = _frozen(angle)
         corners = self.angle.reshape(-1, 3)
@@ -608,8 +614,13 @@ class ConeSurface(Triangulation):
         lengths, read from the stored corner angles.  The partials divide by
         the sines of the triangle's other two angles, so a corner angle with
         sin = 0 (acos loses a thin angle to 0.0) is refused as
-        NumericalCollapse, naming its triangle.
+        NumericalCollapse, naming its triangle.  Both arrays are read-only,
+        computed on the first call and kept.
         """
+        return self._corner_gradients
+
+    @cached_property
+    def _corner_gradients(self) -> tuple:
         flat = np.flatnonzero(np.sin(self.angle) == 0.0)
         if flat.size:
             h = int(flat[0])
@@ -621,7 +632,8 @@ class ConeSurface(Triangulation):
         length = self.length[edge]
         # the angle opposite side h sits at prv(h), the one opposite prv(h) at nxt(h)
         grads = corner_gradient(length, length[p], self.angle[p], self.angle[n])
-        return np.stack([edge, edge[p], edge[n]], axis=1), np.stack(grads, axis=1)
+        return (_frozen(np.stack([edge, edge[p], edge[n]], axis=1)),
+                _frozen(np.stack(grads, axis=1)))
 
     # -- derived metric data ---------------------------------------------------
 

@@ -19,6 +19,7 @@ from conftest import (
 
 import hypcone.cli as cli
 import hypcone.errors as errors
+import hypcone.surface as surface_mod
 from hypcone import eta_matrix, serialize_surface
 from hypcone.cli import _row_texts, build_parser, main
 from hypcone.poisson import FanPairs
@@ -458,6 +459,19 @@ def test_poisson_certifies_1200_edges(capsys, tmp_path, start, k):
     assert (code, err) == (0, "")
     assert doc["rank"] == doc["rank_expected"] == ("798" if start == "tet" else "800")
     assert float(doc["rank_margin"]) > 0.0
+
+
+def test_poisson_takes_corner_gradients_once(monkeypatch, capsys, tmp_path):
+    # the fan-pair table and the cone-angle gradients share one evaluation
+    path = tmp_path / "stellar.json"
+    path.write_text(serialize_surface(stellar_surface(18, seed=1)))
+    calls = []
+    gradient = surface_mod.corner_gradient
+    monkeypatch.setattr(surface_mod, "corner_gradient",
+                        lambda *args: calls.append(args) or gradient(*args))
+    code, _, err = run(capsys, "poisson", "--input", str(path))
+    assert (code, err) == (0, "")
+    assert len(calls) == 1
 
 
 def test_uncertified_rank_prints_every_row_and_exits_3(monkeypatch, capsys, torus_file):

@@ -298,6 +298,22 @@ def test_make_delaunay_checks_gluing_once(monkeypatch):
     assert built == [final.triangulation]
 
 
+def test_delaunay_result_matches_a_fresh_build(corpus):
+    # the result takes the flip state's corner angles: every array derived
+    # from them equals a build of its lengths and gluing, bit for bit
+    scrambled = [stretch(stellar_surface(k, seed, start=start), seed)
+                 for start, k in (("tet", 198), ("tor", 199), ("tet", 398), ("tor", 399))
+                 for seed in (1, 2)]  # 600 and 1,200 edges
+    flipped = 0
+    for s in corpus + scrambled:
+        final, moves = make_delaunay(s)
+        fresh = ConeSurface(final.length, final.triangulation)
+        for name in ("angle", "fan_sums", "cone_angle", "triangle_areas"):
+            assert bits(getattr(final, name)) == bits(getattr(fresh, name)), name
+        flipped += bool(moves)
+    assert flipped >= len(scrambled)
+
+
 def test_flip_state_angles_match_array_built_surface(monkeypatch):
     # the flips recompute their corners by the scalar law, a surface build
     # takes them all from the array pass: the two must agree bit for bit
@@ -308,14 +324,14 @@ def test_flip_state_angles_match_array_built_surface(monkeypatch):
     for move in moves:
         state.flip(move.edge)
     assert state.he_edge == final.he_edge.tolist()
-    assert bits(state.angle) == bits(final.angle)
     # a valid build makes no scalar call; a refused one hands its corner over
     calls = []
     scalar = surface_mod.corner_angle
     monkeypatch.setattr(surface_mod, "corner_angle",
                         lambda *sides: calls.append(sides) or scalar(*sides))
-    ConeSurface(final.length, final)
+    fresh = ConeSurface(final.length, final)
     assert calls == []
+    assert bits(state.angle) == bits(fresh.angle)
     with pytest.raises(OverflowError):
         torus_surface(400.0)
     assert calls == [(400.0, 400.0, 400.0)]

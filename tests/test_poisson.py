@@ -246,6 +246,19 @@ def test_certified_rank_matches_the_svd_oracle(corpus):
     assert checked >= 20
 
 
+def test_gradient_gram_is_factored_once(monkeypatch):
+    # G G^T is proved definite by one factorization; only K is refined
+    orders = []
+    factor = poisson._factor
+    monkeypatch.setattr(poisson, "_factor",
+                        lambda a, *args: orders.append(len(a)) or factor(a, *args))
+    s = stellar_surface(18, seed=1)  # 60 edges, 22 vertices
+    rank, margin = bivector_rank(eta_matrix(s), angle_gradients(s))
+    assert rank == s.n_edges - s.n_vertices and margin > 0.0
+    assert orders.count(s.n_vertices) == 1
+    assert orders.count(s.n_edges) == 2
+
+
 def test_three_cone_sphere_certifies_rank_zero(sphere3):
     rank, margin = bivector_rank(eta_matrix(sphere3), angle_gradients(sphere3))
     assert (rank, margin > 0.0) == (0, True)

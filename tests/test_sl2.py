@@ -43,6 +43,7 @@ from hypcone.sl2 import (
     F_VEC,
     H_VEC,
     TRACE_TOL,
+    _kind,
     axes_relation,
     elliptic_fixed_point,
     hyp_direction,
@@ -231,6 +232,32 @@ def test_classify_kinds():
     ell = classify(elliptic_about(HypPoint(0, 1), 0.7))
     assert ell.kind == "elliptic"
     assert ell.angle == pytest.approx(0.7)
+
+
+def test_kind_is_classify_kind_across_the_trace_bands():
+    # traces stepped by ulps across 2 - TRACE_TOL, 2 and 2 + TRACE_TOL, and
+    # inside the band between elements near and far from the identity
+    edges = (0.5, 2.0 - TRACE_TOL, 2.0 - TRACE_TOL / 2.0, 2.0, 2.0 + TRACE_TOL, 3.0)
+    traces = set()
+    for edge in edges:
+        t = edge
+        for _ in range(4):
+            t = math.nextafter(t, 0.0)
+        for _ in range(9):
+            traces.add(t)
+            t = math.nextafter(t, 4.0)
+    elements = []
+    for t in sorted(traces):
+        for b in (1.0, 4e-10, TRACE_TOL, 2e-9, 1e-3):
+            # det = t^2/4 - b c is 1 within DET_TOL, so the trace stays t
+            elements.append(Sl2Matrix.from_entries(t / 2.0, b, (t * t / 4.0 - 1.0) / b, t / 2.0))
+        elements.append(Sl2Matrix.from_entries(t / 2.0, 0.0, 0.0, 2.0 / t))
+    elements.append(Sl2Matrix.identity())
+    elements.append(Sl2Matrix.from_entries(1.0, -TRACE_TOL, 0.0, 1.0))
+    elements.append(Sl2Matrix.from_entries(1.0, 0.0, math.nextafter(TRACE_TOL, 1.0), 1.0))
+    kinds = [_kind(m) for m in elements]
+    assert kinds == [classify(m).kind for m in elements]
+    assert set(kinds) == {"elliptic", "parabolic", "hyperbolic", "identity"}
 
 
 def test_classify_angle_folds_to_0_pi():
