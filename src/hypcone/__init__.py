@@ -58,17 +58,12 @@ from .sl2 import (
 from .surface import (
     AngleData,
     ConeSurface,
-    Decoration,
-    VertexFan,
     build_surface,
     classify_angles,
-    collar_constant,
     cone_angles,
     corner_angle,
     parse_surface,
-    reduced_lengths,
     serialize_surface,
-    vertex_fans,
 )
 
 __version__ = "0.1.0"

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import select
 import sys
@@ -115,7 +116,14 @@ def _parse_tols(pairs) -> dict:
         if not eq or key not in tols:
             raise ValueError(f"unknown tolerance {item!r}; known keys: "
                              + ", ".join(sorted(tols)))
-        tols[key] = float(raw)
+        try:
+            value = float(raw)
+        except ValueError:
+            value = math.nan
+        # NaN fails every comparison, so it is refused with the infinities
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"tolerance {key!r} must be a finite number >= 0, not {raw!r}")
+        tols[key] = value
     return tols
 
 

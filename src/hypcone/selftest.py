@@ -10,7 +10,7 @@ both to the test suite and to the command-line self-test.
 
 The per-sample work is float arithmetic on the library's float elements and
 on plain tuples; numpy only draws the samples and solves the exp-side
-oracle's small least-squares system.  The five suites that draw only
+oracle's small least-squares system.  The three suites that draw only
 uniform samples take them in bulk (`_uniform`): rng.random() values,
 CHUNK at a time, as Python floats, each served as low + (high - low) u.
 That is the very expression Generator.uniform evaluates on the same
@@ -27,7 +27,6 @@ import math
 
 import numpy as np
 
-from . import se2
 from .sl2 import (
     H_VEC,
     HypPoint,
@@ -64,11 +63,6 @@ def _size(x: Sl2Vector) -> float:
     return max(abs(x.a), abs(x.b), abs(x.c))
 
 
-def _gap(p, q) -> float:
-    """Largest coordinate difference of two points of the plane."""
-    return max(abs(p[0] - q[0]), abs(p[1] - q[1]))
-
-
 def _uniform(rng):
     """Generator.uniform of rng's stream, drawn in bulk.
 
@@ -85,7 +79,7 @@ def _uniform(rng):
 
     nxt = stream().__next__
 
-    def uniform(low: float = 0.0, high: float = 1.0, k: int | None = None):
+    def uniform(low: float, high: float, k: int | None = None):
         if k is None:
             return low + (high - low) * nxt()
         return [low + (high - low) * nxt() for _ in range(k)]
@@ -213,54 +207,6 @@ def mixed_pair_suite(rng, count: int) -> float:
     return worst
 
 
-def flat_rotation_suite(rng, count: int) -> float:
-    """Euclidean rotations: fixed-point formula, center distances, and
-    equivariance of fixed points under conjugation."""
-    uniform = _uniform(rng)
-    worst = 0.0
-    for _ in range(count):
-        c1 = uniform(-5.0, 5.0, 2)
-        c2 = uniform(-5.0, 5.0, 2)
-        a1 = uniform(0.1, 2.0 * math.pi - 0.1)
-        a2 = uniform(0.1, 2.0 * math.pi - 0.1)
-        s1 = se2.Se2Element.rotation_about(c1, a1)
-        s2 = se2.Se2Element.rotation_about(c2, a2)
-        f1 = s1.fixed_point()
-        worst = max(worst, _gap(f1, c1))
-        worst = max(worst, _gap(s1.apply(f1), f1))
-        d = se2.se2_pair_distance(s1, s2)
-        worst = max(worst, _scaled(abs(d - math.hypot(c1[0] - c2[0], c1[1] - c2[1])), d))
-        g = se2.Se2Element(uniform(-3.0, 3.0), uniform(-2.0, 2.0, 2))
-        conj = g.compose(s1).compose(g.inverse())
-        worst = max(worst, _gap(conj.fixed_point(), g.apply(c1)))
-    return worst
-
-
-def flat_orientation_suite(rng, count: int) -> float:
-    """Wedge-sum side test: sign of the oriented triple area versus the
-    constructed side of the line, with isometry (in)variance."""
-    uniform = _uniform(rng)
-    worst = 0.0
-    for _ in range(count):
-        x1 = uniform(-3.0, 3.0, 2)
-        x2 = uniform(-3.0, 3.0, 2)
-        while math.hypot(x2[0] - x1[0], x2[1] - x1[1]) < 0.1:
-            x2 = uniform(-3.0, 3.0, 2)
-        dx, dy = x2[0] - x1[0], x2[1] - x1[1]
-        side = uniform(0.05, 2.0) * (1 if uniform() < 0.5 else -1)
-        t = uniform(-1.0, 2.0)
-        x3 = (x1[0] + t * dx + side * -dy, x1[1] + t * dy + side * dx)
-        got = se2.triple_orientation(x1, x2, x3)
-        if got != (1 if side > 0 else -1):
-            worst = max(worst, 1.0)
-        if se2.triple_orientation(x2, x1, x3) != -got:
-            worst = max(worst, 1.0)
-        g = se2.Se2Element(uniform(-3.0, 3.0), uniform(-2.0, 2.0, 2))
-        if se2.triple_orientation(g.apply(x1), g.apply(x2), g.apply(x3)) != got:
-            worst = max(worst, 1.0)
-    return worst
-
-
 def _exp_coefficients(k: float) -> tuple:
     """c0, c1 of exp(X) = c0 I + c1 X for det X = k, and their k-derivatives.
 
@@ -336,8 +282,6 @@ SUITES = (
     ("rotation-pairs", rotation_pair_suite, TRIG_TOL),
     ("axis-pairs", axis_pair_suite, TRIG_TOL),
     ("mixed-pairs", mixed_pair_suite, TRIG_TOL),
-    ("flat-fixed-points", flat_rotation_suite, TRIG_TOL),
-    ("flat-orientation", flat_orientation_suite, TRIG_TOL),
     ("log-expansion", log_expansion_suite, LOG_TOL),
 )
 

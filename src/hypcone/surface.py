@@ -14,13 +14,13 @@ side" with "twin" steps counterclockwise around the origin vertex of a
 half-edge, so vertices are the orbits of that map.  Its constructor is the
 one place the gluing is checked (twin pairing, connectivity, orbits, Euler
 characteristic).  A `ConeSurface` is a Triangulation plus a length array
-indexed by edge; it derives the corner angles, the cone angles (corner-angle
-sums along orbits), the triangle areas and the direction fan at every vertex
-(germs in cyclic order, read off the orbit's prefix sums).  All corner angles
-of a surface come from one array pass, `corner_angles`, which is bit for bit
-the scalar law of cosines `corner_angle` at every corner.  Changing lengths
-reuses the Triangulation and checks only the lengths.  Edge ids are strings
-in the wire format; inside, edge i is the i-th id in sorted order.
+indexed by edge; it derives the corner angles, the triangle areas, and the
+running corner-angle sums along each vertex's germs in cyclic order, whose
+totals are the cone angles.  All corner angles of a surface come from one
+array pass, `corner_angles`, which is bit for bit the scalar law of cosines
+`corner_angle` at every corner.  Changing lengths reuses the Triangulation
+and checks only the lengths.  Edge ids are strings in the wire format;
+inside, edge i is the i-th id in sorted order.
 
 A cone angle theta near 2*pi*k (k >= 0) sits on a wall: the loop holonomy
 around it is near the identity (k > 0) or near parabolic (k = 0, the cusp
@@ -237,74 +237,9 @@ def classify_angles(data: AngleData) -> StratumReport:
                          off_walls=off_walls, small=small)
 
 
-def collar_constant(data: AngleData) -> float:
-    """Disjointness radius arccosh(1/sin(theta_max/2))/2 for small angles.
-
-    Requires every angle in (0, pi) so that sin(theta_max/2) lies in (0, 1).
-    """
-    if not data.theta:
-        raise OutOfRange("no angles")
-    tmax = max(data.theta)
-    if not (0.0 < min(data.theta) and tmax < math.pi):
-        raise OutOfRange(f"collar constant needs all angles in (0, pi); max is {tmax}")
-    return math.acosh(1.0 / math.sin(tmax / 2.0)) / 2.0
-
-
-class Decoration:
-    """Radii assigned to the cone points (nonnegative, not all zero)."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        arr = np.asarray(values, dtype=float)
-        if arr.ndim != 1:
-            raise DimensionMismatch("decoration must be a flat vector")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-            raise OutOfRange("decoration entries must be finite and >= 0")
-        if not np.any(arr > 0.0):
-            raise OutOfRange("decoration must not be identically zero")
-        arr.flags.writeable = False
-        self.values = arr
-
-    def normalized(self) -> "Decoration":
-        """Rescaled copy with entries summing to 1."""
-        return Decoration(self.values / float(np.sum(self.values)))
-
-    def __len__(self):
-        return len(self.values)
-
-
 # ---------------------------------------------------------------------------
 # the surface
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class VertexFan:
-    """Outgoing germs at a vertex in counterclockwise cyclic order.
-
-    `angles[k]` is the corner angle swept turning counterclockwise from
-    `germs[k]` to `germs[k+1]` (cyclically); `prefix[k]` is the total angle
-    from the base germ `germs[0]` to `germs[k]`; the full sum is `theta`.
-    """
-
-    vertex: int
-    germs: tuple
-    angles: tuple
-    prefix: tuple
-    theta: float
-
-    def position(self, germ: int) -> int:
-        return self.germs.index(germ)
-
-    def ccw(self, g1: int, g2: int) -> float:
-        """Angle swept rotating counterclockwise from germ g1 to germ g2."""
-        d = self.prefix[self.position(g2)] - self.prefix[self.position(g1)]
-        return d if d >= 0.0 else d + self.theta
-
-    def cw(self, g1: int, g2: int) -> float:
-        """Angle swept rotating clockwise from germ g1 to germ g2."""
-        return 0.0 if g1 == g2 else self.theta - self.ccw(g1, g2)
-
 
 def nxt(h):
     """The next side of h's triangle, counterclockwise; ints or arrays."""
@@ -589,18 +524,6 @@ class ConeSurface(Triangulation):
         la, lb, lc = self.length[edges].tolist()
         return f"triangle {t} with edges {ids} and lengths ({la}, {lb}, {lc})"
 
-    @cached_property
-    def fans(self) -> tuple:
-        """The direction fan at every vertex, built on first use."""
-        sums, angle = self.fan_sums.tolist(), self.angle.tolist()
-        fans, at = [], 0
-        for v, orbit in enumerate(self.vertex_germs):
-            m = len(orbit)
-            fans.append(VertexFan(vertex=v, germs=orbit, angles=tuple(angle[g] for g in orbit),
-                                  prefix=tuple(sums[at:at + m]), theta=sums[at + m]))
-            at += m + 1
-        return tuple(fans)
-
     @property
     def lengths(self) -> MappingProxyType:
         """Read-only edge id -> length."""
@@ -724,25 +647,3 @@ def serialize_surface(s: ConeSurface) -> str:
 def cone_angles(s: ConeSurface) -> AngleData:
     """Cone angle at each vertex (corner-angle sums), with (g, n)."""
     return s.angle_data()
-
-
-def vertex_fans(s: ConeSurface) -> tuple:
-    """The direction fan at every vertex."""
-    return s.fans
-
-
-def reduced_lengths(s: ConeSurface, decoration) -> dict:
-    """Edge lengths minus the decoration radii at the two endpoints.
-
-    A loop edge at a single vertex loses twice that vertex's radius.  Values
-    may be negative; nothing is clamped.
-    """
-    eps = decoration.values if isinstance(decoration, Decoration) else \
-        np.asarray(decoration, dtype=float)
-    if eps.shape != (s.n_vertices,):
-        raise DimensionMismatch(
-            f"decoration has {eps.shape[0] if eps.ndim == 1 else 'bad'} entries "
-            f"for {s.n_vertices} vertices")
-    hf, hb = s.halves.T
-    reduced = s.length - eps[s.vertex_of[hf]] - eps[s.vertex_of[hb]]
-    return dict(zip(s.edge_ids, reduced.tolist()))

@@ -64,7 +64,7 @@ def _corpus():
 
 
 def test_lemma_suite():
-    # all five trigonometric identity suites on >= 500 random
+    # all three trigonometric identity suites on >= 500 random
     # configurations each at 1e-9, the log-expansion suite on 200 pairs
     # at 1e-6, inside a 5 s budget
     t0 = time.perf_counter()

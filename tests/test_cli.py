@@ -225,6 +225,21 @@ def test_exit_codes(capsys, tmp_path, torus_file, wall_file):
                "--tol", "jacobi=1e-30")[0] == 3
 
 
+def test_tolerance_must_be_finite_and_nonnegative(capsys, torus_file):
+    # a NaN or negative wall guard switches the guard off, and psi=-1 has
+    # the flip loop chase an unreachable threshold; validate reads no
+    # tolerance, so only the parse can refuse these
+    for key in cli.TOL_DEFAULTS:
+        for raw in ("nan", "inf", "-inf", "-1"):
+            code, out, err = run(capsys, "validate", "--input", torus_file,
+                                 "--tol", f"{key}={raw}")
+            assert (code, out) == (1, ""), (key, raw)
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert repr(key) in err and repr(raw) in err
+    for key, raw in (("psi", "0"), ("wall", "0.0"), ("lemma", "1e300")):
+        assert run(capsys, "validate", "--input", torus_file, "--tol", f"{key}={raw}")[0] == 0
+
+
 # the exit code of every package error, and of the standard errors a run may end in
 EXIT_CODES = {
     errors.NonManifold: 1, errors.Disconnected: 1, errors.TriangleInequality: 1,

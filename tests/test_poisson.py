@@ -67,14 +67,16 @@ class SliceEtaDerivative:
 
     def __init__(self, s):
         edges, grads = s.corner_gradients()
-        order = np.concatenate([fan.germs for fan in s.fans])
+        order = np.concatenate(s.vertex_germs)
         self.sides, self.partials = edges[order], grads[order]
-        self.size = np.array([len(fan.germs) for fan in s.fans])
+        self.size = s.fan_size
         self.first = np.cumsum(self.size) - self.size
         self.ls, self.q, self.dtheta, self.es, self.c, self.sn = [], [], [], [], [], []
         pairs = []
-        for v, fan in enumerate(s.fans):
+        for v in range(s.n_vertices):
             m, at = self.size[v], self.corners(v)
+            # the angle from germ 0 to each germ: fan v's first m running sums
+            prefix = s.fan_sums[self.first[v] + v:self.first[v] + v + m]
             ls, where = np.unique(self.sides[at], return_inverse=True)
             g = np.zeros((m, len(ls)))  # corner-angle gradients
             np.add.at(g, (np.repeat(np.arange(m), 3), where.ravel()),
@@ -83,10 +85,10 @@ class SliceEtaDerivative:
             self.q.append(np.cumsum(g, axis=0) - g)
             self.dtheta.append(g.sum(axis=0))
             self.es.append(np.unique(self.sides[at, 0]))
-            half = fan.theta / 2.0
+            half = s.cone_angle[v] / 2.0
             denom = math.sin(half)
             a, b = np.triu_indices(m, 1)
-            d = np.array(fan.prefix)[b] - np.array(fan.prefix)[a]
+            d = prefix[b] - prefix[a]
             c = np.zeros((m, m))
             sn = np.zeros((m, m))
             c[a, b] = c[b, a] = np.cos(d - half) / denom
@@ -444,7 +446,7 @@ def test_jacobi_slices_match_dense_contraction(skew_torus, tetra, skew_tetra, g1
     # a dense perturbation makes every triple nonzero
     rng = np.random.default_rng(42)
     tor = stellar_surface(49, seed=1, start="tor")
-    assert tor.n_edges == 150 and max(len(fan.germs) for fan in tor.fans) >= 50
+    assert tor.n_edges == 150 and tor.fan_size.max() >= 50
     for s in (skew_torus, tetra, skew_tetra, g1n2, skew_g1n2, tor):
         p, d = eta_matrix(s), dense_eta_derivative(s)
         assert jacobi_residual(s)[0] < 1e-12 and dense_jacobi(p, d) < 1e-12

@@ -23,14 +23,6 @@ SEED_1729 = (
     "lemma.mixed-pairs.residual=6.1573371932653173e-13\n"
     "lemma.mixed-pairs.tolerance=1.0000000000000001e-09\n"
     "lemma.mixed-pairs.pass=true\n"
-    "lemma.flat-fixed-points.count=500\n"
-    "lemma.flat-fixed-points.residual=2.6201263381153694e-14\n"
-    "lemma.flat-fixed-points.tolerance=1.0000000000000001e-09\n"
-    "lemma.flat-fixed-points.pass=true\n"
-    "lemma.flat-orientation.count=500\n"
-    "lemma.flat-orientation.residual=0\n"
-    "lemma.flat-orientation.tolerance=1.0000000000000001e-09\n"
-    "lemma.flat-orientation.pass=true\n"
     "lemma.log-expansion.count=200\n"
     "lemma.log-expansion.residual=3.4622296843625501e-12\n"
     "lemma.log-expansion.tolerance=9.9999999999999995e-07\n"
@@ -51,14 +43,6 @@ SEED_1 = (
     "lemma.mixed-pairs.residual=7.5178168838342538e-13\n"
     "lemma.mixed-pairs.tolerance=1.0000000000000001e-09\n"
     "lemma.mixed-pairs.pass=true\n"
-    "lemma.flat-fixed-points.count=500\n"
-    "lemma.flat-fixed-points.residual=3.5083047578154947e-14\n"
-    "lemma.flat-fixed-points.tolerance=1.0000000000000001e-09\n"
-    "lemma.flat-fixed-points.pass=true\n"
-    "lemma.flat-orientation.count=500\n"
-    "lemma.flat-orientation.residual=0\n"
-    "lemma.flat-orientation.tolerance=1.0000000000000001e-09\n"
-    "lemma.flat-orientation.pass=true\n"
     "lemma.log-expansion.count=200\n"
     "lemma.log-expansion.residual=7.8883903455853802e-13\n"
     "lemma.log-expansion.tolerance=9.9999999999999995e-07\n"
@@ -79,14 +63,6 @@ SEED_5 = (
     "lemma.mixed-pairs.residual=1.6326751899823289e-12\n"
     "lemma.mixed-pairs.tolerance=1.0000000000000001e-09\n"
     "lemma.mixed-pairs.pass=true\n"
-    "lemma.flat-fixed-points.count=500\n"
-    "lemma.flat-fixed-points.residual=2.3092638912203256e-14\n"
-    "lemma.flat-fixed-points.tolerance=1.0000000000000001e-09\n"
-    "lemma.flat-fixed-points.pass=true\n"
-    "lemma.flat-orientation.count=500\n"
-    "lemma.flat-orientation.residual=0\n"
-    "lemma.flat-orientation.tolerance=1.0000000000000001e-09\n"
-    "lemma.flat-orientation.pass=true\n"
     "lemma.log-expansion.count=200\n"
     "lemma.log-expansion.residual=9.6080285748537177e-13\n"
     "lemma.log-expansion.tolerance=9.9999999999999995e-07\n"
@@ -101,11 +77,10 @@ def test_selftest_report_is_pinned(capsys, seed, want):
     assert capsys.readouterr().out == want
 
 
-# Every (low, high, size) of the bulk-drawn suites; () is uniform().
+# Every (low, high, size) of the bulk-drawn suites.
 DRAWS = (
     (-2.0, 2.0, None), (0.25, 2.5, None), (-3.0, 3.0, 4), (-3.0, 3.0, 2),
-    (0.1, 2.0 * np.pi - 0.1, None), (0.3, 2.5, None), (-5.0, 5.0, 2),
-    (-3.0, 3.0, None), (-2.0, 2.0, 2), (0.05, 2.0, None), (), (-1.0, 2.0, None),
+    (0.1, 2.0 * np.pi - 0.1, None), (0.3, 2.5, None),
 )
 
 
@@ -118,9 +93,7 @@ def test_bulk_uniform_is_generator_uniform(seed):
     taken = 0
     while taken < 2 * CHUNK + 100:
         draw = order.choice(DRAWS)
-        if not draw:
-            got, want = [uniform()], [rng.uniform()]
-        elif draw[2] is None:
+        if draw[2] is None:
             got, want = [uniform(*draw[:2])], [rng.uniform(*draw[:2])]
         else:
             got, want = uniform(*draw), rng.uniform(*draw[:2], size=draw[2]).tolist()

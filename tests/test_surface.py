@@ -1,7 +1,6 @@
 import json
 import math
 import random
-from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -21,16 +20,12 @@ from conftest import (
 from hypcone import (
     AngleData,
     ConeSurface,
-    Decoration,
     build_surface,
     classify_angles,
-    collar_constant,
     cone_angles,
     corner_angle,
     parse_surface,
-    reduced_lengths,
     serialize_surface,
-    vertex_fans,
 )
 import hypcone.surface as surface_mod
 from hypcone.errors import (
@@ -46,7 +41,6 @@ from hypcone.errors import (
 )
 from hypcone.surface import (
     Triangulation,
-    VertexFan,
     _running_sums,
     corner_angle_gradient,
     corner_angles,
@@ -281,13 +275,6 @@ def test_classify_angles_flags():
     assert not big.small
 
 
-def test_collar_constant_frozen():
-    data = AngleData((math.pi / 3, math.pi / 3, math.pi / 3), 0, 3)
-    assert collar_constant(data) == pytest.approx(math.acosh(2.0) / 2.0)
-    with pytest.raises(OutOfRange):
-        collar_constant(AngleData((3.5, 1.0, 1.0), 0, 3))
-
-
 # ---------------------------------------------------------------------------
 # combinatorics of the corpus
 # ---------------------------------------------------------------------------
@@ -356,54 +343,44 @@ def test_halfedges_of_edge_matches_scan(corpus):
             assert halfedges(s, e) == scanned_halfedges(s, e)
 
 
+def fan_sums_of(s, v):
+    """The fan_size[v] + 1 running sums of vertex v in `s.fan_sums`."""
+    at = int(np.sum(s.fan_size[:v] + 1))
+    return s.fan_sums[at:at + s.fan_size[v] + 1].tolist()
+
+
 def test_fans_partition_halfedges(corpus):
     for s in corpus:
-        seen = sorted(g for f in s.fans for g in f.germs)
+        seen = sorted(g for orbit in s.vertex_germs for g in orbit)
         assert seen == list(range(s.n_half))
+        assert s.fan_size.tolist() == [len(orbit) for orbit in s.vertex_germs]
+        assert s.fan_order.tolist() == [g for orbit in s.vertex_germs for g in orbit]
+        for v, orbit in enumerate(s.vertex_germs):
+            assert all(s.vertex_of[g] == v for g in orbit)
 
 
 def test_fan_angles_sum_to_cone_angle(corpus):
     for s in corpus:
-        for f in s.fans:
-            assert sum(f.angles) == pytest.approx(f.theta, abs=1e-10)
-            assert f.theta == pytest.approx(s.cone_angle[f.vertex], abs=1e-12)
-
-
-def eager_fans(s):
-    """The fans as the surface once built them on construction."""
-    fans = []
-    for v, orbit in enumerate(s.vertex_germs):
-        angs = tuple(float(s.angle[g]) for g in orbit)
-        theta = 0.0
-        for x in angs:
-            theta += x
-        fans.append(VertexFan(vertex=v, germs=orbit, angles=angs,
-                              prefix=tuple(accumulate(angs[:-1], initial=0.0)), theta=theta))
-    return tuple(fans)
-
-
-def test_fans_are_built_lazily_as_before(corpus):
-    for s in corpus + [stellar_surface(99, seed=3, start="tor")]:
-        assert "fans" not in vars(s)
-        assert s.fans == eager_fans(s)
-        assert s.fans is s.fans
-        for fan in s.fans:
-            assert all(type(x) is float for x in (*fan.angles, *fan.prefix, fan.theta))
+        for v, orbit in enumerate(s.vertex_germs):
+            sums = fan_sums_of(s, v)
+            assert math.fsum(s.angle[g] for g in orbit) == pytest.approx(
+                s.cone_angle[v], abs=1e-10)
+            assert sums[0] == 0.0 and sums[-1] == s.cone_angle[v]
 
 
 def test_cone_angle_is_a_plain_left_to_right_sum():
     # sum() adds floats with compensation from Python 3.12 on; the cone angle
-    # is the plain running sum the fan prefixes and the bivector use
+    # is the plain running sum the fan sums and the bivector use
     for s in [stellar_surface(k, seed=k, start=start)
               for k in (30, 98, 199) for start in ("tet", "tor")]:
         angle = s.angle.tolist()
         for v, orbit in enumerate(s.vertex_germs):
-            theta = 0.0
+            theta, running = 0.0, [0.0]
             for g in orbit:
                 theta += angle[g]
+                running.append(theta)
             assert s.cone_angle[v] == theta
-            assert s.fans[v].theta == theta
-            assert s.fans[v].prefix[-1] + angle[orbit[-1]] == theta
+            assert fan_sums_of(s, v) == running
 
 
 def plain_running_sums(z, size):
@@ -434,31 +411,17 @@ def test_running_sums_match_a_plain_loop_bitwise():
     assert _running_sums(z, s.fan_size).tobytes() == plain_running_sums(z, s.fan_size).tobytes()
 
 
-def test_fan_ccw_cw_complement(corpus):
-    for s in corpus:
-        for f in s.fans:
-            for g1 in f.germs:
-                assert f.ccw(g1, g1) == 0.0
-                assert f.cw(g1, g1) == 0.0
-                for g2 in f.germs:
-                    if g1 == g2:
-                        continue
-                    assert f.ccw(g1, g2) + f.cw(g1, g2) == pytest.approx(
-                        f.theta, abs=1e-12
-                    )
-
-
 def test_fan_order_follows_triangle_corners(torus):
     # around the single vertex the six germs alternate between the two
     # triangles: consecutive germs always live in different triangles
-    f = torus.fans[0]
-    for k, g in enumerate(f.germs):
-        succ = f.germs[(k + 1) % len(f.germs)]
+    germs = torus.vertex_germs[0]
+    assert torus.fan_size[0] == len(germs) == 6
+    for k, g in enumerate(germs):
+        succ = germs[(k + 1) % len(germs)]
         assert g // 3 != succ // 3
 
 
-def test_vertex_fans_helper(torus):
-    assert vertex_fans(torus) == torus.fans
+def test_cone_angles_helper(torus):
     assert cone_angles(torus).theta == torus.cone_angle
 
 
@@ -624,33 +587,3 @@ def test_length_vector_roundtrip(skew_tetra):
     assert list(vec) == [skew_tetra.lengths[e] for e in skew_tetra.edge_ids]
     same = skew_tetra.with_length_vector(vec)
     assert same.lengths == skew_tetra.lengths
-
-
-# ---------------------------------------------------------------------------
-# decorations
-# ---------------------------------------------------------------------------
-
-
-def test_decoration_validation():
-    with pytest.raises(OutOfRange):
-        Decoration([0.0, 0.0])
-    with pytest.raises(OutOfRange):
-        Decoration([-0.1, 1.0])
-    d = Decoration([1.0, 3.0]).normalized()
-    assert np.allclose(d.values, [0.25, 0.75])
-
-
-def test_reduced_lengths_loop_edge(torus):
-    # every torus edge is a loop at the unique vertex: subtract twice
-    red = reduced_lengths(torus, Decoration([0.1]))
-    assert red["x"] == pytest.approx(1.2 - 0.2)
-
-
-def test_reduced_lengths_two_vertices(sphere3):
-    red = reduced_lengths(sphere3, Decoration([0.1, 0.2, 0.3]))
-    # each edge of the doubled triangle joins two distinct cone points
-    total = sum(red.values())
-    want = sum(sphere3.lengths.values()) - 2 * (0.1 + 0.2 + 0.3)
-    assert total == pytest.approx(want)
-    with pytest.raises(DimensionMismatch):
-        reduced_lengths(sphere3, Decoration([0.1, 0.2]))
