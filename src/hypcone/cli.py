@@ -5,8 +5,8 @@ reads a surface description in the JSON wire format (except selftest), emits
 deterministic key/value rows, and signals its outcome through the exit code:
 
 * 0 - success,
-* 1 - unreadable input, an invalid surface, or a stdout closed before the
-  report was written,
+* 1 - a usage error, unreadable input, an invalid surface, or a stdout
+  closed before the report was written,
 * 2 - a wall angle or degenerate configuration blocks the computation,
 * 3 - a numerical failure (collapse, non-termination, residual above tolerance,
   an uncertified rank).
@@ -278,10 +278,30 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises its usage errors as ValueError, for
+    `main` to report in one line with exit 1 (argparse itself prints the
+    usage and exits 2, the code of a refused evaluation)."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _seed(text: str) -> int:
+    """A --seed value: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, not {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hypcone",
         description="Hyperbolic cone surfaces: validation, holonomy, "
                     "Poisson bivector, Delaunay retriangulation.")
@@ -296,15 +316,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", action="append", metavar="KEY=VALUE",
                        help="override a named tolerance; repeatable")
         if name == "selftest":
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+            p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         tols = _parse_tols(args.tol)
-    except ValueError as exc:
+    except ValueError as exc:  # a usage error or a bad --tol
         sys.stderr.write(f"error: {exc}\n")
         return 1
     out = Emitter(args.format)

@@ -92,8 +92,9 @@ class NoSolution(HypconeError):
 # --- holonomy / bivector evaluation ------------------------------------------
 
 class NumericalCollapse(HypconeError):
-    """A computation lost its precision: a loop holonomy without a positive
-    finite determinant, or a corner angle whose sinh products underflow."""
+    """A computation lost its precision: a loop holonomy or a translation
+    along a far, narrow axis without a positive finite determinant, or a
+    corner angle whose sinh products underflow."""
 
 
 class WallAngle(HypconeError):

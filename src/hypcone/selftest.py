@@ -255,7 +255,7 @@ def _exp_side_log_slope(s: Sl2Vector, u: Sl2Vector) -> Sl2Vector:
         columns.append([(dc0 * i + dc1 * xi) * dk + c1 * yi
                         for i, xi, yi in zip(_EYE, x, y)])
     rhs = _mul((u.a, u.b, u.c, -u.a), [c0 * i + c1 * xi for i, xi in zip(_EYE, x)])
-    coef, *_ = np.linalg.lstsq(np.array(columns).T, rhs, rcond=None)
+    coef, *_ = np.linalg.lstsq(list(zip(*columns)), rhs, rcond=None)
     return Sl2Vector.from_entries(*coef.tolist())
 
 

@@ -9,6 +9,13 @@ array.  The public constructors parse a 2x2 array-like once; `from_entries`
 takes the floats, and both go through the one normalizer `_canonical`.
 `.mat` is a read-only numpy copy, built on each access.
 
+Products and inverses are taken on plain 4-tuples by `_product` and
+`_inverse`, which normalize each result by `_canonical`; `@`, `inverse` and
+the isometry constructors (`elliptic_about`, `hyperbolic_along`, `hyp_exp`,
+`normalizing_isometry`) all compose through them, and only a constructor's
+final tuple becomes an Sl2Matrix.  So a constructor gives bit for bit the
+element its chain of Sl2Matrix products gives.
+
 The exponential and logarithm are evaluated in closed form through the
 Cayley-Hamilton relation X^2 = -det(X) I, so every branch choice is explicit:
 
@@ -44,6 +51,7 @@ from .errors import (
     NotElliptic,
     NotHyperbolic,
     NotSemisimple,
+    NumericalCollapse,
     OutOfRange,
 )
 
@@ -70,8 +78,7 @@ class HypPoint:
     y: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and self.y > 0.0):
-            raise OutOfRange(f"({self.x}, {self.y}) is not in the upper half-plane")
+        _check_half_plane(self.x, self.y)
 
     @classmethod
     def from_complex(cls, z) -> "HypPoint":
@@ -80,6 +87,12 @@ class HypPoint:
     @property
     def z(self) -> complex:
         return complex(self.x, self.y)
+
+
+def _check_half_plane(x: float, y: float) -> None:
+    """Refuse (x, y) unless it is a finite point with y > 0."""
+    if not (math.isfinite(x) and math.isfinite(y) and y > 0.0):
+        raise OutOfRange(f"({x}, {y}) is not in the upper half-plane")
 
 
 def half_plane_distance(z: complex, w: complex) -> float:
@@ -138,7 +151,7 @@ def _canonical(a: float, b: float, c: float, d: float) -> tuple:
     to the (1,2) entry).
     """
     det = a * d - b * c
-    if not math.isfinite(det) or det <= 0.0:
+    if not 0.0 < det < math.inf:  # also refuses NaN
         raise ValueError(f"matrix determinant {det} is not positive")
     if abs(det - 1.0) > DET_TOL:
         r = math.sqrt(det)
@@ -147,6 +160,19 @@ def _canonical(a: float, b: float, c: float, d: float) -> tuple:
     if t < 0.0 or (t == 0.0 and (c < 0.0 or (c == 0.0 and b < 0.0))):
         return -a, -b, -c, -d
     return a, b, c, d
+
+
+def _product(m: tuple, n: tuple) -> tuple:
+    """The canonical product of two elements given as entry 4-tuples."""
+    a, b, c, d = m
+    p, q, r, s = n
+    return _canonical(a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s)
+
+
+def _inverse(m: tuple) -> tuple:
+    """The canonical inverse, through the adjugate, of an entry 4-tuple."""
+    a, b, c, d = m
+    return _canonical(d, -b, -c, a)
 
 
 # ---------------------------------------------------------------------------
@@ -233,36 +259,6 @@ def trace_form(x: Sl2Vector, y: Sl2Vector) -> float:
     return 2.0 * x.a * y.a + x.b * y.c + x.c * y.b
 
 
-def killing_constant(samples: int = 64, seed: int = 7) -> float:
-    """Empirical constant c with Killing(X,Y) = c * B(X,Y).
-
-    The Killing form is computed directly from the adjoint representation on
-    the basis (H, E, F); the ratio is constant and |c| = 4.  The sign that
-    comes out of the computation is +4.
-    """
-    basis = [v.mat for v in sl2_basis()]
-
-    def ad(xm):
-        cols = []
-        for bm in basis:
-            comm = xm @ bm - bm @ xm
-            cols.append([comm[0, 0], comm[0, 1], comm[1, 0]])
-        return np.array(cols).T
-
-    rng = np.random.default_rng(seed)
-    ratios = []
-    for _ in range(samples):
-        cx = rng.normal(size=3)
-        cy = rng.normal(size=3)
-        xm = cx[0] * basis[0] + cx[1] * basis[1] + cx[2] * basis[2]
-        ym = cy[0] * basis[0] + cy[1] * basis[1] + cy[2] * basis[2]
-        b = np.trace(xm @ ym)
-        if abs(b) < 1e-3:
-            continue
-        ratios.append(float(np.trace(ad(xm) @ ad(ym)) / b))
-    return float(np.mean(ratios))
-
-
 # ---------------------------------------------------------------------------
 # the group: unit-determinant matrices up to sign
 # ---------------------------------------------------------------------------
@@ -303,13 +299,11 @@ class Sl2Matrix:
         return f"Sl2Matrix([[{self.a!r}, {self.b!r}], [{self.c!r}, {self.d!r}]])"
 
     def __matmul__(self, other: "Sl2Matrix") -> "Sl2Matrix":
-        a, b, c, d = self.a, self.b, self.c, self.d
-        p, q, r, s = other.a, other.b, other.c, other.d
-        return Sl2Matrix.from_entries(a * p + b * r, a * q + b * s,
-                                      c * p + d * r, c * q + d * s)
+        return _element(_product((self.a, self.b, self.c, self.d),
+                                 (other.a, other.b, other.c, other.d)))
 
     def inverse(self) -> "Sl2Matrix":
-        return Sl2Matrix.from_entries(self.d, -self.b, -self.c, self.a)
+        return _element(_inverse((self.a, self.b, self.c, self.d)))
 
     def trace(self) -> float:
         return self.a + self.d
@@ -319,9 +313,7 @@ class Sl2Matrix:
 
     def apply(self, z):
         """Mobius action on a complex number or HypPoint."""
-        if isinstance(z, HypPoint):
-            return HypPoint.from_complex(self.apply(z.z))
-        return (self.a * z + self.b) / (self.c * z + self.d)
+        return _mobius((self.a, self.b, self.c, self.d), z)
 
     def projectively_close(self, other: "Sl2Matrix", tol: float = 1e-9) -> bool:
         d1 = max(abs(self.a - other.a), abs(self.b - other.b),
@@ -329,6 +321,23 @@ class Sl2Matrix:
         d2 = max(abs(self.a + other.a), abs(self.b + other.b),
                  abs(self.c + other.c), abs(self.d + other.d))
         return min(d1, d2) <= tol
+
+
+def _element(entries: tuple) -> Sl2Matrix:
+    """The Sl2Matrix of a canonical entry 4-tuple (`from_entries` without
+    the normalization)."""
+    m = object.__new__(Sl2Matrix)
+    m.a, m.b, m.c, m.d = entries
+    return m
+
+
+def _mobius(g: tuple, z):
+    """The Mobius image of z, a complex number or HypPoint, under the
+    element with the entry 4-tuple g."""
+    if isinstance(z, HypPoint):
+        return HypPoint.from_complex(_mobius(g, z.z))
+    a, b, c, d = g
+    return (a * z + b) / (c * z + d)
 
 
 @dataclass(frozen=True)
@@ -417,34 +426,41 @@ def sl2_exp(x: Sl2Vector) -> Sl2Matrix:
     return Sl2Matrix.from_entries(c0 + c1 * x.a, c1 * x.b, c1 * x.c, c0 - c1 * x.a)
 
 
-def _traceless_part(m: Sl2Matrix, scale: float) -> Sl2Vector:
-    """(M - tr(M)/2 I) / scale."""
-    return Sl2Vector.from_entries((m.a - m.d) / (2.0 * scale), m.b / scale, m.c / scale)
+def _traceless_part(m: Sl2Matrix, scale: float) -> tuple:
+    """(a, b, c) of (M - tr(M)/2 I) / scale."""
+    return (m.a - m.d) / (2.0 * scale), m.b / scale, m.c / scale
 
 
-def _elliptic_unit_and_angle(m: Sl2Matrix) -> tuple[Sl2Vector, float]:
-    """Counterclockwise unit rotation generator u (u^2 = -I) and angle in (0, 2pi)."""
+def _elliptic_axis(m: Sl2Matrix) -> tuple:
+    """(a, b, c, angle): the counterclockwise unit rotation generator
+    [[a, b], [c, -a]] (squaring to -I) of elliptic m, and its angle in (0, 2pi)."""
     half = 2.0 * math.acos(min(1.0, max(-1.0, m.trace() / 2.0)))  # in (0, pi]
-    u = _traceless_part(m, math.sin(half / 2.0))
-    # u is conjugate to +-(E - F); the counterclockwise sign has negative
-    # (2,1) entry (equivalently positive (1,2) entry).
-    if u.c < 0.0:
-        return u, half
-    return -u, 2.0 * math.pi - half
+    a, b, c = _traceless_part(m, math.sin(half / 2.0))
+    # the generator is conjugate to +-(E - F); the counterclockwise sign has
+    # negative (2,1) entry (equivalently positive (1,2) entry).
+    if c < 0.0:
+        return a, b, c, half
+    return -a, -b, -c, 2.0 * math.pi - half
 
 
-def _hyperbolic_unit_and_length(m: Sl2Matrix) -> tuple[Sl2Vector, float]:
-    """Unit translation direction v (v^2 = I) along the oriented axis, and
-    the translation length."""
+def _hyperbolic_axis(m: Sl2Matrix) -> tuple:
+    """(a, b, c, length): the unit translation direction [[a, b], [c, -a]]
+    (squaring to I) along the oriented axis of hyperbolic m, and its
+    translation length."""
     ell = 2.0 * math.acosh(m.trace() / 2.0)
-    return _traceless_part(m, math.sinh(ell / 2.0)), ell
+    return (*_traceless_part(m, math.sinh(ell / 2.0)), ell)
+
+
+def _axis_form(x: tuple, y: tuple) -> float:
+    """trace_form of the traceless matrices with entries (a, b, c) x and y."""
+    return 2.0 * x[0] * y[0] + x[1] * y[2] + x[2] * y[1]
 
 
 def elliptic_rotation_angle(m: Sl2Matrix) -> float:
     """Directed (counterclockwise) rotation angle in (0, 2*pi)."""
     if _kind(m) != ELLIPTIC:
         raise NotElliptic("rotation angle defined for elliptic elements only")
-    return _elliptic_unit_and_angle(m)[1]
+    return _elliptic_axis(m)[3]
 
 
 def sl2_log(m: Sl2Matrix) -> Sl2Vector:
@@ -459,12 +475,10 @@ def sl2_log(m: Sl2Matrix) -> Sl2Vector:
     if kind == IDENTITY:
         raise NoBranch("identity has no preferred logarithm branch")
     if kind == PARABOLIC:
-        return _traceless_part(m, 1.0)
-    if kind == HYPERBOLIC:
-        v, ell = _hyperbolic_unit_and_length(m)
-        return (ell / 2.0) * v
-    u, nu = _elliptic_unit_and_angle(m)
-    return (nu / 2.0) * u
+        return Sl2Vector.from_entries(*_traceless_part(m, 1.0))
+    a, b, c, size = _hyperbolic_axis(m) if kind == HYPERBOLIC else _elliptic_axis(m)
+    t = size / 2.0
+    return Sl2Vector.from_entries(a * t, b * t, c * t)
 
 
 def axis_vector(m: Sl2Matrix) -> Sl2Vector:
@@ -475,9 +489,9 @@ def axis_vector(m: Sl2Matrix) -> Sl2Vector:
     """
     kind = _kind(m)
     if kind == ELLIPTIC:
-        return _elliptic_unit_and_angle(m)[0]
+        return Sl2Vector.from_entries(*_elliptic_axis(m)[:3])
     if kind == HYPERBOLIC:
-        return _hyperbolic_unit_and_length(m)[0]
+        return Sl2Vector.from_entries(*_hyperbolic_axis(m)[:3])
     raise NotSemisimple(f"no axis vector for a {kind} element")
 
 
@@ -502,65 +516,74 @@ def fixed_point(m: Sl2Matrix) -> HypPoint:
 # constructing isometries from geometric data
 # ---------------------------------------------------------------------------
 
-def _translate_to(p: HypPoint) -> Sl2Matrix:
-    """The affine map z -> y z + x taking i to p."""
+def _translate_to(p: HypPoint) -> tuple:
+    """The entries of the affine map z -> y z + x taking i to p."""
     r = math.sqrt(p.y)
-    return Sl2Matrix.from_entries(r, p.x / r, 0.0, 1.0 / r)
+    return _canonical(r, p.x / r, 0.0, 1.0 / r)
 
 
-def _rotation_at_i(angle: float) -> Sl2Matrix:
-    """exp((angle/2)(E - F)): counterclockwise rotation by `angle` about i."""
+def _rotation_at_i(angle: float) -> tuple:
+    """The entries of exp((angle/2)(E - F)): counterclockwise rotation by
+    `angle` about i."""
     c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    return Sl2Matrix.from_entries(c, s, -s, c)
+    return _canonical(c, s, -s, c)
 
 
 def elliptic_about(p: HypPoint, angle: float) -> Sl2Matrix:
     """Counterclockwise rotation by `angle` about p."""
     g = _translate_to(p)
-    return g @ _rotation_at_i(angle) @ g.inverse()
+    return _element(_product(_product(g, _rotation_at_i(angle)), _inverse(g)))
 
 
 def hyperbolic_along(u: float, v: float, length: float) -> Sl2Matrix:
-    """Translation by `length` along the geodesic from boundary point u to v."""
+    """Translation by `length` along the geodesic from boundary point u to v.
+
+    An axis far from 0 relative to its width loses the determinant of the
+    conjugation; that is refused with NumericalCollapse.
+    """
     if length <= 0.0:
         raise OutOfRange("translation length must be positive")
     if u == v:
         raise OutOfRange("axis endpoints must be distinct")
-    if v > u:
-        r = math.sqrt(v - u)
-        g = Sl2Matrix.from_entries(v / r, u / r, 1.0 / r, 1.0 / r)
-    else:
-        r = math.sqrt(u - v)
-        g = Sl2Matrix.from_entries(v / r, -u / r, 1.0 / r, -1.0 / r)
-    h = length / 2.0
-    return g @ Sl2Matrix.from_entries(math.exp(h), 0.0, 0.0, math.exp(-h)) @ g.inverse()
+    try:
+        if v > u:
+            r = math.sqrt(v - u)
+            g = _canonical(v / r, u / r, 1.0 / r, 1.0 / r)
+        else:
+            r = math.sqrt(u - v)
+            g = _canonical(v / r, -u / r, 1.0 / r, -1.0 / r)
+        h = length / 2.0
+        shift = _canonical(math.exp(h), 0.0, 0.0, math.exp(-h))
+        return _element(_product(_product(g, shift), _inverse(g)))
+    except ValueError as exc:  # only `_canonical` raises one here
+        raise NumericalCollapse(f"translation by {length} along the axis from {u} "
+                                f"to {v}: {exc}") from None
 
 
 def hyp_exp(p: HypPoint, direction: float, dist: float) -> HypPoint:
     """The point at distance `dist` from p along the geodesic with the given
     initial chart angle (pi/2 = straight up)."""
-    g = _translate_to(p) @ _rotation_at_i(direction - math.pi / 2.0)
-    return g.apply(HypPoint(0.0, math.exp(dist)))
+    g = _product(_translate_to(p), _rotation_at_i(direction - math.pi / 2.0))
+    return _mobius(g, HypPoint(0.0, math.exp(dist)))
 
 
 def normalizing_isometry(p: HypPoint, q: HypPoint) -> Sl2Matrix:
     """The isometry sending p to i and q onto the imaginary axis above i."""
-    g = _translate_to(p).inverse()
-    w = g.apply(q)
-    phi = hyp_direction(HypPoint(0.0, 1.0), w)
-    return _rotation_at_i(math.pi / 2.0 - phi) @ g
-
-
-def isometry_mapping_segment(p1: HypPoint, q1: HypPoint,
-                             p2: HypPoint, q2: HypPoint) -> Sl2Matrix:
-    """The orientation-preserving isometry with p1 -> p2 and the ray toward q1
-    mapped onto the ray toward q2 (exact when d(p1,q1) = d(p2,q2))."""
-    return normalizing_isometry(p2, q2).inverse() @ normalizing_isometry(p1, q1)
+    g = _inverse(_translate_to(p))
+    phi = hyp_direction(HypPoint(0.0, 1.0), _mobius(g, q))
+    return _element(_product(_rotation_at_i(math.pi / 2.0 - phi), g))
 
 
 # ---------------------------------------------------------------------------
 # pairings of axis vectors (hyperbolic trigonometry as linear algebra)
 # ---------------------------------------------------------------------------
+
+def _half_plane_fixed_point(m: Sl2Matrix) -> complex:
+    """`fixed_point(m)` as a complex number, refused as that refuses it."""
+    z = elliptic_fixed_point(m.a, m.b, m.c, m.d)
+    _check_half_plane(z.real, z.imag)
+    return z
+
 
 def elliptic_pair_pairing(s1: Sl2Matrix, s2: Sl2Matrix) -> tuple[float, Sl2Vector]:
     """Pairing and bracket of the axis vectors of two elliptic elements.
@@ -572,11 +595,15 @@ def elliptic_pair_pairing(s1: Sl2Matrix, s2: Sl2Matrix) -> tuple[float, Sl2Vecto
     for s in (s1, s2):
         if _kind(s) != ELLIPTIC:
             raise NotElliptic("both inputs must be elliptic")
-    if hyp_distance(fixed_point(s1), fixed_point(s2)) < 1e-9:
+    z1 = _half_plane_fixed_point(s1)
+    if half_plane_distance(z1, _half_plane_fixed_point(s2)) < 1e-9:
         raise CoincidentFixedPoints("fixed points coincide; no joining axis")
-    l1 = _elliptic_unit_and_angle(s1)[0]
-    l2 = _elliptic_unit_and_angle(s2)[0]
-    return trace_form(l1, l2), l1.bracket(l2)
+    l1, l2 = _elliptic_axis(s1), _elliptic_axis(s2)
+    a, b, c, _ = l1
+    p, q, r, _ = l2
+    # the bracket as Sl2Vector.bracket forms it
+    return _axis_form(l1, l2), Sl2Vector.from_entries(b * r - c * q, 2.0 * (a * q - b * p),
+                                                      2.0 * (c * p - a * r))
 
 
 def geodesic_pair_pairing(r1: Sl2Matrix, r2: Sl2Matrix) -> float:
@@ -589,7 +616,7 @@ def geodesic_pair_pairing(r1: Sl2Matrix, r2: Sl2Matrix) -> float:
     for r in (r1, r2):
         if _kind(r) != HYPERBOLIC:
             raise NotHyperbolic("both inputs must be hyperbolic")
-    return trace_form(_hyperbolic_unit_and_length(r1)[0], _hyperbolic_unit_and_length(r2)[0])
+    return _axis_form(_hyperbolic_axis(r1), _hyperbolic_axis(r2))
 
 
 def axes_relation(pairing: float, tol: float = TRACE_TOL) -> str:
@@ -612,19 +639,12 @@ def mixed_pairing(r: Sl2Matrix, s: Sl2Matrix) -> float:
         raise NotHyperbolic("first argument must be hyperbolic")
     if _kind(s) != ELLIPTIC:
         raise NotElliptic("second argument must be elliptic")
-    return trace_form(_hyperbolic_unit_and_length(r)[0], _elliptic_unit_and_angle(s)[0])
+    return _axis_form(_hyperbolic_axis(r), _elliptic_axis(s))
 
 
 # ---------------------------------------------------------------------------
 # first-order perturbation of the logarithm
 # ---------------------------------------------------------------------------
-
-def _adjoint_matrix(g: Sl2Matrix) -> np.ndarray:
-    """Ad_g on the traceless matrices, as a 3x3 matrix in the (H,E,F) basis;
-    the coordinates of [[a, b], [c, -a]] there are (a, b, c)."""
-    images = [v.conjugate_by(g) for v in (H_VEC, E_VEC, F_VEC)]
-    return np.array([[y.a, y.b, y.c] for y in images]).T
-
 
 def log_perturbation(s: Sl2Vector, u: Sl2Vector) -> Sl2Vector:
     """First-order term of log(exp(tu) exp(s)) at t = 0.
@@ -638,7 +658,14 @@ def log_perturbation(s: Sl2Vector, u: Sl2Vector) -> Sl2Vector:
     if abs(s.det()) < 1e-12 or bss == 0.0:
         raise DegenerateDirection("base direction is parabolic-type (B(s,s) = 0)")
     bracket = u.bracket(s)
-    a = np.eye(3) - _adjoint_matrix(sl2_exp(s))
+    g = sl2_exp(s)
+    # 1 - Ad_S in the (H, E, F) basis, where [[a, b], [c, -a]] has the
+    # coordinates (a, b, c): column j is minus the image of basis vector j,
+    # plus 1 on the diagonal (0.0 - y is -y, but +0.0 for y = -0.0)
+    h, e, f = (v.conjugate_by(g) for v in (H_VEC, E_VEC, F_VEC))
+    a = [[1.0 - h.a, 0.0 - e.a, 0.0 - f.a],
+         [0.0 - h.b, 1.0 - e.b, 0.0 - f.b],
+         [0.0 - h.c, 0.0 - e.c, 1.0 - f.c]]
     x, *_ = np.linalg.lstsq(a, [bracket.a, bracket.b, bracket.c], rcond=None)
     xvec = Sl2Vector.from_entries(*x.tolist())
     xvec = xvec - (trace_form(xvec, s) / bss) * s

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hypcone import ConeSurface
+from hypcone.sl2 import sl2_basis
 
 
 # The rank oracle counts singular values above RANK_TOL times the largest.
@@ -18,6 +19,36 @@ def svd_rank(p):
     if sv.size == 0:
         return 0
     return int(np.sum(sv > RANK_TOL * sv[0]))
+
+
+def killing_constant(samples: int = 64, seed: int = 7) -> float:
+    """Empirical constant c with Killing(X,Y) = c * B(X,Y).
+
+    The Killing form is computed directly from the adjoint representation on
+    the basis (H, E, F); the ratio is constant and |c| = 4.  The sign that
+    comes out of the computation is +4.
+    """
+    basis = [v.mat for v in sl2_basis()]
+
+    def ad(xm):
+        cols = []
+        for bm in basis:
+            comm = xm @ bm - bm @ xm
+            cols.append([comm[0, 0], comm[0, 1], comm[1, 0]])
+        return np.array(cols).T
+
+    rng = np.random.default_rng(seed)
+    ratios = []
+    for _ in range(samples):
+        cx = rng.normal(size=3)
+        cy = rng.normal(size=3)
+        xm = cx[0] * basis[0] + cx[1] * basis[1] + cx[2] * basis[2]
+        ym = cy[0] * basis[0] + cy[1] * basis[1] + cy[2] * basis[2]
+        b = np.trace(xm @ ym)
+        if abs(b) < 1e-3:
+            continue
+        ratios.append(float(np.trace(ad(xm) @ ad(ym)) / b))
+    return float(np.mean(ratios))
 
 
 def torus_surface(a=1.2, b=None, c=None):

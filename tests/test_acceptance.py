@@ -14,6 +14,7 @@ import pytest
 
 from conftest import (
     genus1_two_cone_surface,
+    killing_constant,
     sphere3_surface,
     svd_rank,
     tetra_surface,
@@ -39,7 +40,7 @@ from hypcone import (
 )
 from hypcone.errors import TriangleInequality, UnflippableConfiguration, WallAngle
 from hypcone.selftest import run_all
-from hypcone.sl2 import E_VEC, F_VEC, H_VEC, killing_constant
+from hypcone.sl2 import E_VEC, F_VEC, H_VEC
 
 
 def _report(label, ok, detail):

@@ -254,6 +254,38 @@ EXIT_CODES = {
 }
 
 
+@pytest.mark.parametrize("argv", [
+    [],
+    ["bogus"],
+    ["validate"],
+    ["validate", "--input", "x.json", "--bogus"],
+    ["selftest", "--format", "xml"],
+    ["selftest", "--seed", "abc"],
+    ["selftest", "--seed", "-1"],
+    ["selftest", "--seed", "1.5"],
+])
+def test_usage_errors_exit_1_in_one_line(capsys, argv):
+    # exit 2 is a refused evaluation; a command line argparse refuses is bad input
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    if "--seed" in argv:
+        assert err.startswith("error: argument --seed: ") and repr(argv[-1]) in err
+
+
+def test_seed_takes_every_integer_from_0(capsys):
+    for seed in ("0", "1729", str(2 ** 70)):
+        code, out, _ = run(capsys, "selftest", "--seed", seed)
+        assert code == 0 and out.startswith(f"seed: {int(seed)}\n")
+
+
+def test_help_is_unchanged(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: hypcone selftest [-h]")
+
+
 def test_every_error_keeps_its_exit_code(monkeypatch, capsys, torus_file):
     package = {cls for cls in vars(errors).values()
                if isinstance(cls, type) and issubclass(cls, errors.HypconeError)}

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import bits, killing_constant
 from hypcone import (
     HypPoint,
     Sl2Matrix,
@@ -33,7 +34,9 @@ from hypcone.errors import (
     NoBranch,
     NoSolution,
     NotElliptic,
+    NotHyperbolic,
     NotSemisimple,
+    NumericalCollapse,
     OutOfRange,
 )
 from hypcone.selftest import LOG_TOL, log_expansion_suite
@@ -47,8 +50,6 @@ from hypcone.sl2 import (
     axes_relation,
     elliptic_fixed_point,
     hyp_direction,
-    isometry_mapping_segment,
-    killing_constant,
 )
 
 I2 = np.eye(2)
@@ -369,6 +370,12 @@ def test_hyperbolic_along_endpoints_and_length():
         img = hyperbolic_along(u, v, ell).apply(apex)
         assert hyp_distance(apex, img) == pytest.approx(ell, abs=1e-9)
         assert img.x > apex.x
+
+
+def isometry_mapping_segment(p1, q1, p2, q2):
+    """The orientation-preserving isometry with p1 -> p2 and the ray toward q1
+    mapped onto the ray toward q2 (exact when d(p1,q1) = d(p2,q2))."""
+    return normalizing_isometry(p2, q2).inverse() @ normalizing_isometry(p1, q1)
 
 
 def test_isometry_mapping_segment():
@@ -892,3 +899,192 @@ def test_operations_make_no_numpy_call(monkeypatch):
     geodesic_pair_pairing(r1, r2)
     mixed_pairing(r1, s1)
     solve_order_q_distance(1.5 * math.pi, 1.5 * math.pi, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# constructors and pairings against their chains of public operations
+# ---------------------------------------------------------------------------
+#
+# Each chain builds the element from Sl2Matrix products, each one
+# normalized, and pairs axis vectors by trace_form.  The library composes
+# the same products on floats; both must agree bit for bit, and where the
+# chain raises, in the exception's type and message.  `product` records
+# whether the raw product drifted past DET_TOL, so that a rescale happened
+# between the factors.
+
+
+def product(x, y, drifted):
+    det = (x.a * y.a + x.b * y.c) * (x.c * y.b + x.d * y.d) \
+        - (x.a * y.b + x.b * y.d) * (x.c * y.a + x.d * y.c)
+    drifted.append(not abs(det - 1.0) <= DET_TOL)
+    return x @ y
+
+
+def chain_translate_to(p):
+    r = math.sqrt(p.y)
+    return Sl2Matrix.from_entries(r, p.x / r, 0.0, 1.0 / r)
+
+
+def chain_rotation_at_i(angle):
+    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    return Sl2Matrix.from_entries(c, s, -s, c)
+
+
+def chain_elliptic_about(p, angle, drifted):
+    g = chain_translate_to(p)
+    return product(product(g, chain_rotation_at_i(angle), drifted), g.inverse(), drifted)
+
+
+def chain_hyperbolic_along(u, v, length, drifted):
+    if length <= 0.0:
+        raise OutOfRange("translation length must be positive")
+    if u == v:
+        raise OutOfRange("axis endpoints must be distinct")
+    if v > u:
+        r = math.sqrt(v - u)
+        g = Sl2Matrix.from_entries(v / r, u / r, 1.0 / r, 1.0 / r)
+    else:
+        r = math.sqrt(u - v)
+        g = Sl2Matrix.from_entries(v / r, -u / r, 1.0 / r, -1.0 / r)
+    h = length / 2.0
+    shift = Sl2Matrix.from_entries(math.exp(h), 0.0, 0.0, math.exp(-h))
+    return product(product(g, shift, drifted), g.inverse(), drifted)
+
+
+def chain_hyp_exp(p, direction, dist):
+    g = chain_translate_to(p) @ chain_rotation_at_i(direction - math.pi / 2.0)
+    return g.apply(HypPoint(0.0, math.exp(dist)))
+
+
+def chain_normalizing_isometry(p, q):
+    g = chain_translate_to(p).inverse()
+    phi = hyp_direction(HypPoint(0.0, 1.0), g.apply(q))
+    return chain_rotation_at_i(math.pi / 2.0 - phi) @ g
+
+
+def chain_elliptic_pair(s1, s2):
+    for s in (s1, s2):
+        if _kind(s) != "elliptic":
+            raise NotElliptic("both inputs must be elliptic")
+    if hyp_distance(fixed_point(s1), fixed_point(s2)) < 1e-9:
+        raise CoincidentFixedPoints("fixed points coincide; no joining axis")
+    l1, l2 = axis_vector(s1), axis_vector(s2)
+    return trace_form(l1, l2), l1.bracket(l2)
+
+
+def chain_geodesic_pair(r1, r2):
+    for r in (r1, r2):
+        if _kind(r) != "hyperbolic":
+            raise NotHyperbolic("both inputs must be hyperbolic")
+    return trace_form(axis_vector(r1), axis_vector(r2))
+
+
+def chain_mixed(r, s):
+    if _kind(r) != "hyperbolic":
+        raise NotHyperbolic("first argument must be hyperbolic")
+    if _kind(s) != "elliptic":
+        raise NotElliptic("second argument must be elliptic")
+    return trace_form(axis_vector(r), axis_vector(s))
+
+
+def outcome(fn, *args):
+    """("value", bit patterns of every float fn returns) or ("raise", type,
+    message); -0.0 and +0.0 differ."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # the outcome under comparison
+        return "raise", type(exc), str(exc)
+    floats = []
+    for item in value if isinstance(value, tuple) else (value,):
+        if isinstance(item, Sl2Matrix):
+            floats += [item.a, item.b, item.c, item.d]
+        elif isinstance(item, Sl2Vector):
+            floats += [item.a, item.b, item.c]
+        elif isinstance(item, HypPoint):
+            floats += [item.x, item.y]
+        else:
+            floats.append(item)
+    return "value", bits(floats)
+
+
+def sweep_inputs(seed=41, count=3000):
+    """Seeded points, angles and axes out to the extremes: |x| and |u| up
+    to 1e6, y from 1e-4 to 1e2, angles from -pi to 3pi (past pi,
+    cos(angle/2) < 0), axis widths from 1e-4 to 10."""
+    rng = np.random.default_rng(seed)
+
+    def coord():
+        if rng.random() < 0.3:
+            return float(rng.uniform(-3.0, 3.0))
+        return float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 6.0))
+
+    def point():
+        return HypPoint(coord(), float(10.0 ** rng.uniform(-4.0, 2.0)))
+
+    rows = []
+    for _ in range(count):
+        u = coord()
+        v = u + float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-4.0, 1.0))
+        rows.append((point(), float(rng.uniform(-math.pi, 3.0 * math.pi)), u, v,
+                     float(10.0 ** rng.uniform(-2.0, 1.0)), point(),
+                     float(rng.uniform(-7.0, 7.0)), float(rng.uniform(-8.0, 8.0))))
+    return rows
+
+
+def test_hyperbolic_along_refuses_a_lost_determinant():
+    # the axis sits 1e6 from 0 at width 1e-3; the last product's
+    # determinant is negative from rounding alone
+    with pytest.raises(NumericalCollapse) as err:
+        hyperbolic_along(1e6, 1e6 + 1e-3, 1.0)
+    message = str(err.value)
+    assert all(repr(x) in message for x in (1e6, 1e6 + 1e-3, 1.0))
+    assert "determinant" in message
+
+
+def test_constructors_and_pairings_equal_their_chains_bit_for_bit():
+    rows = sweep_inputs()
+    mismatches, elements = [], []
+    drift = {"elliptic": 0, "hyperbolic": 0}
+
+    def compare(name, got, want):
+        if got != want:
+            mismatches.append((name, got, want))
+
+    for p, angle, u, v, length, q, direction, dist in rows:
+        for kind, fn, chain, args in (
+                ("elliptic", elliptic_about, chain_elliptic_about, (p, angle)),
+                ("hyperbolic", hyperbolic_along, chain_hyperbolic_along, (u, v, length))):
+            drifted = []
+            want = outcome(chain, *args, drifted)
+            got = outcome(fn, *args)
+            drift[kind] += any(drifted)
+            if kind == "hyperbolic" and want[:2] == ("raise", ValueError):
+                # the one refusal that changes: named, with its inputs
+                named = (got[:2] == ("raise", NumericalCollapse) and got[2].endswith(want[2])
+                         and all(repr(x) in got[2] for x in args))
+                if not named:
+                    mismatches.append(("hyperbolic_along", got, want))
+                continue
+            compare(fn.__name__, got, want)
+            if want[0] == "value":
+                elements.append(fn(*args))
+        compare("hyp_exp", outcome(hyp_exp, p, direction, dist),
+                outcome(chain_hyp_exp, p, direction, dist))
+        compare("normalizing_isometry", outcome(normalizing_isometry, p, q),
+                outcome(chain_normalizing_isometry, p, q))
+
+    rng = np.random.default_rng(43)
+    pairs = [(elements[i], elements[j])
+             for i, j in rng.integers(len(elements), size=(3000, 2)).tolist()]
+    # two rotations about one point, at different angles: coincident centres
+    centres = [HypPoint(x, y) for x, y in rng.uniform(0.5, 2.0, size=(50, 2)).tolist()]
+    pairs += [(elliptic_about(p, 1.0), elliptic_about(p, 2.5)) for p in centres]
+    for a, b in pairs:
+        compare("elliptic_pair_pairing", outcome(elliptic_pair_pairing, a, b),
+                outcome(chain_elliptic_pair, a, b))
+        compare("geodesic_pair_pairing", outcome(geodesic_pair_pairing, a, b),
+                outcome(chain_geodesic_pair, a, b))
+        compare("mixed_pairing", outcome(mixed_pairing, a, b), outcome(chain_mixed, a, b))
+    assert not mismatches, (len(mismatches), mismatches[:3])
+    # the sweep reaches rescales between the factors of both constructors
+    assert min(drift.values()) >= 500, drift
