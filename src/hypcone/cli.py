@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import select
@@ -33,7 +32,7 @@ from . import poisson as poisson_mod
 from .errors import HypconeError
 from .holonomy import develop, holonomy_report
 from .selftest import DEFAULT_SEED, LOG_TOL, TRIG_TOL, run_all
-from .surface import build_surface, classify_angles, fmt17
+from .surface import build_surface, classify_angles, decode_document, fmt17
 
 TOL_DEFAULTS = {
     "wall": poisson_mod.WALL_GUARD,  # min |sin(theta/2)| before P is refused
@@ -130,7 +129,7 @@ def _parse_tols(pairs) -> dict:
 def _load_surface(path: str):
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
-    return build_surface(json.loads(text))
+    return build_surface(decode_document(text))
 
 
 def cmd_validate(args, out: Emitter, tols) -> int:

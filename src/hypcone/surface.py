@@ -19,8 +19,12 @@ running corner-angle sums along each vertex's germs in cyclic order, whose
 totals are the cone angles.  All corner angles of a surface come from one
 array pass, `corner_angles`, which is bit for bit the scalar law of cosines
 `corner_angle` at every corner.  Changing lengths reuses the Triangulation
-and checks only the lengths.  Edge ids are strings in the wire format;
-inside, edge i is the i-th id in sorted order.
+and checks only the lengths.  One pass reads every surface, a wire
+document (`build_surface`, `parse_surface`) or the library form
+`ConeSurface(dict, sides)` with float() lengths; it refuses a malformed one,
+or JSON nested too deeply to decode, naming the first fault.  An edge id is
+a nonempty printable string with no space or '=', so it can key a report
+row; inside, edge i is the i-th id in sorted order.
 
 A cone angle theta near 2*pi*k (k >= 0) sits on a wall: the loop holonomy
 around it is near the identity (k > 0) or near parabolic (k = 0, the cusp
@@ -378,57 +382,27 @@ class Triangulation:
         return tuple(zip(sides[0::3], sides[1::3], sides[2::3]))
 
 
-def _parse(edges: dict, triangles) -> tuple:
-    """(Triangulation, lengths in edge order) of the (dict, triangles) form.
-
-    The record-by-record walk: every edge id must be a nonempty string and
-    every length convert to a float; each triangle's sides, read as
-    (str(edge), str(direction)), must be three, name a listed edge and run
-    "+" or "-".  The first failure in that order raises a ValueError naming
-    its record.  `build_surface` takes a regular wire document around this
-    walk in one pass and comes here for any other.
-    """
-    lengths = {}
-    for eid, ln in edges.items():
-        if not isinstance(eid, str) or not eid:
-            raise ValueError(f"edge id {eid!r} must be a nonempty string")
-        try:
-            lengths[eid] = float(ln)
-        except OverflowError:
-            raise ValueError(f"edge {eid!r} has a length too large for a float") from None
-    edge_ids = sorted(lengths)
-    index = {e: i for i, e in enumerate(edge_ids)}
-    he_edge, he_dir = [], []
-    for t, sides in enumerate(triangles):
-        sides = tuple((str(e), str(d)) for (e, d) in sides)
-        if len(sides) != 3:
-            raise ValueError(f"triangle {t} has {len(sides)} sides, expected 3")
-        for e, d in sides:
-            if e not in index:
-                raise ValueError(f"triangle {t} references unknown edge {e!r}")
-            if d not in ("+", "-"):
-                raise ValueError(f"triangle {t} has direction {d!r}, expected '+' or '-'")
-            he_edge.append(index[e])
-            he_dir.append(d == "-")
-    if not he_edge:
-        raise ValueError("surface needs at least one triangle")
-    return Triangulation(edge_ids, he_edge, he_dir), [lengths[e] for e in edge_ids]
-
-
 _DIRECTION = {"+": 0, "-": 1}
 
 
-def _one_pass(data) -> tuple | None:
-    """(lengths in edge order, Triangulation) of a regular wire document,
-    else None.
+def _typed(values, types) -> bool:
+    """Whether every value is an instance of `types` and none is a bool."""
+    return all(issubclass(t, types) and t is not bool for t in set(map(type, values)))
 
-    A document is regular when it is JSON objects and lists of the wire
-    shape, its edge ids are distinct nonempty strings, its lengths ints or
-    floats that a float holds, and every triangle has three sides, each
-    naming a listed id and "+" or "-".  Then comprehensions and lookups
-    build the arrays, with no branch per record; every document this
-    refuses goes to the record-by-record walk, which accepts or refuses it
-    as if this pass did not exist.
+
+def _float(eid, length) -> float:
+    try:
+        return float(length)
+    except OverflowError:
+        raise ValueError(f"edge {eid!r} has a length too large for a float") from None
+
+
+def _one_pass(data) -> tuple:
+    """(lengths in edge order, Triangulation) of a wire document: the one
+    reader of surface records.  Comprehensions and lookups build the arrays
+    with no branch per record; value types are tested once per distinct
+    type, and the id rule once on the ids joined.  `_refuse` names the first
+    fault of a document this cannot take.
     """
     try:
         edges, triangles = data["edges"], data["triangles"]
@@ -438,32 +412,82 @@ def _one_pass(data) -> tuple | None:
         flat = list(chain.from_iterable(sides))
         refs = [side["edge"] for side in flat]
         dirs = [side["dir"] for side in flat]
-    except (LookupError, TypeError):
-        return None
-    if not (type(data) is dict and type(edges) is list and type(triangles) is list
-            and set(map(type, chain(edges, triangles, flat))) == {dict}
-            and set(map(type, sides)) == {list} and set(map(len, sides)) == {3}
-            and set(map(type, ids)) <= {str} and set(map(type, lengths)) <= {int, float}):
-        return None
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    edge_ids = [ids[i] for i in order]
-    index = dict(zip(edge_ids, range(len(ids))))
-    if len(index) < len(ids) or "" in index:
-        return None
-    try:
-        he_edge = list(map(index.__getitem__, refs))
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        edge_ids = [ids[i] for i in order]
+        index = dict(zip(edge_ids, range(len(ids))))
+        try:
+            he_edge = list(map(index.__getitem__, refs))
+        except (LookupError, TypeError):  # a side may name edge "1" as 1
+            he_edge = list(map(index.__getitem__, map(str, refs)))
         he_dir = list(map(_DIRECTION.__getitem__, dirs))
         length = np.array(lengths, dtype=float)[order]
-    except (LookupError, TypeError, OverflowError):
-        return None
+        text = "".join(edge_ids)  # a TypeError unless every id is a str
+        regular = (isinstance(data, dict) and _typed(chain((edges, triangles), sides), list)
+                   and _typed(chain(edges, triangles, flat), dict)
+                   and set(map(len, sides)) == {3} and len(index) == len(ids)
+                   and "" not in index and text.isprintable() and " " not in text
+                   and "=" not in text and _typed(lengths, (int, float)))
+    except (LookupError, TypeError, ValueError, OverflowError, RecursionError):
+        regular = False
+    if not regular:
+        _refuse(data)
     return length, Triangulation(edge_ids, he_edge, he_dir)
+
+
+def _refuse(data):
+    """Raise the ValueError naming the first offending record of a document
+    `_one_pass` cannot take; build nothing.  Shapes and value types come
+    first (the top level, the edge records, the triangle and side records),
+    then contents (the edge ids and lengths, then the triangles' sides).
+    """
+    if not isinstance(data, dict):
+        raise ValueError("top level must be an object")
+    for key in ("edges", "triangles"):
+        if not isinstance(data.get(key), list):
+            raise ValueError(f"top-level key {key!r} must hold a list")
+    lengths = {}
+    for rec in data["edges"]:
+        if not isinstance(rec, dict) or "id" not in rec or "length" not in rec:
+            raise ValueError(f"malformed edge record {rec!r}")
+        eid, length = rec["id"], rec["length"]
+        if not isinstance(eid, str):
+            raise ValueError(f"edge id {eid!r} must be a string")
+        if isinstance(length, bool) or not isinstance(length, (int, float)):
+            raise ValueError(f"edge {eid!r} has length {length!r}, not a number")
+        if eid in lengths:
+            raise ValueError(f"duplicate edge id {eid!r}")
+        lengths[eid] = length
+    for rec in data["triangles"]:
+        if not isinstance(rec, dict) or not isinstance(rec.get("sides"), list):
+            raise ValueError(f"malformed triangle record {rec!r}")
+        for side in rec["sides"]:
+            if not isinstance(side, dict) or "edge" not in side or "dir" not in side:
+                raise ValueError(f"malformed side record {side!r}")
+    for eid, length in lengths.items():
+        if not eid:
+            raise ValueError(f"edge id {eid!r} must be a nonempty string")
+        if not eid.isprintable() or " " in eid or "=" in eid:
+            raise ValueError(f"edge id {eid!r} must be printable, with no space or '='")
+        _float(eid, length)
+    for t, rec in enumerate(data["triangles"]):
+        if len(rec["sides"]) != 3:
+            raise ValueError(f"triangle {t} has {len(rec['sides'])} sides, expected 3")
+        for side in rec["sides"]:
+            e, d = str(side["edge"]), str(side["dir"])
+            if e not in lengths:
+                raise ValueError(f"triangle {t} references unknown edge {e!r}")
+            if d not in _DIRECTION:
+                raise ValueError(f"triangle {t} has direction {d!r}, expected '+' or '-'")
+    # the pass takes every document with a triangle and no fault above
+    raise ValueError("surface needs at least one triangle")
 
 
 class ConeSurface(Triangulation):
     """A Triangulation with one length per edge, and the angles they give.
 
-    `ConeSurface(edges, triangles)` takes the wire form: a dict of edge id
-    -> length, and each triangle's sides as (edge id, "+" or "-").  With a
+    `ConeSurface(edges, triangles)` takes the library form: a dict of edge
+    id -> length, each converted by float(), and each triangle's sides as
+    (edge id, "+" or "-"), read by the one pass of the wire form.  With a
     Triangulation (or a surface) as `triangles`, `edges` is the length array
     in edge order; the surface shares that gluing, kept as `triangulation`,
     and checks only the lengths.  `length[i]` is the length of edge i,
@@ -480,7 +504,10 @@ class ConeSurface(Triangulation):
 
     def __init__(self, edges, triangles, *, _angle=None):
         if not isinstance(triangles, Triangulation):
-            triangles, edges = _parse(edges, triangles)
+            edges, triangles = _one_pass({
+                "edges": [{"id": e, "length": _float(e, x)} for e, x in edges.items()],
+                "triangles": [{"sides": [{"edge": e, "dir": d} for e, d in sides]}
+                              for sides in triangles]})
         # no Triangulation.__init__: share the arrays of a gluing checked already
         self.triangulation = getattr(triangles, "triangulation", triangles)
         vars(self).update(vars(self.triangulation))
@@ -587,49 +614,21 @@ class ConeSurface(Triangulation):
 
 
 def build_surface(data: dict) -> ConeSurface:
-    """Construct and fully validate a surface from its wire-format object.
+    """Construct and fully validate a surface from its wire-format object;
+    a malformed one is refused naming its first offending record."""
+    return ConeSurface(*_one_pass(data))
 
-    A regular document (see `_one_pass`) goes from its records to arrays in
-    one pass.  Any other is walked record by record: first the shape and
-    value types of the edge records, then of the triangle and side records,
-    then `_parse`.  A malformed document is refused with a ValueError naming
-    the first offending record in that order.
-    """
-    regular = _one_pass(data)
-    if regular is not None:
-        return ConeSurface(*regular)
-    if not isinstance(data, dict):
-        raise ValueError("top level must be an object")
-    for key in ("edges", "triangles"):
-        if not isinstance(data.get(key), list):
-            raise ValueError(f"top-level key {key!r} must hold a list")
-    edges = {}
-    for rec in data["edges"]:
-        if not isinstance(rec, dict) or "id" not in rec or "length" not in rec:
-            raise ValueError(f"malformed edge record {rec!r}")
-        eid, length = rec["id"], rec["length"]
-        if not isinstance(eid, str):
-            raise ValueError(f"edge id {eid!r} must be a string")
-        if isinstance(length, bool) or not isinstance(length, (int, float)):
-            raise ValueError(f"edge {eid!r} has length {length!r}, not a number")
-        if eid in edges:
-            raise ValueError(f"duplicate edge id {eid!r}")
-        edges[eid] = length
-    triangles = []
-    for rec in data["triangles"]:
-        if not isinstance(rec, dict) or not isinstance(rec.get("sides"), list):
-            raise ValueError(f"malformed triangle record {rec!r}")
-        sides = []
-        for side in rec["sides"]:
-            if not isinstance(side, dict) or "edge" not in side or "dir" not in side:
-                raise ValueError(f"malformed side record {side!r}")
-            sides.append((side["edge"], side["dir"]))
-        triangles.append(sides)
-    return ConeSurface(edges, triangles)
+
+def decode_document(text: str):
+    """json.loads(text), refusing a document nested too deeply to decode."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("document nests too deeply to decode") from None
 
 
 def parse_surface(text: str) -> ConeSurface:
-    return build_surface(json.loads(text))
+    return build_surface(decode_document(text))
 
 
 def serialize_surface(s: ConeSurface) -> str:

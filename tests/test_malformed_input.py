@@ -44,10 +44,15 @@ def edited(**paths):
     return doc
 
 
+def renamed(eid):
+    """The torus document with edge x renamed eid, in its record and sides."""
+    return json.loads(json.dumps(torus_doc()).replace('"x"', json.dumps(eid)))
+
+
 DROP = object()
 SIDE = {"edge": "x", "dir": "+"}
 
-# name -> (document, exit code, the one line on stderr)
+# name -> (document, or its JSON text, exit code, the one line on stderr)
 CASES = {
     "top-level-list": ([], 1, "error[ValueError]: top level must be an object"),
     "missing-triangles": (edited(triangles=DROP), 1,
@@ -98,6 +103,15 @@ CASES = {
                       "need exactly one '+' and one '-'"),
     "nan-length": (edited(edges__1__length=float("nan")), 1,
                    "error[NonPositiveLength]: edge 'y' has length nan"),
+    "deep-nesting": ("[" * 100_000 + "]" * 100_000, 1,
+                     "error[ValueError]: document nests too deeply to decode"),
+    "newline-id": (renamed("x\nflips=99"), 1,
+                   "error[ValueError]: edge id 'x\\nflips=99' must be printable, "
+                   "with no space or '='"),
+    "space-id": (renamed("x y"), 1,
+                 "error[ValueError]: edge id 'x y' must be printable, with no space or '='"),
+    "equals-id": (renamed("x=1"), 1,
+                  "error[ValueError]: edge id 'x=1' must be printable, with no space or '='"),
 }
 
 
@@ -111,7 +125,7 @@ def run(capsys, *argv):
 def test_malformed_document_names_its_first_fault(capsys, tmp_path, name):
     doc, code, line = CASES[name]
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     for sub in ("validate", "holonomy", "poisson", "delaunay"):
         assert run(capsys, sub, "--input", str(path)) == (code, "", line + "\n"), sub
 

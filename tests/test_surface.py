@@ -521,22 +521,82 @@ def test_build_surface_from_wire(torus):
 
 
 def test_regular_wire_document_takes_one_pass(monkeypatch):
-    # a regular document goes from its records to arrays without the
-    # record-by-record walk, and gives the surface the walk gives
+    # every accepted document is built by the one pass, without the
+    # refusal: a plain one, one with a numpy length and one that names an
+    # edge by an int
     s = stellar_surface(400, seed=3, start="tor")
+    assert s.n_edges == 1203
+
+    def refuse(data):
+        raise AssertionError("refused")
+
+    monkeypatch.setattr(surface_mod, "_refuse", refuse)
     doc = json.loads(serialize_surface(s))
-
-    def walk(*args):
-        raise AssertionError("record-by-record walk")
-
-    monkeypatch.setattr(surface_mod, "_parse", walk)
     built = build_surface(doc)
     assert built.edge_ids == s.edge_ids and built.triangles == s.triangles
     assert bits(built.length) == bits(s.length) and bits(built.angle) == bits(s.angle)
-    # an irregular one, here with a numpy length, is walked
-    doc["edges"][0]["length"] = np.float64(1.3)
-    with pytest.raises(AssertionError, match="walk"):
+    doc["edges"][0]["length"] = np.float64(doc["edges"][0]["length"])
+    numpy_length = build_surface(doc)
+    assert bits(numpy_length.length) == bits(s.length)
+    assert bits(numpy_length.angle) == bits(s.angle)
+    plain = json.loads(serialize_surface(torus_surface(1.2)).replace('"x"', '"1"'))
+    int_refs = json.loads(serialize_surface(torus_surface(1.2)).replace('"edge":"x"', '"edge":1')
+                          .replace('"x"', '"1"'))
+    assert {side["edge"] for t in int_refs["triangles"] for side in t["sides"]} == {1, "y", "z"}
+    a, b = build_surface(int_refs), build_surface(plain)
+    assert a.edge_ids == b.edge_ids == ("1", "y", "z") and a.triangles == b.triangles
+    assert bits(a.length) == bits(b.length) and bits(a.angle) == bits(b.angle)
+
+
+def library_form(doc):
+    """The (dict, sides) arguments of ConeSurface for a wire document."""
+    return ({rec["id"]: rec["length"] for rec in doc["edges"]},
+            [[(side["edge"], side["dir"]) for side in t["sides"]] for t in doc["triangles"]])
+
+
+def outcome(build):
+    try:
+        s = build()
+    except Exception as exc:  # the refusal, compared by type and message
+        return type(exc), str(exc)
+    return s.edge_ids, s.triangles, bits(s.length), bits(s.angle)
+
+
+def test_library_form_and_wire_form_load_alike(corpus):
+    # ConeSurface(dict, sides) enters the pass of build_surface: the same
+    # surface bit for bit, and the same refusal of a bad length, id or
+    # reference
+    for s in corpus:
+        doc = json.loads(serialize_surface(s))
+        assert outcome(lambda: ConeSurface(*library_form(doc))) == outcome(lambda: s)
+        assert outcome(lambda: build_surface(doc)) == outcome(lambda: s)
+    rng = random.Random("library-form")
+    bad = {"length": [-1.0, 0.0, float("nan"), float("inf"), 10**400, 400.0],
+           "id": ["", "x y", "x=y", "x\ny", "\t", "a\u00a0b", 7],
+           "edge": ["w", "", "1", 7, None, "x y"]}
+    refused = 0
+    for k in range(300):
+        doc = json.loads(serialize_surface(rng.choice(corpus)))
+        key = rng.choice(sorted(bad))
+        if key == "edge":
+            rec = rng.choice(rng.choice(doc["triangles"])["sides"])
+        else:
+            rec = rng.choice(doc["edges"])
+        rec[key] = rng.choice(bad[key])
+        wire = outcome(lambda: build_surface(doc))
+        assert outcome(lambda: ConeSurface(*library_form(doc))) == wire, (k, rec)
+        refused += len(wire) == 2
+    assert refused > 250
+    # where the forms differ on purpose: the library form takes each length
+    # through float(), the wire form only JSON numbers
+    doc = json.loads(serialize_surface(corpus[0]))
+    doc["edges"][0]["length"] = "1.2"
+    with pytest.raises(ValueError, match="has length '1.2', not a number"):
         build_surface(doc)
+    for length in ("1.2", np.float32(1.2), True):
+        doc["edges"][0]["length"] = length
+        got = ConeSurface(*library_form(doc))
+        assert got.length[0] == float(length)
 
 
 # ---------------------------------------------------------------------------
