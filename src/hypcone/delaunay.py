@@ -32,8 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonTermination, UnflippableConfiguration
-from .surface import ConeSurface, Triangulation, corner_angle, fmt17, nxt, prv
+from .errors import NonTermination, NumericalCollapse, UnflippableConfiguration
+from .surface import (ConeSurface, Triangulation, check_corner, corner_sums, fmt17, half_angle,
+                      nxt, prv)
 
 # An edge counts as non-Delaunay only below -PSI_TOL, so floating-point
 # zeros do not trigger flip loops.
@@ -76,8 +77,9 @@ def flip_new_length(s, e: str) -> float:
     p and q are both below pi; its length comes from the law of cosines at p
     in the half-angle form
     sinh^2(c/2) = sinh^2((a-b)/2) + sinh a sinh b sin^2(gamma_p/2),
-    which stays accurate for short diagonals.  s is a ConeSurface or a
-    FlipState.
+    which stays accurate for short diagonals; a diagonal whose sinh^2(c/2)
+    leaves the float range (on sides of some hundreds) is refused as
+    NumericalCollapse.  s is a ConeSurface or a FlipState.
     """
     hf, hb = s.halves[s.edge_index[e]]
     if hf // 3 == hb // 3:
@@ -91,8 +93,15 @@ def flip_new_length(s, e: str) -> float:
             f"(quadrilateral angles {gamma_p} and {gamma_q} at its ends)")
     a = s.length[s.he_edge[prv(hf)]]
     b = s.length[s.he_edge[nxt(hb)]]
-    half = math.sinh((a - b) / 2.0) ** 2 + \
-        math.sinh(a) * math.sinh(b) * math.sin(gamma_p / 2.0) ** 2
+    try:
+        half = math.sinh((a - b) / 2.0) ** 2 + \
+            math.sinh(a) * math.sinh(b) * math.sin(gamma_p / 2.0) ** 2
+    except OverflowError:  # a sinh or its square past the float range
+        half = math.inf
+    if not half < math.inf:  # also inf * 0, where sin^2 underflows
+        raise NumericalCollapse(
+            f"diagonal replacing edge {e!r} overflows: sinh^2 of half its length "
+            "is past the float range")
     return 2.0 * math.asinh(math.sqrt(half))
 
 
@@ -118,9 +127,9 @@ class FlipState:
         The two rewired triangles keep their slots: the one that held the
         forward half-edge gets sides [e forward, old prv(backward), old
         nxt(forward)], the other [e backward, old prv(forward), old
-        nxt(backward)].  Their six corner angles are recomputed by the
-        scalar `corner_angle`, which also checks the strict triangle
-        inequalities; an array pass costs more for six corners.
+        nxt(backward)].  Each rewired triangle's sides are checked as
+        `corner_angle` checks them; its six corners take their sums on
+        floats and their angles from one `half_angle` call.
         """
         new_len = flip_new_length(self, e)
         i = self.edge_index[e]
@@ -134,9 +143,14 @@ class FlipState:
         for h, (f, d) in zip(slots, [(i, 0), *old[:2], (i, 1), *old[2:]]):
             self.he_edge[h], self.he_dir[h] = f, d
             self.halves[f][d] = h
-        for h in slots:
-            a, b, c = (self.length[self.he_edge[g]] for g in (h, prv(h), nxt(h)))
-            self.angle[h] = corner_angle(a, b, c)
+        sides = [[self.length[self.he_edge[h]] for h in slots[:3]],
+                 [self.length[self.he_edge[h]] for h in slots[3:]]]
+        for l0, l1, l2 in sides:  # corner_angle's checks of corner 0 cover all three
+            check_corner(l0, l2, l1)
+        # copied contiguous: the kernel takes a strided view more slowly
+        q = np.array([corner_sums(*triangle) for triangle in sides]).swapaxes(0, 1).copy()
+        for h, angle in zip(slots, half_angle(q, sides).ravel().tolist()):
+            self.angle[h] = angle
         return move
 
     @staticmethod
@@ -149,8 +163,8 @@ class FlipState:
 
         The gluing and the lengths are checked as by the constructor; the
         corner angles are the state's, which are bit for bit those the
-        constructor's array pass would compute: the scalar `corner_angle`
-        of a flip agrees with it at every corner.
+        constructor would compute: a flip takes the same sums, by the same
+        float operations, through the same kernel.
         """
         gluing = Triangulation(self.edge_ids, self.he_edge, self.he_dir)
         return ConeSurface(self.length, gluing, _angle=self.angle)

@@ -93,8 +93,9 @@ class NoSolution(HypconeError):
 
 class NumericalCollapse(HypconeError):
     """A computation lost its precision: a loop holonomy or a translation
-    along a far, narrow axis without a positive finite determinant, or a
-    corner angle whose sinh products underflow."""
+    along a far, narrow axis without a positive finite determinant, a corner
+    angle below the normal float range, or a sinh of a side or a flip's
+    diagonal past the float range."""
 
 
 class WallAngle(HypconeError):

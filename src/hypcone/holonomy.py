@@ -50,25 +50,28 @@ def _mats(a, b, c, d) -> np.ndarray:
 
 def _local_charts(s: ConeSurface) -> tuple[np.ndarray, np.ndarray]:
     """Normalizers N_h and transitions T_h = N_h^-1 R(pi) D(-l) N_{twin h},
-    both (n_half, 2, 2); N_h sends side h of tri(h)'s chart onto [i, i e^l]."""
+    both (n_half, 2, 2); N_h sends side h of tri(h)'s chart onto [i, i e^l].
+    Products past the float range (sides of some hundreds) are left inf or
+    nan: the walk refuses a loop through them by its determinant."""
     nt = s.n_triangles
     side = s.length[s.he_edge]
     angle = s.angle.reshape(nt, 3)
     n = np.empty((nt, 3, 2, 2))
     n[:, 0] = np.eye(2)
     zero = np.zeros(nt)
-    for k in (1, 2):
-        half = (math.pi + angle[:, k]) / 2.0  # R(pi + alpha_k)
-        rotate = _mats(np.cos(half), np.sin(half), -np.sin(half), np.cos(half))
-        shrink = np.exp(-side[k - 1::3] / 2.0)  # D(-l_{k-1})
-        n[:, k] = rotate @ _mats(shrink, zero, zero, 1.0 / shrink) @ n[:, k - 1]
-    n = n.reshape(-1, 2, 2)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for k in (1, 2):
+            half = (math.pi + angle[:, k]) / 2.0  # R(pi + alpha_k)
+            rotate = _mats(np.cos(half), np.sin(half), -np.sin(half), np.cos(half))
+            shrink = np.exp(-side[k - 1::3] / 2.0)  # D(-l_{k-1})
+            n[:, k] = rotate @ _mats(shrink, zero, zero, 1.0 / shrink) @ n[:, k - 1]
+        n = n.reshape(-1, 2, 2)
 
-    grow = np.exp(side / 2.0)
-    zero = np.zeros(s.n_half)
-    half_turn = _mats(zero, grow, -1.0 / grow, zero)  # R(pi) D(-l)
-    inverse = _mats(n[:, 1, 1], -n[:, 0, 1], -n[:, 1, 0], n[:, 0, 0])
-    return n, inverse @ half_turn @ n[s.twin]
+        grow = np.exp(side / 2.0)
+        zero = np.zeros(s.n_half)
+        half_turn = _mats(zero, grow, -1.0 / grow, zero)  # R(pi) D(-l)
+        inverse = _mats(n[:, 1, 1], -n[:, 0, 1], -n[:, 1, 0], n[:, 0, 0])
+        return n, inverse @ half_turn @ n[s.twin]
 
 
 def _wall_refusal(atlas: HolonomyAtlas, v: int) -> WallAngle | None:

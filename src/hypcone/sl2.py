@@ -315,13 +315,6 @@ class Sl2Matrix:
         """Mobius action on a complex number or HypPoint."""
         return _mobius((self.a, self.b, self.c, self.d), z)
 
-    def projectively_close(self, other: "Sl2Matrix", tol: float = 1e-9) -> bool:
-        d1 = max(abs(self.a - other.a), abs(self.b - other.b),
-                 abs(self.c - other.c), abs(self.d - other.d))
-        d2 = max(abs(self.a + other.a), abs(self.b + other.b),
-                 abs(self.c + other.c), abs(self.d + other.d))
-        return min(d1, d2) <= tol
-
 
 def _element(entries: tuple) -> Sl2Matrix:
     """The Sl2Matrix of a canonical entry 4-tuple (`from_entries` without
@@ -617,16 +610,6 @@ def geodesic_pair_pairing(r1: Sl2Matrix, r2: Sl2Matrix) -> float:
         if _kind(r) != HYPERBOLIC:
             raise NotHyperbolic("both inputs must be hyperbolic")
     return _axis_form(_hyperbolic_axis(r1), _hyperbolic_axis(r2))
-
-
-def axes_relation(pairing: float, tol: float = TRACE_TOL) -> str:
-    """Decode geodesic_pair_pairing: 'crossing', 'disjoint' or 'asymptotic'."""
-    a = abs(pairing)
-    if a < 2.0 - tol:
-        return "crossing"
-    if a > 2.0 + tol:
-        return "disjoint"
-    return "asymptotic"
 
 
 def mixed_pairing(r: Sl2Matrix, s: Sl2Matrix) -> float:

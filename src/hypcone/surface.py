@@ -16,10 +16,11 @@ one place the gluing is checked (twin pairing, connectivity, orbits, Euler
 characteristic).  A `ConeSurface` is a Triangulation plus a length array
 indexed by edge; it derives the corner angles, the triangle areas, and the
 running corner-angle sums along each vertex's germs in cyclic order, whose
-totals are the cone angles.  All corner angles of a surface come from one
-array pass, `corner_angles`, which is bit for bit the scalar law of cosines
-`corner_angle` at every corner.  Changing lengths reuses the Triangulation
-and checks only the lengths.  One pass reads every surface, a wire
+totals are the cone angles.  Every corner angle, of a surface, of a flip or
+of `corner_angle`, comes from one kernel on arrays, `half_angle`: the
+hyperbolic law of cosines in half-angle form, which forms no sinh, so it
+neither overflows nor loses a thin angle.  Changing lengths reuses the
+Triangulation and checks only the lengths.  One pass reads every surface, a wire
 document (`build_surface`, `parse_surface`) or the library form
 `ConeSurface(dict, sides)` with float() lengths; it refuses a malformed one,
 or JSON nested too deeply to decode, naming the first fault.  An edge id is
@@ -40,6 +41,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -82,95 +84,70 @@ def wall_margin(theta):
 
 
 # ---------------------------------------------------------------------------
-# hyperbolic law of cosines
+# hyperbolic law of cosines, in half-angle form
 # ---------------------------------------------------------------------------
 
-def corner_angle(a: float, b: float, c: float) -> float:
-    """Angle between the sides of lengths a and b, opposite the side c.
-
-    cos(angle) = (cosh a cosh b - cosh c) / (sinh a sinh b), in (0, pi).
-    The numerator is expanded with cosh x - cosh y = 2 sinh((x+y)/2)
-    sinh((x-y)/2) so short sides do not cancel away all precision.  Raises
-    OverflowError when a sinh product overflows, and NumericalCollapse when
-    one falls below the normal float range, where it keeps too few digits.
-    A surface takes its angles from `corner_angles`, the same law in one
-    array pass with bit-identical results; this scalar form serves single
-    corners (a flip recomputes six) and the corners that pass refuses.
+def corner_sums(l0, l1, l2):
+    """The four sums `half_angle` takes, 2(s - a), 2(s - b), 2s and 2(s - c),
+    for each corner k of triangles with sides l0, l1, l2 counterclockwise
+    (floats, or arrays over triangles): a = l_k and b = l_{k-1} are the
+    sides next to the corner, c = l_{k+1} the one opposite, s the half
+    perimeter.  u + v - w is taken as min(u, v) + (max(u, v) - w), exact
+    where w is the longest side, so a short sum keeps its digits.  Floats
+    and arrays get the same exact and correctly rounded operations, and
+    swapping a and b swaps the first two sums exactly.
     """
+    hi, lo = (np.maximum, np.minimum) if isinstance(l0, np.ndarray) else (max, min)
+    e0 = lo(l1, l2) + (hi(l1, l2) - l0)
+    e1 = lo(l2, l0) + (hi(l2, l0) - l1)
+    e2 = lo(l0, l1) + (hi(l0, l1) - l2)
+    return ((e0, e1, e2), (e2, e0, e1),
+            ((l0 + l2) + l1, (l1 + l0) + l2, (l2 + l1) + l0), (e1, e2, e0))
+
+
+def half_angle(q, sides) -> np.ndarray:
+    """Corner angles, entry [t, k] for corner k of triangle t, from the
+    `corner_sums` q, shape (4, n, 3), of triangles that pass the strict
+    triangle inequalities.
+
+    tan^2(gamma/2) = sinh(s-a) sinh(s-b) / (sinh s sinh(s-c)), and with
+    E(y) = -expm1(-2y), sinh y = e^y E(y) / 2, so tan(gamma/2) = e^-(s-c)
+    sqrt E(s-a) sqrt E(s-b) / (sqrt E(s) sqrt E(s-c)): no sinh is formed
+    and nothing overflows.  The roots of the first two are multiplied
+    together, so the angle is symmetric in a and b bit for bit.  The
+    denominator is at most 1, so a corner leaves the normal float range only
+    where its numerator does; one whose numerator or denominator is below
+    it, keeping too few digits, is refused as NumericalCollapse naming its
+    sides from `sides[t]`, the first in index order.
+    """
+    root = np.sqrt(-np.expm1(-q))
+    num, den = root[0] * root[1] * np.exp(q[3] * -0.5), root[2] * root[3]
+    low = np.minimum(num, den)
+    if not low.min() >= sys.float_info.min:
+        t, k = divmod(int(np.flatnonzero(~(low >= sys.float_info.min))[0]), 3)
+        a, b, c = (float(sides[t][j % 3]) for j in (k, k - 1, k + 1))
+        raise NumericalCollapse(
+            f"corner angle of sides ({a}, {b}, {c}) underflows: the numerator or "
+            "denominator of its tangent is below the normal float range")
+    return 2.0 * np.arctan2(num, den)
+
+
+def check_corner(a: float, b: float, c: float):
+    """Refuse a side that is not a positive real, then a failed strict
+    triangle inequality."""
     for s in (a, b, c):
         if not (math.isfinite(s) and s > 0.0):
             raise NonPositiveLength(f"side length {s} is not a positive real")
     if a + b <= c or b + c <= a or c + a <= b:
         raise TriangleInequality(f"lengths ({a}, {b}, {c}) violate strict triangle inequalities")
-    # cosh a cosh b - cosh c = [cosh(a+b) - cosh c]/2 + [cosh(a-b) - cosh c]/2
-    outer = math.sinh((a + b + c) / 2.0) * math.sinh((a + b - c) / 2.0)
-    inner = math.sinh((a - b + c) / 2.0) * math.sinh((a - b - c) / 2.0)
-    den = math.sinh(a) * math.sinh(b)
-    num = outer + inner
-    if not (math.isfinite(num) and math.isfinite(den)):
-        raise OverflowError(f"corner angle of sides ({a}, {b}, {c}) overflows")
-    # past the strict float triangle inequalities no sinh argument rounds to
-    # 0, so a product below the normal range is an underflow
-    if min(outer, -inner, den) < sys.float_info.min:
-        raise NumericalCollapse(
-            f"corner angle of sides ({a}, {b}, {c}) underflows: a sinh product "
-            "is below the normal float range")
-    return math.acos(min(1.0, max(-1.0, num / den)))
 
 
-# math.sinh overflows just past 710.4758; corners with a larger argument are
-# left to corner_angle, which computes them or raises its range error
-_SINH_ARG_MAX = 710.0
-
-
-def _libm(fn, x: np.ndarray) -> np.ndarray:
-    """fn of every entry of x through `math`, that is by libm itself."""
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
-def _sinh(x: np.ndarray) -> np.ndarray:
-    """libm sinh of every entry of x, and 0.0 for an entry past the sinh
-    range or not finite: `corner_angles` refuses a corner holding one."""
-    return _libm(math.sinh, np.where(np.abs(x) <= _SINH_ARG_MAX, x, 0.0))
-
-
-def corner_angles(a, b, c, sinh_ab=None) -> np.ndarray:
-    """corner_angle(a[i], b[i], c[i]) for every i, bit for bit, in one pass.
-
-    The arithmetic is corner_angle's, in its order, on float64 arrays; sinh
-    and acos are libm's through `math` (numpy's own ufuncs differ from them
-    in the last bit on some inputs).  A caller that holds the sides' sinh
-    already, taken once per edge, passes (sinh a, sinh b) as `_sinh` gives
-    them in `sinh_ab`.  A corner the pass cannot take, with a side that is
-    not a positive real, a strict triangle inequality that fails, a sinh
-    argument near its overflow, or a sinh product that is not finite or
-    below the normal float range, goes to corner_angle itself, in index
-    order, so the first of them raises exactly its error.
-    """
-    a, b, c = (np.asarray(x, dtype=float) for x in (a, b, c))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        plus, minus = a + b, a - b
-        halves = np.stack([(plus + c) / 2.0, (plus - c) / 2.0,
-                           (minus + c) / 2.0, (minus - c) / 2.0])
-        sa, sb, sc, sd = _sinh(halves)
-        se, sf = (_sinh(a), _sinh(b)) if sinh_ab is None else sinh_ab
-        outer, inner, den = sa * sb, sc * sd, se * sf
-        num = outer + inner
-        q = np.minimum(1.0, np.maximum(-1.0, num / den))
-        # also where a side is not finite
-        far = ~((np.abs(halves) <= _SINH_ARG_MAX).all(axis=0)
-                & (np.abs(a) <= _SINH_ARG_MAX) & (np.abs(b) <= _SINH_ARG_MAX))
-        # the strict triangle inequalities also fail where a side is <= 0
-        bad = far | (plus <= c) | (b + c <= a) | (c + a <= b)
-        bad |= ~(np.isfinite(num) & np.isfinite(den))
-        bad |= np.minimum(np.minimum(outer, -inner), den) < sys.float_info.min
-    q[bad] = 0.0
-    angle = _libm(math.acos, q)
-    at = np.flatnonzero(bad)
-    if at.size:
-        angle[at] = [corner_angle(*sides) for sides in
-                     zip(a[at].tolist(), b[at].tolist(), c[at].tolist())]
-    return angle
+def corner_angle(a: float, b: float, c: float) -> float:
+    """Angle between the sides of lengths a and b, opposite the side c:
+    `half_angle` on one corner, after `check_corner`.  It is corner 0 of the
+    triangle whose sides, counterclockwise, are a, c, b."""
+    check_corner(a, b, c)
+    return float(half_angle(np.array(corner_sums(a, c, b))[:, None], [(a, c, b)])[0, 0])
 
 
 def corner_gradient(a, b, alpha, beta):
@@ -185,12 +162,6 @@ def corner_gradient(a, b, alpha, beta):
     return (-np.cos(beta) / (sin_beta * sa),
             -np.cos(alpha) / (np.sin(alpha) * sb),
             1.0 / (sa * sin_beta))
-
-
-def corner_angle_gradient(a: float, b: float, c: float) -> tuple[float, float, float]:
-    """Partial derivatives of corner_angle(a, b, c) in (a, b, c)."""
-    alpha, beta = corner_angle(b, c, a), corner_angle(c, a, b)
-    return tuple(float(d) for d in corner_gradient(a, b, alpha, beta))
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +366,26 @@ def _float(eid, length) -> float:
         return float(length)
     except OverflowError:
         raise ValueError(f"edge {eid!r} has a length too large for a float") from None
+    except (TypeError, ValueError):
+        raise ValueError(f"edge {eid!r} has length {length!r}, not a number") from None
+
+
+def _library_document(lengths, triangles) -> dict:
+    """The wire document of `ConeSurface(dict, sides)`, each length through
+    float(); lengths that are not a mapping, a length float() refuses or a
+    triangle whose sides are not (edge id, direction) pairs is refused by
+    name."""
+    if not isinstance(lengths, Mapping):
+        raise ValueError(f"edge lengths must be a mapping of edge id to length, not {lengths!r}")
+    records = []
+    for t, sides in enumerate(triangles):
+        try:
+            records.append({"sides": [{"edge": e, "dir": d} for e, d in sides]})
+        except (TypeError, ValueError):
+            raise ValueError(f"triangle {t} has sides {sides!r}, not (edge id, direction) "
+                             "pairs") from None
+    return {"edges": [{"id": e, "length": _float(e, x)} for e, x in lengths.items()],
+            "triangles": records}
 
 
 def _one_pass(data) -> tuple:
@@ -493,10 +484,10 @@ class ConeSurface(Triangulation):
     and checks only the lengths.  `length[i]` is the length of edge i,
     `angle[h]` the corner angle at the origin of half-edge h, and
     `cone_angle[v]` the angle sum at vertex v; all are read-only arrays.
-    The angles come from one `corner_angles` pass, bit for bit those of
-    `corner_angle`, whose error a refused corner raises; the private keyword
-    `_angle` hands them over instead, from a caller that holds them already
-    (`delaunay.FlipState.surface`).
+    The angles come from one `half_angle` call on every corner, which
+    refuses a corner below the normal float range naming its sides; the
+    private keyword `_angle` hands them over instead, from a caller that
+    holds them already (`delaunay.FlipState.surface`).
     `fan_sums` holds the running corner-angle sums of each fan, added left
     to right in `fan_order`: fan_size[v] + 1 values for vertex v, from 0
     through the angle before each germ to the cone angle, its last value.
@@ -504,10 +495,7 @@ class ConeSurface(Triangulation):
 
     def __init__(self, edges, triangles, *, _angle=None):
         if not isinstance(triangles, Triangulation):
-            edges, triangles = _one_pass({
-                "edges": [{"id": e, "length": _float(e, x)} for e, x in edges.items()],
-                "triangles": [{"sides": [{"edge": e, "dir": d} for e, d in sides]}
-                              for sides in triangles]})
+            edges, triangles = _one_pass(_library_document(edges, triangles))
         # no Triangulation.__init__: share the arrays of a gluing checked already
         self.triangulation = getattr(triangles, "triangulation", triangles)
         vars(self).update(vars(self.triangulation))
@@ -519,21 +507,22 @@ class ConeSurface(Triangulation):
             i = int(bad[0])
             raise NonPositiveLength(f"edge {self.edge_ids[i]!r} has length {length[i]}")
 
-        # triangle inequalities, naming the offender
+        # triangle inequalities, naming the offender; here and in the corner
+        # sums a sum past the float range reads inf, as on floats
         self.length = _frozen(length)
-        side = length[self.he_edge]
-        la, lb, lc = side.reshape(-1, 3).T
-        bad = np.flatnonzero((la + lb <= lc) | (lb + lc <= la) | (lc + la <= lb))
+        sides = length[self.he_edge].reshape(-1, 3)
+        la, lb, lc = sides.T
+        with np.errstate(over="ignore"):
+            bad = np.flatnonzero((la + lb <= lc) | (lb + lc <= la) | (lc + la <= lb))
         if bad.size:
             raise TriangleInequality(
                 f"{self._named(int(bad[0]))} violates the strict triangle inequalities")
 
         if _angle is None:
-            # corner angle at the origin of each half-edge, from one sinh per edge
-            h = np.arange(self.n_half)
-            sinh = _sinh(length)[self.he_edge]
-            angle = corner_angles(side, side[prv(h)], side[nxt(h)],
-                                  sinh_ab=(sinh, sinh[prv(h)]))
+            # corner k of triangle t sits at the origin of half-edge 3t + k
+            with np.errstate(over="ignore"):
+                q = np.stack([np.stack(row, axis=-1) for row in corner_sums(*sides.T)])
+            angle = half_angle(q, sides).ravel()
         else:
             # a caller's corner angles, bit for bit those above (FlipState.surface)
             angle = np.array(_angle, dtype=float)
@@ -562,21 +551,20 @@ class ConeSurface(Triangulation):
         Returns (edges, grads), both (n_half, 3): row h holds the edge indices
         of the sides h, prv(h), nxt(h) and the partials of angle[h] in their
         lengths, read from the stored corner angles.  The partials divide by
-        the sines of the triangle's other two angles, so a corner angle with
-        sin = 0 (acos loses a thin angle to 0.0) is refused as
-        NumericalCollapse, naming its triangle.  Both arrays are read-only,
-        computed on the first call and kept.
+        the sinh of a side, so an edge whose sinh leaves the float range
+        (a length above about 710.48) is refused as NumericalCollapse, naming
+        it.  Both arrays are read-only, computed on the first call and kept.
         """
         return self._corner_gradients
 
     @cached_property
     def _corner_gradients(self) -> tuple:
-        flat = np.flatnonzero(np.sin(self.angle) == 0.0)
-        if flat.size:
-            h = int(flat[0])
+        far = np.flatnonzero(self.length > math.asinh(sys.float_info.max))
+        if far.size:
+            i = int(far[0])
             raise NumericalCollapse(
-                f"{self._named(h // 3)} has a corner angle {float(self.angle[h])} with "
-                "sin = 0; its angle gradients divide by it")
+                f"edge {self.edge_ids[i]!r} has length {float(self.length[i])}, whose sinh "
+                "is past the float range; its angle gradients divide by it")
         h = np.arange(self.n_half)
         edge, p, n = self.he_edge, prv(h), nxt(h)
         length = self.length[edge]

@@ -336,12 +336,12 @@ def _scalar_sides():
 
 
 @pytest.mark.parametrize("doc, code", [
-    (_torus_doc(length=800.0), 3),   # sinh overflows
+    (_torus_doc(length=2000.0), 3),   # past where sinh overflows: the angle underflows
     (_torus_doc(length=[1.0]), 1),
     (_scalar_sides(), 1),
-    (_torus_doc(length=400.0), 3),   # sinh a * sinh b overflows; not an angle of pi
+    (_torus_doc(length=1e308), 3),   # a + b overflows; the angle underflows, not pi
     (_torus_doc(length=10**400), 1),  # no float holds it
-    (_torus_doc(length=1e-200), 3),  # sinh a * sinh b underflows to 0
+    (_torus_doc(length=1e-310), 3),  # products of roots of subnormal sums underflow
 ], ids=["overflow", "list-length", "scalar-sides", "overflow-product", "huge-integer",
         "underflow-product"])
 def test_bad_input_exits_without_traceback(tmp_path, doc, code):
@@ -356,10 +356,10 @@ def test_bad_input_exits_without_traceback(tmp_path, doc, code):
     assert proc.stderr.startswith("error[") and proc.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("scale", [1e-200, 1e-161])
+@pytest.mark.parametrize("scale", [1e-310, 1e-320])
 def test_tiny_lengths_are_refused(capsys, tmp_path, scale):
-    # subnormal sinh products: a division by zero at 1e-200, a wrong angle
-    # with no error at 1e-161; every subcommand now refuses with exit 3
+    # subnormal sides: the kernel's products of roots leave the normal float
+    # range and keep too few digits; every subcommand refuses with exit 3
     path = tmp_path / "tiny.json"
     doc = _torus_doc()
     for rec, x in zip(doc["edges"], (1.0, 1.05, 0.97)):
@@ -372,14 +372,15 @@ def test_tiny_lengths_are_refused(capsys, tmp_path, scale):
         assert "underflows" in err and err.count("\n") == 1
 
 
-SWEEP = [10.0 ** k for k in range(-300, 301, 5)] + [1e-161, 1e-158, 3.0, 30.0, 40.0, 300.0]
+SWEEP = [10.0 ** k for k in range(-300, 301, 5)] + [
+    1e-161, 1e-158, 3.0, 30.0, 40.0, 300.0, 400.0, 700.0, 1000.0, 1e308]
 
 
-@pytest.mark.parametrize("shape", [(1.0, 1.0, 1.0), (1.0, 1.05, 0.97)], ids=["equilateral", "skew"])
+@pytest.mark.parametrize("shape", [(1.0, 1.0, 1.0), (1.0, 1.05, 0.97), (1.0, 1.0, 1.999),
+                                   (1.0, 1.0, 1e-3)], ids=["equilateral", "skew", "flat", "thin"])
 def test_torus_scale_sweep_ends_in_a_documented_exit(capsys, tmp_path, shape):
-    # from 1e-300 to 1e300 every run ends in an exit code 0-3 with at most
-    # one line on stderr and no warning; thin shapes are left out (acos loses
-    # their angles, ROADMAP item 3)
+    # from 1e-300 to 1e308 every run ends in an exit code 0-3 with at most
+    # one line on stderr and no warning, thin shapes included
     path = tmp_path / "torus.json"
     doc = json.loads(serialize_surface(torus_surface()))
     for a in SWEEP:
@@ -455,24 +456,30 @@ def test_poisson_builds_one_fan_pair_table(monkeypatch, capsys, tmp_path):
 
 
 def test_thin_corner_poisson_is_a_named_refusal(capsys, tmp_path):
-    # acos loses the thin angle of sides (300, 300, 1) to 0.0, and the angle
-    # gradients divide by its sine: poisson refuses in one line, with no
-    # RuntimeWarning; the other subcommands do not take gradients
+    # the thin corners of sides (300, 300, 1), near 1e-130, keep their angles
+    # (acos lost them to 0.0 and poisson refused the torus): poisson
+    # certifies it.  Next to a side past the range of sinh, as in (360, 360,
+    # 719.64), the angle gradients would divide by that sinh: poisson
+    # refuses in one line naming the edge, with no RuntimeWarning
     path = tmp_path / "thin.json"
-    doc = _torus_doc()
-    for rec, x in zip(doc["edges"], (300.0, 300.0, 1.0)):
-        rec["length"] = x
-    path.write_text(json.dumps(doc))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "hypcone.cli", "poisson",
-         "--input", str(path)], capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout) == (3, "")
+    for lengths, code in [((300.0, 300.0, 1.0), 0), ((360.0, 360.0, 719.64), 3)]:
+        doc = _torus_doc()
+        for rec, x in zip(doc["edges"], lengths):
+            rec["length"] = x
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "hypcone.cli", "poisson",
+             "--input", str(path)], capture_output=True, text=True)
+        assert proc.returncode == code, lengths
+    assert proc.stdout == ""
     assert proc.stderr == (
-        "error[NumericalCollapse]: triangle 0 with edges ('x', 'y', 'z') and lengths "
-        "(300.0, 300.0, 1.0) has a corner angle 0.0 with sin = 0; its angle gradients "
-        "divide by it\n")
+        "error[NumericalCollapse]: edge 'z' has length 719.64, whose sinh is past the "
+        "float range; its angle gradients divide by it\n")
     assert run(capsys, "validate", "--input", str(path))[0] == 0
-    assert run(capsys, "delaunay", "--input", str(path))[0] == 0
+    # its one flip needs sinh^2 of half a diagonal past the float range
+    code, _, err = run(capsys, "delaunay", "--input", str(path))
+    assert (code, err) == (3, "error[NumericalCollapse]: diagonal replacing edge 'z' overflows: "
+                              "sinh^2 of half its length is past the float range\n")
 
 
 @functools.cache

@@ -32,7 +32,6 @@ from hypcone import (
     normalizing_isometry,
 )
 import hypcone.delaunay as delaunay_mod
-import hypcone.surface as surface_mod
 from hypcone.delaunay import PSI_TOL, flip_length_jacobian, move_log_lines
 from hypcone.sl2 import hyp_direction
 from hypcone.surface import Triangulation, nxt, prv
@@ -314,9 +313,10 @@ def test_delaunay_result_matches_a_fresh_build(corpus):
     assert flipped >= len(scrambled)
 
 
-def test_flip_state_angles_match_array_built_surface(monkeypatch):
-    # the flips recompute their corners by the scalar law, a surface build
-    # takes them all from the array pass: the two must agree bit for bit
+def test_flip_state_angles_match_array_built_surface():
+    # a flip takes the sums of its six corners on floats, a surface build
+    # those of all corners on arrays, and both pass them to the one kernel:
+    # the angles must agree bit for bit
     s = scrambled_stellar_surface(398, 1)
     final, moves = make_delaunay(s)
     assert len(moves) >= 30
@@ -324,17 +324,7 @@ def test_flip_state_angles_match_array_built_surface(monkeypatch):
     for move in moves:
         state.flip(move.edge)
     assert state.he_edge == final.he_edge.tolist()
-    # a valid build makes no scalar call; a refused one hands its corner over
-    calls = []
-    scalar = surface_mod.corner_angle
-    monkeypatch.setattr(surface_mod, "corner_angle",
-                        lambda *sides: calls.append(sides) or scalar(*sides))
-    fresh = ConeSurface(final.length, final)
-    assert calls == []
-    assert bits(state.angle) == bits(fresh.angle)
-    with pytest.raises(OverflowError):
-        torus_surface(400.0)
-    assert calls == [(400.0, 400.0, 400.0)]
+    assert bits(state.angle) == bits(ConeSurface(final.length, final).angle)
 
 
 def test_make_delaunay_flip_limit(monkeypatch):

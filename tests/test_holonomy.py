@@ -19,6 +19,7 @@ from hypcone import (
     vertex_holonomy,
 )
 import hypcone.holonomy as holonomy_mod
+import hypcone.cli as cli
 from hypcone.cli import main
 from hypcone.errors import NotElliptic, NumericalCollapse, WallAngle
 from hypcone.sl2 import elliptic_fixed_point, elliptic_trace, half_plane_distance, hyp_direction
@@ -305,12 +306,13 @@ def test_degenerate_layout_collapses(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("s, error", [
-    (torus_surface(40.0), WallAngle),  # cone angle 8.9e-8
-    (torus_surface(53.5, 56.175, 51.895), WallAngle),  # cone angle 4.1e-7
-    (torus_surface(100.0), NumericalCollapse),  # cone angle 8.9e-8
+    (torus_surface(40.0), WallAngle),  # cone angle 2.5e-8
+    (torus_surface(53.5, 56.175, 51.895), WallAngle),  # cone angle 8.9e-11
+    (torus_surface(100.0), WallAngle),  # cone angle 2.3e-21
+    (torus_surface(150.0), NumericalCollapse),  # cone angle 3.2e-32
     (tetra_surface({e: 80.0 for e in ("ab", "ac", "ad", "bc", "bd", "cd")}),
-     WallAngle),  # cone angle 0.0
-], ids=["torus-40", "torus-53.5", "torus-100", "tetra-80"])
+     WallAngle),  # cone angle 2.5e-17
+], ids=["torus-40", "torus-53.5", "torus-100", "torus-150", "tetra-80"])
 def test_failed_layout_is_numerical_collapse(s, error, tmp_path, capsys):
     # on very long edges the cone angles fall into the wall band (exit 2),
     # unless the loop product loses its determinant before the wall test:
@@ -323,16 +325,42 @@ def test_failed_layout_is_numerical_collapse(s, error, tmp_path, capsys):
     refused_at_vertex_0(s, error, tmp_path, capsys)
 
 
-def test_long_edge_loop_not_elliptic_names_vertex(tmp_path, capsys):
-    # off the walls, the walked loop of the 19-edge torus has |trace| just
-    # above 2; the refusal names the vertex and that trace (exit 2)
+def test_long_edge_loop_not_elliptic_names_vertex(monkeypatch, tmp_path, capsys):
+    # off the walls, a walked loop whose |trace| rounds past 2 - TRACE_TOL is
+    # refused naming the vertex and that trace (exit 2).  With the acos
+    # law's angles the 19-edge torus walked to 2.0000004; with the
+    # half-angle law its loop is elliptic, so the walk is given that trace
     s = torus_surface(19.0)
     assert wall_margin(s.cone_angle[0]) >= WALL_BAND
-    err = refused_at_vertex_0(s, NotElliptic, tmp_path, capsys)
-    a, _, _, d = develop(s).loops[0]
-    assert abs(a + d) > 2.0
-    assert err == f"error[NotElliptic]: loop holonomy at vertex 0 has trace {a + d}, " \
-                  "which is not elliptic\n"
+
+    def develop_past_two(surface):
+        atlas = develop(surface)
+        a, b, c, d = atlas.loops[0]
+        atlas.loops = ((2.0000004 - d, b, c, d),)
+        return atlas
+
+    with pytest.raises(NotElliptic, match=" at vertex 0 "):
+        holonomy_report(develop_past_two(s))
+    monkeypatch.setattr(cli, "develop", develop_past_two)
+    path = tmp_path / "refused.json"
+    path.write_text(serialize_surface(s))
+    assert main(["holonomy", "--input", str(path)]) == NotElliptic.exit_code
+    a, _, _, d = develop_past_two(s).loops[0]
+    assert capsys.readouterr().err == \
+        f"error[NotElliptic]: loop holonomy at vertex 0 has trace {a + d}, which is not elliptic\n"
+
+
+@pytest.mark.parametrize("s", [
+    torus_surface(10.5), torus_surface(12.0), torus_surface(12.0, 12.6, 11.64),
+    tetra_surface({e: 10.0 for e in ("ab", "ac", "ad", "bc", "bd", "cd")}),
+    tetra_surface({e: 11.5 for e in ("ab", "ac", "ad", "bc", "bd", "cd")}),
+], ids=["torus-10.5", "torus-12", "skew-torus-12", "tetra-10", "tetra-11.5"])
+def test_long_edges_pass_the_certificate(s):
+    # every triangle of the local charts closes with its corner angles, so
+    # the certificate is as good as the angles: with the acos law's, which
+    # lose up to 6e-8 of a small angle, these read 1.3e-8 to 1.0e-5
+    _, _, maxerr = holonomy_report(develop(s))
+    assert maxerr < 1e-8
 
 
 @pytest.mark.parametrize("start, k, seed, base", [

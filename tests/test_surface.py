@@ -1,6 +1,10 @@
+import decimal
 import json
 import math
 import random
+import re
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,11 +43,14 @@ from hypcone.errors import (
     OutOfRange,
     TriangleInequality,
 )
+import hypcone.delaunay as delaunay_mod
+from hypcone.delaunay import FlipState
 from hypcone.surface import (
     Triangulation,
     _running_sums,
-    corner_angle_gradient,
-    corner_angles,
+    corner_gradient,
+    corner_sums,
+    half_angle,
     nxt,
     prv,
 )
@@ -52,6 +59,12 @@ from hypcone.surface import (
 # ---------------------------------------------------------------------------
 # corner angles
 # ---------------------------------------------------------------------------
+
+
+def corner_angle_gradient(a: float, b: float, c: float) -> tuple[float, float, float]:
+    """Partial derivatives of corner_angle(a, b, c) in (a, b, c)."""
+    alpha, beta = corner_angle(b, c, a), corner_angle(c, a, b)
+    return tuple(float(d) for d in corner_gradient(a, b, alpha, beta))
 
 
 def test_corner_angle_equilateral_frozen():
@@ -109,50 +122,84 @@ def test_corner_angle_gradient_short_edges(t):
     assert dc == pytest.approx(1.0 / (t * math.sin(math.pi / 3)), rel=1e-6)
 
 
+def oracle_angle(a, b, c):
+    """The corner angle between sides a and b, opposite c: tan^2(gamma/2) =
+    sinh(s-a) sinh(s-b) / (sinh s sinh(s-c)) from sinh products in `decimal`,
+    at 80 digits past those a short half sum cancels, finished with
+    math.atan.  The half sums are exact fractions first."""
+    a, b, c = map(Fraction, (a, b, c))
+    halves = [(b + c - a) / 2, (c + a - b) / 2, (a + b + c) / 2, (a + b - c) / 2]
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80 + max(0, -math.floor(math.log10(min(halves))))
+        sa, sb, s, sc = (decimal.Decimal(x.numerator) / x.denominator for x in halves)
+
+        def sinh(x):
+            e = x.exp()
+            return (e - 1 / e) / 2
+
+        tan2 = sinh(sa) * sinh(sb) / (sinh(s) * sinh(sc))
+        return 2.0 * math.atan(float(tan2.sqrt()))
+
+
 def test_corner_angle_overflow_is_not_an_angle():
-    # sinh(400)^2 overflows; the angle must not come back as pi
-    with pytest.raises(OverflowError):
-        corner_angle(400.0, 400.0, 400.0)
-    with pytest.raises(OverflowError):
-        torus_surface(400.0)
+    # sinh(400)^2 overflows, and sinh itself past 710: the acos law refused
+    # these corners or, before that, returned pi.  The half-angle kernel forms
+    # no sinh, so they get their tiny angles, and a torus of them builds
+    for sides in [(400.0, 400.0, 400.0), (400.0, 400.0, 1.0), (300.0, 300.0, 1.0),
+                  (720.0, 1400.0, 720.0), (1000.0, 1000.0, 1000.0)]:
+        assert corner_angle(*sides) == pytest.approx(oracle_angle(*sides), rel=1e-12)
+        assert corner_angle(*sides) < 1e-80
+    assert corner_angle(300.0, 300.0, 1.0) == pytest.approx(1.0730811870563e-130, rel=1e-12)
+    assert corner_angle(400.0, 400.0, 1.0) == pytest.approx(3.9919435442881e-174, rel=1e-12)
+    s = torus_surface(400.0)
+    assert s.cone_angle[0] == pytest.approx(6 * corner_angle(400.0, 400.0, 400.0), rel=1e-15)
 
 
 @pytest.mark.parametrize("scale", [1e-158, 1e-161, 1e-200, 1e-300])
 def test_corner_angle_underflow_is_not_an_angle(scale):
-    # below about 1e-154 a product sinh a sinh b leaves the normal float
-    # range: at 1e-161 its subnormal digits gave 0.96255 for 0.98466, and at
-    # 1e-200 it was 0 and the quotient divided by zero
-    sides = (scale, 1.05 * scale, 0.97 * scale)
-    with pytest.raises(NumericalCollapse, match=r"corner angle of sides \(.*\) underflows"):
-        corner_angle(*sides)
+    # the thin corner of sides (a, a, 1) has an angle near 1 / sinh a.  At
+    # sinh a = 1 / scale it is an angle near scale (the acos law lost it to
+    # 0.0, or refused it past 710); at sinh a = 1 / (scale * 2.2e-308) it is
+    # below the normal float range and refused, not returned as 0 or with
+    # the few digits of a subnormal
+    a = math.asinh(1.0 / scale)
+    assert corner_angle(a, a, 1.0) == pytest.approx(oracle_angle(a, a, 1.0), rel=1e-13)
+    assert torus_surface(a, a, 1.0).cone_angle[0] > 0.0
+    a = math.asinh(1.0 / scale) + math.asinh(1.0 / sys.float_info.min)
+    with pytest.raises(NumericalCollapse, match=r"^corner angle of sides \(.*\) underflows: "):
+        corner_angle(a, a, 1.0)
     with pytest.raises(NumericalCollapse):
-        torus_surface(*sides)
+        torus_surface(a, a, 1.0)
 
 
 def test_corner_angle_short_sides_keep_their_angles():
-    # the values before the underflow refusal existed, bit for bit
-    assert corner_angle(1e-20, 1.05e-20, 0.97e-20) == 0.984664246690726
-    assert corner_angle(1.05e-20, 0.97e-20, 1e-20) == 1.0330241912599527
-    assert corner_angle(1e-150, 1.05e-150, 0.97e-150) == 0.9846642466907263
+    # short sides are Euclidean to first order; the acos law refused them
+    # below about 1e-154 and the kernel keeps them down to subnormal sides,
+    # where its products of roots leave the normal range
+    for scale in (1e-20, 1e-150, 1e-200, 1e-300):
+        for sides in [(1.0, 1.05, 0.97), (1.05, 0.97, 1.0)]:
+            sides = tuple(scale * x for x in sides)
+            assert corner_angle(*sides) == pytest.approx(oracle_angle(*sides), rel=2e-16)
+    with pytest.raises(NumericalCollapse):
+        corner_angle(1e-310, 1.05e-310, 0.97e-310)
 
 
 @pytest.mark.parametrize("sides", [(1e-20, 1.0, 1.0), (1.0, 1e-20, 1.0), (1.0, 1.0, 1e-20)])
 def test_corner_angle_thin_sides_are_not_an_underflow(sides):
     # a side below half an ulp of the other two fails the strict float
-    # triangle inequalities before any sinh is taken, so a - b + c never
-    # cancels to 0 in the underflow test; just above that, the corner gets
-    # an angle (acos loses thin angles, ROADMAP item 3) and is not refused
+    # triangle inequalities before any angle is taken; just above that, the
+    # corner gets its angle and is not refused
     with pytest.raises(TriangleInequality):
         corner_angle(*sides)
     thin = tuple(1.2e-16 if x == 1e-20 else x for x in sides)
-    assert 0.0 <= corner_angle(*thin) < math.pi
+    assert corner_angle(*thin) == pytest.approx(oracle_angle(*thin), rel=1e-15)
 
 
 def corner_outcome(sides):
     """corner_angle of the sides, or the type and message of its error."""
     try:
         return corner_angle(*sides)
-    except (OverflowError, HypconeError) as exc:
+    except HypconeError as exc:
         return type(exc), str(exc)
 
 
@@ -168,7 +215,7 @@ def random_triangles(rng, family, count):
         elif family == "thin":
             a, c = rng.uniform(1.0, 300.0), rng.uniform(1e-3, 1.0)
             sides = [a, a + 0.5 * c * rng.random(), c]
-        else:  # long, up to where sinh and its products overflow
+        else:  # long, past where the acos law's sinh and its products overflowed
             a, b = rng.uniform(100.0, 500.0), rng.uniform(100.0, 500.0)
             sides = [a, b, abs(a - b) + (a + b - abs(a - b)) * rng.uniform(0.01, 0.99)]
         rng.shuffle(sides)
@@ -183,61 +230,81 @@ def raises_like(fn, want):
     assert type(info.value) is want[0] and str(info.value) == want[1]
 
 
-def test_corner_angles_match_corner_angle_bitwise():
+def test_corner_angle_matches_a_decimal_oracle():
+    # every family within 5e-13 of the oracle, short and unit sides within an
+    # ulp in the median (eps-relative), and the same angles from the array
+    # form a surface build evaluates
     rng = random.Random("corner-angles")
+    eps = sys.float_info.epsilon
     for family in ("short", "unit", "thin", "long"):
         triangles = random_triangles(rng, family, 400)
-        want = [corner_outcome(t) for t in triangles]
-        ok = [(t, w) for t, w in zip(triangles, want) if isinstance(w, float)]
-        got = corner_angles(*np.array([t for t, _ in ok]).T)
-        assert bits(got) == bits([w for _, w in ok])
-        refused = [(t, w) for t, w in zip(triangles, want) if not isinstance(w, float)]
-        for t, w in refused:
-            raises_like(lambda: corner_angles(*np.array([t]).T), w)
-        if family == "long":  # angles, product overflows and sinh range errors
-            assert len(ok) > 50 and {w[1] for _, w in refused} >= {"math range error"}
-            assert any(w[1].endswith(" overflows") for _, w in refused)
-    thin = corner_angles(np.array([300.0]), np.array([300.0]), np.array([1.0]))
-    assert thin.tolist() == [corner_angle(300.0, 300.0, 1.0)] == [0.0]
-    # sinh arguments of 710.3 and 710.35, just inside its range: angles, by the scalar
-    edge = [(355.2, 355.2, 710.2), (355.0, 355.4, 710.3), (1.0, 1.1, 1.2)]
-    got = corner_angles(*np.array(edge).T)
-    assert bits(got) == bits([corner_angle(*t) for t in edge])
+        got = np.array([corner_angle(*t) for t in triangles])
+        want = np.array([oracle_angle(*t) for t in triangles])
+        rel = np.abs(got - want) / want
+        assert rel.max() <= 5e-13, family
+        if family in ("short", "unit"):
+            assert np.median(rel) <= eps, family
+        sides = np.array(triangles)[:, [0, 2, 1]]  # corner 0 sees sides a, b, opposite c
+        q = np.stack([np.stack(row, axis=-1) for row in corner_sums(*sides.T)])
+        assert bits(half_angle(q, sides)[:, 0]) == bits(got)
+
+
+def test_corner_angle_is_symmetric_bitwise():
+    # swapping the two sides next to the corner swaps two factors of one
+    # product: the same angle bit for bit (a 3-cone sphere, where eta is 0,
+    # depends on it)
+    rng = random.Random("mirror")
+    for family in ("short", "unit", "thin", "long"):
+        triangles = random_triangles(rng, family, 400)
+        assert bits([corner_angle(a, b, c) for a, b, c in triangles]) == \
+            bits([corner_angle(b, a, c) for a, b, c in triangles])
 
 
 @pytest.mark.parametrize("sides", [
-    (400.0, 400.0, 400.0),  # a sinh product overflows
-    (800.0, 800.0, 1.0),  # past the range of sinh itself
-    (1e-200, 1.05e-200, 0.97e-200),  # a sinh product underflows
+    (2000.0, 2000.0, 2000.0),  # past where sinh overflows the angle underflows
+    (800.0, 800.0, 1.0),  # the same, between two long sides
+    (1e-310, 1.05e-310, 0.97e-310),  # subnormal: the products of roots underflow
     (0.0, 1.0, 1.0),
-    (-1.0, -1.0, 0.5),  # its sinh products pass for those of an angle
+    (-1.0, -1.0, 0.5),
     (1.0, 1.0, math.nan),
     (1.0, 1.0, 2.5),
     (1e-20, 1.0, 1.0),
-    (1.0, 0.5, 0.5000000000000001),  # b + c rounds to a; the sinh products pass
+    (1.0, 0.5, 0.5000000000000001),  # b + c rounds to a
 ])
-def test_corner_angles_refuse_as_corner_angle(sides):
-    want = corner_outcome(sides)
-    assert not isinstance(want, float)
-    fine = (1.0, 1.1, 1.2)
-    a, b, c = np.array([fine, sides, fine]).T
-    raises_like(lambda: corner_angles(a, b, c), want)
+def test_corner_angles_refuse_as_corner_angle(monkeypatch, sides):
+    # a flip checks its two new triangles and evaluates their six corners in
+    # one kernel call: it refuses the first corner, in slot order, that
+    # corner_angle refuses, with the same error.  The flipped torus's new
+    # triangles get the sides (a, b) of edges x, y and the diagonal c
+    a, b, c = sides
+    state = FlipState(torus_surface())
+    state.length[state.edge_index["x"]], state.length[state.edge_index["y"]] = a, b
+    monkeypatch.setattr(delaunay_mod, "flip_new_length", lambda s, e: c)
+    slots = [3 * (h // 3) + k for h in state.halves[state.edge_index["z"]] for k in range(3)]
+    with pytest.raises(HypconeError) as info:
+        state.flip("z")
+    corners = [tuple(state.length[state.he_edge[g]] for g in (h, prv(h), nxt(h)))
+               for h in slots]
+    assert all(x in sides for corner in corners for x in corner)
+    want = next(w for w in map(corner_outcome, corners) if not isinstance(w, float))
+    assert (type(info.value), str(info.value)) == want
 
 
-@pytest.mark.parametrize("first,later", [(400.0, 512.5), (600.0, 400.0)])
+@pytest.mark.parametrize("first,later", [(1500.0, 1500.0), (1.0, 1500.0)])
 def test_surface_build_names_the_first_refused_corner(first, later):
     # triangle 0 (ab, bc, ac) has sides `first`, the others two sides `later`:
-    # at 400 a sinh product overflows; a face (400, 512.5, 512.5) has a half
-    # sum of 712.5, just past sinh's range, and so does (600, 600, 600)
+    # an equilateral face of 1500 has an angle near e^-750, below the normal
+    # float range, and so does the corner between the two long sides of a
+    # face (1, 1500, 1500); the build names the first such corner in
+    # half-edge order, as corner_angle names it
     gluing = tetra_surface().triangulation
     length = np.array([first if e in ("ab", "ac", "bc") else later
                        for e in gluing.edge_ids])
     side = length[gluing.he_edge].tolist()
-    with pytest.raises(OverflowError) as scalar:  # the loop the array pass replaced
-        [corner_angle(side[h], side[prv(h)], side[nxt(h)]) for h in range(gluing.n_half)]
-    assert str(scalar.value) == ("corner angle of sides (400.0, 400.0, 400.0) overflows"
-                                 if first == 400.0 else "math range error")
-    raises_like(lambda: ConeSurface(length, gluing), (OverflowError, str(scalar.value)))
+    corners = [(side[h], side[prv(h)], side[nxt(h)]) for h in range(gluing.n_half)]
+    want = next(w for w in map(corner_outcome, corners) if not isinstance(w, float))
+    assert want[0] is NumericalCollapse
+    raises_like(lambda: ConeSurface(length, gluing), want)
 
 
 def test_corner_gradients_match_per_corner_formula(skew_tetra):
@@ -597,6 +664,25 @@ def test_library_form_and_wire_form_load_alike(corpus):
         doc["edges"][0]["length"] = length
         got = ConeSurface(*library_form(doc))
         assert got.length[0] == float(length)
+
+
+TORUS_SIDES = [[("x", "+"), ("y", "+"), ("z", "+")], [("x", "-"), ("y", "-"), ("z", "-")]]
+
+
+@pytest.mark.parametrize("lengths, sides, message", [
+    ({"x": 1.0, "y": 1.0, "z": 1.9}, [[("x", "+"), ("y", "+"), ("z",)], TORUS_SIDES[1]],
+     r"triangle 0 has sides \[\('x', '\+'\), \('y', '\+'\), \('z',\)\], "
+     r"not \(edge id, direction\) pairs"),
+    ([1.0, 1.0, 1.9], TORUS_SIDES,
+     r"edge lengths must be a mapping of edge id to length, not \[1.0, 1.0, 1.9\]"),
+    ({"x": None, "y": 1.0, "z": 1.9}, TORUS_SIDES, r"edge 'x' has length None, not a number"),
+], ids=["side-not-a-pair", "lengths-not-a-mapping", "length-none"])
+def test_library_form_names_its_fault(lengths, sides, message):
+    # a shape the wire form has no record for is refused like a wire fault:
+    # one ValueError naming it, not a Python error from the conversion
+    with pytest.raises(ValueError) as info:
+        ConeSurface(lengths, sides)
+    assert type(info.value) is ValueError and re.fullmatch(message, str(info.value))
 
 
 # ---------------------------------------------------------------------------
