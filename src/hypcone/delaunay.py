@@ -69,6 +69,30 @@ def edge_invariants(s: ConeSurface) -> dict:
     return dict(zip(s.edge_ids, psi.tolist()))
 
 
+def _cross_term(a: float, b: float, s: float) -> float:
+    """sinh a sinh b s^2 for sides a, b and 0 < s <= 1.
+
+    Where that product is not finite (sinh a sinh b past the float range,
+    or times an s^2 that underflows) it is (sinh a s)(sinh b s), and past
+    asinh(float max) ~ 710.48 a factor is exp(y + log(E(y) s / 2)) with
+    E(y) = -expm1(-2y), as in `surface.half_angle`: a long side next to a
+    tiny angle keeps a moderate term.
+    """
+    try:
+        term = math.sinh(a) * math.sinh(b) * s ** 2
+        if term < math.inf:
+            return term
+    except OverflowError:  # a sinh past the float range
+        pass
+    factors = []
+    for y in (a, b):
+        try:
+            factors.append(math.sinh(y) * s)
+        except OverflowError:
+            factors.append(math.exp(y + math.log(-math.expm1(-2.0 * y) / 2.0 * s)))
+    return factors[0] * factors[1]
+
+
 def flip_new_length(s, e: str) -> float:
     """Length of the replacement diagonal, with the embeddability check.
 
@@ -77,9 +101,10 @@ def flip_new_length(s, e: str) -> float:
     p and q are both below pi; its length comes from the law of cosines at p
     in the half-angle form
     sinh^2(c/2) = sinh^2((a-b)/2) + sinh a sinh b sin^2(gamma_p/2),
-    which stays accurate for short diagonals; a diagonal whose sinh^2(c/2)
-    leaves the float range (on sides of some hundreds) is refused as
-    NumericalCollapse.  s is a ConeSurface or a FlipState.
+    which stays accurate for short diagonals (`_cross_term` keeps the last
+    term where sinh a sinh b alone overflows); a diagonal whose sinh^2(c/2)
+    leaves the float range is refused as NumericalCollapse.  s is a
+    ConeSurface or a FlipState.
     """
     hf, hb = s.halves[s.edge_index[e]]
     if hf // 3 == hb // 3:
@@ -94,11 +119,10 @@ def flip_new_length(s, e: str) -> float:
     a = s.length[s.he_edge[prv(hf)]]
     b = s.length[s.he_edge[nxt(hb)]]
     try:
-        half = math.sinh((a - b) / 2.0) ** 2 + \
-            math.sinh(a) * math.sinh(b) * math.sin(gamma_p / 2.0) ** 2
-    except OverflowError:  # a sinh or its square past the float range
+        half = math.sinh((a - b) / 2.0) ** 2 + _cross_term(a, b, math.sin(gamma_p / 2.0))
+    except OverflowError:  # sinh((a - b)/2), its square or an exp past the float range
         half = math.inf
-    if not half < math.inf:  # also inf * 0, where sin^2 underflows
+    if not half < math.inf:
         raise NumericalCollapse(
             f"diagonal replacing edge {e!r} overflows: sinh^2 of half its length "
             "is past the float range")

@@ -25,9 +25,11 @@ the derivative of the pair (a, b) of a fan takes three numbers, the row
 contracted with the gradients of prefix[a], prefix[b] and theta, and gives
 the one term the pair and the row add to the Jacobi sum at the triple of
 edges (r, edge a, edge b).  J is totally antisymmetric, so the terms are
-summed per sorted triple, BLOCK_ENTRIES terms at a time in the order of the
-triple's smallest edge (its slice); a term that is alone on its triple skips
-the sum.  No surface is rebuilt and no E^3 array is formed.
+summed per sorted triple.  They are listed in the order of the triple's
+smallest edge (its slice) and evaluated BLOCK_ENTRIES at a time; once the
+sweep has passed a slice, the terms of each of its triples are summed once,
+in that order, so the block size changes no digit.  A term that is alone on
+its triple skips the sum.  No surface is rebuilt and no E^3 array is formed.
 
 The coefficients blow up like 1/sin(theta/2) as a cone angle approaches a
 multiple of 2*pi.  Evaluation is refused where the `surface.wall_margin`
@@ -49,7 +51,7 @@ from .surface import ConeSurface, _running_sums, wall_margin
 # Refuse the bivector when some wall_margin falls below this (inside WALL_BAND).
 WALL_GUARD = 1e-6
 # Terms (or derivative entries) one block of the Jacobi check evaluates at
-# once; it bounds the transient memory of the check.
+# once; it bounds the transient memory of the check and changes no digit.
 BLOCK_ENTRIES = 1 << 13
 # Most rows per block of the rank certificate's Cholesky factorization: up
 # to this order it is one LAPACK call, above it blocks of equal size.
@@ -160,10 +162,16 @@ def _triple_keys(n: int, r: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple
     return low, odd
 
 
-def _max_abs_sum(key: np.ndarray, value: np.ndarray) -> float:
-    """max over distinct keys (>= 0) of |sum of the values carrying that key|."""
-    value = _sum_by_key(key, value)[1]
-    return float(np.max(np.abs(value))) if value.size else 0.0
+def _max_abs_by_key(key: np.ndarray, value: np.ndarray) -> tuple:
+    """(max |sum of the values of a key|, -the smallest key at it) over the
+    distinct keys (>= 0), the values of each summed in the order given, or
+    (-1.0, 0) when there are none; the array `key` is overwritten."""
+    key, sums = _sum_by_key(key, value)
+    if not key.size:
+        return -1.0, 0
+    np.abs(sums, out=sums)
+    i = int(np.argmax(sums))  # the smallest key at the maximum
+    return float(sums[i]), -int(key[i])
 
 
 class FanPairs:
@@ -573,8 +581,8 @@ class EtaDerivative:
             value = self.derivative(pair, side)
             shared = self.shared[pair]
             best = max(best, float(np.max(np.abs(value[~shared]), initial=0.0)),
-                       _max_abs_sum(self.edge_pair[pair[shared]] * self.n_edges
-                                    + self.side_l[side[shared]], value[shared]))
+                       _max_abs_by_key(self.edge_pair[pair[shared]] * self.n_edges
+                                       + self.side_l[side[shared]], value[shared])[0])
         return best
 
 
@@ -707,8 +715,9 @@ class _JacobiTerms:
         triple on ties and None when there are no terms, BLOCK_ENTRIES terms at
         a time.
 
-        The sums of a block wait until the terms have moved past their slice;
-        a slice that spans several blocks is summed when it ends.
+        The terms that share their triple wait, unsummed, until the sweep has
+        passed their slice; then the terms of each triple are summed once, in
+        term order, so no digit depends on BLOCK_ENTRIES.
         """
         n, total = der.n_edges, int(self.ends[-1]) if self.ends.size else 0
         best, pending = (-1.0, 0), []
@@ -716,18 +725,16 @@ class _JacobiTerms:
             e1 = min(e0 + BLOCK_ENTRIES, total)
             key, value, alone = self.terms(der, e0, e1)
             best = max(best, alone)
-            pending.append(_sum_by_key(key, value))
             later = self.slice_of(der, e1) * n * n if e1 < total else n ** 3
-            cut = [int(np.searchsorted(key, later)) for key, _ in pending]
-            ready = [(key[:c], value[:c]) for (key, value), c in zip(pending, cut) if c]
-            pending = [(key[c:], value[c:]) for (key, value), c in zip(pending, cut)
-                       if c < len(key)]
-            if len(ready) > 1:
-                ready = [_sum_by_key(*(np.concatenate(part) for part in zip(*ready)))]
-            if ready:
-                keys, sums = ready[0][0], np.abs(ready[0][1])
-                i = int(np.argmax(sums))  # the smallest key at the maximum
-                best = max(best, (float(sums[i]), -int(keys[i])))
+            # slices never decrease along the terms, so the passed ones are a
+            # prefix of this block, and the pending terms all lie in one slice
+            c = int(np.count_nonzero(key < later))
+            if c or pending and pending[0][0][0] < later:
+                pending.append((key[:c], value[:c]))
+                best = max(best, _max_abs_by_key(*map(np.concatenate, zip(*pending))))
+                pending = []
+            if c < len(key):
+                pending.append((key[c:], value[c:]))
         if best[0] < 0.0:
             return 0.0, None
         key = -best[1]

@@ -310,7 +310,9 @@ class Triangulation:
                 f"triangles {sorted(set(range(nt)) - reached)} are not glued "
                 "to triangle 0")
 
-        # vertex orbits of "counterclockwise next germ" = twin of previous side
+        # vertex orbits of "counterclockwise next germ" = twin of previous side;
+        # twin is an involution without fixed points, so sigma is a permutation
+        # and every walk closes where it started
         sigma = twin[prv(np.arange(nh))].tolist()
         vertex_of = [-1] * nh
         orbits = []
@@ -323,8 +325,6 @@ class Triangulation:
                 vertex_of[g] = len(orbits)
                 orbit.append(g)
                 g = sigma[g]
-            if g != h:
-                raise NonManifold(f"germ orbit through half-edge {h} is not a cycle")
             orbits.append(tuple(orbit))
 
         euler = len(orbits) - n_edges + nt

@@ -81,6 +81,28 @@ def test_flip_length_against_law_of_cosines():
         assert got == pytest.approx(math.acosh(coshd), abs=1e-12)
 
 
+@pytest.mark.parametrize("sides, e, want", [
+    ((360.0, 360.0, 719.64), "z", 1.2363029869129913722),
+    ((711.0, 100.0, 711.0), "x", 711.0),
+    ((711.0, 700.0, 711.0), "x", 711.0000334031226367879),
+])
+def test_flip_length_next_to_long_sides(sides, e, want):
+    # sinh a sinh b of the two sides at p overflows (and sinh 711 alone),
+    # while the diagonal is moderate; want from the law of cosines in mpmath
+    # at 1,500 digits
+    s = torus_surface(*sides)
+    assert flip_new_length(s, e) == pytest.approx(want, rel=4e-16)
+
+
+def test_make_delaunay_flips_next_to_long_sides():
+    # the one flip of the torus (360, 360, 719.64), refused while its
+    # sinh a sinh b overflowed
+    out, moves = make_delaunay(torus_surface(360.0, 360.0, 719.64))
+    assert [m.edge for m in moves] == ["z"]
+    assert out.lengths["z"] == 1.2363029869129911
+    assert min(edge_invariants(out).values()) >= 0.0
+
+
 def developed_flip_length(s, e):
     """Reference flip: develop the quadrilateral of e into the half-plane.
 

@@ -552,6 +552,20 @@ def test_jacobi_memory_budget():
     assert peak <= 12.2e6
 
 
+@pytest.mark.parametrize("k", [19, 49])
+def test_jacobi_digits_do_not_depend_on_the_block_size(monkeypatch, k):
+    # each triple's terms are summed once, in term order, however the sweep
+    # cuts them into blocks: one report from a block far smaller than a
+    # slice, the default one and one block for all terms
+    s = stellar_surface(k, seed=3, start="tor")
+    assert s.n_edges == 3 + 3 * k
+    results = set()
+    for block in (64, 8192, 2 ** 22):
+        monkeypatch.setattr(poisson, "BLOCK_ENTRIES", block)
+        results.add(jacobi_residual(s))
+    assert len(results) == 1
+
+
 def test_jacobi_near_wall():
     # the second cone angle of the two-cone genus-1 family reaches 2*pi as h
     # falls to ~1.41759.  The certificate keeps rounding-level accuracy down
