@@ -32,16 +32,12 @@ from .poisson import (
 )
 from .sl2 import (
     HypPoint,
-    IsometryClass,
     Sl2Matrix,
     Sl2Vector,
     axis_vector,
-    classify,
     elliptic_about,
     elliptic_pair_pairing,
     elliptic_product_trace,
-    elliptic_rotation_angle,
-    fixed_point,
     geodesic_pair_pairing,
     hyp_distance,
     hyp_exp,

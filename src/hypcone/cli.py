@@ -256,8 +256,8 @@ def cmd_delaunay(args, out: Emitter, tols) -> int:
 def cmd_selftest(args, out: Emitter, tols) -> int:
     out.put("seed", args.seed)
     all_ok = True
-    for name, count, residual, default_tol in run_all(seed=args.seed):
-        tol = tols["lemma-log"] if name == "log-expansion" else tols["lemma"]
+    for name, count, residual, key in run_all(seed=args.seed):
+        tol = tols[key]
         ok = residual < tol
         all_ok = all_ok and ok
         out.put(f"lemma.{name}.count", count)

@@ -39,7 +39,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import NotElliptic, NumericalCollapse, WallAngle
-from .sl2 import Sl2Matrix, elliptic_fixed_point
+from .sl2 import Sl2Matrix, _rotation, elliptic_fixed_point
 from .surface import WALL_BAND, ConeSurface, fmt17, nxt, prv, wall_margin
 
 
@@ -133,9 +133,8 @@ class HolonomyAtlas:
         for v, (m, margin) in enumerate(zip(self.vertex_matrix, self.margins)):
             if margin < WALL_BAND:
                 tag = "wall"
-            else:  # sl2.elliptic_rotation_angle on the canonical entries
-                half = 2.0 * math.acos(min(1.0, (m.a + m.d) / 2.0))
-                tag = fmt17(half if m.c < 0.0 else 2.0 * math.pi - half)
+            else:  # the counterclockwise angle `sl2_log` takes
+                tag = fmt17(_rotation(m)[1])
             fields += (v, m.a, m.b, m.c, m.d, tag)
         row = "vertex %d: %.17g %.17g %.17g %.17g angle %s\n"
         return row * len(self.vertex_matrix) % tuple(fields)

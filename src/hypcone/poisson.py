@@ -484,19 +484,24 @@ def bivector_rank(p: np.ndarray, grads: np.ndarray) -> tuple:
     n_e, n_v = p.shape[0], grads.shape[0]
     if grads.ndim != 2 or grads.shape[1] != n_e:
         raise DimensionMismatch("gradient rows must match the matrix dimension")
-    if _first_factor(grads @ grads.T, n_e) is None:
+    # a Gram entry past the float range is no warning: its diagonal is not
+    # finite either, which `_first_factor` refuses
+    with np.errstate(over="ignore"):
+        gram = grads @ grads.T
+    if _first_factor(gram, n_e) is None:
         return None, 0.0
-    if 8 * (2 * n_e + n_v) * n_e <= DENSE_GRAM_BYTES:
-        x = np.vstack((p, grads))
-        k = x.T @ x
-        del x
-    else:
-        entries = _nonzeros(p)
-        k = p
-        k.fill(0.0)
-        _add_gram(k, *entries)
-        del entries
-        _add_gram(k, *_nonzeros(grads))
+    with np.errstate(over="ignore"):
+        if 8 * (2 * n_e + n_v) * n_e <= DENSE_GRAM_BYTES:
+            x = np.vstack((p, grads))
+            k = x.T @ x
+            del x
+        else:
+            entries = _nonzeros(p)
+            k = p
+            k.fill(0.0)
+            _add_gram(k, *entries)
+            del entries
+            _add_gram(k, *_nonzeros(grads))
     margin = certify_gram(k, n_e + n_v)
     return (None, 0.0) if margin is None else (n_e - n_v, margin)
 

@@ -10,7 +10,8 @@ both to the test suite and to the command-line self-test.
 
 The per-sample work is float arithmetic on the library's float elements and
 on plain tuples; numpy only draws the samples and solves the exp-side
-oracle's small least-squares system.  The three suites that draw only
+oracle's small least-squares system, the independent route to the closed
+form of `sl2.log_perturbation`.  The three suites that draw only
 uniform samples take them in bulk (`_uniform`): rng.random() values,
 CHUNK at a time, as Python floats, each served as low + (high - low) u.
 That is the very expression Generator.uniform evaluates on the same
@@ -278,23 +279,19 @@ def log_expansion_suite(rng, count: int) -> float:
     return worst
 
 
+# (name, suite, samples, the --tol key of its tolerance)
 SUITES = (
-    ("rotation-pairs", rotation_pair_suite, TRIG_TOL),
-    ("axis-pairs", axis_pair_suite, TRIG_TOL),
-    ("mixed-pairs", mixed_pair_suite, TRIG_TOL),
-    ("log-expansion", log_expansion_suite, LOG_TOL),
+    ("rotation-pairs", rotation_pair_suite, TRIG_COUNT, "lemma"),
+    ("axis-pairs", axis_pair_suite, TRIG_COUNT, "lemma"),
+    ("mixed-pairs", mixed_pair_suite, TRIG_COUNT, "lemma"),
+    ("log-expansion", log_expansion_suite, LOG_COUNT, "lemma-log"),
 )
 
 
 def run_all(seed: int = DEFAULT_SEED) -> list:
-    """Run every suite with a fresh seeded generator, LOG_COUNT samples for
-    the log-expansion suite and TRIG_COUNT for the others.
+    """Run every suite of SUITES with a fresh seeded generator.
 
-    Returns rows (name, count, max scaled residual, tolerance).
+    Returns rows (name, count, max scaled residual, --tol key).
     """
-    rows = []
-    for name, fn, tol in SUITES:
-        count = LOG_COUNT if fn is log_expansion_suite else TRIG_COUNT
-        rng = np.random.default_rng(seed)
-        rows.append((name, count, fn(rng, count), tol))
-    return rows
+    return [(name, count, fn(np.random.default_rng(seed), count), key)
+            for name, fn, count, key in SUITES]

@@ -55,7 +55,7 @@ from .errors import (
     OutOfRange,
 )
 
-# Classification tolerance on |trace| vs 2; see classify().
+# Classification tolerance on |trace| vs 2; see _kind().
 TRACE_TOL = 1e-9
 # Determinant drift allowed before a representative is rescaled.
 DET_TOL = 1e-12
@@ -286,10 +286,6 @@ class Sl2Matrix:
         m.a, m.b, m.c, m.d = _canonical(a, b, c, d)
         return m
 
-    @classmethod
-    def identity(cls) -> "Sl2Matrix":
-        return cls.from_entries(1.0, 0.0, 0.0, 1.0)
-
     @property
     def mat(self) -> np.ndarray:
         """A read-only numpy copy of the representative, built on each access."""
@@ -307,9 +303,6 @@ class Sl2Matrix:
 
     def trace(self) -> float:
         return self.a + self.d
-
-    def det(self) -> float:
-        return self.a * self.d - self.b * self.c
 
     def apply(self, z):
         """Mobius action on a complex number or HypPoint."""
@@ -333,26 +326,10 @@ def _mobius(g: tuple, z):
     return (a * z + b) / (c * z + d)
 
 
-@dataclass(frozen=True)
-class IsometryClass:
-    """Classification of a projective element by |trace| against 2.
-
-    `angle` is arccos(tr(M^2)/2) in (0, pi] for an elliptic element (the
-    unsigned rotation angle; see elliptic_rotation_angle for the directed
-    one), `length` is the translation length arccosh(tr(M^2)/2) for a
-    hyperbolic element.
-    """
-
-    kind: str
-    angle: float | None = None
-    length: float | None = None
-
-
 def elliptic_trace(t: float) -> bool:
     """Whether an element of trace t is elliptic: |t| <= 2 - TRACE_TOL.
 
-    The one elliptic test, used by `_kind` (so classify()) and
-    elliptic_fixed_point().
+    The one elliptic test, used by `_kind` and `elliptic_fixed_point`.
     `surface.WALL_BAND` is derived from it: a cone angle is in the wall band
     where its loop trace 2|cos(theta/2)| would fail this test.
     """
@@ -360,8 +337,7 @@ def elliptic_trace(t: float) -> bool:
 
 
 def _kind(m: Sl2Matrix) -> str:
-    """The kind `classify` gives m, by the same tests on the same trace,
-    without an IsometryClass or the angle and length it carries.
+    """Whether m is elliptic, parabolic, hyperbolic or the identity.
 
     Elliptic by `elliptic_trace`, hyperbolic from trace 2 + TRACE_TOL up,
     and in the band between identity when every entry is within TRACE_TOL
@@ -375,22 +351,6 @@ def _kind(m: Sl2Matrix) -> str:
     if max(abs(m.a - 1.0), abs(m.b), abs(m.c), abs(m.d - 1.0)) <= TRACE_TOL:
         return IDENTITY
     return PARABOLIC
-
-
-def classify(m: Sl2Matrix) -> IsometryClass:
-    """Sort a projective element into elliptic/parabolic/hyperbolic/identity.
-
-    The kind is `_kind`'s; an elliptic class carries its angle and a
-    hyperbolic one its translation length, from the trace.
-    """
-    kind = _kind(m)
-    t = m.trace()
-    if kind == ELLIPTIC:
-        half = min(1.0, max(-1.0, (t * t - 2.0) / 2.0))
-        return IsometryClass(ELLIPTIC, angle=math.acos(half))
-    if kind == HYPERBOLIC:
-        return IsometryClass(HYPERBOLIC, length=math.acosh((t * t - 2.0) / 2.0))
-    return IsometryClass(kind)
 
 
 # ---------------------------------------------------------------------------
@@ -424,16 +384,25 @@ def _traceless_part(m: Sl2Matrix, scale: float) -> tuple:
     return (m.a - m.d) / (2.0 * scale), m.b / scale, m.c / scale
 
 
+def _rotation(m: Sl2Matrix) -> tuple:
+    """(half, angle) of the canonical m: half = 2 acos(tr/2) in [0, pi] is
+    the rotation angle up to direction, and angle the counterclockwise one,
+    half where the (2,1) entry is negative and 2 pi - half elsewhere.  For
+    an elliptic m, angle lies in (0, 2 pi)."""
+    half = 2.0 * math.acos(min(1.0, (m.a + m.d) / 2.0))  # tr >= 0
+    return half, half if m.c < 0.0 else 2.0 * math.pi - half
+
+
 def _elliptic_axis(m: Sl2Matrix) -> tuple:
     """(a, b, c, angle): the counterclockwise unit rotation generator
     [[a, b], [c, -a]] (squaring to -I) of elliptic m, and its angle in (0, 2pi)."""
-    half = 2.0 * math.acos(min(1.0, max(-1.0, m.trace() / 2.0)))  # in (0, pi]
+    half, angle = _rotation(m)
     a, b, c = _traceless_part(m, math.sin(half / 2.0))
-    # the generator is conjugate to +-(E - F); the counterclockwise sign has
-    # negative (2,1) entry (equivalently positive (1,2) entry).
-    if c < 0.0:
-        return a, b, c, half
-    return -a, -b, -c, 2.0 * math.pi - half
+    # the generator is conjugate to +-(E - F), and the counterclockwise sign
+    # has negative (2,1) entry: that of m itself where angle is half
+    if m.c < 0.0:
+        return a, b, c, angle
+    return -a, -b, -c, angle
 
 
 def _hyperbolic_axis(m: Sl2Matrix) -> tuple:
@@ -447,13 +416,6 @@ def _hyperbolic_axis(m: Sl2Matrix) -> tuple:
 def _axis_form(x: tuple, y: tuple) -> float:
     """trace_form of the traceless matrices with entries (a, b, c) x and y."""
     return 2.0 * x[0] * y[0] + x[1] * y[2] + x[2] * y[1]
-
-
-def elliptic_rotation_angle(m: Sl2Matrix) -> float:
-    """Directed (counterclockwise) rotation angle in (0, 2*pi)."""
-    if _kind(m) != ELLIPTIC:
-        raise NotElliptic("rotation angle defined for elliptic elements only")
-    return _elliptic_axis(m)[3]
 
 
 def sl2_log(m: Sl2Matrix) -> Sl2Vector:
@@ -498,11 +460,6 @@ def elliptic_fixed_point(a: float, b: float, c: float, d: float) -> complex:
     if not elliptic_trace(t):
         raise NotElliptic("only elliptic elements fix a point of the half-plane")
     return complex((a - d) / (2.0 * c), math.sqrt(4.0 - t * t) / (2.0 * abs(c)))
-
-
-def fixed_point(m: Sl2Matrix) -> HypPoint:
-    """The unique fixed point in the upper half-plane of an elliptic element."""
-    return HypPoint.from_complex(elliptic_fixed_point(m.a, m.b, m.c, m.d))
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +529,8 @@ def normalizing_isometry(p: HypPoint, q: HypPoint) -> Sl2Matrix:
 # ---------------------------------------------------------------------------
 
 def _half_plane_fixed_point(m: Sl2Matrix) -> complex:
-    """`fixed_point(m)` as a complex number, refused as that refuses it."""
+    """The fixed point of elliptic m in the upper half-plane, as a complex
+    number; refused by `elliptic_fixed_point` or `_check_half_plane`."""
     z = elliptic_fixed_point(m.a, m.b, m.c, m.d)
     _check_half_plane(z.real, z.imag)
     return z
@@ -632,27 +590,25 @@ def mixed_pairing(r: Sl2Matrix, s: Sl2Matrix) -> float:
 def log_perturbation(s: Sl2Vector, u: Sl2Vector) -> Sl2Vector:
     """First-order term of log(exp(tu) exp(s)) at t = 0.
 
-    The coefficient is (1 - Ad_S)^{-1}[u, s] + (B(u,s)/B(s,s)) s, where the
-    inverse is taken on the B-orthogonal complement of s ([u,s] always lies
-    there, and Ad_S preserves it).  Solved as a 3x3 least-squares system
-    followed by B-orthogonal projection; no series expansion.
+    The coefficient is (1 - Ad_S)^{-1} y + (B(u,s)/B(s,s)) s with y = [u, s],
+    the inverse taken on the B-orthogonal complement of s, where y lies and
+    which Ad_S = exp(ad_s) preserves.  There ad_s^2 = -4 det(s), so ad_s acts
+    as i nu (nu = 2 sqrt(det s)) for elliptic s and as +-mu
+    (mu = 2 sqrt(-det s)) for hyperbolic s, and 1/(1 - e^z) = 1/2 - coth(z/2)/2
+    gives the inverse in closed form: y/2 + kappa [s, y] with
+    kappa = cot(nu/2) / (2 nu), or -coth(mu/2) / (2 mu).
     """
-    bss = trace_form(s, s)
-    if abs(s.det()) < 1e-12 or bss == 0.0:
+    k = s.det()  # B(s, s) = -2 det(s)
+    if abs(k) < 1e-12:
         raise DegenerateDirection("base direction is parabolic-type (B(s,s) = 0)")
-    bracket = u.bracket(s)
-    g = sl2_exp(s)
-    # 1 - Ad_S in the (H, E, F) basis, where [[a, b], [c, -a]] has the
-    # coordinates (a, b, c): column j is minus the image of basis vector j,
-    # plus 1 on the diagonal (0.0 - y is -y, but +0.0 for y = -0.0)
-    h, e, f = (v.conjugate_by(g) for v in (H_VEC, E_VEC, F_VEC))
-    a = [[1.0 - h.a, 0.0 - e.a, 0.0 - f.a],
-         [0.0 - h.b, 1.0 - e.b, 0.0 - f.b],
-         [0.0 - h.c, 0.0 - e.c, 1.0 - f.c]]
-    x, *_ = np.linalg.lstsq(a, [bracket.a, bracket.b, bracket.c], rcond=None)
-    xvec = Sl2Vector.from_entries(*x.tolist())
-    xvec = xvec - (trace_form(xvec, s) / bss) * s
-    return xvec + (trace_form(u, s) / bss) * s
+    y = u.bracket(s)
+    if k > 0.0:
+        nu = 2.0 * math.sqrt(k)
+        kappa = 1.0 / (2.0 * nu * math.tan(nu / 2.0))
+    else:
+        mu = 2.0 * math.sqrt(-k)
+        kappa = -1.0 / (2.0 * mu * math.tanh(mu / 2.0))
+    return 0.5 * y + kappa * s.bracket(y) + (trace_form(u, s) / trace_form(s, s)) * s
 
 
 # ---------------------------------------------------------------------------

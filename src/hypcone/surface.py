@@ -582,9 +582,6 @@ class ConeSurface(Triangulation):
         return AngleData(theta=tuple(self.cone_angle.tolist()), genus=self.genus,
                          n=self.n_vertices)
 
-    def length_vector(self) -> np.ndarray:
-        return self.length.copy()
-
     # -- rebuilding ------------------------------------------------------------
 
     def with_lengths(self, updates: dict) -> "ConeSurface":

@@ -38,6 +38,7 @@ from hypcone import (
     solve_order_q_distance,
     trace_form,
 )
+from hypcone.cli import TOL_DEFAULTS
 from hypcone.errors import TriangleInequality, UnflippableConfiguration, WallAngle
 from hypcone.selftest import run_all
 from hypcone.sl2 import E_VEC, F_VEC, H_VEC
@@ -73,7 +74,8 @@ def test_lemma_suite():
     elapsed = time.perf_counter() - t0
     worst_trig = 0.0
     worst_log = 0.0
-    for name, count, residual, tol in rows:
+    for name, count, residual, key in rows:
+        tol = TOL_DEFAULTS[key]
         if name == "log-expansion":
             assert count >= 200 and tol == 1e-6
             worst_log = max(worst_log, residual)

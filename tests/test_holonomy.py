@@ -11,8 +11,6 @@ from hypcone import (
     Sl2Matrix,
     alength_from_fixed_points,
     develop,
-    elliptic_rotation_angle,
-    fixed_point,
     holonomy_report,
     hyp_distance,
     serialize_surface,
@@ -22,7 +20,8 @@ import hypcone.holonomy as holonomy_mod
 import hypcone.cli as cli
 from hypcone.cli import main
 from hypcone.errors import NotElliptic, NumericalCollapse, WallAngle
-from hypcone.sl2 import elliptic_fixed_point, elliptic_trace, half_plane_distance, hyp_direction
+from hypcone.sl2 import (_rotation, elliptic_fixed_point, elliptic_trace, half_plane_distance,
+                         hyp_direction)
 from hypcone.surface import WALL_BAND, fmt17, nxt, prv, wall_margin
 
 
@@ -30,6 +29,11 @@ def corner(atlas, h):
     """Origin of half-edge h in the local chart of tri(h): N_h^-1(i)."""
     (a, b), (c, d) = atlas.normalizers[h].tolist()
     return HypPoint.from_complex((d * 1j - b) / (a - c * 1j))
+
+
+def center(m):
+    """The fixed point of elliptic m in the upper half-plane."""
+    return elliptic_fixed_point(m.a, m.b, m.c, m.d)
 
 
 def fresh_walk(atlas, germ):
@@ -41,7 +45,7 @@ def fresh_walk(atlas, germ):
     per vertex.
     """
     s = atlas.surface
-    m = Sl2Matrix.identity()
+    m = Sl2Matrix.from_entries(1.0, 0.0, 0.0, 1.0)
     g = germ
     for _ in s.vertex_germs[s.vertex_of[germ]]:
         shared = prv(g)
@@ -117,7 +121,7 @@ def test_vertex_holonomy_rotation_angle(corpus):
         for v in range(s.n_vertices):
             m = vertex_holonomy(atlas, v)
             want = s.cone_angle[v] % (2 * math.pi)
-            assert elliptic_rotation_angle(m) == pytest.approx(want, abs=1e-8)
+            assert _rotation(m)[1] == pytest.approx(want, abs=1e-8)
 
 
 def test_vertex_holonomy_fixes_developed_vertex(corpus):
@@ -126,9 +130,9 @@ def test_vertex_holonomy_fixes_developed_vertex(corpus):
     for s in corpus:
         atlas = develop(s)
         for v in range(s.n_vertices):
-            center = fixed_point(vertex_holonomy(atlas, v))
+            z = center(vertex_holonomy(atlas, v))
             g = s.vertex_germs[v][0]
-            assert abs(center.z - corner(atlas, g).z) < 1e-8
+            assert abs(z - corner(atlas, g).z) < 1e-8
             if g % 3 == 0:
                 assert corner(atlas, g).z == 1j
 
@@ -142,7 +146,7 @@ def test_germ_fixed_points_match_fresh_walks(corpus):
         fix = holonomy_mod._fixed_points(atlas, s.vertex_of[germs][:, None])
         x, y = holonomy_mod._germ_images(atlas, germs, *fix)
         for g in range(s.n_half):
-            want = fixed_point(fresh_walk(atlas, g)).z
+            want = center(fresh_walk(atlas, g))
             assert abs(complex(x[g], y[g]) - want) < 1e-12
 
 
@@ -257,7 +261,7 @@ def test_transitions_map_twin_chart_onto_chart(corpus):
 def test_near_wall_is_named_wall_angle(sides, tmp_path, capsys):
     # cone angles 7.9e-6 from 2*pi and 3.7e-6 from 0: both lie in the wall
     # band, where the loop trace 2|cos(theta/2)| is within sl2.TRACE_TOL of 2
-    # and classify() stops calling an element elliptic
+    # and sl2.elliptic_trace stops calling an element elliptic
     s = torus_surface(*sides)
     atlas = develop(s)
     assert atlas.dump().splitlines()[-1].endswith(" angle wall")

@@ -9,12 +9,9 @@ from hypcone import (
     Sl2Matrix,
     Sl2Vector,
     axis_vector,
-    classify,
     elliptic_about,
     elliptic_pair_pairing,
     elliptic_product_trace,
-    elliptic_rotation_angle,
-    fixed_point,
     geodesic_pair_pairing,
     hyp_distance,
     hyp_exp,
@@ -46,12 +43,20 @@ from hypcone.sl2 import (
     F_VEC,
     H_VEC,
     TRACE_TOL,
+    _hyperbolic_axis,
     _kind,
+    _rotation,
     elliptic_fixed_point,
     hyp_direction,
 )
 
 I2 = np.eye(2)
+IDENTITY = Sl2Matrix.from_entries(1.0, 0.0, 0.0, 1.0)
+
+
+def center(m: Sl2Matrix) -> HypPoint:
+    """The fixed point of elliptic m, as a point of the half-plane."""
+    return HypPoint.from_complex(elliptic_fixed_point(m.a, m.b, m.c, m.d))
 
 
 def projectively_close(m: Sl2Matrix, other: Sl2Matrix, tol: float = 1e-9) -> bool:
@@ -241,17 +246,17 @@ def test_exp_tiny_argument():
 
 
 def test_classify_kinds():
-    assert classify(Sl2Matrix.identity()).kind == "identity"
-    assert classify(Sl2Matrix([[1.0, 1.0], [0.0, 1.0]])).kind == "parabolic"
-    hyp = classify(Sl2Matrix([[math.exp(0.5), 0.0], [0.0, math.exp(-0.5)]]))
-    assert hyp.kind == "hyperbolic"
-    assert hyp.length == pytest.approx(1.0)
-    ell = classify(elliptic_about(HypPoint(0, 1), 0.7))
-    assert ell.kind == "elliptic"
-    assert ell.angle == pytest.approx(0.7)
+    assert _kind(IDENTITY) == "identity"
+    assert _kind(Sl2Matrix([[1.0, 1.0], [0.0, 1.0]])) == "parabolic"
+    hyp = Sl2Matrix([[math.exp(0.5), 0.0], [0.0, math.exp(-0.5)]])
+    assert _kind(hyp) == "hyperbolic"
+    assert _hyperbolic_axis(hyp)[3] == pytest.approx(1.0)
+    ell = elliptic_about(HypPoint(0, 1), 0.7)
+    assert _kind(ell) == "elliptic"
+    assert _rotation(ell)[1] == pytest.approx(0.7)
 
 
-def test_kind_is_classify_kind_across_the_trace_bands():
+def test_kind_matches_reference_across_the_trace_bands():
     # traces stepped by ulps across 2 - TRACE_TOL, 2 and 2 + TRACE_TOL, and
     # inside the band between elements near and far from the identity
     edges = (0.5, 2.0 - TRACE_TOL, 2.0 - TRACE_TOL / 2.0, 2.0, 2.0 + TRACE_TOL, 3.0)
@@ -269,20 +274,19 @@ def test_kind_is_classify_kind_across_the_trace_bands():
             # det = t^2/4 - b c is 1 within DET_TOL, so the trace stays t
             elements.append(Sl2Matrix.from_entries(t / 2.0, b, (t * t / 4.0 - 1.0) / b, t / 2.0))
         elements.append(Sl2Matrix.from_entries(t / 2.0, 0.0, 0.0, 2.0 / t))
-    elements.append(Sl2Matrix.identity())
+    elements.append(IDENTITY)
     elements.append(Sl2Matrix.from_entries(1.0, -TRACE_TOL, 0.0, 1.0))
     elements.append(Sl2Matrix.from_entries(1.0, 0.0, math.nextafter(TRACE_TOL, 1.0), 1.0))
     kinds = [_kind(m) for m in elements]
-    assert kinds == [classify(m).kind for m in elements]
+    assert kinds == [ref_kind(RefMatrix.twin(m)) for m in elements]
     assert set(kinds) == {"elliptic", "parabolic", "hyperbolic", "identity"}
 
 
-def test_classify_angle_folds_to_0_pi():
-    # classification only sees the projective class, so the unsigned angle
-    # of a 3*pi/2 rotation is pi/2 while the directed angle keeps 3*pi/2
+def test_rotation_angle_unfolds_to_0_2pi():
+    # the trace only sees the projective class, so the unsigned angle of a
+    # 3*pi/2 rotation is pi/2, while the directed angle keeps 3*pi/2
     m = elliptic_about(HypPoint(0.3, 1.2), 3 * math.pi / 2)
-    assert classify(m).angle == pytest.approx(math.pi / 2)
-    assert elliptic_rotation_angle(m) == pytest.approx(3 * math.pi / 2)
+    assert _rotation(m) == pytest.approx((math.pi / 2, 3 * math.pi / 2))
 
 
 def test_rotation_direction_is_counterclockwise():
@@ -303,7 +307,7 @@ def test_log_frozen_cases():
     par = Sl2Matrix([[1.0, 2.5], [0.0, 1.0]])
     assert np.allclose(sl2_log(par).mat, [[0.0, 2.5], [0.0, 0.0]])
     with pytest.raises(NoBranch):
-        sl2_log(Sl2Matrix.identity())
+        sl2_log(IDENTITY)
 
 
 def test_log_exp_roundtrip():
@@ -343,10 +347,9 @@ def test_fixed_point_recovers_center():
     for _ in range(100):
         p = random_point(rng)
         m = elliptic_about(p, float(rng.uniform(0.1, 2 * math.pi - 0.1)))
-        q = fixed_point(m)
-        assert abs(q.z - p.z) < 1e-10
+        assert abs(center(m).z - p.z) < 1e-10
     with pytest.raises(NotElliptic):
-        fixed_point(Sl2Matrix([[math.e, 0.0], [0.0, 1.0 / math.e]]))
+        center(Sl2Matrix([[math.e, 0.0], [0.0, 1.0 / math.e]]))
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +379,7 @@ def test_hyperbolic_along_endpoints_and_length():
         ell = float(rng.uniform(0.2, 2.5))
         for a, b in ((u, v), (v, u)):
             m = hyperbolic_along(a, b, ell)
-            assert classify(m).length == pytest.approx(ell, abs=1e-9)
+            assert _hyperbolic_axis(m)[3] == pytest.approx(ell, abs=1e-9)
             # endpoints of the axis are fixed
             assert m.apply(complex(a, 0)) == pytest.approx(complex(a, 0), abs=1e-9)
             assert m.apply(complex(b, 0)) == pytest.approx(complex(b, 0), abs=1e-9)
@@ -538,10 +541,9 @@ def test_product_trace_closed_form():
 
 def test_holonomy_pair_matrices():
     a, b = injectivity_holonomy_pair(1.2, 2.3, 0.7)
-    assert classify(a).angle == pytest.approx(min(1.2, 2 * math.pi - 1.2))
-    assert elliptic_rotation_angle(a) == pytest.approx(1.2)
-    assert elliptic_rotation_angle(b) == pytest.approx(2.3)
-    assert hyp_distance(fixed_point(a), fixed_point(b)) == pytest.approx(
+    assert _rotation(a) == pytest.approx((min(1.2, 2 * math.pi - 1.2), 1.2))
+    assert _rotation(b)[1] == pytest.approx(2.3)
+    assert hyp_distance(center(a), center(b)) == pytest.approx(
         0.7, abs=1e-12
     )
     with pytest.raises(OutOfRange):
@@ -820,14 +822,14 @@ def test_group_operations_match_reference():
 def test_logs_axes_and_fixed_points_match_reference():
     rng = np.random.default_rng(33)
     for m, rm in random_elements(rng, 600):
-        kind = classify(m).kind
+        kind = _kind(m)
         assert kind == ref_kind(rm)
         if kind in ("parabolic", "identity"):
             continue
         assert relative_gap(sl2_log(m).mat, ref_sl2_log(rm).mat) <= 1e-14
         assert relative_gap(axis_vector(m).mat, ref_axis_vector(rm).mat) <= 1e-14
         if kind == "elliptic":
-            got, want = fixed_point(m).z, ref_fixed_point(rm)
+            got, want = center(m).z, ref_fixed_point(rm)
             assert abs(got - want) <= 1e-14 * abs(want)
     par = Sl2Matrix([[1.0, 2.5], [0.0, 1.0]])
     assert relative_gap(sl2_log(par).mat, ref_sl2_log(RefMatrix.twin(par)).mat) <= 1e-14
@@ -901,16 +903,18 @@ def test_operations_make_no_numpy_call(monkeypatch):
     s1, s2 = elliptic_about(p, 1.0), elliptic_about(q, 4.0)
     r1, r2 = hyperbolic_along(-1.0, 2.0, 0.8), hyperbolic_along(1.5, -0.5, 1.7)
     g = normalizing_isometry(p, q) @ isometry_mapping_segment(p, q, q, hyp_exp(q, 0.3, 1.0))
-    g = g @ g.inverse() @ Sl2Matrix.identity() @ Sl2Matrix.from_entries(2.0, 1.0, 1.0, 1.0)
+    g = g @ g.inverse() @ IDENTITY @ Sl2Matrix.from_entries(2.0, 1.0, 1.0, 1.0)
     assert projectively_close(g, Sl2Matrix.from_entries(2.0, 1.0, 1.0, 1.0))
     g.apply(p)
     g.apply(0.5 + 2j)
     x = sl2_log(s1) + 2.0 * sl2_log(r1) - (-axis_vector(s2))
     x.conjugate_by(g).bracket(x)
     trace_form(x, x)
-    classify(sl2_exp(x))
-    elliptic_rotation_angle(s2)
-    fixed_point(s1)
+    _kind(sl2_exp(x))
+    _rotation(s2)
+    center(s1)
+    log_perturbation(sl2_log(s1), x)
+    log_perturbation(sl2_log(r1), x)
     elliptic_pair_pairing(s1, s2)
     geodesic_pair_pairing(r1, r2)
     mixed_pairing(r1, s1)
@@ -982,7 +986,7 @@ def chain_elliptic_pair(s1, s2):
     for s in (s1, s2):
         if _kind(s) != "elliptic":
             raise NotElliptic("both inputs must be elliptic")
-    if hyp_distance(fixed_point(s1), fixed_point(s2)) < 1e-9:
+    if hyp_distance(center(s1), center(s2)) < 1e-9:
         raise CoincidentFixedPoints("fixed points coincide; no joining axis")
     l1, l2 = axis_vector(s1), axis_vector(s2)
     return trace_form(l1, l2), l1.bracket(l2)

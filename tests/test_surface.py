@@ -729,7 +729,7 @@ def test_triangulation_arrays(skew_tetra):
 
 
 def test_length_vector_roundtrip(skew_tetra):
-    vec = skew_tetra.length_vector()
+    vec = skew_tetra.length.copy()
     assert list(vec) == [skew_tetra.lengths[e] for e in skew_tetra.edge_ids]
     same = skew_tetra.with_length_vector(vec)
     assert same.lengths == skew_tetra.lengths

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import stellar_surface, torus_surface
+from test_sl2 import RefMatrix, ref_rotation_angle
 
 import hypcone.holonomy as holonomy_mod
-import hypcone.sl2 as sl2_mod
 import hypcone.surface as surface_mod
-from hypcone import develop, elliptic_rotation_angle, serialize_surface, vertex_holonomy
+from hypcone import develop, serialize_surface, vertex_holonomy
 from hypcone.cli import main
 from hypcone.errors import WallAngle
 from hypcone.poisson import WALL_GUARD
@@ -113,18 +113,13 @@ def test_band_evaluated_once_per_vertex(monkeypatch, tmp_path, capsys):
         assert code == 0 and sum(evaluated) == s.n_vertices, sub
 
 
-def test_dump_angle_is_the_rotation_angle(monkeypatch):
+def test_dump_angle_is_the_rotation_angle():
     # the dump reads each vertex angle off the canonical entries, bit for
-    # bit the angle of sl2.elliptic_rotation_angle, and never classifies
+    # bit the counterclockwise angle of the array-based reference
     atlases = [develop(stellar_surface(k, seed=seed, start=start))
                for k, seed, start in ((40, 1, "tet"), (40, 2, "tor"), (120, 3, "tet"))]
-    want = [[fmt17(elliptic_rotation_angle(m)) for m in atlas.vertex_matrix]
+    want = [[fmt17(ref_rotation_angle(RefMatrix.twin(m))) for m in atlas.vertex_matrix]
             for atlas in atlases]
-
-    def no_classify(m):
-        raise AssertionError("classify called")
-
-    monkeypatch.setattr(sl2_mod, "classify", no_classify)
     for atlas, angles in zip(atlases, want):
         rows = [line for line in atlas.dump().splitlines() if line.startswith("vertex ")]
         assert [row.rsplit(" angle ", 1)[1] for row in rows] == angles
