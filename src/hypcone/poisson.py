@@ -25,11 +25,14 @@ the derivative of the pair (a, b) of a fan takes three numbers, the row
 contracted with the gradients of prefix[a], prefix[b] and theta, and gives
 the one term the pair and the row add to the Jacobi sum at the triple of
 edges (r, edge a, edge b).  J is totally antisymmetric, so the terms are
-summed per sorted triple.  They are listed in the order of the triple's
-smallest edge (its slice) and evaluated BLOCK_ENTRIES at a time; once the
-sweep has passed a slice, the terms of each of its triples are summed once,
-in that order, so the block size changes no digit.  A term that is alone on
-its triple skips the sum.  No surface is rebuilt and no E^3 array is formed.
+summed per sorted triple.  They come in runs (a row with a suffix of its
+fan's pairs, or a pair with a suffix of the rows reaching its fan), listed
+in the order of the triple's smallest edge (its slice), and the sweep
+evaluates whole runs, at most BLOCK_ENTRIES terms at a time unless one run
+is longer; once it has passed a slice, the terms of each of its triples are
+summed once, in term order, so the block size changes no digit.  A term that
+is alone on its triple skips the sum.  No surface is rebuilt and no E^3
+array is formed.
 
 The coefficients blow up like 1/sin(theta/2) as a cone angle approaches a
 multiple of 2*pi.  Evaluation is refused where the `surface.wall_margin`
@@ -50,8 +53,10 @@ from .surface import ConeSurface, _running_sums, wall_margin
 
 # Refuse the bivector when some wall_margin falls below this (inside WALL_BAND).
 WALL_GUARD = 1e-6
-# Terms (or derivative entries) one block of the Jacobi check evaluates at
-# once; it bounds the transient memory of the check and changes no digit.
+# Most terms (or derivative entries) one block of the Jacobi check evaluates
+# at once: each block is whole runs adding up to at most this many, and a
+# longer run is a block of its own.  It bounds the transient memory of the
+# check and changes no digit.
 BLOCK_ENTRIES = 1 << 13
 # Most rows per block of the rank certificate's Cholesky factorization: up
 # to this order it is one LAPACK call, above it blocks of equal size.
@@ -576,8 +581,7 @@ class EtaDerivative:
         """max |d eta(da_j, da_k) / da_l|, the pairs of the same edges summed."""
         if not self.v.size:
             return 0.0
-        order = np.argsort(self.edge_pair, kind="stable")
-        start = np.flatnonzero(np.diff(self.edge_pair[order], prepend=-1))
+        _, order, start = _runs(self.edge_pair.copy())
         bounds = np.append(start, len(order))
         best = 0.0
         for g0, g1 in _blocks(np.add.reduceat(self.n_sides[self.v[order]], start),
@@ -602,27 +606,23 @@ class _JacobiTerms:
         dc[u] (x[pos_b[u]] - x[pos_a[u]]) - ds[u] x[fan_size[u]].
 
     That value is the one term the row and the pair add to the Jacobi sum
-    J[r, lo, hi], signed into the sorted triple.  The terms are listed by
-    their slice, the smallest edge of the triple, as runs: a row with the
+    J[r, lo, hi], signed into the sorted triple.  The terms come in runs,
+    listed by their slice, the smallest edge of the triple: a row with the
     suffix of its fan's pairs whose lo exceeds it, then a pair with the
-    suffix of its fan's rows above its lo.  Run g covers incidences
-    inc0[g] + k * step[g] and pairs pair0[g] + k * (1 - step[g]), k = 0, 1,
-    ..., and its terms end before term ends[g].
+    suffix of its fan's rows above its lo.  Run g has count[g] terms, at
+    incidences inc0[g] + k * step[g] and pairs pair0[g] + k * (1 - step[g]),
+    k = 0, 1, ..., count[g] - 1.
     """
 
     def __init__(self, der: EtaDerivative, p: np.ndarray):
         n = der.n_edges
-        col_r, col_l = np.nonzero(p)
-        by_col = np.argsort(col_l, kind="stable")
-        col_r, col_l = col_r[by_col], col_l[by_col]
-        col_start = np.searchsorted(col_l, np.arange(n + 1))
-        col_n = np.diff(col_start)[der.side_l]
-        keys = [np.zeros(0, dtype=np.intp)]
-        for f0, f1 in _blocks(col_n, BLOCK_ENTRIES):
-            owner, k = _expand(col_start[der.side_l[f0:f1]], col_n[f0:f1])
-            keys.append(_unique(der.side_v[f0:f1][owner] * n + col_r[k]))
-        del col_r, col_l, by_col
-        key = _unique(np.concatenate(keys))
+        # P is exactly antisymmetric, so row l of P lists, in increasing
+        # order, the rows r with P[r, l] != 0
+        nz_row, nz_col = np.nonzero(p)
+        start = np.searchsorted(nz_row, np.arange(n + 1))
+        owner, k = _expand(start[der.side_l], np.diff(start)[der.side_l])
+        key = _unique(der.side_v[owner] * n + nz_col[k])
+        del nz_row, nz_col, owner, k
         v, self.r = key // n, key % n
         self.end_a, self.end_b = der.edge_ends[self.r].T
         self.at_fan = (self.end_a == v) | (self.end_b == v)
@@ -653,33 +653,22 @@ class _JacobiTerms:
         self.step = (runs >= len(key)).astype(np.intp)
         self.inc0 = np.concatenate([np.arange(len(key)), b_start])[runs]
         self.pair0 = np.concatenate([a_start, np.arange(len(der.lo))])[runs]
-        self.ends = np.cumsum(count[runs])
+        self.count = count[runs]
 
-    def slice_of(self, der: EtaDerivative, e: int) -> int:
-        """The slice of term e."""
-        g = int(np.searchsorted(self.ends, e, side="right"))
-        return int(der.lo[self.pair0[g]] if self.step[g] else self.r[self.inc0[g]])
-
-    def terms(self, der: EtaDerivative, e0: int, e1: int) -> tuple:
-        """Terms e0 .. e1 - 1: (key, value) of those that share their triple,
-        the key encoding the sorted triple (see `_triple_keys`), and for the
-        others (max |value|, -key of the smallest triple at it), or
-        (-1.0, 0) when there are none."""
+    def terms(self, der: EtaDerivative, g0: int, g1: int) -> tuple:
+        """The terms of runs g0 .. g1 - 1: (key, value) of those that share
+        their triple, the key encoding the sorted triple (see `_triple_keys`),
+        and for the others (max |value|, -key of the smallest triple at it),
+        or (-1.0, 0) when there are none."""
         n = der.n_edges
-        g0 = int(np.searchsorted(self.ends, e0, side="right"))
-        g1 = int(np.searchsorted(self.ends, e1 - 1, side="right")) + 1
-        ends = self.ends[g0:g1]
-        begin = np.concatenate([self.ends[g0 - 1:g0] if g0 else [0], ends[:-1]])
-        first = np.maximum(e0 - begin, 0)
-        length = np.minimum(ends, e1) - begin - first
-        # term j of the block lies on run g at k = j + shift[g]
-        shift = first - (np.cumsum(length) - length)
-        step = self.step[g0:g1]
-        inc = np.repeat(self.inc0[g0:g1] + step * shift, length)
-        pair = np.repeat(self.pair0[g0:g1] + (1 - step) * shift, length)
-        j = np.arange(e1 - e0)
+        count, step = self.count[g0:g1], self.step[g0:g1]
+        # term j of the block is term j - begin[g] of its run g
+        begin = np.cumsum(count) - count
+        inc = np.repeat(self.inc0[g0:g1] - step * begin, count)
+        pair = np.repeat(self.pair0[g0:g1] - (1 - step) * begin, count)
+        j = np.arange(len(inc))
         pair += j
-        j *= np.repeat(step, length)
+        j *= np.repeat(step, count)
         inc += j
         pair -= j
         del j
@@ -717,21 +706,26 @@ class _JacobiTerms:
 
     def max_abs(self, der: EtaDerivative) -> tuple:
         """(max |J|, its sorted triple) over the sorted triples, the smallest
-        triple on ties and None when there are no terms, BLOCK_ENTRIES terms at
-        a time.
+        triple on ties and None when there are no terms, evaluated in blocks
+        of whole runs (`_blocks` of BLOCK_ENTRIES terms).
 
         The terms that share their triple wait, unsummed, until the sweep has
         passed their slice; then the terms of each triple are summed once, in
         term order, so no digit depends on BLOCK_ENTRIES.
         """
-        n, total = der.n_edges, int(self.ends[-1]) if self.ends.size else 0
+        n, runs = der.n_edges, len(self.count)
         best, pending = (-1.0, 0), []
-        for e0 in range(0, total, BLOCK_ENTRIES):
-            e1 = min(e0 + BLOCK_ENTRIES, total)
-            key, value, alone = self.terms(der, e0, e1)
+        for g0, g1 in _blocks(self.count, BLOCK_ENTRIES):
+            key, value, alone = self.terms(der, g0, g1)
             best = max(best, alone)
-            later = self.slice_of(der, e1) * n * n if e1 < total else n ** 3
-            # slices never decrease along the terms, so the passed ones are a
+            # the terms below `later` lie in slices before that of run g1
+            if g1 == runs:
+                later = n ** 3
+            elif self.step[g1]:  # a pair's run: its slice is the pair's lo
+                later = int(der.lo[self.pair0[g1]]) * n * n
+            else:  # a row's run: its slice is the row
+                later = int(self.r[self.inc0[g1]]) * n * n
+            # slices never decrease along the runs, so the passed ones are a
             # prefix of this block, and the pending terms all lie in one slice
             c = int(np.count_nonzero(key < later))
             if c or pending and pending[0][0][0] < later:
@@ -756,9 +750,11 @@ def jacobi_residual(s: ConeSurface, wall_guard: float = WALL_GUARD,
     with D[l] = dP/da_l from `EtaDerivative`; the result is normalized by
     max|P| * max|D|.  J is totally antisymmetric, so each nonzero triple is
     evaluated once, sorted, from the terms of `_JacobiTerms`.  `p` is the
-    bivector of s when the caller has it already; any other antisymmetric
-    matrix given there is checked in its place, so a fake bivector can be
-    shown to fail, while the genuine one passes at rounding level.  `pairs`
+    bivector of s when the caller has it already; any other matrix given
+    there is checked in its place, so a fake bivector can be shown to fail,
+    while the genuine one passes at rounding level.  A given `p` must be
+    exactly antisymmetric (p == -p.T), as every P this package builds is:
+    the rows r with P[r, l] != 0 are read off row l.  `pairs`
     is the FanPairs of s when the caller has it already.  The triple is the
     sorted edge indices (i, j, k) of the largest |J|, the smallest triple on
     ties, or None when no triple has a term (P = 0).

@@ -147,8 +147,9 @@ def _canonical(a: float, b: float, c: float, d: float) -> tuple:
 
     Refuses a determinant that is not positive and finite, rescales by
     1/sqrt(det) once det drifts from 1 by more than DET_TOL, and picks the
-    sign with trace > 0, or for trace 0 with (2,1) entry > 0 (falling back
-    to the (1,2) entry).
+    sign with trace > 0, or for trace 0 with (2,1) entry > 0.  With trace 0
+    the (2,1) entry is never 0: then d = -a, and the determinant -a^2 would
+    not be positive.
     """
     det = a * d - b * c
     if not 0.0 < det < math.inf:  # also refuses NaN
@@ -157,7 +158,7 @@ def _canonical(a: float, b: float, c: float, d: float) -> tuple:
         r = math.sqrt(det)
         a, b, c, d = a / r, b / r, c / r, d / r
     t = a + d
-    if t < 0.0 or (t == 0.0 and (c < 0.0 or (c == 0.0 and b < 0.0))):
+    if t < 0.0 or (t == 0.0 and c < 0.0):
         return -a, -b, -c, -d
     return a, b, c, d
 
@@ -268,8 +269,8 @@ class Sl2Matrix:
 
     Kept as the floats (a, b, c, d) of its canonical representative
     [[a, b], [c, d]] (see `_canonical`): trace >= 0, and for trace 0 the
-    (2,1) entry is positive (falling back to the (1,2) entry).  This makes
-    logs, classification and printed output deterministic.
+    (2,1) entry is positive.  This makes logs, classification and printed
+    output deterministic.
     """
 
     __slots__ = ("a", "b", "c", "d")

@@ -72,7 +72,8 @@ SEED_5 = (
 )
 
 
-@pytest.mark.parametrize("seed, want", [(1729, SEED_1729), (1, SEED_1), (5, SEED_5)])
+@pytest.mark.parametrize("seed, want", [(1729, SEED_1729), (1, SEED_1), (5, SEED_5)],
+                         ids=["1729", "1", "5"])
 def test_selftest_report_is_pinned(capsys, seed, want):
     assert main(["selftest", "--seed", str(seed), "--format", "structured"]) == 0
     assert capsys.readouterr().out == want
