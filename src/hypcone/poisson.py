@@ -490,12 +490,14 @@ def bivector_rank(p: np.ndarray, grads: np.ndarray) -> tuple:
     if grads.ndim != 2 or grads.shape[1] != n_e:
         raise DimensionMismatch("gradient rows must match the matrix dimension")
     # a Gram entry past the float range is no warning: its diagonal is not
-    # finite either, which `_first_factor` refuses
-    with np.errstate(over="ignore"):
+    # finite either, which `_first_factor` refuses.  Nor is a NaN entry, which
+    # some BLAS kernels form from such products (inf - inf): by Cauchy-Schwarz
+    # it too lies beside a diagonal entry past the float range
+    with np.errstate(over="ignore", invalid="ignore"):
         gram = grads @ grads.T
     if _first_factor(gram, n_e) is None:
         return None, 0.0
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         if 8 * (2 * n_e + n_v) * n_e <= DENSE_GRAM_BYTES:
             x = np.vstack((p, grads))
             k = x.T @ x

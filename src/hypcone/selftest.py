@@ -9,13 +9,15 @@ relatively.  The suites are deterministic for a fixed seed and are exposed
 both to the test suite and to the command-line self-test.
 
 The per-sample work is float arithmetic on the library's float elements and
-on plain tuples; numpy only draws the samples and solves the exp-side
-oracle's small least-squares system, the independent route to the closed
-form of `sl2.log_perturbation`.  The three suites that draw only
-uniform samples take them in bulk (`_uniform`): rng.random() values,
-CHUNK at a time, as Python floats, each served as low + (high - low) u.
-That is the very expression Generator.uniform evaluates on the same
-stream, so every sample, and every report, is the one per-call draws give.
+on plain tuples; numpy only draws the samples, so no report depends on the
+BLAS kernel numpy loads.  The exp-side oracle, the independent route to the
+closed form of `sl2.log_perturbation`, inverts the derivative of the
+closed-form exponential by a closed form of its own.  The three suites that
+draw only uniform samples take them in bulk (`_uniform`): rng.random()
+values, CHUNK at a time, as Python floats, each served as
+low + (high - low) u.  That is the very expression Generator.uniform
+evaluates on the same stream, so every sample, and every report, is the one
+per-call draws give.
 The log-expansion suite keeps its generator: its normal draws take raw
 words from the stream between its uniforms, so a bulk buffer would shift
 them.
@@ -233,31 +235,23 @@ def _mul(p: tuple, q: tuple) -> tuple:
             p[2] * q[0] + p[3] * q[2], p[2] * q[1] + p[3] * q[3])
 
 
-_EYE = (1.0, 0.0, 0.0, 1.0)
-# H, E, F as row-major 4-tuples
-_BASIS = ((1.0, 0.0, 0.0, -1.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0))
-
-
 def _exp_side_log_slope(s: Sl2Vector, u: Sl2Vector) -> Sl2Vector:
     """The first-order coefficient L of log(exp(tu) exp(s)), from the exp side.
 
-    exp(s + tL) = exp(tu) exp(s) + O(t^2), so dexp_s(L) = u exp(s); with
-    exp(X) = c0 I + c1 X, dk = -tr(X dX) for k = det X and
-    dexp_s(Y) = (c0' I + c1' s) dk + c1 Y, solved for L by least squares
-    over the (H, E, F) basis.  The raw exponential is used, not the
-    sign-normalized `sl2_exp`, so both sides stay on one branch.
+    exp(s + tL) = exp(tu) exp(s) + O(t^2), so dexp_s(L) = R with
+    R = u exp(s).  With exp(X) = c0 I + c1 X and dk = -tr(X dX) for k = det X,
+    dexp_s(L) = (c0' I + c1' s) tau + c1 L, tau = -tr(s L).  As s and L are
+    traceless, the trace of R gives tau = tr R / (2 c0'), and then
+    L = (R - (tr R / 2) I - c1' tau s) / c1.  The raw exponential is used,
+    not the sign-normalized `sl2_exp`, so both sides stay on one branch.
     """
-    x = (s.a, s.b, s.c, -s.a)
     c0, c1, dc0, dc1 = _exp_coefficients(s.det())
-    columns = []
-    for y in _BASIS:
-        xy = _mul(x, y)
-        dk = -(xy[0] + xy[3])
-        columns.append([(dc0 * i + dc1 * xi) * dk + c1 * yi
-                        for i, xi, yi in zip(_EYE, x, y)])
-    rhs = _mul((u.a, u.b, u.c, -u.a), [c0 * i + c1 * xi for i, xi in zip(_EYE, x)])
-    coef, *_ = np.linalg.lstsq(list(zip(*columns)), rhs, rcond=None)
-    return Sl2Vector.from_entries(*coef.tolist())
+    r = _mul((u.a, u.b, u.c, -u.a),
+             (c0 + c1 * s.a, c1 * s.b, c1 * s.c, c0 - c1 * s.a))
+    half = (r[0] + r[3]) / 2.0
+    g = dc1 * half / dc0  # c1' tau
+    return Sl2Vector.from_entries((r[0] - half - g * s.a) / c1,
+                                  (r[1] - g * s.b) / c1, (r[2] - g * s.c) / c1)
 
 
 def log_expansion_suite(rng, count: int) -> float:

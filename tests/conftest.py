@@ -1,4 +1,5 @@
 import math
+import os
 import random
 
 import numpy as np
@@ -170,6 +171,14 @@ def side_length(s, h):
 def bits(values):
     """The float64 bit patterns of values, for comparisons bit for bit."""
     return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def blas_env(coretype):
+    """The environment of a subprocess whose OpenBLAS loads the kernel
+    `coretype` (a name such as "Haswell"), or this one's for None."""
+    if coretype is None:
+        return None
+    return {**os.environ, "OPENBLAS_CORETYPE": coretype}
 
 
 def count_constructions(monkeypatch, cls):
