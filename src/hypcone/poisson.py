@@ -16,7 +16,8 @@ factorization of K = P^T P + G^T G (G the cone-angle gradients), scaled to
 unit diagonal and shifted by a bound on every rounding error, that succeeds
 proves rank P >= E - n for the float matrix, and the radical residuals bound
 the rest (`bivector_rank`).  On large surfaces K is formed from the nonzeros
-of P in P's own memory and factored blockwise in place, so the certificate
+of P in P's own memory and factored blockwise in place, in its lower triangle
+and then, for the margin, in its untouched upper one, so the certificate
 holds one E x E array.  The Jacobi check differentiates P analytically: theta
 and the angle between two germs are sums of corner angles, so the chain rule
 through the closed-form corner-angle gradient gives the derivative of each
@@ -195,8 +196,9 @@ class FanPairs:
         C = cos(d - theta/2) / sin(theta/2),  S = sin(d) / (2 sin^2(theta/2)),
 
     where dprefix and dtheta are sums of corner-angle gradients; C is in `c`
-    and S in `sn`.  `margins` holds the `wall_margins` of s; the table is
-    refused as WallAngle when one of them is inside the guard.
+    and S in `sn`.  Edge e joins the vertices `edge_ends[e]`.  `margins`
+    holds the `wall_margins` of s; the table is refused as WallAngle when
+    one of them is inside the guard.
     """
 
     def __init__(self, s: ConeSurface, wall_guard: float = WALL_GUARD):
@@ -208,6 +210,7 @@ class FanPairs:
                 f"vertex {v} has cone angle {s.cone_angle[v]} with "
                 f"|sin(theta/2)| = {float(margins[v])} below the {wall_guard} guard")
         self.n_edges = s.n_edges
+        self.edge_ends = s.vertex_of[s.halves]
         self.size = s.fan_size
         self.first = np.cumsum(self.size) - self.size
         self.vertex = np.repeat(np.arange(s.n_vertices), self.size)
@@ -330,16 +333,17 @@ def _block_size(n: int) -> int:
 
 def _factor(a: np.ndarray, diag: np.ndarray, shift: float) -> np.ndarray | None:
     """Factor B = a - shift I with diagonal fl(diag - shift) by a blocked
-    right-looking Cholesky in place on and below the diagonal of a; the strict
-    upper triangle is neither read nor written.
+    right-looking Cholesky that reads a only on and below its diagonal; the
+    strict upper triangle is neither read nor written, so a.T factors the
+    matrix that triangle holds.
 
     Blocks of equal size, at most RANK_BLOCK rows (`_block_size`): the
     diagonal block by np.linalg.cholesky, whose two copies of the block are
-    the largest transients, the panel below it by `_substitute`, the
-    trailing blocks by matmul.  Returns the pivots (the diagonal of the
-    factor), or None when one is not positive (or not a number).  The last
-    diagonal block is factored in a copy, so a single block leaves a below
-    its diagonal as it was.
+    the largest transients, the panel below it by `_substitute` with that
+    factor, the trailing blocks by matmul in place.  Returns the pivots (the
+    diagonal of the factor), or None when one is not positive (or not a
+    number).  The diagonal blocks keep their trailing updates, not their
+    factors, so a single block leaves a below its diagonal as it was.
     """
     n = len(a)
     size = _block_size(n)
@@ -356,15 +360,13 @@ def _factor(a: np.ndarray, diag: np.ndarray, shift: float) -> np.ndarray | None:
             return None
         if j1 == n:
             break
-        b = j1 - j0
-        np.copyto(a[j0:j1, j0:j1], low, where=np.tri(b, dtype=bool))
-        low = a[j0:j1, j0:j1]
         panel = a[j1:, j0:j1]
         for r0 in range(0, n - j1, size):  # panel L^T = A21, by rows
             rows = panel[r0:r0 + size]
             solved = rows.T.copy()
             _substitute(low, solved)
             rows[...] = solved.T
+        del low, solved  # freed before the trailing update forms its products
         for c0 in range(j1, n, size):
             c1 = min(c0 + size, n)
             rows = panel[c0 - j1:c1 - j1]
@@ -374,20 +376,6 @@ def _factor(a: np.ndarray, diag: np.ndarray, shift: float) -> np.ndarray | None:
     return pivots
 
 
-def _restore(a: np.ndarray):
-    """Copy the strict upper triangle of a onto its strict lower triangle,
-    where `_factor` left the factor of more than one block."""
-    n = len(a)
-    if n <= RANK_BLOCK:
-        return
-    size = _block_size(n)
-    for c0 in range(0, n, size):
-        c1 = min(c0 + size, n)
-        np.copyto(a[c0:c1, c0:c1], a[c0:c1, c0:c1].T,
-                  where=np.tri(c1 - c0, k=-1, dtype=bool))
-        a[c1:, c0:c1] = a[c0:c1, c1:].T
-
-
 def _first_factor(a: np.ndarray, terms: int):
     """Scale the Gram matrix in `a` in place to unit diagonal and factor it
     once, at the shift `rounding_cover` asks for; a success proves it
@@ -395,7 +383,8 @@ def _first_factor(a: np.ndarray, terms: int):
 
     `a` holds the computed Gram matrix K~ of an exact K = X^T X, formed by
     inner products of `terms` products, in both triangles; D =
-    diag(1/sqrt(K~_ii)) scales it, and the factorization destroys it.
+    diag(1/sqrt(K~_ii)) scales it, and the factorization reads and
+    overwrites its lower triangle only (`_factor`).
     Returns None when a diagonal entry is not finite or below MIN_GRAM_DIAG
     or the factorization fails, else (pivots, diag, shift, margin):
     the pivots of the factor, the scaled diagonal, the shift, and
@@ -424,9 +413,14 @@ def certify_gram(a: np.ndarray, terms: int) -> float | None:
     """A certified lower bound > 0 on the least eigenvalue of D K D, or None.
 
     The first factorization (`_first_factor`) proves D K D, and so K,
-    positive definite.  Its pivots l_i give a second shift, the first plus
-    MARGIN_STEP / sum l_i^-2, and a second factorization that succeeds
-    there raises the bound.  `a` is destroyed.  See `bivector_rank`.
+    positive definite; it reads the lower triangle of the scaled K~.  Its
+    pivots l_i give a second shift, the first plus MARGIN_STEP / sum l_i^-2,
+    and a second factorization that succeeds there raises the bound.  That
+    one factors a.T, so it reads the upper triangle, which the first left
+    untouched.  K~ is exactly symmetric (both ways of forming it give mirror
+    cells the same sum), so each triangle is the scaled K~ up to the
+    rounding of the scaling, which the bound covers for either.  `a` is
+    destroyed.  See `bivector_rank`.
     """
     first = _first_factor(a, terms)
     if first is None:
@@ -436,10 +430,8 @@ def certify_gram(a: np.ndarray, terms: int) -> float | None:
     smallest = float(pivots.min())
     ratio = smallest / pivots  # 1 / sum l_i^-2 = smallest^2 / sum ratio_i^2, with no overflow
     shift += MARGIN_STEP * smallest * smallest / float(ratio @ ratio)
-    if margin(shift) > best:
-        _restore(a)
-        if _factor(a, diag, shift) is not None:
-            best = margin(shift)
+    if margin(shift) > best and _factor(a.T, diag, shift) is not None:
+        best = margin(shift)
     return best
 
 
@@ -479,9 +471,10 @@ def bivector_rank(p: np.ndarray, grads: np.ndarray) -> tuple:
       S K S, so K, positive definite.
 
     At E = 4,800 and n = 1,602 the shift is about (2E + n) E u = 6e-9
-    (tr M~ = E).  K~ is factored once at that shift, and once more at a
-    larger one for the margin (`certify_gram`).  G G^T, of order n, is
-    factored once (`_first_factor`): its margin is not reported.
+    (tr M~ = E).  K~ is factored once at that shift, in its lower triangle,
+    and once more at a larger one for the margin, in its upper triangle
+    (`certify_gram`).  G G^T, of order n, is factored once
+    (`_first_factor`): its margin is not reported.
     While the two arrays [P; G] and K~ take at most DENSE_GRAM_BYTES, K~ is
     their product.  Above, it is accumulated from the nonzeros of P and G
     (a few dozen a row) in the memory of p, which is then destroyed.
@@ -524,9 +517,10 @@ class EtaDerivative:
 
     to d eta(da_lo, da_hi) for its edges `lo[t]` < `hi[t]`: dc and ds are C
     and S signed by the pair's orientation.  The pairs are sorted by (v, lo).
-    Edge e joins the vertices `edge_ends[e]`; `far_lo[t]`, `far_hi[t]` are
-    the ends of lo and hi other than v.  `edge_pair[t]` numbers the distinct
-    (lo, hi), and `shared[t]` says whether another pair has the same edges.
+    Edge e joins the vertices `edge_ends[e]` (`FanPairs.edge_ends`, in
+    either order); `far_lo[t]`, `far_hi[t]` are the ends of lo and hi other
+    than v.  `edge_pair[t]` numbers the distinct (lo, hi), and `shared[t]`
+    says whether another pair has the same edges.
     The sides of the triangles around fan v are rows side_start[v] ..
     side_start[v] + n_sides[v] - 1 of (`side_v`, `side_l`), sorted by (v, l);
     for side f of fan v, q[qoff[f] + k] is the partial of prefix[k] in the
@@ -548,7 +542,7 @@ class EtaDerivative:
         self.pos_b = pairs.pair_b[keep] - self.first[self.v]
         self.fan_size = self.size[self.v]
         # the other ends of the pair's edges, and the pairs of the same two edges
-        self.edge_ends = pairs.vertex[np.argsort(self.sides[:, 0], kind="stable")].reshape(n, 2)
+        self.edge_ends = pairs.edge_ends
         self.far_lo = self.edge_ends[self.lo].sum(axis=1) - self.v
         self.far_hi = self.edge_ends[self.hi].sum(axis=1) - self.v
         self.edge_pair = _unique(self.lo * n + self.hi, inverse=True)[1]

@@ -491,7 +491,12 @@ def test_tiny_sides_leave_the_rank_uncertified_without_a_warning(tmp_path, surfa
     # sides near 1e-300 give angle gradients near 1e300, whose Gram products
     # leave the float range: the report prints every row, with the rank
     # uncertified, and exits 3 with nothing on stderr.  The OpenBLAS Prescott
-    # kernel forms NaN (inf - inf) in those products where others give inf
+    # kernel forms NaN (inf - inf) in those products where others give inf.
+    # Uncertified is the right verdict, not only an overflow: each gradient
+    # of a cone angle is O(1/l), while their sum, minus the gradient of the
+    # area, is O(l), so the rows of G are dependent to rounding even when
+    # scaled by powers of two (least singular values 3.5e-16 and 7.0e-17
+    # beside ones of about 2)
     ids = ("ab", "ac", "ad", "bc", "bd", "cd")
     s = {"tetra": lambda: tetra_surface({e: 1e-300 * (1 + 0.03 * i) for i, e in enumerate(ids)}),
          "sphere3": lambda: sphere3_surface(1e-300, 1.1e-300, 1.2e-300)}[surface]()

@@ -321,9 +321,9 @@ def test_shift_covers_the_trace_term():
 
 
 def test_blocked_factor_matches_lapack(monkeypatch):
-    # several blocks: the factor below the last diagonal block and the
-    # pivots equal LAPACK's, the strict upper triangle is untouched, and
-    # _restore brings the matrix back
+    # several blocks: the panels below the diagonal blocks and the pivots
+    # equal LAPACK's factor, the diagonal blocks keep no factor, and the
+    # strict upper triangle is neither read nor written
     monkeypatch.setattr(poisson, "RANK_BLOCK", 16)
     monkeypatch.setattr(poisson, "SUBSTITUTION_LEAF", 4)
     rng = np.random.default_rng(7)
@@ -333,14 +333,42 @@ def test_blocked_factor_matches_lapack(monkeypatch):
     a, diag = m.copy(), np.diag(m).copy()
     pivots = poisson._factor(a, diag, 0.5)
     low = np.linalg.cholesky(m - 0.5 * np.eye(50))
-    assert poisson._block_size(50) == 13  # the last block starts at row 39
-    assert np.allclose(np.tril(a)[:, :39], low[:, :39], rtol=0.0, atol=1e-12)
+    assert poisson._block_size(50) == 13  # blocks start at rows 0, 13, 26 and 39
+    block = np.arange(50) // 13
+    panels = block[:, None] > block
+    assert np.allclose(a[panels], low[panels], rtol=0.0, atol=1e-12)
     assert np.allclose(pivots, np.diag(low), rtol=0.0, atol=1e-12)
+    assert np.array_equal(np.tril(a[:13, :13], -1), np.tril(m[:13, :13], -1))
     assert np.array_equal(np.triu(a, 1), np.triu(m, 1))
-    poisson._restore(a)
-    assert np.array_equal(np.tril(a, -1), np.tril(m, -1))
+    spoiled = m.copy()
+    spoiled[np.triu_indices(50, 1)] = np.nan
+    assert np.array_equal(poisson._factor(spoiled, diag, 0.5), pivots)
+    assert np.array_equal(np.tril(spoiled), np.tril(a))
     m[49, 49] = -1.0  # not positive definite: the last pivot fails
     assert poisson._factor(m.copy(), np.diag(m).copy(), 0.5) is None
+
+
+@pytest.mark.parametrize("rank_block", [1024, 32], ids=["one-block", "blocked"])
+def test_margin_factorization_reads_the_upper_triangle(monkeypatch, rank_block):
+    # the margin's factorization reads only the upper triangle of K~, which
+    # the first one left untouched: spoiling the lower triangle after the
+    # first changes no digit of the margin
+    monkeypatch.setattr(poisson, "RANK_BLOCK", rank_block)
+    s = stellar_surface(48, 1)  # 150 edges, 52 vertices
+    x = np.vstack((eta_matrix(s), angle_gradients(s)))
+    k, terms = x.T @ x, len(x)
+    want = certify_gram(k.copy(), terms)
+    first_factor, firsts = poisson._first_factor, []
+
+    def spoil_lower(a, terms):
+        first = first_factor(a, terms)
+        firsts.append(first[3](first[2]))
+        a[np.tril_indices(len(a), -1)] = np.nan
+        return first
+
+    monkeypatch.setattr(poisson, "_first_factor", spoil_lower)
+    assert certify_gram(k.copy(), terms) == want
+    assert want > firsts[0] > 0.0  # the margin is the second factorization's
 
 
 def test_blocks_are_equal_and_at_most_rank_block():
@@ -579,6 +607,38 @@ def test_jacobi_near_wall():
         s = genus1_two_cone_surface(h=hstar - dh)
         assert wall_margins(s)[1] == pytest.approx(margin, rel=0.02)
         assert jacobi_residual(s)[0] < 1e-12
+
+
+@pytest.mark.parametrize("base", [0, 1 << 61], ids=["packed", "argsort"])
+def test_sort_helpers_match_numpy_and_in_order_sums(base):
+    # keys at or above 2^(62 - bits) leave no room for the positions (an
+    # argsort, as on inputs of about 41k edges or more); below, they are
+    # packed into the low bits.  The values are multiples of 1/8 far from
+    # the float limits, so every sum is exact in any order
+    rng = np.random.default_rng(23)
+    key = base + rng.integers(0, 8, 60) * 1_000_003
+    value = rng.integers(-40, 40, 60) / 8.0
+    if base:  # both arrays take the argsort
+        assert int(key.min()) >= 1 << (62 - (key.size - 1).bit_length())
+        assert base >= 1 << (62 - (5 - 1).bit_length())
+    assert np.array_equal(poisson._unique(key.copy()), np.unique(key))
+    distinct, where = poisson._unique(key.copy(), inverse=True)
+    want, want_where = np.unique(key, return_inverse=True)
+    assert np.array_equal(distinct, want) and np.array_equal(where, want_where)
+    sums = {}
+    for k, v in zip(key.tolist(), value.tolist()):
+        sums[k] = sums.get(k, 0.0) + v
+    top = max(abs(v) for v in sums.values())
+    assert poisson._max_abs_by_key(key.copy(), value) == (
+        top, -min(k for k, v in sums.items() if abs(v) == top))
+    # a tie: the smallest key at the maximum is named
+    tie = np.array([base + 9, base + 4, base + 9, base + 7, base + 4])
+    assert poisson._max_abs_by_key(tie, np.array([1.5, -2.0, 0.5, 1.0, 0.0])) == (
+        2.0, -(base + 4))
+    # both layouts sum the values of a key in the same order
+    inexact = rng.standard_normal(60)
+    packed = poisson._sum_by_key(key - base, inexact)[1]
+    assert np.array_equal(poisson._sum_by_key(key.copy(), inexact)[1], packed)
 
 
 def test_jacobi_at_300_edges():
