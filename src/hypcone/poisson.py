@@ -31,7 +31,8 @@ fan's pairs, or a pair with a suffix of the rows reaching its fan), listed
 in the order of the triple's smallest edge (its slice), and the sweep
 evaluates whole runs, at most BLOCK_ENTRIES terms at a time unless one run
 is longer; once it has passed a slice, the terms of each of its triples are
-summed once, in term order, so the block size changes no digit.  A term that
+summed once, as `_sum_by_key` sums them: the sum depends only on the
+sequence of a triple's terms, so the block size changes no digit.  A term that
 is alone on its triple skips the sum.  No surface is rebuilt and no E^3
 array is formed.
 
@@ -57,7 +58,8 @@ WALL_GUARD = 1e-6
 # Most terms (or derivative entries) one block of the Jacobi check evaluates
 # at once: each block is whole runs adding up to at most this many, and a
 # longer run is a block of its own.  It bounds the transient memory of the
-# check and changes no digit.
+# check and changes no digit: each triple's terms are summed once, as one
+# sequence, whatever block they came in.
 BLOCK_ENTRIES = 1 << 13
 # Most rows per block of the rank certificate's Cholesky factorization: up
 # to this order it is one LAPACK call, above it blocks of equal size.
@@ -145,7 +147,12 @@ def _unique(key: np.ndarray, inverse: bool = False):
 def _sum_by_key(key: np.ndarray, value: np.ndarray) -> tuple:
     """(distinct keys in increasing order, the sum of the values of each).
 
-    Keys are >= 0; the array `key` is overwritten.
+    A key's values keep the order given (the sort is stable) and are added
+    as `np.add.reduceat` adds a segment: the first value plus numpy's
+    pairwise sum of the others, so three values come out as v0 + (v1 + v2),
+    which is not always (v0 + v1) + v2.  A sum depends only on the sequence
+    of its key's values, not on where they sit in the array.  Keys are >= 0;
+    the array `key` is overwritten.
     """
     key, order, start = _runs(key)
     return key[start], np.add.reduceat(value[order], start)
@@ -170,8 +177,9 @@ def _triple_keys(n: int, r: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple
 
 def _max_abs_by_key(key: np.ndarray, value: np.ndarray) -> tuple:
     """(max |sum of the values of a key|, -the smallest key at it) over the
-    distinct keys (>= 0), the values of each summed in the order given, or
-    (-1.0, 0) when there are none; the array `key` is overwritten."""
+    distinct keys (>= 0), each key's values summed by `_sum_by_key` (a sum
+    of the sequence of its values, not a left-to-right one), or (-1.0, 0)
+    when there are none; the array `key` is overwritten."""
     key, sums = _sum_by_key(key, value)
     if not key.size:
         return -1.0, 0
@@ -595,8 +603,9 @@ class _JacobiTerms:
     """The terms of the Jacobi sum: rows of P contracted with pair derivatives.
 
     Row r reaches fan v when P[r, l] != 0 for a side l of v; the incidences
-    (v, r[t]) are sorted by (v, r).  x[xoff[t] + k] is row r contracted with
-    the gradient of prefix[k] of fan v (k = size[v]: theta), so row r
+    t = (v, r[t]) are sorted by (v, r), and x holds size[v] + 1 entries per
+    incidence in that order.  x[xoff[t] + k] is row r contracted with the
+    gradient of prefix[k] of fan v (k = size[v]: theta), so row r
     contracted with the derivative of pair u is
 
         dc[u] (x[pos_b[u]] - x[pos_a[u]]) - ds[u] x[fan_size[u]].
@@ -622,22 +631,18 @@ class _JacobiTerms:
         v, self.r = key // n, key % n
         self.end_a, self.end_b = der.edge_ends[self.r].T
         self.at_fan = (self.end_a == v) | (self.end_b == v)
-        # x is laid out by fan size, then by row: a block then has runs of
-        # about one length and reads few rows of P
-        order = np.lexsort((self.r, der.size[v]))
-        v_o, m = v[order], der.size[v[order]]
-        self.xoff = np.empty_like(m)
-        self.xoff[order] = np.cumsum(m + 1) - (m + 1)
+        m = der.size[v]
+        self.xoff = np.cumsum(m + 1) - (m + 1)
         self.x = np.empty(int(np.sum(m + 1)))
-        at, flat = 0, p.ravel()
+        flat = p.ravel()
         for t0, t1 in _blocks(m, BLOCK_ENTRIES):
-            owner, corner = _expand(der.first[v_o[t0:t1]], m[t0:t1])
-            row = self.r[order[t0:t1]][owner] * n
+            owner, corner = _expand(der.first[v[t0:t1]], m[t0:t1])
+            row = self.r[t0:t1][owner] * n
             z = np.zeros(len(corner))
             for side in range(3):  # row r of P contracted with the corner's gradient
                 z += flat[row + der.sides[corner, side]] * der.partials[corner, side]
+            at = self.xoff[t0]
             self.x[at:at + len(z) + t1 - t0] = _running_sums(z, m[t0:t1])
-            at += len(z) + t1 - t0
         pair_key = der.v * n + der.lo
         a_start = np.searchsorted(pair_key, key, side="right")
         a_count = np.searchsorted(pair_key, (v + 1) * n) - a_start
@@ -707,7 +712,8 @@ class _JacobiTerms:
 
         The terms that share their triple wait, unsummed, until the sweep has
         passed their slice; then the terms of each triple are summed once, in
-        term order, so no digit depends on BLOCK_ENTRIES.
+        one `_sum_by_key` call, whose sum depends only on the sequence of the
+        triple's terms, so no digit depends on BLOCK_ENTRIES.
         """
         n, runs = der.n_edges, len(self.count)
         best, pending = (-1.0, 0), []

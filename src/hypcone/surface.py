@@ -11,12 +11,16 @@ Two objects keep the gluing apart from the metric.  A `Triangulation` holds
 the gluing in integer arrays: half-edge 3*t + k is side k of triangle t, and
 each half-edge records its edge index and direction.  Composing "previous
 side" with "twin" steps counterclockwise around the origin vertex of a
-half-edge, so vertices are the orbits of that map.  Its constructor is the
-one place the gluing is checked (twin pairing, connectivity, orbits, Euler
-characteristic).  A `ConeSurface` is a Triangulation plus a length array
-indexed by edge; it derives the corner angles, the triangle areas, and the
-running corner-angle sums along each vertex's germs in cyclic order, whose
-totals are the cone angles.  Every corner angle, of a surface, of a flip or
+half-edge, so vertices are the orbits of that map.  `check_gluing` is the
+one check of a gluing (twin pairing, connectivity, orbits, Euler
+characteristic), in whole-array passes; the constructor runs it and lays
+the fans out from its orbits' least half-edges, and a Delaunay report runs
+it on the flipped side arrays, building no second surface.  A `ConeSurface`
+is a Triangulation plus a length array indexed by edge, checked by
+`check_lengths` (the report's other check of its flip state); it derives
+the corner angles, the triangle areas, and the running corner-angle sums
+along each vertex's germs in cyclic order, whose totals are the cone
+angles.  Every corner angle, of a surface, of a flip or
 of `corner_angle`, comes from one kernel on arrays, `half_angle`: the
 hyperbolic law of cosines in half-angle form, which forms no sinh, so it
 neither overflows nor loses a thin angle.  Changing lengths reuses the
@@ -262,6 +266,103 @@ def _frozen(a) -> np.ndarray:
     return a
 
 
+def _least_in_orbits(step: np.ndarray) -> np.ndarray:
+    """The least element of each element's cycle under the permutation
+    `step`, by doubling: entry i holds the least of i, step(i),
+    step(step(i)), ..., over a window that doubles with every pass, and a
+    pass that changes nothing leaves the entries constant along every
+    cycle, so each is its cycle's least."""
+    least = np.minimum(np.arange(len(step)), step)
+    jump = step[step]
+    while True:
+        new = np.minimum(least, least[jump])
+        if np.array_equal(new, least):
+            return least
+        least, jump = new, jump[jump]
+
+
+def check_gluing(edge_ids, he_edge, he_dir) -> tuple:
+    """Check a gluing given as side arrays, in whole-array passes.
+
+    Half-edge 3t + k runs along edge `he_edge[3t + k]` (an index into
+    `edge_ids`), forward where `he_dir` is 0.  Refused in this order:
+    an edge that does not occur exactly once in each direction
+    (NonManifold, the first such edge), triangles not glued to triangle 0
+    (Disconnected), then an odd Euler characteristic or one above 2
+    (NonManifold).  Returns (halves, twin, least): the (forward, backward)
+    half-edges of each edge, the other half-edge of each half-edge's edge,
+    and the least half-edge of each half-edge's vertex orbit.
+
+    Connectivity is min-label propagation with pointer jumping.  Labels are
+    triangles; a pass gives each triangle the least label among its own and
+    those across its sides, gives each label the least of those its holders
+    got, then replaces each label by its own label.  Triangle t always holds
+    a label <= t of its component, so a pass that changes nothing leaves
+    every triangle labelled by the least triangle of its component.  The
+    vertices are the orbits of sigma(h) = twin(prv(h)), the next germ
+    counterclockwise about h's origin; twin is an involution without fixed
+    points, so sigma is a permutation, and each orbit is counted at its
+    least half-edge, found by doubling.
+    """
+    he_edge = np.asarray(he_edge, dtype=np.intp)
+    he_dir = np.asarray(he_dir, dtype=np.intp)
+    n_edges, nh = len(edge_ids), len(he_edge)
+    nt = nh // 3
+
+    # twin pairing: each edge once forward, once backward
+    count = np.bincount(2 * he_edge + he_dir, minlength=2 * n_edges).reshape(-1, 2)
+    bad = np.flatnonzero(np.any(count != 1, axis=1))
+    if bad.size:
+        i = int(bad[0])
+        dirs = ["+-"[d] for d in he_dir[he_edge == i].tolist()]
+        raise NonManifold(
+            f"edge {edge_ids[i]!r} appears with directions {dirs}; "
+            "need exactly one '+' and one '-'")
+    halves = np.empty(2 * n_edges, dtype=np.intp)
+    halves[2 * he_edge + he_dir] = np.arange(nh)
+    halves = halves.reshape(n_edges, 2)
+    twin = halves[he_edge, 1 - he_dir]
+
+    # connectivity of the gluing
+    a0, a1, a2 = (twin // 3).reshape(nt, 3).T
+    label = np.arange(nt)
+    while True:
+        new = np.minimum(np.minimum(label, label[a0]), np.minimum(label[a1], label[a2]))
+        np.minimum.at(new, label, new)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    if label.any():
+        raise Disconnected(
+            f"triangles {np.flatnonzero(label).tolist()} are not glued to triangle 0")
+
+    least = _least_in_orbits(twin[prv(np.arange(nh))])
+    euler = int(np.count_nonzero(least == np.arange(nh))) - n_edges + nt
+    if euler % 2:
+        raise NonManifold(f"Euler characteristic {euler} is odd")
+    if euler > 2:
+        raise NonManifold(f"Euler characteristic {euler} exceeds 2")
+    return halves, twin, least
+
+
+def _ranks_in_orbits(step: np.ndarray, least: np.ndarray) -> np.ndarray:
+    """For each element i, the number of applications of the permutation
+    `step` that take `least[i]`, the least element of i's cycle, to i: list
+    ranking by pointer jumping along the inverse permutation, each cycle cut
+    at its least element."""
+    h = np.arange(len(step))
+    root = least == h
+    back = np.empty_like(step)
+    back[step] = h
+    back[root] = h[root]
+    rank = (~root).astype(np.intp)
+    while not np.array_equal(back, least):
+        rank += rank[back]
+        back = back[back]
+    return rank
+
+
 class Triangulation:
     """The gluing of a surface in integer arrays, checked once, immutable.
 
@@ -270,80 +371,45 @@ class Triangulation:
     `he_dir[h]` is 0 and backward when it is 1.  `halves[i]` holds the
     (forward, backward) half-edges of edge i and `twin[h]` the other
     half-edge of h's edge.  `vertex_of[h]` is the vertex h leaves, and
-    `vertex_germs[v]` lists the half-edges leaving v counterclockwise; the
-    lists are concatenated in `fan_order`, `fan_size[v]` germs per vertex.
-    Vertices are numbered in order of their smallest half-edge.
+    `vertex_germs[v]` lists the half-edges leaving v counterclockwise, from
+    its least; the lists are concatenated in `fan_order`, `fan_size[v]`
+    germs per vertex.  Vertices are numbered in order of their least
+    half-edge.  `check_gluing` checks the arrays; the fans are laid out from
+    the least half-edges it finds, all in array passes.
     """
 
     def __init__(self, edge_ids, he_edge, he_dir):
-        n_edges = len(edge_ids)
         he_edge = np.array(he_edge, dtype=np.intp)
         he_dir = np.array(he_dir, dtype=np.intp)
-        nh, nt = len(he_edge), len(he_edge) // 3
+        halves, twin, least = check_gluing(edge_ids, he_edge, he_dir)
+        n_edges, nh = len(edge_ids), len(he_edge)
 
-        # twin pairing: each edge once forward, once backward
-        count = np.bincount(2 * he_edge + he_dir, minlength=2 * n_edges).reshape(-1, 2)
-        bad = np.flatnonzero(np.any(count != 1, axis=1))
-        if bad.size:
-            i = int(bad[0])
-            dirs = ["+-"[d] for d in he_dir[he_edge == i].tolist()]
-            raise NonManifold(
-                f"edge {edge_ids[i]!r} appears with directions {dirs}; "
-                "need exactly one '+' and one '-'")
-        halves = np.empty(2 * n_edges, dtype=np.intp)
-        halves[2 * he_edge + he_dir] = np.arange(nh)
-        halves = halves.reshape(n_edges, 2)
-        twin = halves[he_edge, 1 - he_dir]
-
-        # connectivity of the gluing
-        across = (twin // 3).tolist()
-        reached = {0}
-        stack = [0]
-        while stack:
-            t = stack.pop()
-            for t2 in across[3 * t:3 * t + 3]:
-                if t2 not in reached:
-                    reached.add(t2)
-                    stack.append(t2)
-        if len(reached) != nt:
-            raise Disconnected(
-                f"triangles {sorted(set(range(nt)) - reached)} are not glued "
-                "to triangle 0")
-
-        # vertex orbits of "counterclockwise next germ" = twin of previous side;
-        # twin is an involution without fixed points, so sigma is a permutation
-        # and every walk closes where it started
-        sigma = twin[prv(np.arange(nh))].tolist()
-        vertex_of = [-1] * nh
-        orbits = []
-        for h in range(nh):
-            if vertex_of[h] >= 0:
-                continue
-            orbit = []
-            g = h
-            while vertex_of[g] < 0:
-                vertex_of[g] = len(orbits)
-                orbit.append(g)
-                g = sigma[g]
-            orbits.append(tuple(orbit))
-
-        euler = len(orbits) - n_edges + nt
-        if euler % 2:
-            raise NonManifold(f"Euler characteristic {euler} is odd")
-        if euler > 2:
-            raise NonManifold(f"Euler characteristic {euler} exceeds 2")
+        # a vertex per orbit, numbered by its least half-edge; each germ sits
+        # in its fan as many steps of sigma after the least as its rank
+        root = least == np.arange(nh)
+        vertex_of = (np.cumsum(root) - 1)[least]
+        fan_size = np.bincount(vertex_of)
+        start = np.cumsum(fan_size) - fan_size
+        fan_order = np.empty(nh, dtype=np.intp)
+        fan_order[start[vertex_of] + _ranks_in_orbits(twin[prv(np.arange(nh))], least)] = \
+            np.arange(nh)
 
         self.edge_ids = tuple(edge_ids)
         self.edge_index = {e: i for i, e in enumerate(self.edge_ids)}
-        self.n_edges, self.n_half, self.n_triangles = n_edges, nh, nt
-        self.n_vertices = len(orbits)
-        self.genus = (2 - euler) // 2
+        self.n_edges, self.n_half, self.n_triangles = n_edges, nh, nh // 3
+        self.n_vertices = len(fan_size)
+        self.genus = (2 - (self.n_vertices - n_edges + self.n_triangles)) // 2
         self.he_edge, self.he_dir = _frozen(he_edge), _frozen(he_dir)
         self.halves, self.twin = _frozen(halves), _frozen(twin)
-        self.vertex_of = _frozen(np.array(vertex_of, dtype=np.intp))
-        self.vertex_germs = tuple(orbits)
-        self.fan_order = _frozen(np.fromiter(chain.from_iterable(orbits), np.intp, nh))
-        self.fan_size = _frozen(np.array([len(o) for o in orbits], dtype=np.intp))
+        self.vertex_of = _frozen(vertex_of)
+        self.fan_order = _frozen(fan_order)
+        self.fan_size = _frozen(fan_size)
+
+    @cached_property
+    def vertex_germs(self) -> tuple:
+        """The germs of each vertex, counterclockwise from its least half-edge."""
+        fans = np.split(self.fan_order, np.cumsum(self.fan_size)[:-1])
+        return tuple(tuple(fan.tolist()) for fan in fans)
 
     @cached_property
     def triangles(self) -> tuple:
@@ -473,6 +539,38 @@ def _refuse(data):
     raise ValueError("surface needs at least one triangle")
 
 
+def check_lengths(edge_ids, he_edge, length) -> tuple:
+    """(lengths, sides): the edge lengths of a gluing as a float array in
+    edge order, and each triangle's side lengths, shape (triangles, 3).
+
+    Refused in this order: a count other than one per edge
+    (DimensionMismatch), a length that is not a positive real
+    (NonPositiveLength, the first in edge order), then a triangle that fails
+    a strict triangle inequality (TriangleInequality, the first triangle,
+    named with its edge ids and lengths).  A sum past the float range reads
+    inf, as on floats.
+    """
+    length = np.array(length, dtype=float)
+    if length.shape != (len(edge_ids),):
+        raise DimensionMismatch(f"expected {len(edge_ids)} lengths")
+    bad = np.flatnonzero(~(np.isfinite(length) & (length > 0.0)))
+    if bad.size:
+        i = int(bad[0])
+        raise NonPositiveLength(f"edge {edge_ids[i]!r} has length {length[i]}")
+    edges = np.asarray(he_edge, dtype=np.intp).reshape(-1, 3)
+    sides = length[edges]
+    la, lb, lc = sides.T
+    with np.errstate(over="ignore"):
+        bad = np.flatnonzero((la + lb <= lc) | (lb + lc <= la) | (lc + la <= lb))
+    if bad.size:
+        t = int(bad[0])
+        ids = tuple(edge_ids[e] for e in edges[t].tolist())
+        la, lb, lc = sides[t].tolist()
+        raise TriangleInequality(f"triangle {t} with edges {ids} and lengths ({la}, {lb}, "
+                                 f"{lc}) violates the strict triangle inequalities")
+    return length, sides
+
+
 class ConeSurface(Triangulation):
     """A Triangulation with one length per edge, and the angles they give.
 
@@ -481,9 +579,10 @@ class ConeSurface(Triangulation):
     (edge id, "+" or "-"), read by the one pass of the wire form.  With a
     Triangulation (or a surface) as `triangles`, `edges` is the length array
     in edge order; the surface shares that gluing, kept as `triangulation`,
-    and checks only the lengths.  `length[i]` is the length of edge i,
-    `angle[h]` the corner angle at the origin of half-edge h, and
-    `cone_angle[v]` the angle sum at vertex v; all are read-only arrays.
+    and checks only the lengths (`check_lengths`).  `length[i]` is the
+    length of edge i, `angle[h]` the corner angle at the origin of
+    half-edge h, and `cone_angle[v]` the angle sum at vertex v; all are
+    read-only arrays.
     The angles come from one `half_angle` call on every corner, which
     refuses a corner below the normal float range naming its sides; the
     private keyword `_angle` hands them over instead, from a caller that
@@ -499,25 +598,8 @@ class ConeSurface(Triangulation):
         # no Triangulation.__init__: share the arrays of a gluing checked already
         self.triangulation = getattr(triangles, "triangulation", triangles)
         vars(self).update(vars(self.triangulation))
-        length = np.array(edges, dtype=float)
-        if length.shape != (self.n_edges,):
-            raise DimensionMismatch(f"expected {self.n_edges} lengths")
-        bad = np.flatnonzero(~(np.isfinite(length) & (length > 0.0)))
-        if bad.size:
-            i = int(bad[0])
-            raise NonPositiveLength(f"edge {self.edge_ids[i]!r} has length {length[i]}")
-
-        # triangle inequalities, naming the offender; here and in the corner
-        # sums a sum past the float range reads inf, as on floats
+        length, sides = check_lengths(self.edge_ids, self.he_edge, edges)
         self.length = _frozen(length)
-        sides = length[self.he_edge].reshape(-1, 3)
-        la, lb, lc = sides.T
-        with np.errstate(over="ignore"):
-            bad = np.flatnonzero((la + lb <= lc) | (lb + lc <= la) | (lc + la <= lb))
-        if bad.size:
-            raise TriangleInequality(
-                f"{self._named(int(bad[0]))} violates the strict triangle inequalities")
-
         if _angle is None:
             # corner k of triangle t sits at the origin of half-edge 3t + k
             with np.errstate(over="ignore"):
@@ -532,13 +614,6 @@ class ConeSurface(Triangulation):
         self.triangle_areas = _frozen(math.pi - (corners[:, 0] + corners[:, 1] + corners[:, 2]))
         self.fan_sums = _frozen(_running_sums(self.angle[self.fan_order], self.fan_size))
         self.cone_angle = _frozen(self.fan_sums[np.cumsum(self.fan_size + 1) - 1])
-
-    def _named(self, t: int) -> str:
-        """Triangle t with its edge ids and lengths, for an error message."""
-        edges = self.he_edge[3 * t:3 * t + 3]
-        ids = tuple(self.edge_ids[e] for e in edges.tolist())
-        la, lb, lc = self.length[edges].tolist()
-        return f"triangle {t} with edges {ids} and lengths ({la}, {lb}, {lc})"
 
     @property
     def lengths(self) -> MappingProxyType:

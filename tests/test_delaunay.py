@@ -32,10 +32,14 @@ from hypcone import (
     normalizing_isometry,
 )
 import hypcone.delaunay as delaunay_mod
-from hypcone.delaunay import PSI_TOL, flip_length_jacobian, move_log_lines
+from hypcone.cli import main
+from hypcone.delaunay import PSI_TOL, flip_length_jacobian, flip_to_delaunay, move_log_lines
 from hypcone.sl2 import hyp_direction
-from hypcone.surface import Triangulation, nxt, prv
+from hypcone.surface import Triangulation, fmt17, nxt, parse_surface, prv, serialize_surface
 from hypcone.errors import (
+    Disconnected,
+    NonManifold,
+    NonPositiveLength,
     NonTermination,
     TriangleInequality,
     UnflippableConfiguration,
@@ -361,6 +365,127 @@ def test_make_delaunay_flip_limit(monkeypatch):
         make_delaunay(s)
     assert str(info.value) == (f"still not Delaunay after {len(moves) - 1} flips; "
                                f"last edge {moves[-2].edge!r}")
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_flip_loop_refuses_a_tol_that_is_not_finite_and_nonnegative(monkeypatch, tol):
+    # refused before any flip: with MAX_FLIPS this small, a loop that ran on
+    # with tol = -1 would end in NonTermination, not in the ValueError
+    monkeypatch.setattr(delaunay_mod, "MAX_FLIPS", 3)
+    s = torus_surface(1.0, 1.0, 1.9)
+    message = f"tol must be a finite number >= 0, not {tol!r}"
+    for run in (make_delaunay, flip_to_delaunay):
+        with pytest.raises(ValueError) as info:
+            run(s, tol=tol)
+        assert str(info.value) == message
+    final, moves = make_delaunay(s, tol=0.0)
+    assert [m.edge for m in moves] == ["z"] and min(edge_invariants(final).values()) >= 0.0
+
+
+def report(capsys, tmp_path, s, fmt):
+    path = tmp_path / "in.json"
+    path.write_text(serialize_surface(s))
+    code = main(["delaunay", "--input", str(path), "--format", fmt])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return code, captured.out
+
+
+def surface_rows(s):
+    """The delaunay report's rows as (key, value text), read off the surface
+    make_delaunay returns for the document of s."""
+    final, moves = make_delaunay(parse_surface(serialize_surface(s)))
+    psi = edge_invariants(final)
+    at = min(final.edge_ids, key=psi.get)
+    return ([("flips", str(len(moves)))]
+            + [(f"move.{i}", line) for i, line in enumerate(move_log_lines(moves))]
+            + [(f"psi.{e}", fmt17(psi[e])) for e in final.edge_ids]
+            + [("psi_min", fmt17(psi[at])), ("psi_min_at", at)]
+            + [(f"length.{e}", fmt17(x)) for e, x in zip(final.edge_ids, final.length.tolist())])
+
+
+def test_report_rows_match_the_built_surface(capsys, tmp_path, corpus):
+    # the report reads its rows off the flip state; they must be the rows of
+    # the surface make_delaunay builds, in both formats
+    surfaces = (corpus + seeded_delaunay_inputs() + [scrambled_stellar_surface(98, 1)]
+                + [tetra_surface(), torus_surface(1.3, 1.3, 1.3)])  # no flip, a tie
+    flipped = 0
+    for s in surfaces:
+        rows = surface_rows(s)
+        for fmt, sep in (("text", ": "), ("structured", "=")):
+            assert report(capsys, tmp_path, s, fmt) == (
+                0, "".join(f"{key}{sep}{value}\n" for key, value in rows))
+        flipped += rows[0][1] != "0"
+    assert flipped >= 7
+    # the equilateral torus ties every edge: the first id is the worst
+    assert ("psi_min_at", "x") in surface_rows(torus_surface(1.3, 1.3, 1.3))
+
+
+def test_report_builds_only_the_input_surface(monkeypatch, capsys, tmp_path):
+    s = scrambled_stellar_surface(48, 1)  # 150 edges
+    surfaces = count_constructions(monkeypatch, ConeSurface)
+    gluings = count_constructions(monkeypatch, Triangulation)
+    code, out = report(capsys, tmp_path, s, "structured")
+    assert code == 0 and not out.startswith("flips=0\n")
+    assert len(surfaces) == len(gluings) == 1
+    assert surfaces[0].triangulation is gluings[0]
+
+
+def swap_two_half_edges(state):
+    """Two half-edges of opposite directions trade edges: each of the two
+    edges then occurs twice in one direction."""
+    i, j = state.edge_index["e10"], state.edge_index["e20"]
+    hf, hb = state.halves[i][0], state.halves[j][1]
+    state.he_edge[hf], state.he_edge[hb] = j, i
+
+
+def cut_off_two_triangles(state, t=5, u=40):
+    """Triangles t and u glued only to each other, the old neighbours of t
+    glued to those of u in their place: the pair is cut off the rest."""
+    own = [(state.he_edge[h], state.he_dir[h]) for h in range(3 * t, 3 * t + 3)]
+    other = [(state.he_edge[h], state.he_dir[h]) for h in range(3 * u, 3 * u + 3)]
+    assert not {e for e, _ in own} & {e for e, _ in other}
+    twins = [state.halves[e][1 - d] for e, d in own]
+    for (e, d), h in zip(own, range(3 * u + 2, 3 * u - 1, -1)):
+        state.he_edge[h], state.he_dir[h] = e, 1 - d
+    for (f, d), g in zip(other, twins):
+        state.he_edge[g], state.he_dir[g] = f, d
+
+
+def stretch_a_side(state):
+    state.length[state.edge_index["e10"]] = 10.0
+
+
+def make_a_length_nan(state):
+    state.length[state.edge_index["e20"]] = math.nan
+
+
+@pytest.mark.parametrize("corrupt, error", [
+    (swap_two_half_edges, NonManifold), (cut_off_two_triangles, Disconnected),
+    (stretch_a_side, TriangleInequality), (make_a_length_nan, NonPositiveLength)])
+def test_state_check_refuses_as_the_constructor(monkeypatch, capsys, tmp_path, corrupt, error):
+    s = scrambled_stellar_surface(48, 1)  # 150 edges
+    state = flip_to_delaunay(s)[0]
+    state.check()
+    corrupt(state)
+    with pytest.raises(error) as built:
+        state.surface()
+    with pytest.raises(error) as checked:
+        state.check()
+    assert str(checked.value) == str(built.value)
+    # the report runs the check on its flip state, and ends in that refusal
+    flips = delaunay_mod.flip_to_delaunay
+
+    def corrupted_flips(*args, **kwargs):
+        state, psi, moves = flips(*args, **kwargs)
+        corrupt(state)
+        return state, psi, moves
+
+    monkeypatch.setattr(delaunay_mod, "flip_to_delaunay", corrupted_flips)
+    path = tmp_path / "in.json"
+    path.write_text(serialize_surface(s))
+    assert main(["delaunay", "--input", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error[{error.__name__}]: {built.value}\n")
 
 
 def full_flip_length_jacobian(s, e, rel_step=1e-6):

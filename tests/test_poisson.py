@@ -639,6 +639,14 @@ def test_sort_helpers_match_numpy_and_in_order_sums(base):
     inexact = rng.standard_normal(60)
     packed = poisson._sum_by_key(key - base, inexact)[1]
     assert np.array_equal(poisson._sum_by_key(key.copy(), inexact)[1], packed)
+    # as np.add.reduceat adds a segment: the first value plus the pairwise
+    # sum of the rest, not left to right, wherever the values sit
+    v = rng.standard_normal((2000, 3)) * 10.0 ** rng.integers(-3, 4, size=(2000, 3))
+    triples = base + np.repeat(np.arange(1, 2001), 3)
+    shifted = poisson._sum_by_key(np.append(base, triples), np.append(1.0, v.ravel()))[1]
+    sums = poisson._sum_by_key(triples, v.ravel())[1]
+    assert sums.tolist() == (v[:, 0] + (v[:, 1] + v[:, 2])).tolist() == shifted[1:].tolist()
+    assert sums.tolist() != ((v[:, 0] + v[:, 1]) + v[:, 2]).tolist()
 
 
 def test_jacobi_at_300_edges():

@@ -4,6 +4,7 @@ import math
 import random
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -713,6 +714,121 @@ def test_gluing_is_checked_once(monkeypatch):
     with pytest.raises(NonPositiveLength):
         s.with_length_vector([1.0, -1.3, 1.7])
     assert len(built) == 1
+
+
+def walked_gluing(edge_ids, he_edge, he_dir):
+    """The gluing checks and fan layout as Python walks over the triangles
+    and half-edges: the reference for `check_gluing` and the Triangulation
+    layout.  Returns (halves, twin, vertex_of, fan_order, fan_size) as
+    lists, or raises the refusal of the first fault."""
+    n_edges = len(edge_ids)
+    he_edge, he_dir = np.array(he_edge, dtype=np.intp), np.array(he_dir, dtype=np.intp)
+    nh, nt = len(he_edge), len(he_edge) // 3
+    count = np.bincount(2 * he_edge + he_dir, minlength=2 * n_edges).reshape(-1, 2)
+    bad = np.flatnonzero(np.any(count != 1, axis=1))
+    if bad.size:
+        i = int(bad[0])
+        dirs = ["+-"[d] for d in he_dir[he_edge == i].tolist()]
+        raise NonManifold(f"edge {edge_ids[i]!r} appears with directions {dirs}; "
+                          "need exactly one '+' and one '-'")
+    halves = np.empty(2 * n_edges, dtype=np.intp)
+    halves[2 * he_edge + he_dir] = np.arange(nh)
+    halves = halves.reshape(n_edges, 2)
+    twin = halves[he_edge, 1 - he_dir]
+    across = (twin // 3).tolist()
+    reached, stack = {0}, [0]
+    while stack:
+        t = stack.pop()
+        for t2 in across[3 * t:3 * t + 3]:
+            if t2 not in reached:
+                reached.add(t2)
+                stack.append(t2)
+    if len(reached) != nt:
+        raise Disconnected(f"triangles {sorted(set(range(nt)) - reached)} are not glued "
+                           "to triangle 0")
+    sigma = twin[prv(np.arange(nh))].tolist()
+    vertex_of, orbits = [-1] * nh, []
+    for h in range(nh):
+        if vertex_of[h] >= 0:
+            continue
+        orbit, g = [], h
+        while vertex_of[g] < 0:
+            vertex_of[g] = len(orbits)
+            orbit.append(g)
+            g = sigma[g]
+        orbits.append(orbit)
+    euler = len(orbits) - n_edges + nt
+    if euler % 2:
+        raise NonManifold(f"Euler characteristic {euler} is odd")
+    if euler > 2:
+        raise NonManifold(f"Euler characteristic {euler} exceeds 2")
+    return (halves.tolist(), twin.tolist(), vertex_of, [g for o in orbits for g in o],
+            [len(o) for o in orbits])
+
+
+def random_gluings(seed, count):
+    """(edge ids, he_edge, he_dir) of seeded random gluings of 2 to 24
+    triangles: one to three parts of an even number of triangles, the sides
+    of each part paired at random and the triangles then shuffled; each
+    gluing is left as it is, or gets one direction flipped, or one side
+    moved to another edge."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        parts = [2 * rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+        nt = sum(parts)
+        n_edges = 3 * nt // 2
+        order = list(range(nt))
+        rng.shuffle(order)
+        slots, at = [], 0
+        for size in parts:
+            part = [3 * t + k for t in order[at:at + size] for k in range(3)]
+            rng.shuffle(part)
+            slots += part
+            at += size
+        he_edge, he_dir = [0] * (3 * nt), [0] * (3 * nt)
+        for k, h in enumerate(slots):
+            he_edge[h], he_dir[h] = k // 2, k % 2
+        kind = rng.randrange(3)
+        if kind == 1:
+            he_dir[rng.randrange(3 * nt)] ^= 1
+        elif kind == 2:
+            he_edge[rng.randrange(3 * nt)] = rng.randrange(n_edges)
+        yield [f"e{i:02d}" for i in range(n_edges)], he_edge, he_dir
+
+
+def test_array_gluing_check_matches_the_walk(corpus):
+    # valid gluings: the arrays of the walk, bit for bit; vertex_germs is
+    # derived from them on first use
+    surfaces = corpus + [stellar_surface(k, seed=1, start=start)
+                         for k in (0, 48, 398) for start in ("tet", "tor")]
+    for s in surfaces:
+        sides = (s.edge_ids, s.he_edge.tolist(), s.he_dir.tolist())
+        t = Triangulation(*sides)
+        halves, twin, vertex_of, fan_order, fan_size = walked_gluing(*sides)
+        assert t.halves.tolist() == halves and t.twin.tolist() == twin
+        assert t.vertex_of.tolist() == vertex_of
+        assert t.fan_order.tolist() == fan_order and t.fan_size.tolist() == fan_size
+        assert [g for germs in t.vertex_germs for g in germs] == fan_order
+        assert t.vertex_of.dtype == t.fan_order.dtype == t.fan_size.dtype == np.intp
+    # seeded random gluings, most of them malformed: the same refusal
+    outcomes = Counter()
+    for edge_ids, he_edge, he_dir in random_gluings("gluings", 600):
+        try:
+            want = walked_gluing(edge_ids, he_edge, he_dir)
+        except HypconeError as err:
+            with pytest.raises(type(err)) as got:
+                Triangulation(edge_ids, he_edge, he_dir)
+            assert str(got.value) == str(err)
+            with pytest.raises(type(err)) as got:
+                surface_mod.check_gluing(edge_ids, he_edge, he_dir)
+            assert str(got.value) == str(err)
+            outcomes[type(err).__name__] += 1
+            continue
+        t = Triangulation(edge_ids, he_edge, he_dir)
+        assert (t.halves.tolist(), t.twin.tolist(), t.vertex_of.tolist(),
+                t.fan_order.tolist(), t.fan_size.tolist()) == want
+        outcomes["valid"] += 1
+    assert min(outcomes[k] for k in ("valid", "NonManifold", "Disconnected")) >= 50, outcomes
 
 
 def test_triangulation_arrays(skew_tetra):
