@@ -240,18 +240,17 @@ def cmd_holonomy(args, out: Emitter, tols) -> int:
 
 def cmd_delaunay(args, out: Emitter, tols) -> int:
     s = _load_surface(args.input)
-    state, psi, moves = delaunay_mod.flip_to_delaunay(s, tol=tols["psi"])
-    if moves:  # the checks of the surface make_delaunay would build, on the state
-        state.check()
+    result, moves = delaunay_mod.make_delaunay(s, tol=tols["psi"])
     out.put("flips", len(moves))
     out.rows(["move.%s"], range(len(moves)), delaunay_mod.move_log_lines(moves))
-    out.rows(["psi.%s"], s.edge_ids, psi)
-    # the worst edge, the first one in report order on ties
-    at = min(range(s.n_edges), key=psi.__getitem__)
-    out.put("psi_min", psi[at])
-    out.put("psi_min_at", s.edge_ids[at])
-    out.rows(["length.%s"], s.edge_ids, state.length)
-    return 0 if psi[at] >= -tols["psi"] else 3
+    psi = delaunay_mod.edge_invariants(result)
+    out.rows(["psi.%s"], result.edge_ids, map(psi.__getitem__, result.edge_ids))
+    psi_min_at = min(result.edge_ids, key=psi.get)
+    psi_min = psi[psi_min_at]
+    out.put("psi_min", psi_min)
+    out.put("psi_min_at", psi_min_at)
+    out.rows(["length.%s"], result.edge_ids, result.length)
+    return 0 if psi_min >= -tols["psi"] else 3
 
 
 def cmd_selftest(args, out: Emitter, tols) -> int:

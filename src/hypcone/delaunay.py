@@ -19,14 +19,12 @@ invariant and the flip length read a surface and a state alike.  A flip
 rewires the two triangles in their slots, recomputes their six corner
 angles, and re-keys the at most five edges of the quadrilateral in a heap of
 (psi0, edge index), so a flip costs O(log E) instead of a rebuild of the
-surface and a rescan of every edge.  `flip_to_delaunay` runs that loop and
-keeps every edge's psi0.  `make_delaunay` returns the final surface: the
-integer side arrays go straight to one `Triangulation`, which checks the
-gluing once, and the state's corner angles become the surface's without a
-second pass.  The `delaunay` report builds no surface after the flips: it
-runs the loop, checks the final state as that build would
-(`FlipState.check`: `check_gluing` and `check_lengths`), and prints psi0
-and the lengths from the state.
+surface and a rescan of every edge.  The integer side arrays go straight to
+one `Triangulation` at the end, which checks the gluing once, and the
+state's corner angles become the final surface's without a second pass.
+That surface runs every check of a surface build but sums its fans only on
+first use, so the `delaunay` report, which reads psi0 and the lengths off
+it, pays for the checks and not for cone angles it never prints.
 """
 
 from __future__ import annotations
@@ -38,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonTermination, NumericalCollapse, UnflippableConfiguration
-from .surface import (ConeSurface, Triangulation, check_corner, check_gluing, check_lengths,
-                      corner_sums, fmt17, half_angle, nxt, prv)
+from .surface import (ConeSurface, Triangulation, check_corner, corner_sums, fmt17, half_angle,
+                      nxt, prv)
 
 # An edge counts as non-Delaunay only below -PSI_TOL, so floating-point
 # zeros do not trigger flip loops.
@@ -141,8 +139,7 @@ class FlipState:
     its (forward, backward) pairs `halves` and its `length` and `angle`
     arrays, under the same names, so `flip_new_length` and `edge_invariant`
     read either object the same way.  Twins, vertex orbits and fans are not
-    kept; `check()` checks the state as a surface build would, and
-    `surface()` builds that surface.
+    kept; `surface()` builds and checks them.
     """
 
     def __init__(self, s: ConeSurface):
@@ -188,13 +185,6 @@ class FlipState:
         """Half-edges of the two triangles a flip rewired."""
         return tuple(3 * t + k for t in (move.tri_plus, move.tri_minus) for k in range(3))
 
-    def check(self):
-        """Refuse the state as `surface()` would, building nothing: the
-        gluing by `check_gluing`, then the lengths by `check_lengths`, each
-        with the error the surface constructor raises."""
-        check_gluing(self.edge_ids, self.he_edge, self.he_dir)
-        check_lengths(self.edge_ids, self.he_edge, self.length)
-
     def surface(self) -> ConeSurface:
         """The current triangulation as a fully checked surface.
 
@@ -217,19 +207,17 @@ def flip(s: ConeSurface, e: str):
     return state.surface(), move
 
 
-def flip_to_delaunay(s: ConeSurface, tol: float = PSI_TOL) -> tuple:
+def make_delaunay(s: ConeSurface, tol: float = PSI_TOL):
     """Flip the most negative edge (ties by id) until all psi0 >= -tol.
 
-    The flips run on a `FlipState` of s.  The worst edge comes from a heap
-    of (psi0, edge index) with lazy invalidation: an entry counts only while
-    its psi0 is the edge's current one.  Edge indices follow the sorted ids,
-    so ties go to the smallest id.  After a flip only the five edges of the
-    rewired quadrilateral are re-keyed; no other edge's opposite angles
-    change, so `psi` stays each edge's psi0, bit for bit what
-    `edge_invariants` gives on the final surface.  At most MAX_FLIPS flips
-    are made.  A tol that is not a finite number >= 0 is refused with
-    ValueError.  Returns (state, psi, moves): the final state, its psi0 in
-    edge order and the list of FlipMove.
+    The worst edge comes from a heap of (psi0, edge index) with lazy
+    invalidation: an entry counts only while its psi0 is the edge's current
+    one.  Edge indices follow the sorted ids, so ties go to the smallest id.
+    After a flip only the edges of the rewired quadrilateral are re-keyed.
+    At most MAX_FLIPS flips are made.  A tol that is not a finite number
+    >= 0 is refused with ValueError.  Returns (final surface, list of
+    FlipMove); the final surface is built once, after the last flip, and is
+    `s` itself when no edge needed a flip.
     """
     # NaN fails every comparison, so it is refused with the infinities
     if not 0.0 <= tol < math.inf:
@@ -252,14 +240,6 @@ def flip_to_delaunay(s: ConeSurface, tol: float = PSI_TOL) -> tuple:
             psi[f] = edge_invariant(state, s.edge_ids[f])
             if psi[f] < -tol:
                 heapq.heappush(heap, (psi[f], f))
-    return state, psi, moves
-
-
-def make_delaunay(s: ConeSurface, tol: float = PSI_TOL):
-    """`flip_to_delaunay` and the surface it ends in.  Returns (final
-    surface, list of FlipMove); the final surface is built and checked once,
-    after the last flip, and is `s` itself when no edge needed a flip."""
-    state, _, moves = flip_to_delaunay(s, tol)
     return (state.surface() if moves else s), moves
 
 

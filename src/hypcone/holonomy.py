@@ -91,7 +91,8 @@ class HolonomyAtlas:
     * The walks run on plain floats.  Row g of the (n_half, 4) array
       `prefix` holds the entries (a, b, c, d) of the product [[a, b], [c, d]]
       that maps the chart of tri(g) into the chart of the triangle of its
-      vertex's base germ (`surface.vertex_germs[v][0]`).
+      vertex's base germ, its least half-edge (first of v's germs in
+      `surface.fan_order`).
     * `loops[v]`, a 4-tuple in the same order, is the loop holonomy M_v in
       that base chart, and `vertex_matrix[v]` the same element as an
       Sl2Matrix.

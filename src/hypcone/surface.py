@@ -11,15 +11,14 @@ Two objects keep the gluing apart from the metric.  A `Triangulation` holds
 the gluing in integer arrays: half-edge 3*t + k is side k of triangle t, and
 each half-edge records its edge index and direction.  Composing "previous
 side" with "twin" steps counterclockwise around the origin vertex of a
-half-edge, so vertices are the orbits of that map.  `check_gluing` is the
-one check of a gluing (twin pairing, connectivity, orbits, Euler
-characteristic), in whole-array passes; the constructor runs it and lays
-the fans out from its orbits' least half-edges, and a Delaunay report runs
-it on the flipped side arrays, building no second surface.  A `ConeSurface`
-is a Triangulation plus a length array indexed by edge, checked by
-`check_lengths` (the report's other check of its flip state); it derives
-the corner angles, the triangle areas, and the running corner-angle sums
-along each vertex's germs in cyclic order, whose totals are the cone
+half-edge, so vertices are the orbits of that map.  `check_gluing`, which
+its constructor runs, is the one check of a gluing (twin pairing,
+connectivity, orbits, Euler characteristic), in whole-array passes; the
+constructor then lays the fans out from the orbits' least half-edges, with
+no Python loop over triangles or half-edges.  A `ConeSurface` is a
+Triangulation plus a length array indexed by edge; it derives the corner
+angles, the triangle areas, and, on first use, the running corner-angle
+sums along each vertex's germs in cyclic order, whose totals are the cone
 angles.  Every corner angle, of a surface, of a flip or
 of `corner_angle`, comes from one kernel on arrays, `half_angle`: the
 hyperbolic law of cosines in half-angle form, which forms no sinh, so it
@@ -287,11 +286,13 @@ def check_gluing(edge_ids, he_edge, he_dir) -> tuple:
     Half-edge 3t + k runs along edge `he_edge[3t + k]` (an index into
     `edge_ids`), forward where `he_dir` is 0.  Refused in this order:
     an edge that does not occur exactly once in each direction
-    (NonManifold, the first such edge), triangles not glued to triangle 0
-    (Disconnected), then an odd Euler characteristic or one above 2
-    (NonManifold).  Returns (halves, twin, least): the (forward, backward)
-    half-edges of each edge, the other half-edge of each half-edge's edge,
-    and the least half-edge of each half-edge's vertex orbit.
+    (NonManifold, the first such edge), triangles not glued to triangle 0,
+    or no triangle at all (Disconnected), then an odd Euler characteristic
+    or one above 2 (NonManifold).  Returns (halves, twin, sigma, least,
+    euler): the (forward, backward) half-edges of each edge, the other
+    half-edge of each half-edge's edge, the next germ about each half-edge's
+    origin, the least half-edge of each half-edge's vertex orbit, and the
+    Euler characteristic.
 
     Connectivity is min-label propagation with pointer jumping.  Labels are
     triangles; a pass gives each triangle the least label among its own and
@@ -333,17 +334,18 @@ def check_gluing(edge_ids, he_edge, he_dir) -> tuple:
         if np.array_equal(new, label):
             break
         label = new
-    if label.any():
+    if label.any() or nt == 0:  # a walk from triangle 0 reaches 1 of 0 triangles
         raise Disconnected(
             f"triangles {np.flatnonzero(label).tolist()} are not glued to triangle 0")
 
-    least = _least_in_orbits(twin[prv(np.arange(nh))])
+    sigma = twin[prv(np.arange(nh))]
+    least = _least_in_orbits(sigma)
     euler = int(np.count_nonzero(least == np.arange(nh))) - n_edges + nt
     if euler % 2:
         raise NonManifold(f"Euler characteristic {euler} is odd")
     if euler > 2:
         raise NonManifold(f"Euler characteristic {euler} exceeds 2")
-    return halves, twin, least
+    return halves, twin, sigma, least, euler
 
 
 def _ranks_in_orbits(step: np.ndarray, least: np.ndarray) -> np.ndarray:
@@ -370,18 +372,18 @@ class Triangulation:
     `he_edge[h]`, an index into the sorted `edge_ids`, forward when
     `he_dir[h]` is 0 and backward when it is 1.  `halves[i]` holds the
     (forward, backward) half-edges of edge i and `twin[h]` the other
-    half-edge of h's edge.  `vertex_of[h]` is the vertex h leaves, and
-    `vertex_germs[v]` lists the half-edges leaving v counterclockwise, from
-    its least; the lists are concatenated in `fan_order`, `fan_size[v]`
-    germs per vertex.  Vertices are numbered in order of their least
-    half-edge.  `check_gluing` checks the arrays; the fans are laid out from
-    the least half-edges it finds, all in array passes.
+    half-edge of h's edge.  `vertex_of[h]` is the vertex h leaves.
+    `fan_order` lists the half-edges leaving each vertex counterclockwise,
+    from its least, vertex after vertex, `fan_size[v]` germs for vertex v.
+    Vertices are numbered in order of their least half-edge.
+    `check_gluing` checks the arrays; the fans are laid out from the least
+    half-edges it finds, all in array passes.
     """
 
     def __init__(self, edge_ids, he_edge, he_dir):
         he_edge = np.array(he_edge, dtype=np.intp)
         he_dir = np.array(he_dir, dtype=np.intp)
-        halves, twin, least = check_gluing(edge_ids, he_edge, he_dir)
+        halves, twin, sigma, least, euler = check_gluing(edge_ids, he_edge, he_dir)
         n_edges, nh = len(edge_ids), len(he_edge)
 
         # a vertex per orbit, numbered by its least half-edge; each germ sits
@@ -391,25 +393,18 @@ class Triangulation:
         fan_size = np.bincount(vertex_of)
         start = np.cumsum(fan_size) - fan_size
         fan_order = np.empty(nh, dtype=np.intp)
-        fan_order[start[vertex_of] + _ranks_in_orbits(twin[prv(np.arange(nh))], least)] = \
-            np.arange(nh)
+        fan_order[start[vertex_of] + _ranks_in_orbits(sigma, least)] = np.arange(nh)
 
         self.edge_ids = tuple(edge_ids)
         self.edge_index = {e: i for i, e in enumerate(self.edge_ids)}
         self.n_edges, self.n_half, self.n_triangles = n_edges, nh, nh // 3
         self.n_vertices = len(fan_size)
-        self.genus = (2 - (self.n_vertices - n_edges + self.n_triangles)) // 2
+        self.genus = (2 - euler) // 2
         self.he_edge, self.he_dir = _frozen(he_edge), _frozen(he_dir)
         self.halves, self.twin = _frozen(halves), _frozen(twin)
         self.vertex_of = _frozen(vertex_of)
         self.fan_order = _frozen(fan_order)
         self.fan_size = _frozen(fan_size)
-
-    @cached_property
-    def vertex_germs(self) -> tuple:
-        """The germs of each vertex, counterclockwise from its least half-edge."""
-        fans = np.split(self.fan_order, np.cumsum(self.fan_size)[:-1])
-        return tuple(tuple(fan.tolist()) for fan in fans)
 
     @cached_property
     def triangles(self) -> tuple:
@@ -539,38 +534,6 @@ def _refuse(data):
     raise ValueError("surface needs at least one triangle")
 
 
-def check_lengths(edge_ids, he_edge, length) -> tuple:
-    """(lengths, sides): the edge lengths of a gluing as a float array in
-    edge order, and each triangle's side lengths, shape (triangles, 3).
-
-    Refused in this order: a count other than one per edge
-    (DimensionMismatch), a length that is not a positive real
-    (NonPositiveLength, the first in edge order), then a triangle that fails
-    a strict triangle inequality (TriangleInequality, the first triangle,
-    named with its edge ids and lengths).  A sum past the float range reads
-    inf, as on floats.
-    """
-    length = np.array(length, dtype=float)
-    if length.shape != (len(edge_ids),):
-        raise DimensionMismatch(f"expected {len(edge_ids)} lengths")
-    bad = np.flatnonzero(~(np.isfinite(length) & (length > 0.0)))
-    if bad.size:
-        i = int(bad[0])
-        raise NonPositiveLength(f"edge {edge_ids[i]!r} has length {length[i]}")
-    edges = np.asarray(he_edge, dtype=np.intp).reshape(-1, 3)
-    sides = length[edges]
-    la, lb, lc = sides.T
-    with np.errstate(over="ignore"):
-        bad = np.flatnonzero((la + lb <= lc) | (lb + lc <= la) | (lc + la <= lb))
-    if bad.size:
-        t = int(bad[0])
-        ids = tuple(edge_ids[e] for e in edges[t].tolist())
-        la, lb, lc = sides[t].tolist()
-        raise TriangleInequality(f"triangle {t} with edges {ids} and lengths ({la}, {lb}, "
-                                 f"{lc}) violates the strict triangle inequalities")
-    return length, sides
-
-
 class ConeSurface(Triangulation):
     """A Triangulation with one length per edge, and the angles they give.
 
@@ -579,17 +542,17 @@ class ConeSurface(Triangulation):
     (edge id, "+" or "-"), read by the one pass of the wire form.  With a
     Triangulation (or a surface) as `triangles`, `edges` is the length array
     in edge order; the surface shares that gluing, kept as `triangulation`,
-    and checks only the lengths (`check_lengths`).  `length[i]` is the
-    length of edge i, `angle[h]` the corner angle at the origin of
-    half-edge h, and `cone_angle[v]` the angle sum at vertex v; all are
-    read-only arrays.
+    and checks only the lengths.  `length[i]` is the length of edge i,
+    `angle[h]` the corner angle at the origin of half-edge h, and
+    `cone_angle[v]` the angle sum at vertex v; all are read-only arrays.
     The angles come from one `half_angle` call on every corner, which
     refuses a corner below the normal float range naming its sides; the
     private keyword `_angle` hands them over instead, from a caller that
     holds them already (`delaunay.FlipState.surface`).
-    `fan_sums` holds the running corner-angle sums of each fan, added left
-    to right in `fan_order`: fan_size[v] + 1 values for vertex v, from 0
-    through the angle before each germ to the cone angle, its last value.
+    The constructor runs every check and computes the corner angles and
+    triangle areas; `fan_sums`, `cone_angle` and `lengths` are derived on
+    first use, so a surface built only to be checked, such as the final
+    surface of a `delaunay` report, does not pay for them.
     """
 
     def __init__(self, edges, triangles, *, _angle=None):
@@ -598,8 +561,25 @@ class ConeSurface(Triangulation):
         # no Triangulation.__init__: share the arrays of a gluing checked already
         self.triangulation = getattr(triangles, "triangulation", triangles)
         vars(self).update(vars(self.triangulation))
-        length, sides = check_lengths(self.edge_ids, self.he_edge, edges)
+        length = np.array(edges, dtype=float)
+        if length.shape != (self.n_edges,):
+            raise DimensionMismatch(f"expected {self.n_edges} lengths")
+        bad = np.flatnonzero(~(np.isfinite(length) & (length > 0.0)))
+        if bad.size:
+            i = int(bad[0])
+            raise NonPositiveLength(f"edge {self.edge_ids[i]!r} has length {length[i]}")
+
+        # triangle inequalities, naming the offender; here and in the corner
+        # sums a sum past the float range reads inf, as on floats
         self.length = _frozen(length)
+        sides = length[self.he_edge].reshape(-1, 3)
+        la, lb, lc = sides.T
+        with np.errstate(over="ignore"):
+            bad = np.flatnonzero((la + lb <= lc) | (lb + lc <= la) | (lc + la <= lb))
+        if bad.size:
+            raise TriangleInequality(
+                f"{self._named(int(bad[0]))} violates the strict triangle inequalities")
+
         if _angle is None:
             # corner k of triangle t sits at the origin of half-edge 3t + k
             with np.errstate(over="ignore"):
@@ -608,17 +588,32 @@ class ConeSurface(Triangulation):
         else:
             # a caller's corner angles, bit for bit those above (FlipState.surface)
             angle = np.array(_angle, dtype=float)
-        self._lengths = dict(zip(self.edge_ids, length.tolist()))
         self.angle = _frozen(angle)
         corners = self.angle.reshape(-1, 3)
         self.triangle_areas = _frozen(math.pi - (corners[:, 0] + corners[:, 1] + corners[:, 2]))
-        self.fan_sums = _frozen(_running_sums(self.angle[self.fan_order], self.fan_size))
-        self.cone_angle = _frozen(self.fan_sums[np.cumsum(self.fan_size + 1) - 1])
 
-    @property
+    def _named(self, t: int) -> str:
+        """Triangle t with its edge ids and lengths, for an error message."""
+        edges = self.he_edge[3 * t:3 * t + 3]
+        ids = tuple(self.edge_ids[e] for e in edges.tolist())
+        la, lb, lc = self.length[edges].tolist()
+        return f"triangle {t} with edges {ids} and lengths ({la}, {lb}, {lc})"
+
+    @cached_property
+    def fan_sums(self) -> np.ndarray:
+        """The running corner-angle sums of each fan, added left to right in
+        `fan_order`: fan_size[v] + 1 values for vertex v, from 0 through the
+        angle before each germ to the cone angle, its last value."""
+        return _frozen(_running_sums(self.angle[self.fan_order], self.fan_size))
+
+    @cached_property
+    def cone_angle(self) -> np.ndarray:
+        return _frozen(self.fan_sums[np.cumsum(self.fan_size + 1) - 1])
+
+    @cached_property
     def lengths(self) -> MappingProxyType:
         """Read-only edge id -> length."""
-        return MappingProxyType(self._lengths)
+        return MappingProxyType(dict(zip(self.edge_ids, self.length.tolist())))
 
     def corner_gradients(self) -> tuple:
         """Gradient of every corner angle in the lengths of its triangle.

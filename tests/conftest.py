@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hypcone import ConeSurface
+from hypcone.surface import prv
 from hypcone.sl2 import sl2_basis
 
 
@@ -179,6 +180,23 @@ def blas_env(coretype):
     if coretype is None:
         return None
     return {**os.environ, "OPENBLAS_CORETYPE": coretype}
+
+
+def vertex_germs(s):
+    """The half-edges leaving each vertex of s, counterclockwise from its
+    least, walked one germ at a time by g -> twin(prv(g)): the reference
+    for `s.fan_order` and `s.fan_size`.  Vertices come in order of their
+    least half-edge, as in `s.vertex_of`."""
+    germs, seen = [], set()
+    for h in range(s.n_half):
+        orbit, g = [], h
+        while g not in seen:
+            seen.add(g)
+            orbit.append(g)
+            g = int(s.twin[prv(g)])
+        if orbit:
+            germs.append(orbit)
+    return germs
 
 
 def count_constructions(monkeypatch, cls):

@@ -33,7 +33,7 @@ from hypcone import (
 )
 import hypcone.delaunay as delaunay_mod
 from hypcone.cli import main
-from hypcone.delaunay import PSI_TOL, flip_length_jacobian, flip_to_delaunay, move_log_lines
+from hypcone.delaunay import PSI_TOL, flip_length_jacobian, move_log_lines
 from hypcone.sl2 import hyp_direction
 from hypcone.surface import Triangulation, fmt17, nxt, parse_surface, prv, serialize_surface
 from hypcone.errors import (
@@ -368,16 +368,14 @@ def test_make_delaunay_flip_limit(monkeypatch):
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
-def test_flip_loop_refuses_a_tol_that_is_not_finite_and_nonnegative(monkeypatch, tol):
+def test_make_delaunay_refuses_a_tol_that_is_not_finite_and_nonnegative(monkeypatch, tol):
     # refused before any flip: with MAX_FLIPS this small, a loop that ran on
     # with tol = -1 would end in NonTermination, not in the ValueError
     monkeypatch.setattr(delaunay_mod, "MAX_FLIPS", 3)
     s = torus_surface(1.0, 1.0, 1.9)
-    message = f"tol must be a finite number >= 0, not {tol!r}"
-    for run in (make_delaunay, flip_to_delaunay):
-        with pytest.raises(ValueError) as info:
-            run(s, tol=tol)
-        assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        make_delaunay(s, tol=tol)
+    assert str(info.value) == f"tol must be a finite number >= 0, not {tol!r}"
     final, moves = make_delaunay(s, tol=0.0)
     assert [m.edge for m in moves] == ["z"] and min(edge_invariants(final).values()) >= 0.0
 
@@ -405,8 +403,8 @@ def surface_rows(s):
 
 
 def test_report_rows_match_the_built_surface(capsys, tmp_path, corpus):
-    # the report reads its rows off the flip state; they must be the rows of
-    # the surface make_delaunay builds, in both formats
+    # the report's rows, in both formats, are those of the surface
+    # make_delaunay builds
     surfaces = (corpus + seeded_delaunay_inputs() + [scrambled_stellar_surface(98, 1)]
                 + [tetra_surface(), torus_surface(1.3, 1.3, 1.3)])  # no flip, a tie
     flipped = 0
@@ -421,14 +419,18 @@ def test_report_rows_match_the_built_surface(capsys, tmp_path, corpus):
     assert ("psi_min_at", "x") in surface_rows(torus_surface(1.3, 1.3, 1.3))
 
 
-def test_report_builds_only_the_input_surface(monkeypatch, capsys, tmp_path):
+def test_report_checks_the_flipped_surface_but_sums_no_fan(monkeypatch, capsys, tmp_path):
+    # the report builds and checks the input surface and make_delaunay's;
+    # it reads psi0 and the lengths, so neither sums its fans
     s = scrambled_stellar_surface(48, 1)  # 150 edges
     surfaces = count_constructions(monkeypatch, ConeSurface)
     gluings = count_constructions(monkeypatch, Triangulation)
     code, out = report(capsys, tmp_path, s, "structured")
     assert code == 0 and not out.startswith("flips=0\n")
-    assert len(surfaces) == len(gluings) == 1
-    assert surfaces[0].triangulation is gluings[0]
+    assert len(surfaces) == len(gluings) == 2
+    assert [built.triangulation for built in surfaces] == gluings
+    for built in surfaces:
+        assert not {"fan_sums", "cone_angle", "lengths"} & set(vars(built))
 
 
 def swap_two_half_edges(state):
@@ -463,25 +465,19 @@ def make_a_length_nan(state):
 @pytest.mark.parametrize("corrupt, error", [
     (swap_two_half_edges, NonManifold), (cut_off_two_triangles, Disconnected),
     (stretch_a_side, TriangleInequality), (make_a_length_nan, NonPositiveLength)])
-def test_state_check_refuses_as_the_constructor(monkeypatch, capsys, tmp_path, corrupt, error):
+def test_report_refuses_a_corrupted_flip_state(monkeypatch, capsys, tmp_path, corrupt, error):
+    # the flipped state is checked as any surface build checks its input: a
+    # state corrupted after the last flip ends the report in that refusal
     s = scrambled_stellar_surface(48, 1)  # 150 edges
-    state = flip_to_delaunay(s)[0]
-    state.check()
-    corrupt(state)
-    with pytest.raises(error) as built:
-        state.surface()
-    with pytest.raises(error) as checked:
-        state.check()
-    assert str(checked.value) == str(built.value)
-    # the report runs the check on its flip state, and ends in that refusal
-    flips = delaunay_mod.flip_to_delaunay
+    surface = delaunay_mod.FlipState.surface
 
-    def corrupted_flips(*args, **kwargs):
-        state, psi, moves = flips(*args, **kwargs)
+    def corrupted_surface(state):
         corrupt(state)
-        return state, psi, moves
+        return surface(state)
 
-    monkeypatch.setattr(delaunay_mod, "flip_to_delaunay", corrupted_flips)
+    monkeypatch.setattr(delaunay_mod.FlipState, "surface", corrupted_surface)
+    with pytest.raises(error) as built:
+        make_delaunay(s)
     path = tmp_path / "in.json"
     path.write_text(serialize_surface(s))
     assert main(["delaunay", "--input", str(path)]) == 1

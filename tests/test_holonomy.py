@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import halfedges, side_length, stellar_surface, tetra_surface, torus_surface
+from conftest import (halfedges, side_length, stellar_surface, tetra_surface, torus_surface,
+                      vertex_germs)
 from test_sl2 import RefMatrix, ref_rotation_angle
 
 from hypcone import (
@@ -47,7 +48,7 @@ def fresh_walk(atlas, germ):
     s = atlas.surface
     m = Sl2Matrix.from_entries(1.0, 0.0, 0.0, 1.0)
     g = germ
-    for _ in s.vertex_germs[s.vertex_of[germ]]:
+    for _ in range(s.fan_size[s.vertex_of[germ]]):
         shared = prv(g)
         m = m @ Sl2Matrix(atlas.transitions[shared])
         g = s.twin[shared]
@@ -129,9 +130,9 @@ def test_vertex_holonomy_fixes_developed_vertex(corpus):
     # fixes the vertex where that chart puts it, N_g^-1(i)
     for s in corpus:
         atlas = develop(s)
-        for v in range(s.n_vertices):
+        for v, germs in enumerate(vertex_germs(s)):
             z = center(vertex_holonomy(atlas, v))
-            g = s.vertex_germs[v][0]
+            g = germs[0]
             assert abs(z - corner(atlas, g).z) < 1e-8
             if g % 3 == 0:
                 assert corner(atlas, g).z == 1j

@@ -13,6 +13,7 @@ from conftest import (
     stellar_surface,
     svd_rank,
     torus_surface,
+    vertex_germs,
 )
 
 from hypcone import (
@@ -67,7 +68,7 @@ class SliceEtaDerivative:
 
     def __init__(self, s):
         edges, grads = s.corner_gradients()
-        order = np.concatenate(s.vertex_germs)
+        order = np.concatenate(vertex_germs(s))
         self.sides, self.partials = edges[order], grads[order]
         self.size = s.fan_size
         self.first = np.cumsum(self.size) - self.size
