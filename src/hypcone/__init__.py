@@ -28,7 +28,6 @@ from .poisson import (
     eta_matrix,
     jacobi_residual,
     radical_residuals,
-    wall_margins,
 )
 from .sl2 import (
     HypPoint,

@@ -32,7 +32,7 @@ from . import poisson as poisson_mod
 from .errors import HypconeError
 from .holonomy import develop, holonomy_report
 from .selftest import DEFAULT_SEED, LOG_TOL, TRIG_TOL, run_all
-from .surface import build_surface, classify_angles, decode_document, fmt17
+from .surface import build_surface, classify_angles, cone_angles, decode_document, fmt17
 
 TOL_DEFAULTS = {
     "wall": poisson_mod.WALL_GUARD,  # min |sin(theta/2)| before P is refused
@@ -134,7 +134,7 @@ def _load_surface(path: str):
 
 def cmd_validate(args, out: Emitter, tols) -> int:
     s = _load_surface(args.input)
-    data = s.angle_data()
+    data = cone_angles(s)
     report = classify_angles(data)
     out.put("valid", True)
     out.put("genus", s.genus)

@@ -19,12 +19,11 @@ invariant and the flip length read a surface and a state alike.  A flip
 rewires the two triangles in their slots, recomputes their six corner
 angles, and re-keys the at most five edges of the quadrilateral in a heap of
 (psi0, edge index), so a flip costs O(log E) instead of a rebuild of the
-surface and a rescan of every edge.  The integer side arrays go straight to
-one `Triangulation` at the end, which checks the gluing once, and the
-state's corner angles become the final surface's without a second pass.
-That surface runs every check of a surface build but sums its fans only on
-first use, so the `delaunay` report, which reads psi0 and the lengths off
-it, pays for the checks and not for cone angles it never prints.
+surface and a rescan of every edge.  The integer side arrays and the
+lengths go straight to one `Triangulation` and one `ConeSurface` at the end,
+which check them once and compute the corner angles afresh.  That surface
+sums its fans only on first use, so the `delaunay` report, which reads psi0
+and the lengths off it, does not pay for cone angles it never prints.
 """
 
 from __future__ import annotations
@@ -186,15 +185,10 @@ class FlipState:
         return tuple(3 * t + k for t in (move.tri_plus, move.tri_minus) for k in range(3))
 
     def surface(self) -> ConeSurface:
-        """The current triangulation as a fully checked surface.
-
-        The gluing and the lengths are checked as by the constructor; the
-        corner angles are the state's, which are bit for bit those the
-        constructor would compute: a flip takes the same sums, by the same
-        float operations, through the same kernel.
-        """
+        """The current triangulation as a fully checked surface, built from
+        the state's side arrays and lengths alone, like any other."""
         gluing = Triangulation(self.edge_ids, self.he_edge, self.he_dir)
-        return ConeSurface(self.length, gluing, _angle=self.angle)
+        return ConeSurface(self.length, gluing)
 
 
 def flip(s: ConeSurface, e: str):

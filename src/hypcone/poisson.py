@@ -82,12 +82,6 @@ MIN_GRAM_DIAG = 2.0 ** -500
 UNIT_ROUNDOFF = 2.0 ** -53
 
 
-def wall_margins(s: ConeSurface) -> np.ndarray:
-    """The wall_margin |sin(theta_h/2)| per vertex — the denominators of the
-    bivector."""
-    return wall_margin(s.cone_angle)
-
-
 def _expand(start: np.ndarray, count: np.ndarray) -> tuple:
     """(owner, index): the ranges start[t] .. start[t] + count[t] - 1, concatenated."""
     owner = np.repeat(np.arange(len(count)), count)
@@ -205,12 +199,14 @@ class FanPairs:
 
     where dprefix and dtheta are sums of corner-angle gradients; C is in `c`
     and S in `sn`.  Edge e joins the vertices `edge_ends[e]`.  `margins`
-    holds the `wall_margins` of s; the table is refused as WallAngle when
-    one of them is inside the guard.
+    holds the `surface.wall_margin` |sin(theta/2)| of each vertex, the
+    denominators of the bivector; the table is refused as WallAngle when one
+    of them is below `wall_guard`.  This is the one place the guard is set:
+    `eta_matrix` and `jacobi_residual` take WALL_GUARD unless given pairs.
     """
 
     def __init__(self, s: ConeSurface, wall_guard: float = WALL_GUARD):
-        self.margins = margins = wall_margins(s)
+        self.margins = margins = wall_margin(s.cone_angle)
         bad = np.flatnonzero(margins < wall_guard)
         if bad.size:
             v = int(bad[0])
@@ -247,13 +243,13 @@ class FanPairs:
         return np.bincount(cells, weights=values, minlength=n * n).reshape(n, n)
 
 
-def eta_matrix(s: ConeSurface, wall_guard: float = WALL_GUARD,
-               pairs: FanPairs | None = None) -> np.ndarray:
+def eta_matrix(s: ConeSurface, pairs: FanPairs | None = None) -> np.ndarray:
     """The N x N bivector matrix P[i][j] = eta(da_i, da_j).
 
-    `pairs` is the FanPairs of s when the caller has it already.
+    `pairs` is the FanPairs of s when the caller has it already; its wall
+    guard is the one applied, and WALL_GUARD without it.
     """
-    return (FanPairs(s, wall_guard) if pairs is None else pairs).matrix()
+    return (FanPairs(s) if pairs is None else pairs).matrix()
 
 
 def angle_gradients(s: ConeSurface) -> np.ndarray:
@@ -621,9 +617,15 @@ class _JacobiTerms:
 
     def __init__(self, der: EtaDerivative, p: np.ndarray):
         n = der.n_edges
-        # P is exactly antisymmetric, so row l of P lists, in increasing
-        # order, the rows r with P[r, l] != 0
+        # row l of P lists, in increasing order, the rows r with P[r, l] != 0
+        # when P is exactly antisymmetric: every nonzero cell is checked
+        # against its mirror, which covers the zero cells too
         nz_row, nz_col = np.nonzero(p)
+        bad = np.flatnonzero(p[nz_col, nz_row] != -p[nz_row, nz_col])
+        if bad.size:
+            r, c = int(nz_row[bad[0]]), int(nz_col[bad[0]])
+            raise ValueError(f"p is not antisymmetric: p[{c}, {r}] = {float(p[c, r])!r} "
+                             f"is not -p[{r}, {c}] = {float(-p[r, c])!r}")
         start = np.searchsorted(nz_row, np.arange(n + 1))
         owner, k = _expand(start[der.side_l], np.diff(start)[der.side_l])
         key = _unique(der.side_v[owner] * n + nz_col[k])
@@ -742,8 +744,7 @@ class _JacobiTerms:
         return best[0], (key // (n * n), key // n % n, key % n)
 
 
-def jacobi_residual(s: ConeSurface, wall_guard: float = WALL_GUARD,
-                    p: np.ndarray | None = None,
+def jacobi_residual(s: ConeSurface, p: np.ndarray | None = None,
                     pairs: FanPairs | None = None) -> tuple:
     """(residual, triple): the scaled maximal Jacobi-identity defect over
     all coordinate triples, and the triple where it is reached.
@@ -756,13 +757,15 @@ def jacobi_residual(s: ConeSurface, wall_guard: float = WALL_GUARD,
     there is checked in its place, so a fake bivector can be shown to fail,
     while the genuine one passes at rounding level.  A given `p` must be
     exactly antisymmetric (p == -p.T), as every P this package builds is:
-    the rows r with P[r, l] != 0 are read off row l.  `pairs`
-    is the FanPairs of s when the caller has it already.  The triple is the
+    the rows r with P[r, l] != 0 are read off row l.  Any other p is refused
+    with ValueError, naming a nonzero cell whose mirror is not its negative.
+    `pairs` is the FanPairs of s when the caller has it already; its wall
+    guard is the one applied, and WALL_GUARD without it.  The triple is the
     sorted edge indices (i, j, k) of the largest |J|, the smallest triple on
     ties, or None when no triple has a term (P = 0).
     """
     if pairs is None:
-        pairs = FanPairs(s, wall_guard)
+        pairs = FanPairs(s)
     if p is None:
         p = pairs.matrix()
     elif p.shape != (s.n_edges, s.n_edges):

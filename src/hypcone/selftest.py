@@ -55,6 +55,8 @@ LOG_COUNT = 200
 TRIG_COUNT = 500
 # rng.random() values a bulk uniform draw takes from the stream at once.
 CHUNK = 4096
+# Least distance between the endpoints `_distinct_reals` draws for an axis.
+DISTINCT_GAP = 0.05
 
 
 def _scaled(err: float, expected: float) -> float:
@@ -95,10 +97,10 @@ def _random_point(uniform) -> HypPoint:
     return HypPoint(float(uniform(-2.0, 2.0)), float(uniform(0.25, 2.5)))
 
 
-def _distinct_reals(uniform, k: int, gap: float = 0.05) -> list:
+def _distinct_reals(uniform, k: int) -> list:
     while True:
         xs = [float(x) for x in uniform(-3.0, 3.0, k)]
-        if all(abs(xs[i] - xs[j]) >= gap
+        if all(abs(xs[i] - xs[j]) >= DISTINCT_GAP
                for i in range(k) for j in range(i + 1, k)):
             return xs
 

@@ -546,16 +546,14 @@ class ConeSurface(Triangulation):
     `angle[h]` the corner angle at the origin of half-edge h, and
     `cone_angle[v]` the angle sum at vertex v; all are read-only arrays.
     The angles come from one `half_angle` call on every corner, which
-    refuses a corner below the normal float range naming its sides; the
-    private keyword `_angle` hands them over instead, from a caller that
-    holds them already (`delaunay.FlipState.surface`).
+    refuses a corner below the normal float range naming its sides.
     The constructor runs every check and computes the corner angles and
     triangle areas; `fan_sums`, `cone_angle` and `lengths` are derived on
     first use, so a surface built only to be checked, such as the final
     surface of a `delaunay` report, does not pay for them.
     """
 
-    def __init__(self, edges, triangles, *, _angle=None):
+    def __init__(self, edges, triangles):
         if not isinstance(triangles, Triangulation):
             edges, triangles = _one_pass(_library_document(edges, triangles))
         # no Triangulation.__init__: share the arrays of a gluing checked already
@@ -580,15 +578,10 @@ class ConeSurface(Triangulation):
             raise TriangleInequality(
                 f"{self._named(int(bad[0]))} violates the strict triangle inequalities")
 
-        if _angle is None:
-            # corner k of triangle t sits at the origin of half-edge 3t + k
-            with np.errstate(over="ignore"):
-                q = np.stack([np.stack(row, axis=-1) for row in corner_sums(*sides.T)])
-            angle = half_angle(q, sides).ravel()
-        else:
-            # a caller's corner angles, bit for bit those above (FlipState.surface)
-            angle = np.array(_angle, dtype=float)
-        self.angle = _frozen(angle)
+        # corner k of triangle t sits at the origin of half-edge 3t + k
+        with np.errstate(over="ignore"):
+            q = np.stack([np.stack(row, axis=-1) for row in corner_sums(*sides.T)])
+        self.angle = _frozen(half_angle(q, sides).ravel())
         corners = self.angle.reshape(-1, 3)
         self.triangle_areas = _frozen(math.pi - (corners[:, 0] + corners[:, 1] + corners[:, 2]))
 
@@ -648,10 +641,6 @@ class ConeSurface(Triangulation):
     def area(self) -> float:
         return sum(self.triangle_areas.tolist())
 
-    def angle_data(self) -> AngleData:
-        return AngleData(theta=tuple(self.cone_angle.tolist()), genus=self.genus,
-                         n=self.n_vertices)
-
     # -- rebuilding ------------------------------------------------------------
 
     def with_lengths(self, updates: dict) -> "ConeSurface":
@@ -700,4 +689,4 @@ def serialize_surface(s: ConeSurface) -> str:
 
 def cone_angles(s: ConeSurface) -> AngleData:
     """Cone angle at each vertex (corner-angle sums), with (g, n)."""
-    return s.angle_data()
+    return AngleData(theta=tuple(s.cone_angle.tolist()), genus=s.genus, n=s.n_vertices)

@@ -324,8 +324,9 @@ def test_make_delaunay_checks_gluing_once(monkeypatch):
 
 
 def test_delaunay_result_matches_a_fresh_build(corpus):
-    # the result takes the flip state's corner angles: every array derived
-    # from them equals a build of its lengths and gluing, bit for bit
+    # the result is built from its lengths and gluing like any surface:
+    # every array derived from its corner angles equals a fresh build's,
+    # bit for bit
     scrambled = [stretch(stellar_surface(k, seed, start=start), seed)
                  for start, k in (("tet", 198), ("tor", 199), ("tet", 398), ("tor", 399))
                  for seed in (1, 2)]  # 600 and 1,200 edges
@@ -351,6 +352,17 @@ def test_flip_state_angles_match_array_built_surface():
         state.flip(move.edge)
     assert state.he_edge == final.he_edge.tolist()
     assert bits(state.angle) == bits(ConeSurface(final.length, final).angle)
+
+
+def test_flip_state_surface_computes_its_own_angles():
+    # the surface of a flip state takes only its gluing and lengths: a
+    # corrupted corner angle of the state does not reach it
+    s = scrambled_stellar_surface(98, 1)
+    state = delaunay_mod.FlipState(s)
+    move = state.flip(make_delaunay(s)[1][0].edge)
+    state.angle[state.slots(move)[0]] += 0.25
+    built = state.surface()
+    assert bits(built.angle) == bits(ConeSurface(built.length, built.triangulation).angle)
 
 
 def test_make_delaunay_flip_limit(monkeypatch):

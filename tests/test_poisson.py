@@ -22,11 +22,11 @@ from hypcone import (
     eta_matrix,
     jacobi_residual,
     radical_residuals,
-    wall_margins,
 )
 from hypcone.errors import DimensionMismatch, WallAngle
 import hypcone.poisson as poisson
 from hypcone.poisson import EtaDerivative, FanPairs, certify_gram, comparison_note, rounding_cover
+from hypcone.surface import wall_margin
 
 
 def fd_eta_derivatives(s, step):
@@ -566,6 +566,22 @@ def test_jacobi_reuses_given_bivector(skew_g1n2):
         jacobi_residual(skew_g1n2, p=p[:-1, :-1])
 
 
+def test_jacobi_refuses_a_bivector_that_is_not_antisymmetric(skew_torus):
+    # the rows reaching a fan are read off a column of P, so a symmetric part
+    # would give a wrong residual without a word: it is refused, naming the
+    # first nonzero cell whose mirror is not its negative
+    p = eta_matrix(skew_torus)
+    u = np.random.default_rng(47).uniform(-1.0, 1.0, size=p.shape)
+    with pytest.raises(ValueError, match=r"^p is not antisymmetric: p\[0, 0\] = "):
+        jacobi_residual(skew_torus, p=p + 0.1 * (u + u.T))
+    one = p.copy()
+    one[2, 1] += 1e-3
+    with pytest.raises(ValueError) as info:
+        jacobi_residual(skew_torus, p=one)
+    assert str(info.value) == (f"p is not antisymmetric: p[2, 1] = {float(one[2, 1])!r} "
+                               f"is not -p[1, 2] = {float(-one[1, 2])!r}")
+
+
 def test_jacobi_memory_budget():
     # the blocks bound the transient memory: the tracemalloc peak on a
     # 600-edge torus with a 121-germ vertex stays at or below the 12.2 MB
@@ -606,7 +622,7 @@ def test_jacobi_near_wall():
     for dh, margin in ((5e-2, 7e-2), (5e-3, 7e-3), (5e-4, 7e-4), (1e-4, 1.4e-4),
                        (2e-5, 2.8e-5)):
         s = genus1_two_cone_surface(h=hstar - dh)
-        assert wall_margins(s)[1] == pytest.approx(margin, rel=0.02)
+        assert wall_margin(s.cone_angle)[1] == pytest.approx(margin, rel=0.02)
         assert jacobi_residual(s)[0] < 1e-12
 
 
@@ -672,12 +688,12 @@ def test_jacobi_detects_fake_bivector(skew_torus, skew_tetra, skew_g1n2):
 
 def test_wall_guard(torus):
     near_wall = torus_surface(1e-3)
-    assert wall_margins(near_wall)[0] < 1e-6
+    assert wall_margin(near_wall.cone_angle)[0] < 1e-6
     with pytest.raises(WallAngle) as err:
         eta_matrix(near_wall)
     assert "vertex 0" in str(err.value)
     # margins of a healthy surface are what the formula says
-    m = wall_margins(torus)
+    m = wall_margin(torus.cone_angle)
     assert m[0] == pytest.approx(abs(math.sin(torus.cone_angle[0] / 2)))
 
 

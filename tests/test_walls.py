@@ -15,7 +15,7 @@ from hypcone.cli import main
 from hypcone.errors import WallAngle
 from hypcone.poisson import WALL_GUARD
 from hypcone.sl2 import elliptic_trace
-from hypcone.surface import WALL_BAND, classify_angles, fmt17, wall_margin
+from hypcone.surface import WALL_BAND, classify_angles, cone_angles, fmt17, wall_margin
 
 # the equilateral torus angle runs from 2*pi (side -> 0) down to 0 (side ->
 # infinity); it leaves the band near side 8.6e-3 and enters it again near 24
@@ -58,7 +58,7 @@ def test_every_report_reads_one_wall(sides, tmp_path, capsys):
     path = tmp_path / "torus.json"
     path.write_text(serialize_surface(s))
 
-    assert classify_angles(s.angle_data()).off_walls is not inside
+    assert classify_angles(cone_angles(s)).off_walls is not inside
     code, rows, _ = report(capsys, "validate", "--input", str(path))
     assert code == 0 and rows["off_walls"] == ("false" if inside else "true")
 
