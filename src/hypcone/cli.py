@@ -243,12 +243,11 @@ def cmd_delaunay(args, out: Emitter, tols) -> int:
     result, moves = delaunay_mod.make_delaunay(s, tol=tols["psi"])
     out.put("flips", len(moves))
     out.rows(["move.%s"], range(len(moves)), delaunay_mod.move_log_lines(moves))
-    psi = delaunay_mod.edge_invariants(result)
-    out.rows(["psi.%s"], result.edge_ids, map(psi.__getitem__, result.edge_ids))
-    psi_min_at = min(result.edge_ids, key=psi.get)
-    psi_min = psi[psi_min_at]
+    psi = list(delaunay_mod.edge_invariants(result).values())  # in edge order
+    out.rows(["psi.%s"], result.edge_ids, psi)
+    psi_min = min(psi)  # the first edge at the minimum
     out.put("psi_min", psi_min)
-    out.put("psi_min_at", psi_min_at)
+    out.put("psi_min_at", result.edge_ids[psi.index(psi_min)])
     out.rows(["length.%s"], result.edge_ids, result.length)
     return 0 if psi_min >= -tols["psi"] else 3
 

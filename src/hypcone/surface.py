@@ -13,11 +13,11 @@ each half-edge records its edge index and direction.  Composing "previous
 side" with "twin" steps counterclockwise around the origin vertex of a
 half-edge, so vertices are the orbits of that map.  `check_gluing`, which
 its constructor runs, is the one check of a gluing (twin pairing,
-connectivity, orbits, Euler characteristic), in whole-array passes; the
-constructor then lays the fans out from the orbits' least half-edges, with
-no Python loop over triangles or half-edges.  A `ConeSurface` is a
+connectivity, orbits, Euler characteristic), in whole-array passes.  The
+fans are laid out from the orbits' least half-edges on first use, with no
+Python loop over triangles or half-edges.  A `ConeSurface` is a
 Triangulation plus a length array indexed by edge; it derives the corner
-angles, the triangle areas, and, on first use, the running corner-angle
+angles, and, on first use, the triangle areas and the running corner-angle
 sums along each vertex's germs in cyclic order, whose totals are the cone
 angles.  Every corner angle, of a surface, of a flip or
 of `corner_angle`, comes from one kernel on arrays, `half_angle`: the
@@ -365,6 +365,15 @@ def _ranks_in_orbits(step: np.ndarray, least: np.ndarray) -> np.ndarray:
     return rank
 
 
+def _fan_layout(name: str) -> cached_property:
+    """Triangulation attribute `name`, one of the four that
+    `Triangulation._lay_out_fans` sets together on the first read of any."""
+    def lay_out(self):
+        self._lay_out_fans()
+        return vars(self)[name]
+    return cached_property(lay_out)
+
+
 class Triangulation:
     """The gluing of a surface in integer arrays, checked once, immutable.
 
@@ -376,8 +385,12 @@ class Triangulation:
     `fan_order` lists the half-edges leaving each vertex counterclockwise,
     from its least, vertex after vertex, `fan_size[v]` germs for vertex v.
     Vertices are numbered in order of their least half-edge.
-    `check_gluing` checks the arrays; the fans are laid out from the least
-    half-edges it finds, all in array passes.
+    The constructor runs `check_gluing` and keeps what the layout needs;
+    `vertex_of`, `fan_order`, `fan_size` and `n_vertices` are laid out
+    together, in array passes, on the first read of any of them, and
+    `edge_index` (edge id -> index) on its first read.  Each is then a plain
+    attribute.  A `delaunay` report reads none of them off its flipped
+    surface.
     """
 
     def __init__(self, edge_ids, he_edge, he_dir):
@@ -385,26 +398,35 @@ class Triangulation:
         he_dir = np.array(he_dir, dtype=np.intp)
         halves, twin, sigma, least, euler = check_gluing(edge_ids, he_edge, he_dir)
         n_edges, nh = len(edge_ids), len(he_edge)
-
-        # a vertex per orbit, numbered by its least half-edge; each germ sits
-        # in its fan as many steps of sigma after the least as its rank
-        root = least == np.arange(nh)
-        vertex_of = (np.cumsum(root) - 1)[least]
-        fan_size = np.bincount(vertex_of)
-        start = np.cumsum(fan_size) - fan_size
-        fan_order = np.empty(nh, dtype=np.intp)
-        fan_order[start[vertex_of] + _ranks_in_orbits(sigma, least)] = np.arange(nh)
-
         self.edge_ids = tuple(edge_ids)
-        self.edge_index = {e: i for i, e in enumerate(self.edge_ids)}
         self.n_edges, self.n_half, self.n_triangles = n_edges, nh, nh // 3
-        self.n_vertices = len(fan_size)
         self.genus = (2 - euler) // 2
         self.he_edge, self.he_dir = _frozen(he_edge), _frozen(he_dir)
         self.halves, self.twin = _frozen(halves), _frozen(twin)
-        self.vertex_of = _frozen(vertex_of)
-        self.fan_order = _frozen(fan_order)
-        self.fan_size = _frozen(fan_size)
+        self._orbits = sigma, least
+
+    def _lay_out_fans(self) -> None:
+        """Set `vertex_of`, `fan_order`, `fan_size` and `n_vertices`: a
+        vertex per orbit of sigma, numbered by its least half-edge, and each
+        germ as many steps of sigma after the least in its fan as its rank."""
+        sigma, least = self._orbits
+        root = least == np.arange(self.n_half)
+        vertex_of = (np.cumsum(root) - 1)[least]
+        fan_size = np.bincount(vertex_of)
+        start = np.cumsum(fan_size) - fan_size
+        fan_order = np.empty(self.n_half, dtype=np.intp)
+        fan_order[start[vertex_of] + _ranks_in_orbits(sigma, least)] = np.arange(self.n_half)
+        vars(self).update(vertex_of=_frozen(vertex_of), fan_order=_frozen(fan_order),
+                          fan_size=_frozen(fan_size), n_vertices=len(fan_size))
+
+    vertex_of = _fan_layout("vertex_of")
+    fan_order = _fan_layout("fan_order")
+    fan_size = _fan_layout("fan_size")
+    n_vertices = _fan_layout("n_vertices")
+
+    @cached_property
+    def edge_index(self) -> dict:
+        return {e: i for i, e in enumerate(self.edge_ids)}
 
     @cached_property
     def triangles(self) -> tuple:
@@ -547,10 +569,12 @@ class ConeSurface(Triangulation):
     `cone_angle[v]` the angle sum at vertex v; all are read-only arrays.
     The angles come from one `half_angle` call on every corner, which
     refuses a corner below the normal float range naming its sides.
-    The constructor runs every check and computes the corner angles and
-    triangle areas; `fan_sums`, `cone_angle` and `lengths` are derived on
-    first use, so a surface built only to be checked, such as the final
-    surface of a `delaunay` report, does not pay for them.
+    The constructor runs every check and computes the corner angles.
+    Derived on first read and then kept as plain attributes: the gluing's
+    fan layout and `edge_index` (copied from the Triangulation when it has
+    them already), `triangle_areas`, `fan_sums`, `cone_angle` and
+    `lengths`.  A surface built only to be checked, such as the final
+    surface of a `delaunay` report, pays for none of them.
     """
 
     def __init__(self, edges, triangles):
@@ -582,8 +606,6 @@ class ConeSurface(Triangulation):
         with np.errstate(over="ignore"):
             q = np.stack([np.stack(row, axis=-1) for row in corner_sums(*sides.T)])
         self.angle = _frozen(half_angle(q, sides).ravel())
-        corners = self.angle.reshape(-1, 3)
-        self.triangle_areas = _frozen(math.pi - (corners[:, 0] + corners[:, 1] + corners[:, 2]))
 
     def _named(self, t: int) -> str:
         """Triangle t with its edge ids and lengths, for an error message."""
@@ -591,6 +613,12 @@ class ConeSurface(Triangulation):
         ids = tuple(self.edge_ids[e] for e in edges.tolist())
         la, lb, lc = self.length[edges].tolist()
         return f"triangle {t} with edges {ids} and lengths ({la}, {lb}, {lc})"
+
+    @cached_property
+    def triangle_areas(self) -> np.ndarray:
+        """pi minus the angle sum of each triangle, its area."""
+        corners = self.angle.reshape(-1, 3)
+        return _frozen(math.pi - (corners[:, 0] + corners[:, 1] + corners[:, 2]))
 
     @cached_property
     def fan_sums(self) -> np.ndarray:
