@@ -276,17 +276,31 @@ def _gamma(k: int) -> float:
     return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
 
 
-def rounding_cover(size: int, terms: int, trace: float, top: float, shift: float) -> float:
+def rounding_cover(size: int, forming: float, trace: float, top: float, shift: float) -> float:
     """A bound on the rounding a shifted factorization must absorb; see
-    `bivector_rank`.  `size` is the order of the Gram matrix, `terms` the
-    length of the inner products that formed it, `trace` and `top` the sum
-    and maximum of its scaled diagonal, and `shift` the shift it is factored
+    `bivector_rank`.  `size` is the order of the Gram matrix, `forming` the
+    `forming_cover` of its scaled form, `trace` and `top` the sum and
+    maximum of its scaled diagonal, and `shift` the shift it is factored
     at."""
     g = _gamma(size + 2)
-    cover = (g / (1.0 - g) * trace
-             + size * _gamma(terms + 2) * (1.0 + _gamma(terms + 4))
-             + UNIT_ROUNDOFF * (top + shift))
+    cover = g / (1.0 - g) * trace + forming + UNIT_ROUNDOFF * (top + shift)
     return cover * (1.0 + 2.0 ** -10)
+
+
+def forming_cover(parts: list, scale: np.ndarray) -> float:
+    """gamma_{c+2} max_i s_i (|X|^T |X| s)_i: a bound on the 2-norm of the
+    error of the computed Gram matrix of X, scaled by s = `scale`; see
+    `bivector_rank`.  X is the blocks of rows `parts`, each the (rows, cols,
+    values) of its nonzeros, and c the most nonzeros in a column of X.  Two
+    products with |X| over the nonzeros, so O(nnz)."""
+    total = np.zeros(len(scale))
+    count = np.zeros(len(scale), dtype=np.intp)
+    for rows, cols, vals in parts:
+        size = np.abs(vals)
+        reach = np.bincount(rows, weights=size * scale[cols])  # (|X| s)_r
+        total += np.bincount(cols, weights=size * reach[rows], minlength=len(scale))
+        count += np.bincount(cols, minlength=len(scale))
+    return _gamma(int(count.max(initial=0)) + 2) * float((scale * total).max(initial=0.0))
 
 
 def _add_gram(out: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
@@ -380,15 +394,15 @@ def _factor(a: np.ndarray, diag: np.ndarray, shift: float) -> np.ndarray | None:
     return pivots
 
 
-def _first_factor(a: np.ndarray, terms: int):
+def _first_factor(a: np.ndarray, parts: list):
     """Scale the Gram matrix in `a` in place to unit diagonal and factor it
     once, at the shift `rounding_cover` asks for; a success proves it
     positive definite.
 
-    `a` holds the computed Gram matrix K~ of an exact K = X^T X, formed by
-    inner products of `terms` products, in both triangles; D =
-    diag(1/sqrt(K~_ii)) scales it, and the factorization reads and
-    overwrites its lower triangle only (`_factor`).
+    `a` holds the computed Gram matrix K~ of an exact K = X^T X in both
+    triangles, X the blocks of rows `parts` (the nonzeros of each, as
+    `forming_cover` takes them); D = diag(1/sqrt(K~_ii)) scales it, and the
+    factorization reads and overwrites its lower triangle only (`_factor`).
     Returns None when a diagonal entry is not finite or below MIN_GRAM_DIAG
     or the factorization fails, else (pivots, diag, shift, margin):
     the pivots of the factor, the scaled diagonal, the shift, and
@@ -400,24 +414,27 @@ def _first_factor(a: np.ndarray, terms: int):
     if not (np.all(np.isfinite(d)) and d.min() >= MIN_GRAM_DIAG):
         return None
     s = 1.0 / np.sqrt(d)
+    forming = forming_cover(parts, s)
     a *= s[:, None]
     a *= s
     diag = a.diagonal().copy()
     trace, top = float(diag.sum()), float(diag.max())
 
     def margin(shift):  # rounded down, so it stays a lower bound
-        return math.nextafter(shift - rounding_cover(n, terms, trace, top, shift), 0.0)
+        return math.nextafter(shift - rounding_cover(n, forming, trace, top, shift), 0.0)
 
-    shift = rounding_cover(n, terms, trace, top, 0.0) * (1.0 + 2.0 ** -10)
+    shift = rounding_cover(n, forming, trace, top, 0.0) * (1.0 + 2.0 ** -10)
     pivots = _factor(a, diag, shift)
     return None if pivots is None else (pivots, diag, shift, margin)
 
 
-def certify_gram(a: np.ndarray, terms: int) -> float | None:
+def certify_gram(a: np.ndarray, parts: list) -> float | None:
     """A certified lower bound > 0 on the least eigenvalue of D K D, or None.
 
-    The first factorization (`_first_factor`) proves D K D, and so K,
-    positive definite; it reads the lower triangle of the scaled K~.  Its
+    `a` holds the computed Gram matrix of the matrix X whose blocks of rows
+    have the nonzeros `parts` (`_first_factor`).  The first factorization
+    (`_first_factor`) proves D K D, and so K, positive definite; it reads
+    the lower triangle of the scaled K~.  Its
     pivots l_i give a second shift, the first plus MARGIN_STEP / sum l_i^-2,
     and a second factorization that succeeds there raises the bound.  That
     one factors a.T, so it reads the upper triangle, which the first left
@@ -426,7 +443,7 @@ def certify_gram(a: np.ndarray, terms: int) -> float | None:
     rounding of the scaling, which the bound covers for either.  `a` is
     destroyed.  See `bivector_rank`.
     """
-    first = _first_factor(a, terms)
+    first = _first_factor(a, parts)
     if first is None:
         return None
     pivots, diag, shift, margin = first
@@ -453,12 +470,20 @@ def bivector_rank(p: np.ndarray, grads: np.ndarray) -> tuple:
     are certified by Cholesky factorizations that succeed in floating point
     (Rump, Verification of positive definiteness, BIT 46, 2006):
 
-    * Forming K~ = fl(P^T P + G^T G), m = E + n products per entry, errs
-      by at most gamma_m (|P|^T |P| + |G|^T |G|)_ij <= gamma_m sqrt(K_ii K_jj)
-      (Cauchy-Schwarz).  Scaling by s_i = fl(1/sqrt(K~_ii)) and two
-      roundings per entry gives M~ with |M~ - S K S|_ij <= gamma_{m+2}
-      (1 + gamma_{m+4}), the extra factor from s_i^2 K_ii <= 1 + gamma_{m+4};
-      so ||M~ - S K S||_2 <= E gamma_{m+2} (1 + gamma_{m+4}).
+    * Forming K~ = fl(X^T X), X = [P; G], sums at entry (i, j) the products
+      of the rows where columns i and j are both nonzero, at most c of them
+      (c the most nonzeros in a column of X): an exact zero adds no
+      rounding, in any order of summation.  So |K~ - K|_ij <= gamma_c A_ij,
+      A = |X|^T |X|.  Scaling by s_i = fl(1/sqrt(K~_ii)), two roundings per
+      entry, gives M~ with |M~ - S K S|_ij <= gamma_{c+2} s_i s_j A_ij, as
+      |K_ij| <= A_ij.  That bound is a symmetric matrix with nonnegative
+      entries, so its largest row sum bounds the 2-norm of M~ - S K S:
+      ||M~ - S K S||_2 <= gamma_{c+2} max_i s_i (|X|^T (|X| s))_i, two
+      products of |X| with a vector over the nonzeros of X
+      (`forming_cover`).  Row i of A has a nonzero only where row i of K
+      has one, and s_i s_j A_ij <= 1 + gamma_{c+4} by Cauchy-Schwarz, so
+      this is at most (the most nonzeros in a row of K) gamma_{c+2} (1 +
+      gamma_{c+4}), where a dense count would take E for both.
     * B = fl(M~ - sigma I) differs from M~ - sigma I by at most
       u (max_i M~_ii + sigma) on the diagonal.
     * A Cholesky of B that runs to completion gives R^T R = B + dB with
@@ -474,8 +499,10 @@ def bivector_rank(p: np.ndarray, grads: np.ndarray) -> tuple:
       keeps below 1e-300).  With sigma = cover (1 + 2^-10) a success proves
       S K S, so K, positive definite.
 
-    At E = 4,800 and n = 1,602 the shift is about (2E + n) E u = 6e-9
-    (tr M~ = E).  K~ is factored once at that shift, in its lower triangle,
+    The trace term, about E^2 u (tr M~ = E), is most of the shift: 2.6e-9
+    at E = 4,800 and 1.0e-8 at 9,600, where the forming term is about 1e-11
+    (c is a few hundred at the hub vertices).  K~ is factored once at that
+    shift, in its lower triangle,
     and once more at a larger one for the margin, in its upper triangle
     (`certify_gram`).  G G^T, of order n, is factored once
     (`_first_factor`): its margin is not reported.
@@ -490,9 +517,11 @@ def bivector_rank(p: np.ndarray, grads: np.ndarray) -> tuple:
     # finite either, which `_first_factor` refuses.  Nor is a NaN entry, which
     # some BLAS kernels form from such products (inf - inf): by Cauchy-Schwarz
     # it too lies beside a diagonal entry past the float range
+    parts = [_nonzeros(p), _nonzeros(grads)]
+    rows, cols, vals = parts[1]
     with np.errstate(over="ignore", invalid="ignore"):
         gram = grads @ grads.T
-    if _first_factor(gram, n_e) is None:
+    if _first_factor(gram, [(cols, rows, vals)]) is None:  # G G^T = X^T X, X = G^T
         return None, 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         if 8 * (2 * n_e + n_v) * n_e <= DENSE_GRAM_BYTES:
@@ -500,13 +529,11 @@ def bivector_rank(p: np.ndarray, grads: np.ndarray) -> tuple:
             k = x.T @ x
             del x
         else:
-            entries = _nonzeros(p)
             k = p
             k.fill(0.0)
-            _add_gram(k, *entries)
-            del entries
-            _add_gram(k, *_nonzeros(grads))
-    margin = certify_gram(k, n_e + n_v)
+            for part in parts:
+                _add_gram(k, *part)
+    margin = certify_gram(k, parts)
     return (None, 0.0) if margin is None else (n_e - n_v, margin)
 
 

@@ -433,7 +433,9 @@ def test_report_rows_match_the_built_surface(capsys, tmp_path, corpus):
 
 def test_report_checks_the_flipped_surface_but_sums_no_fan(monkeypatch, capsys, tmp_path):
     # the report builds and checks the input surface and make_delaunay's;
-    # it reads psi0 and the lengths, so neither sums its fans
+    # it reads psi0 and the lengths, so neither sums its fans, lays them
+    # out or sums its areas, and only the input, which FlipState reads,
+    # indexes its ids
     s = scrambled_stellar_surface(48, 1)  # 150 edges
     surfaces = count_constructions(monkeypatch, ConeSurface)
     gluings = count_constructions(monkeypatch, Triangulation)
@@ -441,8 +443,13 @@ def test_report_checks_the_flipped_surface_but_sums_no_fan(monkeypatch, capsys, 
     assert code == 0 and not out.startswith("flips=0\n")
     assert len(surfaces) == len(gluings) == 2
     assert [built.triangulation for built in surfaces] == gluings
-    for built in surfaces:
-        assert not {"fan_sums", "cone_angle", "lengths"} & set(vars(built))
+    layout = {"vertex_of", "fan_order", "fan_size", "n_vertices"}
+    for built in surfaces + gluings:
+        assert not {"fan_sums", "cone_angle", "lengths", "triangle_areas"} & set(vars(built))
+        assert not layout & set(vars(built))
+    given, flipped = surfaces
+    assert "edge_index" in vars(given)
+    assert "edge_index" not in vars(flipped)
 
 
 def swap_two_half_edges(state):

@@ -25,7 +25,8 @@ from hypcone import (
 )
 from hypcone.errors import DimensionMismatch, WallAngle
 import hypcone.poisson as poisson
-from hypcone.poisson import EtaDerivative, FanPairs, certify_gram, comparison_note, rounding_cover
+from hypcone.poisson import (EtaDerivative, FanPairs, certify_gram, comparison_note, forming_cover,
+                             rounding_cover)
 from hypcone.surface import wall_margin
 
 
@@ -303,12 +304,18 @@ def _unit_diagonal_matrix(n, lam):
 @pytest.mark.parametrize("ratio, certified", [(1.1, True), (0.9, False)])
 def test_certificate_decides_at_the_shift(ratio, certified):
     # a Gram matrix whose least eigenvalue is just above or just below the
-    # shift of the first factorization is certified or refused
+    # shift of the first factorization is certified or refused; it is taken
+    # as the Gram matrix of a dense n x n X, whose forming term is about
+    # n gamma_{n+2}
     n = 40
-    shift = rounding_cover(n, n, float(n), 1.0, 0.0) * (1.0 + 2.0 ** -10)
+    parts = [poisson._nonzeros(np.full((n, n), n ** -0.5))]
+    scale = 1.0 / np.sqrt(np.diag(_unit_diagonal_matrix(n, 0.0)[0]))
+    forming = forming_cover(parts, scale)
+    assert forming == pytest.approx(n * poisson._gamma(n + 2) * scale.max() ** 2, rel=1e-12)
+    shift = rounding_cover(n, forming, float(n), 1.0, 0.0) * (1.0 + 2.0 ** -10)
     m, lam = _unit_diagonal_matrix(n, ratio * shift)
     assert lam == pytest.approx(ratio * shift, rel=1e-3)
-    margin = certify_gram(m, n)
+    margin = certify_gram(m, parts)
     if certified:
         assert 0.0 < margin <= lam
     else:
@@ -316,9 +323,55 @@ def test_certificate_decides_at_the_shift(ratio, certified):
 
 
 def test_shift_covers_the_trace_term():
-    # (2E + n) E u at 4,800 edges and 1,602 vertices, as documented
-    cover = rounding_cover(4800, 4800 + 1602, 4800.0, 1.0, 0.0)
-    assert cover == pytest.approx((2 * 4800 + 1602) * 4800 * 2.0 ** -53, rel=2e-3)
+    # E^2 u at 4,800 edges, as documented, plus the forming term it is given
+    cover = rounding_cover(4800, 1e-10, 4800.0, 1.0, 0.0)
+    assert cover == pytest.approx(4800 * 4800 * 2.0 ** -53 + 1e-10, rel=2e-3)
+
+
+def _exact_gram(x):
+    """X^T X with each entry the correctly rounded exact sum: every product
+    split into its float and its exact rounding error (Dekker), the lot
+    summed by math.fsum."""
+    def halves(v):
+        t = 134217729.0 * v  # 2^27 + 1
+        high = t - (t - v)
+        return high, v - high
+
+    hi, lo = halves(x)
+    out = np.empty((x.shape[1],) * 2)
+    for i in range(x.shape[1]):
+        prod = x[:, i, None] * x
+        err = (((hi[:, i, None] * hi - prod) + hi[:, i, None] * lo + lo[:, i, None] * hi)
+               + lo[:, i, None] * lo)
+        terms = np.concatenate((prod, err)).T.tolist()
+        out[i] = [math.fsum(row) for row in terms]
+    return out
+
+
+def test_forming_cover_bounds_the_true_forming_error():
+    # the sparse forming term bounds the largest row sum of the scaled error
+    # |fl(X^T X) - X^T X|, for K (X = [P; G]) formed both ways and for
+    # G G^T (X = G^T); it is far below the dense count E gamma_{E+n+2}
+    s = stellar_surface(48, 1)  # 150 edges, 52 vertices
+    p, grads = eta_matrix(s), angle_gradients(s)
+    n_e = s.n_edges
+    parts = [poisson._nonzeros(p), poisson._nonzeros(grads)]
+    rows, cols, vals = parts[1]
+    accumulated = np.zeros((n_e, n_e))
+    for part in parts:
+        poisson._add_gram(accumulated, *part)
+    x = np.vstack((p, grads))
+    cases = [(x, x.T @ x, parts), (x, accumulated, parts),
+             (grads.T, grads @ grads.T, [(cols, rows, vals)])]
+    for x, formed, blocks in cases:
+        exact = _exact_gram(x)
+        error = np.abs(formed - exact)
+        assert error.max() > 0.0
+        scale = 1.0 / np.sqrt(np.diag(formed))
+        worst = float(np.max(scale * (error @ scale)))
+        cover = forming_cover(blocks, scale)
+        assert worst <= cover
+        assert cover < len(formed) * poisson._gamma(len(x) + 2) / 10.0
 
 
 def test_blocked_factor_matches_lapack(monkeypatch):
@@ -357,18 +410,18 @@ def test_margin_factorization_reads_the_upper_triangle(monkeypatch, rank_block):
     monkeypatch.setattr(poisson, "RANK_BLOCK", rank_block)
     s = stellar_surface(48, 1)  # 150 edges, 52 vertices
     x = np.vstack((eta_matrix(s), angle_gradients(s)))
-    k, terms = x.T @ x, len(x)
-    want = certify_gram(k.copy(), terms)
+    k, parts = x.T @ x, [poisson._nonzeros(x)]
+    want = certify_gram(k.copy(), parts)
     first_factor, firsts = poisson._first_factor, []
 
-    def spoil_lower(a, terms):
-        first = first_factor(a, terms)
+    def spoil_lower(a, parts):
+        first = first_factor(a, parts)
         firsts.append(first[3](first[2]))
         a[np.tril_indices(len(a), -1)] = np.nan
         return first
 
     monkeypatch.setattr(poisson, "_first_factor", spoil_lower)
-    assert certify_gram(k.copy(), terms) == want
+    assert certify_gram(k.copy(), parts) == want
     assert want > firsts[0] > 0.0  # the margin is the second factorization's
 
 

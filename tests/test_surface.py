@@ -833,6 +833,45 @@ def test_array_gluing_check_matches_the_walk(corpus):
     assert min(outcomes[k] for k in ("valid", "NonManifold", "Disconnected")) >= 50, outcomes
 
 
+def test_lazy_fan_layout_matches_the_walked_germs(corpus):
+    # the first read of any layout attribute lays out all four, as the germs
+    # walked one at a time give them; a surface built on a gluing gets the
+    # same layout whether or not the gluing laid its fans out first
+    names = ("vertex_of", "fan_order", "fan_size", "n_vertices")
+    surfaces = corpus + [stellar_surface(k, seed=1, start=start)
+                         for k in (0, 48, 398) for start in ("tet", "tor")]
+    gluings = [(s.edge_ids, s.he_edge.tolist(), s.he_dir.tolist()) for s in surfaces]
+    for sides in random_gluings("gluings", 600):
+        try:
+            walked_gluing(*sides)
+        except HypconeError:
+            continue
+        gluings.append(sides)
+    assert len(gluings) >= 60
+    for k, sides in enumerate(gluings):
+        t = Triangulation(*sides)
+        assert not set(names) & set(vars(t))
+        getattr(t, names[k % 4])
+        assert set(names) <= set(vars(t))
+        germs = vertex_germs(t)
+        assert t.n_vertices == len(germs)
+        assert t.fan_order.tolist() == [g for orbit in germs for g in orbit]
+        assert t.fan_size.tolist() == [len(orbit) for orbit in germs]
+        vertex_of = [0] * t.n_half
+        for v, orbit in enumerate(germs):
+            for g in orbit:
+                vertex_of[g] = v
+        assert t.vertex_of.tolist() == vertex_of
+        length = np.ones(t.n_edges)
+        fresh = ConeSurface(length, Triangulation(*sides))
+        laid = ConeSurface(length, t)
+        assert set(names) <= set(vars(laid)) and not set(names) & set(vars(fresh))
+        for name in names:
+            assert np.array_equal(getattr(fresh, name), getattr(t, name))
+            assert np.array_equal(getattr(laid, name), getattr(t, name))
+        assert fresh.vertex_of.dtype == fresh.fan_order.dtype == fresh.fan_size.dtype == np.intp
+
+
 def test_triangulation_arrays(skew_tetra):
     s = skew_tetra
     assert s.triangles == s.triangulation.triangles
