@@ -296,9 +296,9 @@ def forming_cover(parts: list, scale: np.ndarray) -> float:
     total = np.zeros(len(scale))
     count = np.zeros(len(scale), dtype=np.intp)
     for rows, cols, vals in parts:
-        size = np.abs(vals)
-        reach = np.bincount(rows, weights=size * scale[cols])  # (|X| s)_r
-        total += np.bincount(cols, weights=size * reach[rows], minlength=len(scale))
+        magnitude = np.abs(vals)
+        reach = np.bincount(rows, weights=magnitude * scale[cols])  # (|X| s)_r
+        total += np.bincount(cols, weights=magnitude * reach[rows], minlength=len(scale))
         count += np.bincount(cols, minlength=len(scale))
     return _gamma(int(count.max(initial=0)) + 2) * float((scale * total).max(initial=0.0))
 
@@ -431,17 +431,16 @@ def _first_factor(a: np.ndarray, parts: list):
 def certify_gram(a: np.ndarray, parts: list) -> float | None:
     """A certified lower bound > 0 on the least eigenvalue of D K D, or None.
 
-    `a` holds the computed Gram matrix of the matrix X whose blocks of rows
-    have the nonzeros `parts` (`_first_factor`).  The first factorization
-    (`_first_factor`) proves D K D, and so K, positive definite; it reads
-    the lower triangle of the scaled K~.  Its
-    pivots l_i give a second shift, the first plus MARGIN_STEP / sum l_i^-2,
-    and a second factorization that succeeds there raises the bound.  That
-    one factors a.T, so it reads the upper triangle, which the first left
-    untouched.  K~ is exactly symmetric (both ways of forming it give mirror
-    cells the same sum), so each triangle is the scaled K~ up to the
-    rounding of the scaling, which the bound covers for either.  `a` is
-    destroyed.  See `bivector_rank`.
+    `a` holds the computed Gram matrix of the X whose blocks of rows have
+    the nonzeros `parts`.  The first factorization (`_first_factor`) proves
+    D K D, and so K, positive definite; it reads the lower triangle of the
+    scaled K~.  Its pivots l_i give a second shift, the first plus
+    MARGIN_STEP / sum l_i^-2, and a second factorization that succeeds
+    there raises the bound.  That one factors a.T, so it reads the upper
+    triangle, which the first left untouched.  K~ is exactly symmetric
+    (both ways of forming it give mirror cells the same sum), so each
+    triangle is the scaled K~ up to the rounding of the scaling, which the
+    bound covers for either.  `a` is destroyed.  See `bivector_rank`.
     """
     first = _first_factor(a, parts)
     if first is None:
@@ -502,10 +501,9 @@ def bivector_rank(p: np.ndarray, grads: np.ndarray) -> tuple:
     The trace term, about E^2 u (tr M~ = E), is most of the shift: 2.6e-9
     at E = 4,800 and 1.0e-8 at 9,600, where the forming term is about 1e-11
     (c is a few hundred at the hub vertices).  K~ is factored once at that
-    shift, in its lower triangle,
-    and once more at a larger one for the margin, in its upper triangle
-    (`certify_gram`).  G G^T, of order n, is factored once
-    (`_first_factor`): its margin is not reported.
+    shift, in its lower triangle, and once more at a larger one for the
+    margin, in its upper triangle (`certify_gram`).  G G^T, of order n, is
+    factored once (`_first_factor`): its margin is not reported.
     While the two arrays [P; G] and K~ take at most DENSE_GRAM_BYTES, K~ is
     their product.  Above, it is accumulated from the nonzeros of P and G
     (a few dozen a row) in the memory of p, which is then destroyed.
@@ -513,12 +511,12 @@ def bivector_rank(p: np.ndarray, grads: np.ndarray) -> tuple:
     n_e, n_v = p.shape[0], grads.shape[0]
     if grads.ndim != 2 or grads.shape[1] != n_e:
         raise DimensionMismatch("gradient rows must match the matrix dimension")
+    parts = [_nonzeros(p), _nonzeros(grads)]
+    rows, cols, vals = parts[1]
     # a Gram entry past the float range is no warning: its diagonal is not
     # finite either, which `_first_factor` refuses.  Nor is a NaN entry, which
     # some BLAS kernels form from such products (inf - inf): by Cauchy-Schwarz
     # it too lies beside a diagonal entry past the float range
-    parts = [_nonzeros(p), _nonzeros(grads)]
-    rows, cols, vals = parts[1]
     with np.errstate(over="ignore", invalid="ignore"):
         gram = grads @ grads.T
     if _first_factor(gram, [(cols, rows, vals)]) is None:  # G G^T = X^T X, X = G^T
