@@ -279,28 +279,36 @@ def _gamma(k: int) -> float:
 def rounding_cover(size: int, forming: float, trace: float, top: float, shift: float) -> float:
     """A bound on the rounding a shifted factorization must absorb; see
     `bivector_rank`.  `size` is the order of the Gram matrix, `forming` the
-    `forming_cover` of its scaled form, `trace` and `top` the sum and
-    maximum of its scaled diagonal, and `shift` the shift it is factored
-    at."""
+    `forming_cover` of the matrix it is the Gram matrix of, `trace` and
+    `top` the sum and maximum of its scaled diagonal, and `shift` the shift
+    it is factored at."""
     g = _gamma(size + 2)
     cover = g / (1.0 - g) * trace + forming + UNIT_ROUNDOFF * (top + shift)
     return cover * (1.0 + 2.0 ** -10)
 
 
-def forming_cover(parts: list, scale: np.ndarray) -> float:
-    """gamma_{c+2} max_i s_i (|X|^T |X| s)_i: a bound on the 2-norm of the
-    error of the computed Gram matrix of X, scaled by s = `scale`; see
-    `bivector_rank`.  X is the blocks of rows `parts`, each the (rows, cols,
-    values) of its nonzeros, and c the most nonzeros in a column of X.  Two
-    products with |X| over the nonzeros, so O(nnz)."""
-    total = np.zeros(len(scale))
-    count = np.zeros(len(scale), dtype=np.intp)
+def forming_cover(parts: list, n: int) -> float:
+    """gamma_{c+2} max_i s_i (|X|^T |X| s)_i with s_i = 1/sqrt((X^T X)_ii):
+    a bound on the 2-norm of the error of forming the Gram matrix of X and
+    scaling it to unit diagonal; see `bivector_rank`.  X has n columns, and
+    its blocks of rows are `parts`, each the (rows, cols, values) of its
+    nonzeros; c is the most nonzeros in a column.  Sums and products over
+    the nonzeros alone, O(nnz), none of them by BLAS, so no digit depends on
+    the BLAS kernel.  Infinite where a column is zero or past the float
+    range, which no certificate takes."""
+    diag, total = np.zeros(n), np.zeros(n)
+    count = np.zeros(n, dtype=np.intp)
+    for _, cols, vals in parts:
+        diag += np.bincount(cols, weights=vals * vals, minlength=n)
+        count += np.bincount(cols, minlength=n)
+    if not (np.all(np.isfinite(diag)) and diag.min() > 0.0):
+        return math.inf
+    scale = 1.0 / np.sqrt(diag)
     for rows, cols, vals in parts:
         magnitude = np.abs(vals)
         reach = np.bincount(rows, weights=magnitude * scale[cols])  # (|X| s)_r
-        total += np.bincount(cols, weights=magnitude * reach[rows], minlength=len(scale))
-        count += np.bincount(cols, minlength=len(scale))
-    return _gamma(int(count.max(initial=0)) + 2) * float((scale * total).max(initial=0.0))
+        total += np.bincount(cols, weights=magnitude * reach[rows], minlength=n)
+    return _gamma(int(count.max()) + 2) * float((scale * total).max())
 
 
 def _add_gram(out: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
@@ -394,15 +402,15 @@ def _factor(a: np.ndarray, diag: np.ndarray, shift: float) -> np.ndarray | None:
     return pivots
 
 
-def _first_factor(a: np.ndarray, parts: list):
+def _first_factor(a: np.ndarray, forming: float):
     """Scale the Gram matrix in `a` in place to unit diagonal and factor it
     once, at the shift `rounding_cover` asks for; a success proves it
     positive definite.
 
     `a` holds the computed Gram matrix K~ of an exact K = X^T X in both
-    triangles, X the blocks of rows `parts` (the nonzeros of each, as
-    `forming_cover` takes them); D = diag(1/sqrt(K~_ii)) scales it, and the
-    factorization reads and overwrites its lower triangle only (`_factor`).
+    triangles, and `forming` the `forming_cover` of X; D =
+    diag(1/sqrt(K~_ii)) scales it, and the factorization reads and
+    overwrites its lower triangle only (`_factor`).
     Returns None when a diagonal entry is not finite or below MIN_GRAM_DIAG
     or the factorization fails, else (pivots, diag, shift, margin):
     the pivots of the factor, the scaled diagonal, the shift, and
@@ -414,7 +422,6 @@ def _first_factor(a: np.ndarray, parts: list):
     if not (np.all(np.isfinite(d)) and d.min() >= MIN_GRAM_DIAG):
         return None
     s = 1.0 / np.sqrt(d)
-    forming = forming_cover(parts, s)
     a *= s[:, None]
     a *= s
     diag = a.diagonal().copy()
@@ -428,11 +435,11 @@ def _first_factor(a: np.ndarray, parts: list):
     return None if pivots is None else (pivots, diag, shift, margin)
 
 
-def certify_gram(a: np.ndarray, parts: list) -> float | None:
+def certify_gram(a: np.ndarray, forming: float) -> float | None:
     """A certified lower bound > 0 on the least eigenvalue of D K D, or None.
 
-    `a` holds the computed Gram matrix of the X whose blocks of rows have
-    the nonzeros `parts`.  The first factorization (`_first_factor`) proves
+    `a` holds the computed Gram matrix of an X, and `forming` the
+    `forming_cover` of X.  The first factorization (`_first_factor`) proves
     D K D, and so K, positive definite; it reads the lower triangle of the
     scaled K~.  Its pivots l_i give a second shift, the first plus
     MARGIN_STEP / sum l_i^-2, and a second factorization that succeeds
@@ -442,14 +449,15 @@ def certify_gram(a: np.ndarray, parts: list) -> float | None:
     triangle is the scaled K~ up to the rounding of the scaling, which the
     bound covers for either.  `a` is destroyed.  See `bivector_rank`.
     """
-    first = _first_factor(a, parts)
+    first = _first_factor(a, forming)
     if first is None:
         return None
     pivots, diag, shift, margin = first
     best = margin(shift)
     smallest = float(pivots.min())
     ratio = smallest / pivots  # 1 / sum l_i^-2 = smallest^2 / sum ratio_i^2, with no overflow
-    shift += MARGIN_STEP * smallest * smallest / float(ratio @ ratio)
+    # summed exactly, not by a BLAS dot, whose last digit depends on the kernel
+    shift += MARGIN_STEP * smallest * smallest / math.fsum((ratio * ratio).tolist())
     if margin(shift) > best and _factor(a.T, diag, shift) is not None:
         best = margin(shift)
     return best
@@ -476,13 +484,15 @@ def bivector_rank(p: np.ndarray, grads: np.ndarray) -> tuple:
       A = |X|^T |X|.  Scaling by s_i = fl(1/sqrt(K~_ii)), two roundings per
       entry, gives M~ with |M~ - S K S|_ij <= gamma_{c+2} s_i s_j A_ij, as
       |K_ij| <= A_ij.  That bound is a symmetric matrix with nonnegative
-      entries, so its largest row sum bounds the 2-norm of M~ - S K S:
-      ||M~ - S K S||_2 <= gamma_{c+2} max_i s_i (|X|^T (|X| s))_i, two
-      products of |X| with a vector over the nonzeros of X
-      (`forming_cover`).  Row i of A has a nonzero only where row i of K
-      has one, and s_i s_j A_ij <= 1 + gamma_{c+4} by Cauchy-Schwarz, so
-      this is at most (the most nonzeros in a row of K) gamma_{c+2} (1 +
-      gamma_{c+4}), where a dense count would take E for both.
+      entries, so its largest row sum bounds ||M~ - S K S||_2.
+      `forming_cover` takes it as gamma_{c+2} max_i s'_i (|X|^T (|X| s'))_i,
+      two products of |X| with a vector over the nonzeros of X, with
+      s'_i = 1/sqrt(sum_r X_ri^2) summed over the nonzeros: s_i / s'_i lies
+      within gamma_{2c+4} of 1, and no digit of the bound depends on the
+      BLAS kernel that formed K~.  Row i of A has a nonzero only where row
+      i of K has one, and s_i s_j A_ij <= 1 + gamma_{c+4} by Cauchy-Schwarz,
+      so the term is at most (the most nonzeros in a row of K) gamma_{c+2}
+      (1 + gamma_{c+4}), where a dense count would take E for both.
     * B = fl(M~ - sigma I) differs from M~ - sigma I by at most
       u (max_i M~_ii + sigma) on the diagonal.
     * A Cholesky of B that runs to completion gives R^T R = B + dB with
@@ -493,10 +503,10 @@ def bivector_rank(p: np.ndarray, grads: np.ndarray) -> tuple:
       of `_factor` with substitution and matmul; it would not for LU-based
       solves.
     * Hence lambda_min(S K S) > sigma - cover, cover the sum of the three
-      (`rounding_cover`, with 2^-10 of it for the rounding of the bound and
-      of the trace, and for underflow, which the guard MIN_GRAM_DIAG on K~_ii
-      keeps below 1e-300).  With sigma = cover (1 + 2^-10) a success proves
-      S K S, so K, positive definite.
+      (`rounding_cover`, with 2^-10 of it for the rounding of the bound, of
+      the trace and of s' against s, and for underflow, which the guard
+      MIN_GRAM_DIAG on K~_ii keeps below 1e-300).  With sigma = cover
+      (1 + 2^-10) a success proves S K S, so K, positive definite.
 
     The trace term, about E^2 u (tr M~ = E), is most of the shift: 2.6e-9
     at E = 4,800 and 1.0e-8 at 9,600, where the forming term is about 1e-11
@@ -514,14 +524,17 @@ def bivector_rank(p: np.ndarray, grads: np.ndarray) -> tuple:
     parts = [_nonzeros(p), _nonzeros(grads)]
     rows, cols, vals = parts[1]
     # a Gram entry past the float range is no warning: its diagonal is not
-    # finite either, which `_first_factor` refuses.  Nor is a NaN entry, which
-    # some BLAS kernels form from such products (inf - inf): by Cauchy-Schwarz
-    # it too lies beside a diagonal entry past the float range
+    # finite either, which `_first_factor` refuses, and its forming_cover is
+    # infinite.  Nor is a NaN entry, which some BLAS kernels form from such
+    # products (inf - inf): by Cauchy-Schwarz it too lies beside a diagonal
+    # entry past the float range
     with np.errstate(over="ignore", invalid="ignore"):
         gram = grads @ grads.T
-    if _first_factor(gram, [(cols, rows, vals)]) is None:  # G G^T = X^T X, X = G^T
+        forming = forming_cover([(cols, rows, vals)], n_v)  # G G^T = X^T X, X = G^T
+    if _first_factor(gram, forming) is None:
         return None, 0.0
     with np.errstate(over="ignore", invalid="ignore"):
+        forming = forming_cover(parts, n_e)
         if 8 * (2 * n_e + n_v) * n_e <= DENSE_GRAM_BYTES:
             x = np.vstack((p, grads))
             k = x.T @ x
@@ -531,7 +544,8 @@ def bivector_rank(p: np.ndarray, grads: np.ndarray) -> tuple:
             k.fill(0.0)
             for part in parts:
                 _add_gram(k, *part)
-    margin = certify_gram(k, parts)
+    del parts
+    margin = certify_gram(k, forming)
     return (None, 0.0) if margin is None else (n_e - n_v, margin)
 
 

@@ -305,17 +305,15 @@ def _unit_diagonal_matrix(n, lam):
 def test_certificate_decides_at_the_shift(ratio, certified):
     # a Gram matrix whose least eigenvalue is just above or just below the
     # shift of the first factorization is certified or refused; it is taken
-    # as the Gram matrix of a dense n x n X, whose forming term is about
+    # as the Gram matrix of a dense n x n X, whose forming term is
     # n gamma_{n+2}
     n = 40
-    parts = [poisson._nonzeros(np.full((n, n), n ** -0.5))]
-    scale = 1.0 / np.sqrt(np.diag(_unit_diagonal_matrix(n, 0.0)[0]))
-    forming = forming_cover(parts, scale)
-    assert forming == pytest.approx(n * poisson._gamma(n + 2) * scale.max() ** 2, rel=1e-12)
+    forming = forming_cover([poisson._nonzeros(np.full((n, n), n ** -0.5))], n)
+    assert forming == pytest.approx(n * poisson._gamma(n + 2), rel=1e-12)
     shift = rounding_cover(n, forming, float(n), 1.0, 0.0) * (1.0 + 2.0 ** -10)
     m, lam = _unit_diagonal_matrix(n, ratio * shift)
     assert lam == pytest.approx(ratio * shift, rel=1e-3)
-    margin = certify_gram(m, parts)
+    margin = certify_gram(m, forming)
     if certified:
         assert 0.0 < margin <= lam
     else:
@@ -369,7 +367,7 @@ def test_forming_cover_bounds_the_true_forming_error():
         assert error.max() > 0.0
         scale = 1.0 / np.sqrt(np.diag(formed))
         worst = float(np.max(scale * (error @ scale)))
-        cover = forming_cover(blocks, scale)
+        cover = forming_cover(blocks, len(formed))
         assert worst <= cover
         assert cover < len(formed) * poisson._gamma(len(x) + 2) / 10.0
 
@@ -410,18 +408,18 @@ def test_margin_factorization_reads_the_upper_triangle(monkeypatch, rank_block):
     monkeypatch.setattr(poisson, "RANK_BLOCK", rank_block)
     s = stellar_surface(48, 1)  # 150 edges, 52 vertices
     x = np.vstack((eta_matrix(s), angle_gradients(s)))
-    k, parts = x.T @ x, [poisson._nonzeros(x)]
-    want = certify_gram(k.copy(), parts)
+    k, forming = x.T @ x, forming_cover([poisson._nonzeros(x)], s.n_edges)
+    want = certify_gram(k.copy(), forming)
     first_factor, firsts = poisson._first_factor, []
 
-    def spoil_lower(a, parts):
-        first = first_factor(a, parts)
+    def spoil_lower(a, forming):
+        first = first_factor(a, forming)
         firsts.append(first[3](first[2]))
         a[np.tril_indices(len(a), -1)] = np.nan
         return first
 
     monkeypatch.setattr(poisson, "_first_factor", spoil_lower)
-    assert certify_gram(k.copy(), parts) == want
+    assert certify_gram(k.copy(), forming) == want
     assert want > firsts[0] > 0.0  # the margin is the second factorization's
 
 
