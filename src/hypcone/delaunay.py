@@ -22,8 +22,9 @@ angles, and re-keys the at most five edges of the quadrilateral in a heap of
 surface and a rescan of every edge.  The integer side arrays and the
 lengths go straight to one `Triangulation` and one `ConeSurface` at the end,
 which check them once and compute the corner angles afresh.  That surface
-sums its fans only on first use, so the `delaunay` report, which reads psi0
-and the lengths off it, does not pay for cone angles it never prints.
+lays out and sums its fans, sums its areas and indexes its ids only on
+first use, so the `delaunay` report, which reads psi0 and the lengths off
+it, pays for none of them.
 """
 
 from __future__ import annotations

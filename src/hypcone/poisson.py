@@ -328,8 +328,9 @@ def _add_gram(out: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.ndar
 
 def _nonzeros(x: np.ndarray) -> tuple:
     """(rows, cols, values) of the nonzero entries of x, listed by row."""
-    rows, cols = np.nonzero(x)
-    return rows, cols, x[rows, cols]
+    at = np.flatnonzero(x)  # faster than np.nonzero on two axes
+    rows, cols = np.divmod(at, x.shape[1])
+    return rows, cols, x.ravel()[at]
 
 
 def _substitute(low: np.ndarray, b: np.ndarray):

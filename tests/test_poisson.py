@@ -361,15 +361,15 @@ def test_forming_cover_bounds_the_true_forming_error():
     x = np.vstack((p, grads))
     cases = [(x, x.T @ x, parts), (x, accumulated, parts),
              (grads.T, grads @ grads.T, [(cols, rows, vals)])]
-    for x, formed, blocks in cases:
-        exact = _exact_gram(x)
+    for factor, formed, blocks in cases:
+        exact = _exact_gram(factor)
         error = np.abs(formed - exact)
         assert error.max() > 0.0
         scale = 1.0 / np.sqrt(np.diag(formed))
         worst = float(np.max(scale * (error @ scale)))
         cover = forming_cover(blocks, len(formed))
         assert worst <= cover
-        assert cover < len(formed) * poisson._gamma(len(x) + 2) / 10.0
+        assert cover < len(formed) * poisson._gamma(len(factor) + 2) / 10.0
 
 
 def test_blocked_factor_matches_lapack(monkeypatch):
