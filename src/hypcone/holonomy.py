@@ -26,8 +26,8 @@ A vertex whose `surface.wall_margin` |sin(theta/2)| lies below
 trace 2|cos(theta/2)| is within `sl2.TRACE_TOL` of 2 and the vertex is
 refused as WallAngle.  The margin is evaluated once per vertex and atlas,
 and each loop's fixed point once per vertex; the 2E germ images
-P_k^-1 fix(M_v) and the E recovered lengths then come in one array pass
-whose arithmetic is that of the scalar complex expressions, bit for bit.
+P_k^-1 fix(M_v) and the E recovered lengths then come in one array pass.
+No step calls BLAS, so the report is the same under every BLAS kernel.
 """
 
 from __future__ import annotations
@@ -39,39 +39,34 @@ from itertools import islice
 import numpy as np
 
 from .errors import NotElliptic, NumericalCollapse, WallAngle
-from .sl2 import Sl2Matrix, _rotation, elliptic_fixed_point
+from .sl2 import Sl2Matrix, _mul, _rotation, elliptic_fixed_point
 from .surface import WALL_BAND, ConeSurface, fmt17, nxt, prv, wall_margin
-
-
-def _mats(a, b, c, d) -> np.ndarray:
-    """Stack of 2x2 matrices [[a, b], [c, d]] from equal-length arrays."""
-    return np.stack([a, b, c, d], axis=-1).reshape(-1, 2, 2)
 
 
 def _local_charts(s: ConeSurface) -> tuple[np.ndarray, np.ndarray]:
     """Normalizers N_h and transitions T_h = N_h^-1 R(pi) D(-l) N_{twin h},
     both (n_half, 2, 2); N_h sends side h of tri(h)'s chart onto [i, i e^l].
+    Every product is `sl2._mul` on arrays of entries, never a BLAS call.
     Products past the float range (sides of some hundreds) are left inf or
     nan: the walk refuses a loop through them by its determinant."""
-    nt = s.n_triangles
     side = s.length[s.he_edge]
-    angle = s.angle.reshape(nt, 3)
-    n = np.empty((nt, 3, 2, 2))
-    n[:, 0] = np.eye(2)
-    zero = np.zeros(nt)
+    angle = s.angle.reshape(-1, 3)
+    n = np.empty((4, len(angle), 3))  # entry, triangle, side
+    n[:, :, 0] = [[1.0], [0.0], [0.0], [1.0]]  # N_0 = I
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for k in (1, 2):
             half = (math.pi + angle[:, k]) / 2.0  # R(pi + alpha_k)
-            rotate = _mats(np.cos(half), np.sin(half), -np.sin(half), np.cos(half))
+            rotate = (np.cos(half), np.sin(half), -np.sin(half), np.cos(half))
             shrink = np.exp(-side[k - 1::3] / 2.0)  # D(-l_{k-1})
-            n[:, k] = rotate @ _mats(shrink, zero, zero, 1.0 / shrink) @ n[:, k - 1]
-        n = n.reshape(-1, 2, 2)
+            step = _mul(rotate, (shrink, 0.0, 0.0, 1.0 / shrink))
+            n[:, :, k] = _mul(step, n[:, :, k - 1])
+        n = n.reshape(4, -1)
+        a, b, c, d = n
 
         grow = np.exp(side / 2.0)
-        zero = np.zeros(s.n_half)
-        half_turn = _mats(zero, grow, -1.0 / grow, zero)  # R(pi) D(-l)
-        inverse = _mats(n[:, 1, 1], -n[:, 0, 1], -n[:, 1, 0], n[:, 0, 0])
-        return n, inverse @ half_turn @ n[s.twin]
+        half_turn = (0.0, grow, -1.0 / grow, 0.0)  # R(pi) D(-l)
+        t = _mul(_mul((d, -b, -c, a), half_turn), n[:, s.twin])
+        return n.T.reshape(-1, 2, 2), np.stack(t, axis=-1).reshape(-1, 2, 2)
 
 
 def _wall_refusal(atlas: HolonomyAtlas, v: int) -> WallAngle | None:
@@ -201,15 +196,13 @@ def _germ_images(atlas: HolonomyAtlas, germs: np.ndarray, x: np.ndarray,
     """Real and imaginary parts of P^-1 fix(M_v) = (d z - b) / (a - c z),
     with z = x[v] + i y[v] and P = prefix[g], for every germ g of `germs`.
 
-    Every operation is the one CPython's complex arithmetic performs for the
-    same expression on a float and a complex (Smith's quotient included), so
-    the result is the scalar one bit for bit.
+    The quotient is Smith's, as in CPython's complex division.
     """
     v = atlas.surface.vertex_of[germs]
     zx, zy = x[v], y[v]
     a, b, c, d = np.moveaxis(atlas.prefix[germs], -1, 0)
-    nr, ni = d * zx - 0.0 * zy - b, d * zy + 0.0 * zx
-    dr, di = a - (c * zx - 0.0 * zy), 0.0 - (c * zy + 0.0 * zx)
+    nr, ni = d * zx - b, d * zy
+    dr, di = a - c * zx, -(c * zy)
     re, im = np.empty_like(nr), np.empty_like(ni)
     real = np.abs(dr) >= np.abs(di)  # divide through by dr, else by di
     nr_, ni_, dr_, di_ = nr[real], ni[real], dr[real], di[real]

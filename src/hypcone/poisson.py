@@ -73,8 +73,8 @@ SUBSTITUTION_LEAF = 32
 # peak by 31 MB at 1,200 edges and 425 MB at 4,800; the nonzeros add 5-12 MB.
 DENSE_GRAM_BYTES = 16 << 20
 # The margin's second shift adds this times 1 / sum l_i^-2 (l_i the pivots of
-# the first factorization), which lies within 0.18 to 3.2 times the least
-# eigenvalue on seeded stellar surfaces of 30 to 600 edges.
+# the first factorization), which lies within 0.14 to 2.8 times the least
+# eigenvalue on the 16 seeded stellar surfaces (30 to 600 edges) of the tests.
 MARGIN_STEP = 0.25
 # A Gram matrix with a diagonal entry below this is not certified: its
 # products could underflow.

@@ -34,6 +34,7 @@ from .sl2 import (
     H_VEC,
     HypPoint,
     Sl2Vector,
+    _mul,
     elliptic_about,
     elliptic_pair_pairing,
     geodesic_pair_pairing,
@@ -229,12 +230,6 @@ def _exp_coefficients(k: float) -> tuple:
     else:
         c0, c1 = math.cosh(w), math.sinh(w) / w
     return c0, c1, -c1 / 2.0, (c0 - c1) / (2.0 * k)
-
-
-def _mul(p: tuple, q: tuple) -> tuple:
-    """Product of two 2x2 matrices given as row-major 4-tuples."""
-    return (p[0] * q[0] + p[1] * q[2], p[0] * q[1] + p[1] * q[3],
-            p[2] * q[0] + p[3] * q[2], p[2] * q[1] + p[3] * q[3])
 
 
 def _exp_side_log_slope(s: Sl2Vector, u: Sl2Vector) -> Sl2Vector:
