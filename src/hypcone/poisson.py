@@ -28,13 +28,25 @@ the one term the pair and the row add to the Jacobi sum at the triple of
 edges (r, edge a, edge b).  J is totally antisymmetric, so the terms are
 summed per sorted triple.  They come in runs (a row with a suffix of its
 fan's pairs, or a pair with a suffix of the rows reaching its fan), listed
-in the order of the triple's smallest edge (its slice), and the sweep
-evaluates whole runs, at most BLOCK_ENTRIES terms at a time unless one run
-is longer; once it has passed a slice, the terms of each of its triples are
+in the order of the triple's smallest edge (its slice).
+
+Only the near terms are listed: those whose row touches the fan, whose pair
+shares its two edges with another pair, or whose pair has an edge ending at
+an end of the row.  Any other term is alone on its triple, so it is that
+triple's whole sum, exactly 0 for the genuine eta.  The sweep evaluates the
+near terms of whole runs, at most BLOCK_ENTRIES at a time unless one run has
+more; once it has passed a slice, the terms of each of its triples are
 summed once, as `_sum_by_key` sums them: the sum depends only on the
-sequence of a triple's terms, so the block size changes no digit.  A term that
-is alone on its triple skips the sum.  No surface is rebuilt and no E^3
-array is formed.
+sequence of a triple's terms, which is that of the runs, so the block size
+changes no digit.  Then one bound per row and fan covers all the lone terms
+of that row: each is computed as fl(fl(dc fl(x_b - x_a)) - fl(ds x_m)), and
+rounding is monotone, so the same steps taken on the largest |dc|, |ds|,
+|x_b - x_a| and |x_m| bound it (`_JacobiTerms.max_abs`).  A row's lone terms
+are evaluated only where that bound is not strictly below the largest near
+sum, so those skipped can neither exceed nor tie the maximum, and the
+result is the one of every term; max |D| is found the same way
+(`EtaDerivative.max_abs`).  No surface is rebuilt and no E^3 array is
+formed.
 
 The coefficients blow up like 1/sin(theta/2) as a cone angle approaches a
 multiple of 2*pi.  Evaluation is refused where the `surface.wall_margin`
@@ -56,8 +68,8 @@ from .surface import ConeSurface, _running_sums, wall_margin
 # Refuse the bivector when some wall_margin falls below this (inside WALL_BAND).
 WALL_GUARD = 1e-6
 # Most terms (or derivative entries) one block of the Jacobi check evaluates
-# at once: each block is whole runs adding up to at most this many, and a
-# longer run is a block of its own.  It bounds the transient memory of the
+# at once: each block is whole runs whose near terms add up to at most this
+# many, and a longer run is a block of its own.  It bounds the transient memory of the
 # check and changes no digit: each triple's terms are summed once, as one
 # sequence, whatever block they came in.
 BLOCK_ENTRIES = 1 << 13
@@ -604,6 +616,16 @@ class EtaDerivative:
                            minlength=int(np.sum(m)))
         self.q = _running_sums(grad, m)
         self.qoff = goff + np.arange(len(m))
+        # the unshared pairs of fan v are unshared[fan_unshared[v]:fan_unshared[v + 1]],
+        # and the largest |dc| and |ds| among them are c_top[v] and s_top[v]
+        self.unshared = np.flatnonzero(~self.shared)
+        fan = self.v[self.unshared]
+        self.fan_unshared = np.searchsorted(fan, np.arange(len(self.size) + 1))
+        self.c_top, self.s_top = np.zeros(len(self.size)), np.zeros(len(self.size))
+        if fan.size:
+            start = np.flatnonzero(np.diff(fan, prepend=-1))
+            for top, coef in ((self.c_top, self.dc), (self.s_top, self.ds)):
+                top[fan[start]] = np.maximum.reduceat(np.abs(coef[self.unshared]), start)
 
     def pair_sides(self, pairs: np.ndarray) -> tuple:
         """(pair, side): each of `pairs` with each side of its fan."""
@@ -617,21 +639,59 @@ class EtaDerivative:
         return (self.dc[pair] * (self.q[o + self.pos_b[pair]] - self.q[o + self.pos_a[pair]])
                 - self.ds[pair] * self.q[o + self.fan_size[pair]])
 
+    def side_bounds(self) -> np.ndarray:
+        """For each side f, a bound on |d eta_u / da_l| over the unshared
+        pairs u of its fan v, l = side_l[f]: fl(fl(c_top[v] spread_f) +
+        fl(s_top[v] |q_f[m]|)), spread_f = fl(max - min) of q_f over its germ
+        positions, as `max_abs` explains."""
+        m = self.size[self.side_v]
+        ends = np.stack([self.qoff, self.qoff + m], axis=1).ravel()  # the germ positions
+        spread = np.maximum.reduceat(self.q, ends)[::2] - np.minimum.reduceat(self.q, ends)[::2]
+        return (self.c_top[self.side_v] * spread
+                + self.s_top[self.side_v] * np.abs(self.q[self.qoff + m]))
+
     def max_abs(self) -> float:
-        """max |d eta(da_j, da_k) / da_l|, the pairs of the same edges summed."""
+        """max |d eta(da_j, da_k) / da_l|, the pairs of the same edges summed.
+
+        The pairs that share their two edges are summed per (edges, side) and
+        evaluated in full.  The unshared entries of side f of fan v are
+        bounded all at once: every one is fl(fl(dc fl(q_b - q_a)) - fl(ds
+        q_m)) with q_a, q_b among the germ positions of q_f, so rounding,
+        being monotone, keeps it within fl(fl(c_top[v] spread_f) + fl(s_top[v]
+        |q_f[m]|)), spread_f = fl(max - min) of q_f over those positions.
+        The sides are taken in decreasing bound, and their entries evaluated
+        while the bound is not below the maximum so far (a NaN bound counts
+        as infinite), so the maximum is the one of every entry.
+        """
         if not self.v.size:
             return 0.0
-        _, order, start = _runs(self.edge_pair.copy())
-        bounds = np.append(start, len(order))
         best = 0.0
+        shared = np.flatnonzero(self.shared)
+        _, order, start = _runs(self.edge_pair[shared])
+        order = shared[order]
+        bounds = np.append(start, len(order))
         for g0, g1 in _blocks(np.add.reduceat(self.n_sides[self.v[order]], start),
                               BLOCK_ENTRIES):
             pair, side = self.pair_sides(order[bounds[g0]:bounds[g1]])
-            value = self.derivative(pair, side)
-            shared = self.shared[pair]
-            best = max(best, float(np.max(np.abs(value[~shared]), initial=0.0)),
-                       _max_abs_by_key(self.edge_pair[pair[shared]] * self.n_edges
-                                       + self.side_l[side[shared]], value[shared])[0])
+            best = max(best, _max_abs_by_key(self.edge_pair[pair] * self.n_edges
+                                             + self.side_l[side],
+                                             self.derivative(pair, side))[0])
+        bound = self.side_bounds()
+        bound[np.isnan(bound)] = np.inf
+        sides = np.flatnonzero(np.diff(self.fan_unshared)[self.side_v])
+        sides = sides[np.argsort(-bound[sides], kind="stable")]
+        count = np.diff(self.fan_unshared)[self.side_v[sides]]
+        ends = np.cumsum(count)
+        i0 = 0
+        while i0 < len(sides) and not bound[sides[i0]] < best:
+            # the sides from i0 on whose bound is not below best, in a block
+            live = i0 + int(np.count_nonzero(bound[sides[i0:]] >= best))
+            i1 = min(live, max(i0 + 1, int(np.searchsorted(
+                ends, (ends[i0 - 1] if i0 else 0) + BLOCK_ENTRIES, side="right"))))
+            owner, k = _expand(self.fan_unshared[self.side_v[sides[i0:i1]]], count[i0:i1])
+            value = self.derivative(self.unshared[k], sides[i0:i1][owner])
+            best = max(best, float(np.max(np.abs(value))))
+            i0 = i1
         return best
 
 
@@ -639,10 +699,10 @@ class _JacobiTerms:
     """The terms of the Jacobi sum: rows of P contracted with pair derivatives.
 
     Row r reaches fan v when P[r, l] != 0 for a side l of v; the incidences
-    t = (v, r[t]) are sorted by (v, r), and x holds size[v] + 1 entries per
-    incidence in that order.  x[xoff[t] + k] is row r contracted with the
-    gradient of prefix[k] of fan v (k = size[v]: theta), so row r
-    contracted with the derivative of pair u is
+    t = (v[t], r[t]) are sorted by (v, r), and x holds size[v] + 1 entries
+    per incidence in that order.  x[xoff[t] + k] is row r contracted with
+    the gradient of prefix[k] of fan v (k = size[v]: theta), so row r
+    contracted with the derivative of pair u is (`_values`)
 
         dc[u] (x[pos_b[u]] - x[pos_a[u]]) - ds[u] x[fan_size[u]].
 
@@ -650,13 +710,22 @@ class _JacobiTerms:
     J[r, lo, hi], signed into the sorted triple.  The terms come in runs,
     listed by their slice, the smallest edge of the triple: a row with the
     suffix of its fan's pairs whose lo exceeds it, then a pair with the
-    suffix of its fan's rows above its lo.  Run g has count[g] terms, at
-    incidences inc0[g] + k * step[g] and pairs pair0[g] + k * (1 - step[g]),
-    k = 0, 1, ..., count[g] - 1.
+    suffix of its fan's rows above its lo.  Run g starts at incidence
+    inc0[g] and pair pair0[g], and step[g] says it is a pair's run.
+
+    A term is near when its row touches v (`at_fan`), its pair shares its
+    two edges with another pair, or its pair has a spike germ of the row:
+    a germ whose edge ends at an end of r.  Only near terms can share their
+    triple; a lone one is the whole sum of its triple.  The near terms are
+    listed from pieces of `table` (`_near_pieces`), the lone ones never:
+    `max_abs` bounds them per incidence from spread[t], max - min of x over
+    the germs of fan v that are no spike of row r.  Away from the spike
+    germs x does not move, as a corner of fan v that touches no end of r
+    adds exact zeros, so for the genuine eta the spread is rounding.
     """
 
     def __init__(self, der: EtaDerivative, p: np.ndarray):
-        n = der.n_edges
+        n, nv = der.n_edges, len(der.size)
         # row l of P lists, in increasing order, the rows r with P[r, l] != 0
         # when P is exactly antisymmetric: every nonzero cell is checked
         # against its mirror, which covers the zero cells too
@@ -671,97 +740,240 @@ class _JacobiTerms:
         key = _unique(der.side_v[owner] * n + nz_col[k])
         del nz_row, nz_col, owner, k
         v, self.r = key // n, key % n
-        self.end_a, self.end_b = der.edge_ends[self.r].T
-        self.at_fan = (self.end_a == v) | (self.end_b == v)
-        m = der.size[v]
-        self.xoff = np.cumsum(m + 1) - (m + 1)
-        self.x = np.empty(int(np.sum(m + 1)))
-        flat = p.ravel()
-        for t0, t1 in _blocks(m, BLOCK_ENTRIES):
-            owner, corner = _expand(der.first[v[t0:t1]], m[t0:t1])
-            row = self.r[t0:t1][owner] * n
-            z = np.zeros(len(corner))
-            for side in range(3):  # row r of P contracted with the corner's gradient
-                z += flat[row + der.sides[corner, side]] * der.partials[corner, side]
-            at = self.xoff[t0]
-            self.x[at:at + len(z) + t1 - t0] = _running_sums(z, m[t0:t1])
+        self.fan_first = np.searchsorted(v, np.arange(nv + 1))  # the incidences of each fan
+        end_a, end_b = der.edge_ends[self.r].T
+        self.at_fan = (end_a == v) | (end_b == v)
         pair_key = der.v * n + der.lo
         a_start = np.searchsorted(pair_key, key, side="right")
         a_count = np.searchsorted(pair_key, (v + 1) * n) - a_start
         b_start = np.searchsorted(key, pair_key, side="right")
         b_count = np.searchsorted(key, (der.v + 1) * n) - b_start
         count = np.concatenate([a_count, b_count])
+        del pair_key, a_count, b_count
+        self.terms_total = int(count.sum())
         runs = np.flatnonzero(count)
         runs = runs[np.argsort(np.concatenate([self.r, der.lo])[runs], kind="stable")]
-        self.step = (runs >= len(key)).astype(np.intp)
-        self.inc0 = np.concatenate([np.arange(len(key)), b_start])[runs]
-        self.pair0 = np.concatenate([a_start, np.arange(len(der.lo))])[runs]
-        self.count = count[runs]
+        self.step = runs >= len(key)
+        self.inc0 = np.concatenate([np.arange(len(key)), b_start])[runs].astype(np.int32)
+        self.pair0 = np.concatenate([a_start, np.arange(len(der.lo))])[runs].astype(np.int32)
+        # the far end of the edge of each germ, fan by fan
+        far = der.edge_ends[der.sides[:, 0]].sum(axis=1) - np.repeat(np.arange(nv), der.size)
+        self._near_pieces(der, key, v, far, end_a, end_b, a_start, b_start, count, runs)
+        del key, a_start, b_start, count, runs
+        m = der.size[v]
+        self.xoff = (np.cumsum(m + 1) - (m + 1)).astype(np.int32)
+        self.x = np.empty(int(np.sum(m + 1)))
+        self.bound = np.empty(len(v))
+        flat = p.ravel()
+        sides, partials = der.sides.T.copy(), der.partials.T.copy()
+        for t0, t1 in _blocks(m, BLOCK_ENTRIES):
+            owner, corner = _expand(der.first[v[t0:t1]], m[t0:t1])
+            row = self.r[t0:t1][owner] * n
+            z = np.zeros(len(corner))
+            for side in range(3):  # row r of P contracted with the corner's gradient
+                z += flat[row + sides[side, corner]] * partials[side, corner]
+            at = self.xoff[t0]
+            x = self.x[at:at + len(z) + t1 - t0]
+            x[:] = _running_sums(z, m[t0:t1])
+            # the bound on the lone terms: x at the germs of the fan that are
+            # no spike of the row, and at theta
+            germ = x[np.arange(len(z)) + owner]
+            far_end = far[corner]
+            spike = (far_end == end_a[t0:t1][owner]) | (far_end == end_b[t0:t1][owner])
+            first = np.cumsum(m[t0:t1]) - m[t0:t1]
+            spread = (np.maximum.reduceat(np.where(spike, -np.inf, germ), first)
+                      - np.minimum.reduceat(np.where(spike, np.inf, germ), first))
+            # -inf where every germ is a spike: no term of the row is lone
+            np.maximum(spread, 0.0, out=spread)
+            first += m[t0:t1] + np.arange(t1 - t0)
+            self.bound[t0:t1] = self.lone_bounds(der, v[t0:t1], spread, x[first])
+        self.near_terms = self.lone_evaluated = self.lone_skipped = 0
 
-    def terms(self, der: EtaDerivative, g0: int, g1: int) -> tuple:
-        """The terms of runs g0 .. g1 - 1: (key, value) of those that share
-        their triple, the key encoding the sorted triple (see `_triple_keys`),
-        and for the others (max |value|, -key of the smallest triple at it),
-        or (-1.0, 0) when there are none."""
-        n = der.n_edges
-        count, step = self.count[g0:g1], self.step[g0:g1]
-        # term j of the block is term j - begin[g] of its run g
-        begin = np.cumsum(count) - count
-        inc = np.repeat(self.inc0[g0:g1] - step * begin, count)
-        pair = np.repeat(self.pair0[g0:g1] - (1 - step) * begin, count)
-        j = np.arange(len(inc))
-        pair += j
-        j *= np.repeat(step, count)
-        inc += j
-        pair -= j
-        del j
-        # A row that shares no vertex with either edge of an unshared pair
-        # is the only term of its triple: no other row or pair reaches it.
-        near = self.at_fan[inc] | der.shared[pair]
-        ends = self.end_a[inc], self.end_b[inc]
-        for far in (der.far_lo, der.far_hi):
-            far = far[pair]
-            for end in ends:
-                near |= end == far
-        del ends, far
+    def _near_pieces(self, der: EtaDerivative, key: np.ndarray, v: np.ndarray,
+                     far: np.ndarray, end_a: np.ndarray, end_b: np.ndarray,
+                     a_start: np.ndarray, b_start: np.ndarray, count: np.ndarray,
+                     runs: np.ndarray):
+        """Where the near terms of each run lie in `table`: in pieces
+        piece_start[g] .. piece_start[g + 1] - 1 for run g, piece k holding
+        piece_count[k] entries, the j-th near term of the sweep, if it lies
+        in piece k, at entry piece_shift[k] + j; and run_first[g], the near
+        terms of the runs before run g.
+
+        Runs of rows list pairs and runs of pairs list rows: pair u is entry
+        u of the table and row t entry n_pairs + t, so that its first part
+        is every pair and row in order.  Then come the shared pairs and the
+        rows that touch their fan, in order, then the unshared pairs and the
+        rows that miss their fan by spike group: the group (v, w) of fan v
+        holds the pairs with a germ whose edge ends at w and the rows with
+        an end at w.  Items are the rows, then the pairs, as numbered in the
+        runs.  An item's run takes, from its first pair or row to the end of
+        its fan, (0) all of them when its row touches the fan or its pair is
+        shared, else the shared pairs or the touching rows, and (1, 2) the
+        spike groups of its row's two ends or of its pair's two germs.  Left
+        out are a pair's own hi (it repeats an edge) and what group 2 shares
+        with group 1, which cut their ranges into pieces.  Within a run only
+        the shared pairs of a row's run can share a triple, and they come in
+        order, so every triple's terms come in the order of the runs.
+        """
+        n, nv = der.n_edges, len(der.size)
+        n_pairs, n_inc = len(der.lo), len(key)
+        size = n_pairs + n_inc
+        whole = np.concatenate([self.at_fan, der.shared])
+        ga = der.v * nv + far[der.first[der.v] + der.pos_a]
+        gb = der.v * nv + far[der.first[der.v] + der.pos_b]
+        groups = np.stack([np.concatenate([v * nv + end_a, ga]), np.concatenate([
+            np.where(end_b == end_a, -1, v * nv + end_b),
+            np.where(gb == ga, -1, gb)])])
+        del ga, gb
+        groups[:, whole] = -1
+        spikes = groups * size
+        spikes[:, :n_inc] += n_pairs + np.arange(n_inc)
+        spikes[:, n_inc:] += np.arange(n_pairs)
+        spikes = spikes[groups >= 0]
+        spikes.sort()
+        ordered = np.concatenate([der.shared, self.at_fan])
+        before = np.concatenate([[0], np.cumsum(ordered)])  # ordered entries below each
+        ordered = np.flatnonzero(ordered)
+        spike = size + len(ordered)
+        self.table = np.concatenate([np.arange(size), ordered, spikes % size]).astype(np.int32)
+        del ordered
+        lo, hi = np.empty((3, size), dtype=np.int32), np.empty((3, size), dtype=np.int32)
+        first = np.concatenate([a_start, n_pairs + b_start])
+        lo[0] = np.where(whole, first, size + before[first])
+        hi[0] = np.where(whole, first + count, size + before[first + count])
+        # a pair's own hi, where its run lists it
+        h = np.searchsorted(key, der.v * n + der.hi)
+        found = np.flatnonzero(np.append(key, -1)[h] == der.v * n + der.hi)
+        h = h[found] + n_pairs
+        cuts = [(0, found + n_inc, np.where(der.shared[found], h, size + before[h]))]
+        self.terms_total -= len(found)  # terms with three distinct edges
+        del whole, before, h, found
+        # Each item lies in the groups it looks up, so the lookups go entry
+        # by entry: the rows of a group, by their index, start their pairs
+        # at nondecreasing indices, as do its pairs their rows, and searches
+        # for sorted keys run through the table once.
+        lo[1:], hi[1:] = spike, spike
+        for e0 in range(0, len(spikes), BLOCK_ENTRIES * 8):
+            g = spikes[e0:e0 + BLOCK_ENTRIES * 8]
+            entry = self.table[spike + e0:spike + e0 + len(g)]
+            item = entry + np.where(entry < n_pairs, n_inc, -n_pairs)  # the entry as an item
+            g = g - entry  # the group times size
+            k = np.where(groups[0, item] * size == g, size, 2 * size)
+            k += item
+            g += first[item]
+            lo.reshape(-1)[k] = spike + np.searchsorted(spikes, g)
+            g += count[item]
+            hi.reshape(-1)[k] = spike + np.searchsorted(spikes, g)
+        del spikes
+        # what group 2 shares with group 1: the pairs with a germ in the
+        # group of the row's other end, the rows with an end in the group
+        # of the pair's other germ
+        listed = hi[2] - lo[2]
+        for i0, i1 in _blocks(listed, BLOCK_ENTRIES):
+            i, at = _expand(lo[2, i0:i1], listed[i0:i1])
+            i += i0
+            other = self.table[at]
+            other += np.where(other < n_pairs, n_inc, -n_pairs)  # as an item
+            dup = (groups[0, other] == groups[0, i]) | (groups[1, other] == groups[0, i])
+            cuts.append((2, i[dup], at[dup]))
+        del listed, groups
+        # the three ranges of each run, in the order of the runs; a range
+        # with cuts c_1 < ... < c_k becomes the pieces [lo, c_1), [c_1 + 1,
+        # c_2), ..., [c_k + 1, hi), in order
+        lo, hi = lo[:, runs].T.ravel(), hi[:, runs].T.ravel()
+        rank = np.empty(size, dtype=np.intp)
+        rank[runs] = np.arange(len(runs))
+        slot = np.concatenate([rank[i] * 3 + k for k, i, _ in cuts])
+        at = np.concatenate([at for _, _, at in cuts])
+        del rank, cuts
+        order = np.argsort(slot * (len(self.table) + 1) + at)
+        slot, at = slot[order], at[order]
+        ends = np.where(np.diff(slot, append=-1) != 0, hi[slot], np.append(at[1:], 0))
+        first = np.diff(slot, prepend=-1) != 0
+        hi[slot[first]] = at[first]  # each range ends at its first cut
+        piece_run = np.insert(np.repeat(np.arange(len(runs)), 3), slot + 1, slot // 3)
+        lo, hi = np.insert(lo, slot + 1, at + 1), np.insert(hi, slot + 1, ends)
+        del slot, at, order, first, ends
+        keep = np.flatnonzero(hi > lo)
+        self.piece_count, piece_run = (hi - lo)[keep].astype(np.int32), piece_run[keep]
+        first = np.cumsum(self.piece_count) - self.piece_count  # near terms before
+        self.piece_shift = (lo[keep] - first).astype(np.int32)
+        del lo, hi, keep, first
+        self.run_first = np.concatenate([[0], np.cumsum(np.bincount(
+            piece_run, weights=self.piece_count, minlength=len(runs)).astype(np.intp))])
+        self.piece_start = np.concatenate(
+            [[0], np.cumsum(np.bincount(piece_run, minlength=len(runs)))]).astype(np.int32)
+
+    @staticmethod
+    def lone_bounds(der: EtaDerivative, v: np.ndarray, spread: np.ndarray,
+                    theta: np.ndarray) -> np.ndarray:
+        """For incidences of fans v whose rows miss their fan, with spread
+        the max - min of x over their non-spike germs and theta their x_m,
+        a bound on their lone terms: fl(fl(c_top[v] spread) + fl(s_top[v]
+        |x_m|)), as `max_abs` explains."""
+        bound = der.c_top[v] * spread
+        bound += der.s_top[v] * np.abs(theta)
+        return bound
+
+    def _values(self, der: EtaDerivative, inc: np.ndarray, pair: np.ndarray) -> np.ndarray:
+        """The terms of the rows of incidences `inc` with the pairs `pair`,
+        each fl(fl(dc fl(x_b - x_a)) - fl(ds x_m))."""
         o = self.xoff[inc]
         w = self.x[o + der.pos_b[pair]]
         w -= self.x[o + der.pos_a[pair]]
         w *= der.dc[pair]
         w -= der.ds[pair] * self.x[o + der.fan_size[pair]]
-        del o
-        # a row equal to hi repeats an edge: J is 0 there and nothing else
-        # lands on that key, so the term is dropped
-        keep = np.flatnonzero(near & (self.r[inc] != der.hi[pair]))
-        w_keep = w[keep]
-        np.abs(w, out=w)
-        w[near] = -1.0
-        top, alone = float(np.max(w, initial=-1.0)), (-1.0, 0)
-        if top >= 0.0:
-            at = np.flatnonzero(w == top)
-            key = _triple_keys(n, self.r[inc[at]], der.lo[pair[at]], der.hi[pair[at]])[0]
-            alone = (top, -int(key.min()))
-        del w, near
-        inc, pair = inc[keep], pair[keep]
-        key, odd = _triple_keys(n, self.r[inc], der.lo[pair], der.hi[pair])
-        w_keep[odd] *= -1.0
-        return key, w_keep, alone
+        return w
+
+    def terms(self, der: EtaDerivative, g0: int, g1: int) -> tuple:
+        """The near terms of runs g0 .. g1 - 1, run by run: (key, value), the
+        key encoding the sorted triple (see `_triple_keys`)."""
+        n_pairs = len(der.lo)
+        p0, p1 = self.piece_start[g0], self.piece_start[g1]
+        count = self.piece_count[p0:p1]
+        at = np.arange(self.run_first[g0], self.run_first[g1])
+        at += np.repeat(self.piece_shift[p0:p1], count)
+        item = self.table[at].astype(np.intp)
+        # the run's own row or pair
+        const = np.repeat(np.where(self.step[g0:g1], self.pair0[g0:g1], self.inc0[g0:g1]),
+                          np.diff(self.run_first[g0:g1 + 1]))
+        of_pair = item >= n_pairs
+        inc = np.where(of_pair, item - n_pairs, const)
+        pair = np.where(of_pair, const, item)
+        del at, item, const, of_pair
+        self.near_terms += len(inc)
+        w = self._values(der, inc, pair)
+        key, odd = _triple_keys(der.n_edges, self.r[inc], der.lo[pair], der.hi[pair])
+        np.negative(w, out=w, where=odd)
+        return key, w
 
     def max_abs(self, der: EtaDerivative) -> tuple:
         """(max |J|, its sorted triple) over the sorted triples, the smallest
-        triple on ties and None when there are no terms, evaluated in blocks
-        of whole runs (`_blocks` of BLOCK_ENTRIES terms).
+        triple on ties and None when there are no terms.
 
-        The terms that share their triple wait, unsummed, until the sweep has
-        passed their slice; then the terms of each triple are summed once, in
-        one `_sum_by_key` call, whose sum depends only on the sequence of the
-        triple's terms, so no digit depends on BLOCK_ENTRIES.
+        The near terms are evaluated in blocks of whole runs (`_blocks` of
+        BLOCK_ENTRIES near terms).  They wait, unsummed, until the sweep has
+        passed their slice; then the terms of each triple are summed once,
+        in one `_sum_by_key` call, whose sum depends only on the sequence of
+        the triple's terms, so no digit depends on BLOCK_ENTRIES.
+
+        Then the lone terms.  Each is fl(fl(dc fl(x_b - x_a)) - fl(ds x_m))
+        with x_a, x_b at two germs that are no spike of the row and an
+        unshared pair.  Rounding is monotone and |fl(y - z)| <= fl(|y| +
+        |z|), so every lone term of incidence t is at most bound_t =
+        fl(fl(c_top[v] spread[t]) + fl(s_top[v] |x_m|)) (`EtaDerivative`):
+        no fudge factor is needed.  The lone terms of t are evaluated only
+        when bound_t is not strictly below the largest near sum; a term
+        strictly below it can neither exceed nor tie it, so skipping it
+        changes neither the maximum nor its triple.  A NaN bound is below
+        nothing.  The counts of near terms and of lone terms evaluated and
+        skipped (near_terms, lone_evaluated, lone_skipped, all of them with
+        three distinct edges) are kept on the object.
         """
-        n, runs = der.n_edges, len(self.count)
+        n, runs = der.n_edges, len(self.step)
         best, pending = (-1.0, 0), []
-        for g0, g1 in _blocks(self.count, BLOCK_ENTRIES):
-            key, value, alone = self.terms(der, g0, g1)
-            best = max(best, alone)
+        for g0, g1 in _blocks(np.diff(self.run_first), BLOCK_ENTRIES):
+            key, value = self.terms(der, g0, g1)
             # the terms below `later` lie in slices before that of run g1
             if g1 == runs:
                 later = n ** 3
@@ -778,6 +990,30 @@ class _JacobiTerms:
                 pending = []
             if c < len(key):
                 pending.append((key[c:], value[c:]))
+        lone = np.flatnonzero(~self.at_fan & ~(self.bound < best[0]))
+        fan = np.searchsorted(self.fan_first, lone, side="right") - 1
+        fan_pairs = np.searchsorted(der.v, np.arange(len(der.size) + 1))
+        count = np.diff(fan_pairs)[fan]
+        for i0, i1 in _blocks(count, BLOCK_ENTRIES):
+            owner, pair = _expand(fan_pairs[fan[i0:i1]], count[i0:i1])
+            inc = lone[i0:i1][owner]
+            near = der.shared[pair]
+            ends = der.edge_ends[self.r[inc]]
+            for far in (der.far_lo[pair], der.far_hi[pair]):
+                near |= far == ends[:, 0]
+                near |= far == ends[:, 1]
+            alone = np.flatnonzero(~near)
+            inc, pair = inc[alone], pair[alone]
+            del owner, near, alone, ends
+            self.lone_evaluated += len(inc)
+            w = self._values(der, inc, pair)
+            np.abs(w, out=w)
+            top = float(np.max(w, initial=-1.0))
+            if top >= 0.0:
+                at = np.flatnonzero(w == top)
+                key = _triple_keys(n, self.r[inc[at]], der.lo[pair[at]], der.hi[pair[at]])[0]
+                best = max(best, (top, -int(key.min())))
+        self.lone_skipped = self.terms_total - self.near_terms - self.lone_evaluated
         if best[0] < 0.0:
             return 0.0, None
         key = -best[1]
@@ -792,17 +1028,22 @@ def jacobi_residual(s: ConeSurface, p: np.ndarray | None = None,
     J[i,j,k] = sum_l (P[i,l] D[l,j,k] + P[j,l] D[l,k,i] + P[k,l] D[l,i,j])
     with D[l] = dP/da_l from `EtaDerivative`; the result is normalized by
     max|P| * max|D|.  J is totally antisymmetric, so each nonzero triple is
-    evaluated once, sorted, from the terms of `_JacobiTerms`.  `p` is the
-    bivector of s when the caller has it already; any other matrix given
-    there is checked in its place, so a fake bivector can be shown to fail,
-    while the genuine one passes at rounding level.  A given `p` must be
-    exactly antisymmetric (p == -p.T), as every P this package builds is:
-    the rows r with P[r, l] != 0 are read off row l.  Any other p is refused
-    with ValueError, naming a nonzero cell whose mirror is not its negative.
-    `pairs` is the FanPairs of s when the caller has it already; its wall
-    guard is the one applied, and WALL_GUARD without it.  The triple is the
-    sorted edge indices (i, j, k) of the largest |J|, the smallest triple on
-    ties, or None when no triple has a term (P = 0).
+    evaluated once, sorted, from the terms of `_JacobiTerms`.  The triples
+    with more than one term are summed; a lone term, which is a whole
+    triple, is evaluated only where a bound that rounding cannot break
+    leaves it a chance to reach the maximum, and so are the entries of
+    max|D| (see the module docstring): the result is the one of every term.
+    `p` is the bivector of s when the caller has it already; any other
+    matrix given there is checked in its place, so a fake bivector can be
+    shown to fail (its lone terms are far from 0, so their bounds seldom
+    fall below the maximum), while the genuine one passes at rounding level.  A given `p`
+    must be exactly antisymmetric (p == -p.T), as every P this package
+    builds is: the rows r with P[r, l] != 0 are read off row l.  Any other
+    p is refused with ValueError, naming a nonzero cell whose mirror is not
+    its negative.  `pairs` is the FanPairs of s when the caller has it
+    already; its wall guard is the one applied, and WALL_GUARD without it.
+    The triple is the sorted edge indices (i, j, k) of the largest |J|, the
+    smallest triple on ties, or None when no triple has a term (P = 0).
     """
     if pairs is None:
         pairs = FanPairs(s)

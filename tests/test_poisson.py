@@ -737,6 +737,118 @@ def test_jacobi_detects_fake_bivector(skew_torus, skew_tetra, skew_g1n2):
         assert jacobi_residual(s, p=eta_matrix(s) + q)[0] > 1e-2
 
 
+def _pinned_surfaces():
+    """The README torus and seeded stellar surfaces of 150 and 600 edges."""
+    yield "readme", torus_surface(1.0, 1.0, 1.9)
+    for edges in (150, 600):
+        for start, base in (("tet", 6), ("tor", 3)):
+            for seed in (1, 2):
+                yield f"{start}{edges}-{seed}", stellar_surface((edges - base) // 3, seed,
+                                                                start=start)
+
+
+# (jacobi_residual, its sorted triple, lone terms evaluated) of the genuine
+# eta.  The residuals and triples are those of the check that evaluated
+# every term; the bound on the lone terms must keep them to the last digit.
+# Two surfaces evaluate a few lone terms: on tor150-1 one row's bound is 1.29
+# times the largest near sum, on tor600-2 one equals it exactly.
+JACOBI_PINS = {
+    "readme": (4.915507984677403e-16, (0, 1, 2), 0),
+    "tet150-1": (9.12539692566554e-16, (4, 16, 46), 0),
+    "tet150-2": (2.927901010457327e-15, (61, 66, 136), 0),
+    "tor150-1": (4.246943192872505e-15, (17, 113, 148), 10),
+    "tor150-2": (4.8141923729551974e-15, (59, 91, 135), 0),
+    "tet600-1": (5.998573561285902e-15, (131, 270, 527), 0),
+    "tet600-2": (1.8332040684717765e-14, (226, 467, 590), 0),
+    "tor600-1": (1.250093753958434e-15, (15, 85, 249), 0),
+    "tor600-2": (8.11201354550339e-16, (110, 152, 364), 63),
+}
+
+
+def _jacobi_counts(s, p):
+    """(max |J|, triple, near terms, lone terms evaluated, lone terms
+    skipped) of the unscaled check of p on s."""
+    pairs = FanPairs(s)
+    der = EtaDerivative(pairs)
+    terms = poisson._JacobiTerms(der, p)
+    return (*terms.max_abs(der), terms.near_terms, terms.lone_evaluated, terms.lone_skipped)
+
+
+def _no_bounds(monkeypatch):
+    """Make every bound on a lone term or a derivative entry infinite, so
+    that the check evaluates every one of them."""
+    monkeypatch.setattr(poisson._JacobiTerms, "lone_bounds",
+                        staticmethod(lambda der, v, *_: np.full(len(v), np.inf)))
+    monkeypatch.setattr(EtaDerivative, "side_bounds", lambda self: np.full(len(self.side_l), np.inf))
+
+
+def test_jacobi_digits_are_pinned():
+    for name, s in _pinned_surfaces():
+        residual, triple = jacobi_residual(s)
+        assert (residual, triple) == JACOBI_PINS[name][:2], name
+
+
+def test_jacobi_bounds_change_no_digit(monkeypatch, skew_torus, skew_tetra, skew_g1n2):
+    # the same (residual, triple) when every lone term and derivative entry
+    # is evaluated, for the genuine eta and for the perturbed bivectors of
+    # the fake-bivector and single-entry tests
+    cases = [(s, None) for _, s in _pinned_surfaces()]
+    rng = np.random.default_rng(41)
+    for s in (skew_torus, skew_tetra, skew_g1n2):
+        n = s.n_edges
+        q = rng.uniform(-1.0, 1.0, size=(n, n))
+        q = q - q.T
+        q *= 0.1 / np.max(np.abs(q))
+        cases.append((s, eta_matrix(s) + q))
+    s = stellar_surface(9, seed=1, start="tor")
+    p = eta_matrix(s)
+    rng = np.random.default_rng(45)
+    for _ in range(40):
+        q = np.zeros_like(p)
+        i, j = rng.choice(s.n_edges, 2, replace=False)
+        q[i, j], q[j, i] = 0.1, -0.1
+        cases.append((s, p + q))
+    bounded = [jacobi_residual(s, p=p) for s, p in cases]
+    _no_bounds(monkeypatch)
+    assert [jacobi_residual(s, p=p) for s, p in cases] == bounded
+
+
+def test_jacobi_counts_what_it_evaluates(monkeypatch, skew_torus, skew_tetra, skew_g1n2):
+    for name, s in _pinned_surfaces():
+        pairs = FanPairs(s)
+        der = EtaDerivative(pairs)
+        *_, near, evaluated, skipped = _jacobi_counts(s, pairs.matrix())
+        assert evaluated == JACOBI_PINS[name][2], name
+        # every term with three distinct edges is counted once: a row of P
+        # reaching fan v meets each pair of v that does not have it as an edge
+        terms = poisson._JacobiTerms(der, pairs.matrix())
+        fan = np.repeat(np.arange(len(der.size)), np.diff(terms.fan_first))
+        fan_pairs = np.bincount(der.v, minlength=len(der.size))
+        owner, pair = poisson._expand(np.searchsorted(der.v, fan), fan_pairs[fan])
+        distinct = (der.lo[pair] != terms.r[owner]) & (der.hi[pair] != terms.r[owner])
+        assert near + evaluated + skipped == np.count_nonzero(distinct), name
+        assert skipped > 0 or name == "readme", name
+    # a fake bivector has its lone terms evaluated where they may reach the
+    # maximum: on the small surfaces of the fake-bivector test every term is
+    # near and none is skipped, while at 102 edges the near sums are so
+    # large that most lone terms are, and skipping changes neither the
+    # residual nor its triple
+    rng = np.random.default_rng(41)
+    for s, small in ((skew_torus, True), (skew_tetra, True), (skew_g1n2, True),
+                     (stellar_surface(32, seed=1), False)):
+        n = s.n_edges
+        q = rng.uniform(-1.0, 1.0, size=(n, n))
+        q = q - q.T
+        q *= 0.1 / np.max(np.abs(q))
+        got = _jacobi_counts(s, eta_matrix(s) + q)
+        with monkeypatch.context() as m:
+            _no_bounds(m)
+            want = _jacobi_counts(s, eta_matrix(s) + q)
+        assert got[:3] == want[:3] and want[4] == 0
+        assert got[3] + got[4] == want[3]
+        assert got[4] == 0 if small else got[4] > 0
+
+
 def test_wall_guard(torus):
     near_wall = torus_surface(1e-3)
     assert wall_margin(near_wall.cone_angle)[0] < 1e-6
