@@ -33,19 +33,19 @@ in the order of the triple's smallest edge (its slice).
 Only the near terms are listed: those whose row touches the fan, whose pair
 shares its two edges with another pair, or whose pair has an edge ending at
 an end of the row.  Any other term is alone on its triple, so it is that
-triple's whole sum, exactly 0 for the genuine eta.  The sweep evaluates the
-near terms of whole runs, at most BLOCK_ENTRIES at a time unless one run has
-more; once it has passed a slice, the terms of each of its triples are
-summed once, as `_sum_by_key` sums them: the sum depends only on the
-sequence of a triple's terms, which is that of the runs, so the block size
-changes no digit.  Then one bound per row and fan covers all the lone terms
-of that row: each is computed as fl(fl(dc fl(x_b - x_a)) - fl(ds x_m)), and
-rounding is monotone, so the same steps taken on the largest |dc|, |ds|,
-|x_b - x_a| and |x_m| bound it (`_JacobiTerms.max_abs`).  A row's lone terms
-are evaluated only where that bound is not strictly below the largest near
-sum, so those skipped can neither exceed nor tie the maximum, and the
-result is the one of every term; max |D| is found the same way
-(`EtaDerivative.max_abs`).  No surface is rebuilt and no E^3 array is
+triple's whole sum: 0 for the genuine eta in exact arithmetic.  The sweep
+evaluates the near terms of whole runs, at most BLOCK_ENTRIES at a time
+unless one run has more; once it has passed a slice, the terms of each of
+its triples are summed once, as `_sum_by_key` sums them: the sum depends
+only on the sequence of a triple's terms, which is that of the runs, so the
+block size changes no digit.  Then one bound per row and fan covers all the
+lone terms of that row: each is computed as fl(fl(dc fl(x_b - x_a)) - fl(ds
+x_m)), and rounding is monotone, so the same steps taken on the largest
+|dc|, |ds|, |x_b - x_a| and |x_m| bound it (`_JacobiTerms.max_abs`).  A
+row's lone terms are evaluated only where that bound is not strictly below
+the largest near sum, so those skipped can neither exceed nor tie the
+maximum, and the result is the one of every term; max |D| is found the same
+way (`EtaDerivative.max_abs`).  No surface is rebuilt and no E^3 array is
 formed.
 
 The coefficients blow up like 1/sin(theta/2) as a cone angle approaches a
@@ -69,9 +69,9 @@ from .surface import ConeSurface, _running_sums, wall_margin
 WALL_GUARD = 1e-6
 # Most terms (or derivative entries) one block of the Jacobi check evaluates
 # at once: each block is whole runs whose near terms add up to at most this
-# many, and a longer run is a block of its own.  It bounds the transient memory of the
-# check and changes no digit: each triple's terms are summed once, as one
-# sequence, whatever block they came in.
+# many, and a longer run is a block of its own.  It bounds the transient
+# memory of the check and changes no digit: each triple's terms are summed
+# once, as one sequence, whatever block they came in.
 BLOCK_ENTRIES = 1 << 13
 # Most rows per block of the rank certificate's Cholesky factorization: up
 # to this order it is one LAPACK call, above it blocks of equal size.

@@ -779,7 +779,8 @@ def _no_bounds(monkeypatch):
     that the check evaluates every one of them."""
     monkeypatch.setattr(poisson._JacobiTerms, "lone_bounds",
                         staticmethod(lambda der, v, *_: np.full(len(v), np.inf)))
-    monkeypatch.setattr(EtaDerivative, "side_bounds", lambda self: np.full(len(self.side_l), np.inf))
+    monkeypatch.setattr(EtaDerivative, "side_bounds",
+                        lambda self: np.full(len(self.side_l), np.inf))
 
 
 def test_jacobi_digits_are_pinned():
