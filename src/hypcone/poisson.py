@@ -710,8 +710,8 @@ class _JacobiTerms:
     J[r, lo, hi], signed into the sorted triple.  The terms come in runs,
     listed by their slice, the smallest edge of the triple: a row with the
     suffix of its fan's pairs whose lo exceeds it, then a pair with the
-    suffix of its fan's rows above its lo.  Run g starts at incidence
-    inc0[g] and pair pair0[g], and step[g] says it is a pair's run.
+    suffix of its fan's rows above its lo.  Run g is that of the row or
+    pair run_own[g], and run_slice[g] is its slice.
 
     A term is near when its row touches v (`at_fan`), its pair shares its
     two edges with another pair, or its pair has a spike germ of the row:
@@ -752,10 +752,12 @@ class _JacobiTerms:
         del pair_key, a_count, b_count
         self.terms_total = int(count.sum())
         runs = np.flatnonzero(count)
-        runs = runs[np.argsort(np.concatenate([self.r, der.lo])[runs], kind="stable")]
-        self.step = runs >= len(key)
-        self.inc0 = np.concatenate([np.arange(len(key)), b_start])[runs].astype(np.int32)
-        self.pair0 = np.concatenate([a_start, np.arange(len(der.lo))])[runs].astype(np.int32)
+        slices = np.concatenate([self.r, der.lo])[runs]
+        order = np.argsort(slices, kind="stable")
+        runs, self.run_slice = runs[order], slices[order].astype(np.int32)
+        # the run's own row, or its own pair
+        self.run_own = np.where(runs < len(key), runs, runs - len(key)).astype(np.int32)
+        del slices, order
         # the far end of the edge of each germ, fan by fan
         far = der.edge_ends[der.sides[:, 0]].sum(axis=1) - np.repeat(np.arange(nv), der.size)
         self._near_pieces(der, key, v, far, end_a, end_b, a_start, b_start, count, runs)
@@ -935,8 +937,7 @@ class _JacobiTerms:
         at += np.repeat(self.piece_shift[p0:p1], count)
         item = self.table[at].astype(np.intp)
         # the run's own row or pair
-        const = np.repeat(np.where(self.step[g0:g1], self.pair0[g0:g1], self.inc0[g0:g1]),
-                          np.diff(self.run_first[g0:g1 + 1]))
+        const = np.repeat(self.run_own[g0:g1], np.diff(self.run_first[g0:g1 + 1]))
         of_pair = item >= n_pairs
         inc = np.where(of_pair, item - n_pairs, const)
         pair = np.where(of_pair, const, item)
@@ -970,17 +971,12 @@ class _JacobiTerms:
         skipped (near_terms, lone_evaluated, lone_skipped, all of them with
         three distinct edges) are kept on the object.
         """
-        n, runs = der.n_edges, len(self.step)
+        n, runs = der.n_edges, len(self.run_slice)
         best, pending = (-1.0, 0), []
         for g0, g1 in _blocks(np.diff(self.run_first), BLOCK_ENTRIES):
             key, value = self.terms(der, g0, g1)
             # the terms below `later` lie in slices before that of run g1
-            if g1 == runs:
-                later = n ** 3
-            elif self.step[g1]:  # a pair's run: its slice is the pair's lo
-                later = int(der.lo[self.pair0[g1]]) * n * n
-            else:  # a row's run: its slice is the row
-                later = int(self.r[self.inc0[g1]]) * n * n
+            later = n ** 3 if g1 == runs else int(self.run_slice[g1]) * n * n
             # slices never decrease along the runs, so the passed ones are a
             # prefix of this block, and the pending terms all lie in one slice
             c = int(np.count_nonzero(key < later))
