@@ -718,10 +718,10 @@ class _JacobiTerms:
     a germ whose edge ends at an end of r.  Only near terms can share their
     triple; a lone one is the whole sum of its triple.  The near terms are
     listed from pieces of `table` (`_near_pieces`), the lone ones never:
-    `max_abs` bounds them per incidence from spread[t], max - min of x over
-    the germs of fan v that are no spike of row r.  Away from the spike
-    germs x does not move, as a corner of fan v that touches no end of r
-    adds exact zeros, so for the genuine eta the spread is rounding.
+    bound[t] bounds those of incidence t (`lone_bounds`), from the spread of
+    x over the germs of fan v that are no spike of row r.  Away from the
+    spike germs x does not move, as a corner of fan v that touches no end of
+    r adds exact zeros, so for the genuine eta the spread is rounding.
     """
 
     def __init__(self, der: EtaDerivative, p: np.ndarray):
