@@ -797,9 +797,8 @@ class _JacobiTerms:
                      runs: np.ndarray):
         """Where the near terms of each run lie in `table`: in pieces
         piece_start[g] .. piece_start[g + 1] - 1 for run g, piece k holding
-        piece_count[k] entries, the j-th near term of the sweep, if it lies
-        in piece k, at entry piece_shift[k] + j; and run_first[g], the near
-        terms of the runs before run g.
+        the piece_count[k] entries from piece_lo[k] on; and run_first[g], the
+        near terms of the runs before run g.
 
         Runs of rows list pairs and runs of pairs list rows: pair u is entry
         u of the table and row t entry n_pairs + t, so that its first part
@@ -898,9 +897,8 @@ class _JacobiTerms:
         del slot, at, order, first, ends
         keep = np.flatnonzero(hi > lo)
         self.piece_count, piece_run = (hi - lo)[keep].astype(np.int32), piece_run[keep]
-        first = np.cumsum(self.piece_count) - self.piece_count  # near terms before
-        self.piece_shift = (lo[keep] - first).astype(np.int32)
-        del lo, hi, keep, first
+        self.piece_lo = lo[keep]
+        del lo, hi, keep
         self.run_first = np.concatenate([[0], np.cumsum(np.bincount(
             piece_run, weights=self.piece_count, minlength=len(runs)).astype(np.intp))])
         self.piece_start = np.concatenate(
@@ -933,8 +931,10 @@ class _JacobiTerms:
         n_pairs = len(der.lo)
         p0, p1 = self.piece_start[g0], self.piece_start[g1]
         count = self.piece_count[p0:p1]
-        at = np.arange(self.run_first[g0], self.run_first[g1])
-        at += np.repeat(self.piece_shift[p0:p1], count)
+        first = np.cumsum(count, dtype=np.intp)
+        first -= count  # the block's terms before each piece
+        at = np.repeat(self.piece_lo[p0:p1] - first, count)
+        at += np.arange(len(at))
         item = self.table[at].astype(np.intp)
         # the run's own row or pair
         const = np.repeat(self.run_own[g0:g1], np.diff(self.run_first[g0:g1 + 1]))
