@@ -193,10 +193,12 @@ def cmd_poisson(args, out: Emitter, tols) -> int:
     for eid, row in zip(s.edge_ids, _row_texts(p)):
         out.put(f"P.{eid}", row)
     grads = poisson_mod.angle_gradients(s)
-    residuals = poisson_mod.radical_residuals(p, grads).tolist()
-    jac, triple = poisson_mod.jacobi_residual(s, p=p, pairs=pairs)
+    # one Jacobi table for the radical and the Jacobi check
+    table = poisson_mod.JacobiTerms(pairs, p)
     del pairs
-    # the last use of P: on large surfaces the certificate builds K in its memory
+    residuals = poisson_mod.radical_residuals(table, grads).tolist()
+    jac, triple = poisson_mod.jacobi_residual(s, pairs=table)
+    del table  # freed before the certificate builds K in the memory of P
     rank, margin = poisson_mod.bivector_rank(p, grads)
     del p
     expected = 6 * s.genus - 6 + 2 * s.n_vertices

@@ -25,28 +25,24 @@ germ pair in factored form (`EtaDerivative`).  Contracting a row r of P with
 the derivative of the pair (a, b) of a fan takes three numbers, the row
 contracted with the gradients of prefix[a], prefix[b] and theta, and gives
 the one term the pair and the row add to the Jacobi sum at the triple of
-edges (r, edge a, edge b).  J is totally antisymmetric, so the terms are
-summed per sorted triple.  They come in runs (a row with a suffix of its
-fan's pairs, or a pair with a suffix of the rows reaching its fan), listed
-in the order of the triple's smallest edge (its slice).
+edges (r, edge a, edge b).  The third number is (P G^T)[r, v], v the fan's
+vertex, so the radical residuals are read off the same table
+(`JacobiTerms`): no product P G^T is formed, and the rank certificate makes
+the only BLAS calls.  J is totally antisymmetric, so the terms are summed
+per sorted triple.  They come in runs (a row with a suffix of its fan's
+pairs, or a pair with a suffix of the rows reaching its fan), listed in the
+order of the triple's smallest edge (its slice).
 
 Only the near terms are listed: those whose row touches the fan, whose pair
 shares its two edges with another pair, or whose pair has an edge ending at
 an end of the row.  Any other term is alone on its triple, so it is that
-triple's whole sum: 0 for the genuine eta in exact arithmetic.  The sweep
-evaluates the near terms of whole runs, at most BLOCK_ENTRIES at a time
-unless one run has more; once it has passed a slice, the terms of each of
-its triples are summed once, as `_sum_by_key` sums them: the sum depends
-only on the sequence of a triple's terms, which is that of the runs, so the
-block size changes no digit.  Then one bound per row and fan covers all the
-lone terms of that row: each is computed as fl(fl(dc fl(x_b - x_a)) - fl(ds
-x_m)), and rounding is monotone, so the same steps taken on the largest
-|dc|, |ds|, |x_b - x_a| and |x_m| bound it (`_JacobiTerms.max_abs`).  A
-row's lone terms are evaluated only where that bound is not strictly below
-the largest near sum, so those skipped can neither exceed nor tie the
-maximum, and the result is the one of every term; max |D| is found the same
-way (`EtaDerivative.max_abs`).  No surface is rebuilt and no E^3 array is
-formed.
+triple's whole sum: 0 for the genuine eta in exact arithmetic.  The near
+terms are summed per triple, in blocks of whole runs whose size changes no
+digit; a lone term is evaluated only where a rounding-monotone bound, one
+per row and fan, does not fall strictly below the largest near sum, so the
+result is the one of every term (`JacobiTerms.max_abs`).  max |D| is found
+the same way (`EtaDerivative.max_abs`).  No surface is rebuilt and no E^3
+array is formed.
 
 The coefficients blow up like 1/sin(theta/2) as a cone angle approaches a
 multiple of 2*pi.  Evaluation is refused where the `surface.wall_margin`
@@ -272,15 +268,17 @@ def angle_gradients(s: ConeSurface) -> np.ndarray:
     return g
 
 
-def radical_residuals(p: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """Scaled residuals ||P g||_inf / (||P||_inf ||g||_inf + 1) per vertex."""
-    if grads.ndim != 2 or grads.shape[1] != p.shape[0]:
+def radical_residuals(terms: JacobiTerms, grads: np.ndarray) -> np.ndarray:
+    """Scaled residuals ||P g||_inf / (max|P| ||g||_inf + 1) per vertex, read
+    off the Jacobi table of P: (P g_v)_r is x at theta of incidence (v, r),
+    and 0 for a row r that misses fan v, where alone g_v is nonzero."""
+    der, n_v = terms.der, len(terms.der.size)
+    if grads.shape != (n_v, der.n_edges):
         raise DimensionMismatch("gradient rows must match the matrix dimension")
-    pnorm = max(float(p.max()), -float(p.min()))
-    gnorm = np.max(np.abs(grads), axis=1)  # before the product: one n x E array at a time
-    products = p @ grads.T
-    np.abs(products, out=products)
-    return np.max(products, axis=0) / (pnorm * gnorm + 1.0)
+    v = np.repeat(np.arange(n_v), np.diff(terms.fan_first))
+    top = np.zeros(n_v)
+    np.maximum.at(top, v, np.abs(terms.x[terms.xoff + der.size[v]]))
+    return top / (terms.p_max * np.maximum(grads.max(axis=1), -grads.min(axis=1)) + 1.0)
 
 
 def _gamma(k: int) -> float:
@@ -695,14 +693,15 @@ class EtaDerivative:
         return best
 
 
-class _JacobiTerms:
+class JacobiTerms:
     """The terms of the Jacobi sum: rows of P contracted with pair derivatives.
 
     Row r reaches fan v when P[r, l] != 0 for a side l of v; the incidences
     t = (v[t], r[t]) are sorted by (v, r), and x holds size[v] + 1 entries
     per incidence in that order.  x[xoff[t] + k] is row r contracted with
-    the gradient of prefix[k] of fan v (k = size[v]: theta), so row r
-    contracted with the derivative of pair u is (`_values`)
+    the gradient of prefix[k] of fan v (k = size[v]: theta, so that is
+    (P G^T)[r, v], which `radical_residuals` reads), and row r contracted
+    with the derivative of pair u is (`_values`)
 
         dc[u] (x[pos_b[u]] - x[pos_a[u]]) - ds[u] x[fan_size[u]].
 
@@ -722,9 +721,12 @@ class _JacobiTerms:
     x over the germs of fan v that are no spike of row r.  Away from the
     spike germs x does not move, as a corner of fan v that touches no end of
     r adds exact zeros, so for the genuine eta the spread is rounding.
+    It keeps `der`, the EtaDerivative of its FanPairs, and p_max = max|P|.
     """
 
-    def __init__(self, der: EtaDerivative, p: np.ndarray):
+    def __init__(self, pairs: FanPairs, p: np.ndarray):
+        self.der = der = EtaDerivative(pairs)
+        self.p_max = max(float(p.max()), -float(p.min()))
         n, nv = der.n_edges, len(der.size)
         # row l of P lists, in increasing order, the rows r with P[r, l] != 0
         # when P is exactly antisymmetric: every nonzero cell is checked
@@ -948,7 +950,7 @@ class _JacobiTerms:
         np.negative(w, out=w, where=odd)
         return key, w
 
-    def max_abs(self, der: EtaDerivative) -> tuple:
+    def max_abs(self) -> tuple:
         """(max |J|, its sorted triple) over the sorted triples, the smallest
         triple on ties and None when there are no terms.
 
@@ -971,6 +973,7 @@ class _JacobiTerms:
         skipped (near_terms, lone_evaluated, lone_skipped, all of them with
         three distinct edges) are kept on the object.
         """
+        der = self.der
         n, runs = der.n_edges, len(self.run_slice)
         best, pending = (-1.0, 0), []
         for g0, g1 in _blocks(np.diff(self.run_first), BLOCK_ENTRIES):
@@ -1017,44 +1020,39 @@ class _JacobiTerms:
 
 
 def jacobi_residual(s: ConeSurface, p: np.ndarray | None = None,
-                    pairs: FanPairs | None = None) -> tuple:
+                    pairs: JacobiTerms | None = None) -> tuple:
     """(residual, triple): the scaled maximal Jacobi-identity defect over
     all coordinate triples, and the triple where it is reached.
 
     J[i,j,k] = sum_l (P[i,l] D[l,j,k] + P[j,l] D[l,k,i] + P[k,l] D[l,i,j])
     with D[l] = dP/da_l from `EtaDerivative`; the result is normalized by
     max|P| * max|D|.  J is totally antisymmetric, so each nonzero triple is
-    evaluated once, sorted, from the terms of `_JacobiTerms`.  The triples
+    evaluated once, sorted, from the terms of `JacobiTerms`.  The triples
     with more than one term are summed; a lone term, which is a whole
     triple, is evaluated only where a bound that rounding cannot break
     leaves it a chance to reach the maximum, and so are the entries of
     max|D| (see the module docstring): the result is the one of every term.
-    `p` is the bivector of s when the caller has it already; any other
-    matrix given there is checked in its place, so a fake bivector can be
-    shown to fail (its lone terms are far from 0, so their bounds seldom
-    fall below the maximum), while the genuine one passes at rounding level.  A given `p`
-    must be exactly antisymmetric (p == -p.T), as every P this package
-    builds is: the rows r with P[r, l] != 0 are read off row l.  Any other
-    p is refused with ValueError, naming a nonzero cell whose mirror is not
-    its negative.  `pairs` is the FanPairs of s when the caller has it
-    already; its wall guard is the one applied, and WALL_GUARD without it.
     The triple is the sorted edge indices (i, j, k) of the largest |J|, the
     smallest triple on ties, or None when no triple has a term (P = 0).
+
+    `pairs` is the JacobiTerms table of s and its bivector when the caller
+    has it already.  Without it the table is built under WALL_GUARD from
+    `p`, by default the bivector of s: any other matrix is checked in its
+    place, so a fake bivector can be shown to fail while the genuine one
+    passes at rounding level.  That p must be exactly antisymmetric (p ==
+    -p.T), as every P this package builds is, or it is refused with
+    ValueError naming a nonzero cell whose mirror is not its negative.
     """
     if pairs is None:
-        pairs = FanPairs(s)
-    if p is None:
-        p = pairs.matrix()
-    elif p.shape != (s.n_edges, s.n_edges):
-        raise DimensionMismatch("bivector shape mismatch")
-    der = EtaDerivative(pairs)
-    del pairs
-    p_max = max(float(p.max()), -float(p.min()))
-    terms = _JacobiTerms(der, p)
-    del p  # the terms hold what they need of P
-    best, triple = terms.max_abs(der)
-    residual = best / (p_max * der.max_abs() + 1e-300)
-    return residual, triple
+        fans = FanPairs(s)
+        if p is None:
+            p = fans.matrix()
+        elif p.shape != (s.n_edges, s.n_edges):
+            raise DimensionMismatch("bivector shape mismatch")
+        pairs = JacobiTerms(fans, p)
+        del fans, p  # the table holds what it needs of both
+    best, triple = pairs.max_abs()
+    return best / (pairs.p_max * pairs.der.max_abs() + 1e-300), triple
 
 
 def comparison_note():

@@ -6,12 +6,19 @@ import numpy as np
 import pytest
 
 from hypcone import ConeSurface
+from hypcone.poisson import FanPairs, JacobiTerms
 from hypcone.surface import prv
 from hypcone.sl2 import sl2_basis
 
 
 # The rank oracle counts singular values above RANK_TOL times the largest.
 RANK_TOL = 1e-8
+
+
+def jacobi_table(s, p=None):
+    """The Jacobi table of s and p, by default the bivector of s."""
+    pairs = FanPairs(s)
+    return JacobiTerms(pairs, pairs.matrix() if p is None else p)
 
 
 def svd_rank(p):

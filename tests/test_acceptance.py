@@ -14,6 +14,7 @@ import pytest
 
 from conftest import (
     genus1_two_cone_surface,
+    jacobi_table,
     killing_constant,
     sphere3_surface,
     svd_rank,
@@ -210,7 +211,7 @@ def test_bivector_structure():
         p = eta_matrix(s)
         assert np.array_equal(p, -p.T), f"{name}: not exactly antisymmetric"
         grads = angle_gradients(s)
-        res = radical_residuals(p, grads)
+        res = radical_residuals(jacobi_table(s, p), grads)
         rad_max = max(rad_max, float(np.max(res)))
         want_rank = 6 * s.genus - 6 + 2 * s.n_vertices
         assert bivector_rank(p, grads)[0] == want_rank == svd_rank(p), f"{name}: rank"

@@ -23,7 +23,7 @@ import hypcone.errors as errors
 import hypcone.surface as surface_mod
 from hypcone import eta_matrix, serialize_surface
 from hypcone.cli import _row_texts, build_parser, main
-from hypcone.poisson import FanPairs
+from hypcone.poisson import FanPairs, JacobiTerms
 from hypcone.surface import fmt17
 
 
@@ -446,12 +446,14 @@ def test_row_texts_flip_the_mirror_of_an_antisymmetric_cell():
 
 
 def test_poisson_builds_one_fan_pair_table(monkeypatch, capsys, tmp_path):
-    # the bivector, its wall margins and the Jacobi check share one table
+    # the bivector, its wall margins and the Jacobi check share one table,
+    # and the radical and the Jacobi check one Jacobi table
     path = tmp_path / "stellar.json"
     path.write_text(serialize_surface(stellar_surface(30, seed=1)))  # 96 edges
     built = count_constructions(monkeypatch, FanPairs)
+    tables = count_constructions(monkeypatch, JacobiTerms)
     assert main(["poisson", "--input", str(path)]) == 0
-    assert len(built) == 1
+    assert len(built) == len(tables) == 1
     rows = capsys.readouterr().out.splitlines()
     assert sum(row.startswith("wall_margin.") for row in rows) == 34
 

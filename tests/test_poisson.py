@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     genus1_two_cone_surface,
+    jacobi_table,
     sphere3_surface,
     stellar_surface,
     svd_rank,
@@ -479,7 +480,7 @@ def test_gradients_span_radical(corpus):
     for s in corpus:
         p = eta_matrix(s)
         grads = angle_gradients(s)
-        res = radical_residuals(p, grads)
+        res = radical_residuals(jacobi_table(s, p), grads)
         assert np.all(res < 1e-8)
         # the radical has dimension n here, so gradients + rank fill the space
         assert bivector_rank(p, grads)[0] + s.n_vertices == s.n_edges
@@ -488,7 +489,7 @@ def test_gradients_span_radical(corpus):
 
 
 def test_radical_residuals_match_per_vertex_products(skew_g1n2):
-    # one product P @ G^T against a mat-vec per vertex, on a P that the
+    # the table read against a mat-vec per vertex, on a P that the
     # gradients do not annihilate
     s = skew_g1n2
     rng = np.random.default_rng(44)
@@ -497,12 +498,65 @@ def test_radical_residuals_match_per_vertex_products(skew_g1n2):
     grads = angle_gradients(s)
     want = [np.max(np.abs(p @ g)) / (np.max(np.abs(p)) * np.max(np.abs(g)) + 1.0)
             for g in grads]
-    assert radical_residuals(p, grads) == pytest.approx(want, rel=1e-12)
+    assert radical_residuals(jacobi_table(s, p), grads) == pytest.approx(want, rel=1e-12)
 
 
 def test_radical_residuals_rejects_bad_shape(torus):
     with pytest.raises(DimensionMismatch):
-        radical_residuals(eta_matrix(torus), np.zeros((1, 5)))
+        radical_residuals(jacobi_table(torus), np.zeros((1, 5)))
+
+
+@pytest.mark.parametrize("start, k", [("tet", 48), ("tor", 49)])
+def test_radical_table_matches_exact_sums(start, k):
+    # x at theta of incidence (v, r) is (P G^T)[r, v], summed from the
+    # products P[r, l] * (a corner's partial in side l) of fan v's corners.
+    # Each product passes at most m + 2 roundings on its way into x (m the
+    # fan's size: one for the product, two for the corner's three sides,
+    # m - 1 for the running sum over corners); each G[v, l] sums at most 3m
+    # partials, and the reference rounds the product P[r, l] G[v, l] and its
+    # math.fsum once each.  So |x - fsum| <= gamma_{4m+4} A, A the sum of
+    # |P[r, l]| |partial| over the fan's corners (Higham, Accuracy and
+    # Stability of Numerical Algorithms, ch. 3).  A is computed with at most
+    # 3m + 2 roundings, which gamma_{7m+6} covers too (Higham, Lemma 3.3)
+    s = stellar_surface(k, seed=1, start=start)
+    assert s.n_edges == 150
+    p, grads = eta_matrix(s), angle_gradients(s)
+    table = jacobi_table(s, p)
+    v = np.repeat(np.arange(s.n_vertices), np.diff(table.fan_first))
+    m = table.der.size[v]
+    x = table.x[table.xoff + m]
+    edges, partials = s.corner_gradients()
+    weight = np.zeros_like(grads)  # the sum of |partial| at (v, l)
+    np.add.at(weight, (np.repeat(s.vertex_of, 3), edges.ravel()), np.abs(partials).ravel())
+    for t in range(len(v)):
+        r, w = table.r[t], v[t]
+        want = math.fsum((p[r] * grads[w]).tolist())
+        scale = math.fsum((np.abs(p[r]) * weight[w]).tolist())
+        assert abs(x[t] - want) <= poisson._gamma(7 * int(m[t]) + 6) * scale
+    # the dense product, here only as an oracle, has no nonzero off the
+    # incidences
+    rows, cols = np.nonzero(p @ grads.T)
+    incidences = set(zip(table.r.tolist(), v.tolist()))
+    assert rows.size and set(zip(rows.tolist(), cols.tolist())) <= incidences
+    # P = 0 reaches no fan: every radical row is 0
+    zero = radical_residuals(jacobi_table(s, np.zeros_like(p)), grads)
+    assert zero.shape == (s.n_vertices,) and not zero.any()
+
+
+def test_radical_memory_at_1200_edges():
+    # the radical is read off the Jacobi table: its tracemalloc peak stays
+    # below one n x E array of doubles, the size of the product P G^T
+    s = stellar_surface(398, seed=1)
+    assert s.n_edges == 1200
+    grads, table = angle_gradients(s), jacobi_table(s)
+    tracemalloc.start()
+    try:
+        residuals = radical_residuals(table, grads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(residuals < 1e-8)
+    assert peak < s.n_vertices * s.n_edges * 8
 
 
 def test_jacobi_identity(torus, sphere3, skew_tetra, skew_g1n2):
@@ -768,16 +822,14 @@ JACOBI_PINS = {
 def _jacobi_counts(s, p):
     """(max |J|, triple, near terms, lone terms evaluated, lone terms
     skipped) of the unscaled check of p on s."""
-    pairs = FanPairs(s)
-    der = EtaDerivative(pairs)
-    terms = poisson._JacobiTerms(der, p)
-    return (*terms.max_abs(der), terms.near_terms, terms.lone_evaluated, terms.lone_skipped)
+    terms = jacobi_table(s, p)
+    return (*terms.max_abs(), terms.near_terms, terms.lone_evaluated, terms.lone_skipped)
 
 
 def _no_bounds(monkeypatch):
     """Make every bound on a lone term or a derivative entry infinite, so
     that the check evaluates every one of them."""
-    monkeypatch.setattr(poisson._JacobiTerms, "lone_bounds",
+    monkeypatch.setattr(poisson.JacobiTerms, "lone_bounds",
                         staticmethod(lambda der, v, *_: np.full(len(v), np.inf)))
     monkeypatch.setattr(EtaDerivative, "side_bounds",
                         lambda self: np.full(len(self.side_l), np.inf))
@@ -816,13 +868,12 @@ def test_jacobi_bounds_change_no_digit(monkeypatch, skew_torus, skew_tetra, skew
 
 def test_jacobi_counts_what_it_evaluates(monkeypatch, skew_torus, skew_tetra, skew_g1n2):
     for name, s in _pinned_surfaces():
-        pairs = FanPairs(s)
-        der = EtaDerivative(pairs)
-        *_, near, evaluated, skipped = _jacobi_counts(s, pairs.matrix())
+        *_, near, evaluated, skipped = _jacobi_counts(s, eta_matrix(s))
         assert evaluated == JACOBI_PINS[name][2], name
         # every term with three distinct edges is counted once: a row of P
         # reaching fan v meets each pair of v that does not have it as an edge
-        terms = poisson._JacobiTerms(der, pairs.matrix())
+        terms = jacobi_table(s)
+        der = terms.der
         fan = np.repeat(np.arange(len(der.size)), np.diff(terms.fan_first))
         fan_pairs = np.bincount(der.v, minlength=len(der.size))
         owner, pair = poisson._expand(np.searchsorted(der.v, fan), fan_pairs[fan])
