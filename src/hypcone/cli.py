@@ -226,17 +226,16 @@ def cmd_holonomy(args, out: Emitter, tols) -> int:
     # the dump's rows "vertex <v>: ..." as rows "vertex.<v>": nothing after
     # the first ": " of a row holds another
     out.chunks.append(atlas.dump().replace("vertex ", "vertex.").replace(": ", out.sep))
-    vrows, erows, max_error = holonomy_report(atlas)
-    vertices, traces, trace_errors = zip(*vrows)
-    edges, recovered, length_errors = zip(*erows)
-    out.rows(["trace.%s", "trace_error.%s"], vertices, traces, trace_errors)
-    out.rows(["alength.%s", "alength_error.%s"], edges, recovered, length_errors)
+    traces, trace_errors, lengths, length_errors, max_error = holonomy_report(atlas)
+    out.rows(["trace.%s", "trace_error.%s"], range(s.n_vertices), traces, trace_errors)
+    out.rows(["alength.%s", "alength_error.%s"], s.edge_ids, lengths, length_errors)
     out.put("max_error", max_error)
-    # the worst row, the first one in report order on ties
-    errors = trace_errors + length_errors
-    at = max(range(len(errors)), key=errors.__getitem__)
-    out.put("max_error_at", f"trace.{vertices[at]}" if at < len(vertices)
-            else f"alength.{edges[at - len(vertices)]}")
+    # the worst row, the first one in report order on ties; a NaN error is
+    # never the worst
+    errors = np.concatenate((trace_errors, length_errors))
+    at = int(np.argmax(errors == np.fmax.reduce(errors)))
+    out.put("max_error_at", f"trace.{at}" if at < s.n_vertices
+            else f"alength.{s.edge_ids[at - s.n_vertices]}")
     return 0 if max_error < tols["holonomy"] else 3
 
 

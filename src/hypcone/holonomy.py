@@ -24,23 +24,30 @@ fans in one pass, and no chart ever sits far from i, so nothing drifts.
 A vertex whose `surface.wall_margin` |sin(theta/2)| lies below
 `surface.WALL_BAND` is on a wall (theta near 2*pi*k, k >= 0): there the loop
 trace 2|cos(theta/2)| is within `sl2.TRACE_TOL` of 2 and the vertex is
-refused as WallAngle.  The margin is evaluated once per vertex and atlas,
-and each loop's fixed point once per vertex; the 2E germ images
-P_k^-1 fix(M_v) and the E recovered lengths then come in one array pass.
-No step calls BLAS, so the report is the same under every BLAS kernel.
+refused as WallAngle.
+
+Everything after the walk is one array pass per quantity over its (n, 4)
+array of loops: the determinant check, the dump's canonical entries and
+rotation angles (`sl2._canonical_rows`, `sl2._rotation_angles`), the trace
+law, the fixed points of the vertices an edge list names, with masks for the
+wall and non-elliptic ones, and the 2E germ images P_k^-1 fix(M_v) with the
+E recovered lengths.  These passes use + - * /, sqrt, hypot, abs and
+comparisons on arrays, with acos, cos and asinh from `math`, so each digit
+is the one the scalar `sl2` helpers give.  No step calls BLAS, so the
+report is the same under every BLAS kernel.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
 from .errors import NotElliptic, NumericalCollapse, WallAngle
-from .sl2 import Sl2Matrix, _mul, _rotation, elliptic_fixed_point
-from .surface import WALL_BAND, ConeSurface, fmt17, nxt, prv, wall_margin
+from .sl2 import Sl2Matrix, _canonical_rows, _mul, _rotation_angles, elliptic_trace
+from .surface import WALL_BAND, ConeSurface, nxt, prv, wall_margin
 
 
 def _local_charts(s: ConeSurface) -> tuple[np.ndarray, np.ndarray]:
@@ -69,13 +76,24 @@ def _local_charts(s: ConeSurface) -> tuple[np.ndarray, np.ndarray]:
         return n.T.reshape(-1, 2, 2), np.stack(t, axis=-1).reshape(-1, 2, 2)
 
 
-def _wall_refusal(atlas: HolonomyAtlas, v: int) -> WallAngle | None:
-    """The WallAngle refusing vertex v, or None when it is off the walls."""
-    margin = atlas.margins[v]
-    if margin >= WALL_BAND:
-        return None
-    return WallAngle(f"cone angle {float(atlas.surface.cone_angle[v])} at vertex {v} has "
-                     f"|sin(theta/2)| = {margin}, inside the wall band {WALL_BAND}")
+def _fan_walks(s: ConeSurface, transitions: np.ndarray) -> tuple:
+    """The walks of every fan, in one flat pass in fan order, reset at each
+    fan start: the (n_half, 4) prefix products by germ and the (n, 4) loop
+    products by vertex.  Raw doubles in and out keep the pass free of
+    E-sized object lists."""
+    entries = iter(array("d", transitions.reshape(-1, 4)[prv(s.fan_order)].tobytes()))
+    steps = zip(entries, entries, entries, entries)
+    walk, loops = array("d"), array("d")
+    for size in s.fan_size.tolist():
+        a, b, c, d = 1.0, 0.0, 0.0, 1.0
+        for ta, tb, tc, td in islice(steps, size):
+            walk.extend((a, b, c, d))
+            a, b, c, d = (a * ta + b * tc, a * tb + b * td,
+                          c * ta + d * tc, c * tb + d * td)
+        loops.extend((a, b, c, d))
+    prefix = np.empty((s.n_half, 4))
+    prefix[s.fan_order] = np.frombuffer(walk).reshape(-1, 4)
+    return prefix, np.frombuffer(loops).reshape(-1, 4)
 
 
 class HolonomyAtlas:
@@ -88,9 +106,9 @@ class HolonomyAtlas:
       that maps the chart of tri(g) into the chart of the triangle of its
       vertex's base germ, its least half-edge (first of v's germs in
       `surface.fan_order`).
-    * `loops[v]`, a 4-tuple in the same order, is the loop holonomy M_v in
-      that base chart, and `vertex_matrix[v]` the same element as an
-      Sl2Matrix.
+    * Row v of the (n, 4) array `loops`, in the same order, is the loop
+      holonomy M_v in that base chart as walked, not normalized; every
+      determinant is positive and finite.
     * `margins[v]` is the `surface.wall_margin` of vertex v, evaluated once;
       below `surface.WALL_BAND` the vertex is on a wall, where its loop
       holonomy is refused and its dump row is tagged `wall`.
@@ -98,42 +116,27 @@ class HolonomyAtlas:
 
     def __init__(self, surface: ConeSurface):
         self.surface = surface
-        s = surface
-
-        self.normalizers, self.transitions = _local_charts(s)
-        # one flat pass over every fan, in fan order: reset at each fan start;
-        # raw doubles in and out keep the pass free of E-sized object lists
-        entries = iter(array("d", self.transitions.reshape(-1, 4)[prv(s.fan_order)].tobytes()))
-        steps = zip(entries, entries, entries, entries)
-        walk, loops = array("d"), []
-        for v, size in enumerate(s.fan_size.tolist()):
-            a, b, c, d = 1.0, 0.0, 0.0, 1.0
-            for ta, tb, tc, td in islice(steps, size):
-                walk.extend((a, b, c, d))
-                a, b, c, d = (a * ta + b * tc, a * tb + b * td,
-                              c * ta + d * tc, c * tb + d * td)
+        self.normalizers, self.transitions = _local_charts(surface)
+        self.prefix, self.loops = _fan_walks(surface, self.transitions)
+        a, b, c, d = self.loops.T
+        with np.errstate(over="ignore", invalid="ignore"):
             det = a * d - b * c
-            if not 0.0 < det < math.inf:
-                raise NumericalCollapse(
-                    f"loop holonomy at vertex {v} has determinant {det}")
-            loops.append((a, b, c, d))
-        self.margins = wall_margin(s.cone_angle).tolist()
-        self.prefix = np.empty((s.n_half, 4))
-        self.prefix[s.fan_order] = np.frombuffer(walk).reshape(-1, 4)
-        self.loops = tuple(loops)
-        self.vertex_matrix = tuple(Sl2Matrix.from_entries(*loop) for loop in loops)
+        collapsed = ~((0.0 < det) & (det < math.inf))  # also NaN
+        if collapsed.any():
+            v = int(np.argmax(collapsed))
+            raise NumericalCollapse(
+                f"loop holonomy at vertex {v} has determinant {det[v].tolist()}")
+        self.margins = wall_margin(surface.cone_angle)
 
     def dump(self) -> str:
-        """Plain-text table of the vertex holonomies, one row per vertex."""
-        fields = []
-        for v, (m, margin) in enumerate(zip(self.vertex_matrix, self.margins)):
-            if margin < WALL_BAND:
-                tag = "wall"
-            else:  # the counterclockwise angle `sl2_log` takes
-                tag = fmt17(_rotation(m)[1])
-            fields += (v, m.a, m.b, m.c, m.d, tag)
-        row = "vertex %d: %.17g %.17g %.17g %.17g angle %s\n"
-        return row * len(self.vertex_matrix) % tuple(fields)
+        """Plain-text table of the vertex holonomies, one row per vertex: the
+        canonical entries and the counterclockwise angle `sl2_log` takes."""
+        m = _canonical_rows(self.loops)
+        tags = np.array(("%.17g " * len(m) % tuple(_rotation_angles(m).tolist())).split(),
+                        dtype=object)
+        tags[self.margins < WALL_BAND] = "wall"
+        fields = chain.from_iterable(zip(range(len(m)), *m.T.tolist(), tags.tolist()))
+        return "vertex %d: %.17g %.17g %.17g %.17g angle %s\n" * len(m) % tuple(fields)
 
 
 def develop(s: ConeSurface) -> HolonomyAtlas:
@@ -148,46 +151,46 @@ def vertex_holonomy(atlas: HolonomyAtlas, v: int) -> Sl2Matrix:
     """Loop holonomy around vertex v, in the local chart of its base germ's
     triangle.
 
-    Refused as WallAngle when the vertex is in the wall band (`margins`).
+    Refused as WallAngle when the vertex is in the wall band (`margins`):
+    the one wall refusal, which the report raises through as well.
     """
-    wall = _wall_refusal(atlas, v)
-    if wall:
-        raise wall
-    return atlas.vertex_matrix[v]
+    margin = atlas.margins[v].tolist()
+    if margin < WALL_BAND:
+        raise WallAngle(f"cone angle {atlas.surface.cone_angle[v].tolist()} at vertex {v} has "
+                        f"|sin(theta/2)| = {margin}, inside the wall band {WALL_BAND}")
+    return Sl2Matrix.from_entries(*atlas.loops[v].tolist())
 
 
 def _fixed_points(atlas: HolonomyAtlas, ends: np.ndarray) -> tuple:
     """Fixed points (x, y), indexed by vertex, of the loops around the
-    vertices in the (n, k) array `ends`, each computed once in its base chart.
+    vertices in the (n, k) array `ends`, each computed once in its base
+    chart; NaN at every other vertex.
 
-    A vertex on a wall is refused as WallAngle, a loop that is not elliptic as
-    NotElliptic naming the vertex and the loop's trace.  The first row of
-    `ends` holding a refused vertex raises: a WallAngle when one of its
-    vertices has one, else its first NotElliptic.
+    A vertex on a wall is refused as WallAngle, a loop that is not elliptic
+    by `sl2.elliptic_trace` as NotElliptic naming the vertex and the loop's
+    trace.  The first row of `ends` holding a refused vertex raises: a
+    WallAngle when one of its vertices has one, else its first NotElliptic.
     """
-    s = atlas.surface
-    x, y = [math.nan] * s.n_vertices, [math.nan] * s.n_vertices
-    refused = {}
-    needed = np.zeros(s.n_vertices, dtype=bool)
+    n = atlas.surface.n_vertices
+    needed = np.zeros(n, dtype=bool)
     needed[ends] = True
-    for v in np.flatnonzero(needed).tolist():
-        wall = _wall_refusal(atlas, v)
-        if wall:
-            refused[v] = wall
-            continue
-        a, b, c, d = atlas.loops[v]
-        try:
-            z = elliptic_fixed_point(a, b, c, d)
-        except NotElliptic:
-            refused[v] = NotElliptic(f"loop holonomy at vertex {v} has trace {a + d}, "
-                                     "which is not elliptic")
-        else:
-            x[v], y[v] = z.real, z.imag
-    x, y = np.array(x), np.array(y)
-    if refused:
-        row = ends[np.isnan(x[ends]).any(axis=1)][0].tolist()
-        raise min((refused[v] for v in row if v in refused),
-                  key=lambda exc: not isinstance(exc, WallAngle))
+    at = np.flatnonzero(needed)
+    a, _, c, d = atlas.loops[at].T
+    t = a + d
+    wall = atlas.margins < WALL_BAND
+    refused = np.zeros(n, dtype=bool)
+    refused[at] = wall[at] | ~elliptic_trace(t)
+    if refused.any():
+        row = ends[refused[ends].any(axis=1)][0]
+        walls = row[wall[row]].tolist()
+        if walls:
+            vertex_holonomy(atlas, walls[0])  # raises its WallAngle
+        v = row[refused[row]][0].tolist()
+        a, _, _, d = atlas.loops[v].tolist()
+        raise NotElliptic(f"loop holonomy at vertex {v} has trace {a + d}, which is not elliptic")
+    x, y = np.full(n, math.nan), np.full(n, math.nan)
+    x[at] = (a - d) / (2.0 * c)
+    y[at] = np.sqrt(4.0 - t * t) / (2.0 * np.abs(c))
     return x, y
 
 
@@ -247,22 +250,20 @@ def alength_from_fixed_points(atlas: HolonomyAtlas, e: str) -> float:
     return float(_alengths(atlas, np.array([atlas.surface.edge_index[e]]))[0])
 
 
-def holonomy_report(atlas: HolonomyAtlas):
-    """Per-vertex trace-law error and per-edge length-recovery error.
+def holonomy_report(atlas: HolonomyAtlas) -> tuple:
+    """Per-vertex trace-law error and per-edge length-recovery error, as
+    columns.
 
     The trace law: |Tr| of the vertex loop equals 2|cos(theta/2)|.  Returns
-    (vertex rows, edge rows, max error) with rows (label, value, error).
+    (traces, trace errors, recovered lengths, length errors, max error): the
+    first two arrays in vertex order, the next two in edge order.
     """
     s = atlas.surface
-    vrows = []
-    verr = 0.0
-    for v, ((a, _, _, d), theta) in enumerate(zip(atlas.loops, s.cone_angle.tolist())):
-        tr = abs(a + d)
-        want = 2.0 * abs(math.cos(theta / 2.0))
-        err = abs(tr - want)
-        verr = max(verr, err)
-        vrows.append((v, tr, err))
-    got = _alengths(atlas, np.arange(s.n_edges))
-    err = np.abs(got - s.length)
-    erows = list(zip(s.edge_ids, got.tolist(), err.tolist()))
-    return vrows, erows, max(verr, float(np.max(err, initial=0.0)))
+    traces = np.abs(atlas.loops[:, 0] + atlas.loops[:, 3])
+    cosines = np.array(list(map(math.cos, (s.cone_angle / 2.0).tolist())))
+    trace_errors = np.abs(traces - 2.0 * np.abs(cosines))
+    lengths = _alengths(atlas, np.arange(s.n_edges))
+    length_errors = np.abs(lengths - s.length)
+    max_error = max(float(np.max(trace_errors, initial=0.0)),
+                    float(np.max(length_errors, initial=0.0)))
+    return traces, trace_errors, lengths, length_errors, max_error

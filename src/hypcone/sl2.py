@@ -163,6 +163,20 @@ def _canonical(a: float, b: float, c: float, d: float) -> tuple:
     return a, b, c, d
 
 
+def _canonical_rows(m: np.ndarray) -> np.ndarray:
+    """`_canonical` of every row (a, b, c, d) of the (n, 4) array m, whose
+    determinants are positive and finite: the same rescale and sign, bit for
+    bit, by + - * /, sqrt and comparisons on arrays."""
+    a, b, c, d = m.T
+    det = a * d - b * c
+    drift = np.abs(det - 1.0) > DET_TOL
+    m = m.copy()
+    m[drift] /= np.sqrt(det[drift])[:, None]
+    t = m[:, 0] + m[:, 3]
+    m[(t < 0.0) | ((t == 0.0) & (m[:, 2] < 0.0))] *= -1.0
+    return m
+
+
 def _mul(m: tuple, n: tuple) -> tuple:
     """The entries of the 2x2 product of two entry 4-tuples, floats or arrays
     alike, not normalized: each entry's two terms in the order `_product`
@@ -402,6 +416,14 @@ def _rotation(m: Sl2Matrix) -> tuple:
     an elliptic m, angle lies in (0, 2 pi)."""
     half = 2.0 * math.acos(min(1.0, (m.a + m.d) / 2.0))  # tr >= 0
     return half, half if m.c < 0.0 else 2.0 * math.pi - half
+
+
+def _rotation_angles(m: np.ndarray) -> np.ndarray:
+    """The counterclockwise angle `_rotation(...)[1]` of every canonical row
+    (a, b, c, d) of the (n, 4) array m, bit for bit: acos from `math`."""
+    cosines = np.fmin(1.0, (m[:, 0] + m[:, 3]) / 2.0).tolist()  # tr >= 0
+    half = 2.0 * np.array(list(map(math.acos, cosines)))
+    return np.where(m[:, 2] < 0.0, half, 2.0 * math.pi - half)
 
 
 def _elliptic_axis(m: Sl2Matrix) -> tuple:

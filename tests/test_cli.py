@@ -142,6 +142,24 @@ def test_holonomy_names_worst_row(capsys, torus_file):
     assert doc["max_error_at"] == next(label for label, err in errors if err == worst)
 
 
+@pytest.mark.parametrize("trace_error, length_errors, worst", [
+    (0.5, [0.1, 0.5, 0.2], "trace.0"),
+    (0.1, [0.2, 0.5, 0.5], "alength.y"),
+], ids=["trace-alength", "alength-alength"])
+def test_holonomy_names_first_worst_row_on_ties(capsys, monkeypatch, torus_file,
+                                                trace_error, length_errors, worst):
+    # an exact tie at the maximum names the first row in report order
+    def tied(atlas):
+        return (np.array([1.0]), np.array([trace_error]), np.ones(3), np.array(length_errors),
+                0.5)
+
+    monkeypatch.setattr(cli, "holonomy_report", tied)
+    code, out, _ = run(capsys, "holonomy", "--input", torus_file)
+    doc = as_dict(out)
+    assert code == 3
+    assert (doc["max_error"], doc["max_error_at"]) == ("0.5", worst)
+
+
 @pytest.mark.parametrize("fixture", ["demo_file", "torus_file"])
 def test_delaunay_names_worst_edge(capsys, request, fixture):
     # psi0 of x ties with y on the demo torus and with y and z on the

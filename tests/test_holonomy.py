@@ -24,8 +24,8 @@ import hypcone.holonomy as holonomy_mod
 import hypcone.cli as cli
 from hypcone.cli import main
 from hypcone.errors import NotElliptic, NumericalCollapse, WallAngle
-from hypcone.sl2 import (_rotation, elliptic_fixed_point, elliptic_trace, half_plane_distance,
-                         hyp_direction)
+from hypcone.sl2 import (_canonical, _canonical_rows, _rotation, elliptic_fixed_point,
+                         elliptic_trace, half_plane_distance, hyp_direction)
 from hypcone.surface import WALL_BAND, fmt17, nxt, prv, wall_margin
 
 
@@ -59,11 +59,13 @@ def fresh_walk(atlas, germ):
 
 
 def reference_report(atlas):
-    """holonomy_report as the per-edge loop computed it: a wall test and a
-    fixed point at each of the 2E edge ends, then one scalar distance."""
+    """holonomy_report as the per-edge loop computed it, in rows (label,
+    value, error): a trace law per vertex, then a wall test and a fixed point
+    at each of the 2E edge ends and one scalar distance per edge."""
     s = atlas.surface
     vrows, verr = [], 0.0
-    for v, ((a, _, _, d), theta) in enumerate(zip(atlas.loops, s.cone_angle.tolist())):
+    for v, ((a, _, _, d), theta) in enumerate(zip(atlas.loops.tolist(),
+                                                   s.cone_angle.tolist())):
         tr, want = abs(a + d), 2.0 * abs(math.cos(theta / 2.0))
         verr = max(verr, abs(tr - want))
         vrows.append((v, tr, abs(tr - want)))
@@ -76,13 +78,32 @@ def reference_report(atlas):
             if not elliptic_trace(2.0 * abs(math.cos(s.cone_angle[v] / 2.0))):
                 raise WallAngle(f"at vertex {v} ")
         for g in (h, nxt(h)):
-            z = elliptic_fixed_point(*atlas.loops[s.vertex_of[g]])
+            z = elliptic_fixed_point(*atlas.loops[s.vertex_of[g]].tolist())
             a, b, c, d = atlas.prefix[g].tolist()
             ends.append((d * z - b) / (a - c * z))
         got = half_plane_distance(*ends)
         eerr = max(eerr, abs(got - length))
         erows.append((e, got, abs(got - length)))
     return vrows, erows, max(verr, eerr)
+
+
+def report_rows(atlas):
+    """The columns of holonomy_report as the rows of `reference_report`."""
+    s = atlas.surface
+    traces, trace_errors, lengths, length_errors, maxerr = holonomy_report(atlas)
+    return (list(zip(range(s.n_vertices), traces.tolist(), trace_errors.tolist())),
+            list(zip(s.edge_ids, lengths.tolist(), length_errors.tolist())), maxerr)
+
+
+def scalar_dump(atlas):
+    """The dump as the per-vertex loop printed it: one Sl2Matrix per vertex,
+    then its `_rotation` angle or the wall tag."""
+    rows = []
+    for v, (loop, margin) in enumerate(zip(atlas.loops.tolist(), atlas.margins.tolist())):
+        m = Sl2Matrix.from_entries(*loop)
+        tag = "wall" if margin < WALL_BAND else fmt17(_rotation(m)[1])
+        rows.append("vertex %d: %.17g %.17g %.17g %.17g angle %s\n" % (v, m.a, m.b, m.c, m.d, tag))
+    return "".join(rows)
 
 
 def test_wall_distance():
@@ -156,7 +177,7 @@ def test_germ_fixed_points_match_fresh_walks(corpus):
 
 def test_trace_law_and_length_recovery(corpus):
     for s in corpus:
-        vrows, erows, maxerr = holonomy_report(develop(s))
+        vrows, erows, maxerr = report_rows(develop(s))
         assert maxerr < 1e-8
         for v, trace, err in vrows:
             want = 2.0 * abs(math.cos(s.cone_angle[v] / 2.0))
@@ -174,29 +195,52 @@ def test_report_matches_per_edge_reference(surface, corpus):
     for s in surfaces:
         atlas = develop(s)
         want = reference_report(atlas)
-        assert holonomy_report(atlas) == want
+        assert report_rows(atlas) == want
         for e, got, _ in want[1][:5]:
             assert alength_from_fixed_points(atlas, e) == got
 
 
+@pytest.mark.parametrize("surface", ["corpus", "readme-torus", "tor-1200"])
+def test_array_pass_matches_scalar_path(surface, corpus):
+    # the dump's canonical rows and angles, the loop fixed points and the
+    # trace-law columns are those of the per-vertex scalar path, bit for bit
+    surfaces = {"corpus": corpus,
+                "readme-torus": [torus_surface(1.0, 1.0, 1.9)],
+                "tor-1200": [stellar_surface(399, seed=3, start="tor")]}[surface]
+    for s in surfaces:
+        atlas = develop(s)
+        loops = atlas.loops.tolist()
+        assert _canonical_rows(atlas.loops).tolist() == [list(_canonical(*loop)) for loop in loops]
+        assert atlas.dump() == scalar_dump(atlas)
+        x, y = holonomy_mod._fixed_points(atlas, np.arange(s.n_vertices)[:, None])
+        assert [complex(*z) for z in zip(x.tolist(), y.tolist())] == \
+            [elliptic_fixed_point(*loop) for loop in loops]
+        assert report_rows(atlas)[0] == reference_report(atlas)[0]
+
+
 def test_one_fixed_point_per_vertex(monkeypatch):
+    # a report enters _fixed_points once, and that call evaluates the loops
+    # of exactly the vertices its ends name: one edge costs two fixed points
     s = stellar_surface(199, seed=4, start="tor")
     atlas = develop(s)
     calls = []
 
-    def counting(*loop):
-        calls.append(loop)
-        return elliptic_fixed_point(*loop)
+    def recording(atlas, ends):
+        x, y = fixed_points(atlas, ends)
+        calls.append((set(ends.ravel().tolist()), set(np.flatnonzero(~np.isnan(x)).tolist())))
+        return x, y
 
-    monkeypatch.setattr(holonomy_mod, "elliptic_fixed_point", counting)
+    fixed_points = holonomy_mod._fixed_points
+    monkeypatch.setattr(holonomy_mod, "_fixed_points", recording)
     holonomy_report(atlas)
-    assert len(calls) == s.n_vertices == len(set(calls))
+    assert calls == [(set(range(s.n_vertices)), set(range(s.n_vertices)))]
     calls.clear()
     alength_from_fixed_points(atlas, s.edge_ids[0])
-    assert len(calls) == 2
+    [(named, evaluated)] = calls
+    assert len(named) == 2 and evaluated == named
 
 
-def test_refusal_names_first_vertex_in_edge_order(monkeypatch):
+def test_refusal_names_first_vertex_in_edge_order():
     # with several vertices refused, the report names the first one met
     # walking the edges in order, tail before head, as the per-edge loop did
     s = stellar_surface(48, seed=5, start="tet")
@@ -204,7 +248,8 @@ def test_refusal_names_first_vertex_in_edge_order(monkeypatch):
     margins = atlas.margins
 
     def band(refuse):  # put the vertices of `refuse` into the atlas's wall band
-        atlas.margins = [0.0 if v in refuse else m for v, m in enumerate(margins)]
+        atlas.margins = margins.copy()
+        atlas.margins[list(refuse)] = 0.0
 
     refuse = set(range(s.n_vertices // 2, s.n_vertices, 7)) | {s.n_vertices - 1}
     band(refuse)
@@ -217,22 +262,18 @@ def test_refusal_names_first_vertex_in_edge_order(monkeypatch):
     with pytest.raises(WallAngle, match=f" at vertex {first} has "):
         holonomy_report(atlas)
     # within one edge both walls are tested before either fixed point: a
-    # wall at the head comes before a non-elliptic loop at the tail
+    # wall at the head comes before a non-elliptic loop at the tail, whose
+    # trace is put past 2 - TRACE_TOL
     tail, head = order[0], order[1]
     band({head})
-
-    def not_elliptic_at_tail(*loop):
-        if loop == atlas.loops[tail]:
-            raise NotElliptic(f"loop at vertex {tail}")
-        return elliptic_fixed_point(*loop)
-
-    monkeypatch.setattr(holonomy_mod, "elliptic_fixed_point", not_elliptic_at_tail)
+    atlas.loops[tail, 0] = 2.0000004 - atlas.loops[tail, 3]
+    assert not elliptic_trace(atlas.loops[tail, 0] + atlas.loops[tail, 3])
     with pytest.raises(WallAngle, match=f" at vertex {head} has "):
         holonomy_report(atlas)
     band(set())
-    a, _, _, d = atlas.loops[tail]
+    a, _, _, d = atlas.loops[tail].tolist()
     with pytest.raises(NotElliptic, match=f"^loop holonomy at vertex {tail} has trace "
-                                          f"{a + d}, which is not elliptic$"):
+                                          f"{re.escape(str(a + d))}, which is not elliptic$"):
         holonomy_report(atlas)
 
 
@@ -333,6 +374,23 @@ def test_failed_layout_is_numerical_collapse(s, error, det, tmp_path, capsys):
     refused_at_vertex_0(s, error, tmp_path, capsys)
 
 
+def test_collapse_names_first_vertex(monkeypatch):
+    # every loop determinant is checked at once, and the first vertex in
+    # order whose determinant is not positive and finite is named
+    s = stellar_surface(48, seed=5, start="tet")
+    walks = holonomy_mod._fan_walks
+
+    def collapsing(surface, transitions):
+        prefix, loops = walks(surface, transitions)
+        loops[[7, 3]] = 0.0
+        loops[9, 0] = math.inf
+        return prefix, loops
+
+    monkeypatch.setattr(holonomy_mod, "_fan_walks", collapsing)
+    with pytest.raises(NumericalCollapse, match="^loop holonomy at vertex 3 has determinant 0.0$"):
+        develop(s)
+
+
 def test_long_edge_loop_not_elliptic_names_vertex(monkeypatch, tmp_path, capsys):
     # off the walls, a walked loop whose |trace| rounds past 2 - TRACE_TOL is
     # refused naming the vertex and that trace (exit 2).  With the acos
@@ -343,8 +401,7 @@ def test_long_edge_loop_not_elliptic_names_vertex(monkeypatch, tmp_path, capsys)
 
     def develop_past_two(surface):
         atlas = develop(surface)
-        a, b, c, d = atlas.loops[0]
-        atlas.loops = ((2.0000004 - d, b, c, d),)
+        atlas.loops[0, 0] = 2.0000004 - atlas.loops[0, 3]
         return atlas
 
     with pytest.raises(NotElliptic, match=" at vertex 0 "):
@@ -353,7 +410,7 @@ def test_long_edge_loop_not_elliptic_names_vertex(monkeypatch, tmp_path, capsys)
     path = tmp_path / "refused.json"
     path.write_text(serialize_surface(s))
     assert main(["holonomy", "--input", str(path)]) == NotElliptic.exit_code
-    a, _, _, d = develop_past_two(s).loops[0]
+    a, _, _, d = develop_past_two(s).loops[0].tolist()
     assert capsys.readouterr().err == \
         f"error[NotElliptic]: loop holonomy at vertex 0 has trace {a + d}, which is not elliptic\n"
 
@@ -367,7 +424,7 @@ def test_long_edges_pass_the_certificate(s):
     # every triangle of the local charts closes with its corner angles, so
     # the certificate is as good as the angles: with the acos law's, which
     # lose up to 6e-8 of a small angle, these read 1.3e-8 to 1.0e-5
-    _, _, maxerr = holonomy_report(develop(s))
+    maxerr = holonomy_report(develop(s))[-1]
     assert maxerr < 1e-8
 
 
@@ -381,7 +438,7 @@ def test_certificate_at_4800_edges(start, k, seed, base, tmp_path, capsys):
     # the library and through the CLI
     s = stellar_surface(k, seed=seed, base=base, start=start)
     assert s.n_edges == (4800 if base == 1.3 else 4803)
-    _, _, maxerr = holonomy_report(develop(s))
+    maxerr = holonomy_report(develop(s))[-1]
     assert maxerr < 1e-8
     path = tmp_path / "big.json"
     path.write_text(serialize_surface(s))
@@ -425,7 +482,7 @@ def test_vertex_dump_rows_match_reference(surface, walls):
     atlas = develop(surface)
     rows = [line for line in atlas.dump().splitlines() if line.startswith("vertex ")]
     want = []
-    for v, (a, b, c, d) in enumerate(atlas.loops):
+    for v, (a, b, c, d) in enumerate(atlas.loops.tolist()):
         ref = RefMatrix([[a, b], [c, d]])
         entries = " ".join(fmt17(x) for x in ref.mat.ravel().tolist())
         if elliptic_trace(2.0 * abs(math.cos(surface.cone_angle[v] / 2.0))):

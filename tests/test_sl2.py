@@ -43,9 +43,13 @@ from hypcone.sl2 import (
     F_VEC,
     H_VEC,
     TRACE_TOL,
+    _canonical,
+    _canonical_rows,
+    _element,
     _hyperbolic_axis,
     _kind,
     _rotation,
+    _rotation_angles,
     elliptic_fixed_point,
     hyp_direction,
 )
@@ -204,6 +208,24 @@ def test_canonical_representative():
     assert projectively_close(g, neg)
     scaled = Sl2Matrix(3.0 * np.array([[2.0, 0.0], [0.0, 0.5]]))
     assert np.allclose(scaled.mat, g.mat)
+
+
+def test_canonical_rows_and_rotation_angles_match_the_scalars():
+    # the array forms give `_canonical` and `_rotation`'s angle bit for bit:
+    # determinants kept within DET_TOL of 1 and rescaled just past it or far
+    # from it, both signs of the trace, trace 0 with
+    # either sign of c, and traces past 2, where acos is clamped at 1
+    rng = np.random.default_rng(11)
+    rows = rng.normal(size=(400, 4))
+    rows = rows[rows[:, 0] * rows[:, 3] - rows[:, 1] * rows[:, 2] > 0.0]
+    rows[::3] /= np.sqrt(rows[::3, 0] * rows[::3, 3] - rows[::3, 1] * rows[::3, 2])[:, None]
+    rows[1::3] = rows[::3][:len(rows[1::3])] * (1.0 + 1e-11)  # det drifts by 2e-11
+    rows = np.vstack([rows, [[0.0, 1.0, -1.0, 0.0], [0.0, -1.0, 1.0, 0.0],
+                             [-2.0, 0.0, 0.0, -0.5], [3.0, 1.0, 1.0, 1.0]]])
+    canonical = _canonical_rows(rows)
+    assert canonical.tolist() == [list(_canonical(*row)) for row in rows.tolist()]
+    assert _rotation_angles(canonical).tolist() == \
+        [_rotation(_element(tuple(row)))[1] for row in canonical.tolist()]
 
 
 def test_singular_matrix_rejected():
