@@ -151,31 +151,17 @@ def cmd_validate(args, out: Emitter, tols) -> int:
     return 0
 
 
-def _row_texts(p: np.ndarray):
-    """Each row of p as its entries' fmt17 texts joined by spaces.
-
-    Only the nonzero entries are formatted; every +0.0 is the cell "0".  A
-    -0.0 counts as nonzero, so it keeps its text "-0".  The cells above the
-    diagonal, on it, and every cell below it that is not exactly the
-    negative of its mirror are formatted by one % operation; a cell below
-    the diagonal that is (every one of an antisymmetric p) takes its
-    mirror's text with the sign flipped.  The rows are joined one at a time.
-    """
-    n = len(p)
-    nonzero = p != 0.0
-    nonzero |= np.signbit(p)
-    rows, cols = np.nonzero(nonzero)
-    del nonzero
-    values = p[rows, cols]
-    flip = (rows > cols) & (values == -p[cols, rows]) & (values != 0.0)
-    texts = np.empty(len(rows), dtype=object)
-    own = values[~flip].tolist()
-    texts[~flip] = ("%.17g " * len(own) % tuple(own)).split(" ")[:-1]
-    # the mirror (c, r) of a flipped cell is nonzero and above the diagonal
-    mirror = np.searchsorted(rows * n + cols, cols[flip] * n + rows[flip])
-    texts[flip] = [t[1:] if t[0] == "-" else "-" + t for t in texts[mirror].tolist()]
-    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
-    cols, texts = cols.tolist(), texts.tolist()
+def _row_texts(pairs: poisson_mod.FanPairs):
+    """Each row of the bivector of `pairs` as its entries' fmt17 texts joined
+    by spaces: the cells above the diagonal are formatted by one % operation,
+    each mirror takes its cell's text with the sign flipped (`FanPairs.origin`)
+    and every other cell is "0"; the rows are joined one at a time."""
+    n, (rows, cols, values) = pairs.n_edges, pairs.cells
+    upper = values[rows < cols].tolist()
+    texts = ("%.17g " * len(upper) % tuple(upper)).split(" ")[:-1]
+    texts += [t[1:] if t[0] == "-" else "-" + t for t in texts]
+    texts = [texts[i] for i in pairs.origin.tolist()]
+    bounds, cols = np.searchsorted(rows, np.arange(n + 1)).tolist(), cols.tolist()
     for r0, r1 in zip(bounds, bounds[1:]):
         cells = ["0"] * n
         for j, text in zip(cols[r0:r1], texts[r0:r1]):
@@ -190,14 +176,14 @@ def cmd_poisson(args, out: Emitter, tols) -> int:
     pairs = poisson_mod.FanPairs(s, wall_guard=tols["wall"])
     out.rows(["wall_margin.%s"], vertices, pairs.margins)
     p = poisson_mod.eta_matrix(s, pairs=pairs)
-    for eid, row in zip(s.edge_ids, _row_texts(p)):
+    for eid, row in zip(s.edge_ids, _row_texts(pairs)):
         out.put(f"P.{eid}", row)
     grads = poisson_mod.angle_gradients(s)
     # one Jacobi table for the radical and the Jacobi check
     table = poisson_mod.JacobiTerms(pairs, p)
     del pairs
     residuals = poisson_mod.radical_residuals(table, grads).tolist()
-    jac, triple = poisson_mod.jacobi_residual(s, pairs=table)
+    jac, triple = poisson_mod.jacobi_residual(s, table=table)
     del table  # freed before the certificate builds K in the memory of P
     rank, margin = poisson_mod.bivector_rank(p, grads)
     del p

@@ -5,9 +5,9 @@ over ordered pairs of distinct outgoing germs (one germ of each edge at that
 vertex) of sin(theta/2 - d)/sin(theta/2), where theta is the cone angle and d
 is the clockwise angle from the first germ to the second.  Swapping the germs
 replaces d by theta - d and negates the coefficient, so the matrix built from
-the raw ordered sum is antisymmetric bit for bit.  Every germ pair of every
-fan sits in one flat table (`FanPairs`), from which the dense matrix is one
-scatter.
+the raw ordered sum is antisymmetric bit for bit.  Every germ pair sits in
+one flat table (`FanPairs`), oriented and summed into P's nonzero cells,
+which the dense matrix, the report's P rows and the Jacobi terms read.
 
 Certified structure: the cone-angle gradients span the radical (P grad theta
 = 0), the rank is the dimension 6g - 6 + 2n of the leaves, and the Jacobi
@@ -191,26 +191,32 @@ def _max_abs_by_key(key: np.ndarray, value: np.ndarray) -> tuple:
 
 
 class FanPairs:
-    """The germ pairs a < b of every fan, in one flat table.
+    """The germ pairs of every fan, oriented once and summed into P's cells.
 
     Corners are stored fan by fan: corner a of vertex v is row first[v] + a
     of `sides` (the edges of its triangle, side 0 that of germ a) and
     `partials` (the partials of its angle in their lengths).  Pair t joins
-    corners `pair_a[t]` < `pair_b[t]` of the fan of vertex `pair_v[t]`, whose
-    germs lie on edges `edge_a[t]` and `edge_b[t]`; pairs are listed fan by
-    fan, then by a, then by b.  With d = prefix[b] - prefix[a] the pair adds
-    `eta` = sin(d - theta/2) / sin(theta/2) to eta(da_{edge_a}, da_{edge_b}),
-    and its derivative is
+    corners `pair_a[t]` < `pair_b[t]` of the fan of vertex `pair_v[t]`, with
+    germs on edges `lo[t]` < `hi[t]` (a loop's pairs cancel and are left
+    out), listed by (v, lo) and in fan order within.  With d = prefix[b] -
+    prefix[a] it adds eta_t = sin(d - theta/2) / sin(theta/2) to
+    eta(da_lo, da_hi), and its derivative is
 
         C (dprefix[b] - dprefix[a]) - S dtheta,
         C = cos(d - theta/2) / sin(theta/2),  S = sin(d) / (2 sin^2(theta/2)),
 
-    where dprefix and dtheta are sums of corner-angle gradients; C is in `c`
-    and S in `sn`.  Edge e joins the vertices `edge_ends[e]`.  `margins`
-    holds the `surface.wall_margin` |sin(theta/2)| of each vertex, the
-    denominators of the bivector; the table is refused as WallAngle when one
-    of them is below `wall_guard`.  This is the one place the guard is set:
-    `eta_matrix` and `jacobi_residual` take WALL_GUARD unless given pairs.
+    dprefix and dtheta being sums of corner-angle gradients; C is in `c` and
+    S in `sn`, and eta_t, C and S are negated where germ a lies on hi.
+    `cell[t]` numbers the distinct (lo, hi).  Those whose pairs' eta_t,
+    added in order, do not sum to exactly 0.0 are the m nonzero cells of P
+    above the diagonal, the negated sums their mirrors.  `cells` = (rows,
+    cols, values) lists all of them in row-major order; entry i is sum
+    origin[i], or the mirror of sum origin[i] - m (a p checked in place of
+    eta lists its own cells there).  Edge e joins the vertices
+    `edge_ends[e]`.  `margins` holds the `surface.wall_margin`
+    |sin(theta/2)| of each vertex: the table is refused as WallAngle when
+    one is below `wall_guard`, the one place the guard is set (`eta_matrix`
+    and `jacobi_residual` take WALL_GUARD unless given pairs).
     """
 
     def __init__(self, s: ConeSurface, wall_guard: float = WALL_GUARD):
@@ -221,7 +227,7 @@ class FanPairs:
             raise WallAngle(
                 f"vertex {v} has cone angle {s.cone_angle[v]} with "
                 f"|sin(theta/2)| = {float(margins[v])} below the {wall_guard} guard")
-        self.n_edges = s.n_edges
+        self.n_edges = n = s.n_edges
         self.edge_ends = s.vertex_of[s.halves]
         self.size = s.fan_size
         self.first = np.cumsum(self.size) - self.size
@@ -231,24 +237,37 @@ class FanPairs:
         corner = np.arange(s.n_half)
         last = self.first[self.vertex] + self.size[self.vertex] - 1
         a, b = _expand(corner + 1, last - corner)
+        edge_a, edge_b = self.sides[a, 0], self.sides[b, 0]
+        lo = np.minimum(edge_a, edge_b)
+        keep = np.flatnonzero(edge_a != edge_b)
+        keep = keep[np.argsort(self.vertex[a[keep]] * n + lo[keep], kind="stable")]
+        a, b, edge_a, edge_b = a[keep], b[keep], edge_a[keep], edge_b[keep]
         v = self.vertex[a]
         self.pair_a, self.pair_b, self.pair_v = a, b, v
-        self.edge_a, self.edge_b = self.sides[a, 0], self.sides[b, 0]
+        self.lo, self.hi = lo[keep], np.maximum(edge_a, edge_b)
+        sign = np.where(edge_a < edge_b, 1.0, -1.0)
         prefix = s.fan_sums[corner + self.vertex]
         d = prefix[b] - prefix[a]
         half = s.cone_angle / 2.0
         half, denom = half[v], np.sin(half)[v]
-        self.eta = np.sin(half - (s.cone_angle[v] - d)) / denom
-        self.c = np.cos(d - half) / denom
-        self.sn = np.sin(d) / (2.0 * denom * denom)
+        eta = sign * (np.sin(half - (s.cone_angle[v] - d)) / denom)
+        self.c = sign * (np.cos(d - half) / denom)
+        self.sn = sign * (np.sin(d) / (2.0 * denom * denom))
+        # each cell above the diagonal sums its pairs in their order
+        key, self.cell = _unique(self.lo * n + self.hi, inverse=True)
+        value = np.bincount(self.cell, weights=eta, minlength=len(key))
+        nonzero = value != 0.0
+        upper, value = key[nonzero], value[nonzero]
+        # those cells, then their mirrors, in row-major order
+        key, self.origin, _ = _runs(np.concatenate([upper, upper % n * n + upper // n]))
+        self.cells = (*np.divmod(key, n), np.concatenate([value, -value])[self.origin])
 
     def matrix(self) -> np.ndarray:
         """The dense bivector matrix, exactly antisymmetric."""
-        n = self.n_edges
-        i, j = self.edge_a, self.edge_b
-        cells = np.stack([i * n + j, j * n + i], axis=1).ravel()
-        values = np.stack([self.eta, -self.eta], axis=1).ravel()
-        return np.bincount(cells, weights=values, minlength=n * n).reshape(n, n)
+        rows, cols, values = self.cells
+        p = np.zeros((self.n_edges, self.n_edges))
+        p[rows, cols] = values
+        return p
 
 
 def eta_matrix(s: ConeSurface, pairs: FanPairs | None = None) -> np.ndarray:
@@ -563,18 +582,17 @@ def bivector_rank(p: np.ndarray, grads: np.ndarray) -> tuple:
 class EtaDerivative:
     """d(eta) by the chain rule, pair by pair, from a fan-pair table.
 
-    Only pairs of two different edges enter (the two germs of a loop cancel).
-    Pair t of them, at the fan of vertex `v[t]` with germs at positions
-    `pos_a[t]` < `pos_b[t]` of a fan of `fan_size[t]` germs, adds
+    The pairs are those of `FanPairs`, as oriented and listed there.  Pair
+    t, at the fan of vertex `v[t]` with germs at positions `pos_a[t]` <
+    `pos_b[t]` of a fan of `fan_size[t]` germs, adds
 
         dc[t] (dprefix[pos_b] - dprefix[pos_a]) - ds[t] dtheta
 
-    to d eta(da_lo, da_hi) for its edges `lo[t]` < `hi[t]`: dc and ds are C
-    and S signed by the pair's orientation.  The pairs are sorted by (v, lo).
-    Edge e joins the vertices `edge_ends[e]` (`FanPairs.edge_ends`, in
-    either order); `far_lo[t]`, `far_hi[t]` are the ends of lo and hi other
-    than v.  `edge_pair[t]` numbers the distinct (lo, hi), and `shared[t]`
-    says whether another pair has the same edges.
+    to d eta(da_lo, da_hi) for its edges `lo[t]` < `hi[t]`: dc and ds are
+    its signed C and S.  Edge e joins the vertices `edge_ends[e]` (in either
+    order); `far_lo[t]`, `far_hi[t]` are the ends of lo and hi other than v.
+    `edge_pair[t]` numbers the distinct (lo, hi) (`FanPairs.cell`), and
+    `shared[t]` says whether another pair has the same edges.
     The sides of the triangles around fan v are rows side_start[v] ..
     side_start[v] + n_sides[v] - 1 of (`side_v`, `side_l`), sorted by (v, l);
     for side f of fan v, q[qoff[f] + k] is the partial of prefix[k] in the
@@ -585,21 +603,14 @@ class EtaDerivative:
         n = self.n_edges = pairs.n_edges
         self.size, self.first = pairs.size, pairs.first
         self.sides, self.partials = pairs.sides, pairs.partials
-        lo = np.minimum(pairs.edge_a, pairs.edge_b)
-        keep = np.flatnonzero(pairs.edge_a != pairs.edge_b)
-        keep = keep[np.argsort(pairs.pair_v[keep] * n + lo[keep], kind="stable")]
-        self.v = pairs.pair_v[keep]
-        self.lo, self.hi = lo[keep], np.maximum(pairs.edge_a, pairs.edge_b)[keep]
-        sign = np.where(pairs.edge_a[keep] < pairs.edge_b[keep], 1.0, -1.0)
-        self.dc, self.ds = sign * pairs.c[keep], sign * pairs.sn[keep]
-        self.pos_a = pairs.pair_a[keep] - self.first[self.v]
-        self.pos_b = pairs.pair_b[keep] - self.first[self.v]
+        self.v, self.lo, self.hi = pairs.pair_v, pairs.lo, pairs.hi
+        self.dc, self.ds, self.edge_pair = pairs.c, pairs.sn, pairs.cell
+        self.pos_a, self.pos_b = np.stack([pairs.pair_a, pairs.pair_b]) - self.first[self.v]
         self.fan_size = self.size[self.v]
         # the other ends of the pair's edges, and the pairs of the same two edges
         self.edge_ends = pairs.edge_ends
         self.far_lo = self.edge_ends[self.lo].sum(axis=1) - self.v
         self.far_hi = self.edge_ends[self.hi].sum(axis=1) - self.v
-        self.edge_pair = _unique(self.lo * n + self.hi, inverse=True)[1]
         self.shared = np.bincount(self.edge_pair)[self.edge_pair] > 1
         # the sides around every fan, and the prefix gradients in their lengths
         key, where = _unique((pairs.vertex[:, None] * n + self.sides).ravel(), inverse=True)
@@ -696,12 +707,12 @@ class EtaDerivative:
 class JacobiTerms:
     """The terms of the Jacobi sum: rows of P contracted with pair derivatives.
 
-    Row r reaches fan v when P[r, l] != 0 for a side l of v; the incidences
-    t = (v[t], r[t]) are sorted by (v, r), and x holds size[v] + 1 entries
-    per incidence in that order.  x[xoff[t] + k] is row r contracted with
-    the gradient of prefix[k] of fan v (k = size[v]: theta, so that is
-    (P G^T)[r, v], which `radical_residuals` reads), and row r contracted
-    with the derivative of pair u is (`_values`)
+    Row r reaches fan v when P[r, l] != 0 (a cell of `FanPairs.cells`) for
+    a side l of v; the incidences t = (v[t], r[t]) are sorted by (v, r), and
+    x holds size[v] + 1 entries per incidence in that order: x[xoff[t] + k]
+    is row r contracted with the gradient of prefix[k] of fan v (k = size[v]:
+    theta, so that is (P G^T)[r, v], which `radical_residuals` reads), and
+    row r contracted with the derivative of pair u is (`_values`)
 
         dc[u] (x[pos_b[u]] - x[pos_a[u]]) - ds[u] x[fan_size[u]].
 
@@ -721,26 +732,20 @@ class JacobiTerms:
     x over the germs of fan v that are no spike of row r.  Away from the
     spike germs x does not move, as a corner of fan v that touches no end of
     r adds exact zeros, so for the genuine eta the spread is rounding.
-    It keeps `der`, the EtaDerivative of its FanPairs, and p_max = max|P|.
+    It keeps `der`, the EtaDerivative of its FanPairs, and p_max = max|P|;
+    x reads `p`, the dense P of the cells.
     """
 
     def __init__(self, pairs: FanPairs, p: np.ndarray):
         self.der = der = EtaDerivative(pairs)
-        self.p_max = max(float(p.max()), -float(p.min()))
+        # row l of P lists the rows r with P[r, l] != 0, as P is antisymmetric
+        nz_row, nz_col, values = pairs.cells
+        self.p_max = float(np.max(np.abs(values), initial=0.0))
         n, nv = der.n_edges, len(der.size)
-        # row l of P lists, in increasing order, the rows r with P[r, l] != 0
-        # when P is exactly antisymmetric: every nonzero cell is checked
-        # against its mirror, which covers the zero cells too
-        nz_row, nz_col = np.nonzero(p)
-        bad = np.flatnonzero(p[nz_col, nz_row] != -p[nz_row, nz_col])
-        if bad.size:
-            r, c = int(nz_row[bad[0]]), int(nz_col[bad[0]])
-            raise ValueError(f"p is not antisymmetric: p[{c}, {r}] = {float(p[c, r])!r} "
-                             f"is not -p[{r}, {c}] = {float(-p[r, c])!r}")
         start = np.searchsorted(nz_row, np.arange(n + 1))
         owner, k = _expand(start[der.side_l], np.diff(start)[der.side_l])
         key = _unique(der.side_v[owner] * n + nz_col[k])
-        del nz_row, nz_col, owner, k
+        del owner, k
         v, self.r = key // n, key % n
         self.fan_first = np.searchsorted(v, np.arange(nv + 1))  # the incidences of each fan
         end_a, end_b = der.edge_ends[self.r].T
@@ -1020,7 +1025,7 @@ class JacobiTerms:
 
 
 def jacobi_residual(s: ConeSurface, p: np.ndarray | None = None,
-                    pairs: JacobiTerms | None = None) -> tuple:
+                    table: JacobiTerms | None = None) -> tuple:
     """(residual, triple): the scaled maximal Jacobi-identity defect over
     all coordinate triples, and the triple where it is reached.
 
@@ -1035,24 +1040,32 @@ def jacobi_residual(s: ConeSurface, p: np.ndarray | None = None,
     The triple is the sorted edge indices (i, j, k) of the largest |J|, the
     smallest triple on ties, or None when no triple has a term (P = 0).
 
-    `pairs` is the JacobiTerms table of s and its bivector when the caller
-    has it already.  Without it the table is built under WALL_GUARD from
-    `p`, by default the bivector of s: any other matrix is checked in its
-    place, so a fake bivector can be shown to fail while the genuine one
-    passes at rounding level.  That p must be exactly antisymmetric (p ==
-    -p.T), as every P this package builds is, or it is refused with
-    ValueError naming a nonzero cell whose mirror is not its negative.
+    `table` is the JacobiTerms of s and its bivector when the caller has it
+    already.  Without it the table is built under WALL_GUARD from `p`, by
+    default the bivector of s: any other matrix is checked in its place, so
+    a fake bivector can be shown to fail while the genuine one passes at
+    rounding level.  Such a p enters through its nonzero cells, in place of
+    `FanPairs.cells`.  It must be exactly antisymmetric, as every P this
+    package builds is, or it is refused with ValueError naming the first
+    nonzero cell whose mirror is not its negative.
     """
-    if pairs is None:
-        fans = FanPairs(s)
+    if table is None:
+        pairs = FanPairs(s)
         if p is None:
-            p = fans.matrix()
+            p = pairs.matrix()
         elif p.shape != (s.n_edges, s.n_edges):
             raise DimensionMismatch("bivector shape mismatch")
-        pairs = JacobiTerms(fans, p)
-        del fans, p  # the table holds what it needs of both
-    best, triple = pairs.max_abs()
-    return best / (pairs.p_max * pairs.der.max_abs() + 1e-300), triple
+        else:
+            rows, cols, values = pairs.cells = _nonzeros(p)
+            bad = np.flatnonzero(p[cols, rows] != -values)
+            if bad.size:
+                r, c = int(rows[bad[0]]), int(cols[bad[0]])
+                raise ValueError(f"p is not antisymmetric: p[{c}, {r}] = {float(p[c, r])!r} "
+                                 f"is not -p[{r}, {c}] = {float(-p[r, c])!r}")
+        table = JacobiTerms(pairs, p)
+        del pairs, p  # the table holds what it needs of both
+    best, triple = table.max_abs()
+    return best / (table.p_max * table.der.max_abs() + 1e-300), triple
 
 
 def comparison_note():

@@ -16,9 +16,16 @@ RANK_TOL = 1e-8
 
 
 def jacobi_table(s, p=None):
-    """The Jacobi table of s and p, by default the bivector of s."""
+    """The Jacobi table of s and p, by default the bivector of s.  Any other
+    p must be exactly antisymmetric; it enters, as in `jacobi_residual`,
+    through its nonzero cells, found by a dense scan."""
     pairs = FanPairs(s)
-    return JacobiTerms(pairs, pairs.matrix() if p is None else p)
+    if p is None:
+        return JacobiTerms(pairs, pairs.matrix())
+    assert np.array_equal(p, -p.T), "p is not antisymmetric"
+    rows, cols = np.nonzero(p)
+    pairs.cells = rows, cols, p[rows, cols]
+    return JacobiTerms(pairs, p)
 
 
 def svd_rank(p):

@@ -22,7 +22,7 @@ import hypcone.cli as cli
 import hypcone.errors as errors
 import hypcone.surface as surface_mod
 from hypcone import eta_matrix, serialize_surface
-from hypcone.cli import _row_texts, build_parser, main
+from hypcone.cli import build_parser, main
 from hypcone.poisson import FanPairs, JacobiTerms
 from hypcone.surface import fmt17
 
@@ -431,36 +431,19 @@ def test_installed_entry_point(demo_file):
     assert "psi_min" in proc.stdout
 
 
-def test_poisson_rows_format_every_entry(capsys, tmp_path):
-    s = stellar_surface(48, 1)  # 150 edges
-    path = tmp_path / "stellar.json"
-    path.write_text(serialize_surface(s))
-    _, out, _ = run(capsys, "poisson", "--input", str(path))
-    rows = {k: v for k, v in as_dict(out).items() if k.startswith("P.")}
-    assert list(rows) == [f"P.{e}" for e in s.edge_ids]
-    for e, row in zip(s.edge_ids, eta_matrix(s).tolist()):
-        assert rows[f"P.{e}"] == " ".join(fmt17(x) for x in row)
-
-
-def test_row_texts_keep_negative_zero():
-    p = np.array([[0.0, -0.0, 1.5], [-2.25e-300, 0.0, -0.0], [0.0, 0.0, 0.0]])
-    assert list(_row_texts(p)) == [" ".join(fmt17(x) for x in row) for row in p.tolist()]
-    assert list(_row_texts(p))[1] == "-2.25e-300 0 -0"
-
-
-def test_row_texts_flip_the_mirror_of_an_antisymmetric_cell():
-    # a cell below the diagonal takes its mirror's text with the sign
-    # flipped only when it is exactly the mirror's negative
-    rng = np.random.default_rng(3)
-    q = rng.standard_normal((7, 7)) * 10.0 ** rng.integers(-300, 300, size=(7, 7))
-    p = q - q.T
-    p[0, 1], p[1, 0] = np.inf, -np.inf
-    p[2, 3], p[3, 2] = np.nan, np.nan
-    p[4, 5], p[5, 4] = -0.0, -0.0
-    p[5, 6], p[6, 5] = 0.0, -0.0
-    p[6, 0] = 1.0  # not the negative of p[0, 6]
-    p[3, 3] = -2.5
-    assert list(_row_texts(p)) == [" ".join(fmt17(x) for x in row) for row in p.tolist()]
+def test_poisson_rows_format_every_entry(capsys, tmp_path, sphere3, g1n2):
+    # eta = 0 on the three-cone sphere, and on g1n2 some cells sum their
+    # pairs to exactly 0.0: both leave +0.0 in the dense matrix, printed "0",
+    # where negating a zero cell for its mirror would print "-0"
+    path = tmp_path / "surface.json"
+    for s in (sphere3, g1n2, stellar_surface(48, 1)):  # the last: 150 edges
+        path.write_text(serialize_surface(s))
+        _, out, _ = run(capsys, "poisson", "--input", str(path))
+        rows = {k: v for k, v in as_dict(out).items() if k.startswith("P.")}
+        assert list(rows) == [f"P.{e}" for e in s.edge_ids]
+        for e, row in zip(s.edge_ids, eta_matrix(s).tolist()):
+            assert rows[f"P.{e}"] == " ".join(fmt17(x) for x in row)
+            assert "-0" not in rows[f"P.{e}"].split()
 
 
 def test_poisson_builds_one_fan_pair_table(monkeypatch, capsys, tmp_path):
@@ -561,6 +544,10 @@ def test_poisson_certifies_1200_edges(capsys, tmp_path, start, k):
     assert (code, err) == (0, "")
     assert doc["rank"] == doc["rank_expected"] == ("798" if start == "tet" else "800")
     assert float(doc["rank_margin"]) > 0.0
+    # every printed cell is its cell of eta_matrix, bit for bit
+    s = stellar_surface(k, seed=1, start=start)
+    printed = np.array([[float(x) for x in doc[f"P.{e}"].split()] for e in s.edge_ids])
+    assert np.array_equal(printed.view(np.int64), eta_matrix(s).view(np.int64))
 
 
 def test_poisson_takes_corner_gradients_once(monkeypatch, capsys, tmp_path):

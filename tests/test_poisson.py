@@ -507,6 +507,36 @@ def test_radical_residuals_rejects_bad_shape(torus):
 
 
 @pytest.mark.parametrize("start, k", [("tet", 48), ("tor", 49)])
+def test_jacobi_table_from_cells_matches_a_dense_scan(start, k):
+    # FanPairs sums the cells of P once and lists them as a dense scan of P
+    # finds them; the Jacobi table takes its incidences and max|P| from
+    # them, and comes out as the one built from a dense scan of the same P,
+    # the way an outside p enters
+    s = stellar_surface(k, seed=1, start=start)
+    assert s.n_edges == 150
+    p = eta_matrix(s)
+    rows, cols = np.nonzero(p)
+    cells = FanPairs(s).cells
+    assert np.array_equal(cells[0], rows) and np.array_equal(cells[1], cols)
+    assert np.array_equal(cells[2].view(np.int64), p[rows, cols].view(np.int64))
+    table, scanned = jacobi_table(s), jacobi_table(s, p)
+    # row r reaches fan v when P[r, l] != 0 for a side l of v
+    reach = np.zeros((s.n_vertices, s.n_edges), dtype=bool)
+    for v, l in zip(table.der.side_v.tolist(), table.der.side_l.tolist()):
+        reach[v] |= p[:, l] != 0.0
+    v, r = np.nonzero(reach)
+    assert np.array_equal(np.repeat(np.arange(s.n_vertices), np.diff(table.fan_first)), v)
+    assert np.array_equal(table.r, r)
+    assert np.array_equal(table.r, scanned.r)
+    assert np.array_equal(table.fan_first, scanned.fan_first)
+    for name in ("x", "bound"):
+        assert np.array_equal(getattr(table, name).view(np.int64),
+                              getattr(scanned, name).view(np.int64)), name
+    assert table.p_max == scanned.p_max == np.max(np.abs(p))
+    assert table.max_abs() == scanned.max_abs()
+
+
+@pytest.mark.parametrize("start, k", [("tet", 48), ("tor", 49)])
 def test_radical_table_matches_exact_sums(start, k):
     # x at theta of incidence (v, r) is (P G^T)[r, v], summed from the
     # products P[r, l] * (a corner's partial in side l) of fan v's corners.
