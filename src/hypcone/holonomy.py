@@ -28,13 +28,14 @@ refused as WallAngle.
 
 Everything after the walk is one array pass per quantity over its (n, 4)
 array of loops: the determinant check, the dump's canonical entries and
-rotation angles (`sl2._canonical_rows`, `sl2._rotation_angles`), the trace
-law, the fixed points of the vertices an edge list names, with masks for the
-wall and non-elliptic ones, and the 2E germ images P_k^-1 fix(M_v) with the
-E recovered lengths.  These passes use + - * /, sqrt, hypot, abs and
-comparisons on arrays, with acos, cos and asinh from `math`, so each digit
-is the one the scalar `sl2` helpers give.  No step calls BLAS, so the
-report is the same under every BLAS kernel.
+rotation angles, the trace law, the fixed points of the vertices an edge
+list names, with masks for the wall and non-elliptic ones, and the 2E germ
+images P_k^-1 fix(M_v) with the E recovered lengths.  The passes are the
+`sl2` functions themselves, taken on arrays of entries (`_canonical`,
+`_rotation`, `elliptic_fixed_point`, `_quotient`, `half_plane_distance`):
++ - * /, sqrt, hypot, abs and comparisons on arrays, with acos, cos and
+asinh from `math`, so each digit is the one a float call gives.  No step
+calls BLAS, so the report is the same under every BLAS kernel.
 """
 
 from __future__ import annotations
@@ -46,7 +47,17 @@ from itertools import chain, islice
 import numpy as np
 
 from .errors import NotElliptic, NumericalCollapse, WallAngle
-from .sl2 import Sl2Matrix, _canonical_rows, _mul, _rotation_angles, elliptic_trace
+from .sl2 import (
+    Sl2Matrix,
+    _canonical,
+    _each,
+    _mul,
+    _quotient,
+    _rotation,
+    elliptic_fixed_point,
+    elliptic_trace,
+    half_plane_distance,
+)
 from .surface import WALL_BAND, ConeSurface, nxt, prv, wall_margin
 
 
@@ -131,12 +142,12 @@ class HolonomyAtlas:
     def dump(self) -> str:
         """Plain-text table of the vertex holonomies, one row per vertex: the
         canonical entries and the counterclockwise angle `sl2_log` takes."""
-        m = _canonical_rows(self.loops)
-        tags = np.array(("%.17g " * len(m) % tuple(_rotation_angles(m).tolist())).split(),
-                        dtype=object)
+        m = _canonical(*self.loops.T)
+        n = len(self.loops)
+        tags = np.array(("%.17g " * n % tuple(_rotation(m)[1].tolist())).split(), dtype=object)
         tags[self.margins < WALL_BAND] = "wall"
-        fields = chain.from_iterable(zip(range(len(m)), *m.T.tolist(), tags.tolist()))
-        return "vertex %d: %.17g %.17g %.17g %.17g angle %s\n" * len(m) % tuple(fields)
+        fields = chain.from_iterable(zip(range(n), *(e.tolist() for e in m), tags.tolist()))
+        return "vertex %d: %.17g %.17g %.17g %.17g angle %s\n" * n % tuple(fields)
 
 
 def develop(s: ConeSurface) -> HolonomyAtlas:
@@ -175,11 +186,10 @@ def _fixed_points(atlas: HolonomyAtlas, ends: np.ndarray) -> tuple:
     needed = np.zeros(n, dtype=bool)
     needed[ends] = True
     at = np.flatnonzero(needed)
-    a, _, c, d = atlas.loops[at].T
-    t = a + d
+    loops = atlas.loops[at].T
     wall = atlas.margins < WALL_BAND
     refused = np.zeros(n, dtype=bool)
-    refused[at] = wall[at] | ~elliptic_trace(t)
+    refused[at] = wall[at] | ~elliptic_trace(loops[0] + loops[3])
     if refused.any():
         row = ends[refused[ends].any(axis=1)][0]
         walls = row[wall[row]].tolist()
@@ -189,8 +199,7 @@ def _fixed_points(atlas: HolonomyAtlas, ends: np.ndarray) -> tuple:
         a, _, _, d = atlas.loops[v].tolist()
         raise NotElliptic(f"loop holonomy at vertex {v} has trace {a + d}, which is not elliptic")
     x, y = np.full(n, math.nan), np.full(n, math.nan)
-    x[at] = (a - d) / (2.0 * c)
-    y[at] = np.sqrt(4.0 - t * t) / (2.0 * np.abs(c))
+    x[at], y[at] = elliptic_fixed_point(*loops)
     return x, y
 
 
@@ -199,25 +208,12 @@ def _germ_images(atlas: HolonomyAtlas, germs: np.ndarray, x: np.ndarray,
     """Real and imaginary parts of P^-1 fix(M_v) = (d z - b) / (a - c z),
     with z = x[v] + i y[v] and P = prefix[g], for every germ g of `germs`.
 
-    The quotient is Smith's, as in CPython's complex division.
+    The quotient is `sl2._quotient`, CPython's complex division.
     """
     v = atlas.surface.vertex_of[germs]
     zx, zy = x[v], y[v]
     a, b, c, d = np.moveaxis(atlas.prefix[germs], -1, 0)
-    nr, ni = d * zx - b, d * zy
-    dr, di = a - c * zx, -(c * zy)
-    re, im = np.empty_like(nr), np.empty_like(ni)
-    real = np.abs(dr) >= np.abs(di)  # divide through by dr, else by di
-    nr_, ni_, dr_, di_ = nr[real], ni[real], dr[real], di[real]
-    ratio = di_ / dr_
-    denom = dr_ + di_ * ratio
-    re[real], im[real] = (nr_ + ni_ * ratio) / denom, (ni_ - nr_ * ratio) / denom
-    imag = ~real
-    nr_, ni_, dr_, di_ = nr[imag], ni[imag], dr[imag], di[imag]
-    ratio = dr_ / di_
-    denom = dr_ * ratio + di_
-    re[imag], im[imag] = (nr_ * ratio + ni_) / denom, (ni_ * ratio - nr_) / denom
-    return re, im
+    return _quotient(d * zx - b, d * zy, a - c * zx, -(c * zy))
 
 
 def _alengths(atlas: HolonomyAtlas, edges: np.ndarray) -> np.ndarray:
@@ -234,10 +230,7 @@ def _alengths(atlas: HolonomyAtlas, edges: np.ndarray) -> np.ndarray:
     tail = s.halves[edges].min(axis=1)
     germs = np.stack([tail, nxt(tail)], axis=1)
     x, y = _germ_images(atlas, germs, *_fixed_points(atlas, s.vertex_of[germs]))
-    # half_plane_distance, elementwise: sinh(d/2) = |z - w| / (2 sqrt(Im z Im w))
-    q = np.hypot(x[:, 0] - x[:, 1], y[:, 0] - y[:, 1]) / (
-        2.0 * np.sqrt(y[:, 0]) * np.sqrt(y[:, 1]))
-    return 2.0 * np.array(list(map(math.asinh, q.tolist())))
+    return half_plane_distance(x[:, 0], y[:, 0], x[:, 1], y[:, 1])
 
 
 def alength_from_fixed_points(atlas: HolonomyAtlas, e: str) -> float:
@@ -260,7 +253,7 @@ def holonomy_report(atlas: HolonomyAtlas) -> tuple:
     """
     s = atlas.surface
     traces = np.abs(atlas.loops[:, 0] + atlas.loops[:, 3])
-    cosines = np.array(list(map(math.cos, (s.cone_angle / 2.0).tolist())))
+    cosines = _each(math.cos, s.cone_angle / 2.0)
     trace_errors = np.abs(traces - 2.0 * np.abs(cosines))
     lengths = _alengths(atlas, np.arange(s.n_edges))
     length_errors = np.abs(lengths - s.length)

@@ -1064,8 +1064,11 @@ def jacobi_residual(s: ConeSurface, p: np.ndarray | None = None,
                                  f"is not -p[{r}, {c}] = {float(-p[r, c])!r}")
         table = JacobiTerms(pairs, p)
         del pairs, p  # the table holds what it needs of both
-    best, triple = table.max_abs()
-    return best / (table.p_max * table.der.max_abs() + 1e-300), triple
+    # a term or an entry of D past the float range is no warning: the
+    # residual it makes is not finite, and the report refuses that
+    with np.errstate(over="ignore", invalid="ignore"):
+        best, triple = table.max_abs()
+        return best / (table.p_max * table.der.max_abs() + 1e-300), triple
 
 
 def comparison_note():

@@ -8,24 +8,34 @@ the derivative of the closed-form exponential.  Residuals are scaled by
 relatively.  The suites are deterministic for a fixed seed and are exposed
 both to the test suite and to the command-line self-test.
 
-The per-sample work is float arithmetic on the library's float elements and
-on plain tuples; numpy only draws the samples, so no report depends on the
-BLAS kernel numpy loads.  The exp-side oracle, the independent route to the
-closed form of `sl2.log_perturbation`, inverts the derivative of the
-closed-form exponential by a closed form of its own.  The three suites that
-draw only uniform samples take them in bulk (`_uniform`): rng.random()
-values, CHUNK at a time, as Python floats, each served as
-low + (high - low) u.  That is the very expression Generator.uniform
-evaluates on the same stream, so every sample, and every report, is the one
-per-call draws give.
-The log-expansion suite keeps its generator: its normal draws take raw
-words from the stream between its uniforms, so a bulk buffer would shift
-them.
+A suite draws all its samples first, in the order the stream serves them,
+and then evaluates the library and its oracle once on the whole batch: the
+`sl2` functions take arrays of entries, and the oracles are array passes
+built the same way (+ - * /, sqrt and comparisons on arrays; every
+transcendental, power and `math.hypot` element by element from `math`,
+since libm's pow(x, 2) is not always x * x; complex quotients by
+`sl2._quotient`).  So every residual is bit for bit the one
+per-sample float calls give (tests/test_selftest.py keeps those calls as
+the reference), and no report depends on the BLAS kernel or on numpy's
+SIMD dispatch.  A suite reads the largest residual of its
+samples, NaN if any residual is NaN.  The exp-side oracle, the independent
+route to the closed form of `sl2.log_perturbation`, inverts the derivative
+of the closed-form exponential by a closed form of its own.
+
+The three suites that draw only uniform samples take them in bulk
+(`_uniform`): rng.random() values, CHUNK at a time, as Python floats, each
+served as low + (high - low) u.  That is the very expression
+Generator.uniform evaluates on the same stream, so every sample, and every
+report, is the one per-call draws give.  The rotation suite redraws a second
+centre within 1e-2 of the first, a test that needs `sl2.hyp_distance`; so it
+takes the raw values u, tests the whole batch, and draws again from the
+first rejected sample on.  The log-expansion suite keeps its generator: its
+normal draws take raw words from the stream between its uniforms, so a bulk
+buffer would shift them.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -34,7 +44,13 @@ from .sl2 import (
     H_VEC,
     HypPoint,
     Sl2Vector,
+    _by_case,
+    _each,
+    _element,
+    _hypot,
     _mul,
+    _quotient,
+    _where,
     elliptic_about,
     elliptic_pair_pairing,
     geodesic_pair_pairing,
@@ -60,13 +76,20 @@ CHUNK = 4096
 DISTINCT_GAP = 0.05
 
 
-def _scaled(err: float, expected: float) -> float:
+def _scaled(err, expected):
     return err / (1.0 + abs(expected))
 
 
-def _size(x: Sl2Vector) -> float:
-    """Largest absolute entry of a traceless matrix."""
-    return max(abs(x.a), abs(x.b), abs(x.c))
+def _size(x: Sl2Vector):
+    """Largest absolute entry of each traceless matrix of a batch (NaN
+    where an entry is NaN)."""
+    return np.maximum(np.maximum(abs(x.a), abs(x.b)), abs(x.c))
+
+
+def _worst(*residuals) -> float:
+    """The largest of a suite's per-sample residual arrays; NaN if any
+    residual is NaN, so that a NaN fails its suite."""
+    return float(np.max(np.concatenate(residuals), initial=0.0))
 
 
 def _uniform(rng):
@@ -93,17 +116,63 @@ def _uniform(rng):
     return uniform
 
 
-def _random_point(uniform) -> HypPoint:
-    """A point of the plane from `uniform`, a `_uniform` or Generator.uniform."""
-    return HypPoint(float(uniform(-2.0, 2.0)), float(uniform(0.25, 2.5)))
+def _random_point(uniform) -> tuple:
+    """(x, y) of a point of the plane from `uniform`, a `_uniform` or
+    Generator.uniform."""
+    return float(uniform(-2.0, 2.0)), float(uniform(0.25, 2.5))
 
 
 def _distinct_reals(uniform, k: int) -> list:
+    """k reals of [-3, 3], drawn again until every two lie DISTINCT_GAP
+    apart.  Only sorted neighbours are compared: rounding is monotone, so
+    no other pair lies closer."""
     while True:
         xs = [float(x) for x in uniform(-3.0, 3.0, k)]
-        if all(abs(xs[i] - xs[j]) >= DISTINCT_GAP
-               for i in range(k) for j in range(i + 1, k)):
+        s = sorted(xs)
+        if all(b - a >= DISTINCT_GAP for a, b in zip(s, s[1:])):
             return xs
+
+
+def _rotation_draws(uniform, count: int) -> np.ndarray:
+    """The (count, 6) raw values u of the rotation suite's samples: two
+    centres and two angles each, with every second centre within 1e-2 of
+    its first drawn again, as per-sample draws take them."""
+    raw = np.array(uniform(0.0, 1.0, 6 * count))  # 0 + (1 - 0) u is u
+    start = 0
+    while True:
+        u = raw.reshape(count, 6)[start:]
+        near = hyp_distance(HypPoint(*_served(u[:, 0:2])), HypPoint(*_served(u[:, 2:4]))) < 1e-2
+        if not near.any():
+            return raw.reshape(count, 6)
+        # the first rejected second centre leaves the stream; the rest of
+        # the draws move up, and two more values join at the end
+        start += int(near.argmax())
+        cut = 6 * start + 2
+        raw = np.concatenate((raw[:cut], raw[cut + 2:], uniform(0.0, 1.0, 2)))
+
+
+def _served(u: np.ndarray, low=(-2.0, 0.25), high=(2.0, 2.5)) -> list:
+    """The samples uniform(low, high) serves for the raw values u, one
+    column per (low, high): low + (high - low) u, by default the x and y of
+    `_random_point`."""
+    return [lo + (hi - lo) * u[:, j] for j, (lo, hi) in enumerate(zip(low, high))]
+
+
+def rotation_pair_residuals(rng, count: int) -> tuple:
+    """The rotation suite's per-sample residuals: pairing, bracket and the
+    bracket's self-pairing."""
+    u = _rotation_draws(_uniform(rng), count)
+    p1, p2 = HypPoint(*_served(u[:, 0:2])), HypPoint(*_served(u[:, 2:4]))
+    angle = 2.0 * math.pi - 0.1
+    a1, a2 = _served(u[:, 4:6], (0.1, 0.1), (angle, angle))
+    val, br = elliptic_pair_pairing(elliptic_about(p1, a1), elliptic_about(p2, a2))
+    d = hyp_distance(p1, p2)
+    cosh, sinh = 2.0 * _each(math.cosh, d), _each(math.sinh, d)
+    pairing = _scaled(abs(val + cosh), cosh)
+    expected = 2.0 * sinh * H_VEC.conjugate_by(normalizing_isometry(p1, p2).inverse())
+    bracket = _scaled(_size(br - expected), _size(expected))
+    want = 8.0 * _each(math.pow, sinh, 2.0)
+    return pairing, bracket, _scaled(abs(trace_form(br, br) - want), want)
 
 
 def rotation_pair_suite(rng, count: int) -> float:
@@ -113,40 +182,51 @@ def rotation_pair_suite(rng, count: int) -> float:
     from the first center to the second (built from an independent
     normalizing isometry), and the bracket's self-pairing 8 sinh^2 d.
     """
-    uniform = _uniform(rng)
-    worst = 0.0
-    for _ in range(count):
-        p1 = _random_point(uniform)
-        p2 = _random_point(uniform)
-        while hyp_distance(p1, p2) < 1e-2:
-            p2 = _random_point(uniform)
-        s1 = elliptic_about(p1, uniform(0.1, 2.0 * math.pi - 0.1))
-        s2 = elliptic_about(p2, uniform(0.1, 2.0 * math.pi - 0.1))
-        val, br = elliptic_pair_pairing(s1, s2)
-        d = hyp_distance(p1, p2)
-        worst = max(worst, _scaled(abs(val + 2.0 * math.cosh(d)), 2.0 * math.cosh(d)))
-        w = normalizing_isometry(p1, p2)
-        expected = 2.0 * math.sinh(d) * H_VEC.conjugate_by(w.inverse())
-        worst = max(worst, _scaled(_size(br - expected), _size(expected)))
-        self_pair = trace_form(br, br)
-        want = 8.0 * math.sinh(d) ** 2
-        worst = max(worst, _scaled(abs(self_pair - want), want))
-    return worst
+    return _worst(*rotation_pair_residuals(rng, count))
 
 
-def _crossing_angle(u1, v1, u2, v2) -> float:
+def _crossing_angle(u1, v1, u2, v2):
     """Angle at which the half-circle geodesics (u1 v1), (u2 v2) cross,
     between their oriented unit tangents, via Euclidean circle geometry."""
     c1, r1 = (u1 + v1) / 2.0, abs(v1 - u1) / 2.0
     c2, r2 = (u2 + v2) / 2.0, abs(v2 - u2) / 2.0
     x = (r1 * r1 - r2 * r2 + c2 * c2 - c1 * c1) / (2.0 * (c2 - c1))
-    y = math.sqrt(max(0.0, r1 * r1 - (x - c1) ** 2))
-    z0 = complex(x, y)
-    e1 = (z0 - c1) / r1
-    e2 = (z0 - c2) / r2
-    t1 = -1j * e1 if v1 > u1 else 1j * e1
-    t2 = -1j * e2 if v2 > u2 else 1j * e2
-    return abs(cmath.phase(t2 / t1))
+    h = r1 * r1 - _each(math.pow, x - c1, 2.0)
+    y = np.sqrt(np.where(h > 0.0, h, 0.0))
+    # the unit normals (z0 - c) / r at the crossing z0 = x + iy, and the
+    # tangents -i e where v > u, else i e
+    e1, e2 = _quotient(x - c1, y, r1, 0.0), _quotient(x - c2, y, r2, 0.0)
+    s1, s2 = np.where(v1 > u1, 1.0, -1.0), np.where(v2 > u2, 1.0, -1.0)
+    re, im = _quotient(s2 * e2[1], -s2 * e2[0], s1 * e1[1], -s1 * e1[0])
+    return abs(_each(math.atan2, im, re))
+
+
+def axis_pair_residuals(rng, count: int) -> tuple:
+    """The axis suite's per-sample residuals: the pairing, and the relation
+    of the axes (crossing angle, distance, or 1.0 where the pairing
+    classifies them wrong)."""
+    uniform = _uniform(rng)
+    draws = [(*_distinct_reals(uniform, 4), uniform(0.3, 2.5), uniform(0.3, 2.5))
+             for _ in range(count)]
+    u1, v1, u2, v2, len1, len2 = np.array(draws).reshape(count, 6).T
+    val = geodesic_pair_pairing(hyperbolic_along(u1, v1, len1), hyperbolic_along(u2, v2, len2))
+    # the second axis's endpoints after the Mobius change z -> (z - u1)/(v1 - z),
+    # which sends the first axis to the upward imaginary axis
+    ut, vt = (u2 - u1) / (v1 - u2), (v2 - u1) / (v1 - v2)
+    expected = 2.0 * (ut + vt) / (vt - ut)
+    pairing = _scaled(abs(val - expected), expected)
+
+    lo, hi = np.minimum(u1, v1), np.maximum(u1, v1)
+    crossing = ((lo < u2) & (u2 < hi)) != ((lo < v2) & (v2 < hi))
+    relation = np.ones(count)  # the classification disagrees with |val| < 2
+    cross = crossing & (abs(val) < 2.0)
+    delta = _crossing_angle(u1[cross], v1[cross], u2[cross], v2[cross])
+    relation[cross] = _scaled(abs(val[cross] - 2.0 * _each(math.cos, delta)), 2.0)
+    apart = ~crossing & ~(abs(val) < 2.0)
+    sd = 2.0 * np.sqrt(ut[apart] * vt[apart]) / abs(vt[apart] - ut[apart])
+    want = 2.0 * _each(math.hypot, 1.0, sd)
+    relation[apart] = _scaled(abs(abs(val[apart]) - want), want)
+    return pairing, relation
 
 
 def axis_pair_suite(rng, count: int) -> float:
@@ -157,33 +237,24 @@ def axis_pair_suite(rng, count: int) -> float:
     endpoint interleaving; crossing angle vs circle tangents; distance of
     disjoint axes via sinh d = 2 sqrt(uv)/|v - u|.
     """
+    return _worst(*axis_pair_residuals(rng, count))
+
+
+def mixed_pair_residuals(rng, count: int) -> tuple:
+    """The mixed suite's per-sample residuals: the pairing, and 1.0 where
+    the side test disagrees with its sign (0.0 elsewhere)."""
     uniform = _uniform(rng)
-    worst = 0.0
-    for _ in range(count):
-        u1, v1, u2, v2 = _distinct_reals(uniform, 4)
-        r1 = hyperbolic_along(u1, v1, uniform(0.3, 2.5))
-        r2 = hyperbolic_along(u2, v2, uniform(0.3, 2.5))
-        val = geodesic_pair_pairing(r1, r2)
-
-        def mob(z):
-            return (z - u1) / (v1 - z)
-
-        ut, vt = mob(u2), mob(v2)
-        expected = 2.0 * (ut + vt) / (vt - ut)
-        worst = max(worst, _scaled(abs(val - expected), expected))
-
-        lo, hi = min(u1, v1), max(u1, v1)
-        crossing = (lo < u2 < hi) != (lo < v2 < hi)
-        if crossing != (abs(val) < 2.0):
-            worst = max(worst, 1.0)
-        elif crossing:
-            delta = _crossing_angle(u1, v1, u2, v2)
-            worst = max(worst, _scaled(abs(val - 2.0 * math.cos(delta)), 2.0))
-        else:
-            sd = 2.0 * math.sqrt(ut * vt) / abs(vt - ut)
-            want = 2.0 * math.hypot(1.0, sd)
-            worst = max(worst, _scaled(abs(abs(val) - want), want))
-    return worst
+    draws = [(*_distinct_reals(uniform, 2), uniform(0.3, 2.5), *_random_point(uniform),
+              uniform(0.1, 2.0 * math.pi - 0.1)) for _ in range(count)]
+    u, v, length, x, y, angle = np.array(draws).reshape(count, 6).T
+    val = mixed_pairing(hyperbolic_along(u, v, length), elliptic_about(HypPoint(x, y), angle))
+    # the fixed point after the Mobius change z -> (z - u)/(v - z)
+    re, im = _quotient(x - u, y, v - x, -y)
+    expected = -2.0 * re / im
+    pairing = _scaled(abs(val - expected), expected)
+    outside = _hypot(x - (u + v) / 2.0, y) > abs(v - u) / 2.0
+    left = outside == (v > u)
+    return pairing, np.where((abs(expected) > 1e-3) & ((val > 0.0) != left), 1.0, 0.0)
 
 
 def mixed_pair_suite(rng, count: int) -> float:
@@ -193,43 +264,42 @@ def mixed_pair_suite(rng, count: int) -> float:
     when the axis is sent to the upward imaginary axis (positive on its
     left), plus an independent inside/outside-the-half-circle side test.
     """
-    uniform = _uniform(rng)
-    worst = 0.0
-    for _ in range(count):
-        u, v = _distinct_reals(uniform, 2)
-        r = hyperbolic_along(u, v, uniform(0.3, 2.5))
-        p = _random_point(uniform)
-        s = elliptic_about(p, uniform(0.1, 2.0 * math.pi - 0.1))
-        val = mixed_pairing(r, s)
-        pt = (p.z - u) / (v - p.z)
-        expected = -2.0 * pt.real / pt.imag
-        worst = max(worst, _scaled(abs(val - expected), expected))
-        if abs(expected) > 1e-3:
-            center, radius = (u + v) / 2.0, abs(v - u) / 2.0
-            outside = abs(p.z - center) > radius
-            left = outside if v > u else not outside
-            if (val > 0.0) != left:
-                worst = max(worst, 1.0)
-    return worst
+    return _worst(*mixed_pair_residuals(rng, count))
 
 
-def _exp_coefficients(k: float) -> tuple:
+def _exp_series(m) -> tuple:
+    """c0, c1, c1' as their series in k = m[0], near k = 0."""
+    k = m[0]
+    k3, k4 = _each(math.pow, k, 3.0), _each(math.pow, k, 4.0)
+    return (1.0 - k / 2.0 + k * k / 24.0 - k3 / 720.0 + k4 / 40320.0,
+            1.0 - k / 6.0 + k * k / 120.0 - k3 / 5040.0 + k4 / 362880.0,
+            -1.0 / 6.0 + k / 60.0 - k * k / 1680.0 + k3 / 90720.0)
+
+
+def _exp_closed(m, cos, sin) -> tuple:
+    """c0, c1, c1' of (k, w = sqrt|k|) = m by cos and sin, or by cosh and
+    sinh."""
+    k, w = m
+    c0, c1 = _each(cos, w), _each(sin, w) / w
+    return c0, c1, (c0 - c1) / (2.0 * k)
+
+
+_EXP_COEFFICIENTS = {
+    "series": _exp_series,
+    "cos": lambda m: _exp_closed(m, math.cos, math.sin),
+    "cosh": lambda m: _exp_closed(m, math.cosh, math.sinh),
+}
+
+
+def _exp_coefficients(k) -> tuple:
     """c0, c1 of exp(X) = c0 I + c1 X for det X = k, and their k-derivatives.
 
     c0 = cos(sqrt k), c1 = sin(sqrt k)/sqrt k (cosh and sinh for k < 0), so
     c0' = -c1/2 and c1' = (c0 - c1)/(2k); near k = 0 the series are used.
     """
-    if abs(k) < 1e-3:
-        c0 = 1.0 - k / 2.0 + k * k / 24.0 - k ** 3 / 720.0 + k ** 4 / 40320.0
-        c1 = 1.0 - k / 6.0 + k * k / 120.0 - k ** 3 / 5040.0 + k ** 4 / 362880.0
-        dc1 = -1.0 / 6.0 + k / 60.0 - k * k / 1680.0 + k ** 3 / 90720.0
-        return c0, c1, -c1 / 2.0, dc1
-    w = math.sqrt(abs(k))
-    if k > 0.0:
-        c0, c1 = math.cos(w), math.sin(w) / w
-    else:
-        c0, c1 = math.cosh(w), math.sinh(w) / w
-    return c0, c1, -c1 / 2.0, (c0 - c1) / (2.0 * k)
+    key = _where(abs(k) < 1e-3, "series", _where(k > 0.0, "cos", "cosh"))
+    c0, c1, dc1 = _by_case(key, _EXP_COEFFICIENTS, (k, _each(math.sqrt, abs(k))))
+    return c0, c1, -c1 / 2.0, dc1
 
 
 def _exp_side_log_slope(s: Sl2Vector, u: Sl2Vector) -> Sl2Vector:
@@ -251,23 +321,33 @@ def _exp_side_log_slope(s: Sl2Vector, u: Sl2Vector) -> Sl2Vector:
                                   (r[1] - g * s.b) / c1, (r[2] - g * s.c) / c1)
 
 
+def log_expansion_residuals(rng, count: int) -> tuple:
+    """The log-expansion suite's per-sample residuals."""
+    rotations, translations, normals = [], [], []
+    for k in range(count):
+        if k % 2 == 0:
+            rotations.append((*_random_point(rng.uniform),
+                              float(rng.uniform(0.2, 2.0 * math.pi - 0.2))))
+        else:
+            translations.append((*_distinct_reals(rng.uniform, 2), float(rng.uniform(0.2, 2.5))))
+        normals.append(rng.normal(size=3).tolist())
+    x, y, angle = np.array(rotations).reshape(-1, 3).T
+    u1, v1, length = np.array(translations).reshape(-1, 3).T
+    # the elements in draw order: rotations at the even samples
+    base = np.empty((4, count))
+    base[:, 0::2] = tuple(elliptic_about(HypPoint(x, y), angle))
+    base[:, 1::2] = tuple(hyperbolic_along(u1, v1, length))
+    s = sl2_log(_element(tuple(base)))
+    u = Sl2Vector.from_entries(*np.array(normals).reshape(count, 3).T)
+    got = log_perturbation(s, u)
+    rr = _exp_side_log_slope(s, u)
+    return (_scaled(_size(got - rr), _size(rr)),)
+
+
 def log_expansion_suite(rng, count: int) -> float:
     """First-order coefficient of log(exp(tu) exp(s)) against the exp-side
     oracle, for elliptic and for hyperbolic base directions."""
-    worst = 0.0
-    for k in range(count):
-        if k % 2 == 0:
-            base = elliptic_about(_random_point(rng.uniform),
-                                  float(rng.uniform(0.2, 2.0 * math.pi - 0.2)))
-        else:
-            u1, v1 = _distinct_reals(rng.uniform, 2)
-            base = hyperbolic_along(u1, v1, float(rng.uniform(0.2, 2.5)))
-        s = sl2_log(base)
-        u = Sl2Vector.from_entries(*rng.normal(size=3).tolist())
-        got = log_perturbation(s, u)
-        rr = _exp_side_log_slope(s, u)
-        worst = max(worst, _scaled(_size(got - rr), _size(rr)))
-    return worst
+    return _worst(*log_expansion_residuals(rng, count))
 
 
 # (name, suite, samples, the --tol key of its tolerance)

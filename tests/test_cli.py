@@ -513,6 +513,27 @@ def test_tiny_sides_leave_the_rank_uncertified_without_a_warning(tmp_path, surfa
     assert proc.stdout.splitlines()[-1].startswith("comparison.status: ")
 
 
+def test_unguarded_tiny_torus_overflows_the_jacobi_sweep_without_a_warning(tmp_path):
+    # a torus near the 2*pi wall (margin 3.2e-16): with the wall guard off,
+    # the Jacobi sweep's terms and the entries of D leave the float range,
+    # and the report still exits 3 with nothing on stderr; the default guard
+    # refuses the shape in one line
+    doc = _torus_doc()
+    for rec, x in zip(doc["edges"], (1e-300, 1.05e-300, 0.97e-300)):
+        rec["length"] = x
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "hypcone.cli", "poisson",
+            "--input", str(path)]
+    proc = subprocess.run(argv + ["--tol", "wall=0"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (3, "")
+    assert proc.stdout.splitlines()[-1].startswith("comparison.status: ")
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error[WallAngle]: vertex 0 has cone angle ")
+    assert proc.stderr.count("\n") == 1
+
+
 @functools.cache
 def _stellar_text(k):
     return serialize_surface(stellar_surface(k, seed=1))

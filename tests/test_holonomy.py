@@ -24,8 +24,8 @@ import hypcone.holonomy as holonomy_mod
 import hypcone.cli as cli
 from hypcone.cli import main
 from hypcone.errors import NotElliptic, NumericalCollapse, WallAngle
-from hypcone.sl2 import (_canonical, _canonical_rows, _rotation, elliptic_fixed_point,
-                         elliptic_trace, half_plane_distance, hyp_direction)
+from hypcone.sl2 import (_canonical, _rotation, elliptic_fixed_point, elliptic_trace,
+                         half_plane_distance, hyp_direction)
 from hypcone.surface import WALL_BAND, fmt17, nxt, prv, wall_margin
 
 
@@ -37,7 +37,7 @@ def corner(atlas, h):
 
 def center(m):
     """The fixed point of elliptic m in the upper half-plane."""
-    return elliptic_fixed_point(m.a, m.b, m.c, m.d)
+    return complex(*elliptic_fixed_point(m.a, m.b, m.c, m.d))
 
 
 def fresh_walk(atlas, germ):
@@ -78,10 +78,10 @@ def reference_report(atlas):
             if not elliptic_trace(2.0 * abs(math.cos(s.cone_angle[v] / 2.0))):
                 raise WallAngle(f"at vertex {v} ")
         for g in (h, nxt(h)):
-            z = elliptic_fixed_point(*atlas.loops[s.vertex_of[g]].tolist())
+            z = complex(*elliptic_fixed_point(*atlas.loops[s.vertex_of[g]].tolist()))
             a, b, c, d = atlas.prefix[g].tolist()
             ends.append((d * z - b) / (a - c * z))
-        got = half_plane_distance(*ends)
+        got = half_plane_distance(ends[0].real, ends[0].imag, ends[1].real, ends[1].imag)
         eerr = max(eerr, abs(got - length))
         erows.append((e, got, abs(got - length)))
     return vrows, erows, max(verr, eerr)
@@ -210,11 +210,12 @@ def test_array_pass_matches_scalar_path(surface, corpus):
     for s in surfaces:
         atlas = develop(s)
         loops = atlas.loops.tolist()
-        assert _canonical_rows(atlas.loops).tolist() == [list(_canonical(*loop)) for loop in loops]
+        assert np.array(_canonical(*atlas.loops.T)).T.tolist() == \
+            [list(_canonical(*loop)) for loop in loops]
         assert atlas.dump() == scalar_dump(atlas)
         x, y = holonomy_mod._fixed_points(atlas, np.arange(s.n_vertices)[:, None])
         assert [complex(*z) for z in zip(x.tolist(), y.tolist())] == \
-            [elliptic_fixed_point(*loop) for loop in loops]
+            [complex(*elliptic_fixed_point(*loop)) for loop in loops]
         assert report_rows(atlas)[0] == reference_report(atlas)[0]
 
 

@@ -1,3 +1,6 @@
+import cmath
+import math
+import os
 import random
 import subprocess
 import sys
@@ -9,8 +12,23 @@ from conftest import bits, blas_env
 
 import hypcone.selftest as selftest
 from hypcone.cli import main
-from hypcone.selftest import CHUNK, _uniform
-from hypcone.sl2 import Sl2Vector
+from hypcone.selftest import CHUNK, DISTINCT_GAP, _uniform
+from hypcone.sl2 import (
+    H_VEC,
+    HypPoint,
+    Sl2Vector,
+    _mul,
+    elliptic_about,
+    elliptic_pair_pairing,
+    geodesic_pair_pairing,
+    hyp_distance,
+    hyperbolic_along,
+    log_perturbation,
+    mixed_pairing,
+    normalizing_isometry,
+    sl2_log,
+    trace_form,
+)
 
 # The structured reports of three seeds, as the per-call draws gave them,
 # with the log-expansion residuals of the closed-form log perturbation
@@ -84,14 +102,215 @@ def test_selftest_report_is_pinned(capsys, seed, want):
     assert capsys.readouterr().out == want
 
 
-@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
-def test_selftest_report_does_not_depend_on_the_blas_kernel(coretype):
-    # no suite goes through BLAS, so every OpenBLAS kernel gives the bytes of
-    # the report pinned above
+@pytest.mark.parametrize("coretype, features", [("Haswell", None), ("Prescott", None),
+                                                ("", "X86_V4 AVX512_ICL AVX512_SPR")],
+                         ids=["Haswell", "Prescott", "no-avx512"])
+def test_selftest_report_does_not_depend_on_the_blas_kernel(coretype, features):
+    # no suite goes through BLAS, and every transcendental comes from libm,
+    # so every OpenBLAS kernel, and numpy's SIMD dispatch with AVX-512 off,
+    # gives the bytes of the report pinned above
+    env = blas_env(coretype or None) or dict(os.environ)
+    if features:
+        env["NPY_DISABLE_CPU_FEATURES"] = features
     proc = subprocess.run(
         [sys.executable, "-m", "hypcone.cli", "selftest", "--seed", "1729",
-         "--format", "structured"], capture_output=True, text=True, env=blas_env(coretype))
+         "--format", "structured"], capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", SEED_1729)
+
+
+# The suites as per-sample float calls: the reference the batch suites
+# must give bit for bit, residual by residual.  Each returns the residual
+# columns of its suite's `*_residuals`, one value per sample.
+
+def ref_scaled(err, expected):
+    return err / (1.0 + abs(expected))
+
+
+def ref_size(x):
+    return max(abs(x.a), abs(x.b), abs(x.c))
+
+
+def ref_point(uniform):
+    return HypPoint(float(uniform(-2.0, 2.0)), float(uniform(0.25, 2.5)))
+
+
+def ref_distinct_reals(uniform, k):
+    while True:
+        xs = [float(x) for x in uniform(-3.0, 3.0, k)]
+        if all(abs(xs[i] - xs[j]) >= DISTINCT_GAP
+               for i in range(k) for j in range(i + 1, k)):
+            return xs
+
+
+def ref_rotation_residuals(rng, count):
+    uniform = _uniform(rng)
+    rows = []
+    for _ in range(count):
+        p1 = ref_point(uniform)
+        p2 = ref_point(uniform)
+        while hyp_distance(p1, p2) < 1e-2:
+            p2 = ref_point(uniform)
+        s1 = elliptic_about(p1, uniform(0.1, 2.0 * math.pi - 0.1))
+        s2 = elliptic_about(p2, uniform(0.1, 2.0 * math.pi - 0.1))
+        val, br = elliptic_pair_pairing(s1, s2)
+        d = hyp_distance(p1, p2)
+        pairing = ref_scaled(abs(val + 2.0 * math.cosh(d)), 2.0 * math.cosh(d))
+        w = normalizing_isometry(p1, p2)
+        expected = 2.0 * math.sinh(d) * H_VEC.conjugate_by(w.inverse())
+        bracket = ref_scaled(ref_size(br - expected), ref_size(expected))
+        want = 8.0 * math.sinh(d) ** 2
+        rows.append((pairing, bracket, ref_scaled(abs(trace_form(br, br) - want), want)))
+    return list(zip(*rows))
+
+
+def ref_crossing_angle(u1, v1, u2, v2):
+    c1, r1 = (u1 + v1) / 2.0, abs(v1 - u1) / 2.0
+    c2, r2 = (u2 + v2) / 2.0, abs(v2 - u2) / 2.0
+    x = (r1 * r1 - r2 * r2 + c2 * c2 - c1 * c1) / (2.0 * (c2 - c1))
+    y = math.sqrt(max(0.0, r1 * r1 - (x - c1) ** 2))
+    z0 = complex(x, y)
+    e1 = (z0 - c1) / r1
+    e2 = (z0 - c2) / r2
+    t1 = -1j * e1 if v1 > u1 else 1j * e1
+    t2 = -1j * e2 if v2 > u2 else 1j * e2
+    return abs(cmath.phase(t2 / t1))
+
+
+def ref_axis_residuals(rng, count):
+    uniform = _uniform(rng)
+    rows = []
+    for _ in range(count):
+        u1, v1, u2, v2 = ref_distinct_reals(uniform, 4)
+        r1 = hyperbolic_along(u1, v1, uniform(0.3, 2.5))
+        r2 = hyperbolic_along(u2, v2, uniform(0.3, 2.5))
+        val = geodesic_pair_pairing(r1, r2)
+        ut, vt = (u2 - u1) / (v1 - u2), (v2 - u1) / (v1 - v2)
+        expected = 2.0 * (ut + vt) / (vt - ut)
+        pairing = ref_scaled(abs(val - expected), expected)
+        lo, hi = min(u1, v1), max(u1, v1)
+        crossing = (lo < u2 < hi) != (lo < v2 < hi)
+        if crossing != (abs(val) < 2.0):
+            relation = 1.0
+        elif crossing:
+            delta = ref_crossing_angle(u1, v1, u2, v2)
+            relation = ref_scaled(abs(val - 2.0 * math.cos(delta)), 2.0)
+        else:
+            sd = 2.0 * math.sqrt(ut * vt) / abs(vt - ut)
+            want = 2.0 * math.hypot(1.0, sd)
+            relation = ref_scaled(abs(abs(val) - want), want)
+        rows.append((pairing, relation))
+    return list(zip(*rows))
+
+
+def ref_mixed_residuals(rng, count):
+    uniform = _uniform(rng)
+    rows = []
+    for _ in range(count):
+        u, v = ref_distinct_reals(uniform, 2)
+        r = hyperbolic_along(u, v, uniform(0.3, 2.5))
+        p = ref_point(uniform)
+        s = elliptic_about(p, uniform(0.1, 2.0 * math.pi - 0.1))
+        val = mixed_pairing(r, s)
+        pt = (p.z - u) / (v - p.z)
+        expected = -2.0 * pt.real / pt.imag
+        side = 0.0
+        if abs(expected) > 1e-3:
+            center, radius = (u + v) / 2.0, abs(v - u) / 2.0
+            outside = abs(p.z - center) > radius
+            left = outside if v > u else not outside
+            if (val > 0.0) != left:
+                side = 1.0
+        rows.append((ref_scaled(abs(val - expected), expected), side))
+    return list(zip(*rows))
+
+
+def ref_log_residuals(rng, count):
+    rows = []
+    for k in range(count):
+        if k % 2 == 0:
+            base = elliptic_about(ref_point(rng.uniform),
+                                  float(rng.uniform(0.2, 2.0 * math.pi - 0.2)))
+        else:
+            u1, v1 = ref_distinct_reals(rng.uniform, 2)
+            base = hyperbolic_along(u1, v1, float(rng.uniform(0.2, 2.5)))
+        s = sl2_log(base)
+        u = Sl2Vector.from_entries(*rng.normal(size=3).tolist())
+        got = log_perturbation(s, u)
+        rr = ref_exp_side_log_slope(s, u)
+        rows.append((ref_scaled(ref_size(got - rr), ref_size(rr)),))
+    return list(zip(*rows))
+
+
+def ref_exp_coefficients(k):
+    if abs(k) < 1e-3:
+        c0 = 1.0 - k / 2.0 + k * k / 24.0 - k ** 3 / 720.0 + k ** 4 / 40320.0
+        c1 = 1.0 - k / 6.0 + k * k / 120.0 - k ** 3 / 5040.0 + k ** 4 / 362880.0
+        dc1 = -1.0 / 6.0 + k / 60.0 - k * k / 1680.0 + k ** 3 / 90720.0
+        return c0, c1, -c1 / 2.0, dc1
+    w = math.sqrt(abs(k))
+    if k > 0.0:
+        c0, c1 = math.cos(w), math.sin(w) / w
+    else:
+        c0, c1 = math.cosh(w), math.sinh(w) / w
+    return c0, c1, -c1 / 2.0, (c0 - c1) / (2.0 * k)
+
+
+def ref_exp_side_log_slope(s, u):
+    c0, c1, dc0, dc1 = ref_exp_coefficients(s.det())
+    r = _mul((u.a, u.b, u.c, -u.a), (c0 + c1 * s.a, c1 * s.b, c1 * s.c, c0 - c1 * s.a))
+    half = (r[0] + r[3]) / 2.0
+    g = dc1 * half / dc0
+    return Sl2Vector.from_entries((r[0] - half - g * s.a) / c1,
+                                  (r[1] - g * s.b) / c1, (r[2] - g * s.c) / c1)
+
+
+def element(v, j):
+    """Sample j of a batch of vectors, as a float vector."""
+    return Sl2Vector.from_entries(v.a.item(j), v.b.item(j), v.c.item(j))
+
+
+@pytest.mark.parametrize("k", [-0.5, -1e-3, -2e-4, 0.0, 3e-4, 1e-3, 0.7, 20.0])
+def test_exp_coefficients_take_batches(k):
+    # the series near k = 0 and both closed forms, as floats and in one batch
+    ks = np.array([k, 0.3, -0.3, 1e-4])
+    want = [ref_exp_coefficients(x) for x in ks.tolist()]
+    assert bits(np.array(selftest._exp_coefficients(ks)).T) == bits(want)
+    assert bits(selftest._exp_coefficients(k)) == bits(want[0])
+
+
+REFERENCES = (
+    (selftest.rotation_pair_residuals, ref_rotation_residuals, selftest.TRIG_COUNT),
+    (selftest.axis_pair_residuals, ref_axis_residuals, selftest.TRIG_COUNT),
+    (selftest.mixed_pair_residuals, ref_mixed_residuals, selftest.TRIG_COUNT),
+    (selftest.log_expansion_residuals, ref_log_residuals, selftest.LOG_COUNT),
+)
+
+
+@pytest.mark.parametrize("seed", [*range(1, 21), 1729])
+def test_batch_suites_give_the_per_sample_residuals(seed):
+    # seeds 11 and 14 redraw a second rotation centre
+    for batch, reference, count in REFERENCES:
+        got = batch(np.random.default_rng(seed), count)
+        want = reference(np.random.default_rng(seed), count)
+        assert [bits(column) for column in got] == [bits(column) for column in want], \
+            (seed, batch.__name__)
+
+
+def test_a_nan_residual_fails_its_suite_and_the_report(monkeypatch, capsys):
+    exact = selftest.mixed_pairing
+
+    def nan_at_the_seventh(r, s):
+        val = exact(r, s)
+        val[6] = math.nan
+        return val
+
+    monkeypatch.setattr(selftest, "mixed_pairing", nan_at_the_seventh)
+    assert math.isnan(selftest.mixed_pair_suite(np.random.default_rng(1729), selftest.TRIG_COUNT))
+    assert main(["selftest", "--seed", "1729", "--format", "structured"]) == 3
+    out = capsys.readouterr().out
+    assert "lemma.mixed-pairs.residual=nan\nlemma.mixed-pairs.tolerance=1.0000000000000001e-09\n" \
+        "lemma.mixed-pairs.pass=false\n" in out
+    assert out.endswith("pass=false\n")
 
 
 def lstsq_log_slope(s, u):
@@ -121,8 +340,10 @@ def test_closed_form_oracle_is_the_least_squares_solution(monkeypatch, seed):
 
     monkeypatch.setattr(selftest, "_exp_side_log_slope", recording)
     selftest.log_expansion_suite(np.random.default_rng(seed), selftest.LOG_COUNT)
-    assert len(samples) == selftest.LOG_COUNT
-    for s, u in samples:
+    (batch_s, batch_u), = samples  # the suite's one batch call
+    assert len(batch_s.a) == len(batch_u.a) == selftest.LOG_COUNT
+    for j in range(selftest.LOG_COUNT):
+        s, u = element(batch_s, j), element(batch_u, j)
         want = lstsq_log_slope(s, u)
         err = selftest._size(oracle(s, u) - want)
         assert selftest._scaled(err, selftest._size(want)) < 1e-11, (seed, s, u)

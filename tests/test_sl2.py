@@ -44,12 +44,10 @@ from hypcone.sl2 import (
     H_VEC,
     TRACE_TOL,
     _canonical,
-    _canonical_rows,
     _element,
     _hyperbolic_axis,
     _kind,
     _rotation,
-    _rotation_angles,
     elliptic_fixed_point,
     hyp_direction,
 )
@@ -60,7 +58,7 @@ IDENTITY = Sl2Matrix.from_entries(1.0, 0.0, 0.0, 1.0)
 
 def center(m: Sl2Matrix) -> HypPoint:
     """The fixed point of elliptic m, as a point of the half-plane."""
-    return HypPoint.from_complex(elliptic_fixed_point(m.a, m.b, m.c, m.d))
+    return HypPoint(*elliptic_fixed_point(m.a, m.b, m.c, m.d))
 
 
 def projectively_close(m: Sl2Matrix, other: Sl2Matrix, tol: float = 1e-9) -> bool:
@@ -210,11 +208,11 @@ def test_canonical_representative():
     assert np.allclose(scaled.mat, g.mat)
 
 
-def test_canonical_rows_and_rotation_angles_match_the_scalars():
-    # the array forms give `_canonical` and `_rotation`'s angle bit for bit:
-    # determinants kept within DET_TOL of 1 and rescaled just past it or far
-    # from it, both signs of the trace, trace 0 with
-    # either sign of c, and traces past 2, where acos is clamped at 1
+def test_canonical_and_rotation_take_batches():
+    # `_canonical` and `_rotation`'s angle on arrays of entries give the
+    # float calls' digits: determinants kept within DET_TOL of 1 and
+    # rescaled just past it or far from it, both signs of the trace, trace 0
+    # with either sign of c, and traces past 2, where acos is clamped at 1
     rng = np.random.default_rng(11)
     rows = rng.normal(size=(400, 4))
     rows = rows[rows[:, 0] * rows[:, 3] - rows[:, 1] * rows[:, 2] > 0.0]
@@ -222,10 +220,10 @@ def test_canonical_rows_and_rotation_angles_match_the_scalars():
     rows[1::3] = rows[::3][:len(rows[1::3])] * (1.0 + 1e-11)  # det drifts by 2e-11
     rows = np.vstack([rows, [[0.0, 1.0, -1.0, 0.0], [0.0, -1.0, 1.0, 0.0],
                              [-2.0, 0.0, 0.0, -0.5], [3.0, 1.0, 1.0, 1.0]]])
-    canonical = _canonical_rows(rows)
-    assert canonical.tolist() == [list(_canonical(*row)) for row in rows.tolist()]
-    assert _rotation_angles(canonical).tolist() == \
-        [_rotation(_element(tuple(row)))[1] for row in canonical.tolist()]
+    canonical = _canonical(*rows.T)
+    assert bits(np.array(canonical).T) == bits([_canonical(*row) for row in rows.tolist()])
+    assert bits(_rotation(canonical)[1]) == \
+        bits([_rotation(_element(tuple(row)))[1] for row in np.array(canonical).T.tolist()])
 
 
 def test_singular_matrix_rejected():
@@ -765,7 +763,7 @@ def ref_rotation_angle(m):
 
 
 def ref_fixed_point(m):
-    return elliptic_fixed_point(*m.mat.ravel().tolist())
+    return complex(*elliptic_fixed_point(*m.mat.ravel().tolist()))
 
 
 def relative_gap(got, want):
@@ -1130,3 +1128,103 @@ def test_constructors_and_pairings_equal_their_chains_bit_for_bit():
     assert not mismatches, (len(mismatches), mismatches[:3])
     # the sweep reaches rescales between the factors of both constructors
     assert min(drift.values()) >= 500, drift
+
+
+# Batches: every function the self-test suites call, on equal-length arrays
+# of entries, against the float calls element by element.
+
+def batch_of(items):
+    """One batch of floats, points, elements or vectors, for the batch call."""
+    first = items[0]
+    if isinstance(first, float):
+        return np.array(items)
+    names = type(first).__slots__
+    one = object.__new__(type(first))
+    for name in names:
+        object.__setattr__(one, name, np.array([getattr(x, name) for x in items]))
+    return one
+
+
+def entries(x):
+    """The entries of a call's result, in order: floats for a float call,
+    arrays for a batch call."""
+    if isinstance(x, tuple):
+        return [y for part in x for y in entries(part)]
+    if isinstance(x, (float, np.ndarray)):
+        return [x]
+    return [getattr(x, name) for name in type(x).__slots__]
+
+
+def batch_samples():
+    rng = np.random.default_rng(3)
+    n = 300
+    points = [tuple(p) for p in np.column_stack((rng.uniform(-2, 2, n),
+                                                 rng.uniform(0.25, 2.5, n))).tolist()]
+    others = points[1:] + points[:1]
+    angles = rng.uniform(0.1, 2.0 * math.pi - 0.1, n).tolist()
+    ends = rng.uniform(-3.0, 3.0, (n, 2)).tolist()
+    lengths = rng.uniform(0.3, 2.5, n).tolist()
+    rotations = [elliptic_about(HypPoint(*p), a) for p, a in zip(points, angles)]
+    translations = [hyperbolic_along(u, v, ell) for (u, v), ell in zip(ends, lengths)]
+    bases = [sl2_log(m) for pair in zip(rotations, translations) for m in pair]
+    directions = [Sl2Vector.from_entries(*x) for x in rng.normal(size=(len(bases), 3)).tolist()]
+    return {
+        "elliptic_about": (elliptic_about, [(HypPoint(*p), a) for p, a in zip(points, angles)]),
+        "hyperbolic_along": (hyperbolic_along, [(u, v, ell) for (u, v), ell in zip(ends, lengths)]),
+        "normalizing_isometry": (normalizing_isometry,
+                                 [(HypPoint(*p), HypPoint(*q)) for p, q in zip(points, others)]),
+        "hyp_distance": (hyp_distance,
+                         [(HypPoint(*p), HypPoint(*q)) for p, q in zip(points, others)]),
+        "elliptic_pair_pairing": (elliptic_pair_pairing,
+                                  list(zip(rotations, rotations[1:] + rotations[:1]))),
+        "geodesic_pair_pairing": (geodesic_pair_pairing,
+                                  list(zip(translations, translations[1:] + translations[:1]))),
+        "mixed_pairing": (mixed_pairing, list(zip(translations, rotations))),
+        "sl2_log": (sl2_log, [(m,) for m in rotations + translations]),
+        "log_perturbation": (log_perturbation, list(zip(bases, directions))),
+    }
+
+
+BATCH_SAMPLES = batch_samples()
+
+
+@pytest.mark.parametrize("name", list(BATCH_SAMPLES))
+def test_batch_call_gives_the_float_calls(name):
+    fn, samples = BATCH_SAMPLES[name]
+    want = [entries(fn(*args)) for args in samples]
+    got = entries(fn(*(batch_of(list(column)) for column in zip(*samples))))
+    assert bits(np.array(got).T) == bits(want)
+    # a float call keeps Python floats
+    assert all(type(x) is float for row in want for x in row)
+
+
+def refusal(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def test_refused_batch_raises_what_its_first_refused_element_raises():
+    ends = [(0.0, 1.0, 1.0), (1e6, 1e6 + 1e-3, 1.0), (2.0, 2.0, 1.0), (0.5, -1.0, -1.0)]
+    want = refusal(hyperbolic_along, *ends[1])
+    assert want[0] is NumericalCollapse
+    assert refusal(hyperbolic_along, *(np.array(c) for c in zip(*ends))) == want
+    # the third element fails an earlier check than the second: the batch
+    # raises what the second element's float call raises
+    ends = [(0.0, 1.0, 1.0), (2.0, 2.0, 1.0), (0.5, -1.0, -1.0)]
+    want = refusal(hyperbolic_along, *ends[1])
+    assert want == (OutOfRange, "axis endpoints must be distinct")
+    assert refusal(hyperbolic_along, *(np.array(c) for c in zip(*ends))) == want
+
+    rotations = [elliptic_about(HypPoint(0.5 * k, 1.0), 1.0) for k in range(4)]
+    translation = hyperbolic_along(-1.0, 1.0, 1.0)
+    firsts = [rotations[0], rotations[1], translation, rotations[3]]
+    want = refusal(elliptic_pair_pairing, translation, rotations[2])
+    assert want == (NotElliptic, "both inputs must be elliptic")
+    seconds = rotations[1:] + rotations[:1]
+    assert refusal(elliptic_pair_pairing, batch_of(firsts), batch_of(seconds)) == want
+    assert refusal(mixed_pairing, batch_of([translation] * 4), batch_of(firsts)) == \
+        refusal(mixed_pairing, translation, translation) == \
+        (NotElliptic, "second argument must be elliptic")
+    assert refusal(HypPoint, np.array([0.0, 1.0, 2.0]), np.array([1.0, -1.0, -2.0])) == \
+        refusal(HypPoint, 1.0, -1.0)

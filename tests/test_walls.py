@@ -14,7 +14,7 @@ from hypcone import develop, serialize_surface, vertex_holonomy
 from hypcone.cli import main
 from hypcone.errors import WallAngle
 from hypcone.poisson import WALL_GUARD
-from hypcone.sl2 import _canonical_rows, elliptic_trace
+from hypcone.sl2 import _canonical, elliptic_trace
 from hypcone.surface import WALL_BAND, classify_angles, cone_angles, fmt17, wall_margin
 
 # the equilateral torus angle runs from 2*pi (side -> 0) down to 0 (side ->
@@ -119,7 +119,7 @@ def test_dump_angle_is_the_rotation_angle():
     atlases = [develop(stellar_surface(k, seed=seed, start=start))
                for k, seed, start in ((40, 1, "tet"), (40, 2, "tor"), (120, 3, "tet"))]
     want = [[fmt17(ref_rotation_angle(RefMatrix(row.reshape(2, 2))))
-             for row in _canonical_rows(atlas.loops)] for atlas in atlases]
+             for row in np.array(_canonical(*atlas.loops.T)).T] for atlas in atlases]
     for atlas, angles in zip(atlases, want):
         rows = [line for line in atlas.dump().splitlines() if line.startswith("vertex ")]
         assert [row.rsplit(" angle ", 1)[1] for row in rows] == angles
