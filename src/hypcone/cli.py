@@ -32,7 +32,8 @@ from . import poisson as poisson_mod
 from .errors import HypconeError
 from .holonomy import develop, holonomy_report
 from .selftest import DEFAULT_SEED, LOG_TOL, TRIG_TOL, run_all
-from .surface import build_surface, classify_angles, cone_angles, decode_document, fmt17
+from .surface import (build_surface, classify_angles, cone_angles, decode_document, fmt17,
+                      worst_at)
 
 TOL_DEFAULTS = {
     "wall": poisson_mod.WALL_GUARD,  # min |sin(theta/2)| before P is refused
@@ -182,7 +183,7 @@ def cmd_poisson(args, out: Emitter, tols) -> int:
     # one Jacobi table for the radical and the Jacobi check
     table = poisson_mod.JacobiTerms(pairs, p)
     del pairs
-    residuals = poisson_mod.radical_residuals(table, grads).tolist()
+    residuals = poisson_mod.radical_residuals(table, grads)
     jac, triple = poisson_mod.jacobi_residual(s, table=table)
     del table  # freed before the certificate builds K in the memory of P
     rank, margin = poisson_mod.bivector_rank(p, grads)
@@ -192,9 +193,8 @@ def cmd_poisson(args, out: Emitter, tols) -> int:
     out.put("rank_expected", expected)
     out.put("rank_margin", margin)
     out.rows(["radical.%s"], vertices, residuals)
-    # the worst vertex, the first one in report order on ties
-    radical_max_at = max(vertices, key=residuals.__getitem__)
-    radical_max = residuals[radical_max_at]
+    radical_max_at = worst_at(residuals)
+    radical_max = float(residuals[radical_max_at])
     out.put("radical_max", radical_max)
     out.put("radical_max_at", radical_max_at)
     out.put("jacobi", jac)
@@ -212,14 +212,13 @@ def cmd_holonomy(args, out: Emitter, tols) -> int:
     # the dump's rows "vertex <v>: ..." as rows "vertex.<v>": nothing after
     # the first ": " of a row holds another
     out.chunks.append(atlas.dump().replace("vertex ", "vertex.").replace(": ", out.sep))
-    traces, trace_errors, lengths, length_errors, max_error = holonomy_report(atlas)
+    traces, trace_errors, lengths, length_errors, _ = holonomy_report(atlas)
     out.rows(["trace.%s", "trace_error.%s"], range(s.n_vertices), traces, trace_errors)
     out.rows(["alength.%s", "alength_error.%s"], s.edge_ids, lengths, length_errors)
+    errors = np.concatenate((trace_errors, length_errors))  # in report order
+    at = worst_at(errors)
+    max_error = float(errors[at])
     out.put("max_error", max_error)
-    # the worst row, the first one in report order on ties; a NaN error is
-    # never the worst
-    errors = np.concatenate((trace_errors, length_errors))
-    at = int(np.argmax(errors == np.fmax.reduce(errors)))
     out.put("max_error_at", f"trace.{at}" if at < s.n_vertices
             else f"alength.{s.edge_ids[at - s.n_vertices]}")
     return 0 if max_error < tols["holonomy"] else 3
@@ -232,9 +231,10 @@ def cmd_delaunay(args, out: Emitter, tols) -> int:
     out.rows(["move.%s"], range(len(moves)), delaunay_mod.move_log_lines(moves))
     psi = list(delaunay_mod.edge_invariants(result).values())  # in edge order
     out.rows(["psi.%s"], result.edge_ids, psi)
-    psi_min = min(psi)  # the first edge at the minimum
+    at = worst_at(np.negative(psi))  # the lowest psi is the worst
+    psi_min = psi[at]
     out.put("psi_min", psi_min)
-    out.put("psi_min_at", result.edge_ids[psi.index(psi_min)])
+    out.put("psi_min_at", result.edge_ids[at])
     out.rows(["length.%s"], result.edge_ids, result.length)
     return 0 if psi_min >= -tols["psi"] else 3
 

@@ -58,7 +58,7 @@ from .sl2 import (
     elliptic_trace,
     half_plane_distance,
 )
-from .surface import WALL_BAND, ConeSurface, nxt, prv, wall_margin
+from .surface import WALL_BAND, ConeSurface, nxt, prv, wall_margin, worst_at
 
 
 def _local_charts(s: ConeSurface) -> tuple[np.ndarray, np.ndarray]:
@@ -249,7 +249,8 @@ def holonomy_report(atlas: HolonomyAtlas) -> tuple:
 
     The trace law: |Tr| of the vertex loop equals 2|cos(theta/2)|.  Returns
     (traces, trace errors, recovered lengths, length errors, max error): the
-    first two arrays in vertex order, the next two in edge order.
+    first two arrays in vertex order, the next two in edge order.  The max
+    error is the `worst_at` entry of the errors, NaN if any error is NaN.
     """
     s = atlas.surface
     traces = np.abs(atlas.loops[:, 0] + atlas.loops[:, 3])
@@ -257,6 +258,6 @@ def holonomy_report(atlas: HolonomyAtlas) -> tuple:
     trace_errors = np.abs(traces - 2.0 * np.abs(cosines))
     lengths = _alengths(atlas, np.arange(s.n_edges))
     length_errors = np.abs(lengths - s.length)
-    max_error = max(float(np.max(trace_errors, initial=0.0)),
-                    float(np.max(length_errors, initial=0.0)))
+    errors = np.concatenate((trace_errors, length_errors))
+    max_error = float(errors[worst_at(errors)])
     return traces, trace_errors, lengths, length_errors, max_error

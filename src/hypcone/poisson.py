@@ -59,7 +59,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, WallAngle
-from .surface import ConeSurface, _running_sums, wall_margin
+from .surface import ConeSurface, _running_sums, wall_margin, worst_at
 
 # Refuse the bivector when some wall_margin falls below this (inside WALL_BAND).
 WALL_GUARD = 1e-6
@@ -178,16 +178,26 @@ def _triple_keys(n: int, r: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple
 
 
 def _max_abs_by_key(key: np.ndarray, value: np.ndarray) -> tuple:
-    """(max |sum of the values of a key|, -the smallest key at it) over the
+    """(max |sum of the values of a key|, the smallest key at it) over the
     distinct keys (>= 0), each key's values summed by `_sum_by_key` (a sum
     of the sequence of its values, not a left-to-right one), or (-1.0, 0)
-    when there are none; the array `key` is overwritten."""
+    when there are none.  The maximum is taken by `worst_at`, so it is NaN
+    at the smallest key whose sum is NaN if there is one.  The array `key`
+    is overwritten."""
     key, sums = _sum_by_key(key, value)
     if not key.size:
         return -1.0, 0
     np.abs(sums, out=sums)
-    i = int(np.argmax(sums))  # the smallest key at the maximum
-    return float(sums[i]), -int(key[i])
+    i = worst_at(sums)  # the keys increase
+    return float(sums[i]), int(key[i])
+
+
+def _worse(a: tuple, b: tuple) -> tuple:
+    """The worse of two (value, key) results by `worst_at` on their values:
+    the NaN or the larger value, the one of the smaller key on ties and
+    between two NaNs."""
+    pair = (a, b) if a[1] <= b[1] else (b, a)
+    return pair[worst_at([pair[0][0], pair[1][0]])]
 
 
 class FanPairs:
@@ -670,11 +680,12 @@ class EtaDerivative:
         |q_f[m]|)), spread_f = fl(max - min) of q_f over those positions.
         The sides are taken in decreasing bound, and their entries evaluated
         while the bound is not below the maximum so far (a NaN bound counts
-        as infinite), so the maximum is the one of every entry.
+        as infinite), so the maximum is the one of every entry.  Maxima are
+        merged by `_worse`, so a NaN entry makes the result NaN.
         """
         if not self.v.size:
             return 0.0
-        best = 0.0
+        best = (0.0, 0)
         shared = np.flatnonzero(self.shared)
         _, order, start = _runs(self.edge_pair[shared])
         order = shared[order]
@@ -682,9 +693,9 @@ class EtaDerivative:
         for g0, g1 in _blocks(np.add.reduceat(self.n_sides[self.v[order]], start),
                               BLOCK_ENTRIES):
             pair, side = self.pair_sides(order[bounds[g0]:bounds[g1]])
-            best = max(best, _max_abs_by_key(self.edge_pair[pair] * self.n_edges
-                                             + self.side_l[side],
-                                             self.derivative(pair, side))[0])
+            best = _worse(best, _max_abs_by_key(self.edge_pair[pair] * self.n_edges
+                                                + self.side_l[side],
+                                                self.derivative(pair, side)))
         bound = self.side_bounds()
         bound[np.isnan(bound)] = np.inf
         sides = np.flatnonzero(np.diff(self.fan_unshared)[self.side_v])
@@ -692,16 +703,17 @@ class EtaDerivative:
         count = np.diff(self.fan_unshared)[self.side_v[sides]]
         ends = np.cumsum(count)
         i0 = 0
-        while i0 < len(sides) and not bound[sides[i0]] < best:
-            # the sides from i0 on whose bound is not below best, in a block
-            live = i0 + int(np.count_nonzero(bound[sides[i0:]] >= best))
+        while i0 < len(sides) and not bound[sides[i0]] < best[0]:
+            # the sides from i0 on whose bound is not below best (every one
+            # once best is NaN), in a block
+            live = i0 + int(np.count_nonzero(~(bound[sides[i0:]] < best[0])))
             i1 = min(live, max(i0 + 1, int(np.searchsorted(
                 ends, (ends[i0 - 1] if i0 else 0) + BLOCK_ENTRIES, side="right"))))
             owner, k = _expand(self.fan_unshared[self.side_v[sides[i0:i1]]], count[i0:i1])
-            value = self.derivative(self.unshared[k], sides[i0:i1][owner])
-            best = max(best, float(np.max(np.abs(value))))
+            value = np.abs(self.derivative(self.unshared[k], sides[i0:i1][owner]))
+            best = _worse(best, (float(value[worst_at(value)]), 0))
             i0 = i1
-        return best
+        return best[0]
 
 
 class JacobiTerms:
@@ -974,13 +986,15 @@ class JacobiTerms:
         when bound_t is not strictly below the largest near sum; a term
         strictly below it can neither exceed nor tie it, so skipping it
         changes neither the maximum nor its triple.  A NaN bound is below
-        nothing.  The counts of near terms and of lone terms evaluated and
+        nothing.  The maxima of the blocks are merged by `_worse`, so a NaN
+        sum or lone term wins, and the triple named is the smallest one whose
+        value is NaN.  The counts of near terms and of lone terms evaluated and
         skipped (near_terms, lone_evaluated, lone_skipped, all of them with
         three distinct edges) are kept on the object.
         """
         der = self.der
         n, runs = der.n_edges, len(self.run_slice)
-        best, pending = (-1.0, 0), []
+        best, pending = (-1.0, 0), []  # (value, key)
         for g0, g1 in _blocks(np.diff(self.run_first), BLOCK_ENTRIES):
             key, value = self.terms(der, g0, g1)
             # the terms below `later` lie in slices before that of run g1
@@ -990,7 +1004,7 @@ class JacobiTerms:
             c = int(np.count_nonzero(key < later))
             if c or pending and pending[0][0][0] < later:
                 pending.append((key[:c], value[:c]))
-                best = max(best, _max_abs_by_key(*map(np.concatenate, zip(*pending))))
+                best = _worse(best, _max_abs_by_key(*map(np.concatenate, zip(*pending))))
                 pending = []
             if c < len(key):
                 pending.append((key[c:], value[c:]))
@@ -1012,15 +1026,16 @@ class JacobiTerms:
             self.lone_evaluated += len(inc)
             w = self._values(der, inc, pair)
             np.abs(w, out=w)
-            top = float(np.max(w, initial=-1.0))
-            if top >= 0.0:
-                at = np.flatnonzero(w == top)
+            if w.size:
+                top = float(w[worst_at(w)])
+                # the terms at the maximum, or at NaN: w != w only where w is NaN
+                at = np.flatnonzero((w == top) | (w != w))
                 key = _triple_keys(n, self.r[inc[at]], der.lo[pair[at]], der.hi[pair[at]])[0]
-                best = max(best, (top, -int(key.min())))
+                best = _worse(best, (top, int(key.min())))
         self.lone_skipped = self.terms_total - self.near_terms - self.lone_evaluated
         if best[0] < 0.0:
             return 0.0, None
-        key = -best[1]
+        key = best[1]
         return best[0], (key // (n * n), key // n % n, key % n)
 
 
@@ -1038,7 +1053,8 @@ def jacobi_residual(s: ConeSurface, p: np.ndarray | None = None,
     leaves it a chance to reach the maximum, and so are the entries of
     max|D| (see the module docstring): the result is the one of every term.
     The triple is the sorted edge indices (i, j, k) of the largest |J|, the
-    smallest triple on ties, or None when no triple has a term (P = 0).
+    smallest triple on ties, or None when no triple has a term (P = 0); a
+    NaN |J| is the largest, so a sum that is NaN makes the residual NaN.
 
     `table` is the JacobiTerms of s and its bivector when the caller has it
     already.  Without it the table is built under WALL_GUARD from `p`, by

@@ -14,13 +14,13 @@ and then evaluates the library and its oracle once on the whole batch: the
 built the same way (+ - * /, sqrt and comparisons on arrays; every
 transcendental, power and `math.hypot` element by element from `math`,
 since libm's pow(x, 2) is not always x * x; complex quotients by
-`sl2._quotient`).  So every residual is bit for bit the one
-per-sample float calls give (tests/test_selftest.py keeps those calls as
-the reference), and no report depends on the BLAS kernel or on numpy's
-SIMD dispatch.  A suite reads the largest residual of its
-samples, NaN if any residual is NaN.  The exp-side oracle, the independent
-route to the closed form of `sl2.log_perturbation`, inverts the derivative
-of the closed-form exponential by a closed form of its own.
+`sl2._quotient`).  So every residual is bit for bit the one per-sample
+float calls give (tests/test_selftest.py keeps those calls as the
+reference), and no report depends on the BLAS kernel or on numpy's SIMD
+dispatch.  `run_all` reads the worst residual of each suite's samples by
+`surface.worst_at`: NaN if any residual is NaN.  The exp-side oracle, the
+independent route to the closed form of `sl2.log_perturbation`, inverts the
+derivative of the closed-form exponential by a closed form of its own.
 
 The three suites that draw only uniform samples take them in bulk
 (`_uniform`): rng.random() values, CHUNK at a time, as Python floats, each
@@ -62,6 +62,7 @@ from .sl2 import (
     sl2_log,
     trace_form,
 )
+from .surface import worst_at
 
 DEFAULT_SEED = 1729
 
@@ -84,12 +85,6 @@ def _size(x: Sl2Vector):
     """Largest absolute entry of each traceless matrix of a batch (NaN
     where an entry is NaN)."""
     return np.maximum(np.maximum(abs(x.a), abs(x.b)), abs(x.c))
-
-
-def _worst(*residuals) -> float:
-    """The largest of a suite's per-sample residual arrays; NaN if any
-    residual is NaN, so that a NaN fails its suite."""
-    return float(np.max(np.concatenate(residuals), initial=0.0))
 
 
 def _uniform(rng):
@@ -159,8 +154,13 @@ def _served(u: np.ndarray, low=(-2.0, 0.25), high=(2.0, 2.5)) -> list:
 
 
 def rotation_pair_residuals(rng, count: int) -> tuple:
-    """The rotation suite's per-sample residuals: pairing, bracket and the
-    bracket's self-pairing."""
+    """Axis-vector identities for two elliptic elements, per sample.
+
+    Pairing -2 cosh d, bracket 2 sinh d times the unit translation generator
+    from the first center to the second (built from an independent
+    normalizing isometry), and the bracket's self-pairing 8 sinh^2 d: one
+    residual column each.
+    """
     u = _rotation_draws(_uniform(rng), count)
     p1, p2 = HypPoint(*_served(u[:, 0:2])), HypPoint(*_served(u[:, 2:4]))
     angle = 2.0 * math.pi - 0.1
@@ -173,16 +173,6 @@ def rotation_pair_residuals(rng, count: int) -> tuple:
     bracket = _scaled(_size(br - expected), _size(expected))
     want = 8.0 * _each(math.pow, sinh, 2.0)
     return pairing, bracket, _scaled(abs(trace_form(br, br) - want), want)
-
-
-def rotation_pair_suite(rng, count: int) -> float:
-    """Axis-vector identities for two elliptic elements.
-
-    Pairing -2 cosh d, bracket 2 sinh d times the unit translation generator
-    from the first center to the second (built from an independent
-    normalizing isometry), and the bracket's self-pairing 8 sinh^2 d.
-    """
-    return _worst(*rotation_pair_residuals(rng, count))
 
 
 def _crossing_angle(u1, v1, u2, v2):
@@ -202,9 +192,16 @@ def _crossing_angle(u1, v1, u2, v2):
 
 
 def axis_pair_residuals(rng, count: int) -> tuple:
-    """The axis suite's per-sample residuals: the pairing, and the relation
-    of the axes (crossing angle, distance, or 1.0 where the pairing
-    classifies them wrong)."""
+    """Pairing of two hyperbolic axis vectors vs boundary-endpoint oracles,
+    per sample.
+
+    Expected value 2(u + v)/(v - u) after the Mobius change sending the first
+    axis to the upward imaginary axis; crossing/disjoint classification vs
+    endpoint interleaving; crossing angle vs circle tangents; distance of
+    disjoint axes via sinh d = 2 sqrt(uv)/|v - u|.  The columns are the
+    pairing, and the relation of the axes (crossing angle, distance, or 1.0
+    where the pairing classifies them wrong).
+    """
     uniform = _uniform(rng)
     draws = [(*_distinct_reals(uniform, 4), uniform(0.3, 2.5), uniform(0.3, 2.5))
              for _ in range(count)]
@@ -229,20 +226,16 @@ def axis_pair_residuals(rng, count: int) -> tuple:
     return pairing, relation
 
 
-def axis_pair_suite(rng, count: int) -> float:
-    """Pairing of two hyperbolic axis vectors vs boundary-endpoint oracles.
-
-    Expected value 2(u + v)/(v - u) after the Mobius change sending the first
-    axis to the upward imaginary axis; crossing/disjoint classification vs
-    endpoint interleaving; crossing angle vs circle tangents; distance of
-    disjoint axes via sinh d = 2 sqrt(uv)/|v - u|.
-    """
-    return _worst(*axis_pair_residuals(rng, count))
-
-
 def mixed_pair_residuals(rng, count: int) -> tuple:
-    """The mixed suite's per-sample residuals: the pairing, and 1.0 where
-    the side test disagrees with its sign (0.0 elsewhere)."""
+    """Hyperbolic-vs-elliptic pairing against signed point-to-axis distance,
+    per sample.
+
+    Expected -2 Re(p~)/Im(p~) with p~ the Mobius image of the fixed point
+    when the axis is sent to the upward imaginary axis (positive on its
+    left), plus an independent inside/outside-the-half-circle side test.
+    The columns are the pairing, and 1.0 where the side test disagrees with
+    its sign (0.0 elsewhere).
+    """
     uniform = _uniform(rng)
     draws = [(*_distinct_reals(uniform, 2), uniform(0.3, 2.5), *_random_point(uniform),
               uniform(0.1, 2.0 * math.pi - 0.1)) for _ in range(count)]
@@ -255,16 +248,6 @@ def mixed_pair_residuals(rng, count: int) -> tuple:
     outside = _hypot(x - (u + v) / 2.0, y) > abs(v - u) / 2.0
     left = outside == (v > u)
     return pairing, np.where((abs(expected) > 1e-3) & ((val > 0.0) != left), 1.0, 0.0)
-
-
-def mixed_pair_suite(rng, count: int) -> float:
-    """Hyperbolic-vs-elliptic pairing against signed point-to-axis distance.
-
-    Expected -2 Re(p~)/Im(p~) with p~ the Mobius image of the fixed point
-    when the axis is sent to the upward imaginary axis (positive on its
-    left), plus an independent inside/outside-the-half-circle side test.
-    """
-    return _worst(*mixed_pair_residuals(rng, count))
 
 
 def _exp_series(m) -> tuple:
@@ -322,7 +305,8 @@ def _exp_side_log_slope(s: Sl2Vector, u: Sl2Vector) -> Sl2Vector:
 
 
 def log_expansion_residuals(rng, count: int) -> tuple:
-    """The log-expansion suite's per-sample residuals."""
+    """First-order coefficient of log(exp(tu) exp(s)) against the exp-side
+    oracle, for elliptic and for hyperbolic base directions, per sample."""
     rotations, translations, normals = [], [], []
     for k in range(count):
         if k % 2 == 0:
@@ -344,25 +328,24 @@ def log_expansion_residuals(rng, count: int) -> tuple:
     return (_scaled(_size(got - rr), _size(rr)),)
 
 
-def log_expansion_suite(rng, count: int) -> float:
-    """First-order coefficient of log(exp(tu) exp(s)) against the exp-side
-    oracle, for elliptic and for hyperbolic base directions."""
-    return _worst(*log_expansion_residuals(rng, count))
-
-
-# (name, suite, samples, the --tol key of its tolerance)
+# (name, the suite's per-sample residuals, samples, the --tol key of its tolerance)
 SUITES = (
-    ("rotation-pairs", rotation_pair_suite, TRIG_COUNT, "lemma"),
-    ("axis-pairs", axis_pair_suite, TRIG_COUNT, "lemma"),
-    ("mixed-pairs", mixed_pair_suite, TRIG_COUNT, "lemma"),
-    ("log-expansion", log_expansion_suite, LOG_COUNT, "lemma-log"),
+    ("rotation-pairs", rotation_pair_residuals, TRIG_COUNT, "lemma"),
+    ("axis-pairs", axis_pair_residuals, TRIG_COUNT, "lemma"),
+    ("mixed-pairs", mixed_pair_residuals, TRIG_COUNT, "lemma"),
+    ("log-expansion", log_expansion_residuals, LOG_COUNT, "lemma-log"),
 )
 
 
 def run_all(seed: int = DEFAULT_SEED) -> list:
     """Run every suite of SUITES with a fresh seeded generator.
 
-    Returns rows (name, count, max scaled residual, --tol key).
+    Returns rows (name, count, worst scaled residual, --tol key): the
+    `worst_at` residual of the suite's samples, NaN if any is NaN, so that
+    a NaN fails its suite.
     """
-    return [(name, count, fn(np.random.default_rng(seed), count), key)
-            for name, fn, count, key in SUITES]
+    rows = []
+    for name, residuals, count, key in SUITES:
+        column = np.concatenate(residuals(np.random.default_rng(seed), count))
+        rows.append((name, count, float(column[worst_at(column)]), key))
+    return rows

@@ -24,9 +24,10 @@ call nothing of numpy's:
   the CPU; `_hypot` is libm's hypot, as abs() of a complex number takes it;
 * `_quotient` divides complex numbers in real arithmetic, as CPython does.
 
-So a batch gives, element by element, the digits of the float calls.  A
-batch call that is refused raises what the float call of its first refused
-element raises (`_per_element`).
+So a batch gives, element by element, the digits of the float calls.  Each
+check runs on the whole batch, so a refused batch raises the first check
+that any of its elements fails, with the values of the first element that
+fails it (`_refuse`), and a batch of one what its float call raises.
 
 Products and inverses are taken on entry 4-tuples by `_product` and
 `_inverse`, which normalize each result by `_canonical`; `@`, `inverse` and
@@ -56,10 +57,9 @@ the half-plane on its LEFT, and the mixed rotation/translation pairing is
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -129,7 +129,9 @@ def _hypot(x, y):
 
 def _refuse(bad, error, message: str, *values) -> None:
     """Raise error(message.format(*values)) where the flag `bad` holds: for
-    a batch, at its first bad element, with that element's values."""
+    a batch, at its first bad element, with that element's values and its
+    index as the error's `element` (0 for a float call)."""
+    i = 0
     if _batched(bad):
         if not bad.any():
             return
@@ -137,7 +139,9 @@ def _refuse(bad, error, message: str, *values) -> None:
         values = [v.item(i) if _batched(v) else v for v in values]
     elif not bad:
         return
-    raise error(message.format(*values))
+    exc = error(message.format(*values))
+    exc.element = i
+    raise exc
 
 
 def _by_case(key, cases: dict, m: tuple) -> tuple:
@@ -167,51 +171,6 @@ def _quotient(nr, ni, dr, di) -> tuple:
     ratio = q / p
     denom = p + q * ratio
     return (s + t * ratio) / denom, _where(swap, s * ratio - t, t - s * ratio) / denom
-
-
-def _per_element(fn):
-    """fn, whose refused batch call raises what the float call of its first
-    refused element raises.  A check refuses a batch at the first element
-    that fails it, but an earlier element may fail a later check, so a
-    refused batch call is replayed as float calls (`_replay`)."""
-    @functools.wraps(fn)
-    def call(*args):
-        try:
-            return fn(*args)
-        except Exception as exc:
-            refusal = exc
-        _replay(fn, args)
-        raise refusal
-    return call
-
-
-def _replay(fn, args) -> None:
-    """The float calls of fn on the elements of a batch call's arguments,
-    in element order, until one raises; nothing for a float call."""
-    for j in count():
-        try:
-            items = [_item(x, j) for x in args]
-        except IndexError:  # past the last element
-            return
-        if all(item is x for item, x in zip(items, args)):
-            return
-        fn(*items)
-
-
-def _item(x, j: int):
-    """Element j of an argument: of an entry array its float, of an
-    element, vector or point with array entries the one of their element j,
-    and of anything else x itself."""
-    if _batched(x):
-        return x.item(j)
-    names = getattr(type(x), "__slots__", ())
-    values = [getattr(x, name) for name in names]
-    if not any(_batched(v) for v in values):
-        return x
-    one = object.__new__(type(x))
-    for name, v in zip(names, values):
-        object.__setattr__(one, name, _item(v, j))
-    return one
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +555,6 @@ _LOGS = {
 }
 
 
-@_per_element
 def sl2_log(m: Sl2Matrix) -> Sl2Vector:
     """Principal logarithm of the canonical representative.
 
@@ -613,7 +571,6 @@ def sl2_log(m: Sl2Matrix) -> Sl2Vector:
     return Sl2Vector.from_entries(a * t, b * t, c * t)
 
 
-@_per_element
 def axis_vector(m: Sl2Matrix) -> Sl2Vector:
     """Normalized axis vector L(M) = 2 log(M) / (angle or length).
 
@@ -658,14 +615,12 @@ def _rotation_at_i(angle) -> tuple:
     return _canonical(c, s, -s, c)
 
 
-@_per_element
 def elliptic_about(p: HypPoint, angle) -> Sl2Matrix:
     """Counterclockwise rotation by `angle` about p."""
     g = _translate_to(p)
     return _element(_product(_product(g, _rotation_at_i(angle)), _inverse(g)))
 
 
-@_per_element
 def hyperbolic_along(u, v, length) -> Sl2Matrix:
     """Translation by `length` along the geodesic from boundary point u to v.
 
@@ -684,11 +639,11 @@ def hyperbolic_along(u, v, length) -> Sl2Matrix:
         shift = _canonical(_each(math.exp, h), 0.0, 0.0, _each(math.exp, -h))
         return _element(_product(_product(g, shift), _inverse(g)))
     except ValueError as exc:  # only `_canonical` raises one here
+        length, u, v = (x.item(exc.element) if _batched(x) else x for x in (length, u, v))
         raise NumericalCollapse(f"translation by {length} along the axis from {u} "
                                 f"to {v}: {exc}") from None
 
 
-@_per_element
 def hyp_exp(p: HypPoint, direction, dist) -> HypPoint:
     """The point at distance `dist` from p along the geodesic with the given
     initial chart angle (pi/2 = straight up)."""
@@ -697,7 +652,6 @@ def hyp_exp(p: HypPoint, direction, dist) -> HypPoint:
     return HypPoint(*_mobius(g, up.x, up.y))
 
 
-@_per_element
 def normalizing_isometry(p: HypPoint, q: HypPoint) -> Sl2Matrix:
     """The isometry sending p to i and q onto the imaginary axis above i."""
     g = _inverse(_translate_to(p))
@@ -717,7 +671,6 @@ def _half_plane_fixed_point(m) -> tuple:
     return x, y
 
 
-@_per_element
 def elliptic_pair_pairing(s1: Sl2Matrix, s2: Sl2Matrix) -> tuple:
     """Pairing and bracket of the axis vectors of two elliptic elements.
 
@@ -735,7 +688,6 @@ def elliptic_pair_pairing(s1: Sl2Matrix, s2: Sl2Matrix) -> tuple:
     return _axis_form(l1, l2), bracket
 
 
-@_per_element
 def geodesic_pair_pairing(r1: Sl2Matrix, r2: Sl2Matrix):
     """B(L1, L2) for two hyperbolic elements.
 
@@ -748,7 +700,6 @@ def geodesic_pair_pairing(r1: Sl2Matrix, r2: Sl2Matrix):
     return _axis_form(_hyperbolic_axis(tuple(r1)), _hyperbolic_axis(tuple(r2)))
 
 
-@_per_element
 def mixed_pairing(r: Sl2Matrix, s: Sl2Matrix):
     """B(L(R), L(S)) for hyperbolic R and elliptic S.
 
@@ -771,7 +722,6 @@ _KAPPAS = {
 }
 
 
-@_per_element
 def log_perturbation(s: Sl2Vector, u: Sl2Vector) -> Sl2Vector:
     """First-order term of log(exp(tu) exp(s)) at t = 0.
 

@@ -77,6 +77,17 @@ def fmt17(x: float) -> str:
     return "%.17g" % float(x)
 
 
+def worst_at(column) -> int:
+    """Index of the worst entry of a nonempty 1-D column: its first NaN if
+    it has one, else its first maximum.
+
+    The one reduction behind every gated row and its `_at` row (a minimum
+    is the worst of the negated column).  A gate `worst < tol` fails on a
+    NaN, so a NaN anywhere fails its report and the `_at` row names it.
+    """
+    return int(np.argmax(column))  # argmax takes the first NaN as the maximum
+
+
 def wall_margin(theta):
     """|sin(theta/2)|, the one wall coordinate of cone angles (floats or arrays).
 

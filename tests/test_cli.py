@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from conftest import (
     blas_env,
     count_constructions,
+    jacobi_table,
     sphere3_surface,
     stellar_surface,
     tetra_surface,
@@ -19,7 +21,10 @@ from conftest import (
 )
 
 import hypcone.cli as cli
+import hypcone.delaunay as delaunay_mod
 import hypcone.errors as errors
+import hypcone.holonomy as holonomy_mod
+import hypcone.poisson as poisson_mod
 import hypcone.surface as surface_mod
 from hypcone import eta_matrix, serialize_surface
 from hypcone.cli import build_parser, main
@@ -184,6 +189,105 @@ def test_poisson_names_worst_vertex(capsys, request, fixture):
     worst = max(res for _, res in radical)
     assert float(doc["radical_max"]) == worst
     assert doc["radical_max_at"] == next(v for v, res in radical if res == worst)
+
+
+def spoil_trace_errors(monkeypatch, s, at, bad):
+    exact = cli.holonomy_report
+
+    def spoiled(atlas):
+        traces, trace_errors, *rest = exact(atlas)
+        trace_errors[at] = bad
+        return (traces, trace_errors, *rest)
+
+    monkeypatch.setattr(cli, "holonomy_report", spoiled)
+    return "max_error", f"max_error_at: trace.{at}"
+
+
+def spoil_length_errors(monkeypatch, s, at, bad):
+    exact = holonomy_mod._alengths
+
+    def spoiled(atlas, edges):
+        lengths = exact(atlas, edges)
+        lengths[at] = bad
+        return lengths
+
+    monkeypatch.setattr(holonomy_mod, "_alengths", spoiled)
+    # the report's own largest error is the spoiled one too
+    assert repr(holonomy_mod.holonomy_report(holonomy_mod.develop(s))[-1]) == repr(abs(bad))
+    return "max_error", f"max_error_at: alength.{s.edge_ids[at]}"
+
+
+def spoil_radical_rows(monkeypatch, s, at, bad):
+    exact = poisson_mod.radical_residuals
+
+    def spoiled(table, grads):
+        rows = exact(table, grads)
+        rows[at] = bad
+        return rows
+
+    monkeypatch.setattr(poisson_mod, "radical_residuals", spoiled)
+    return "radical_max", f"radical_max_at: {at}"
+
+
+def spoil_jacobi_terms(monkeypatch, s, at, bad):
+    # the near terms of the first, a middle or the last triple that has any
+    table = jacobi_table(s)
+    keys = np.unique(table.terms(table.der, 0, len(table.run_slice))[0])
+    target = int(keys[[0, len(keys) // 2, -1][at]])
+    exact = JacobiTerms.terms
+
+    def spoiled(self, der, g0, g1):
+        key, value = exact(self, der, g0, g1)
+        value[key == target] = bad
+        return key, value
+
+    monkeypatch.setattr(JacobiTerms, "terms", spoiled)
+    n = s.n_edges
+    triple = (target // (n * n), target // n % n, target % n)
+    return "jacobi", "jacobi_at: " + " ".join(s.edge_ids[i] for i in triple)
+
+
+def spoil_psi(monkeypatch, s, at, bad):
+    # only the report's column: make_delaunay reads the exact invariants
+    exact = delaunay_mod.edge_invariants
+
+    def spoiled(result):
+        psi = exact(result)
+        psi[result.edge_ids[at]] = -bad
+        return psi
+
+    monkeypatch.setattr(cli, "delaunay_mod", SimpleNamespace(
+        **{**vars(delaunay_mod), "edge_invariants": spoiled}))
+    return "psi_min", f"psi_min_at: {s.edge_ids[at]}"
+
+
+GATED_COLUMNS = {
+    "trace-errors": ("holonomy", spoil_trace_errors, "n_vertices"),
+    "length-errors": ("holonomy", spoil_length_errors, "n_edges"),
+    "radical-rows": ("poisson", spoil_radical_rows, "n_vertices"),
+    "jacobi-terms": ("poisson", spoil_jacobi_terms, None),
+    "psi": ("delaunay", spoil_psi, "n_edges"),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+@pytest.mark.parametrize("column", list(GATED_COLUMNS))
+def test_a_spoiled_gated_entry_fails_its_report_and_is_named(capsys, monkeypatch, tmp_path,
+                                                             column, position, bad):
+    # NaN, or an infinity in the worst direction (-inf for psi0), at one
+    # entry of a gated column: the report exits 3 and its _at row names the
+    # entry, wherever it sits
+    s = stellar_surface(8, 1)
+    path = tmp_path / "s.json"
+    path.write_text(serialize_surface(s))
+    sub, spoil, size = GATED_COLUMNS[column]
+    index = ["first", "middle", "last"].index(position)
+    at = index if size is None else [0, getattr(s, size) // 2, getattr(s, size) - 1][index]
+    key, named = spoil(monkeypatch, s, at, bad)
+    code, out, err = run(capsys, sub, "--input", str(path))
+    assert (code, err) == (3, "")
+    assert f"{key}: {-bad if key == 'psi_min' else bad}\n{named}\n" in out
 
 
 def readme_demos():
@@ -516,8 +620,9 @@ def test_tiny_sides_leave_the_rank_uncertified_without_a_warning(tmp_path, surfa
 def test_unguarded_tiny_torus_overflows_the_jacobi_sweep_without_a_warning(tmp_path):
     # a torus near the 2*pi wall (margin 3.2e-16): with the wall guard off,
     # the Jacobi sweep's terms and the entries of D leave the float range,
-    # and the report still exits 3 with nothing on stderr; the default guard
-    # refuses the shape in one line
+    # and the report still exits 3 with nothing on stderr.  Its Jacobi sums
+    # are NaN, and a NaN is the worst value: jacobi reads nan and jacobi_at
+    # names the one triple.  The default guard refuses the shape in one line
     doc = _torus_doc()
     for rec, x in zip(doc["edges"], (1e-300, 1.05e-300, 0.97e-300)):
         rec["length"] = x
@@ -527,6 +632,7 @@ def test_unguarded_tiny_torus_overflows_the_jacobi_sweep_without_a_warning(tmp_p
             "--input", str(path)]
     proc = subprocess.run(argv + ["--tol", "wall=0"], capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (3, "")
+    assert "\njacobi: nan\njacobi_at: x y z\n" in proc.stdout
     assert proc.stdout.splitlines()[-1].startswith("comparison.status: ")
     proc = subprocess.run(argv, capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (2, "")

@@ -782,11 +782,18 @@ def test_sort_helpers_match_numpy_and_in_order_sums(base):
         sums[k] = sums.get(k, 0.0) + v
     top = max(abs(v) for v in sums.values())
     assert poisson._max_abs_by_key(key.copy(), value) == (
-        top, -min(k for k, v in sums.items() if abs(v) == top))
+        top, min(k for k, v in sums.items() if abs(v) == top))
     # a tie: the smallest key at the maximum is named
     tie = np.array([base + 9, base + 4, base + 9, base + 7, base + 4])
-    assert poisson._max_abs_by_key(tie, np.array([1.5, -2.0, 0.5, 1.0, 0.0])) == (
-        2.0, -(base + 4))
+    assert poisson._max_abs_by_key(tie.copy(), np.array([1.5, -2.0, 0.5, 1.0, 0.0])) == (
+        2.0, base + 4)
+    # a NaN sum is the worst, at the smallest key whose sum is NaN
+    spoiled = np.array([1.5, np.inf, 0.5, np.nan, -np.inf])  # keys 4 and 7 sum to NaN
+    with np.errstate(invalid="ignore"):  # as under jacobi_residual
+        got = poisson._max_abs_by_key(tie.copy(), spoiled)
+    assert math.isnan(got[0]) and got[1] == base + 4
+    assert poisson._worse(got, (np.inf, base)) == got
+    assert poisson._worse((2.0, base + 7), (2.0, base + 4)) == (2.0, base + 4)
     # both layouts sum the values of a key in the same order
     inexact = rng.standard_normal(60)
     packed = poisson._sum_by_key(key - base, inexact)[1]

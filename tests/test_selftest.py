@@ -297,20 +297,25 @@ def test_batch_suites_give_the_per_sample_residuals(seed):
 
 
 def test_a_nan_residual_fails_its_suite_and_the_report(monkeypatch, capsys):
+    # a NaN or +inf pairing at the first, a middle and the last sample
     exact = selftest.mixed_pairing
+    for at in (0, selftest.TRIG_COUNT // 2, selftest.TRIG_COUNT - 1):
+        for bad in (math.nan, math.inf):
+            def spoiled(r, s):
+                val = exact(r, s)
+                val[at] = bad
+                return val
 
-    def nan_at_the_seventh(r, s):
-        val = exact(r, s)
-        val[6] = math.nan
-        return val
-
-    monkeypatch.setattr(selftest, "mixed_pairing", nan_at_the_seventh)
-    assert math.isnan(selftest.mixed_pair_suite(np.random.default_rng(1729), selftest.TRIG_COUNT))
-    assert main(["selftest", "--seed", "1729", "--format", "structured"]) == 3
-    out = capsys.readouterr().out
-    assert "lemma.mixed-pairs.residual=nan\nlemma.mixed-pairs.tolerance=1.0000000000000001e-09\n" \
-        "lemma.mixed-pairs.pass=false\n" in out
-    assert out.endswith("pass=false\n")
+            monkeypatch.setattr(selftest, "mixed_pairing", spoiled)
+            pairing, _ = selftest.mixed_pair_residuals(np.random.default_rng(1729),
+                                                       selftest.TRIG_COUNT)
+            assert repr(float(pairing[at])) == repr(bad), (at, bad)
+            assert main(["selftest", "--seed", "1729", "--format", "structured"]) == 3
+            out = capsys.readouterr().out
+            assert f"lemma.mixed-pairs.residual={bad}\n" \
+                "lemma.mixed-pairs.tolerance=1.0000000000000001e-09\n" \
+                "lemma.mixed-pairs.pass=false\n" in out, (at, bad)
+            assert out.endswith("pass=false\n")
 
 
 def lstsq_log_slope(s, u):
@@ -339,7 +344,7 @@ def test_closed_form_oracle_is_the_least_squares_solution(monkeypatch, seed):
         return oracle(s, u)
 
     monkeypatch.setattr(selftest, "_exp_side_log_slope", recording)
-    selftest.log_expansion_suite(np.random.default_rng(seed), selftest.LOG_COUNT)
+    selftest.log_expansion_residuals(np.random.default_rng(seed), selftest.LOG_COUNT)
     (batch_s, batch_u), = samples  # the suite's one batch call
     assert len(batch_s.a) == len(batch_u.a) == selftest.LOG_COUNT
     for j in range(selftest.LOG_COUNT):
@@ -359,12 +364,14 @@ def test_log_suite_detects_a_perturbed_entry(monkeypatch, seed):
         return Sl2Vector.from_entries(got.a + 1e-10, got.b, got.c)
 
     monkeypatch.setattr(selftest, "log_perturbation", off)
-    assert selftest.log_expansion_suite(np.random.default_rng(seed), selftest.LOG_COUNT) > 5e-11
+    residuals, = selftest.log_expansion_residuals(np.random.default_rng(seed), selftest.LOG_COUNT)
+    assert np.max(residuals) > 5e-11
 
 
 def test_clean_log_suite_reads_below_1e_12():
     # the oracle's own error sits far below the 1e-10 fault detected above
-    worst = max(selftest.log_expansion_suite(np.random.default_rng(seed), selftest.LOG_COUNT)
+    worst = max(np.max(selftest.log_expansion_residuals(np.random.default_rng(seed),
+                                                        selftest.LOG_COUNT)[0])
                 for seed in range(1, 21))
     assert worst < 1e-12
 

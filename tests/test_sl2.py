@@ -36,7 +36,7 @@ from hypcone.errors import (
     NumericalCollapse,
     OutOfRange,
 )
-from hypcone.selftest import LOG_TOL, log_expansion_suite
+from hypcone.selftest import LOG_TOL, log_expansion_residuals
 from hypcone.sl2 import (
     DET_TOL,
     E_VEC,
@@ -538,7 +538,8 @@ def test_log_perturbation_rejects_parabolic_direction():
 @pytest.mark.parametrize("seed", [5, 16, 18, 28, 56, 83, 88, 90, 111, 118, 136, 139,
                                   157, 169, 172, 192, 195, 197])
 def test_log_expansion_suite_seeds(seed):
-    assert log_expansion_suite(np.random.default_rng(seed), 200) < LOG_TOL
+    residuals, = log_expansion_residuals(np.random.default_rng(seed), 200)
+    assert np.all(residuals < LOG_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -1204,27 +1205,64 @@ def refusal(fn, *args):
     return type(info.value), str(info.value)
 
 
-def test_refused_batch_raises_what_its_first_refused_element_raises():
-    ends = [(0.0, 1.0, 1.0), (1e6, 1e6 + 1e-3, 1.0), (2.0, 2.0, 1.0), (0.5, -1.0, -1.0)]
+ROTATION = elliptic_about(HypPoint(0.5, 1.0), 1.0)
+TRANSLATION = hyperbolic_along(-1.0, 1.0, 1.0)
+PARABOLIC = Sl2Matrix.from_entries(1.0, 1.0, 0.0, 1.0)
+# A float call of each refusal the batch functions raise: (function, args).
+REFUSALS = {
+    "half-plane": (HypPoint, (1.0, -1.0)),
+    "direction": (hyp_direction, (HypPoint(0.5, 1.0), HypPoint(0.5, 1.0))),
+    "determinant": (Sl2Matrix.from_entries, (1.0, 0.0, 0.0, -1.0)),
+    "length": (hyperbolic_along, (0.0, 1.0, -1.0)),
+    "endpoints": (hyperbolic_along, (2.0, 2.0, 1.0)),
+    "collapse": (hyperbolic_along, (1e6, 1e6 + 1e-3, 1.0)),
+    "identity-log": (sl2_log, (IDENTITY,)),
+    "axis": (axis_vector, (PARABOLIC,)),
+    "fixed-point": (elliptic_fixed_point, tuple(TRANSLATION)),
+    "not-elliptic": (elliptic_pair_pairing, (TRANSLATION, ROTATION)),
+    "coincident": (elliptic_pair_pairing, (ROTATION, elliptic_about(HypPoint(0.5, 1.0), 2.0))),
+    "not-hyperbolic": (geodesic_pair_pairing, (TRANSLATION, ROTATION)),
+    "mixed-first": (mixed_pairing, (ROTATION, ROTATION)),
+    "mixed-second": (mixed_pairing, (TRANSLATION, TRANSLATION)),
+    "direction-type": (log_perturbation, (E_VEC, H_VEC)),
+}
+
+
+@pytest.mark.parametrize("kind", list(REFUSALS))
+def test_refused_batch_of_one_raises_what_the_float_call_raises(kind):
+    fn, args = REFUSALS[kind]
+    assert refusal(fn, *(batch_of([x]) for x in args)) == refusal(fn, *args)
+
+
+def test_refused_batch_raises_its_first_failing_check_at_its_first_failing_element():
+    # every check runs on the whole batch in the call's order: the batch
+    # raises the first check that any element fails, with the values of the
+    # first element that fails that check
+    ends = [(0.0, 1.0, 1.0), (1e6, 1e6 + 1e-3, 1.0), (2.0, 2.0, 1.0), (3.0, 5e6, 1.0)]
+    assert refusal(hyperbolic_along, *(np.array(c) for c in zip(*ends))) == \
+        refusal(hyperbolic_along, *ends[2]) == (OutOfRange, "axis endpoints must be distinct")
+    ends = [(0.0, 1.0, 1.0), (1e6, 1e6 + 1e-3, 1.0), (1e6 + 1.0, 1e6 + 1.001, 1.0)]
     want = refusal(hyperbolic_along, *ends[1])
-    assert want[0] is NumericalCollapse
+    assert want[0] is NumericalCollapse and want[1].startswith(
+        "translation by 1.0 along the axis from 1000000.0 to 1000000.001: ")
     assert refusal(hyperbolic_along, *(np.array(c) for c in zip(*ends))) == want
-    # the third element fails an earlier check than the second: the batch
-    # raises what the second element's float call raises
+    # the second element fails the endpoint check, the third the length
+    # check, which comes first
     ends = [(0.0, 1.0, 1.0), (2.0, 2.0, 1.0), (0.5, -1.0, -1.0)]
-    want = refusal(hyperbolic_along, *ends[1])
-    assert want == (OutOfRange, "axis endpoints must be distinct")
-    assert refusal(hyperbolic_along, *(np.array(c) for c in zip(*ends))) == want
+    assert refusal(hyperbolic_along, *(np.array(c) for c in zip(*ends))) == \
+        refusal(hyperbolic_along, *ends[2]) == (OutOfRange, "translation length must be positive")
 
     rotations = [elliptic_about(HypPoint(0.5 * k, 1.0), 1.0) for k in range(4)]
-    translation = hyperbolic_along(-1.0, 1.0, 1.0)
-    firsts = [rotations[0], rotations[1], translation, rotations[3]]
-    want = refusal(elliptic_pair_pairing, translation, rotations[2])
-    assert want == (NotElliptic, "both inputs must be elliptic")
+    firsts = [rotations[0], rotations[1], TRANSLATION, rotations[3]]
     seconds = rotations[1:] + rotations[:1]
-    assert refusal(elliptic_pair_pairing, batch_of(firsts), batch_of(seconds)) == want
-    assert refusal(mixed_pairing, batch_of([translation] * 4), batch_of(firsts)) == \
-        refusal(mixed_pairing, translation, translation) == \
+    assert refusal(elliptic_pair_pairing, batch_of(firsts), batch_of(seconds)) == \
+        (NotElliptic, "both inputs must be elliptic")
+    # the first check of mixed_pairing passes on every element
+    assert refusal(mixed_pairing, batch_of([TRANSLATION] * 4), batch_of(firsts)) == \
+        refusal(mixed_pairing, TRANSLATION, TRANSLATION) == \
         (NotElliptic, "second argument must be elliptic")
     assert refusal(HypPoint, np.array([0.0, 1.0, 2.0]), np.array([1.0, -1.0, -2.0])) == \
         refusal(HypPoint, 1.0, -1.0)
+    # a parabolic element and then the identity: the message names the first
+    assert refusal(axis_vector, batch_of([ROTATION, PARABOLIC, IDENTITY])) == \
+        (NotSemisimple, "no axis vector for a parabolic element")
