@@ -22,20 +22,20 @@ dispatch.  `run_all` reads the worst residual of each suite's samples by
 independent route to the closed form of `sl2.log_perturbation`, inverts the
 derivative of the closed-form exponential by a closed form of its own.
 
-The three suites that draw only uniform samples take them in bulk
-(`_uniform`): rng.random() values, CHUNK at a time, as Python floats, each
-served as low + (high - low) u.  That is the very expression
-Generator.uniform evaluates on the same stream, so every sample, and every
-report, is the one per-call draws give.  The rotation suite redraws a second
-centre within 1e-2 of the first, a test that needs `sl2.hyp_distance`; so it
-takes the raw values u, tests the whole batch, and draws again from the
-first rejected sample on.  The log-expansion suite keeps its generator: its
-normal draws take raw words from the stream between its uniforms, so a bulk
-buffer would shift them.
+The samples take rng's stream in the order per-call Generator.uniform
+draws take it, each low + (high - low) u for the next value u of
+rng.random(), the expression Generator.uniform evaluates.  The axis and
+mixed suites find every sample's reals at once on one array of the values
+(`_record_draws`); the rotation suite tests its second centres on the whole
+batch and draws again from the first one it rejects.  So every sample is the
+one per-call draws give, by + - * and comparisons on arrays.  The
+log-expansion suite keeps a loop: its normal draws take a varying number of
+raw words from the stream between its uniforms.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -71,9 +71,7 @@ LOG_TOL = 1e-6
 # Random samples per suite: the log-expansion suite, and each of the others.
 LOG_COUNT = 200
 TRIG_COUNT = 500
-# rng.random() values a bulk uniform draw takes from the stream at once.
-CHUNK = 4096
-# Least distance between the endpoints `_distinct_reals` draws for an axis.
+# Least distance between the endpoints of an axis, as the suites draw them.
 DISTINCT_GAP = 0.05
 
 
@@ -87,53 +85,53 @@ def _size(x: Sl2Vector):
     return np.maximum(np.maximum(abs(x.a), abs(x.b)), abs(x.c))
 
 
-def _uniform(rng):
-    """Generator.uniform of rng's stream, drawn in bulk.
-
-    The returned `uniform(low, high)` is one sample and `uniform(low, high,
-    k)` a list of k, each low + (high - low) u for the next value u of
-    rng.random(): bit for bit what rng.uniform gives on the same stream,
-    since that evaluates the same expression in doubles.  The values are
-    taken CHUNK at a time, so rng runs ahead of the samples served and is
-    read only through `uniform` from then on.
-    """
-    def stream():
-        while True:
-            yield from rng.random(CHUNK).tolist()
-
-    nxt = stream().__next__
-
-    def uniform(low: float, high: float, k: int | None = None):
-        if k is None:
-            return low + (high - low) * nxt()
-        return [low + (high - low) * nxt() for _ in range(k)]
-
-    return uniform
-
-
-def _random_point(uniform) -> tuple:
-    """(x, y) of a point of the plane from `uniform`, a `_uniform` or
-    Generator.uniform."""
-    return float(uniform(-2.0, 2.0)), float(uniform(0.25, 2.5))
+def _chain(x: np.ndarray, k: int, width: int, count: int) -> tuple:
+    """Where the next `count` samples of `_record_draws` find their reals
+    on the values x, and where the first sample x does not hold starts: a
+    sample's reals are its first window at stride k whose k values lie
+    apart, and the next sample starts width values past that window."""
+    n = len(x)
+    size = n - k + 1
+    apart = np.ones(size, bool)
+    for i, j in itertools.combinations(range(k), 2):
+        apart &= abs(x[i:i + size] - x[j:j + size]) >= DISTINCT_GAP
+    # the window of a sample starting at each value; n + 1 where x has none
+    window = np.full(-(-n // k) * k, n + 1)
+    window[:size] = np.where(apart, np.arange(size), n + 1)
+    window = np.minimum.accumulate(window.reshape(-1, k)[::-1])[::-1].reshape(-1)[:n]
+    # the start of the next sample; n + 1 where x does not hold this one
+    step = np.append(np.minimum(window + width, n + 1), (n + 1, n + 1))
+    # sample m starts at step applied m times to 0: 2^b times per bit b of m
+    nth, start = np.arange(count + 1), np.zeros(count + 1, np.intp)
+    for b in range(count.bit_length()):
+        start = np.where(nth >> b & 1, step[start], start)
+        step = step[step]
+    held = np.count_nonzero(start <= n) - 1
+    return window[start[:held]], int(start[held])
 
 
-def _distinct_reals(uniform, k: int) -> list:
-    """k reals of [-3, 3], drawn again until every two lie DISTINCT_GAP
-    apart.  Only sorted neighbours are compared: rounding is monotone, so
-    no other pair lies closer."""
+def _record_draws(rng, count: int, k: int, low: tuple, high: tuple) -> list:
+    """The sample columns of a suite that draws k reals of [-3, 3] until
+    every two lie DISTINCT_GAP apart (rounding is monotone, so just when
+    their sorted neighbours do), and then one value of [low[j], high[j]]
+    per j: the samples per-call draws give on rng's stream."""
+    width = k + len(low)
+    u, at, windows = rng.random(count * width), 0, np.empty(0, np.intp)
     while True:
-        xs = [float(x) for x in uniform(-3.0, 3.0, k)]
-        s = sorted(xs)
-        if all(b - a >= DISTINCT_GAP for a, b in zip(s, s[1:])):
-            return xs
+        found, start = _chain(-3.0 + 6.0 * u[at:], k, width, count - len(windows))
+        windows, at = np.append(windows, at + found), at + start
+        if len(windows) == count:
+            break
+        # rng.random(a) and then rng.random(b) serve rng.random(a + b)
+        u = np.append(u, rng.random((count - len(windows)) * width))
+    return _served(u[windows[:, None] + np.arange(width)], (-3.0,) * k + low, (3.0,) * k + high)
 
 
-def _rotation_draws(uniform, count: int) -> np.ndarray:
+def _rotation_draws(rng, count: int) -> np.ndarray:
     """The (count, 6) raw values u of the rotation suite's samples: two
     centres and two angles each, with every second centre within 1e-2 of
     its first drawn again, as per-sample draws take them."""
-    raw = np.array(uniform(0.0, 1.0, 6 * count))  # 0 + (1 - 0) u is u
-    start = 0
+    raw, start = rng.random(6 * count), 0
     while True:
         u = raw.reshape(count, 6)[start:]
         near = hyp_distance(HypPoint(*_served(u[:, 0:2])), HypPoint(*_served(u[:, 2:4]))) < 1e-2
@@ -143,13 +141,13 @@ def _rotation_draws(uniform, count: int) -> np.ndarray:
         # the draws move up, and two more values join at the end
         start += int(near.argmax())
         cut = 6 * start + 2
-        raw = np.concatenate((raw[:cut], raw[cut + 2:], uniform(0.0, 1.0, 2)))
+        raw = np.concatenate((raw[:cut], raw[cut + 2:], rng.random(2)))
 
 
 def _served(u: np.ndarray, low=(-2.0, 0.25), high=(2.0, 2.5)) -> list:
     """The samples uniform(low, high) serves for the raw values u, one
     column per (low, high): low + (high - low) u, by default the x and y of
-    `_random_point`."""
+    a point of the plane."""
     return [lo + (hi - lo) * u[:, j] for j, (lo, hi) in enumerate(zip(low, high))]
 
 
@@ -161,7 +159,7 @@ def rotation_pair_residuals(rng, count: int) -> tuple:
     normalizing isometry), and the bracket's self-pairing 8 sinh^2 d: one
     residual column each.
     """
-    u = _rotation_draws(_uniform(rng), count)
+    u = _rotation_draws(rng, count)
     p1, p2 = HypPoint(*_served(u[:, 0:2])), HypPoint(*_served(u[:, 2:4]))
     angle = 2.0 * math.pi - 0.1
     a1, a2 = _served(u[:, 4:6], (0.1, 0.1), (angle, angle))
@@ -202,10 +200,7 @@ def axis_pair_residuals(rng, count: int) -> tuple:
     pairing, and the relation of the axes (crossing angle, distance, or 1.0
     where the pairing classifies them wrong).
     """
-    uniform = _uniform(rng)
-    draws = [(*_distinct_reals(uniform, 4), uniform(0.3, 2.5), uniform(0.3, 2.5))
-             for _ in range(count)]
-    u1, v1, u2, v2, len1, len2 = np.array(draws).reshape(count, 6).T
+    u1, v1, u2, v2, len1, len2 = _record_draws(rng, count, 4, (0.3, 0.3), (2.5, 2.5))
     val = geodesic_pair_pairing(hyperbolic_along(u1, v1, len1), hyperbolic_along(u2, v2, len2))
     # the second axis's endpoints after the Mobius change z -> (z - u1)/(v1 - z),
     # which sends the first axis to the upward imaginary axis
@@ -236,10 +231,8 @@ def mixed_pair_residuals(rng, count: int) -> tuple:
     The columns are the pairing, and 1.0 where the side test disagrees with
     its sign (0.0 elsewhere).
     """
-    uniform = _uniform(rng)
-    draws = [(*_distinct_reals(uniform, 2), uniform(0.3, 2.5), *_random_point(uniform),
-              uniform(0.1, 2.0 * math.pi - 0.1)) for _ in range(count)]
-    u, v, length, x, y, angle = np.array(draws).reshape(count, 6).T
+    u, v, length, x, y, angle = _record_draws(rng, count, 2, (0.3, -2.0, 0.25, 0.1),
+                                              (2.5, 2.0, 2.5, 2.0 * math.pi - 0.1))
     val = mixed_pairing(hyperbolic_along(u, v, length), elliptic_about(HypPoint(x, y), angle))
     # the fixed point after the Mobius change z -> (z - u)/(v - z)
     re, im = _quotient(x - u, y, v - x, -y)
@@ -307,13 +300,19 @@ def _exp_side_log_slope(s: Sl2Vector, u: Sl2Vector) -> Sl2Vector:
 def log_expansion_residuals(rng, count: int) -> tuple:
     """First-order coefficient of log(exp(tu) exp(s)) against the exp-side
     oracle, for elliptic and for hyperbolic base directions, per sample."""
+    def uniform(low, high):
+        return low + (high - low) * rng.random()
+
     rotations, translations, normals = [], [], []
     for k in range(count):
         if k % 2 == 0:
-            rotations.append((*_random_point(rng.uniform),
-                              float(rng.uniform(0.2, 2.0 * math.pi - 0.2))))
+            rotations.append((uniform(-2.0, 2.0), uniform(0.25, 2.5),
+                              uniform(0.2, 2.0 * math.pi - 0.2)))
         else:
-            translations.append((*_distinct_reals(rng.uniform, 2), float(rng.uniform(0.2, 2.5))))
+            reals = uniform(-3.0, 3.0), uniform(-3.0, 3.0)
+            while abs(reals[1] - reals[0]) < DISTINCT_GAP:
+                reals = uniform(-3.0, 3.0), uniform(-3.0, 3.0)
+            translations.append((*reals, uniform(0.2, 2.5)))
         normals.append(rng.normal(size=3).tolist())
     x, y, angle = np.array(rotations).reshape(-1, 3).T
     u1, v1, length = np.array(translations).reshape(-1, 3).T

@@ -1,7 +1,6 @@
 import cmath
 import math
 import os
-import random
 import subprocess
 import sys
 
@@ -12,7 +11,7 @@ from conftest import bits, blas_env
 
 import hypcone.selftest as selftest
 from hypcone.cli import main
-from hypcone.selftest import CHUNK, DISTINCT_GAP, _uniform
+from hypcone.selftest import DISTINCT_GAP
 from hypcone.sl2 import (
     H_VEC,
     HypPoint,
@@ -30,7 +29,7 @@ from hypcone.sl2 import (
     trace_form,
 )
 
-# The structured reports of three seeds, as the per-call draws gave them,
+# The structured reports of five seeds, as the per-call draws gave them,
 # with the log-expansion residuals of the closed-form log perturbation
 # against the closed-form exp-side oracle.
 SEED_1729 = (
@@ -93,10 +92,53 @@ SEED_5 = (
     "lemma.log-expansion.pass=true\n"
     "pass=true\n"
 )
+# The least seed, and one past the 64-bit range: `--seed` takes any integer
+# >= 0, and CI's digest covers only seeds 1-200 and 1729.
+SEED_0 = (
+    "seed=0\n"
+    "lemma.rotation-pairs.count=500\n"
+    "lemma.rotation-pairs.residual=7.8171466763179568e-14\n"
+    "lemma.rotation-pairs.tolerance=1.0000000000000001e-09\n"
+    "lemma.rotation-pairs.pass=true\n"
+    "lemma.axis-pairs.count=500\n"
+    "lemma.axis-pairs.residual=7.1973752722159488e-13\n"
+    "lemma.axis-pairs.tolerance=1.0000000000000001e-09\n"
+    "lemma.axis-pairs.pass=true\n"
+    "lemma.mixed-pairs.count=500\n"
+    "lemma.mixed-pairs.residual=6.1245208549881422e-14\n"
+    "lemma.mixed-pairs.tolerance=1.0000000000000001e-09\n"
+    "lemma.mixed-pairs.pass=true\n"
+    "lemma.log-expansion.count=200\n"
+    "lemma.log-expansion.residual=1.0856606183008982e-14\n"
+    "lemma.log-expansion.tolerance=9.9999999999999995e-07\n"
+    "lemma.log-expansion.pass=true\n"
+    "pass=true\n"
+)
+SEED_2_64 = (
+    "seed=18446744073709551616\n"
+    "lemma.rotation-pairs.count=500\n"
+    "lemma.rotation-pairs.residual=6.2420458186270021e-14\n"
+    "lemma.rotation-pairs.tolerance=1.0000000000000001e-09\n"
+    "lemma.rotation-pairs.pass=true\n"
+    "lemma.axis-pairs.count=500\n"
+    "lemma.axis-pairs.residual=4.6230466786333915e-13\n"
+    "lemma.axis-pairs.tolerance=1.0000000000000001e-09\n"
+    "lemma.axis-pairs.pass=true\n"
+    "lemma.mixed-pairs.count=500\n"
+    "lemma.mixed-pairs.residual=4.0230690431564298e-14\n"
+    "lemma.mixed-pairs.tolerance=1.0000000000000001e-09\n"
+    "lemma.mixed-pairs.pass=true\n"
+    "lemma.log-expansion.count=200\n"
+    "lemma.log-expansion.residual=9.2713813253538808e-15\n"
+    "lemma.log-expansion.tolerance=9.9999999999999995e-07\n"
+    "lemma.log-expansion.pass=true\n"
+    "pass=true\n"
+)
 
 
-@pytest.mark.parametrize("seed, want", [(1729, SEED_1729), (1, SEED_1), (5, SEED_5)],
-                         ids=["1729", "1", "5"])
+@pytest.mark.parametrize("seed, want", [(1729, SEED_1729), (1, SEED_1), (5, SEED_5),
+                                        (0, SEED_0), (2 ** 64, SEED_2_64)],
+                         ids=["1729", "1", "5", "0", "2**64"])
 def test_selftest_report_is_pinned(capsys, seed, want):
     assert main(["selftest", "--seed", str(seed), "--format", "structured"]) == 0
     assert capsys.readouterr().out == want
@@ -143,7 +185,7 @@ def ref_distinct_reals(uniform, k):
 
 
 def ref_rotation_residuals(rng, count):
-    uniform = _uniform(rng)
+    uniform = rng.uniform
     rows = []
     for _ in range(count):
         p1 = ref_point(uniform)
@@ -177,7 +219,7 @@ def ref_crossing_angle(u1, v1, u2, v2):
 
 
 def ref_axis_residuals(rng, count):
-    uniform = _uniform(rng)
+    uniform = rng.uniform
     rows = []
     for _ in range(count):
         u1, v1, u2, v2 = ref_distinct_reals(uniform, 4)
@@ -203,7 +245,7 @@ def ref_axis_residuals(rng, count):
 
 
 def ref_mixed_residuals(rng, count):
-    uniform = _uniform(rng)
+    uniform = rng.uniform
     rows = []
     for _ in range(count):
         u, v = ref_distinct_reals(uniform, 2)
@@ -286,9 +328,12 @@ REFERENCES = (
 )
 
 
-@pytest.mark.parametrize("seed", [*range(1, 21), 1729])
+@pytest.mark.parametrize("seed", [*range(1, 21), 1729, 613, 1476])
 def test_batch_suites_give_the_per_sample_residuals(seed):
-    # seeds 11 and 14 redraw a second rotation centre
+    # most of seeds 1-20 draw one sample's axis reals three or four times,
+    # and seeds 8 and 12 one sample's mixed reals three times; seeds 11 and
+    # 14 redraw a second rotation centre, 613 two (samples 412 and 488), and
+    # 1476 the last sample's, so its draws run past the first 6 * count values
     for batch, reference, count in REFERENCES:
         got = batch(np.random.default_rng(seed), count)
         want = reference(np.random.default_rng(seed), count)
@@ -376,26 +421,22 @@ def test_clean_log_suite_reads_below_1e_12():
     assert worst < 1e-12
 
 
-# Every (low, high, size) of the bulk-drawn suites.
-DRAWS = (
-    (-2.0, 2.0, None), (0.25, 2.5, None), (-3.0, 3.0, 4), (-3.0, 3.0, 2),
-    (0.1, 2.0 * np.pi - 0.1, None), (0.3, 2.5, None),
-)
+# The two sample shapes of `_record_draws`: the axis suite's 4 reals and 2
+# lengths, and the mixed suite's 2 reals, a length, a point and an angle.
+RECORDS = {
+    "4+2": (4, (0.3, 0.3), (2.5, 2.5)),
+    "2+4": (2, (0.3, -2.0, 0.25, 0.1), (2.5, 2.0, 2.5, 2.0 * math.pi - 0.1)),
+}
 
 
-@pytest.mark.parametrize("seed", [1, 5, 1729, 2 ** 40 + 3])
-def test_bulk_uniform_is_generator_uniform(seed):
-    # a seeded interleaving of every draw, over more than two chunks
-    uniform = _uniform(np.random.default_rng(seed))
-    rng = np.random.default_rng(seed)
-    order = random.Random(seed)
-    taken = 0
-    while taken < 2 * CHUNK + 100:
-        draw = order.choice(DRAWS)
-        if draw[2] is None:
-            got, want = [uniform(*draw[:2])], [rng.uniform(*draw[:2])]
-        else:
-            got, want = uniform(*draw), rng.uniform(*draw[:2], size=draw[2]).tolist()
-        assert all(type(x) is float for x in got)
-        assert bits(got) == bits(want), (seed, taken, draw)
-        taken += len(got)
+@pytest.mark.parametrize("count", [1, 2, 3, 500])
+@pytest.mark.parametrize("shape", RECORDS)
+def test_record_draws_are_per_call_draws(shape, count):
+    # per-call Generator.uniform draws, the reals drawn again until apart
+    k, low, high = RECORDS[shape]
+    for seed in [*range(201), 1729, 2 ** 40 + 3]:
+        rng = np.random.default_rng(seed)
+        want = [(*ref_distinct_reals(rng.uniform, k),
+                 *[rng.uniform(lo, hi) for lo, hi in zip(low, high)]) for _ in range(count)]
+        got = selftest._record_draws(np.random.default_rng(seed), count, k, low, high)
+        assert bits(np.array(got).T) == bits(want), (shape, count, seed)
