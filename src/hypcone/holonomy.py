@@ -19,8 +19,12 @@ whose fixed point is v.  The walk started at g_k is P_k^-1 M_v P_k, so its
 fixed point P_k^-1 fix(M_v) is read off the one walk.  The distance between
 the fixed points at the two ends of an edge, both in one triangle's chart,
 recovers the edge length: the computational content of the
-length-coordinates/holonomy dictionary.  The walks run on plain floats, all
-fans in one pass, and no chart ever sits far from i, so nothing drifts.
+length-coordinates/holonomy dictionary.  The fans walk in lockstep, longest
+first: one array step per germ position advances every fan still live, and
+the one fan left after the others end walks its tail on plain floats.  Each
+entry is the two products and one sum of a float walk, so the digits are
+those of a walk fan by fan, and no chart ever sits far from i, so nothing
+drifts.
 A vertex whose `surface.wall_margin` |sin(theta/2)| lies below
 `surface.WALL_BAND` is on a wall (theta near 2*pi*k, k >= 0): there the loop
 trace 2|cos(theta/2)| is within `sl2.TRACE_TOL` of 2 and the vertex is
@@ -42,7 +46,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -58,7 +62,7 @@ from .sl2 import (
     elliptic_trace,
     half_plane_distance,
 )
-from .surface import WALL_BAND, ConeSurface, nxt, prv, wall_margin, worst_at
+from .surface import WALL_BAND, ConeSurface, _lockstep, nxt, prv, wall_margin, worst_at
 
 
 def _local_charts(s: ConeSurface) -> tuple[np.ndarray, np.ndarray]:
@@ -88,23 +92,55 @@ def _local_charts(s: ConeSurface) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fan_walks(s: ConeSurface, transitions: np.ndarray) -> tuple:
-    """The walks of every fan, in one flat pass in fan order, reset at each
-    fan start: the (n_half, 4) prefix products by germ and the (n, 4) loop
-    products by vertex.  Raw doubles in and out keep the pass free of
-    E-sized object lists."""
-    entries = iter(array("d", transitions.reshape(-1, 4)[prv(s.fan_order)].tobytes()))
-    steps = zip(entries, entries, entries, entries)
-    walk, loops = array("d"), array("d")
-    for size in s.fan_size.tolist():
-        a, b, c, d = 1.0, 0.0, 0.0, 1.0
-        for ta, tb, tc, td in islice(steps, size):
-            walk.extend((a, b, c, d))
-            a, b, c, d = (a * ta + b * tc, a * tb + b * td,
-                          c * ta + d * tc, c * tb + d * td)
-        loops.extend((a, b, c, d))
+    """The walks of every fan: the (n_half, 4) prefix products by germ and
+    the (n, 4) loop products by vertex.
+
+    The fans walk in lockstep, longest first, on the `_lockstep` schedule of
+    their sizes: step k writes prefix k of every fan longer than k as one
+    array product of the previous prefixes and transitions.  Once at most
+    one fan is live, its tail runs on plain floats, and each loop is its
+    fan's last prefix times its last transition.  Every entry is the two
+    products and one sum of a float walk, so the digits are those of a walk
+    fan by fan; products past the float range are left inf or nan, as on
+    floats, without a warning, for the determinant check to refuse."""
+    _, live, start, slot = _lockstep(s.fan_size)
+    germ = np.empty_like(slot)
+    germ[slot] = s.fan_order
+    t = transitions.reshape(-1, 4)[prv(germ)].reshape(-1, 2, 2)
+    walk = np.empty_like(t)
+    walk[:live[0]] = np.eye(2)
+    # the columns of the prefixes and the rows of the transitions, so that
+    # walk[at] t[at] is two products and one sum per entry
+    col0, col1 = walk[:, :, 0, None], walk[:, :, 1, None]
+    row0, row1 = t[:, None, 0], t[:, None, 1]
+
+    def times(at, out):
+        np.multiply(col0[at], row0[at], out=out)
+        out += col1[at] * row1[at]
+        return out
+
+    live, start = live.tolist(), start.tolist()
+    alone = len(live) - live.count(1)  # the first step with one fan live, if any
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, min(alone + 1, len(live))):
+            at, n = start[k - 1], live[k]
+            times(slice(at, at + n), walk[start[k]:start[k] + n])
+        if alone < len(live):  # its slots are the last ones, in order
+            at = start[alone]
+            entries = iter(t[at:-1].ravel().tolist())
+            a, b, c, d = walk[at].ravel().tolist()
+            tail = array("d")
+            for ta, tb, tc, td in zip(entries, entries, entries, entries):
+                a, b, c, d = (a * ta + b * tc, a * tb + b * td,
+                              c * ta + d * tc, c * tb + d * td)
+                tail.extend((a, b, c, d))
+            walk[at + 1:] = np.frombuffer(tail).reshape(-1, 2, 2)
+        last = slot[np.cumsum(s.fan_size) - 1]
+        loops = times(last, np.empty((s.n_vertices, 2, 2)))
     prefix = np.empty((s.n_half, 4))
-    prefix[s.fan_order] = np.frombuffer(walk).reshape(-1, 4)
-    return prefix, np.frombuffer(loops).reshape(-1, 4)
+    prefix[germ] = walk.reshape(-1, 4)
+    return prefix, loops.reshape(-1, 4)
 
 
 class HolonomyAtlas:
@@ -112,11 +148,11 @@ class HolonomyAtlas:
 
     * `normalizers[h]` and `transitions[h]` (both (n_half, 2, 2) arrays) are
       N_h and T_h of the module docstring.
-    * The walks run on plain floats.  Row g of the (n_half, 4) array
-      `prefix` holds the entries (a, b, c, d) of the product [[a, b], [c, d]]
-      that maps the chart of tri(g) into the chart of the triangle of its
-      vertex's base germ, its least half-edge (first of v's germs in
-      `surface.fan_order`).
+    * The walks (`_fan_walks`) give the digits of a float walk fan by fan.
+      Row g of the (n_half, 4) array `prefix` holds the entries
+      (a, b, c, d) of the product [[a, b], [c, d]] that maps the chart of
+      tri(g) into the chart of the triangle of its vertex's base germ, its
+      least half-edge (first of v's germs in `surface.fan_order`).
     * Row v of the (n, 4) array `loops`, in the same order, is the loop
       holonomy M_v in that base chart as walked, not normalized; every
       determinant is positive and finite.

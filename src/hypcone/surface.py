@@ -240,30 +240,43 @@ def prv(h):
     return h - h % 3 + (h + 2) % 3
 
 
+def _lockstep(size: np.ndarray) -> tuple:
+    """The schedule that steps through consecutive runs of the given sizes
+    in lockstep, longest first.
+
+    Returns (run, live, start, slot).  Term i of the runs laid end to end
+    belongs to run run[i] and sits at slot[i].  Step k takes term k of each
+    of the live[k] runs longer than k; with the runs taken longest first
+    those are a prefix, so step k fills slots start[k] to start[k] + live[k]
+    in that order, and term k + 1 of a run sits live[k] slots after its
+    term k.
+    """
+    order = np.argsort(-size, kind="stable")
+    live = np.searchsorted(-size[order], -np.arange(size.max(initial=0)))  # runs longer than k
+    start = np.cumsum(live) - live
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(size))
+    run = np.repeat(np.arange(len(size)), size)
+    slot = start[np.arange(len(run)) - (np.cumsum(size) - size)[run]]
+    slot += rank[run]
+    return run, live, start, slot
+
+
 def _running_sums(z: np.ndarray, size: np.ndarray) -> np.ndarray:
     """Running sums of z along consecutive runs of the given sizes.
 
     Run t gets size[t] + 1 values, 0, z_0, z_0 + z_1, ..., up to its total,
-    added left to right as a plain Python loop adds them.  Step k adds term
-    k of every run longer than k: with the runs taken longest first those
-    are a prefix, so a step is one addition of two slices.
+    added left to right as a plain Python loop adds them.  Step k of the
+    `_lockstep` schedule adds term k of every run longer than k, one addition
+    of two slices.
     """
-    order = np.argsort(-size, kind="stable")
-    live = np.searchsorted(-size[order], -np.arange(size.max(initial=0)))  # runs longer than k
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(size))
-    # term k of run t goes to slot start[k] + rank[t] of the steps
-    run = np.repeat(np.arange(len(size)), size)
-    slot = np.arange(len(z)) - (np.cumsum(size) - size)[run]
-    slot = (np.cumsum(live) - live)[slot]
-    slot += rank[run]
+    run, live, start, slot = _lockstep(size)
     terms, sums = np.empty(len(z)), np.empty(len(z))
     terms[slot] = z
-    acc, at = np.zeros(len(size)), 0
-    for n in live.tolist():
+    acc = np.zeros(len(size))
+    for at, n in zip(start.tolist(), live.tolist()):
         acc = acc[:n] + terms[at:at + n]
         sums[at:at + n] = acc
-        at += n
     run += np.arange(1, len(z) + 1)  # where the sum through each term goes
     out = np.zeros(len(z) + len(size))
     out[run] = sums[slot]

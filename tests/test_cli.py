@@ -518,6 +518,27 @@ def test_torus_scale_sweep_ends_in_a_documented_exit(capsys, tmp_path, shape):
             assert err.count("\n") <= 1 and not caught, (a, sub, err, caught)
 
 
+def test_long_sided_tetrahedron_ends_in_one_line_without_a_warning(capsys, tmp_path):
+    # sides near 400 on a surface of four vertices: the transitions hold inf,
+    # and the fans walk in lockstep, so an unguarded array product would warn
+    # where the float walk of a one-vertex torus cannot.  Its loop at vertex 0
+    # has a NaN determinant (exit 3) and its cone angles lie on the wall
+    ids = ("ab", "ac", "ad", "bc", "bd", "cd")
+    s = tetra_surface({e: 400.0 * (1 + 0.03 * i) for i, e in enumerate(ids)})
+    path = tmp_path / "long.json"
+    path.write_text(serialize_surface(s))
+    got = {}
+    for sub in ("validate", "holonomy", "poisson", "delaunay"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, sub, "--input", str(path))
+        assert not caught, (sub, caught)
+        got[sub] = code
+        if sub == "holonomy":
+            assert err == "error[NumericalCollapse]: loop holonomy at vertex 0 has determinant nan\n"
+    assert got == {"validate": 0, "holonomy": 3, "poisson": 2, "delaunay": 0}
+
+
 def test_tolerance_override_loosens(capsys, wall_file):
     # widening the guard turns the wall refusal into a huge-but-finite matrix
     code, out, _ = run(capsys, "poisson", "--input", wall_file,

@@ -2,6 +2,8 @@ import math
 import re
 import subprocess
 import sys
+from array import array
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -56,6 +58,25 @@ def fresh_walk(atlas, germ):
         m = m @ Sl2Matrix(atlas.transitions[shared])
         g = s.twin[shared]
     return m
+
+
+def walk_fan_by_fan(s, transitions):
+    """The prefix and loop products of `holonomy._fan_walks`, walked one fan
+    at a time on plain floats, each fan from its base germ: the walk the
+    lockstep replaced, kept here as its reference."""
+    entries = iter(array("d", transitions.reshape(-1, 4)[prv(s.fan_order)].tobytes()))
+    steps = zip(entries, entries, entries, entries)
+    walk, loops = array("d"), array("d")
+    for size in s.fan_size.tolist():
+        a, b, c, d = 1.0, 0.0, 0.0, 1.0
+        for ta, tb, tc, td in islice(steps, size):
+            walk.extend((a, b, c, d))
+            a, b, c, d = (a * ta + b * tc, a * tb + b * td,
+                          c * ta + d * tc, c * tb + d * td)
+        loops.extend((a, b, c, d))
+    prefix = np.empty((s.n_half, 4))
+    prefix[s.fan_order] = np.frombuffer(walk).reshape(-1, 4)
+    return prefix, np.frombuffer(loops).reshape(-1, 4)
 
 
 def reference_report(atlas):
@@ -217,6 +238,31 @@ def test_array_pass_matches_scalar_path(surface, corpus):
         assert [complex(*z) for z in zip(x.tolist(), y.tolist())] == \
             [complex(*elliptic_fixed_point(*loop)) for loop in loops]
         assert report_rows(atlas)[0] == reference_report(atlas)[0]
+
+
+LONG_TETRA = {e: 400.0 * (1 + 0.03 * i) for i, e in enumerate(("ab", "ac", "ad", "bc", "bd", "cd"))}
+
+
+@pytest.mark.parametrize("s", [
+    torus_surface(1.0, 1.0, 1.9),
+    tetra_surface(),
+    stellar_surface(48, seed=1, start="tet"), stellar_surface(49, seed=1, start="tor"),
+    stellar_surface(398, seed=1, start="tet"), stellar_surface(399, seed=1, start="tor"),
+    torus_surface(100.0),
+    tetra_surface(LONG_TETRA),
+], ids=["readme-torus", "tetra", "tet-150", "tor-150", "tet-1200", "tor-1200", "torus-100",
+        "long-tetra"])
+def test_lockstep_walk_is_the_walk_fan_by_fan(s):
+    # one fan (the whole walk is the float tail), four fans of 3 (no tail),
+    # a unique largest fan (array steps, then its tail), a loop that loses
+    # its determinant and transitions holding inf: every prefix and loop,
+    # NaN included, has the bytes of the walk fan by fan
+    transitions = holonomy_mod._local_charts(s)[1]
+    prefix, loops = holonomy_mod._fan_walks(s, transitions)
+    want_prefix, want_loops = walk_fan_by_fan(s, transitions)
+    assert (prefix.shape, loops.shape) == ((s.n_half, 4), (s.n_vertices, 4))
+    assert prefix.tobytes() == want_prefix.tobytes()
+    assert loops.tobytes() == want_loops.tobytes()
 
 
 def test_one_fixed_point_per_vertex(monkeypatch):

@@ -477,6 +477,12 @@ def test_running_sums_match_a_plain_loop_bitwise():
         n = int(size.sum())
         z = rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5, size=n)
         assert _running_sums(z, size).tobytes() == plain_running_sums(z, size).tobytes()
+    # a tie for the longest run, so the last step adds to two runs, and a
+    # single longest run, alone for its last steps
+    for size in ([3, 5, 0, 5, 2], [2, 7, 3, 0, 1]):
+        size = np.array(size)
+        z = rng.standard_normal(size.sum())
+        assert _running_sums(z, size).tobytes() == plain_running_sums(z, size).tobytes()
     s = stellar_surface(199, seed=1, start="tor")
     z = s.angle[s.fan_order]
     assert _running_sums(z, s.fan_size).tobytes() == plain_running_sums(z, s.fan_size).tobytes()
