@@ -36,18 +36,15 @@ from .sl2 import (
     axis_vector,
     elliptic_about,
     elliptic_pair_pairing,
-    elliptic_product_trace,
     geodesic_pair_pairing,
     hyp_distance,
     hyp_exp,
     hyperbolic_along,
-    injectivity_holonomy_pair,
     log_perturbation,
     mixed_pairing,
     normalizing_isometry,
     sl2_exp,
     sl2_log,
-    solve_order_q_distance,
     trace_form,
 )
 from .surface import (

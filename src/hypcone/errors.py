@@ -85,10 +85,6 @@ class DegenerateDirection(HypconeError):
     exit_code = 2
 
 
-class NoSolution(HypconeError):
-    """A root-finding problem has no solution on the admissible branch."""
-
-
 # --- holonomy / bivector evaluation ------------------------------------------
 
 class NumericalCollapse(HypconeError):

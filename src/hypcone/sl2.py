@@ -67,7 +67,6 @@ from .errors import (
     CoincidentFixedPoints,
     DegenerateDirection,
     NoBranch,
-    NoSolution,
     NotElliptic,
     NotHyperbolic,
     NotSemisimple,
@@ -306,6 +305,8 @@ class Sl2Vector:
 
     def __init__(self, mat):
         arr = _parse_2x2(mat)
+        if not np.isfinite(arr).all():
+            raise ValueError("matrix entries must be finite")
         (m00, b), (c, m11) = arr.tolist()
         tr = m00 + m11
         scale = max(1.0, float(np.max(np.abs(arr))))
@@ -363,16 +364,10 @@ class Sl2Vector:
         return Sl2Vector.from_entries(ta * s - tb * r, tb * p - ta * q, tc * s - td * r)
 
 
-def sl2_basis() -> tuple[Sl2Vector, Sl2Vector, Sl2Vector]:
-    """The standard triple (H, E, F): [H,E] = 2E, [H,F] = -2F, [E,F] = H."""
-    return (
-        Sl2Vector([[1.0, 0.0], [0.0, -1.0]]),
-        Sl2Vector([[0.0, 1.0], [0.0, 0.0]]),
-        Sl2Vector([[0.0, 0.0], [1.0, 0.0]]),
-    )
-
-
-H_VEC, E_VEC, F_VEC = sl2_basis()
+# the standard triple (H, E, F): [H,E] = 2E, [H,F] = -2F, [E,F] = H
+H_VEC = Sl2Vector.from_entries(1.0, 0.0, 0.0)
+E_VEC = Sl2Vector.from_entries(0.0, 1.0, 0.0)
+F_VEC = Sl2Vector.from_entries(0.0, 0.0, 1.0)
 
 
 def trace_form(x: Sl2Vector, y: Sl2Vector):
@@ -482,25 +477,26 @@ def _kind(m):
 # exp and log in closed form
 # ---------------------------------------------------------------------------
 
+# c0, c1 of (k, w = sqrt|k|) for each case of sl2_exp: their series in k
+# near k = 0, else cos and sin, or cosh and sinh, of w
+_EXPS = {
+    "series": lambda m: (1.0 - m[0] / 2.0 + m[0] * m[0] / 24.0 - _each(math.pow, m[0], 3.0) / 720.0,
+                         1.0 - m[0] / 6.0 + m[0] * m[0] / 120.0 - _each(math.pow, m[0], 3.0) / 5040.0),
+    "cos": lambda m: (_each(math.cos, m[1]), _each(math.sin, m[1]) / m[1]),
+    "cosh": lambda m: (_each(math.cosh, m[1]), _each(math.sinh, m[1]) / m[1]),
+}
+
+
 def sl2_exp(x: Sl2Vector) -> Sl2Matrix:
-    """exp(X) via X^2 = -det(X) I, for a float vector.
+    """exp(X) via X^2 = -det(X) I.
 
     With k = det X: exp(X) = c0(k) I + c1(k) X where c0 = cos(sqrt k),
     c1 = sin(sqrt k)/sqrt k for k > 0 and the cosh/sinh analogues for k < 0;
     both are the same analytic series in k, used directly near k = 0.
     """
     k = x.det()
-    if abs(k) < 1e-8:
-        c0 = 1.0 - k / 2.0 + k * k / 24.0 - k ** 3 / 720.0
-        c1 = 1.0 - k / 6.0 + k * k / 120.0 - k ** 3 / 5040.0
-    elif k > 0.0:
-        w = math.sqrt(k)
-        c0 = math.cos(w)
-        c1 = math.sin(w) / w
-    else:
-        w = math.sqrt(-k)
-        c0 = math.cosh(w)
-        c1 = math.sinh(w) / w
+    key = _where(abs(k) < 1e-8, "series", _where(k > 0.0, "cos", "cosh"))
+    c0, c1 = _by_case(key, _EXPS, (k, _each(math.sqrt, abs(k))))
     return Sl2Matrix.from_entries(c0 + c1 * x.a, c1 * x.b, c1 * x.c, c0 - c1 * x.a)
 
 
@@ -539,11 +535,6 @@ def _hyperbolic_axis(m) -> tuple:
     a, _, _, d = m
     ell = 2.0 * _each(math.acosh, (a + d) / 2.0)
     return (*_traceless_part(m, _each(math.sinh, ell / 2.0)), ell)
-
-
-def _axis_form(x: tuple, y: tuple):
-    """trace_form of the traceless matrices with entries (a, b, c) x and y."""
-    return 2.0 * x[0] * y[0] + x[1] * y[2] + x[2] * y[1]
 
 
 # (a, b, c, size) of each kind's log (size/2) (a, b, c); the parabolic one
@@ -683,9 +674,8 @@ def elliptic_pair_pairing(s1: Sl2Matrix, s2: Sl2Matrix) -> tuple:
     z1 = _half_plane_fixed_point(s1)
     _refuse(half_plane_distance(*z1, *_half_plane_fixed_point(s2)) < 1e-9,
             CoincidentFixedPoints, "fixed points coincide; no joining axis")
-    l1, l2 = _elliptic_axis(tuple(s1)), _elliptic_axis(tuple(s2))
-    bracket = Sl2Vector.from_entries(*l1[:3]).bracket(Sl2Vector.from_entries(*l2[:3]))
-    return _axis_form(l1, l2), bracket
+    l1, l2 = (Sl2Vector.from_entries(*_elliptic_axis(tuple(s))[:3]) for s in (s1, s2))
+    return trace_form(l1, l2), l1.bracket(l2)
 
 
 def geodesic_pair_pairing(r1: Sl2Matrix, r2: Sl2Matrix):
@@ -697,7 +687,8 @@ def geodesic_pair_pairing(r1: Sl2Matrix, r2: Sl2Matrix):
     """
     for r in (r1, r2):
         _refuse(_kind(r) != HYPERBOLIC, NotHyperbolic, "both inputs must be hyperbolic")
-    return _axis_form(_hyperbolic_axis(tuple(r1)), _hyperbolic_axis(tuple(r2)))
+    l1, l2 = (Sl2Vector.from_entries(*_hyperbolic_axis(tuple(r))[:3]) for r in (r1, r2))
+    return trace_form(l1, l2)
 
 
 def mixed_pairing(r: Sl2Matrix, s: Sl2Matrix):
@@ -708,7 +699,8 @@ def mixed_pairing(r: Sl2Matrix, s: Sl2Matrix):
     """
     _refuse(_kind(r) != HYPERBOLIC, NotHyperbolic, "first argument must be hyperbolic")
     _refuse(_kind(s) != ELLIPTIC, NotElliptic, "second argument must be elliptic")
-    return _axis_form(_hyperbolic_axis(tuple(r)), _elliptic_axis(tuple(s)))
+    return trace_form(Sl2Vector.from_entries(*_hyperbolic_axis(tuple(r))[:3]),
+                      Sl2Vector.from_entries(*_elliptic_axis(tuple(s))[:3]))
 
 
 # ---------------------------------------------------------------------------
@@ -738,68 +730,3 @@ def log_perturbation(s: Sl2Vector, u: Sl2Vector) -> Sl2Vector:
     y = u.bracket(s)
     kappa, = _by_case(k > 0.0, _KAPPAS, (2.0 * _each(math.sqrt, abs(k)),))
     return 0.5 * y + kappa * s.bracket(y) + (trace_form(u, s) / trace_form(s, s)) * s
-
-
-# ---------------------------------------------------------------------------
-# two nearby cone points: trace of the combined holonomy
-# ---------------------------------------------------------------------------
-
-def injectivity_holonomy_pair(theta_h: float, theta_j: float, d: float):
-    """The pair of elliptic matrices modelling two cone points at distance d.
-
-    The first rotates about i; the second is its conjugate pushed distance d
-    down the imaginary axis.  Angles are reduced angles in (0, 2*pi).
-    """
-    for th in (theta_h, theta_j):
-        if not 0.0 < th < 2.0 * math.pi:
-            raise OutOfRange("reduced angles must lie in (0, 2*pi)")
-    if d < 0.0:
-        raise OutOfRange("distance must be nonnegative")
-    ch, sh = math.cos(theta_h / 2.0), math.sin(theta_h / 2.0)
-    cj, sj = math.cos(theta_j / 2.0), math.sin(theta_j / 2.0)
-    return (Sl2Matrix.from_entries(ch, sh, -sh, ch),
-            Sl2Matrix.from_entries(cj, math.exp(d) * sj, -math.exp(-d) * sj, cj))
-
-
-def elliptic_product_trace(theta_h: float, theta_j: float, d: float) -> float:
-    """|tr| of the product of the two model elliptics.
-
-    Closed form: 2 |cos(th/2) cos(tj/2) - cosh(d) sin(th/2) sin(tj/2)|.
-    """
-    a, b = injectivity_holonomy_pair(theta_h, theta_j, d)
-    return abs(a.a * b.a + a.b * b.c + a.c * b.b + a.d * b.d)
-
-
-def solve_order_q_distance(theta_h: float, theta_j: float, p: int, q: int) -> float:
-    """Distance d >= 0 at which the combined holonomy has order q.
-
-    Targets |tr| = 2 |cos(pi p / q)|.  The trace profile in d is
-    2 |g(d)| with g(d) = cos(th/2)cos(tj/2) - cosh(d) sin(th/2)sin(tj/2),
-    strictly decreasing; the smallest crossing of the target is returned.
-    Raises NoSolution if the reduced angles do not sum past 2*pi or the
-    target is below the attainable range.
-    """
-    if not (isinstance(p, int) and isinstance(q, int) and 0 < p < q
-            and math.gcd(p, q) == 1):
-        raise ValueError("need integers 0 < p < q with gcd(p, q) = 1")
-    for th in (theta_h, theta_j):
-        if not 0.0 < th < 2.0 * math.pi:
-            raise OutOfRange("reduced angles must lie in (0, 2*pi)")
-    if theta_h + theta_j <= 2.0 * math.pi:
-        raise NoSolution("reduced angles must sum past 2*pi")
-    ch, sh = math.cos(theta_h / 2.0), math.sin(theta_h / 2.0)
-    cj, sj = math.cos(theta_j / 2.0), math.sin(theta_j / 2.0)
-    g0 = ch * cj - sh * sj
-    t2 = abs(math.cos(math.pi * p / q))
-    denom = sh * sj
-    if g0 > 0.0 and t2 <= g0:
-        coshd = (ch * cj - t2) / denom  # first crossing, g(d) = +t2
-    else:
-        coshd = (ch * cj + t2) / denom  # crossing on the negative branch
-        if coshd < 1.0 - 1e-12:
-            raise NoSolution("target trace below the attainable range")
-    d = math.acosh(max(1.0, coshd))
-    residual = abs(elliptic_product_trace(theta_h, theta_j, d) - 2.0 * t2)
-    if residual > 1e-10:
-        raise NoSolution(f"root residual {residual} too large")
-    return d

@@ -8,7 +8,7 @@ import pytest
 from hypcone import ConeSurface
 from hypcone.poisson import FanPairs, JacobiTerms
 from hypcone.surface import prv
-from hypcone.sl2 import sl2_basis
+from hypcone.sl2 import E_VEC, F_VEC, H_VEC
 
 
 # The rank oracle counts singular values above RANK_TOL times the largest.
@@ -44,7 +44,7 @@ def killing_constant(samples: int = 64, seed: int = 7) -> float:
     the basis (H, E, F); the ratio is constant and |c| = 4.  The sign that
     comes out of the computation is +4.
     """
-    basis = [v.mat for v in sl2_basis()]
+    basis = [v.mat for v in (H_VEC, E_VEC, F_VEC)]
 
     def ad(xm):
         cols = []

@@ -1,4 +1,4 @@
-"""End-to-end certification of the eight headline properties.
+"""End-to-end certification of the seven headline properties.
 
 Each test prints one PASS/FAIL line (visible with -s, or in the failure
 report) and asserts the stated tolerance, so the suite stays honest under
@@ -31,12 +31,10 @@ from hypcone import (
     flip,
     flip_coordinate_jacobian,
     holonomy_report,
-    injectivity_holonomy_pair,
     jacobi_residual,
     make_delaunay,
     radical_residuals,
     serialize_surface,
-    solve_order_q_distance,
     trace_form,
 )
 from hypcone.cli import TOL_DEFAULTS
@@ -105,70 +103,6 @@ def test_basis_pairings():
             f"B(H,H)=2, B(E+F,E+F)=2, B(E-F,E-F)=-2 exact; Killing = "
             f"c*B with c = {c:+.12f} (|c| within {abs(abs(c) - 4.0):.1e} "
             f"of 4, sign +)")
-
-
-def test_product_trace_law():
-    # closed form for the product of two elliptics at distance d, the
-    # lower trace bound, and the order-q distance solver
-    angles = np.linspace(0.4, 2.0 * math.pi - 0.4, 8)
-    dists = (0.0, 0.05, 0.4, 1.3, 2.6)
-    form_err = 0.0
-    for th in angles:
-        for tj in angles:
-            cc = math.cos(th / 2.0) * math.cos(tj / 2.0)
-            ss = math.sin(th / 2.0) * math.sin(tj / 2.0)
-            for d in dists:
-                a, b = injectivity_holonomy_pair(th, tj, d)
-                got = abs(float(np.trace(a.mat @ b.mat)))
-                want = 2.0 * abs(cc - math.cosh(d) * ss)
-                form_err = max(form_err, abs(got - want))
-    assert form_err < 1e-12
-
-    # the bound 2|cos((th+tj)/2)| is met at d = 0 and strictly exceeded
-    # for d > 0; that holds exactly when the angles sum into [pi, 3*pi]
-    # (outside, the product trace starts on the wrong side of zero)
-    approach_err = 0.0
-    bound_ok = True
-    pairs = 0
-    for th in angles:
-        for tj in angles:
-            if not math.pi + 0.1 <= th + tj <= 3.0 * math.pi - 0.1:
-                continue
-            pairs += 1
-            bound = 2.0 * abs(math.cos((th + tj) / 2.0))
-
-            def tr(d, th=th, tj=tj):
-                a, b = injectivity_holonomy_pair(th, tj, d)
-                return abs(float(np.trace(a.mat @ b.mat)))
-
-            approach_err = max(approach_err, abs(tr(1e-8) - bound))
-            bound_ok &= all(tr(d) > bound for d in (1e-4, 0.02, 0.3, 1.0, 2.5))
-    assert pairs > 20 and approach_err < 1e-12
-
-    # solver: d = 0 boundary, the zero-trace crossing, and one case on
-    # each monotone branch of the trace profile
-    cases = ((1.5 * math.pi, 1.5 * math.pi, 1, 2), (5.9, 4.0, 1, 2),
-             (5.0, 4.2, 2, 5), (5.9, 5.9, 3, 7))
-    solver_res = 0.0
-    power_err = 0.0
-    for th, tj, p, q in cases:
-        d = solve_order_q_distance(th, tj, p, q)
-        a, b = injectivity_holonomy_pair(th, tj, d)
-        m = a.mat @ b.mat
-        tr_res = abs(abs(float(np.trace(m)))
-                     - 2.0 * abs(math.cos(math.pi * p / q)))
-        solver_res = max(solver_res, tr_res)
-        mq = np.linalg.matrix_power(m, q)
-        eye = np.eye(2)
-        power_err = max(power_err, min(float(np.max(np.abs(mq - eye))),
-                                       float(np.max(np.abs(mq + eye)))))
-    ok = (form_err < 1e-12 and bound_ok and approach_err < 1e-12
-          and solver_res < 1e-10 and power_err < 1e-8)
-    _report("product trace law", ok,
-            f"closed form {form_err:.1e} < 1e-12 on {len(angles)**2 * len(dists)} "
-            f"grid points; bound strict on {pairs} admissible pairs "
-            f"(approach {approach_err:.1e}); solver residual {solver_res:.1e} "
-            f"< 1e-10 with M^q = +/-I to {power_err:.1e} < 1e-8")
 
 
 def test_holonomy_certification():

@@ -371,7 +371,7 @@ EXIT_CODES = {
     errors.WallAngle: 2, errors.DegenerateDirection: 2, errors.CoincidentFixedPoints: 2,
     errors.NotElliptic: 2, errors.NotHyperbolic: 2, errors.NotSemisimple: 2,
     errors.UnflippableConfiguration: 2,
-    errors.NoBranch: 3, errors.NoSolution: 3, errors.NumericalCollapse: 3,
+    errors.NoBranch: 3, errors.NumericalCollapse: 3,
     errors.NonTermination: 3,
     OSError: 1, ValueError: 1, json.JSONDecodeError: 1, OverflowError: 3,
 }

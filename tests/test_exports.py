@@ -1,5 +1,7 @@
 """Every name the package exports is referred to by its own code or shown in
-README code: an export that is neither is code to keep up for nothing.
+README code, and every error class is named by the code of a module other
+than `errors.py`: an export that is neither, or an error class that nothing
+raises or catches, is code to keep up for nothing.
 
 A reference is code, not prose: a name or an attribute in the syntax tree of
 a module, outside the name's own definition, a word of a README inline code
@@ -10,6 +12,8 @@ comment or a docstring does not count.
 import ast
 import re
 from pathlib import Path
+
+from hypcone import errors
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hypcone"
@@ -48,11 +52,12 @@ def exported_names():
             for alias in node.names]
 
 
-def code_names(name):
-    """The names and attribute names in the code of the package's modules,
-    less the top-level definition of `name` (decorators, signature and body)."""
+def code_names(name, skip=("__init__.py",)):
+    """The names and attribute names in the code of the package's modules
+    but those named in `skip`, less the top-level definition of `name`
+    (decorators, signature and body)."""
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
+        if path.name in skip:
             continue
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             if getattr(top, "name", None) != name:
@@ -64,3 +69,11 @@ def test_every_export_is_used_or_documented():
     unused = [name for name in exported_names()
               if name not in readme and name not in code_names(name)]
     assert unused == []
+
+
+def test_every_error_class_is_named_outside_errors():
+    classes = [name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, errors.HypconeError)]
+    unnamed = [name for name in classes
+               if name not in code_names(name, skip=("__init__.py", "errors.py"))]
+    assert len(classes) > 10 and unnamed == []

@@ -11,25 +11,21 @@ from hypcone import (
     axis_vector,
     elliptic_about,
     elliptic_pair_pairing,
-    elliptic_product_trace,
     geodesic_pair_pairing,
     hyp_distance,
     hyp_exp,
     hyperbolic_along,
-    injectivity_holonomy_pair,
     log_perturbation,
     mixed_pairing,
     normalizing_isometry,
     sl2_exp,
     sl2_log,
-    solve_order_q_distance,
     trace_form,
 )
 from hypcone.errors import (
     CoincidentFixedPoints,
     DegenerateDirection,
     NoBranch,
-    NoSolution,
     NotElliptic,
     NotHyperbolic,
     NotSemisimple,
@@ -190,6 +186,12 @@ def test_killing_multiple_of_trace_form():
 def test_vector_rejects_trace():
     with pytest.raises(ValueError):
         Sl2Vector([[1.0, 0.0], [0.0, 0.5]])
+    # a non-finite entry has no trace to check: max(1, nan) is 1, nan > tol
+    # is False, and inf - inf is nan
+    for bad in ([[math.nan, 0.0], [0.0, 0.0]], [[math.inf, 1.0], [0.0, -math.inf]],
+                [[0.0, -math.inf], [0.0, 0.0]]):
+        with pytest.raises(ValueError, match="finite"):
+            Sl2Vector(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -543,100 +545,6 @@ def test_log_expansion_suite_seeds(seed):
 
 
 # ---------------------------------------------------------------------------
-# two-cone holonomy traces
-# ---------------------------------------------------------------------------
-
-
-def test_product_trace_closed_form():
-    rng = np.random.default_rng(13)
-    for _ in range(200):
-        th = float(rng.uniform(0.1, 2 * math.pi - 0.1))
-        tj = float(rng.uniform(0.1, 2 * math.pi - 0.1))
-        d = float(rng.uniform(0.0, 3.0))
-        want = 2.0 * abs(
-            math.cos(th / 2) * math.cos(tj / 2)
-            - math.cosh(d) * math.sin(th / 2) * math.sin(tj / 2)
-        )
-        assert elliptic_product_trace(th, tj, d) == pytest.approx(want, abs=1e-12)
-
-
-def test_holonomy_pair_matrices():
-    a, b = injectivity_holonomy_pair(1.2, 2.3, 0.7)
-    assert _rotation(a) == pytest.approx((min(1.2, 2 * math.pi - 1.2), 1.2))
-    assert _rotation(b)[1] == pytest.approx(2.3)
-    assert hyp_distance(center(a), center(b)) == pytest.approx(
-        0.7, abs=1e-12
-    )
-    with pytest.raises(OutOfRange):
-        injectivity_holonomy_pair(0.0, 1.0, 1.0)
-    with pytest.raises(OutOfRange):
-        injectivity_holonomy_pair(1.0, 1.0, -0.5)
-
-
-def test_order_q_solver_frozen_example():
-    d = solve_order_q_distance(1.5 * math.pi, 1.5 * math.pi, 1, 2)
-    assert d == pytest.approx(0.0, abs=1e-9)
-
-
-def test_order_q_solver_roundtrip():
-    rng = np.random.default_rng(14)
-    targets = [(1, 2), (1, 3), (2, 3), (1, 4), (3, 4), (2, 5)]
-    found = 0
-    for _ in range(800):
-        th = float(rng.uniform(0.3, 2 * math.pi - 0.3))
-        tj = float(rng.uniform(0.3, 2 * math.pi - 0.3))
-        if th + tj <= 2 * math.pi + 0.05:
-            continue
-        p, q = targets[int(rng.integers(len(targets)))]
-        try:
-            d = solve_order_q_distance(th, tj, p, q)
-        except NoSolution:
-            continue
-        assert d >= 0.0
-        got = elliptic_product_trace(th, tj, d)
-        assert got == pytest.approx(2.0 * abs(math.cos(math.pi * p / q)), abs=1e-9)
-        found += 1
-    assert found > 100
-
-
-def test_order_q_solver_rejections():
-    with pytest.raises(ValueError):
-        solve_order_q_distance(4.0, 4.0, 2, 4)
-    with pytest.raises(ValueError):
-        solve_order_q_distance(4.0, 4.0, 3, 2)
-    with pytest.raises(NoSolution):
-        solve_order_q_distance(1.0, 1.0, 1, 2)
-
-
-def test_order_q_solver_returns_first_crossing():
-    # before the returned d the trace profile sits strictly on one side of
-    # the target: above it when the d=0 value already exceeds the target,
-    # below it otherwise
-    rng = np.random.default_rng(15)
-    checked = 0
-    for _ in range(400):
-        th = float(rng.uniform(math.pi, 2 * math.pi - 0.3))
-        tj = float(rng.uniform(math.pi, 2 * math.pi - 0.3))
-        p, q = (1, 3) if rng.uniform() < 0.5 else (1, 2)
-        try:
-            d = solve_order_q_distance(th, tj, p, q)
-        except NoSolution:
-            continue
-        if d < 1e-6:
-            continue
-        target = 2.0 * abs(math.cos(math.pi * p / q))
-        start = elliptic_product_trace(th, tj, 0.0)
-        for frac in (0.2, 0.5, 0.9):
-            probe = elliptic_product_trace(th, tj, frac * d)
-            if start > target:
-                assert probe > target
-            else:
-                assert probe < target
-        checked += 1
-    assert checked > 50
-
-
-# ---------------------------------------------------------------------------
 # numpy reference: the array-based arithmetic the float layer replaced
 # ---------------------------------------------------------------------------
 
@@ -648,6 +556,8 @@ class RefVector:
         arr = np.asarray(mat, dtype=float)
         if arr.shape != (2, 2):
             raise ValueError("expected a 2x2 matrix")
+        if not np.isfinite(arr).all():
+            raise ValueError("matrix entries must be finite")
         tr = arr[0, 0] + arr[1, 1]
         scale = max(1.0, float(np.max(np.abs(arr))))
         if abs(tr) > 1e-12 * scale:
@@ -939,7 +849,6 @@ def test_operations_make_no_numpy_call(monkeypatch):
     elliptic_pair_pairing(s1, s2)
     geodesic_pair_pairing(r1, r2)
     mixed_pairing(r1, s1)
-    solve_order_q_distance(1.5 * math.pi, 1.5 * math.pi, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -1131,8 +1040,8 @@ def test_constructors_and_pairings_equal_their_chains_bit_for_bit():
     assert min(drift.values()) >= 500, drift
 
 
-# Batches: every function the self-test suites call, on equal-length arrays
-# of entries, against the float calls element by element.
+# Batches: the functions of sl2, on equal-length arrays of entries, against
+# the float calls element by element.
 
 def batch_of(items):
     """One batch of floats, points, elements or vectors, for the batch call."""
@@ -1169,6 +1078,8 @@ def batch_samples():
     translations = [hyperbolic_along(u, v, ell) for (u, v), ell in zip(ends, lengths)]
     bases = [sl2_log(m) for pair in zip(rotations, translations) for m in pair]
     directions = [Sl2Vector.from_entries(*x) for x in rng.normal(size=(len(bases), 3)).tolist()]
+    # |det| below 1e-8: the series of exp's coefficients
+    small = [1e-5 * x for x in directions]
     return {
         "elliptic_about": (elliptic_about, [(HypPoint(*p), a) for p, a in zip(points, angles)]),
         "hyperbolic_along": (hyperbolic_along, [(u, v, ell) for (u, v), ell in zip(ends, lengths)]),
@@ -1183,6 +1094,7 @@ def batch_samples():
         "mixed_pairing": (mixed_pairing, list(zip(translations, rotations))),
         "sl2_log": (sl2_log, [(m,) for m in rotations + translations]),
         "log_perturbation": (log_perturbation, list(zip(bases, directions))),
+        "sl2_exp": (sl2_exp, [(x,) for x in bases + directions + small]),
     }
 
 
